@@ -1,7 +1,7 @@
 """Classical flows: Hamilton's equations, transit times and state labels.
 
-Trajectories are integrated with a kick-drift-kick symplectic stepper for
-separable Hamiltonians and a classical RK4 one-step method otherwise.
+Trajectories are integrated with a kick-drift-kick symplectic stepper,
+which h = pi^2/2m + V(xi) admits because it is separable.
 Transit times through phase-space regions are computed by locating each
 boundary crossing on a cubic Hermite interpolant of the sampled flow, so
 their accuracy is set by the crossing bisection, not the sample step.
@@ -61,7 +61,7 @@ class ClassicalTrajectory:
     def derivatives(self) -> np.ndarray:
         """Phase-space velocities (xi_dot, pi_dot) at every sample."""
         pot = self.spec.potential
-        if self.spec.vector_potential is None and pot.ndim == 1:
+        if pot.ndim == 1:
             xi = self.xi[:, 0]
             return np.column_stack([self.pi[:, 0] / self.spec.mass,
                                     -pot.derivative(xi, 1)])
@@ -161,8 +161,7 @@ def integrate_flow(spec: HamiltonianSpec, alpha0: PhasePoint,
                    t_final: float, dt: float) -> ClassicalTrajectory:
     """Integrate Hamilton's equations from alpha0 over [0, t_final].
 
-    Separable Hamiltonians use a second-order kick-drift-kick symplectic
-    stepper; specs with a vector potential fall back to RK4.  The step is
+    The stepper is second-order kick-drift-kick symplectic.  The step is
     adjusted to divide the horizon exactly, so samples sit at k dt.
 
     Raises
@@ -175,8 +174,6 @@ def integrate_flow(spec: HamiltonianSpec, alpha0: PhasePoint,
         raise ValueError("need 0 < dt <= t_final")
     m = max(1, int(round(t_final / dt)))
     dt = t_final / m
-    if spec.vector_potential is not None:
-        return _integrate_rk4(spec, alpha0, m, dt)
     if spec.potential.ndim == 1 and spec.potential.is_polynomial:
         return _integrate_leapfrog_1d(spec, alpha0, m, dt)
     return _integrate_leapfrog(spec, alpha0, m, dt)
@@ -186,7 +183,7 @@ def _finish(spec, m, dt, xi, pi, last):
     times = dt * np.arange(last + 1)
     xi = xi[:last + 1]
     pi = pi[:last + 1]
-    if spec.vector_potential is None and spec.potential.ndim == 1:
+    if spec.potential.ndim == 1:
         energies = pi[:, 0] ** 2 / (2 * spec.mass) + spec.potential.value(xi[:, 0])
     else:
         energies = np.array([eval_h(spec, PhasePoint(xi[k], pi[k]))
@@ -231,29 +228,6 @@ def _integrate_leapfrog(spec, alpha0, m, dt):
         p = p - half * pot.gradient(x)
         xi[k], pi[k] = x, p
         if not np.all(np.abs(np.concatenate([x, p])) < DIVERGENCE_NORM):
-            return _finish(spec, m, dt, xi, pi, k - 1)
-    return _finish(spec, m, dt, xi, pi, m)
-
-
-def _integrate_rk4(spec, alpha0, m, dt):
-    n = alpha0.n
-
-    def rhs(vec):
-        g = gradient_h(spec, PhasePoint.from_vector(vec))
-        return np.concatenate([g[n:], -g[:n]])
-
-    xi = np.empty((m + 1, n))
-    pi = np.empty((m + 1, n))
-    y = alpha0.vector
-    xi[0], pi[0] = y[:n], y[n:]
-    for k in range(1, m + 1):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        xi[k], pi[k] = y[:n], y[n:]
-        if not np.all(np.abs(y) < DIVERGENCE_NORM):
             return _finish(spec, m, dt, xi, pi, k - 1)
     return _finish(spec, m, dt, xi, pi, m)
 

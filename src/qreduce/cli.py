@@ -9,6 +9,10 @@ that the command-line flags override; and optional "seed" and
 "tolerances" entries that are echoed into every report.  Potentials are
 given either as a named preset (harmonic, free, cubic-perturbed,
 quartic, double-well) or as {"coeffs": [...]} / {"coeff_matrix": [[...]]}.
+Grids are {"n", "N", "L"}, comparators {"s", "N"}, and regions
+{"center", "radius"} (ball) or {"center", "half_widths"} (box).
+ehrenfest and the grid form of classify-quantum take their initial
+state as a {"packet": {"alpha0", "M0"}} block, defaulting to the vacuum.
 
 Every report embeds the tool version, the sha256 hash of the canonical
 config serialization, the full config echo, and the provenance of the
@@ -30,15 +34,13 @@ header row; the columns per mode are:
 Exit codes: 0 success; 1 only when --assert-reduced is set and the
 verdict is not "reduced"; 2 unreadable or schema-invalid config; 3
 numerical failure during the run (a diagnostic JSON is still written
-when the output directory allows it).  REDUCE_THREADS caps how many
-independent sub-runs (the per-lambda scale rows) execute concurrently.
+when the output directory allows it).
 """
 
 import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -309,13 +311,9 @@ def _run_scale(problem: dict):
         _fail("problem.lambdas", "must be a nonempty list")
     grid = _grid_from(problem)
     dt = _number(problem, "problem", "dt", default=DEFAULT_DT)
-    reading = problem.get("reading", "scaled-family")
-    workers = max(1, int(os.environ.get("REDUCE_THREADS", "1")))
 
     def compute():
-        out = hepp_experiment(spec, alpha0, T, lambdas, grid=grid, dt=dt,
-                              reading=reading,
-                              workers=min(workers, len(lambdas)))
+        out = hepp_experiment(spec, alpha0, T, lambdas, grid=grid, dt=dt)
         out["provenance"] = _provenance(grid=grid, dt=dt)
         rows = [(r["lam"], r["error"], r["bound"]) for r in out["rows"]]
         return out, ("lambda", "error", "bound"), rows, None

@@ -13,7 +13,7 @@ so |alpha|^2 below always means |z|^2 = (xi^2 + pi^2) / 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,11 +28,17 @@ NOISE_FLOOR = 1e-26
 
 @dataclass(frozen=True)
 class ComparatorSpec:
-    """Parameters of the comparator family: decay s and basis cutoff N."""
+    """Parameters of the comparator family: decay s and basis cutoff N.
+
+    Each instance keeps the Hermite basis it has built per grid, so a run
+    that projects many states on one grid builds the basis once.
+    """
 
     s: float
     N: int = 128
     center: PhasePoint = None
+    _bases: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     def __post_init__(self):
         if self.s <= 0:
@@ -80,10 +86,15 @@ def hermite_functions(x, K: int) -> np.ndarray:
     return out
 
 
-def _basis(grid: GridSpec, K: int) -> np.ndarray:
-    if 2 * K + 1 > (np.pi / grid.dx) ** 2 or np.sqrt(2 * K + 1) > grid.L:
-        raise ValueError("grid cannot resolve this many Hermite functions")
-    return hermite_functions(grid.x, K)
+def _basis(spec: ComparatorSpec, grid: GridSpec) -> np.ndarray:
+    """h_0..h_N on the grid axis, built on first use and kept by the spec."""
+    h = spec._bases.get(grid)
+    if h is None:
+        K = spec.N
+        if 2 * K + 1 > (np.pi / grid.dx) ** 2 or np.sqrt(2 * K + 1) > grid.L:
+            raise ValueError("grid cannot resolve this many Hermite functions")
+        h = spec._bases[grid] = hermite_functions(grid.x, K)
+    return h
 
 
 def _recentred(spec: ComparatorSpec, psi: GridWavefunction, inverse=False):
@@ -103,7 +114,7 @@ def hermite_coefficients(spec: ComparatorSpec, psi: GridWavefunction):
     """
     psi = _recentred(spec, psi)
     grid = psi.grid
-    h = _basis(grid, spec.N)
+    h = _basis(spec, grid)
     if grid.n == 1:
         coeffs = h @ psi.amp * grid.dx
     else:
@@ -133,7 +144,7 @@ def apply_comparator(spec: ComparatorSpec, psi: GridWavefunction,
     grid = psi.grid
     decay = np.exp(-spec.s * np.arange(spec.N + 1))
     factor = decay if normalized else spec.sigma * decay
-    h = _basis(grid, spec.N)
+    h = _basis(spec, grid)
     if grid.n == 1:
         amp = (coeffs * factor) @ h
     else:

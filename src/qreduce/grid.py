@@ -185,8 +185,6 @@ def propagate(spec: HamiltonianSpec, psi0: GridWavefunction, t_final: float,
         When boundary-band mass exceeds 1e-10 (checked upfront, every
         ``check_stride`` steps and at the end): grid too small for the run.
     """
-    if spec.classical_only:
-        raise ValueError("spec has a vector potential, classical flow only")
     if t_final <= 0 or dt <= 0 or dt > t_final:
         raise ValueError("need 0 < dt <= t_final")
     grid = psi0.grid

@@ -2,14 +2,12 @@
 
 The package works in internal units with hbar = 1; any handling of
 physical magnitudes lives in :mod:`qreduce.scaling`.  A Hamiltonian is
-h(xi, pi) = pi^2 / 2m + V(xi) with an optional classical-side vector
-potential, in which case h = (pi - A(xi))^2 / 2m + V(xi) and the spec is
-flagged classical-only.
+h(xi, pi) = pi^2 / 2m + V(xi) in one or two degrees of freedom.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -213,7 +211,6 @@ class HamiltonianSpec:
     mass: float
     potential: PotentialModel
     dimension: int = 1
-    vector_potential: tuple = None
 
     def __post_init__(self):
         if self.mass <= 0:
@@ -222,40 +219,19 @@ class HamiltonianSpec:
             raise ValueError("dimension must be 1 or 2")
         if self.potential.ndim != self.dimension:
             raise ValueError("potential dimension does not match spec")
-        if self.vector_potential is not None and self.dimension != 1:
-            raise ValueError("vector potential supported in 1D only")
-
-    @property
-    def classical_only(self) -> bool:
-        """True when the spec cannot be used for quantum propagation."""
-        return self.vector_potential is not None
-
-    def kinetic_momentum(self, alpha: PhasePoint) -> np.ndarray:
-        """pi - A(xi); equals pi when no vector potential is present."""
-        if self.vector_potential is None:
-            return alpha.pi
-        a_val = np.array([A.value(alpha.xi[0]) for A in self.vector_potential])
-        return alpha.pi - a_val
 
 
 def eval_h(spec: HamiltonianSpec, alpha: PhasePoint) -> float:
-    """Total energy h(alpha) = (pi - A)^2 / 2m + V(xi)."""
-    kin = spec.kinetic_momentum(alpha)
+    """Total energy h(alpha) = pi^2 / 2m + V(xi)."""
     pot = spec.potential
     v = pot.value(alpha.xi if pot.ndim == 2 else alpha.xi[0])
-    return float(np.sum(kin ** 2) / (2.0 * spec.mass) + v)
+    return float(np.sum(alpha.pi ** 2) / (2.0 * spec.mass) + v)
 
 
 def gradient_h(spec: HamiltonianSpec, alpha: PhasePoint) -> np.ndarray:
     """Exact gradient (d_xi h, d_pi h) stacked as a 2n-vector."""
-    kin = spec.kinetic_momentum(alpha)
-    d_pi = kin / spec.mass
     d_xi = spec.potential.gradient(alpha.xi)
-    if spec.vector_potential is not None:
-        a_prime = np.array([A.derivative(alpha.xi[0], 1)
-                            for A in spec.vector_potential])
-        d_xi = d_xi - a_prime * kin / spec.mass
-    return np.concatenate([np.atleast_1d(d_xi), d_pi])
+    return np.concatenate([np.atleast_1d(d_xi), alpha.pi / spec.mass])
 
 
 def hessian_h(spec: HamiltonianSpec, alpha: PhasePoint) -> np.ndarray:
@@ -266,14 +242,6 @@ def hessian_h(spec: HamiltonianSpec, alpha: PhasePoint) -> np.ndarray:
     V_xx = spec.potential.hessian(alpha.xi)
     H[:n, :n] = V_xx
     H[n:, n:] = np.eye(n) / spec.mass
-    if spec.vector_potential is not None:
-        A = spec.vector_potential[0]
-        a1 = A.derivative(alpha.xi[0], 1)
-        a2 = A.derivative(alpha.xi[0], 2)
-        kin = spec.kinetic_momentum(alpha)[0]
-        m = spec.mass
-        H[0, 0] += (a1 ** 2 - a2 * kin) / m
-        H[0, 1] = H[1, 0] = -a1 / m
     return H
 
 

@@ -34,7 +34,11 @@ CAUSTIC_TOL = 1e-12
 
 
 def _as_matrix(value, n: int) -> np.ndarray:
-    out = np.atleast_2d(np.asarray(value, dtype=complex))
+    """An n x n complex matrix; a scalar w stands for w times the identity."""
+    out = np.asarray(value, dtype=complex)
+    if out.ndim == 0:
+        return out * np.eye(n, dtype=complex)
+    out = np.atleast_2d(out)
     if out.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix")
     return out
@@ -188,8 +192,7 @@ def evolve_AB(spec: HamiltonianSpec, traj: ClassicalTrajectory,
     dt = traj.dt
     mids = _hermite(traj.states[:-1], traj.states[1:], traj.derivatives[:-1],
                     traj.derivatives[1:], dt, 0.5)
-    separable = spec.vector_potential is None and spec.potential.ndim == 1
-    if separable and n == 1:
+    if n == 1:
         A_series, B_series = _evolve_scalar(spec, traj, mids, complex(A[0, 0]),
                                             complex(B[0, 0]))
     else:
@@ -198,7 +201,7 @@ def evolve_AB(spec: HamiltonianSpec, traj: ClassicalTrajectory,
 
 
 def _evolve_scalar(spec, traj, mids, a, b):
-    # 1D separable fast path: only V''(xi) drives the system.
+    # 1D fast path: only V''(xi) drives the system.
     pot = spec.potential
     vxx0 = np.asarray(pot.derivative(traj.xi[:, 0], 2), dtype=float)
     vxx_mid = np.asarray(pot.derivative(mids[:, 0], 2), dtype=float)
@@ -292,7 +295,7 @@ def phase_X(spec: HamiltonianSpec, traj: ClassicalTrajectory) -> np.ndarray:
     the packet propagator exact there.
     """
     pot = spec.potential
-    if spec.vector_potential is None and pot.ndim == 1:
+    if pot.ndim == 1:
         xi = traj.xi[:, 0]
         integrand = pot.value(xi) - 0.5 * pot.derivative(xi, 1) * xi
     else:
@@ -304,16 +307,6 @@ def phase_X(spec: HamiltonianSpec, traj: ClassicalTrajectory) -> np.ndarray:
                 grad @ point.vector)
     return cumulative_simpson(np.asarray(integrand, dtype=float),
                               dx=traj.dt, initial=0.0)
-
-
-@dataclass(eq=False)
-class ApproxPropagatorState:
-    """One sample of the approximating propagator applied to a packet."""
-
-    time: float
-    packet: GaussianPacket
-    classical_point: PhasePoint
-    X_phase: float
 
 
 @dataclass(eq=False)
@@ -337,11 +330,6 @@ class PacketFlow:
             B=self.series.B[k], phase=self.base.phase + float(self.X[k]),
             norm_prefactor=self.base.norm_prefactor,
             detB_angle=float(self.series.detB_angle[k]) + self.branch_offset)
-
-    def state_at(self, k: int) -> ApproxPropagatorState:
-        return ApproxPropagatorState(
-            time=float(self.times[k]), packet=self.packet_at(k),
-            classical_point=self.traj.point(k), X_phase=float(self.X[k]))
 
     def to_csv(self, path) -> None:
         """Columns t, xi.., pi.., Re/Im of M entries, phase."""
@@ -377,11 +365,3 @@ def approximate_flow(spec: HamiltonianSpec, traj: ClassicalTrajectory,
     return PacketFlow(spec=spec, traj=traj, base=psi0_packet, series=series,
                       X=X, branch_offset=offset)
 
-
-def apply_W(spec: HamiltonianSpec, traj: ClassicalTrajectory,
-            psi0_packet: GaussianPacket, t: float) -> GaussianPacket:
-    """The approximating propagator at a single sample time t = k dt."""
-    k = int(round(t / traj.dt))
-    if not 0 <= k < len(traj.times) or abs(traj.times[k] - t) > 1e-9:
-        raise ValueError("t must be one of the trajectory sample times")
-    return approximate_flow(spec, traj, psi0_packet).packet_at(k)

@@ -185,14 +185,6 @@ def duhamel_curve(spec: HamiltonianSpec, flow: PacketFlow) -> np.ndarray:
     return cumulative_trapezoid(values, flow.times, initial=0.0)
 
 
-def duhamel_bound(spec: HamiltonianSpec, flow: PacketFlow, t: float) -> float:
-    """The Duhamel bound at a single flow sample time."""
-    k = int(round(t / flow.traj.dt))
-    if not 0 <= k < len(flow.times) or abs(flow.times[k] - t) > 1e-9:
-        raise ValueError("t must be one of the flow sample times")
-    return float(duhamel_curve(spec, flow)[k])
-
-
 @dataclass(eq=False)
 class ErrorCurve:
     """Componentwise |alpha(t) - a_bar(t)| at the sampled times."""
@@ -350,18 +342,6 @@ def assemble_bounds(problem: ReductionProblem, run: QuantumRun,
             raise NumericalError("assembled bound fails to dominate the "
                                  "measured error; inconsistent pipeline")
     return assembly
-
-
-def theorem_bound(problem: ReductionProblem, run: QuantumRun,
-                  flow: PacketFlow, t: float) -> dict:
-    """Both bound values at one sample time, with the hypothesis flag."""
-    assembly = assemble_bounds(problem, run, flow)
-    j = int(np.argmin(np.abs(assembly.times - t)))
-    if abs(assembly.times[j] - t) > 1e-9:
-        raise ValueError("t must be one of the run sample times")
-    return {"general": float(assembly.general[j]),
-            "specialized": float(assembly.specialized[j]),
-            "hypotheses_hold": assembly.hypotheses_hold}
 
 
 @dataclass(eq=False)

@@ -12,8 +12,6 @@ small-Planck limit: the classical approximation improves because the
 Hamiltonian flattens, not because a fixed constant of nature changed.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -24,10 +22,6 @@ from .hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel
 from .packets import packet, sample_on_grid
 from .reduction import DEFAULT_DT, ReductionProblem, run_reduction
 
-# Magnitude of Planck's constant in SI units, for documentation only;
-# every computation here stays in lambda-relative units.
-PLANCK_SI = 6.625e-34
-
 SCALE_EXPONENTS = {
     "position": 0.5,
     "momentum": 0.5,
@@ -35,28 +29,6 @@ SCALE_EXPONENTS = {
     "mass": 0.0,
     "energy": 1.0,
 }
-
-READINGS = ("scaled-family", "shrinking-planck")
-REJECTED_READING = "shrinking-planck"
-
-
-@dataclass(frozen=True)
-class ScaledQuantity:
-    """A numerical value tagged with its kind and a scale parameter."""
-
-    kind: str
-    value: float
-    lam: float
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ConfigError("scale parameter must be positive")
-        if self.kind not in SCALE_EXPONENTS and self.kind != "planck":
-            raise ConfigError(f"unknown quantity kind: {self.kind!r}")
-
-    @property
-    def scaled(self) -> float:
-        return scale_value(self.kind, self.value, self.lam)
 
 
 def scale_value(kind: str, value: float, lam: float) -> float:
@@ -114,8 +86,6 @@ def scale_hamiltonian(spec: HamiltonianSpec, lam: float) -> ScaledHamiltonians:
         raise ConfigError("scale parameter must be positive")
     if not spec.potential.is_polynomial:
         raise ConfigError("scaling requires a polynomial potential")
-    if spec.vector_potential is not None:
-        raise ConfigError("scaling covers scalar potentials only")
     scaled = HamiltonianSpec(
         mass=spec.mass, dimension=spec.dimension,
         potential=_scaled_potential(spec.potential, lam, 1.0))
@@ -181,38 +151,25 @@ def _family_row(spec, alpha0, T, lam, grid, dt) -> dict:
 
 def hepp_experiment(spec: HamiltonianSpec, alpha0: PhasePoint, T: float,
                     lambdas, grid: GridSpec = DEFAULT_GRID,
-                    dt: float = DEFAULT_DT, reading: str = "scaled-family",
-                    workers: int = 1) -> dict:
+                    dt: float = DEFAULT_DT) -> dict:
     """Drive the scaled Hamiltonian family at a fixed numerical center.
 
     For each lambda the reduction pipeline runs with the family member
     g_lam, the same initial phase point, and the same horizon; the rows
     report the worst expectation error and the worst Duhamel remainder
     bound.  For an anharmonic polynomial both shrink as lambda does,
-    since every degree-k > 2 coefficient carries lambda^(k/2 - 1).  The
-    two readings label the identical computation; "shrinking-planck" is
-    recorded as the rejected interpretation because a dimensional
-    constant is not a tunable parameter.
+    since every degree-k > 2 coefficient carries lambda^(k/2 - 1).
     """
     lams = [float(l) for l in lambdas]
     if any(l <= 0 for l in lams):
         raise ConfigError("scale parameters must be positive")
     if any(b >= a for a, b in zip(lams, lams[1:])):
         raise ConfigError("scale parameters must be strictly decreasing")
-    if reading not in READINGS:
-        raise ConfigError(f"reading must be one of {READINGS}")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda l: _family_row(spec, alpha0, T, l, grid, dt), lams))
-    else:
-        rows = [_family_row(spec, alpha0, T, l, grid, dt) for l in lams]
+    rows = [_family_row(spec, alpha0, T, l, grid, dt) for l in lams]
     ok = [r for r in rows if r["failed"] is None]
     errors = [r["error"] for r in ok]
     bounds = [r["bound"] for r in ok]
     return {
-        "reading": reading,
-        "rejected": reading == REJECTED_READING,
         "rows": rows,
         "monotone_error": len(ok) == len(rows)
         and all(b < a for a, b in zip(errors, errors[1:])),

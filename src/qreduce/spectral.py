@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .comparator import ComparatorSpec, _basis, hermite_coefficients
+from .comparator import ComparatorSpec, hermite_coefficients
 from .grid import GridSpec, GridWavefunction, propagate
 from .hamiltonian import HamiltonianSpec
 
@@ -219,26 +219,19 @@ def _finite_stay_curve(evo: FiniteEvolution, psi, Omega, T: float,
     return times, tau, prediction
 
 
-def _comparator_expectation(comp: ComparatorSpec, basis: np.ndarray,
-                            decay: np.ndarray, psi: GridWavefunction) -> float:
-    if comp.center is not None:
-        coeffs, _ = hermite_coefficients(comp, psi)
-    elif psi.grid.n == 1:
-        coeffs = basis @ psi.amp * psi.grid.dx
-    else:
-        coeffs = basis @ psi.amp @ basis.T * psi.grid.cell
-    return float(np.sum(decay * np.abs(coeffs) ** 2))
-
-
 def _grid_stay_curve(handle: GridHamiltonian, psi: GridWavefunction,
                      comp: ComparatorSpec, T: float):
     if not isinstance(comp, ComparatorSpec):
         raise ValueError("grid evolutions take a ComparatorSpec as Omega")
     if not psi.is_unit:
         raise ValueError("psi must be a unit vector")
-    basis = _basis(psi.grid, comp.N)
     n_vals = np.exp(-comp.s * np.arange(comp.N + 1))
     decay = n_vals if psi.grid.n == 1 else np.outer(n_vals, n_vals)
+
+    def expectation(state):
+        coeffs, _ = hermite_coefficients(comp, state)
+        return float(np.sum(decay * np.abs(coeffs) ** 2))
+
     steps = max(2, int(np.ceil(T / handle.dt)))
     dt = T / steps
     curves = []
@@ -246,10 +239,10 @@ def _grid_stay_curve(handle: GridHamiltonian, psi: GridWavefunction,
     # conjugate state; the comparator kernel is real, so its expectation
     # in the conjugate state needs no further adjustment.
     for state in (psi, GridWavefunction(psi.grid, np.conj(psi.amp))):
-        values = [_comparator_expectation(comp, basis, decay, state)]
+        values = [expectation(state)]
 
         def observer(t, snapshot):
-            values.append(_comparator_expectation(comp, basis, decay, snapshot))
+            values.append(expectation(snapshot))
 
         propagate(handle.spec, state, T, dt, observer=observer)
         curves.append(np.asarray(values))

@@ -70,15 +70,6 @@ def test_step_validation():
         integrate_flow(HARMONIC, PhasePoint(1.0, 0.0), -1.0, 0.1)
 
 
-def test_vector_potential_rk4_conserves_energy():
-    # h = (pi - 0.2 xi)^2/2 + xi^2/2 stays autonomous, so h is conserved.
-    spec = HamiltonianSpec(
-        mass=1.0, potential=PotentialModel.polynomial([0, 0, 0.5]),
-        vector_potential=(PotentialModel.polynomial([0, 0.2]),))
-    traj = integrate_flow(spec, PhasePoint(1.0, 0.5), 10.0, 1e-3)
-    assert traj.energy_drift <= 1e-8
-
-
 def test_trajectory_interpolation_matches_fine_sampling():
     traj = integrate_flow(HARMONIC, PhasePoint(1.0, 0.0), 2.0, 1e-2)
     # At sample times the interpolant reproduces the samples exactly.

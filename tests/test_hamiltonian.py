@@ -203,26 +203,3 @@ def test_spec_validation():
         HamiltonianSpec(mass=-1.0, potential=pot)
     with pytest.raises(ValueError):
         HamiltonianSpec(mass=1.0, potential=pot, dimension=2)
-
-
-def test_vector_potential_energy_and_gradient():
-    # h = (pi - a xi)^2 / 2m + xi^2/2 with a = 0.3.
-    pot = PotentialModel.polynomial([0, 0, 0.5])
-    A = (PotentialModel.polynomial([0, 0.3]),)
-    spec = HamiltonianSpec(mass=1.0, potential=pot, vector_potential=A)
-    assert spec.classical_only
-    alpha = PhasePoint(2.0, 1.0)
-    kin = 1.0 - 0.6
-    assert eval_h(spec, alpha) == pytest.approx(0.5 * kin ** 2 + 2.0)
-    g = gradient_h(spec, alpha)
-    eps = 1e-6
-    fd_xi = (eval_h(spec, PhasePoint(2 + eps, 1.0))
-             - eval_h(spec, PhasePoint(2 - eps, 1.0))) / (2 * eps)
-    fd_pi = (eval_h(spec, PhasePoint(2.0, 1 + eps))
-             - eval_h(spec, PhasePoint(2.0, 1 - eps))) / (2 * eps)
-    assert g == pytest.approx([fd_xi, fd_pi], rel=1e-6, abs=1e-8)
-    H = hessian_h(spec, alpha)
-    assert H == pytest.approx(H.T)
-    dplus = gradient_h(spec, PhasePoint(2 + eps, 1.0))
-    dminus = gradient_h(spec, PhasePoint(2 - eps, 1.0))
-    assert H[:, 0] == pytest.approx((dplus - dminus) / (2 * eps), rel=1e-5, abs=1e-6)

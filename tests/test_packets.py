@@ -6,7 +6,6 @@ from qreduce.classical import integrate_flow
 from qreduce.grid import DEFAULT_GRID, GridSpec, expectation_a, propagate
 from qreduce.packets import (
     GaussianPacket,
-    apply_W,
     approximate_flow,
     evolve_AB,
     packet,
@@ -137,9 +136,14 @@ def test_phase_X_linear_potential():
     assert x[-1] == pytest.approx(0.39, abs=1e-9)
 
 
+def final_packet(spec, traj, base):
+    """W(t,0) applied to base at the last trajectory sample."""
+    return approximate_flow(spec, traj, base).packet_at(len(traj) - 1)
+
+
 def test_apply_W_harmonic_quarter_period():
     traj = integrate_flow(HARMONIC, PhasePoint(1.0, 0.0), np.pi / 2, 1e-3)
-    pkt = apply_W(HARMONIC, traj, packet(PhasePoint(1.0, 0.0), 1.0), np.pi / 2)
+    pkt = final_packet(HARMONIC, traj, packet(PhasePoint(1.0, 0.0), 1.0))
     assert pkt.alpha.xi[0] == pytest.approx(0.0, abs=1e-6)
     assert pkt.alpha.pi[0] == pytest.approx(-1.0, abs=1e-6)
     assert pkt.M[0, 0] == pytest.approx(1.0, abs=1e-8)
@@ -147,10 +151,8 @@ def test_apply_W_harmonic_quarter_period():
 
 def test_apply_W_requires_matching_start_and_sample_time():
     traj = integrate_flow(HARMONIC, PhasePoint(1.0, 0.0), 1.0, 1e-3)
-    with pytest.raises(ValueError):
-        apply_W(HARMONIC, traj, vacuum(), 1.0)
-    with pytest.raises(ValueError):
-        apply_W(HARMONIC, traj, packet(PhasePoint(1.0, 0.0), 1.0), 0.12345e-3)
+    with pytest.raises(ValueError, match="centered at the trajectory start"):
+        approximate_flow(HARMONIC, traj, vacuum())
 
 
 @pytest.mark.parametrize("spec,alpha0,t_final", [
@@ -164,13 +166,13 @@ def test_quadratic_exactness_with_global_phase(spec, alpha0, t_final):
     base = packet(alpha0, 1.0)
     psi0 = sample_on_grid(base, grid)
     exact = propagate(spec, psi0, t_final, 1e-3).final
-    approx = sample_on_grid(apply_W(spec, traj, base, t_final), grid)
+    approx = sample_on_grid(final_packet(spec, traj, base), grid)
     assert approx.distance(exact) < 1e-6
 
 
 def test_cubic_centering_by_quadrature():
     traj = integrate_flow(CUBIC, PhasePoint(1.0, 0.0), 1.0, 1e-3)
-    pkt = apply_W(CUBIC, traj, packet(PhasePoint(1.0, 0.0), 1.0), 1.0)
+    pkt = final_packet(CUBIC, traj, packet(PhasePoint(1.0, 0.0), 1.0))
     psi = sample_on_grid(pkt, DEFAULT_GRID)
     target = np.concatenate([traj.xi[-1], traj.pi[-1]])
     assert expectation_a(psi.normalized()) == pytest.approx(target, abs=1e-9)

@@ -10,10 +10,10 @@ from qreduce.grid import GridSpec
 from qreduce.hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel
 from qreduce.packets import approximate_flow, packet, sample_on_grid
 from qreduce.reduction import (ReductionProblem, assemble_bounds,
-                               duhamel_bound, duhamel_curve, ehrenfest_run,
+                               duhamel_curve, ehrenfest_run,
                                ehrenfest_residuals, measured_error,
                                remainder_norm, run_grid, run_reduction,
-                               squeeze_sweep, theorem_bound)
+                               squeeze_sweep)
 
 HARMONIC = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial([0, 0, 0.5]))
 CUBIC_PERTURBED = HamiltonianSpec(
@@ -75,9 +75,9 @@ def test_duhamel_linear_at_fixed_point():
     curve = duhamel_curve(CUBIC_PERTURBED, flow)
     assert abs(curve[-1] - 0.1 * CUBIC_AT_REST) < 1e-9
     assert np.all(np.diff(curve) >= 0.0)
-    assert abs(duhamel_bound(CUBIC_PERTURBED, flow, 0.5)
-               - 0.05 * CUBIC_AT_REST) < 1e-9
-    assert duhamel_bound(CUBIC_PERTURBED, flow, 0.0) == 0.0
+    assert flow.times[500] == pytest.approx(0.5, abs=1e-12)
+    assert abs(curve[500] - 0.05 * CUBIC_AT_REST) < 1e-9
+    assert curve[0] == 0.0
 
 
 def test_duhamel_dominates_measured_distance():
@@ -163,11 +163,48 @@ def test_theorem_bound_single_time_api():
     flow = approximate_flow(HARMONIC, traj, packet(problem.alpha0, 1.0))
     psi0 = sample_on_grid(packet(problem.alpha0, 1.0), problem.grid)
     run = run_grid(HARMONIC, psi0, 0.5, problem.dt)
-    out = theorem_bound(problem, run, flow, float(run.times[-1]))
-    assert out["hypotheses_hold"]
-    assert out["specialized"] >= out["general"] >= 0.0
-    with pytest.raises(ValueError):
-        theorem_bound(problem, run, flow, 0.123456)
+    bounds = assemble_bounds(problem, run, flow)
+    assert bounds.hypotheses_hold
+    assert bounds.specialized[-1] >= bounds.general[-1] >= 0.0
+
+
+def test_run_reduction_builds_each_basis_once(monkeypatch):
+    # Nine lattice samples share one comparator and one grid, so every
+    # projection of every snapshot reuses a single Hermite basis.
+    import qreduce.comparator as comparator
+    build = comparator.hermite_functions
+    calls = []
+
+    def counting(x, K):
+        calls.append(K)
+        return build(x, K)
+
+    monkeypatch.setattr(comparator, "hermite_functions", counting)
+    center = PhasePoint(1.0, 0.0)
+    problem = ReductionProblem(spec=CUBIC_PERTURBED, alpha0=center, T=0.1,
+                               epsilon=1.0, dt=0.01,
+                               region=PhaseRegion.box(center, [0.1, 0.1]))
+    report = run_reduction(problem)
+    assert len(report.sample_results) == 9
+    assert len(report.times) == 11
+    assert calls == [problem.comparator.N]
+
+
+def test_scalar_M0_broadcasts_in_two_dimensions():
+    pot = PotentialModel.polynomial2d([[0.0, 0.0, 0.5], [0.0, 0.0, 0.0],
+                                       [0.5, 0.01, 0.0], [0.02, 0.0, 0.0]])
+    spec2 = HamiltonianSpec(mass=1.0, potential=pot, dimension=2)
+
+    def report(**width):
+        problem = ReductionProblem(
+            spec=spec2, alpha0=PhasePoint([1.0, 0.0], [0.0, 0.5]), T=0.1,
+            epsilon=0.05, dt=0.01, grid=GridSpec(n=2, N=64, L=10.0),
+            comparator=ComparatorSpec(s=1.0, N=32), **width)
+        return run_reduction(problem).to_json_dict()
+
+    default = report()
+    assert default == report(M0=np.eye(2))
+    assert max(default["delta1_duhamel"]) > 0.0
 
 
 def test_measured_error_zero_at_start():
