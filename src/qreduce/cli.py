@@ -12,7 +12,8 @@ quartic, double-well) or as {"coeffs": [...]} / {"coeff_matrix": [[...]]}.
 Grids are {"n", "N", "L"}, comparators {"s", "N"}, and regions
 {"center", "radius"} (ball) or {"center", "half_widths"} (box).
 ehrenfest and the grid form of classify-quantum take their initial
-state as a {"packet": {"alpha0", "M0"}} block, defaulting to the vacuum.
+state as a {"packet": {"alpha0", "M0"}} block, defaulting to the vacuum,
+and refuse a top-level alpha0 or M0.
 
 Every report embeds the tool version, the sha256 hash of the canonical
 config serialization, the full config echo, and the provenance of the
@@ -123,6 +124,16 @@ def _phase_point(problem: dict, key: str = "alpha0") -> PhasePoint:
     if not isinstance(raw, list) or len(raw) not in (2, 4):
         _fail(f"problem.{key}", "must be a list [xi.., pi..] of length 2 or 4")
     return PhasePoint.from_vector(np.asarray(raw, dtype=float))
+
+
+def _start_packet(problem: dict):
+    """(alpha0, M0) from the packet block; a top-level one is refused."""
+    for key in ("alpha0", "M0"):
+        if key in problem:
+            _fail(f"problem.{key}", "this mode takes its start state as "
+                  '{"packet": {"alpha0": [...], "M0": ...}}')
+    pkt = _block(problem, "packet", required=False) or {"alpha0": [0.0, 0.0]}
+    return _phase_point(pkt), pkt.get("M0", 1.0)
 
 
 def _grid_from(problem: dict) -> GridSpec:
@@ -266,9 +277,7 @@ def _run_classify_quantum(problem: dict):
     grid = _grid_from(problem)
     comp = _comparator_from(problem)
     dt = _number(problem, "problem", "dt", default=0.25)
-    pkt = _block(problem, "packet", required=False) or {"alpha0": [0.0, 0.0]}
-    alpha0 = _phase_point(pkt)
-    M0 = pkt.get("M0", 1.0)
+    alpha0, M0 = _start_packet(problem)
 
     def compute():
         psi = sample_on_grid(packet(alpha0, M0), grid)
@@ -352,9 +361,7 @@ def _run_ehrenfest(problem: dict):
     T = _number(problem, "problem", "T", required=True)
     dt = _number(problem, "problem", "dt", default=DEFAULT_DT)
     stride = int(problem.get("sample_stride", 2))
-    pkt = _block(problem, "packet", required=False) or {"alpha0": [0.0, 0.0]}
-    alpha0 = _phase_point(pkt)
-    M0 = pkt.get("M0", 1.0)
+    alpha0, M0 = _start_packet(problem)
 
     def compute():
         psi = sample_on_grid(packet(alpha0, M0), grid)

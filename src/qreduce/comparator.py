@@ -46,6 +46,11 @@ class ComparatorSpec:
         if self.N < 16:
             raise ValueError("need at least 17 basis functions")
 
+    def fits(self, grid: GridSpec) -> bool:
+        """Whether the grid resolves h_0..h_N: Nyquist and half-width."""
+        top = 2 * self.N + 1
+        return top <= (np.pi / grid.dx) ** 2 and np.sqrt(top) <= grid.L
+
     @property
     def sigma(self) -> float:
         return 1.0 - np.exp(-self.s)
@@ -90,10 +95,9 @@ def _basis(spec: ComparatorSpec, grid: GridSpec) -> np.ndarray:
     """h_0..h_N on the grid axis, built on first use and kept by the spec."""
     h = spec._bases.get(grid)
     if h is None:
-        K = spec.N
-        if 2 * K + 1 > (np.pi / grid.dx) ** 2 or np.sqrt(2 * K + 1) > grid.L:
+        if not spec.fits(grid):
             raise ValueError("grid cannot resolve this many Hermite functions")
-        h = spec._bases[grid] = hermite_functions(grid.x, K)
+        h = spec._bases[grid] = hermite_functions(grid.x, spec.N)
     return h
 
 

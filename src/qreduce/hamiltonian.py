@@ -7,10 +7,12 @@ h(xi, pi) = pi^2 / 2m + V(xi) in one or two degrees of freedom.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial import polynomial as npoly
 from scipy.interpolate import CubicSpline
 
 from .errors import PotentialDomainError
@@ -19,12 +21,24 @@ MAX_POLY_DEGREE = 8
 MAX_POLY_DEGREE_2D = 4
 
 
+def _polyval_nd(coef, x):
+    """sum_a coef[..., a] x^a by nested Horner steps: the last x.shape[-1]
+    axes of coef index powers, its leading axes broadcast against x's."""
+    if x.shape[-1] == 0:
+        return coef
+    out = 0.0
+    for c in reversed(np.moveaxis(coef, -x.shape[-1], 0)):
+        out = out * x[..., 0] + _polyval_nd(c, x[..., 1:])
+    return out
+
+
 class PotentialModel:
     """A potential V with analytic derivatives.
 
     Two kinds are supported.  Polynomial potentials (degree <= 8 in one
     dimension, total degree <= 4 in two) carry exact derivatives of all
-    orders via coefficient shift-and-scale.  Tabulated potentials are
+    orders by coefficient differentiation, and exact Taylor remainders
+    about any batch of centres.  Tabulated potentials are
     cubic-spline interpolants and expose derivatives of order <= 2 only;
     asking for order 3 raises, as differentiating interpolation noise
     twice is already generous.
@@ -88,8 +102,7 @@ class PotentialModel:
         """Evaluate V at x (scalar or array; 2D takes (..., 2) stacks)."""
         if self.coeff_matrix is not None:
             x = np.asarray(x, dtype=float)
-            return np.polynomial.polynomial.polyval2d(
-                x[..., 0], x[..., 1], self.coeff_matrix)
+            return npoly.polyval2d(x[..., 0], x[..., 1], self.coeff_matrix)
         if self.is_polynomial:
             return Polynomial(self.coeffs)(np.asarray(x, dtype=float))
         return self._eval_spline(x, order=0)
@@ -112,10 +125,8 @@ class PotentialModel:
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         if self.coeff_matrix is not None:
             C = self.coeff_matrix
-            dx = np.polynomial.polynomial.polyval2d(
-                xi[0], xi[1], np.polynomial.polynomial.polyder(C, axis=0))
-            dy = np.polynomial.polynomial.polyval2d(
-                xi[0], xi[1], np.polynomial.polynomial.polyder(C, axis=1))
+            dx = npoly.polyval2d(xi[0], xi[1], npoly.polyder(C, axis=0))
+            dy = npoly.polyval2d(xi[0], xi[1], npoly.polyder(C, axis=1))
             return np.array([dx, dy])
         return np.array([self.derivative(xi[0], order=1)])
 
@@ -124,34 +135,32 @@ class PotentialModel:
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         if self.coeff_matrix is not None:
             C = self.coeff_matrix
-            pd = np.polynomial.polynomial.polyder
-            dxx = np.polynomial.polynomial.polyval2d(xi[0], xi[1], pd(pd(C, axis=0), axis=0))
-            dxy = np.polynomial.polynomial.polyval2d(xi[0], xi[1], pd(pd(C, axis=0), axis=1))
-            dyy = np.polynomial.polynomial.polyval2d(xi[0], xi[1], pd(pd(C, axis=1), axis=1))
+            pd = npoly.polyder
+            dxx = npoly.polyval2d(xi[0], xi[1], pd(pd(C, axis=0), axis=0))
+            dxy = npoly.polyval2d(xi[0], xi[1], pd(pd(C, axis=0), axis=1))
+            dyy = npoly.polyval2d(xi[0], xi[1], pd(pd(C, axis=1), axis=1))
             return np.array([[dxx, dxy], [dxy, dyy]])
         return np.array([[self.derivative(xi[0], order=2)]])
 
-    def shifted_coeffs(self, center):
-        """Coefficients of u -> V(center + u) for 1D polynomials.
+    def remainder(self, centers, u):
+        """Taylor remainder of order >= 3 about K centres, at displacements u.
 
-        The shift is exact coefficient arithmetic (composition with the
-        affine polynomial center + u), never finite differencing.
+        centers is a (K, n) array and u a (K, G, n) one; returns r_k(u) as
+        (K, G).  The coefficients d^a V(c_k) / a! come from exact
+        differentiation, so r is identically zero for quadratic V.
         """
-        if not self.is_polynomial or self.coeff_matrix is not None:
+        if not self.is_polynomial:
             raise PotentialDomainError(
-                "coefficient shift requires a 1D polynomial potential")
-        shifted = Polynomial(self.coeffs)(Polynomial([float(center), 1.0]))
-        return shifted.coef
-
-    def remainder_coeffs(self, center):
-        """Coefficients of the cubic-and-higher Taylor remainder about center.
-
-        r(u) = V(center + u) - V(center) - V'(center) u - V''(center) u^2 / 2,
-        returned as polynomial coefficients in u (the first three vanish).
-        """
-        coef = self.shifted_coeffs(center).copy()
-        coef[:3] = 0.0
-        return coef
+                "exact Taylor remainders need a polynomial potential")
+        C = self.coeffs if self.coeff_matrix is None else self.coeff_matrix
+        taylor = np.zeros((len(centers), 1) + C.shape)
+        for a in np.ndindex(C.shape):
+            if sum(a) >= 3:
+                D = C / math.prod(map(math.factorial, a))
+                for axis, m in enumerate(a):
+                    D = npoly.polyder(D, m, axis=axis)
+                taylor[(slice(None), 0) + a] = _polyval_nd(D, centers)
+        return _polyval_nd(taylor, u)
 
     def _eval_spline(self, x, order):
         x = np.asarray(x, dtype=float)

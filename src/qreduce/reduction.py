@@ -5,7 +5,8 @@ classical flow of its center, the quadratic-approximation packet flow
 W(t,0), and the full grid propagation U(t).  Two error terms are
 measured and bounded: the state distance ||(W - U) psi|| (bounded by the
 time integral of the nonquadratic remainder norm) and the comparator
-defect ||(1 - Omega) W psi||.  The assembled inequality
+defect ||(1 - Omega) W psi||; one exact remainder formula serves one
+and two dimensions.  The assembled inequality
 
     |alpha(t) - a_bar(t)| <= ||a Omega|| {(2||Omega|| + (E+1)||1-Omega||)
                              Delta_1 + 2(E+1) Delta_2}
@@ -20,10 +21,11 @@ with all magnitude hypotheses holding.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import cumulative_trapezoid
 
 from . import __version__
@@ -33,11 +35,14 @@ from .comparator import BasisResidualError, ComparatorSpec, apply_comparator, \
 from .errors import ConfigError, NumericalError
 from .grid import DEFAULT_GRID, GridSpec, GridWavefunction, expectation_a, \
     propagate
-from .hamiltonian import HamiltonianSpec, PhasePoint
+from .hamiltonian import MAX_POLY_DEGREE, HamiltonianSpec, PhasePoint, \
+    taylor_remainder_V
 from .packets import GaussianPacket, PacketFlow, approximate_flow, packet, \
     sample_on_grid
 
 CROSS_CHECK_TOL = 1e-8
+# Gauss-Hermite nodes per axis: exact to degree 17, so for r^2 at the caps.
+GAUSS_NODES = MAX_POLY_DEGREE + 1
 DOMINATION_SLACK = 1e-8
 DEFAULT_DT = 1e-3
 E_MARGIN = 1.5
@@ -79,6 +84,8 @@ class ReductionProblem:
             raise ConfigError("magnitude threshold E must be positive")
         if self.grid.n != self.alpha0.n:
             raise ConfigError("grid dimension must match the phase point")
+        if not self.comparator.fits(self.grid):
+            raise ConfigError("grid cannot resolve the comparator basis")
         if np.max(np.abs(self.alpha0.xi)) > 0.75 * self.grid.L:
             raise ConfigError("initial center too close to the grid edge")
 
@@ -89,40 +96,40 @@ class ReductionProblem:
         return eps
 
 
-def _gaussian_even_moments(var: float, top: int) -> np.ndarray:
-    """E[u^{2k}] = var^k (2k-1)!! for 2k = 0..top (odd slots zero)."""
-    moments = np.zeros(top + 1)
-    moments[0] = 1.0
-    for two_k in range(2, top + 1, 2):
-        moments[two_k] = moments[two_k - 2] * var * (two_k - 1)
-    return moments
+def _gaussian_rule(z: np.ndarray, w: np.ndarray, re_m: np.ndarray):
+    """Nodes u = L z (..., P, n), L L^T = (2 Re M)^{-1}, and weights (P,)
+    of the n-fold product of a standard-normal rule (z, w)."""
+    n = re_m.shape[-1]
+    L = np.linalg.cholesky(np.linalg.inv(2.0 * re_m))
+    z_nodes = np.stack(np.meshgrid(*[z] * n, indexing="ij", copy=False), -1)
+    u = z_nodes.reshape(-1, n) @ np.swapaxes(L, -1, -2)
+    return u, functools.reduce(np.multiply.outer, [w] * n).ravel()
 
 
-def _moment_norm_sq_1d(coef: np.ndarray, var: float) -> float:
-    sq = npoly.polymul(coef, coef)
-    return float(sq @ _gaussian_even_moments(var, len(sq) - 1))
+def _reference_norm(spec: HamiltonianSpec, center, re_m) -> float:
+    # Dense trapezoid over whitened z in [-10, 10]^n; r by subtraction.
+    z = np.linspace(-10.0, 10.0, 321)
+    w = np.exp(-0.5 * z ** 2) * (z[1] - z[0]) / np.sqrt(2.0 * np.pi)
+    w[[0, -1]] *= 0.5
+    u, weights = _gaussian_rule(z, w, re_m)
+    r = np.reshape(taylor_remainder_V(spec, center, u), -1)
+    return float(np.sqrt(weights @ (r * r)))
 
 
-def _quadrature_norm_sq_1d(coef: np.ndarray, var: float) -> float:
-    sd = np.sqrt(var)
-    u = np.linspace(-12.0 * sd, 12.0 * sd, 4001)
-    r = npoly.polyval(u, coef)
-    dens = np.exp(-0.5 * u ** 2 / var) / np.sqrt(2.0 * np.pi * var)
-    return float(np.trapezoid(r * r * dens, u))
-
-
-def _quadrature_norm_sq_2d(spec, pkt) -> float:
-    from .hamiltonian import taylor_remainder_V
-    cov = np.linalg.inv(2.0 * np.real(np.atleast_2d(pkt.M)))
-    sd = np.sqrt(np.max(np.linalg.eigvalsh(cov)))
-    u = np.linspace(-10.0 * sd, 10.0 * sd, 321)
-    mesh = np.stack(np.meshgrid(u, u, indexing="ij"), axis=-1)
-    r = taylor_remainder_V(spec, pkt.alpha.xi, mesh)
-    prec = np.linalg.inv(cov)
-    quad = np.einsum("...i,ij,...j->...", mesh, prec, mesh)
-    dens = np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(np.linalg.det(cov)))
-    du = u[1] - u[0]
-    return float(np.sum(r * r * dens) * du * du)
+def _remainder_norms(spec: HamiltonianSpec, centers, re_m, spots):
+    # Tensor Gauss-Hermite for all samples at once, exact at the degree
+    # caps; the dense reference checks the samples in spots.
+    if not spec.potential.is_polynomial:
+        raise ValueError("remainder norms need a polynomial potential")
+    z, w = hermegauss(GAUSS_NODES)
+    u, weights = _gaussian_rule(z, w / np.sqrt(2.0 * np.pi), re_m)
+    r = spec.potential.remainder(centers, u)
+    values = np.sqrt((r * r) @ weights)
+    for k in spots:
+        spot = _reference_norm(spec, centers[k], re_m[k])
+        if abs(spot - values[k]) > CROSS_CHECK_TOL * max(1.0, spot):
+            raise NumericalError("remainder spot check failed")
+    return values
 
 
 def remainder_norm(spec: HamiltonianSpec, pkt: GaussianPacket) -> float:
@@ -130,58 +137,31 @@ def remainder_norm(spec: HamiltonianSpec, pkt: GaussianPacket) -> float:
 
     For h = p^2/2m + V the kinetic and quadratic parts cancel exactly in
     the difference generator, leaving multiplication by the
-    cubic-and-higher Taylor remainder of V about the packet center.  The
-    norm is E[r(u)^2]^{1/2} under the packet's Gaussian position density
-    of variance (2 Re M)^{-1}: closed central moments in one dimension,
-    cross-checked against quadrature; quadrature in two.
+    cubic-and-higher Taylor remainder r of V about the packet center.
+    The norm is E[r(u)^2]^{1/2} under the packet's Gaussian position
+    density of covariance (2 Re M)^{-1}: tensor Gauss-Hermite quadrature,
+    exact within the degree caps, cross-checked by a dense trapezoid rule.
 
     Raises
     ------
     ValueError for non-polynomial potentials (no exact remainder).
-    NumericalError if the moment and quadrature forms disagree.
+    NumericalError if the exact and reference norms disagree.
     """
-    if not spec.potential.is_polynomial:
-        raise ValueError("remainder norms need a polynomial potential")
-    if pkt.n == 1:
-        coef = spec.potential.remainder_coeffs(float(pkt.alpha.xi[0]))
-        var = 1.0 / (2.0 * float(np.real(np.atleast_2d(pkt.M)[0, 0])))
-        value_sq = _moment_norm_sq_1d(coef, var)
-        check_sq = _quadrature_norm_sq_1d(coef, var)
-        if abs(value_sq - check_sq) > CROSS_CHECK_TOL * max(1.0, value_sq):
-            raise NumericalError("moment and quadrature remainder norms disagree")
-        return float(np.sqrt(value_sq))
-    return float(np.sqrt(_quadrature_norm_sq_2d(spec, pkt)))
-
-
-def _remainder_values(spec: HamiltonianSpec, flow: PacketFlow) -> np.ndarray:
-    # Moment form at every step; quadrature cross-check on a spot sample.
-    if not spec.potential.is_polynomial:
-        raise ValueError("remainder norms need a polynomial potential")
-    count = len(flow.times)
-    values = np.empty(count)
-    if flow.traj.n == 1:
-        re_m = np.real(flow.series.M[:, 0, 0])
-        centers = flow.traj.xi[:, 0]
-        for k in range(count):
-            coef = spec.potential.remainder_coeffs(float(centers[k]))
-            values[k] = np.sqrt(_moment_norm_sq_1d(coef, 0.5 / re_m[k]))
-    else:
-        for k in range(count):
-            values[k] = np.sqrt(_quadrature_norm_sq_2d(spec, flow.packet_at(k)))
-    for k in {0, count // 2, count - 1}:
-        spot = remainder_norm(spec, flow.packet_at(k))
-        if abs(spot - values[k]) > CROSS_CHECK_TOL * max(1.0, spot):
-            raise NumericalError("remainder spot check failed")
-    return values
+    return float(_remainder_norms(spec, pkt.alpha.xi[None], pkt.M.real[None],
+                                  [0])[0])
 
 
 def duhamel_curve(spec: HamiltonianSpec, flow: PacketFlow) -> np.ndarray:
     """Cumulative integral of the remainder norm along the packet flow.
 
     Bounds ||(W(t,0) - U(t)) psi|| for every t on the flow's time grid;
-    nondecreasing since the integrand is a norm.
+    nondecreasing since the integrand is a norm.  The integrand is
+    remainder_norm over the whole flow at once, spot-checked at the
+    first, middle and last steps.
     """
-    values = _remainder_values(spec, flow)
+    count = len(flow.times)
+    values = _remainder_norms(spec, flow.traj.xi, flow.series.M.real,
+                              {0, count // 2, count - 1})
     return cumulative_trapezoid(values, flow.times, initial=0.0)
 
 
@@ -266,10 +246,6 @@ class BoundAssembly:
         return bool(np.all(self.membership_u) and np.all(self.membership_w))
 
 
-def _flow_state(flow: PacketFlow, k: int, grid: GridSpec) -> GridWavefunction:
-    return sample_on_grid(flow.packet_at(k), grid)
-
-
 def _membership_probe(comp: ComparatorSpec, E, state: GridWavefunction):
     # A state with mass beyond the truncated basis certifies nothing;
     # score it as divergent rather than aborting the assembly.
@@ -304,7 +280,7 @@ def assemble_bounds(problem: ReductionProblem, run: QuantumRun,
     div_u = np.zeros(count, dtype=bool)
     div_w = np.zeros(count, dtype=bool)
     for j, k in enumerate(stride_idx):
-        w_state = _flow_state(flow, k, problem.grid)
+        w_state = sample_on_grid(flow.packet_at(k), problem.grid)
         u_state = run.states[j]
         delta1[j] = w_state.distance(u_state)
         smoothed = apply_comparator(comp, w_state, normalized=True)
@@ -553,7 +529,7 @@ def squeeze_sweep(problem: ReductionProblem, dilations) -> dict:
 
     def final_state(d):
         flow = approximate_flow(spec, traj, packet(problem.alpha0, d))
-        return flow, _flow_state(flow, len(flow.times) - 1, problem.grid)
+        return flow, sample_on_grid(flow.packet_at(-1), problem.grid)
 
     if problem.E is not None:
         E = problem.E

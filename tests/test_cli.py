@@ -165,12 +165,48 @@ def test_schema_violations_exit_two(tmp_path):
     }, "nonsym.json")) == 2
 
 
+def test_packet_modes_refuse_a_top_level_start_state(tmp_path):
+    # ehrenfest and grid classify-quantum read only the packet block; a
+    # top-level alpha0 would silently start them from the vacuum.
+    modes = {
+        "ehrenfest": {"potential": "harmonic", "T": 0.1, "dt": 0.01},
+        "classify-quantum": {"potential": "harmonic", "horizons": 1.0,
+                             "grid": {"n": 1, "N": 256, "L": 12.0},
+                             "comparator": {"s": 1.0, "N": 32}},
+    }
+    for mode, problem in modes.items():
+        top = write_config(tmp_path, {"mode": mode, "problem": {
+            **problem, "alpha0": [1.0, 0.0]}}, f"{mode}-top.json")
+        assert run(top, out_dir=tmp_path / f"{mode}-top") == 2
+        assert not (tmp_path / f"{mode}-top").exists()
+        width = write_config(tmp_path, {"mode": mode, "problem": {
+            **problem, "M0": 2.0}}, f"{mode}-width.json")
+        assert run(width, out_dir=tmp_path / f"{mode}-width") == 2
+        nested = write_config(tmp_path, {"mode": mode, "problem": {
+            **problem, "packet": {"alpha0": [1.0, 0.0], "M0": 2.0}}},
+            f"{mode}-packet.json")
+        assert run(nested, out_dir=tmp_path / f"{mode}-packet") == 0
+
+
+def test_comparator_too_large_for_the_grid_exits_two(tmp_path):
+    # The default comparator (N=128) needs more than a 64-point grid
+    # resolves: a config fault, reported before any computation.
+    cfg = write_config(tmp_path, {"mode": "reduce", "problem": {
+        "potential": {"coeff_matrix": [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0],
+                                       [0.5, 0.0, 0.0]]},
+        "alpha0": [1.0, 0.0, 0.0, 0.5], "T": 0.5, "epsilon": 0.05,
+        "grid": {"n": 2, "N": 64, "L": 10.0}}})
+    assert run(cfg, out_dir=tmp_path / "out") == 2
+    assert not (tmp_path / "out" / "reduce-failure.json").exists()
+
+
 def test_numerical_failure_exits_three(tmp_path):
     cfg = write_config(tmp_path, {
         "mode": "reduce",
         "problem": {"potential": {"coeffs": [0, 0, 0.5, 1.0 / 6.0]},
                     "alpha0": [4.0, 2.0], "T": 2.0, "epsilon": 0.1,
-                    "grid": {"n": 1, "N": 256, "L": 6.0}},
+                    "grid": {"n": 1, "N": 256, "L": 6.0},
+                    "comparator": {"s": 1.0, "N": 16}},
         "output": {"directory": str(tmp_path / "out")},
     })
     assert run(cfg) == 3

@@ -79,20 +79,13 @@ def test_remainder_quartic_at_shifted_center():
 
 
 def test_remainder_coeffs_match_pointwise():
+    # The exact-coefficient remainder equals the subtraction form.
     pot = PotentialModel.polynomial([0.3, -0.2, 0.5, 0.1, 0.05])
-    coef = pot.remainder_coeffs(0.8)
-    assert coef[:3] == pytest.approx([0.0, 0.0, 0.0])
     spec = HamiltonianSpec(mass=1.0, potential=pot)
     x = np.linspace(-2, 2, 17)
+    via_coeffs = pot.remainder(np.array([[0.8]]), x[None, :, None])[0]
     direct = taylor_remainder_V(spec, 0.8, x)
-    via_coeffs = np.polynomial.polynomial.polyval(x, coef)
     assert direct == pytest.approx(via_coeffs, abs=1e-12)
-
-
-def test_shifted_coeffs_exact():
-    # V(x) = x^2 about c: coefficients (c^2, 2c, 1).
-    pot = PotentialModel.polynomial([0, 0, 1])
-    assert pot.shifted_coeffs(3.0) == pytest.approx([9.0, 6.0, 1.0])
 
 
 coeff_lists = st.lists(
@@ -181,7 +174,7 @@ def test_tabulated_rejects_coefficient_shift():
     x = np.linspace(-1, 1, 50)
     pot = PotentialModel.tabulated(x, x ** 2)
     with pytest.raises(PotentialDomainError):
-        pot.shifted_coeffs(0.0)
+        pot.remainder(np.zeros((1, 1)), np.zeros((1, 3, 1)))
 
 
 def test_phase_point_arithmetic_and_norm():

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qreduce import reduction
 from qreduce.classical import PhaseRegion, integrate_flow
 from qreduce.comparator import ComparatorSpec
-from qreduce.errors import ConfigError
+from qreduce.errors import ConfigError, NumericalError
 from qreduce.grid import GridSpec
 from qreduce.hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel
 from qreduce.packets import approximate_flow, packet, sample_on_grid
@@ -20,6 +23,14 @@ CUBIC_PERTURBED = HamiltonianSpec(
     mass=1.0, potential=PotentialModel.polynomial([0, 0, 0.5, 0.1 / 6]))
 PURE_CUBIC = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial([0, 0, 0, 1 / 6]))
 QUARTIC = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial([0, 0, 0, 0, 0.25]))
+X2Y = np.zeros((3, 2))
+X2Y[2, 1] = 1.0
+CUBIC_2D = HamiltonianSpec(
+    mass=1.0, potential=PotentialModel.polynomial2d(X2Y), dimension=2)
+# Harmonic in both axes plus x^2 y; the origin is a fixed point.
+COUPLED_2D = HamiltonianSpec(
+    mass=1.0, potential=PotentialModel.polynomial2d(
+        [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 1.0, 0.0]]), dimension=2)
 
 CUBIC_AT_REST = 0.22821773229381922
 QUARTIC_AT_REST = 0.6404344228724749
@@ -65,6 +76,76 @@ def test_remainder_norm_rejects_tabulated():
         mass=1.0, potential=PotentialModel.tabulated(x, 0.5 * x ** 2))
     with pytest.raises(ValueError):
         remainder_norm(spec, origin_packet())
+
+
+def test_remainder_norm_two_dimensional_closed_forms():
+    # V = x^2 y about the origin: r = u^2 v with independent Gaussian
+    # axes, so E[r^2] = 3 var_x^2 var_y.
+    origin = PhasePoint([0.0, 0.0], [0.0, 0.0])
+    iso = remainder_norm(CUBIC_2D, packet(origin, np.eye(2)))
+    assert abs(iso - np.sqrt(3.0 / 8.0)) < 1e-12
+    # A strongly anisotropic width: var_x = 1/8, var_y = 500.
+    aniso = remainder_norm(CUBIC_2D, packet(origin, np.diag([4.0, 0.001])))
+    expected = np.sqrt(3.0 * (1.0 / 8.0) ** 2 * 500.0)
+    assert abs(aniso - expected) < 1e-12
+
+
+@st.composite
+def remainder_cases(draw):
+    # A polynomial within the degree caps, a centre, and a complex
+    # symmetric width whose real part has eigenvalue ratio up to 1e3.
+    coeff = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    n = draw(st.sampled_from([1, 2]))
+    if n == 1:
+        size = draw(st.integers(min_value=1, max_value=9))
+        pot = PotentialModel.polynomial([draw(coeff) for _ in range(size)])
+    else:
+        C = np.zeros((5, 5))
+        for i, j in np.ndindex(C.shape):
+            if i + j <= 4:
+                C[i, j] = draw(coeff)
+        pot = PotentialModel.polynomial2d(C)
+    spec = HamiltonianSpec(mass=1.0, potential=pot, dimension=n)
+    center = np.array([draw(st.floats(min_value=-2.0, max_value=2.0))
+                       for _ in range(n)])
+    top = 10.0 ** draw(st.floats(min_value=-1.5, max_value=1.5))
+    ratio = 10.0 ** draw(st.floats(min_value=0.0, max_value=3.0))
+    angle = draw(st.floats(min_value=0.0, max_value=np.pi))
+    rot = np.array([[np.cos(angle), -np.sin(angle)],
+                    [np.sin(angle), np.cos(angle)]])[:n, :n]
+    re_m = rot @ np.diag([top, top / ratio][:n]) @ rot.T
+    im = np.array([draw(st.floats(min_value=-2.0, max_value=2.0))
+                   for _ in range(3)])
+    im_m = np.array([[im[0], im[1]], [im[1], im[2]]])[:n, :n]
+    return spec, center, re_m + 1j * im_m
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=remainder_cases())
+def test_exact_remainder_norm_matches_dense_reference(case):
+    spec, center, M = case
+    start = PhasePoint(center, np.zeros_like(center))
+    exact = remainder_norm(spec, packet(start, M))
+    reference = reduction._reference_norm(spec, center, np.real(M))
+    assert abs(exact - reference) <= 1e-8 * max(1.0, reference)
+
+
+@pytest.mark.parametrize("spec, start", [
+    (PURE_CUBIC, PhasePoint(0.0, 0.0)),
+    (COUPLED_2D, PhasePoint([0.0, 0.0], [0.0, 0.0])),
+])
+def test_remainder_spot_check_is_live(monkeypatch, spec, start):
+    # A reference off by 1e-6 relative must trip the cross-check.
+    traj = integrate_flow(spec, start, 0.1, 0.01)
+    flow = approximate_flow(spec, traj, packet(start, 1.0))
+    duhamel_curve(spec, flow)
+    exact = reduction.taylor_remainder_V
+    monkeypatch.setattr(reduction, "taylor_remainder_V",
+                        lambda *args: exact(*args) * (1.0 + 1e-6))
+    with pytest.raises(NumericalError):
+        duhamel_curve(spec, flow)
+    with pytest.raises(NumericalError):
+        remainder_norm(spec, flow.packet_at(0))
 
 
 def test_duhamel_linear_at_fixed_point():
@@ -253,6 +334,10 @@ def test_problem_validation():
     with pytest.raises(ConfigError):
         ReductionProblem(spec=HARMONIC, alpha0=PhasePoint(1.0, 0.0),
                          T=1.0, epsilon=1.0, E=-2.0)
+    # The default comparator needs more functions than a 64-point grid holds.
+    with pytest.raises(ConfigError):
+        ReductionProblem(spec=HARMONIC, alpha0=PhasePoint(1.0, 0.0),
+                         T=1.0, epsilon=1.0, grid=GridSpec(n=1, N=64, L=6.0))
 
 
 def test_ehrenfest_harmonic_residuals_tiny():
