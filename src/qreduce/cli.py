@@ -318,7 +318,19 @@ def _run_scale(problem: dict):
     lambdas = problem.get("lambdas")
     if not isinstance(lambdas, list) or not lambdas:
         _fail("problem.lambdas", "must be a nonempty list")
+    if any(isinstance(l, bool) or not isinstance(l, (int, float))
+           for l in lambdas):
+        _fail("problem.lambdas", "entries must be numbers")
+    if any(l <= 0 for l in lambdas):
+        _fail("problem.lambdas", "entries must be positive")
+    if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
+        _fail("problem.lambdas", "must be strictly decreasing")
     grid = _grid_from(problem)
+    # Each family member runs with the default comparator of
+    # ReductionProblem, so the grid must resolve that basis.
+    if not ComparatorSpec(s=1.0).fits(grid):
+        _fail("problem.grid", "cannot resolve the default comparator "
+              "basis that scale runs use")
     dt = _number(problem, "problem", "dt", default=DEFAULT_DT)
 
     def compute():

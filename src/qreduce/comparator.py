@@ -30,14 +30,16 @@ NOISE_FLOOR = 1e-26
 class ComparatorSpec:
     """Parameters of the comparator family: decay s and basis cutoff N.
 
-    Each instance keeps the Hermite basis it has built per grid, so a run
-    that projects many states on one grid builds the basis once.
+    Each instance keeps what it has computed in a private store: the
+    complex Hermite basis per grid and the operator scalars per dimension.
+    A run that projects many states on one grid therefore builds the
+    basis, and runs the power iteration, once.
     """
 
     s: float
     N: int = 128
     center: PhasePoint = None
-    _bases: dict = field(default_factory=dict, init=False, compare=False,
+    _store: dict = field(default_factory=dict, init=False, compare=False,
                          repr=False)
 
     def __post_init__(self):
@@ -92,12 +94,18 @@ def hermite_functions(x, K: int) -> np.ndarray:
 
 
 def _basis(spec: ComparatorSpec, grid: GridSpec) -> np.ndarray:
-    """h_0..h_N on the grid axis, built on first use and kept by the spec."""
-    h = spec._bases.get(grid)
+    """h_0..h_N on the grid axis as complex128, kept by the spec per grid.
+
+    The spec's store maps each grid to this basis and ("scalars",
+    dimension) to the operator scalars.  Grid states are complex, so
+    numpy would cast a real basis to complex inside every product;
+    storing the cast once keeps every product bitwise the same.
+    """
+    h = spec._store.get(grid)
     if h is None:
         if not spec.fits(grid):
             raise ValueError("grid cannot resolve this many Hermite functions")
-        h = spec._bases[grid] = hermite_functions(grid.x, spec.N)
+        h = spec._store[grid] = hermite_functions(grid.x, spec.N).astype(complex)
     return h
 
 
@@ -163,8 +171,17 @@ def comparator_scalars(spec: ComparatorSpec, dimension: int = 1) -> dict:
     The trace adds the analytic tail beyond the truncation, so it equals
     1 for every s.  The norm of q composed with the comparator is
     estimated by power iteration on the truncated matrix and checked
-    against the closed-form bound sigma_s^2 e^{s-1} / s.
+    against the closed-form bound sigma_s^2 e^{s-1} / s.  The spec keeps
+    the result per dimension; each call returns a fresh dict.
     """
+    key = ("scalars", dimension)
+    scalars = spec._store.get(key)
+    if scalars is None:
+        scalars = spec._store[key] = _scalars(spec, dimension)
+    return dict(scalars)
+
+
+def _scalars(spec: ComparatorSpec, dimension: int) -> dict:
     s, sigma = spec.s, spec.sigma
     n_vals = np.arange(spec.N + 1)
     eig = sigma * np.exp(-s * n_vals)

@@ -200,6 +200,20 @@ def test_comparator_too_large_for_the_grid_exits_two(tmp_path):
     assert not (tmp_path / "out" / "reduce-failure.json").exists()
 
 
+@pytest.mark.parametrize("fault", [
+    {"lambdas": [0.5, 1.0]},
+    {"lambdas": [1.0, -0.5]},
+    {"grid": {"n": 1, "N": 256, "L": 8.0}},
+], ids=["increasing", "negative", "grid-too-small"])
+def test_scale_config_faults_exit_two(tmp_path, fault):
+    # Validated before compute(): no run starts, no failure report.
+    problem = {"potential": "cubic-perturbed", "alpha0": [1.0, 0.5],
+               "T": 0.5, "lambdas": [1.0, 0.25], **fault}
+    cfg = write_config(tmp_path, {"mode": "scale", "problem": problem})
+    assert run(cfg, out_dir=tmp_path / "out") == 2
+    assert not (tmp_path / "out" / "scale-failure.json").exists()
+
+
 def test_numerical_failure_exits_three(tmp_path):
     cfg = write_config(tmp_path, {
         "mode": "reduce",

@@ -204,6 +204,7 @@ def test_off_center_comparator_fixes_its_own_coherent_state():
 
 def test_hermite_orthonormality_by_quadrature():
     h = hermite_functions(GRID.x, 40)
+    assert h.dtype == np.float64
     gram = h @ h.T * GRID.dx
     assert np.max(np.abs(gram - np.eye(41))) < 1e-10
 
@@ -235,3 +236,56 @@ def test_coefficients_of_displaced_vacuum_match_formula():
     assert residual < 1e-10
     predicted = np.abs(coherent_coefficients((1.0, 1.0), spec.N))
     assert np.max(np.abs(np.abs(coeffs) - predicted)) < 1e-10
+
+
+def explicit_projection(spec, psi):
+    # The projection spelled out with the real basis, which numpy casts
+    # to complex inside each product.
+    grid = psi.grid
+    h = hermite_functions(grid.x, spec.N)
+    if grid.n == 1:
+        return h @ psi.amp * grid.dx
+    return h @ psi.amp @ h.T * grid.cell
+
+
+def explicit_synthesis(spec, coeffs, grid):
+    h = hermite_functions(grid.x, spec.N)
+    factor = spec.sigma * np.exp(-spec.s * np.arange(spec.N + 1))
+    if grid.n == 1:
+        return (coeffs * factor) @ h
+    return h.T @ (coeffs * np.outer(factor, factor)) @ h
+
+
+@pytest.mark.parametrize("grid, spec", [
+    (GRID, ComparatorSpec(s=1.0)),
+    (GRID, ComparatorSpec(s=1.0, center=PhasePoint(0.3, -0.2))),
+    (GridSpec(n=2, N=128, L=10.0), ComparatorSpec(s=1.0, N=32)),
+    (GridSpec(n=2, N=128, L=10.0),
+     ComparatorSpec(s=1.0, N=32, center=PhasePoint([0.3, -0.2], [0.1, 0.4]))),
+], ids=["1d", "1d-centered", "2d", "2d-centered"])
+def test_projection_and_synthesis_are_bitwise_the_explicit_products(grid, spec):
+    x = np.meshgrid(*([grid.x] * grid.n), indexing="ij")
+    amp = (np.exp(-0.6 * sum(xi ** 2 for xi in x) + 0.4j * x[0] + 0.2 * x[-1])
+           * (1.0 + 0.2j * x[0] ** 3 + 0.1 * x[-1] ** 2))
+    psi = GridWavefunction(grid, amp).normalized()
+    centred = psi if spec.center is None else weyl_displace(
+        psi, -spec.center.vector)
+    coeffs = explicit_projection(spec, centred)
+    for _ in range(2):  # the first call builds the basis, the second reuses it
+        assert np.array_equal(hermite_coefficients(spec, psi)[0], coeffs)
+    out = apply_comparator(spec, psi)
+    expected = GridWavefunction(grid, explicit_synthesis(spec, coeffs, grid))
+    if spec.center is not None:
+        expected = weyl_displace(expected, spec.center.vector)
+    assert np.array_equal(out.amp, expected.amp)
+
+
+def test_scalars_are_kept_per_dimension_and_returned_fresh():
+    spec = ComparatorSpec(s=1.0)
+    first = comparator_scalars(spec)
+    first["aOmega_sq_measured"] = -1.0
+    first["norm"] = 0.0
+    again = comparator_scalars(spec)
+    assert again == comparator_scalars(ComparatorSpec(s=1.0))
+    assert again["aOmega_sq_measured"] > 0.0
+    assert comparator_scalars(spec, dimension=2)["norm"] == spec.sigma ** 2

@@ -251,16 +251,24 @@ def test_theorem_bound_single_time_api():
 
 def test_run_reduction_builds_each_basis_once(monkeypatch):
     # Nine lattice samples share one comparator and one grid, so every
-    # projection of every snapshot reuses a single Hermite basis.
+    # projection of every snapshot reuses a single Hermite basis, and the
+    # power iteration behind the operator scalars runs once.
     import qreduce.comparator as comparator
     build = comparator.hermite_functions
+    iterate = comparator._power_iteration_sq
     calls = []
+    iterations = []
 
     def counting(x, K):
         calls.append(K)
         return build(x, K)
 
+    def counting_iterations(mat, *args, **kwargs):
+        iterations.append(mat.shape)
+        return iterate(mat, *args, **kwargs)
+
     monkeypatch.setattr(comparator, "hermite_functions", counting)
+    monkeypatch.setattr(comparator, "_power_iteration_sq", counting_iterations)
     center = PhasePoint(1.0, 0.0)
     problem = ReductionProblem(spec=CUBIC_PERTURBED, alpha0=center, T=0.1,
                                epsilon=1.0, dt=0.01,
@@ -269,6 +277,7 @@ def test_run_reduction_builds_each_basis_once(monkeypatch):
     assert len(report.sample_results) == 9
     assert len(report.times) == 11
     assert calls == [problem.comparator.N]
+    assert len(iterations) == 1
 
 
 def test_scalar_M0_broadcasts_in_two_dimensions():
