@@ -206,12 +206,12 @@ def _run_reduce(problem: dict):
 
     def compute():
         report = run_reduction(ro).to_json_dict()
-        b = report
-        rows = list(zip(b["times"], b["error_max"], b["bound_general"],
-                        b["bound_specialized"], b["delta1_measured"],
-                        b["delta1_duhamel"], b["delta2"]))
         header = ("t", "error_max", "bound_general", "bound_specialized",
                   "delta1_measured", "delta1_duhamel", "delta2")
+        # Bound columns are null after a bound-stage failure: empty cells.
+        blank = [None] * len(report["times"])
+        rows = list(zip(*(report[key] or blank
+                          for key in ("times",) + header[1:])))
         return report, header, rows, report["verdict"]
 
     return compute

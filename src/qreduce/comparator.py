@@ -116,24 +116,41 @@ def _recentred(spec: ComparatorSpec, psi: GridWavefunction, inverse=False):
     return weyl_displace(psi, sign * spec.center.vector)
 
 
-def hermite_coefficients(spec: ComparatorSpec, psi: GridWavefunction):
-    """Project psi on the truncated Hermite basis.
+def hermite_coefficients(spec: ComparatorSpec, psi, grid: GridSpec = None):
+    """Project psi, or a stack of amplitudes, on the truncated Hermite basis.
+
+    psi is a GridWavefunction, or with ``grid`` an array of B amplitudes
+    on that grid stacked on a leading axis, shape (B,) + (grid.N,) * n.
+    One product projects them all: amps @ h.T * dx in 1D and
+    h @ amps @ h.T * dx^2 in 2D, which on a single state is bitwise the
+    product h @ amp.  A centred comparator recentres each state first.
 
     Returns
     -------
-    coeffs : complex array, shape (N+1,) in 1D and (N+1, N+1) in 2D.
-    residual : mass fraction outside the truncated basis.
+    coeffs : complex array, shape (N+1,) in 1D and (N+1, N+1) in 2D,
+        with a leading axis of B for a stack.
+    residual : mass fraction outside the truncated basis, a float, or
+        an array of B for a stack.
     """
-    psi = _recentred(spec, psi)
-    grid = psi.grid
+    stacked = grid is not None
+    if not stacked:
+        psi = _recentred(spec, psi)
+        grid, amps, norm_sq = psi.grid, psi.amp, psi.norm ** 2
+    else:
+        amps = np.asarray(psi, dtype=complex)
+        if spec.center is not None:
+            amps = np.stack([_recentred(spec, GridWavefunction(grid, a)).amp
+                             for a in amps])
+        norm_sq = np.sum(np.abs(amps.reshape(len(amps), -1)) ** 2,
+                         axis=-1) * grid.cell
     h = _basis(spec, grid)
     if grid.n == 1:
-        coeffs = h @ psi.amp * grid.dx
+        coeffs = amps @ h.T * grid.dx
     else:
-        coeffs = h @ psi.amp @ h.T * grid.cell
-    norm_sq = psi.norm ** 2
-    residual = max(0.0, norm_sq - float(np.sum(np.abs(coeffs) ** 2)))
-    return coeffs, residual / max(norm_sq, 1e-300)
+        coeffs = h @ amps @ h.T * grid.cell
+    captured = np.sum(np.abs(coeffs) ** 2, axis=(-1, -2)[:grid.n])
+    residual = np.maximum(0.0, norm_sq - captured) / np.maximum(norm_sq, 1e-300)
+    return coeffs, residual if stacked else float(residual)
 
 
 def apply_comparator(spec: ComparatorSpec, psi: GridWavefunction,

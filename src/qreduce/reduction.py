@@ -32,7 +32,7 @@ from . import __version__
 from .classical import ClassicalTrajectory, PhaseRegion, integrate_flow
 from .comparator import BasisResidualError, ComparatorSpec, apply_comparator, \
     comparator_scalars, within_magnitude
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, OverflowGuardError
 from .grid import DEFAULT_GRID, GridSpec, GridWavefunction, expectation_a, \
     propagate
 from .hamiltonian import MAX_POLY_DEGREE, HamiltonianSpec, PhasePoint, \
@@ -322,7 +322,13 @@ def assemble_bounds(problem: ReductionProblem, run: QuantumRun,
 
 @dataclass(eq=False)
 class ReductionReport:
-    """Outcome of a reduction run over the sampled initial conditions."""
+    """Outcome of a reduction run over the sampled initial conditions.
+
+    bounds is None when the bound stage of the worst sample broke down;
+    bound_failure ({alpha0, error, message}) then names the first sample
+    whose bound stage failed, and its JSON form writes every bound field
+    as null.
+    """
 
     problem: ReductionProblem
     times: np.ndarray
@@ -331,10 +337,16 @@ class ReductionReport:
     verdict: str
     sample_results: list
     provenance: dict
+    bound_failure: dict = None
 
     def to_json_dict(self) -> dict:
         prob = self.problem
-        return {
+        b = self.bounds
+        curves = {"bound_general": "general",
+                  "bound_specialized": "specialized",
+                  "delta1_measured": "delta1_measured",
+                  "delta1_duhamel": "delta1_duhamel", "delta2": "delta2"}
+        out = {
             "verdict": self.verdict,
             "epsilon": prob.epsilon_vector().tolist(),
             "horizon": prob.T,
@@ -342,16 +354,16 @@ class ReductionReport:
             "times": self.times.tolist(),
             "error_components": self.error.components.tolist(),
             "error_max": self.error.max_norm.tolist(),
-            "bound_general": self.bounds.general.tolist(),
-            "bound_specialized": self.bounds.specialized.tolist(),
-            "delta1_measured": self.bounds.delta1_measured.tolist(),
-            "delta1_duhamel": self.bounds.delta1_duhamel.tolist(),
-            "delta2": self.bounds.delta2.tolist(),
-            "E_used": self.bounds.E_used,
-            "hypotheses_hold": self.bounds.hypotheses_hold,
+            "E_used": None if b is None else b.E_used,
+            "hypotheses_hold": None if b is None else b.hypotheses_hold,
             "samples": self.sample_results,
             "provenance": self.provenance,
         }
+        for key, name in curves.items():
+            out[key] = None if b is None else getattr(b, name).tolist()
+        if self.bound_failure is not None:
+            out["bound_failure"] = self.bound_failure
+        return out
 
 
 def _region_lattice(problem: ReductionProblem) -> list:
@@ -388,18 +400,25 @@ def _single_run(problem: ReductionProblem, alpha0: PhasePoint):
     psi0 = sample_on_grid(base, problem.grid)
     run = run_grid(spec, psi0, problem.T, problem.dt, problem.samples)
     error = measured_error(run, traj)
-    bounds = assemble_bounds(problem, run, flow, error)
     eps = problem.epsilon_vector()
     within = bool(np.all(error.components < eps[None, :]))
+    bounds = failure = None
+    try:
+        bounds = assemble_bounds(problem, run, flow, error)
+    except (BasisResidualError, OverflowGuardError) as exc:
+        # The certificate broke down, not the run: the measured error
+        # still decides the verdict, and no bound is reported.
+        failure = {"alpha0": alpha0.vector.tolist(),
+                   "error": type(exc).__name__, "message": str(exc)}
     # An epsilon violation disproves reduction outright; the magnitude
     # hypotheses only gate the positive certificate.
     if not within:
         verdict = "not-reduced"
-    elif bounds.hypotheses_hold:
+    elif bounds is not None and bounds.hypotheses_hold:
         verdict = "reduced"
     else:
         verdict = "hypothesis-failed"
-    return run, flow, error, bounds, verdict
+    return run, error, bounds, verdict, failure
 
 
 def run_reduction(problem: ReductionProblem) -> ReductionReport:
@@ -410,14 +429,19 @@ def run_reduction(problem: ReductionProblem) -> ReductionReport:
     holding.  An epsilon violation anywhere disproves reduction outright
     ("not-reduced"); otherwise any failed magnitude hypothesis leaves
     the question open ("hypothesis-failed").  The reported curves belong
-    to the worst sample (largest error).
+    to the worst sample (largest error).  A bound stage that breaks down
+    (BasisResidualError, OverflowGuardError) leaves that sample without
+    bounds, so its hypotheses count as failed; the report's
+    bound_failure names the first such sample.  provenance["E_source"]
+    is "given" for a user E and "auto" for one selected from the run,
+    where the magnitude hypotheses hold by construction.
     """
     outcomes = []
     for a0 in _region_lattice(problem):
-        run, flow, error, bounds, verdict = _single_run(problem, a0)
-        outcomes.append((a0, run, error, bounds, verdict))
+        run, error, bounds, verdict, failure = _single_run(problem, a0)
+        outcomes.append((a0, run, error, bounds, verdict, failure))
     worst = max(outcomes, key=lambda item: item[2].overall)
-    _, run, error, bounds, _ = worst
+    _, run, error, bounds, _, _ = worst
     verdicts = [item[4] for item in outcomes]
     if any(v == "not-reduced" for v in verdicts):
         overall = "not-reduced"
@@ -428,12 +452,14 @@ def run_reduction(problem: ReductionProblem) -> ReductionReport:
     sample_results = [
         {"alpha0": a0.vector.tolist(), "max_error": err.overall,
          "verdict": v}
-        for a0, _, err, _, v in outcomes]
+        for a0, _, err, _, v, _ in outcomes]
+    failures = [item[5] for item in outcomes if item[5] is not None]
     provenance = {
         "grid": {"n": problem.grid.n, "N": problem.grid.N, "L": problem.grid.L},
         "dt": problem.dt,
         "comparator": {"s": problem.comparator.s, "N": problem.comparator.N},
-        "E_used": bounds.E_used,
+        "E_used": None if bounds is None else bounds.E_used,
+        "E_source": "auto" if problem.E is None else "given",
         "boundary_mass_max": run.boundary_mass_max,
         "norm_drift": run.norm_drift,
         "version": __version__,
@@ -441,7 +467,8 @@ def run_reduction(problem: ReductionProblem) -> ReductionReport:
     return ReductionReport(problem=problem, times=run.times, error=error,
                            bounds=bounds, verdict=overall,
                            sample_results=sample_results,
-                           provenance=provenance)
+                           provenance=provenance,
+                           bound_failure=failures[0] if failures else None)
 
 
 @dataclass(eq=False)
@@ -460,35 +487,32 @@ def ehrenfest_run(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
     """Propagate and record <q>, <p>, <V'(q)> and V'(<q>) densely.
 
     One-dimensional only; the sampling interval sample_stride * dt sets
-    the finite-difference accuracy of the identity residual.
+    the finite-difference accuracy of the identity residual.  The start
+    and every sample_stride-th step are recorded, a block of states at a
+    time: one batched FFT pair for <p>, row sums for the moments and one
+    polynomial evaluation for V'(<q>) per block.
     """
     if psi0.grid.n != 1:
         raise ValueError("ehrenfest diagnostics are one-dimensional")
     grid = psi0.grid
     dv = spec.potential.derivative(grid.x)
     cell = grid.cell
-    rows = []
+    blocks = []
 
-    def collect(t, psi):
-        amp = psi.amp
-        dens = (np.abs(amp) ** 2)
-        mass = np.sum(dens) * cell
-        q = np.sum(grid.x * dens) * cell / mass
-        dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(amp))
-        p = np.sum(np.conj(amp) * -1j * dpsi).real * cell / mass
-        rows.append((t, q, p, np.sum(dv * dens) * cell / mass,
-                     float(spec.potential.derivative(q))))
+    def collect(times, amps):
+        dens = np.abs(amps) ** 2
+        mass = np.sum(dens, axis=-1) * cell
+        q = np.sum(grid.x * dens, axis=-1) * cell / mass
+        dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(amps))
+        p = np.sum(np.conj(amps) * -1j * dpsi, axis=-1).real * cell / mass
+        blocks.append(np.column_stack([
+            times, q, p, np.sum(dv * dens, axis=-1) * cell / mass,
+            spec.potential.derivative(q)]))
 
-    collect(0.0, psi0)
-    steps = max(1, int(round(T / dt)))
-    stride = max(1, sample_stride)
-
-    def observer(t, psi):
-        if int(round(t / (T / steps))) % stride == 0:
-            collect(t, psi)
-
-    propagate(spec, psi0, T, dt, observer=observer)
-    data = np.array(rows)
+    collect(np.zeros(1), psi0.amp[None])
+    propagate(spec, psi0, T, dt, observer=collect,
+              observe_stride=max(1, sample_stride))
+    data = np.concatenate(blocks)
     return EhrenfestData(times=data[:, 0], position=data[:, 1],
                          momentum=data[:, 2], grad_v_mean=data[:, 3],
                          grad_v_at_mean=data[:, 4])
@@ -518,7 +542,8 @@ def squeeze_sweep(problem: ReductionProblem, dilations) -> dict:
     ||(1 - Omega) W psi(T)|| grows once the packet no longer matches the
     comparator vacuum.  The total uses the specialized assembly with the
     Duhamel integral standing in for Delta_1.  E is taken from the
-    problem, else measured on the d = 1 flow.
+    problem, else measured on the d = 1 flow; E_source in the result
+    says which ("given" or "auto").
     """
     dilations = [float(d) for d in dilations]
     if any(d <= 0 for d in dilations):
@@ -550,4 +575,5 @@ def squeeze_sweep(problem: ReductionProblem, dilations) -> dict:
                      "comparator_term": comparator_term,
                      "total_bound": total})
     argmin = min(rows, key=lambda row: row["total_bound"])["d"]
-    return {"rows": rows, "argmin": argmin, "E_used": float(E)}
+    return {"rows": rows, "argmin": argmin, "E_used": float(E),
+            "E_source": "auto" if problem.E is None else "given"}

@@ -141,6 +141,10 @@ def _family_row(spec, alpha0, T, lam, grid, dt) -> dict:
     except QReduceError as exc:
         return {"lam": float(lam), "error": None, "bound": None,
                 "failed": f"{type(exc).__name__}: {exc}"}
+    if report.bounds is None:
+        failure = report.bound_failure
+        return {"lam": float(lam), "error": None, "bound": None,
+                "failed": f"{failure['error']}: {failure['message']}"}
     return {
         "lam": float(lam),
         "error": report.error.overall,

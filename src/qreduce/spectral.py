@@ -221,16 +221,24 @@ def _finite_stay_curve(evo: FiniteEvolution, psi, Omega, T: float,
 
 def _grid_stay_curve(handle: GridHamiltonian, psi: GridWavefunction,
                      comp: ComparatorSpec, T: float):
+    """Times and tau(t) of <U_t psi, Omega U_t psi> on [-t, t] for a grid run.
+
+    The comparator expectation sum_k e^{-s k} |c_k|^2 is taken at every
+    step, forward and backward in time, one hermite_coefficients product
+    per block of states that propagate hands its observer.
+    """
     if not isinstance(comp, ComparatorSpec):
         raise ValueError("grid evolutions take a ComparatorSpec as Omega")
     if not psi.is_unit:
         raise ValueError("psi must be a unit vector")
+    grid = psi.grid
     n_vals = np.exp(-comp.s * np.arange(comp.N + 1))
-    decay = n_vals if psi.grid.n == 1 else np.outer(n_vals, n_vals)
+    decay = n_vals if grid.n == 1 else np.outer(n_vals, n_vals)
+    coeff_axes = (-1, -2)[:grid.n]
 
-    def expectation(state):
-        coeffs, _ = hermite_coefficients(comp, state)
-        return float(np.sum(decay * np.abs(coeffs) ** 2))
+    def expectations(amps):
+        coeffs, _ = hermite_coefficients(comp, amps, grid)
+        return np.sum(decay * np.abs(coeffs) ** 2, axis=coeff_axes)
 
     steps = max(2, int(np.ceil(T / handle.dt)))
     dt = T / steps
@@ -238,14 +246,11 @@ def _grid_stay_curve(handle: GridHamiltonian, psi: GridWavefunction,
     # Backward time from a real Hamiltonian is forward time from the
     # conjugate state; the comparator kernel is real, so its expectation
     # in the conjugate state needs no further adjustment.
-    for state in (psi, GridWavefunction(psi.grid, np.conj(psi.amp))):
-        values = [expectation(state)]
-
-        def observer(t, snapshot):
-            values.append(expectation(snapshot))
-
-        propagate(handle.spec, state, T, dt, observer=observer)
-        curves.append(np.asarray(values))
+    for start in (psi.amp, np.conj(psi.amp)):
+        values = [expectations(start[None])]
+        propagate(handle.spec, GridWavefunction(grid, start), T, dt,
+                  observer=lambda t, amps: values.append(expectations(amps)))
+        curves.append(np.concatenate(values))
     times = np.linspace(0.0, T, steps + 1)
     both = curves[0] + curves[1]
     tau = cumulative_simpson(both, x=times, initial=0.0)

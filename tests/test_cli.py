@@ -228,6 +228,34 @@ def test_numerical_failure_exits_three(tmp_path):
     assert failure["result"]["failed"]
 
 
+def test_bound_stage_failure_still_ends_in_a_verdict(tmp_path):
+    # The quartic state at T = 2 pi leaves the N = 128 basis (residual
+    # 1.3e-8) while its error, about 1.1, already violates epsilon: the
+    # run exits 0 with that verdict and null bounds, not exit 3.
+    cfg = write_config(tmp_path, {
+        "mode": "reduce",
+        "problem": {"potential": "quartic", "alpha0": [1.0, 0.0],
+                    "T": 6.2832, "epsilon": 1e-3},
+        "output": {"directory": str(tmp_path), "formats": ["json", "csv"]},
+    })
+    assert run(cfg) == 0
+    assert not (tmp_path / "reduce-failure.json").exists()
+
+    def no_constants(name):
+        raise AssertionError(f"{name} in the report")
+
+    report = json.loads((tmp_path / "reduce.json").read_text(),
+                        parse_constant=no_constants)["result"]
+    assert report["verdict"] == "not-reduced"
+    assert max(report["error_max"]) > 1.0
+    assert report["bound_failure"]["error"] == "BasisResidualError"
+    assert report["bound_failure"]["alpha0"] == [1.0, 0.0]
+    assert report["bound_general"] is None and report["E_used"] is None
+    _, header, rows = read_csv(tmp_path / "reduce.csv")
+    assert len(rows) == len(report["times"])
+    assert all(row[2:] == [""] * 5 for row in rows)
+
+
 def test_json_deterministic_modulo_timestamp(tmp_path):
     payload = {
         "mode": "comparator-audit",

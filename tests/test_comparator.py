@@ -271,13 +271,36 @@ def test_projection_and_synthesis_are_bitwise_the_explicit_products(grid, spec):
     centred = psi if spec.center is None else weyl_displace(
         psi, -spec.center.vector)
     coeffs = explicit_projection(spec, centred)
+    norm_sq = centred.norm ** 2
+    residual = max(0.0, norm_sq - float(np.sum(np.abs(coeffs) ** 2))) / norm_sq
     for _ in range(2):  # the first call builds the basis, the second reuses it
         assert np.array_equal(hermite_coefficients(spec, psi)[0], coeffs)
+        assert hermite_coefficients(spec, psi)[1] == residual
     out = apply_comparator(spec, psi)
     expected = GridWavefunction(grid, explicit_synthesis(spec, coeffs, grid))
     if spec.center is not None:
         expected = weyl_displace(expected, spec.center.vector)
     assert np.array_equal(out.amp, expected.amp)
+
+
+@pytest.mark.parametrize("grid, spec", [
+    (GRID, ComparatorSpec(s=1.0)),
+    (GRID, ComparatorSpec(s=1.0, center=PhasePoint(0.3, -0.2))),
+    (GridSpec(n=2, N=128, L=10.0), ComparatorSpec(s=1.0, N=32)),
+], ids=["1d", "1d-centered", "2d"])
+def test_stacked_projection_equals_the_per_state_one(grid, spec):
+    x = np.meshgrid(*([grid.x] * grid.n), indexing="ij")
+    states = [GridWavefunction(grid, np.exp(-0.5 * w * sum(xi ** 2 for xi in x)
+                                            + 1j * w * x[0])).normalized()
+              for w in (0.6, 1.0, 1.7)]
+    coeffs, residual = hermite_coefficients(
+        spec, np.stack([psi.amp for psi in states]), grid)
+    assert coeffs.shape == (3,) + (spec.N + 1,) * grid.n
+    assert residual.shape == (3,)
+    for row, psi in enumerate(states):
+        single, single_residual = hermite_coefficients(spec, psi)
+        assert np.max(np.abs(coeffs[row] - single)) < 1e-13
+        assert abs(residual[row] - single_residual) < 1e-13
 
 
 def test_scalars_are_kept_per_dimension_and_returned_fresh():

@@ -252,3 +252,49 @@ def test_two_dimensional_basics():
         dimension=2)
     result = propagate(spec2, psi, 2 * np.pi, 2e-3)
     assert result.final.fidelity(psi) > 1 - 1e-5
+
+
+CUBIC_2D = HamiltonianSpec(
+    mass=1.0, dimension=2,
+    potential=PotentialModel.polynomial2d([[0.0, 0.0, 0.5], [0.0, 0.0, 0.0],
+                                           [0.5, 0.1, 0.0]]))
+
+
+@pytest.mark.parametrize("spec, grid, steps, stride, blocks", [
+    (HARMONIC, DEFAULT_GRID, 301, 2, [64, 64, 22]),
+    (CUBIC_2D, GridSpec(n=2, N=128, L=10.0), 15, 2, [4, 3]),
+], ids=["1d", "2d"])
+def test_observer_sees_strided_steps_in_blocks(spec, grid, steps, stride,
+                                               blocks):
+    # Blocks fill to the byte budget, the last one is partial, and each
+    # row is bitwise the state a store_stride=1 run keeps at that step.
+    psi0 = weyl_displace(vacuum(grid), np.r_[np.ones(grid.n), np.zeros(grid.n)])
+    T = steps * 1e-3
+    seen = []
+    propagate(spec, psi0, T, 1e-3,
+              observer=lambda t, amps: seen.append((t.copy(), amps.copy())),
+              observe_stride=stride)
+    stored = propagate(spec, psi0, T, 1e-3, store_stride=1)
+    assert [len(t) for t, _ in seen] == blocks
+    step_ids = np.arange(stride, steps + 1, stride)
+    times = np.concatenate([t for t, _ in seen])
+    amps = np.concatenate([a for _, a in seen])
+    assert np.array_equal(times, step_ids * (T / steps))
+    assert np.array_equal(amps, np.stack([stored.states[k].amp
+                                          for k in step_ids]))
+
+
+def test_propagate_matches_a_numpy_strang_loop():
+    # The 1D step runs on scipy.fft; a numpy.fft loop written out here
+    # agrees to rounding (bitwise on matching builds, not assumed).
+    spec = HamiltonianSpec(mass=1.0,
+                           potential=PotentialModel.polynomial([0, 0, 0.5, 0.05]))
+    psi0 = weyl_displace(vacuum(), np.array([1.0, 0.5]))
+    steps, dt = 500, 2e-3
+    half_v = np.exp(-0.5j * dt * spec.potential.value(DEFAULT_GRID.x))
+    kinetic = np.exp(-1j * dt * DEFAULT_GRID.k ** 2 / 2.0)
+    amp = psi0.amp
+    for _ in range(steps):
+        amp = half_v * np.fft.ifft(kinetic * np.fft.fft(half_v * amp))
+    final = propagate(spec, psi0, steps * dt, dt).final
+    assert np.max(np.abs(final.amp - amp)) < 1e-13

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from qreduce import reduction
 from qreduce.classical import PhaseRegion, integrate_flow
 from qreduce.comparator import ComparatorSpec
-from qreduce.errors import ConfigError, NumericalError
-from qreduce.grid import GridSpec
+from qreduce.errors import (BasisResidualError, ConfigError, NumericalError,
+                             OverflowGuardError)
+from qreduce.grid import GridSpec, propagate
 from qreduce.hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel
 from qreduce.packets import approximate_flow, packet, sample_on_grid
 from qreduce.reduction import (ReductionProblem, assemble_bounds,
@@ -371,6 +372,33 @@ def test_ehrenfest_quartic_gap_oracle():
     assert np.max(out["gap"]) > 1.0
 
 
+def test_ehrenfest_blocks_equal_the_per_state_formulas():
+    # The per-state formulas written out over the states a store_stride=1
+    # run keeps; 3141 steps at stride 3 end on a partial block.
+    grid = GridSpec(1, 1024, 20.0)
+    psi0 = sample_on_grid(packet(PhasePoint(1.0, 0.0), 1.0), grid)
+    T, dt, stride = 3.141, 1e-3, 3
+    data = ehrenfest_run(CUBIC_PERTURBED, psi0, T, dt=dt, sample_stride=stride)
+    run = propagate(CUBIC_PERTURBED, psi0, T, dt, store_stride=1)
+    pot = CUBIC_PERTURBED.potential
+    dv = pot.derivative(grid.x)
+    rows = []
+    for k in range(0, len(run.states), stride):
+        amp = run.states[k].amp
+        dens = np.abs(amp) ** 2
+        mass = np.sum(dens) * grid.cell
+        q = np.sum(grid.x * dens) * grid.cell / mass
+        dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(amp))
+        p = np.sum(np.conj(amp) * -1j * dpsi).real * grid.cell / mass
+        rows.append((run.times[k], q, p, np.sum(dv * dens) * grid.cell / mass,
+                     float(pot.derivative(q))))
+    expected = np.array(rows)
+    assert len(data.times) == 1048
+    for column, got in enumerate((data.times, data.position, data.momentum,
+                                  data.grad_v_mean, data.grad_v_at_mean)):
+        assert np.array_equal(got, expected[:, column])
+
+
 def test_ehrenfest_rejects_two_dimensional_grids():
     grid2 = GridSpec(n=2, N=64, L=8.0)
     h0 = np.pi ** -0.25 * np.exp(-0.5 * grid2.x ** 2)
@@ -405,3 +433,42 @@ def test_squeeze_sweep_cubic_tradeoff():
     assert min(totals) < totals[0] and min(totals) < totals[-1]
     with pytest.raises(ConfigError):
         squeeze_sweep(problem, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("E, source", [(None, "auto"), (50.0, "given")])
+def test_reports_say_whether_E_was_given(E, source):
+    problem = ReductionProblem(spec=CUBIC_PERTURBED, alpha0=PhasePoint(0.5, 0.0),
+                               T=0.1, epsilon=1.0, dt=0.01, E=E)
+    report = run_reduction(problem)
+    assert report.provenance["E_source"] == source
+    assert (report.bounds.E_used == 50.0) == (source == "given")
+    assert squeeze_sweep(problem, [1.0])["E_source"] == source
+
+
+def raise_on_apply(error):
+    def raising(*args, **kwargs):
+        raise error("basis projection lost mass fraction 1e-07")
+    return raising
+
+
+@pytest.mark.parametrize("error", [BasisResidualError, OverflowGuardError])
+def test_bound_stage_failure_leaves_the_verdict_to_the_error(monkeypatch,
+                                                             error):
+    # Epsilon holds, so a broken certificate is a failed hypothesis.
+    monkeypatch.setattr(reduction, "apply_comparator", raise_on_apply(error))
+    problem = ReductionProblem(spec=HARMONIC, alpha0=PhasePoint(1.0, 0.0),
+                               T=0.1, epsilon=1e-3, dt=0.01)
+    report = run_reduction(problem)
+    assert report.verdict == "hypothesis-failed"
+    assert report.bounds is None
+    assert report.bound_failure == {
+        "alpha0": [1.0, 0.0], "error": error.__name__,
+        "message": "basis projection lost mass fraction 1e-07"}
+    out = report.to_json_dict()
+    for key in ("bound_general", "bound_specialized", "delta1_measured",
+                "delta1_duhamel", "delta2", "E_used", "hypotheses_hold"):
+        assert out[key] is None
+    assert out["provenance"]["E_used"] is None
+    assert out["bound_failure"] == report.bound_failure
+    json.dumps(out, allow_nan=False)
+
