@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FlowDivergedError
-from .hamiltonian import HamiltonianSpec, PhasePoint, eval_h, gradient_h
+from .hamiltonian import HamiltonianSpec, PhasePoint, energies
 
 DIVERGENCE_NORM = 1e8
 BISECT_REL_TOL = 1e-10
@@ -65,13 +65,7 @@ class ClassicalTrajectory:
             xi = self.xi[:, 0]
             return np.column_stack([self.pi[:, 0] / self.spec.mass,
                                     -pot.derivative(xi, 1)])
-        out = np.empty_like(self.states)
-        for k in range(len(self.times)):
-            g = gradient_h(self.spec, self.point(k))
-            n = self.n
-            out[k, :n] = g[n:]
-            out[k, n:] = -g[:n]
-        return out
+        return np.hstack([self.pi / self.spec.mass, -pot.gradient(self.xi)])
 
     def at(self, t: float) -> np.ndarray:
         """State at an arbitrary time in the span, cubic Hermite interpolated."""
@@ -183,13 +177,8 @@ def _finish(spec, m, dt, xi, pi, last):
     times = dt * np.arange(last + 1)
     xi = xi[:last + 1]
     pi = pi[:last + 1]
-    if spec.potential.ndim == 1:
-        energies = pi[:, 0] ** 2 / (2 * spec.mass) + spec.potential.value(xi[:, 0])
-    else:
-        energies = np.array([eval_h(spec, PhasePoint(xi[k], pi[k]))
-                             for k in range(last + 1)])
     traj = ClassicalTrajectory(spec=spec, times=times, xi=xi, pi=pi,
-                               energies=np.asarray(energies, dtype=float), dt=dt)
+                               energies=energies(spec, xi, pi), dt=dt)
     if last < m:
         raise FlowDivergedError(t_last=times[-1], trajectory=traj)
     return traj

@@ -13,7 +13,8 @@ Grids are {"n", "N", "L"}, comparators {"s", "N"}, and regions
 {"center", "radius"} (ball) or {"center", "half_widths"} (box).
 ehrenfest and the grid form of classify-quantum take their initial
 state as a {"packet": {"alpha0", "M0"}} block, defaulting to the vacuum,
-and refuse a top-level alpha0 or M0.
+and refuse a top-level alpha0 or M0.  The counts reduce "samples" and
+ehrenfest "sample_stride" must be positive integers.
 
 Every report embeds the tool version, the sha256 hash of the canonical
 config serialization, the full config echo, and the provenance of the
@@ -96,6 +97,13 @@ def _number(block: dict, path: str, key: str, default=None, required=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(f"{path}.{key}", "must be a number")
     return float(value)
+
+
+def _count(block: dict, path: str, key: str, default: int) -> int:
+    value = block.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        _fail(f"{path}.{key}", "must be a positive integer")
+    return value
 
 
 def _potential_from(problem: dict) -> PotentialModel:
@@ -202,7 +210,7 @@ def _run_reduce(problem: dict):
         epsilon=epsilon, comparator=comp,
         E=_number(problem, "problem", "E"), grid=grid, M0=M0,
         region=_region_from(problem), dt=dt,
-        samples=int(problem.get("samples", 200)))
+        samples=_count(problem, "problem", "samples", 200))
 
     def compute():
         report = run_reduction(ro).to_json_dict()
@@ -372,7 +380,7 @@ def _run_ehrenfest(problem: dict):
     grid = _grid_from(problem)
     T = _number(problem, "problem", "T", required=True)
     dt = _number(problem, "problem", "dt", default=DEFAULT_DT)
-    stride = int(problem.get("sample_stride", 2))
+    stride = _count(problem, "problem", "sample_stride", 2)
     alpha0, M0 = _start_packet(problem)
 
     def compute():

@@ -37,8 +37,10 @@ class PotentialModel:
 
     Two kinds are supported.  Polynomial potentials (degree <= 8 in one
     dimension, total degree <= 4 in two) carry exact derivatives of all
-    orders by coefficient differentiation, and exact Taylor remainders
-    about any batch of centres.  Tabulated potentials are
+    orders by coefficient differentiation, done once per potential and
+    order, and exact Taylor remainders about any batch of centres.
+    gradient and hessian take one point or a stack of points and
+    evaluate a stack in one call.  Tabulated potentials are
     cubic-spline interpolants and expose derivatives of order <= 2 only;
     asking for order 3 raises, as differentiating interpolation noise
     twice is already generous.
@@ -52,6 +54,7 @@ class PotentialModel:
         self._spline = spline
         self.knots = knots
         self.values = values
+        self._derivatives = {}
 
     # -- constructors -------------------------------------------------
 
@@ -114,33 +117,55 @@ class PotentialModel:
         if order < 1:
             raise ValueError("derivative order must be >= 1")
         if self.is_polynomial:
-            return Polynomial(self.coeffs).deriv(order)(np.asarray(x, dtype=float))
+            return self._derivative(order)(np.asarray(x, dtype=float))
         if order > 2:
             raise PotentialDomainError(
                 "tabulated potentials expose derivative order <= 2 only")
         return self._eval_spline(x, order=order)
 
     def gradient(self, xi):
-        """Gradient of V as an (n,) vector at a single point xi."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        """Gradient of V at a point, or at each point of a stack.
+
+        xi is one point (n,) (a scalar in 1D) or a stack (..., n); the
+        result has the same shape.  Every point is evaluated by the same
+        elementwise Horner steps, so a stack is bitwise the loop.
+        """
+        xi = self._points(xi)
         if self.coeff_matrix is not None:
-            C = self.coeff_matrix
-            dx = npoly.polyval2d(xi[0], xi[1], npoly.polyder(C, axis=0))
-            dy = npoly.polyval2d(xi[0], xi[1], npoly.polyder(C, axis=1))
-            return np.array([dx, dy])
-        return np.array([self.derivative(xi[0], order=1)])
+            x, y = xi[..., 0], xi[..., 1]
+            return np.stack([npoly.polyval2d(x, y, self._derivative(a))
+                             for a in ((1, 0), (0, 1))], axis=-1)
+        return np.asarray(self.derivative(xi, order=1))
 
     def hessian(self, xi):
-        """Hessian of V as an (n, n) matrix at a single point xi."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        """Hessian of V at a point, (n, n), or at a stack (..., n) -> (..., n, n)."""
+        xi = self._points(xi)
         if self.coeff_matrix is not None:
-            C = self.coeff_matrix
-            pd = npoly.polyder
-            dxx = npoly.polyval2d(xi[0], xi[1], pd(pd(C, axis=0), axis=0))
-            dxy = npoly.polyval2d(xi[0], xi[1], pd(pd(C, axis=0), axis=1))
-            dyy = npoly.polyval2d(xi[0], xi[1], pd(pd(C, axis=1), axis=1))
-            return np.array([[dxx, dxy], [dxy, dyy]])
-        return np.array([[self.derivative(xi[0], order=2)]])
+            x, y = xi[..., 0], xi[..., 1]
+            dxx, dxy, dyy = (npoly.polyval2d(x, y, self._derivative(a))
+                             for a in ((2, 0), (1, 1), (0, 2)))
+            return np.stack([np.stack([dxx, dxy], axis=-1),
+                             np.stack([dxy, dyy], axis=-1)], axis=-2)
+        return np.asarray(self.derivative(xi, order=2))[..., None]
+
+    @staticmethod
+    def _points(xi):
+        xi = np.asarray(xi, dtype=float)
+        return xi[None] if xi.ndim == 0 else xi
+
+    def _derivative(self, order):
+        # Differentiated once per potential: a Polynomial per order in 1D,
+        # a coefficient matrix per multi-index (d/dx, d/dy) in 2D.
+        D = self._derivatives.get(order)
+        if D is None:
+            if self.coeff_matrix is None:
+                D = Polynomial(self.coeffs).deriv(order)
+            else:
+                D = self.coeff_matrix
+                for axis, m in enumerate(order):
+                    D = npoly.polyder(D, m, axis=axis)
+            self._derivatives[order] = D
+        return D
 
     def remainder(self, centers, u):
         """Taylor remainder of order >= 3 about K centres, at displacements u.
@@ -232,9 +257,15 @@ class HamiltonianSpec:
 
 def eval_h(spec: HamiltonianSpec, alpha: PhasePoint) -> float:
     """Total energy h(alpha) = pi^2 / 2m + V(xi)."""
+    return float(energies(spec, alpha.xi, alpha.pi))
+
+
+def energies(spec: HamiltonianSpec, xi, pi) -> np.ndarray:
+    """h = pi^2 / 2m + V(xi) at each row of (..., n) position and
+    momentum stacks, in one call."""
     pot = spec.potential
-    v = pot.value(alpha.xi if pot.ndim == 2 else alpha.xi[0])
-    return float(np.sum(alpha.pi ** 2) / (2.0 * spec.mass) + v)
+    v = pot.value(xi if pot.ndim == 2 else xi[..., 0])
+    return np.sum(pi ** 2, axis=-1) / (2.0 * spec.mass) + v
 
 
 def gradient_h(spec: HamiltonianSpec, alpha: PhasePoint) -> np.ndarray:

@@ -26,7 +26,7 @@ from scipy.integrate import cumulative_simpson
 from .classical import ClassicalTrajectory, _hermite
 from .errors import CausticError, NumericalError
 from .grid import GridSpec, GridWavefunction
-from .hamiltonian import HamiltonianSpec, PhasePoint, eval_h, gradient_h, hessian_h
+from .hamiltonian import HamiltonianSpec, PhasePoint, energies
 
 SYMMETRY_TOL = 1e-10
 FACTOR_TOL = 1e-10
@@ -140,7 +140,13 @@ def sample_on_grid(pkt: GaussianPacket, grid: GridSpec) -> GridWavefunction:
         plane = np.exp(1j * (pi_m[0] * u + 0.5 * pi_m[0] * xi[0]))
     else:
         u = grid.x_mesh - xi
-        quad = np.exp(-0.5 * np.einsum("...i,ij,...j->...", u, pkt.M, u))
+        # u.M.u term by term, in the order einsum("...i,ij,...j->...")
+        # sums it: the same bits at a third of its cost.
+        form = 0
+        for i in range(2):
+            for j in range(2):
+                form = form + u[..., i] * pkt.M[i, j] * u[..., j]
+        quad = np.exp(-0.5 * form)
         plane = np.exp(1j * (u @ pi_m + 0.5 * float(pi_m @ xi)))
     return GridWavefunction(grid, pkt.amplitude_factor * quad * plane)
 
@@ -157,12 +163,6 @@ class MetaplecticSeries:
 
     def __len__(self) -> int:
         return len(self.times)
-
-
-def _hessian_blocks(spec, state):
-    n = state.size // 2
-    H = hessian_h(spec, PhasePoint.from_vector(state))
-    return H[:n, :n], H[:n, n:], H[n:, n:]
 
 
 def evolve_AB(spec: HamiltonianSpec, traj: ClassicalTrajectory,
@@ -230,23 +230,28 @@ def _evolve_scalar(spec, traj, mids, a, b):
 
 
 def _evolve_matrix(spec, traj, mids, A, B):
+    # The Hessian blocks of h are [[V''(xi), 0], [0, I/m]]; V'' is taken
+    # once per sample and once per midpoint, in two stacked calls.
     dt = traj.dt
     steps = len(traj.times) - 1
     n = A.shape[0]
     A_series = np.empty((steps + 1, n, n), dtype=complex)
     B_series = np.empty_like(A_series)
     A_series[0], B_series[0] = A, B
+    hxx_at = spec.potential.hessian(traj.xi)
+    hxx_mid = spec.potential.hessian(mids[:, :n])
+    hxp = np.zeros((n, n))
+    hpp = np.eye(n) / spec.mass
 
-    def rhs(state, A, B):
-        hxx, hxp, hpp = _hessian_blocks(spec, state)
+    def rhs(hxx, A, B):
         return 1j * B @ hxx - A @ hxp, B @ hxp.T + 1j * A @ hpp
 
     for k in range(steps):
-        s0, s_mid, s1 = traj.states[k], mids[k], traj.states[k + 1]
-        dA1, dB1 = rhs(s0, A, B)
-        dA2, dB2 = rhs(s_mid, A + 0.5 * dt * dA1, B + 0.5 * dt * dB1)
-        dA3, dB3 = rhs(s_mid, A + 0.5 * dt * dA2, B + 0.5 * dt * dB2)
-        dA4, dB4 = rhs(s1, A + dt * dA3, B + dt * dB3)
+        h0, h_mid, h1 = hxx_at[k], hxx_mid[k], hxx_at[k + 1]
+        dA1, dB1 = rhs(h0, A, B)
+        dA2, dB2 = rhs(h_mid, A + 0.5 * dt * dA1, B + 0.5 * dt * dB1)
+        dA3, dB3 = rhs(h_mid, A + 0.5 * dt * dA2, B + 0.5 * dt * dB2)
+        dA4, dB4 = rhs(h1, A + dt * dA3, B + dt * dB3)
         A = A + (dt / 6.0) * (dA1 + 2 * dA2 + 2 * dA3 + dA4)
         B = B + (dt / 6.0) * (dB1 + 2 * dB2 + 2 * dB3 + dB4)
         A_series[k + 1], B_series[k + 1] = A, B
@@ -299,12 +304,10 @@ def phase_X(spec: HamiltonianSpec, traj: ClassicalTrajectory) -> np.ndarray:
         xi = traj.xi[:, 0]
         integrand = pot.value(xi) - 0.5 * pot.derivative(xi, 1) * xi
     else:
-        integrand = np.empty(len(traj.times))
-        for k in range(len(traj.times)):
-            point = traj.point(k)
-            grad = gradient_h(spec, point)
-            integrand[k] = eval_h(spec, point) - 0.5 * float(
-                grad @ point.vector)
+        grad = np.hstack([pot.gradient(traj.xi), traj.pi / spec.mass])
+        # A stack of row products: bitwise each row's grad @ state.
+        dots = np.matmul(grad[:, None, :], traj.states[:, :, None])[:, 0, 0]
+        integrand = energies(spec, traj.xi, traj.pi) - 0.5 * dots
     return cumulative_simpson(np.asarray(integrand, dtype=float),
                               dx=traj.dt, initial=0.0)
 

@@ -82,6 +82,10 @@ class ReductionProblem:
             raise ConfigError("horizon T must be positive")
         if self.E is not None and self.E <= 0:
             raise ConfigError("magnitude threshold E must be positive")
+        try:
+            _positive_int(self.samples, "samples")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.grid.n != self.alpha0.n:
             raise ConfigError("grid dimension must match the phase point")
         if not self.comparator.fits(self.grid):
@@ -182,30 +186,62 @@ class ErrorCurve:
         return float(np.max(self.components))
 
 
+def _positive_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(eq=False)
 class QuantumRun:
-    """Grid propagation samples: states, expectations, health counters."""
+    """What a streamed grid run measured at its snapshots.
+
+    times and expectations (one (2n,) row per snapshot) come from every
+    run; bound_inputs holds the per-snapshot bound measurements when the
+    run was given a BoundInputs.  No grid state is kept.
+    """
 
     times: np.ndarray
-    states: list
     expectations: np.ndarray
     boundary_mass_max: float
     norm_drift: float
+    bound_inputs: "BoundInputs" = None
 
 
 def run_grid(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
-             dt: float, samples: int = 200) -> QuantumRun:
-    """Propagate psi0 and keep ~samples evenly spaced snapshots."""
+             dt: float, samples: int = 200,
+             bound_inputs: "BoundInputs" = None) -> QuantumRun:
+    """Propagate psi0 and measure ~samples evenly spaced snapshots.
+
+    The snapshots are the start, every stride-th step (stride =
+    steps // samples, at least 1) and the final step, also when stride
+    does not divide the step count.  They are measured as propagate
+    hands them over, a block at a time: one stacked expectation_a call
+    per block, and, with ``bound_inputs``, its per-snapshot bound work
+    row by row.  samples must be a positive integer.
+    """
+    samples = _positive_int(samples, "samples")
     steps = max(1, int(round(T / dt)))
-    stride = max(1, steps // max(1, samples))
-    ev = propagate(spec, psi0, T, dt, store_stride=stride)
-    states = ev.states
-    expectations = np.array([
-        expectation_a(s if s.is_unit else s.normalized()) for s in states])
-    return QuantumRun(times=np.asarray(ev.times), states=states,
-                      expectations=expectations,
+    stride = max(1, steps // samples)
+    grid = psi0.grid
+    times, expectations = [], []
+
+    def observe(block_times, amps):
+        times.append(block_times.copy())
+        expectations.append(expectation_a(amps, grid))
+        if bound_inputs is not None:
+            for t, amp in zip(block_times, amps):
+                bound_inputs.add(t, GridWavefunction(grid, amp))
+
+    observe(np.zeros(1), psi0.amp[None])
+    ev = propagate(spec, psi0, T, dt, observer=observe, observe_stride=stride)
+    if steps % stride:
+        observe(np.array([steps * (T / steps)]), ev.final.amp[None])
+    return QuantumRun(times=np.concatenate(times),
+                      expectations=np.concatenate(expectations),
                       boundary_mass_max=ev.boundary_mass_max,
-                      norm_drift=ev.norm_drift)
+                      norm_drift=ev.norm_drift, bound_inputs=bound_inputs)
 
 
 def measured_error(run: QuantumRun, traj: ClassicalTrajectory) -> ErrorCurve:
@@ -256,37 +292,75 @@ def _membership_probe(comp: ComparatorSpec, E, state: GridWavefunction):
     return probe["inv_norm"], probe["divergent"]
 
 
+class BoundInputs:
+    """The per-snapshot half of the bound assembly, fed as a run streams.
+
+    add(t, u) takes the grid state u at snapshot time t, samples the
+    approximating packet W = sample_on_grid(flow.packet_at(k)) at the
+    trajectory step k of t, and records delta1 = ||W - u||, delta2 =
+    ||(1 - Omega) W|| and the inverse-comparator norms of u and W.  The
+    first BasisResidualError or OverflowGuardError ends the bound work of
+    the run: it is kept in ``failure``, and assemble_bounds raises it.
+    """
+
+    def __init__(self, problem: ReductionProblem, flow: PacketFlow):
+        self.problem = problem
+        self.flow = flow
+        self.steps = []
+        self.rows = []
+        self.failure = None
+
+    def add(self, t: float, u_state: GridWavefunction):
+        traj = self.flow.traj
+        k = int(round(t / traj.dt))
+        if abs(traj.times[k] - t) > 1e-9:
+            raise NumericalError("grid run and trajectory samples disagree")
+        if self.failure is not None:
+            return
+        comp, E = self.problem.comparator, self.problem.E
+        try:
+            w_state = sample_on_grid(self.flow.packet_at(k), u_state.grid)
+            delta1 = w_state.distance(u_state)
+            smoothed = apply_comparator(comp, w_state, normalized=True)
+            delta2 = w_state.distance(smoothed)
+            inv_u, div_u = _membership_probe(comp, E, u_state)
+            inv_w, div_w = _membership_probe(comp, E, w_state)
+        except (BasisResidualError, OverflowGuardError) as exc:
+            self.failure = exc
+            return
+        self.steps.append(k)
+        self.rows.append((delta1, delta2, inv_u, inv_w, div_u, div_w))
+
+
 def assemble_bounds(problem: ReductionProblem, run: QuantumRun,
                     flow: PacketFlow, error: ErrorCurve = None) -> BoundAssembly:
     """Evaluate both bound assemblies at the run's sample times.
 
-    E defaults to 1.5x the largest measured inverse-comparator norm over
-    both state families, so the magnitude hypotheses hold unless the
-    truncated expansion diverges.  When the hypotheses hold and an error
-    curve is supplied, domination of the measured error is asserted.
+    The run must have been streamed with BoundInputs(problem, flow),
+    which measured delta1, delta2 and the inverse norms of every
+    snapshot; this stage adds the Duhamel curve, selects E, takes the
+    operator scalars and assembles.  E defaults to 1.5x the largest
+    measured inverse-comparator norm over both state families, so the
+    magnitude hypotheses hold unless the truncated expansion diverges.
+    When the hypotheses hold and an error curve is supplied, domination
+    of the measured error is asserted.
+
+    Raises
+    ------
+    BasisResidualError, OverflowGuardError
+        The first failure of the streamed bound work, if there was one.
     """
+    inputs = run.bound_inputs
+    if inputs is None or inputs.flow is not flow:
+        raise ValueError("the run was not streamed with BoundInputs for "
+                         "this flow")
     comp = problem.comparator
-    traj = flow.traj
-    stride_idx = [int(round(t / traj.dt)) for t in run.times]
-    if np.max(np.abs(traj.times[stride_idx] - run.times)) > 1e-9:
-        raise NumericalError("grid run and trajectory samples disagree")
     duh_full = duhamel_curve(problem.spec, flow)
-    delta1_duh = duh_full[stride_idx]
-    count = len(run.times)
-    delta1 = np.empty(count)
-    delta2 = np.empty(count)
-    inv_u = np.empty(count)
-    inv_w = np.empty(count)
-    div_u = np.zeros(count, dtype=bool)
-    div_w = np.zeros(count, dtype=bool)
-    for j, k in enumerate(stride_idx):
-        w_state = sample_on_grid(flow.packet_at(k), problem.grid)
-        u_state = run.states[j]
-        delta1[j] = w_state.distance(u_state)
-        smoothed = apply_comparator(comp, w_state, normalized=True)
-        delta2[j] = w_state.distance(smoothed)
-        inv_u[j], div_u[j] = _membership_probe(comp, problem.E, u_state)
-        inv_w[j], div_w[j] = _membership_probe(comp, problem.E, w_state)
+    if inputs.failure is not None:
+        raise inputs.failure
+    delta1_duh = duh_full[inputs.steps]
+    delta1, delta2, inv_u, inv_w, div_u, div_w = (
+        np.array(column) for column in zip(*inputs.rows))
     finite = np.concatenate([inv_u[~div_u], inv_w[~div_w]])
     if problem.E is not None:
         E = problem.E
@@ -398,7 +472,8 @@ def _single_run(problem: ReductionProblem, alpha0: PhasePoint):
     base = packet(alpha0, problem.M0)
     flow = approximate_flow(spec, traj, base)
     psi0 = sample_on_grid(base, problem.grid)
-    run = run_grid(spec, psi0, problem.T, problem.dt, problem.samples)
+    run = run_grid(spec, psi0, problem.T, problem.dt, problem.samples,
+                   BoundInputs(problem, flow))
     error = measured_error(run, traj)
     eps = problem.epsilon_vector()
     within = bool(np.all(error.components < eps[None, :]))
@@ -487,7 +562,8 @@ def ehrenfest_run(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
     """Propagate and record <q>, <p>, <V'(q)> and V'(<q>) densely.
 
     One-dimensional only; the sampling interval sample_stride * dt sets
-    the finite-difference accuracy of the identity residual.  The start
+    the finite-difference accuracy of the identity residual, and
+    sample_stride must be a positive integer.  The start
     and every sample_stride-th step are recorded, a block of states at a
     time: one batched FFT pair for <p>, row sums for the moments and one
     polynomial evaluation for V'(<q>) per block.
@@ -511,7 +587,7 @@ def ehrenfest_run(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
 
     collect(np.zeros(1), psi0.amp[None])
     propagate(spec, psi0, T, dt, observer=collect,
-              observe_stride=max(1, sample_stride))
+              observe_stride=_positive_int(sample_stride, "sample_stride"))
     data = np.concatenate(blocks)
     return EhrenfestData(times=data[:, 0], position=data[:, 1],
                          momentum=data[:, 2], grad_v_mean=data[:, 3],

@@ -8,6 +8,19 @@ from qreduce.hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel
 from qreduce.reduction import ReductionProblem, run_reduction
 
 
+def spectral_moments(psi):
+    """<q>, <p> of a unit state, per state, with d/dx a Fourier multiplier."""
+    grid, dens, cell = psi.grid, psi.density, psi.grid.cell
+    fft, ifft = (np.fft.fft, np.fft.ifft) if grid.n == 1 \
+        else (np.fft.fft2, np.fft.ifft2)
+    x = grid.x[:, None] if grid.n == 1 else grid.x_mesh
+    k = grid.k[:, None] if grid.n == 1 else grid.k_mesh
+    q = [np.sum(x[..., j] * dens) * cell for j in range(grid.n)]
+    p = [np.sum(np.conj(psi.amp) * -1j * ifft(1j * k[..., j] * fft(psi.amp)))
+         .real * cell for j in range(grid.n)]
+    return np.array(q + p)
+
+
 def corpus_spec(name: str) -> HamiltonianSpec:
     return HamiltonianSpec(mass=1.0,
                            potential=PotentialModel.polynomial(PRESETS[name]))

@@ -214,6 +214,27 @@ def test_scale_config_faults_exit_two(tmp_path, fault):
     assert not (tmp_path / "out" / "scale-failure.json").exists()
 
 
+COUNT_KEYS = {
+    "reduce": ("samples", {"potential": "harmonic", "alpha0": [1.0, 0.0],
+                           "T": 0.1, "dt": 0.01, "epsilon": 1e-3}),
+    "ehrenfest": ("sample_stride", {"potential": "harmonic", "T": 0.1,
+                                    "dt": 0.01}),
+}
+
+
+@pytest.mark.parametrize("value", [-3, 0, 2.7])
+@pytest.mark.parametrize("mode", sorted(COUNT_KEYS))
+def test_counts_must_be_positive_integers(tmp_path, mode, value):
+    # A negative stride used to be clamped to 1 and 2.7 truncated to 2.
+    key, problem = COUNT_KEYS[mode]
+    cfg = write_config(tmp_path, {"mode": mode,
+                                  "problem": {**problem, key: value}})
+    assert run(cfg, out_dir=tmp_path / "out") == 2
+    assert not (tmp_path / "out" / f"{mode}-failure.json").exists()
+    assert run(write_config(tmp_path, {"mode": mode, "problem": {
+        **problem, key: 3}}, "ok.json"), out_dir=tmp_path / "out") == 0
+
+
 def test_numerical_failure_exits_three(tmp_path):
     cfg = write_config(tmp_path, {
         "mode": "reduce",

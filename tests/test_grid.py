@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import spectral_moments
 
 from qreduce import HamiltonianSpec, PhasePoint, PotentialModel, WraparoundError
 from qreduce.grid import (
@@ -103,6 +104,25 @@ def test_expectation_requires_unit_norm():
     psi = vacuum()
     with pytest.raises(ValueError):
         expectation_a(GridWavefunction(psi.grid, 2.0 * psi.amp))
+
+
+@pytest.mark.parametrize("grid", [DEFAULT_GRID, GridSpec(n=2, N=64, L=8.0)],
+                         ids=["1d", "2d"])
+def test_stacked_expectations_equal_the_per_state_formula(grid):
+    # Rows of several norms: each is normalised on its own first.
+    rng = np.random.default_rng(5)
+    rows = []
+    for scale in (1.0, 2.0, 0.5, 1.0 + 1e-9, 1.0):
+        alpha = rng.uniform(-2.0, 2.0, 2 * grid.n)
+        rows.append(scale * dilate(weyl_displace(vacuum(grid), alpha),
+                                   rng.uniform(0.5, 2.0)).amp)
+    got = expectation_a(np.stack(rows), grid)
+    assert got.shape == (5, 2 * grid.n)
+    for amp, moments in zip(rows, got):
+        want = spectral_moments(GridWavefunction(grid, amp).normalized())
+        assert np.max(np.abs(moments - want)) <= 1e-13 * np.max(np.abs(want))
+    single = expectation_a(GridWavefunction(grid, rows[-1]).normalized())
+    assert np.max(np.abs(single - got[-1])) <= 1e-13
 
 
 def test_weyl_identity_and_unitarity():
@@ -267,21 +287,27 @@ CUBIC_2D = HamiltonianSpec(
 def test_observer_sees_strided_steps_in_blocks(spec, grid, steps, stride,
                                                blocks):
     # Blocks fill to the byte budget, the last one is partial, and each
-    # row is bitwise the state a store_stride=1 run keeps at that step.
+    # row is bitwise the state an every-step observer sees at that step.
     psi0 = weyl_displace(vacuum(grid), np.r_[np.ones(grid.n), np.zeros(grid.n)])
     T = steps * 1e-3
-    seen = []
-    propagate(spec, psi0, T, 1e-3,
-              observer=lambda t, amps: seen.append((t.copy(), amps.copy())),
-              observe_stride=stride)
-    stored = propagate(spec, psi0, T, 1e-3, store_stride=1)
+
+    def observed(observe_stride):
+        seen = []
+        final = propagate(
+            spec, psi0, T, 1e-3, observe_stride=observe_stride,
+            observer=lambda t, amps: seen.append((t.copy(), amps.copy()))).final
+        return seen, final
+
+    seen, _ = observed(stride)
+    every, final = observed(1)
     assert [len(t) for t, _ in seen] == blocks
     step_ids = np.arange(stride, steps + 1, stride)
     times = np.concatenate([t for t, _ in seen])
     amps = np.concatenate([a for _, a in seen])
+    reference = np.concatenate([a for _, a in every])
     assert np.array_equal(times, step_ids * (T / steps))
-    assert np.array_equal(amps, np.stack([stored.states[k].amp
-                                          for k in step_ids]))
+    assert np.array_equal(amps, reference[step_ids - 1])
+    assert np.array_equal(reference[-1], final.amp)
 
 
 def test_propagate_matches_a_numpy_strang_loop():

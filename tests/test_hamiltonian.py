@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from qreduce import (
     HamiltonianSpec,
@@ -130,6 +131,40 @@ def test_polynomial2d_value_gradient_hessian():
     assert pot.gradient(np.array([2.0, 3.0])) == pytest.approx([12.0, 10.0])
     H = pot.hessian(np.array([2.0, 3.0]))
     assert H == pytest.approx(np.array([[6.0, 4.0], [4.0, 2.0]]))
+
+
+# Coefficient matrices within the 2D cap: C[i, j] = 0 for i + j > 4.
+coefficient_matrices = st.lists(
+    st.floats(-2.0, 2.0, allow_nan=False), min_size=25, max_size=25).map(
+    lambda c: np.where(np.add.outer(np.arange(5), np.arange(5)) <= 4,
+                       np.reshape(c, (5, 5)), 0.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(C=coefficient_matrices, seed=st.integers(0, 2 ** 16))
+def test_stacked_derivatives_are_bitwise_the_per_point_ones(C, seed):
+    # One call over a stack of points equals one call per point, to the
+    # bit, and both equal the coefficient derivatives taken per call.
+    pot = PotentialModel.polynomial2d(C)
+    points = np.random.default_rng(seed).uniform(-3.0, 3.0, (7, 2))
+    grads, hessians = pot.gradient(points), pot.hessian(points)
+    assert grads.shape == (7, 2) and hessians.shape == (7, 2, 2)
+    pd = npoly.polyder
+    for x, g, h in zip(points, grads, hessians):
+        assert np.array_equal(pot.gradient(x), g)
+        assert np.array_equal(pot.hessian(x), h)
+        at = lambda D: npoly.polyval2d(x[0], x[1], D)
+        assert np.array_equal(g, [at(pd(C, axis=0)), at(pd(C, axis=1))])
+        dxy = at(pd(pd(C, axis=0), axis=1))
+        assert np.array_equal(h, [[at(pd(pd(C, axis=0), axis=0)), dxy],
+                                  [dxy, at(pd(pd(C, axis=1), axis=1))]])
+    # The same in 1D: a (K, 1) stack of points.
+    pot1 = PotentialModel.polynomial(C[:, 0])
+    column = points[:, :1]
+    assert np.array_equal(pot1.gradient(column)[:, 0],
+                          [pot1.gradient(x)[0] for x in column])
+    assert np.array_equal(pot1.hessian(column)[:, 0, 0],
+                          [pot1.hessian(x)[0, 0] for x in column])
 
 
 def test_polynomial2d_remainder():

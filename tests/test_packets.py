@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import cumulative_simpson
 
 from qreduce import CausticError, HamiltonianSpec, PhasePoint, PotentialModel
-from qreduce.classical import integrate_flow
+from qreduce.classical import _hermite, integrate_flow
+from qreduce.hamiltonian import eval_h, gradient_h, hessian_h
 from qreduce.grid import DEFAULT_GRID, GridSpec, expectation_a, propagate
 from qreduce.packets import (
     GaussianPacket,
@@ -222,3 +226,64 @@ def test_two_dimensional_isotropic_harmonic():
     assert np.max(np.abs(series.B[-1] - phases * np.eye(2))) < 1e-8
     assert np.max(np.abs(series.M[-1] - np.eye(2))) < 1e-8
     assert series.detB_angle[-1] == pytest.approx(2.0, abs=1e-8)
+
+
+CUBIC_2D = HamiltonianSpec(
+    mass=1.3, dimension=2, potential=PotentialModel.polynomial2d(
+        [[0.0, 0.3, 0.5, 0.1], [0.2, -0.1, 0.05, 0.0],
+         [0.5, 0.01, 0.02, 0.0], [0.02, 0.01, 0.0, 0.0]]))
+
+
+def test_two_dimensional_flow_is_bitwise_the_per_point_loop():
+    # The width system and the phase integrand, written out with one
+    # derivative call per point and per RK stage.
+    alpha0 = PhasePoint([0.7, -0.2], [0.3, 0.5])
+    traj = integrate_flow(CUBIC_2D, alpha0, 1.0, 0.01)
+    A = np.array([[1.5, 0.2], [0.2, 0.7]], dtype=complex)
+    B = np.eye(2, dtype=complex)
+    series = evolve_AB(CUBIC_2D, traj, A, B)
+    dt, n = traj.dt, 2
+    mids = _hermite(traj.states[:-1], traj.states[1:], traj.derivatives[:-1],
+                    traj.derivatives[1:], dt, 0.5)
+
+    def rhs(state, A, B):
+        H = hessian_h(CUBIC_2D, PhasePoint.from_vector(state))
+        hxx, hxp, hpp = H[:n, :n], H[:n, n:], H[n:, n:]
+        return 1j * B @ hxx - A @ hxp, B @ hxp.T + 1j * A @ hpp
+
+    for k in range(len(traj.times) - 1):
+        s0, s_mid, s1 = traj.states[k], mids[k], traj.states[k + 1]
+        dA1, dB1 = rhs(s0, A, B)
+        dA2, dB2 = rhs(s_mid, A + 0.5 * dt * dA1, B + 0.5 * dt * dB1)
+        dA3, dB3 = rhs(s_mid, A + 0.5 * dt * dA2, B + 0.5 * dt * dB2)
+        dA4, dB4 = rhs(s1, A + dt * dA3, B + dt * dB3)
+        A = A + (dt / 6.0) * (dA1 + 2 * dA2 + 2 * dA3 + dA4)
+        B = B + (dt / 6.0) * (dB1 + 2 * dB2 + 2 * dB3 + dB4)
+        assert np.array_equal(series.A[k + 1], A)
+        assert np.array_equal(series.B[k + 1], B)
+    integrand = np.array([
+        eval_h(CUBIC_2D, traj.point(k)) - 0.5 * float(
+            gradient_h(CUBIC_2D, traj.point(k)) @ traj.point(k).vector)
+        for k in range(len(traj.times))])
+    assert np.array_equal(
+        phase_X(CUBIC_2D, traj),
+        cumulative_simpson(integrand, dx=dt, initial=0.0))
+    energies = [eval_h(CUBIC_2D, traj.point(k)) for k in range(len(traj))]
+    assert np.array_equal(traj.energies, energies)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 16))
+def test_two_dimensional_sampling_is_bitwise_the_einsum_form(seed):
+    # sample_on_grid sums u.M.u term by term; einsum is the reference.
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(n=2, N=64, L=8.0)
+    R, S = rng.normal(size=(2, 2, 2))
+    M = R @ R.T + 0.2 * np.eye(2) + 0.5j * (S + S.T)
+    pkt = packet(PhasePoint(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)), M)
+    xi, pi_m = pkt.alpha.xi, pkt.alpha.pi
+    u = grid.x_mesh - xi
+    quad = np.exp(-0.5 * np.einsum("...i,ij,...j->...", u, pkt.M, u))
+    plane = np.exp(1j * (u @ pi_m + 0.5 * float(pi_m @ xi)))
+    assert np.array_equal(sample_on_grid(pkt, grid).amp,
+                          pkt.amplitude_factor * quad * plane)

@@ -2,18 +2,20 @@ import json
 
 import numpy as np
 import pytest
+from conftest import spectral_moments
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qreduce import reduction
 from qreduce.classical import PhaseRegion, integrate_flow
-from qreduce.comparator import ComparatorSpec
+from qreduce.comparator import ComparatorSpec, apply_comparator, \
+    within_magnitude
 from qreduce.errors import (BasisResidualError, ConfigError, NumericalError,
                              OverflowGuardError)
-from qreduce.grid import GridSpec, propagate
+from qreduce.grid import GridSpec, GridWavefunction, propagate
 from qreduce.hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel
 from qreduce.packets import approximate_flow, packet, sample_on_grid
-from qreduce.reduction import (ReductionProblem, assemble_bounds,
+from qreduce.reduction import (BoundInputs, ReductionProblem, assemble_bounds,
                                duhamel_curve, ehrenfest_run,
                                ehrenfest_residuals, measured_error,
                                remainder_norm, run_grid, run_reduction,
@@ -168,7 +170,8 @@ def test_duhamel_dominates_measured_distance():
     traj = integrate_flow(CUBIC_PERTURBED, problem.alpha0, 1.0, problem.dt)
     flow = approximate_flow(CUBIC_PERTURBED, traj, origin_packet())
     psi0 = sample_on_grid(origin_packet(), problem.grid)
-    run = run_grid(CUBIC_PERTURBED, psi0, 1.0, problem.dt)
+    run = run_grid(CUBIC_PERTURBED, psi0, 1.0, problem.dt,
+                   bound_inputs=BoundInputs(problem, flow))
     bounds = assemble_bounds(problem, run, flow)
     assert np.all(bounds.delta1_measured <= bounds.delta1_duhamel + 1e-6)
     assert bounds.delta1_measured[-1] > 1e-6
@@ -244,7 +247,8 @@ def test_theorem_bound_single_time_api():
     traj = integrate_flow(HARMONIC, problem.alpha0, 0.5, problem.dt)
     flow = approximate_flow(HARMONIC, traj, packet(problem.alpha0, 1.0))
     psi0 = sample_on_grid(packet(problem.alpha0, 1.0), problem.grid)
-    run = run_grid(HARMONIC, psi0, 0.5, problem.dt)
+    run = run_grid(HARMONIC, psi0, 0.5, problem.dt,
+                   bound_inputs=BoundInputs(problem, flow))
     bounds = assemble_bounds(problem, run, flow)
     assert bounds.hypotheses_hold
     assert bounds.specialized[-1] >= bounds.general[-1] >= 0.0
@@ -373,24 +377,32 @@ def test_ehrenfest_quartic_gap_oracle():
 
 
 def test_ehrenfest_blocks_equal_the_per_state_formulas():
-    # The per-state formulas written out over the states a store_stride=1
-    # run keeps; 3141 steps at stride 3 end on a partial block.
+    # The per-state formulas written out over the start state and every
+    # step an every-step observer sees; 3141 steps at stride 3 end on a
+    # partial block.
     grid = GridSpec(1, 1024, 20.0)
     psi0 = sample_on_grid(packet(PhasePoint(1.0, 0.0), 1.0), grid)
     T, dt, stride = 3.141, 1e-3, 3
     data = ehrenfest_run(CUBIC_PERTURBED, psi0, T, dt=dt, sample_stride=stride)
-    run = propagate(CUBIC_PERTURBED, psi0, T, dt, store_stride=1)
+    times, states = [np.zeros(1)], [psi0.amp[None]]
+
+    def store(t, amps):
+        times.append(t.copy())
+        states.append(amps.copy())
+
+    propagate(CUBIC_PERTURBED, psi0, T, dt, observer=store)
+    times, states = np.concatenate(times), np.concatenate(states)
     pot = CUBIC_PERTURBED.potential
     dv = pot.derivative(grid.x)
     rows = []
-    for k in range(0, len(run.states), stride):
-        amp = run.states[k].amp
+    for k in range(0, len(states), stride):
+        amp = states[k]
         dens = np.abs(amp) ** 2
         mass = np.sum(dens) * grid.cell
         q = np.sum(grid.x * dens) * grid.cell / mass
         dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(amp))
         p = np.sum(np.conj(amp) * -1j * dpsi).real * grid.cell / mass
-        rows.append((run.times[k], q, p, np.sum(dv * dens) * grid.cell / mass,
+        rows.append((times[k], q, p, np.sum(dv * dens) * grid.cell / mass,
                      float(pot.derivative(q))))
     expected = np.array(rows)
     assert len(data.times) == 1048
@@ -472,3 +484,90 @@ def test_bound_stage_failure_leaves_the_verdict_to_the_error(monkeypatch,
     assert out["bound_failure"] == report.bound_failure
     json.dumps(out, allow_nan=False)
 
+
+def stored_run(spec, psi0, T, dt, samples):
+    """The start, every stride-th step before the last, and the last step:
+    the states a snapshot list kept, collected with an observer."""
+    steps = max(1, round(T / dt))
+    stride = max(1, steps // samples)
+    every = [psi0.amp[None]]
+    propagate(spec, psi0, T, dt, observer=lambda t, amps: every.append(
+        amps.copy()))
+    every = np.concatenate(every)
+    kept = [0] + [k for k in range(1, steps) if k % stride == 0] + [steps]
+    return (np.array(kept) * (T / steps),
+            [GridWavefunction(psi0.grid, every[k]) for k in kept])
+
+
+def snapshot_list_assembly(problem, flow, times, states):
+    """delta1, delta2 and both membership probes per stored state."""
+    comp = problem.comparator
+
+    def probe(state):
+        try:
+            out = within_magnitude(comp, reduction.E_PROBE, state)
+        except BasisResidualError:
+            return np.inf, True
+        return out["inv_norm"], out["divergent"]
+
+    rows = []
+    for t, u in zip(times, states):
+        w = sample_on_grid(flow.packet_at(round(t / flow.traj.dt)),
+                           problem.grid)
+        smoothed = apply_comparator(comp, w, normalized=True)
+        rows.append((w.distance(u), w.distance(smoothed)) + probe(u)
+                    + probe(w))
+    d1, d2, inv_u, div_u, inv_w, div_w = map(np.array, zip(*rows))
+    E = 1.5 * np.max(np.concatenate([inv_u[~div_u], inv_w[~div_w]]))
+    return {"E_used": E, "delta1_measured": d1, "delta2": d2,
+            "inv_norms_u": inv_u, "inv_norms_w": inv_w,
+            "membership_u": ~div_u & (inv_u <= E),
+            "membership_w": ~div_w & (inv_w <= E)}
+
+
+STREAM_CASES = {
+    # 25 steps at stride 3: the last step is off the stride.
+    "lattice-1d": ReductionProblem(
+        spec=CUBIC_PERTURBED, alpha0=PhasePoint(1.0, 0.0), T=0.5, dt=0.02,
+        epsilon=0.05, samples=7,
+        region=PhaseRegion.box(PhasePoint(1.0, 0.0), [0.2, 0.2])),
+    "coupled-2d": ReductionProblem(
+        spec=HamiltonianSpec(mass=1.0, dimension=2,
+                             potential=PotentialModel.polynomial2d(
+                                 [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0],
+                                  [0.5, 0.01, 0.0], [0.02, 0.0, 0.0]])),
+        alpha0=PhasePoint([1.0, 0.0], [0.0, 0.5]), T=0.1, dt=0.01,
+        epsilon=0.05, samples=3, grid=GridSpec(n=2, N=64, L=10.0),
+        comparator=ComparatorSpec(s=1.0, N=32)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+def test_streamed_bounds_equal_the_snapshot_list_assembly(name):
+    # The streamed run projects the same states as a kept snapshot list
+    # would, so every projection-derived number is bitwise the same.
+    problem = STREAM_CASES[name]
+    points = reduction._region_lattice(problem)
+    olds = {}
+    for alpha0 in points:
+        traj = integrate_flow(problem.spec, alpha0, problem.T, problem.dt)
+        base = packet(alpha0, problem.M0)
+        flow = approximate_flow(problem.spec, traj, base)
+        psi0 = sample_on_grid(base, problem.grid)
+        run = run_grid(problem.spec, psi0, problem.T, problem.dt,
+                       problem.samples, BoundInputs(problem, flow))
+        bounds = assemble_bounds(problem, run, flow)
+        times, states = stored_run(problem.spec, psi0, problem.T, problem.dt,
+                                   problem.samples)
+        assert np.array_equal(run.times, times)
+        old = olds[tuple(alpha0.vector)] = snapshot_list_assembly(
+            problem, flow, times, states)
+        for key, value in old.items():
+            assert np.array_equal(getattr(bounds, key), value), key
+        moments = np.array([spectral_moments(s) for s in states])
+        assert np.max(np.abs(run.expectations - moments)) <= 1e-13
+    assert len(points) == (9 if name == "lattice-1d" else 1)
+    report = run_reduction(problem)
+    worst = max(report.sample_results, key=lambda r: r["max_error"])
+    for key, value in olds[tuple(worst["alpha0"])].items():
+        assert np.array_equal(getattr(report.bounds, key), value), key
