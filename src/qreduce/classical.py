@@ -168,7 +168,7 @@ def integrate_flow(spec: HamiltonianSpec, alpha0: PhasePoint,
         raise ValueError("need 0 < dt <= t_final")
     m = max(1, int(round(t_final / dt)))
     dt = t_final / m
-    if spec.potential.ndim == 1 and spec.potential.is_polynomial:
+    if spec.potential.ndim == 1:
         return _integrate_leapfrog_1d(spec, alpha0, m, dt)
     return _integrate_leapfrog(spec, alpha0, m, dt)
 

@@ -13,8 +13,10 @@ Grids are {"n", "N", "L"}, comparators {"s", "N"}, and regions
 {"center", "radius"} (ball) or {"center", "half_widths"} (box).
 ehrenfest and the grid form of classify-quantum take their initial
 state as a {"packet": {"alpha0", "M0"}} block, defaulting to the vacuum,
-and refuse a top-level alpha0 or M0.  The counts reduce "samples" and
-ehrenfest "sample_stride" must be positive integers.
+and refuse a top-level alpha0 or M0.  Counts (grid "n" and "N",
+comparator "N", reduce "samples", ehrenfest "sample_stride") must be
+positive integers, comparator-audit "dimension" 1 or 2.  The start state
+and the grid take the potential's dimension; ehrenfest is 1D only.
 
 Every report embeds the tool version, the sha256 hash of the canonical
 config serialization, the full config echo, and the provenance of the
@@ -77,14 +79,14 @@ def _fail(path: str, message: str):
     raise ConfigError(f"config.{path}: {message}")
 
 
-def _block(config: dict, key: str, required=True) -> dict:
+def _block(config: dict, key: str, required=True, path: str = "") -> dict:
     value = config.get(key)
     if value is None:
         if required:
-            _fail(key, "missing")
+            _fail(path + key, "missing")
         return {}
     if not isinstance(value, dict):
-        _fail(key, "must be an object")
+        _fail(path + key, "must be an object")
     return value
 
 
@@ -127,43 +129,43 @@ def _spec_from(problem: dict) -> HamiltonianSpec:
     return HamiltonianSpec(mass=mass, potential=pot, dimension=pot.ndim)
 
 
-def _phase_point(problem: dict, key: str = "alpha0") -> PhasePoint:
-    raw = problem.get(key)
-    if not isinstance(raw, list) or len(raw) not in (2, 4):
-        _fail(f"problem.{key}", "must be a list [xi.., pi..] of length 2 or 4")
+def _phase_point(problem: dict, spec: HamiltonianSpec,
+                 path: str = "problem") -> PhasePoint:
+    raw = problem.get("alpha0")
+    size = 2 * spec.dimension
+    if not isinstance(raw, list) or len(raw) != size:
+        _fail(f"{path}.alpha0", f"must be a list [xi.., pi..] of length "
+              f"{size}, two per axis of the potential")
     return PhasePoint.from_vector(np.asarray(raw, dtype=float))
 
 
-def _start_packet(problem: dict):
+def _start_packet(problem: dict, spec: HamiltonianSpec):
     """(alpha0, M0) from the packet block; a top-level one is refused."""
     for key in ("alpha0", "M0"):
         if key in problem:
             _fail(f"problem.{key}", "this mode takes its start state as "
                   '{"packet": {"alpha0": [...], "M0": ...}}')
-    pkt = _block(problem, "packet", required=False) or {"alpha0": [0.0, 0.0]}
-    return _phase_point(pkt), pkt.get("M0", 1.0)
+    pkt = (_block(problem, "packet", required=False, path="problem.")
+           or {"alpha0": [0.0] * (2 * spec.dimension)})
+    return _phase_point(pkt, spec, "problem.packet"), pkt.get("M0", 1.0)
 
 
-def _grid_from(problem: dict) -> GridSpec:
-    raw = problem.get("grid")
-    if raw is None:
-        return DEFAULT_GRID
-    if not isinstance(raw, dict):
-        _fail("problem.grid", "must be an object {n, N, L}")
-    return GridSpec(int(raw.get("n", 1)), int(raw.get("N", 1024)),
-                    float(raw.get("L", 20.0)))
+def _grid_from(problem: dict, spec: HamiltonianSpec) -> GridSpec:
+    raw = _block(problem, "grid", required=False, path="problem.")
+    grid = GridSpec(_count(raw, "problem.grid", "n", DEFAULT_GRID.n),
+                    _count(raw, "problem.grid", "N", DEFAULT_GRID.N),
+                    float(raw.get("L", DEFAULT_GRID.L)))
+    if grid.n != spec.dimension:
+        _fail("problem.grid.n", "must equal the potential's dimension, "
+              f"{spec.dimension}")
+    return grid
 
 
 def _comparator_from(problem: dict) -> ComparatorSpec:
-    raw = problem.get("comparator")
-    if raw is None:
-        return ComparatorSpec(s=1.0)
-    if not isinstance(raw, dict):
-        _fail("problem.comparator", "must be an object {s, N}")
-    kwargs = {"s": float(raw.get("s", 1.0))}
-    if "N" in raw:
-        kwargs["N"] = int(raw["N"])
-    return ComparatorSpec(**kwargs)
+    raw = _block(problem, "comparator", required=False, path="problem.")
+    return ComparatorSpec(
+        s=_number(raw, "problem.comparator", "s", default=1.0),
+        N=_count(raw, "problem.comparator", "N", ComparatorSpec.N))
 
 
 def _region_from(problem: dict):
@@ -195,7 +197,7 @@ def _provenance(grid: GridSpec = None, dt=None,
 
 def _run_reduce(problem: dict):
     spec = _spec_from(problem)
-    grid = _grid_from(problem)
+    grid = _grid_from(problem, spec)
     comp = _comparator_from(problem)
     dt = _number(problem, "problem", "dt", default=DEFAULT_DT)
     epsilon = problem.get("epsilon")
@@ -205,7 +207,7 @@ def _run_reduce(problem: dict):
     if isinstance(M0, list):
         M0 = np.asarray(M0, dtype=float)
     ro = ReductionProblem(
-        spec=spec, alpha0=_phase_point(problem),
+        spec=spec, alpha0=_phase_point(problem, spec),
         T=_number(problem, "problem", "T", required=True),
         epsilon=epsilon, comparator=comp,
         E=_number(problem, "problem", "E"), grid=grid, M0=M0,
@@ -227,7 +229,7 @@ def _run_reduce(problem: dict):
 
 def _run_classify_classical(problem: dict):
     spec = _spec_from(problem)
-    alpha0 = _phase_point(problem)
+    alpha0 = _phase_point(problem, spec)
     horizon = _number(problem, "problem", "T", required=True)
     dt = _number(problem, "problem", "dt", default=1e-3)
     radii = problem.get("radii")
@@ -282,10 +284,10 @@ def _run_classify_quantum(problem: dict):
 
         return compute
     spec = _spec_from(problem)
-    grid = _grid_from(problem)
+    grid = _grid_from(problem, spec)
     comp = _comparator_from(problem)
     dt = _number(problem, "problem", "dt", default=0.25)
-    alpha0, M0 = _start_packet(problem)
+    alpha0, M0 = _start_packet(problem, spec)
 
     def compute():
         psi = sample_on_grid(packet(alpha0, M0), grid)
@@ -299,12 +301,11 @@ def _run_classify_quantum(problem: dict):
 
 
 def _run_comparator_audit(problem: dict):
-    s = _number(problem, "problem", "s", required=True)
-    kwargs = {"s": s}
-    if "N" in problem:
-        kwargs["N"] = int(problem["N"])
-    comp = ComparatorSpec(**kwargs)
-    dimension = int(problem.get("dimension", 1))
+    comp = ComparatorSpec(s=_number(problem, "problem", "s", required=True),
+                          N=_count(problem, "problem", "N", ComparatorSpec.N))
+    dimension = _count(problem, "problem", "dimension", 1)
+    if dimension > 2:
+        _fail("problem.dimension", "must be 1 or 2")
 
     def compute():
         result = comparator_scalars(comp, dimension)
@@ -321,7 +322,7 @@ def _run_comparator_audit(problem: dict):
 
 def _run_scale(problem: dict):
     spec = _spec_from(problem)
-    alpha0 = _phase_point(problem)
+    alpha0 = _phase_point(problem, spec)
     T = _number(problem, "problem", "T", required=True)
     lambdas = problem.get("lambdas")
     if not isinstance(lambdas, list) or not lambdas:
@@ -333,7 +334,7 @@ def _run_scale(problem: dict):
         _fail("problem.lambdas", "entries must be positive")
     if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
         _fail("problem.lambdas", "must be strictly decreasing")
-    grid = _grid_from(problem)
+    grid = _grid_from(problem, spec)
     # Each family member runs with the default comparator of
     # ReductionProblem, so the grid must resolve that basis.
     if not ComparatorSpec(s=1.0).fits(grid):
@@ -352,14 +353,14 @@ def _run_scale(problem: dict):
 
 def _run_squeeze(problem: dict):
     spec = _spec_from(problem)
-    grid = _grid_from(problem)
+    grid = _grid_from(problem, spec)
     comp = _comparator_from(problem)
     dt = _number(problem, "problem", "dt", default=DEFAULT_DT)
     dilations = problem.get("dilations")
     if not isinstance(dilations, list) or not dilations:
         _fail("problem.dilations", "must be a nonempty list")
     ro = ReductionProblem(
-        spec=spec, alpha0=_phase_point(problem),
+        spec=spec, alpha0=_phase_point(problem, spec),
         T=_number(problem, "problem", "T", required=True),
         epsilon=problem.get("epsilon", 1.0), comparator=comp,
         E=_number(problem, "problem", "E"), grid=grid, dt=dt)
@@ -377,11 +378,13 @@ def _run_squeeze(problem: dict):
 
 def _run_ehrenfest(problem: dict):
     spec = _spec_from(problem)
-    grid = _grid_from(problem)
+    if spec.dimension != 1:
+        _fail("problem.potential", "ehrenfest diagnostics are one-dimensional")
+    grid = _grid_from(problem, spec)
     T = _number(problem, "problem", "T", required=True)
     dt = _number(problem, "problem", "dt", default=DEFAULT_DT)
     stride = _count(problem, "problem", "sample_stride", 2)
-    alpha0, M0 = _start_packet(problem)
+    alpha0, M0 = _start_packet(problem, spec)
 
     def compute():
         psi = sample_on_grid(packet(alpha0, M0), grid)

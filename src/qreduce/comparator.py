@@ -1,11 +1,12 @@
 """The compact comparator operator in the oscillator number basis.
 
-The comparator is diagonal on Hermite functions with eigenvalues
-sigma_s e^{-s n} (sigma_s = 1 - e^{-s}), which makes the number-basis
-realization exact up to truncation.  States on a grid are projected onto
-the first N + 1 Hermite functions by quadrature, scaled and
-resynthesized; inverse quantities are truncated sums with explicit
-divergence detection, never dense inverses.
+The comparator is the number-basis operator about the phase-space
+origin: diagonal on Hermite functions with eigenvalues sigma_s e^{-s n}
+(sigma_s = 1 - e^{-s}), which makes the number-basis realization exact
+up to truncation.  States on a grid are projected onto the first N + 1
+Hermite functions by quadrature, scaled and resynthesized; inverse
+quantities are truncated sums with explicit divergence detection, never
+dense inverses.
 
 Coherent-state formulas use the complex label z = (xi + i pi) / sqrt(2),
 so |alpha|^2 below always means |z|^2 = (xi^2 + pi^2) / 2.
@@ -18,27 +19,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BasisResidualError, OverflowGuardError
-from .grid import GridSpec, GridWavefunction, weyl_displace
+from .grid import GridSpec, GridWavefunction
 from .hamiltonian import PhasePoint
 
 RESIDUAL_TOL = 1e-8
 EXP_GUARD = 700.0
 NOISE_FLOOR = 1e-26
+RESOLUTION_RADIUS = 6.0
+RESOLUTION_POINTS = 400
 
 
 @dataclass(frozen=True)
 class ComparatorSpec:
     """Parameters of the comparator family: decay s and basis cutoff N.
 
-    Each instance keeps what it has computed in a private store: the
-    complex Hermite basis per grid and the operator scalars per dimension.
-    A run that projects many states on one grid therefore builds the
-    basis, and runs the power iteration, once.
+    The operator is centred at the phase-space origin.  Each instance
+    keeps what it has computed in a private store: the complex Hermite
+    basis per grid and the operator scalars per dimension.  A run that
+    projects many states on one grid therefore builds the basis, and
+    runs the power iteration, once.
     """
 
     s: float
     N: int = 128
-    center: PhasePoint = None
     _store: dict = field(default_factory=dict, init=False, compare=False,
                          repr=False)
 
@@ -109,13 +112,6 @@ def _basis(spec: ComparatorSpec, grid: GridSpec) -> np.ndarray:
     return h
 
 
-def _recentred(spec: ComparatorSpec, psi: GridWavefunction, inverse=False):
-    if spec.center is None:
-        return psi
-    sign = 1.0 if inverse else -1.0
-    return weyl_displace(psi, sign * spec.center.vector)
-
-
 def hermite_coefficients(spec: ComparatorSpec, psi, grid: GridSpec = None):
     """Project psi, or a stack of amplitudes, on the truncated Hermite basis.
 
@@ -123,7 +119,7 @@ def hermite_coefficients(spec: ComparatorSpec, psi, grid: GridSpec = None):
     on that grid stacked on a leading axis, shape (B,) + (grid.N,) * n.
     One product projects them all: amps @ h.T * dx in 1D and
     h @ amps @ h.T * dx^2 in 2D, which on a single state is bitwise the
-    product h @ amp.  A centred comparator recentres each state first.
+    product h @ amp.  The basis is the oscillator's about the origin.
 
     Returns
     -------
@@ -134,13 +130,9 @@ def hermite_coefficients(spec: ComparatorSpec, psi, grid: GridSpec = None):
     """
     stacked = grid is not None
     if not stacked:
-        psi = _recentred(spec, psi)
         grid, amps, norm_sq = psi.grid, psi.amp, psi.norm ** 2
     else:
         amps = np.asarray(psi, dtype=complex)
-        if spec.center is not None:
-            amps = np.stack([_recentred(spec, GridWavefunction(grid, a)).amp
-                             for a in amps])
         norm_sq = np.sum(np.abs(amps.reshape(len(amps), -1)) ** 2,
                          axis=-1) * grid.cell
     h = _basis(spec, grid)
@@ -159,12 +151,14 @@ def apply_comparator(spec: ComparatorSpec, psi: GridWavefunction,
 
     With ``normalized`` the operator is rescaled to have unit top
     eigenvalue (divide by sigma_s per axis).  In two dimensions the basis
-    is the tensor product and the number operator is the total one.
+    is the tensor product and the number operator is the total one.  The
+    operator is the one about the origin, so no state is displaced.
 
     Raises
     ------
     BasisResidualError
-        If more than 1e-8 of the state's mass lies outside the basis.
+        If more than RESIDUAL_TOL (1e-8) of the state's mass lies outside
+        the basis.
     """
     coeffs, residual = hermite_coefficients(spec, psi)
     if residual > RESIDUAL_TOL:
@@ -178,8 +172,7 @@ def apply_comparator(spec: ComparatorSpec, psi: GridWavefunction,
         amp = (coeffs * factor) @ h
     else:
         amp = h.T @ (coeffs * np.outer(factor, factor)) @ h
-    out = GridWavefunction(grid, amp)
-    return _recentred(spec, out, inverse=True)
+    return GridWavefunction(grid, amp)
 
 
 def comparator_scalars(spec: ComparatorSpec, dimension: int = 1) -> dict:
@@ -352,20 +345,20 @@ def _edge_dominated(log_terms, total_n, window: int = 8,
     return bool(edge > fraction * total)
 
 
-def coherent_resolution_check(spec: ComparatorSpec, k_index: int,
-                              radius: float = 6.0, points: int = 400) -> dict:
+def coherent_resolution_check(spec: ComparatorSpec, k_index: int) -> dict:
     """Spot check of the coherent resolution of the comparator.
 
     Quadrature of (lambda_s / pi) e^{-lambda_s |z|^2} |<h_k, Gamma(z)>|^2
-    over the complex-label disc |z| <= radius, against the closed diagonal
+    over the complex-label disc |z| <= RESOLUTION_RADIUS on a square of
+    RESOLUTION_POINTS points per axis, against the closed diagonal
     sigma_s e^{-s k}.
     """
     s, sigma, lam = spec.s, spec.sigma, spec.lam
-    u = np.linspace(-radius, radius, points)
+    u = np.linspace(-RESOLUTION_RADIUS, RESOLUTION_RADIUS, RESOLUTION_POINTS)
     du = u[1] - u[0]
     re, im = np.meshgrid(u, u, indexing="ij")
     r_sq = re ** 2 + im ** 2
-    inside = r_sq <= radius ** 2
+    inside = r_sq <= RESOLUTION_RADIUS ** 2
     log_fact = np.sum(np.log(np.arange(1, k_index + 1))) if k_index else 0.0
     overlap_sq = np.exp(-r_sq + k_index * np.log(np.maximum(r_sq, 1e-300))
                         - log_fact)

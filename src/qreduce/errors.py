@@ -13,11 +13,6 @@ class NumericalError(QReduceError):
     """Base class for runtime numerical failures."""
 
 
-class PotentialDomainError(NumericalError):
-    """Tabulated potential evaluated outside its knot range, or an
-    unsupported derivative order was requested."""
-
-
 class FlowDivergedError(NumericalError):
     """Classical integration produced a non-finite state.
 

@@ -22,6 +22,7 @@ BOUNDARY_TOL = 1e-10
 NORM_TOL = 1e-12
 # Memory bound of the block that propagate hands to its observer.
 OBSERVE_BLOCK_BYTES = 1 << 20
+CHECK_STRIDE = 100  # steps between propagate's boundary and norm checks
 
 
 @dataclass(frozen=True)
@@ -117,9 +118,9 @@ class GridWavefunction:
         return float(np.sqrt(np.sum(np.abs(self.amp - other.amp) ** 2)
                              * self.grid.cell))
 
-    def boundary_mass(self, band: int = None) -> float:
-        """Probability mass in the outermost grid bands of every axis."""
-        band = band or max(2, self.grid.N // 128)
+    def boundary_mass(self) -> float:
+        """Mass in the outer max(2, N // 128) points of every axis."""
+        band = max(2, self.grid.N // 128)
         dens = self.density
         mask = np.zeros_like(dens, dtype=bool)
         for axis in range(self.grid.n):
@@ -167,8 +168,8 @@ def potential_on_grid(spec: HamiltonianSpec, grid: GridSpec) -> np.ndarray:
 
 
 def propagate(spec: HamiltonianSpec, psi0: GridWavefunction, t_final: float,
-              dt: float, observer=None, observe_stride: int = 1,
-              check_stride: int = 100) -> GridEvolution:
+              dt: float, observer=None,
+              observe_stride: int = 1) -> GridEvolution:
     """Evolve psi0 under exp(-i h t) by Strang splitting.
 
     Each step applies exp(-iV dt/2) exp(-i p^2 dt/2m) exp(-iV dt/2); the
@@ -191,8 +192,8 @@ def propagate(spec: HamiltonianSpec, psi0: GridWavefunction, t_final: float,
     Raises
     ------
     WraparoundError
-        When boundary-band mass exceeds 1e-10 (checked upfront, every
-        ``check_stride`` steps and at the end): grid too small for the run.
+        When boundary-band mass exceeds BOUNDARY_TOL (checked upfront,
+        every CHECK_STRIDE steps and at the end): grid too small.
     """
     if t_final <= 0 or dt <= 0 or dt > t_final:
         raise ValueError("need 0 < dt <= t_final")
@@ -227,7 +228,7 @@ def propagate(spec: HamiltonianSpec, psi0: GridWavefunction, t_final: float,
             if filled == rows:
                 observer(block_times, block)
                 filled = 0
-        if step % check_stride == 0 or step == steps:
+        if step % CHECK_STRIDE == 0 or step == steps:
             psi = GridWavefunction(grid, amp)
             boundary_max = max(boundary_max, psi.boundary_mass())
             norm_drift = max(norm_drift, abs(psi.norm - norm0))

@@ -2,7 +2,9 @@
 
 The package works in internal units with hbar = 1; any handling of
 physical magnitudes lives in :mod:`qreduce.scaling`.  A Hamiltonian is
-h(xi, pi) = pi^2 / 2m + V(xi) in one or two degrees of freedom.
+h(xi, pi) = pi^2 / 2m + V(xi) in one or two degrees of freedom, with V
+a polynomial: the reduction's remainder is an exact Taylor tail, which
+only a polynomial has.
 """
 
 from __future__ import annotations
@@ -13,9 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import CubicSpline
-
-from .errors import PotentialDomainError
 
 MAX_POLY_DEGREE = 8
 MAX_POLY_DEGREE_2D = 4
@@ -33,27 +32,19 @@ def _polyval_nd(coef, x):
 
 
 class PotentialModel:
-    """A potential V with analytic derivatives.
+    """A polynomial potential V with exact derivatives.
 
-    Two kinds are supported.  Polynomial potentials (degree <= 8 in one
-    dimension, total degree <= 4 in two) carry exact derivatives of all
-    orders by coefficient differentiation, done once per potential and
-    order, and exact Taylor remainders about any batch of centres.
-    gradient and hessian take one point or a stack of points and
-    evaluate a stack in one call.  Tabulated potentials are
-    cubic-spline interpolants and expose derivatives of order <= 2 only;
-    asking for order 3 raises, as differentiating interpolation noise
-    twice is already generous.
+    Degree <= MAX_POLY_DEGREE (8) in one dimension, total degree <=
+    MAX_POLY_DEGREE_2D (4) in two.  Derivatives of all orders come from
+    coefficient differentiation, done once per potential and order, and
+    Taylor remainders about any batch of centres are exact.  gradient and
+    hessian take one point or a stack of points and evaluate a stack in
+    one call.
     """
 
-    def __init__(self, kind, *, coeffs=None, coeff_matrix=None, spline=None,
-                 knots=None, values=None):
-        self.kind = kind
+    def __init__(self, *, coeffs=None, coeff_matrix=None):
         self.coeffs = coeffs
         self.coeff_matrix = coeff_matrix
-        self._spline = spline
-        self.knots = knots
-        self.values = values
         self._derivatives = {}
 
     # -- constructors -------------------------------------------------
@@ -66,7 +57,7 @@ class PotentialModel:
             raise ValueError("1D polynomial needs a flat coefficient list")
         if len(coeffs) - 1 > MAX_POLY_DEGREE:
             raise ValueError(f"polynomial degree capped at {MAX_POLY_DEGREE}")
-        return cls("polynomial", coeffs=coeffs)
+        return cls(coeffs=coeffs)
 
     @classmethod
     def polynomial2d(cls, coeff_matrix) -> "PotentialModel":
@@ -79,23 +70,9 @@ class PotentialModel:
                 if C[i, j] != 0.0 and i + j > MAX_POLY_DEGREE_2D:
                     raise ValueError(
                         f"2D total degree capped at {MAX_POLY_DEGREE_2D}")
-        return cls("polynomial", coeff_matrix=C)
-
-    @classmethod
-    def tabulated(cls, x, v) -> "PotentialModel":
-        """Cubic interpolant through samples (x, v); 1D only."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if x.ndim != 1 or x.shape != v.shape:
-            raise ValueError("tabulated potential needs matching 1D arrays")
-        spline = CubicSpline(x, v, extrapolate=False)
-        return cls("tabulated", spline=spline, knots=x, values=v)
+        return cls(coeff_matrix=C)
 
     # -- queries ------------------------------------------------------
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.kind == "polynomial"
 
     @property
     def ndim(self) -> int:
@@ -106,9 +83,7 @@ class PotentialModel:
         if self.coeff_matrix is not None:
             x = np.asarray(x, dtype=float)
             return npoly.polyval2d(x[..., 0], x[..., 1], self.coeff_matrix)
-        if self.is_polynomial:
-            return Polynomial(self.coeffs)(np.asarray(x, dtype=float))
-        return self._eval_spline(x, order=0)
+        return Polynomial(self.coeffs)(np.asarray(x, dtype=float))
 
     def derivative(self, x, order=1):
         """Evaluate d^order V / dx^order at x (1D potentials)."""
@@ -116,12 +91,7 @@ class PotentialModel:
             raise ValueError("use gradient/hessian for 2D potentials")
         if order < 1:
             raise ValueError("derivative order must be >= 1")
-        if self.is_polynomial:
-            return self._derivative(order)(np.asarray(x, dtype=float))
-        if order > 2:
-            raise PotentialDomainError(
-                "tabulated potentials expose derivative order <= 2 only")
-        return self._eval_spline(x, order=order)
+        return self._derivative(order)(np.asarray(x, dtype=float))
 
     def gradient(self, xi):
         """Gradient of V at a point, or at each point of a stack.
@@ -174,9 +144,6 @@ class PotentialModel:
         (K, G).  The coefficients d^a V(c_k) / a! come from exact
         differentiation, so r is identically zero for quadratic V.
         """
-        if not self.is_polynomial:
-            raise PotentialDomainError(
-                "exact Taylor remainders need a polynomial potential")
         C = self.coeffs if self.coeff_matrix is None else self.coeff_matrix
         taylor = np.zeros((len(centers), 1) + C.shape)
         for a in np.ndindex(C.shape):
@@ -186,14 +153,6 @@ class PotentialModel:
                     D = npoly.polyder(D, m, axis=axis)
                 taylor[(slice(None), 0) + a] = _polyval_nd(D, centers)
         return _polyval_nd(taylor, u)
-
-    def _eval_spline(self, x, order):
-        x = np.asarray(x, dtype=float)
-        out = self._spline(x, nu=order)
-        if np.any(np.isnan(out)):
-            raise PotentialDomainError(
-                "tabulated potential evaluated outside its knot range")
-        return out
 
 
 @dataclass(frozen=True)

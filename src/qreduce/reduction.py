@@ -86,8 +86,8 @@ class ReductionProblem:
             _positive_int(self.samples, "samples")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.grid.n != self.alpha0.n:
-            raise ConfigError("grid dimension must match the phase point")
+        if not self.spec.dimension == self.grid.n == self.alpha0.n:
+            raise ConfigError("potential, grid and alpha0 dimensions differ")
         if not self.comparator.fits(self.grid):
             raise ConfigError("grid cannot resolve the comparator basis")
         if np.max(np.abs(self.alpha0.xi)) > 0.75 * self.grid.L:
@@ -123,8 +123,6 @@ def _reference_norm(spec: HamiltonianSpec, center, re_m) -> float:
 def _remainder_norms(spec: HamiltonianSpec, centers, re_m, spots):
     # Tensor Gauss-Hermite for all samples at once, exact at the degree
     # caps; the dense reference checks the samples in spots.
-    if not spec.potential.is_polynomial:
-        raise ValueError("remainder norms need a polynomial potential")
     z, w = hermegauss(GAUSS_NODES)
     u, weights = _gaussian_rule(z, w / np.sqrt(2.0 * np.pi), re_m)
     r = spec.potential.remainder(centers, u)
@@ -148,7 +146,6 @@ def remainder_norm(spec: HamiltonianSpec, pkt: GaussianPacket) -> float:
 
     Raises
     ------
-    ValueError for non-polynomial potentials (no exact remainder).
     NumericalError if the exact and reference norms disagree.
     """
     return float(_remainder_norms(spec, pkt.alpha.xi[None], pkt.M.real[None],
@@ -618,8 +615,8 @@ def squeeze_sweep(problem: ReductionProblem, dilations) -> dict:
     ||(1 - Omega) W psi(T)|| grows once the packet no longer matches the
     comparator vacuum.  The total uses the specialized assembly with the
     Duhamel integral standing in for Delta_1.  E is taken from the
-    problem, else measured on the d = 1 flow; E_source in the result
-    says which ("given" or "auto").
+    problem, else measured on the d = 1 flow, which its row then reuses;
+    E_source in the result says which ("given" or "auto").
     """
     dilations = [float(d) for d in dilations]
     if any(d <= 0 for d in dilations):
@@ -628,6 +625,7 @@ def squeeze_sweep(problem: ReductionProblem, dilations) -> dict:
     traj = integrate_flow(spec, problem.alpha0, problem.T, problem.dt)
     comp = problem.comparator
 
+    @functools.cache
     def final_state(d):
         flow = approximate_flow(spec, traj, packet(problem.alpha0, d))
         return flow, sample_on_grid(flow.packet_at(-1), problem.grid)

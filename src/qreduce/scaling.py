@@ -84,8 +84,6 @@ def scale_hamiltonian(spec: HamiltonianSpec, lam: float) -> ScaledHamiltonians:
     """
     if lam <= 0:
         raise ConfigError("scale parameter must be positive")
-    if not spec.potential.is_polynomial:
-        raise ConfigError("scaling requires a polynomial potential")
     scaled = HamiltonianSpec(
         mass=spec.mass, dimension=spec.dimension,
         potential=_scaled_potential(spec.potential, lam, 1.0))

@@ -26,6 +26,9 @@ QUAD_DT = 0.02
 TAIL_INCREMENT_TOL = 1e-4
 PP_FLOOR = 1e-2
 PP_DRIFT_TOL = 0.05
+# recurrence_time: coarse steps per fastest period, fine points per side.
+RECURRENCE_STEPS_PER_PERIOD = 64
+RECURRENCE_REFINE = 256
 
 
 @dataclass(eq=False)
@@ -81,11 +84,11 @@ def _check_hermitian(name: str, m: np.ndarray) -> np.ndarray:
     return m
 
 
-def finite_evolution(H, tol: float = DEGENERACY_TOL) -> FiniteEvolution:
+def finite_evolution(H) -> FiniteEvolution:
     """Decompose a Hermitian matrix and cluster degenerate eigenvalues.
 
-    Consecutive eigenvalues closer than ``tol`` relative to the spectral
-    spread are merged into one cluster.
+    Consecutive eigenvalues closer than DEGENERACY_TOL relative to the
+    spectral spread are merged into one cluster.
     """
     H = _check_hermitian("H", H)
     if H.shape[0] > MAX_DIM:
@@ -95,7 +98,7 @@ def finite_evolution(H, tol: float = DEGENERACY_TOL) -> FiniteEvolution:
     groups = []
     start = 0
     for i in range(1, a.size + 1):
-        if i == a.size or a[i] - a[i - 1] > tol * scale:
+        if i == a.size or a[i] - a[i - 1] > DEGENERACY_TOL * scale:
             groups.append(np.arange(start, i))
             start = i
     reps = np.array([float(np.mean(a[idx])) for idx in groups])
@@ -158,10 +161,10 @@ def _signal_on_times(W: np.ndarray, a: np.ndarray, times: np.ndarray,
     return out
 
 
-def _quad_times(T: float, quad_dt: float, omega_max: float) -> np.ndarray:
-    # Keep at least eight quadrature points per fastest oscillation.
-    dt = min(quad_dt, (2.0 * np.pi / omega_max) / 8.0) if omega_max > 0 \
-        else quad_dt
+def _quad_times(T: float, omega_max: float) -> np.ndarray:
+    # Steps of QUAD_DT, and at least eight per fastest oscillation.
+    dt = min(QUAD_DT, (2.0 * np.pi / omega_max) / 8.0) if omega_max > 0 \
+        else QUAD_DT
     steps = max(2, int(np.ceil(T / dt)))
     return np.linspace(0.0, T, steps + 1)
 
@@ -174,15 +177,15 @@ def _horizon_indices(times: np.ndarray, horizons: np.ndarray) -> np.ndarray:
     return idx - left_closer.astype(int)
 
 
-def ergodic_average(evo: FiniteEvolution, psi, F, horizons,
-                    quad_dt: float = QUAD_DT) -> dict:
+def ergodic_average(evo: FiniteEvolution, psi, F, horizons) -> dict:
     """Long-time average of <U_t psi, F U_t psi> versus its prediction.
 
     The prediction Tr[F rho] dephases psi over the eigenspace partition;
     the measured value is the symmetric time average (1/2T) int_{-T}^{T}
-    by Simpson quadrature.  The integrand is even in t for any Hermitian
-    F, so only [0, T] is integrated.  Convergence is O(1/T) when the
-    eigenvalue differences are nondegenerate.
+    by Simpson quadrature at steps of at most QUAD_DT.  The integrand is
+    even in t for any Hermitian F, so only [0, T] is integrated.
+    Convergence is O(1/T) when the eigenvalue differences are
+    nondegenerate.
 
     Returns
     -------
@@ -197,7 +200,7 @@ def ergodic_average(evo: FiniteEvolution, psi, F, horizons,
         raise ValueError("horizons must be positive")
     hs = np.sort(hs)
     a = evo.eigenvalues
-    times = _quad_times(float(hs[-1]), quad_dt, float(a[-1] - a[0]))
+    times = _quad_times(float(hs[-1]), float(a[-1] - a[0]))
     signal = _signal_on_times(W, a, times)
     cum = cumulative_simpson(signal, x=times, initial=0.0)
     idx = _horizon_indices(times, hs)
@@ -205,13 +208,12 @@ def ergodic_average(evo: FiniteEvolution, psi, F, horizons,
     return {"predicted": predicted, "measured": measured}
 
 
-def _finite_stay_curve(evo: FiniteEvolution, psi, Omega, T: float,
-                       quad_dt: float):
+def _finite_stay_curve(evo: FiniteEvolution, psi, Omega, T: float):
     Omega = _check_hermitian("Omega", Omega)
     c = _unit_coefficients(evo, psi)
     W, O_eig = _signal_weights(evo, c, Omega)
     a = evo.eigenvalues
-    times = _quad_times(T, quad_dt, float(a[-1] - a[0]))
+    times = _quad_times(T, float(a[-1] - a[0]))
     signal = _signal_on_times(W, a, times)
     # tau(T') = int_{-T'}^{T'} = 2 int_0^{T'} by evenness of the signal.
     tau = 2.0 * cumulative_simpson(signal, x=times, initial=0.0)
@@ -257,25 +259,26 @@ def _grid_stay_curve(handle: GridHamiltonian, psi: GridWavefunction,
     return times, tau, None
 
 
-def _stay_curve(evo, psi, Omega, T: float, quad_dt: float):
+def _stay_curve(evo, psi, Omega, T: float):
     if isinstance(evo, FiniteEvolution):
-        return _finite_stay_curve(evo, psi, Omega, T, quad_dt)
+        return _finite_stay_curve(evo, psi, Omega, T)
     if isinstance(evo, GridHamiltonian):
         return _grid_stay_curve(evo, psi, Omega, T)
     raise ValueError("evo must be a FiniteEvolution or GridHamiltonian")
 
 
-def average_stay(evo, psi, Omega, T: float, quad_dt: float = QUAD_DT) -> dict:
+def average_stay(evo, psi, Omega, T: float) -> dict:
     """Mean presence (1/2T) int_{-T}^{T} <U_t psi, Omega U_t psi> dt.
 
-    For finite-dimensional evolutions the ergodic prediction Tr[Omega
-    rho] always applies, every vector being bound there; the note in the
-    result says so explicitly.  Grid evolutions report the finite-T
-    value only, with the comparator as the region operator.
+    For finite-dimensional evolutions (quadrature steps of at most
+    QUAD_DT) the ergodic prediction Tr[Omega rho] always applies, every
+    vector being bound there; the note in the result says so explicitly.
+    Grid evolutions report the finite-T value only, with the comparator
+    as the region operator.
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    times, tau, prediction = _stay_curve(evo, psi, Omega, T, quad_dt)
+    times, tau, prediction = _stay_curve(evo, psi, Omega, T)
     value = float(tau[-1] / (2.0 * times[-1]))
     note = ("finite-dimensional evolution: every vector is bound and the "
             "ergodic prediction applies" if prediction is not None
@@ -284,31 +287,33 @@ def average_stay(evo, psi, Omega, T: float, quad_dt: float = QUAD_DT) -> dict:
             "note": note}
 
 
-def transit_time(evo, psi, Omega, T: float, quad_dt: float = QUAD_DT,
-                 increment_tol: float = TAIL_INCREMENT_TOL) -> dict:
+def transit_time(evo, psi, Omega, T: float) -> dict:
     """Total presence int_{-T}^{T} <U_t psi, Omega U_t psi> dt at horizon.
 
     The value is flagged divergent when the trailing half of the horizon
-    still adds more than ``increment_tol``: the integral is then still
-    growing at T and certifies no finite transit time.
+    still adds more than TAIL_INCREMENT_TOL: the integral is then still
+    growing at T and certifies no finite transit time.  Finite
+    evolutions integrate at steps of at most QUAD_DT.
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    times, tau, _ = _stay_curve(evo, psi, Omega, T, quad_dt)
+    times, tau, _ = _stay_curve(evo, psi, Omega, T)
     half = _horizon_indices(times, np.array([times[-1] / 2.0]))[0]
     increment = float(tau[-1] - tau[half])
-    return {"value": float(tau[-1]), "divergent": bool(increment > increment_tol),
+    return {"value": float(tau[-1]),
+            "divergent": bool(increment > TAIL_INCREMENT_TOL),
             "trailing_increment": increment, "T": float(times[-1])}
 
 
 def recurrence_time(evo: FiniteEvolution, psi, eps: float, T_min: float = 0.0,
-                    T_max: float = 1e5, base_step: float = None,
-                    refine: int = 256):
+                    T_max: float = 1e5):
     """First T in [T_min, T_max] with ||U_T psi - psi|| < eps.
 
     In a finite dimension the distance is an almost-periodic closed form
-    over the eigenvalue clusters, so the search scans a coarse grid and
-    refines every window the Lipschitz bound cannot exclude.  Returns
+    over the eigenvalue clusters, so the search scans a coarse grid
+    (RECURRENCE_STEPS_PER_PERIOD steps per fastest period) and refines
+    every window the Lipschitz bound cannot exclude (RECURRENCE_REFINE
+    points on each side).  Returns
     the time found, or None within the horizon.  For eps >= 2 the
     diameter bound ||U_t psi - psi|| <= 2 makes T_min itself the answer.
     """
@@ -332,7 +337,7 @@ def recurrence_time(evo: FiniteEvolution, psi, eps: float, T_min: float = 0.0,
     omega_max = float(np.max(np.abs(freqs))) if freqs.size else 0.0
     if omega_max == 0.0:
         return float(T_min)
-    step = base_step or (2.0 * np.pi / omega_max) / 64.0
+    step = (2.0 * np.pi / omega_max) / RECURRENCE_STEPS_PER_PERIOD
     lipschitz = float(np.sqrt(weights @ freqs ** 2))
     promote = eps + step * lipschitz
     chunk = 100000
@@ -345,7 +350,7 @@ def recurrence_time(evo: FiniteEvolution, psi, eps: float, T_min: float = 0.0,
         d = dist(ts)
         for j in np.nonzero(d <= promote)[0]:
             lo = max(float(T_min), ts[j] - step)
-            fine = np.linspace(lo, ts[j] + step, 2 * refine + 1)
+            fine = np.linspace(lo, ts[j] + step, 2 * RECURRENCE_REFINE + 1)
             fine = fine[(fine >= T_min) & (fine <= T_max)]
             hits = np.nonzero(dist(fine) < eps)[0]
             if hits.size:
@@ -354,18 +359,16 @@ def recurrence_time(evo: FiniteEvolution, psi, eps: float, T_min: float = 0.0,
     return None
 
 
-def classify_quantum(evo, psi, Omega, horizons,
-                     increment_tol: float = TAIL_INCREMENT_TOL,
-                     pp_floor: float = PP_FLOOR,
-                     drift_tol: float = PP_DRIFT_TOL,
-                     quad_dt: float = QUAD_DT) -> dict:
+def classify_quantum(evo, psi, Omega, horizons) -> dict:
     """Finite-horizon bound/escape label from stay and transit curves.
 
     A scalar horizon is expanded to the ladder [T/4, T/2, T].  The label
     is "ac-like" when the transit time has converged (trailing half of
-    the longest horizon adds less than ``increment_tol``), else
-    "pp-like" when the average stay is above ``pp_floor`` and stable
-    between the last two horizons, else "exceptional-candidate".  All
+    the longest horizon adds less than TAIL_INCREMENT_TOL), else
+    "pp-like" when the average stay is above PP_FLOOR and stable to
+    PP_DRIFT_TOL between the last two horizons, else
+    "exceptional-candidate"; the result's "thresholds" echo these
+    constants.  All
     labels are finite-horizon proxies: a finite model has pure point
     spectrum, and an exceptional-candidate is a horizon artifact rather
     than a singular-continuous assertion.
@@ -377,16 +380,16 @@ def classify_quantum(evo, psi, Omega, horizons,
         raise ValueError("need positive horizons, at least two after "
                          "ladder expansion")
     hs = np.sort(hs)
-    times, tau_curve, _ = _stay_curve(evo, psi, Omega, float(hs[-1]), quad_dt)
+    times, tau_curve, _ = _stay_curve(evo, psi, Omega, float(hs[-1]))
     idx = _horizon_indices(times, hs)
     taus = tau_curve[idx]
     mus = taus / (2.0 * times[idx])
     half = _horizon_indices(times, np.array([times[-1] / 2.0]))[0]
     trailing = float(tau_curve[-1] - tau_curve[half])
-    stable = abs(mus[-1] - mus[-2]) <= drift_tol * max(mus[-1], pp_floor)
-    if trailing < increment_tol:
+    stable = abs(mus[-1] - mus[-2]) <= PP_DRIFT_TOL * max(mus[-1], PP_FLOOR)
+    if trailing < TAIL_INCREMENT_TOL:
         label = "ac-like"
-    elif mus[-1] >= pp_floor and stable:
+    elif mus[-1] >= PP_FLOOR and stable:
         label = "pp-like"
     else:
         label = "exceptional-candidate"
@@ -395,7 +398,7 @@ def classify_quantum(evo, psi, Omega, horizons,
             "mu": mus.tolist(),
             "tau": taus.tolist(),
             "trailing_increment": trailing,
-            "thresholds": {"increment_tol": increment_tol,
-                           "pp_floor": pp_floor, "drift_tol": drift_tol},
+            "thresholds": {"increment_tol": TAIL_INCREMENT_TOL,
+                           "pp_floor": PP_FLOOR, "drift_tol": PP_DRIFT_TOL},
             "note": "finite-horizon proxy labels; the underlying model "
                     "has pure point spectrum"}

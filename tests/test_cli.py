@@ -235,6 +235,64 @@ def test_counts_must_be_positive_integers(tmp_path, mode, value):
         **problem, key: 3}}, "ok.json"), out_dir=tmp_path / "out") == 0
 
 
+POT_2D = {"coeff_matrix": [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0],
+                           [0.5, 0.0, 0.0]]}
+SMALL_GRID = {"n": 1, "N": 256, "L": 12.0}
+SMALL_COMPARATOR = {"s": 1.0, "N": 32}
+
+
+@pytest.mark.parametrize("mode, problem", [
+    ("reduce", {"potential": POT_2D, "alpha0": [1.0, 0.0], "T": 0.1,
+                "dt": 0.01, "epsilon": 0.1}),
+    ("squeeze", {"potential": POT_2D, "alpha0": [1.0, 0.0], "T": 0.1,
+                 "dt": 0.01, "dilations": [1.0]}),
+    ("scale", {"potential": POT_2D, "alpha0": [1.0, 0.0], "T": 0.1,
+               "dt": 0.01, "lambdas": [1.0]}),
+    ("classify-classical", {"potential": "harmonic",
+                            "alpha0": [1.0, 0.0, 0.0, 0.0], "T": 1.0}),
+    ("ehrenfest", {"potential": "harmonic", "T": 0.1, "dt": 0.01,
+                   "grid": {"n": 2, "N": 64, "L": 10.0}}),
+    ("ehrenfest", {"potential": POT_2D, "T": 0.1, "dt": 0.01,
+                   "grid": {"n": 2, "N": 64, "L": 10.0},
+                   "packet": {"alpha0": [0.0, 0.0, 0.0, 0.0]}}),
+    ("classify-quantum", {"potential": POT_2D, "horizons": 1.0,
+                          "grid": SMALL_GRID,
+                          "comparator": SMALL_COMPARATOR}),
+    ("classify-quantum", {"potential": "harmonic", "horizons": 1.0,
+                          "grid": SMALL_GRID, "comparator": SMALL_COMPARATOR,
+                          "packet": {"alpha0": [0.0, 0.0, 0.0, 0.0]}}),
+], ids=["reduce", "squeeze", "scale", "classify-classical",
+        "ehrenfest-2d-grid", "ehrenfest-2d", "classify-quantum-grid",
+        "classify-quantum-packet"])
+def test_dimension_mismatches_exit_two(tmp_path, mode, problem):
+    # A config fault, caught before any run starts: no crash, no exit 3,
+    # and no alpha0 entries silently dropped.
+    cfg = write_config(tmp_path, {"mode": mode, "problem": problem})
+    assert run(cfg, out_dir=tmp_path / "out") == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode, problem", [
+    ("reduce", {"grid": {"n": True, "N": 256, "L": 12.0},
+                "comparator": SMALL_COMPARATOR}),
+    ("reduce", {"grid": {"n": 1, "N": 256.9, "L": 12.0},
+                "comparator": SMALL_COMPARATOR}),
+    ("reduce", {"comparator": {"s": 1.0, "N": 16.5}}),
+    ("comparator-audit", {"s": 1.0, "N": 16.9}),
+    ("comparator-audit", {"s": 1.0, "dimension": 3}),
+    ("comparator-audit", {"s": 1.0, "dimension": 1.5}),
+], ids=["grid-n-bool", "grid-N-float", "comparator-N-float", "audit-N-float",
+        "audit-dimension-3", "audit-dimension-float"])
+def test_integer_fields_are_checked_not_truncated(tmp_path, mode, problem):
+    # Counts are read as they are, never truncated with int().
+    if mode == "reduce":
+        problem = {"potential": "harmonic", "alpha0": [1.0, 0.0], "T": 0.1,
+                   "dt": 0.01, "epsilon": 0.1, **problem}
+    cfg = write_config(tmp_path, {"mode": mode, "problem": problem})
+    assert run(cfg, out_dir=tmp_path / "out") == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_numerical_failure_exits_three(tmp_path):
     cfg = write_config(tmp_path, {
         "mode": "reduce",

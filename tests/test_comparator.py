@@ -193,15 +193,6 @@ def test_coherent_resolution_spot_check(s, k):
     assert out["error"] < 1e-4
 
 
-def test_off_center_comparator_fixes_its_own_coherent_state():
-    center = PhasePoint(2.0, 0.5)
-    spec = ComparatorSpec(s=1.0, center=center)
-    psi = coherent_state(2.0, 0.5)
-    out = apply_comparator(spec, psi)
-    expected = GridWavefunction(GRID, spec.sigma * psi.amp)
-    assert out.distance(expected) < 1e-7
-
-
 def test_hermite_orthonormality_by_quadrature():
     h = hermite_functions(GRID.x, 40)
     assert h.dtype == np.float64
@@ -258,36 +249,28 @@ def explicit_synthesis(spec, coeffs, grid):
 
 @pytest.mark.parametrize("grid, spec", [
     (GRID, ComparatorSpec(s=1.0)),
-    (GRID, ComparatorSpec(s=1.0, center=PhasePoint(0.3, -0.2))),
     (GridSpec(n=2, N=128, L=10.0), ComparatorSpec(s=1.0, N=32)),
-    (GridSpec(n=2, N=128, L=10.0),
-     ComparatorSpec(s=1.0, N=32, center=PhasePoint([0.3, -0.2], [0.1, 0.4]))),
-], ids=["1d", "1d-centered", "2d", "2d-centered"])
+], ids=["1d", "2d"])
 def test_projection_and_synthesis_are_bitwise_the_explicit_products(grid, spec):
     x = np.meshgrid(*([grid.x] * grid.n), indexing="ij")
     amp = (np.exp(-0.6 * sum(xi ** 2 for xi in x) + 0.4j * x[0] + 0.2 * x[-1])
            * (1.0 + 0.2j * x[0] ** 3 + 0.1 * x[-1] ** 2))
     psi = GridWavefunction(grid, amp).normalized()
-    centred = psi if spec.center is None else weyl_displace(
-        psi, -spec.center.vector)
-    coeffs = explicit_projection(spec, centred)
-    norm_sq = centred.norm ** 2
+    coeffs = explicit_projection(spec, psi)
+    norm_sq = psi.norm ** 2
     residual = max(0.0, norm_sq - float(np.sum(np.abs(coeffs) ** 2))) / norm_sq
     for _ in range(2):  # the first call builds the basis, the second reuses it
         assert np.array_equal(hermite_coefficients(spec, psi)[0], coeffs)
         assert hermite_coefficients(spec, psi)[1] == residual
     out = apply_comparator(spec, psi)
     expected = GridWavefunction(grid, explicit_synthesis(spec, coeffs, grid))
-    if spec.center is not None:
-        expected = weyl_displace(expected, spec.center.vector)
     assert np.array_equal(out.amp, expected.amp)
 
 
 @pytest.mark.parametrize("grid, spec", [
     (GRID, ComparatorSpec(s=1.0)),
-    (GRID, ComparatorSpec(s=1.0, center=PhasePoint(0.3, -0.2))),
     (GridSpec(n=2, N=128, L=10.0), ComparatorSpec(s=1.0, N=32)),
-], ids=["1d", "1d-centered", "2d"])
+], ids=["1d", "2d"])
 def test_stacked_projection_equals_the_per_state_one(grid, spec):
     x = np.meshgrid(*([grid.x] * grid.n), indexing="ij")
     states = [GridWavefunction(grid, np.exp(-0.5 * w * sum(xi ** 2 for xi in x)

@@ -8,7 +8,6 @@ from qreduce import (
     HamiltonianSpec,
     PhasePoint,
     PotentialModel,
-    PotentialDomainError,
     eval_h,
     gradient_h,
     hessian_h,
@@ -185,31 +184,6 @@ def test_degree_caps():
     C[5, 0] = 1.0
     with pytest.raises(ValueError):
         PotentialModel.polynomial2d(C)
-
-
-def test_tabulated_matches_polynomial_inside_range():
-    x = np.linspace(-4, 4, 401)
-    pot = PotentialModel.tabulated(x, 0.5 * x ** 2)
-    xs = np.linspace(-3, 3, 11)
-    assert pot.value(xs) == pytest.approx(0.5 * xs ** 2, abs=1e-8)
-    assert pot.derivative(xs, 1) == pytest.approx(xs, abs=1e-6)
-    assert pot.derivative(xs, 2) == pytest.approx(np.ones_like(xs), abs=1e-4)
-
-
-def test_tabulated_rejects_third_derivative_and_extrapolation():
-    x = np.linspace(-1, 1, 50)
-    pot = PotentialModel.tabulated(x, x ** 2)
-    with pytest.raises(PotentialDomainError):
-        pot.derivative(0.0, 3)
-    with pytest.raises(PotentialDomainError):
-        pot.value(2.0)
-
-
-def test_tabulated_rejects_coefficient_shift():
-    x = np.linspace(-1, 1, 50)
-    pot = PotentialModel.tabulated(x, x ** 2)
-    with pytest.raises(PotentialDomainError):
-        pot.remainder(np.zeros((1, 1)), np.zeros((1, 3, 1)))
 
 
 def test_phase_point_arithmetic_and_norm():

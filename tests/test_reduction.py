@@ -73,14 +73,6 @@ def test_remainder_norm_tracks_width():
     assert abs(narrow / wide - (0.5) ** 1.5) < 1e-10
 
 
-def test_remainder_norm_rejects_tabulated():
-    x = np.linspace(-5, 5, 201)
-    spec = HamiltonianSpec(
-        mass=1.0, potential=PotentialModel.tabulated(x, 0.5 * x ** 2))
-    with pytest.raises(ValueError):
-        remainder_norm(spec, origin_packet())
-
-
 def test_remainder_norm_two_dimensional_closed_forms():
     # V = x^2 y about the origin: r = u^2 v with independent Gaussian
     # axes, so E[r^2] = 3 var_x^2 var_y.

@@ -79,11 +79,7 @@ def test_scale_hamiltonian_2d_total_degree():
     assert pair.in_scaled_units.mass == 2.0
 
 
-def test_scale_hamiltonian_rejects_non_polynomial():
-    tab = PotentialModel.tabulated(np.linspace(-5, 5, 64),
-                                   np.linspace(-5, 5, 64) ** 2)
-    with pytest.raises(ConfigError):
-        scale_hamiltonian(HamiltonianSpec(mass=1.0, potential=tab), 0.5)
+def test_scale_hamiltonian_rejects_non_positive_lambda():
     with pytest.raises(ConfigError):
         scale_hamiltonian(CUBIC, -1.0)
 

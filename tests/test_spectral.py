@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qreduce import spectral
 from qreduce.comparator import ComparatorSpec
 from qreduce.grid import GridSpec
 from qreduce.hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel
@@ -230,6 +231,27 @@ def test_classify_doublet_label_depends_on_horizon():
     assert long["label"] == "pp-like"
     assert long["mu"][-1] == pytest.approx(0.5, abs=1e-3)
     assert long["thresholds"]["pp_floor"] == 1e-2
+
+
+def test_classify_reports_the_module_thresholds(monkeypatch):
+    # The thresholds are module constants: the decision and the reported
+    # "thresholds" both follow them.  A pp_floor above any stay turns the
+    # settled doublet from pp-like into exceptional-candidate.
+    evo = finite_evolution(np.diag([0.0, 0.3]))
+    psi = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    omega = np.outer(psi, psi.conj())
+    out = classify_quantum(evo, psi, omega, horizons=1e4)
+    assert out["thresholds"] == {"increment_tol": spectral.TAIL_INCREMENT_TOL,
+                                 "pp_floor": spectral.PP_FLOOR,
+                                 "drift_tol": spectral.PP_DRIFT_TOL}
+    assert out["label"] == "pp-like"
+    monkeypatch.setattr(spectral, "PP_FLOOR", 0.9)
+    monkeypatch.setattr(spectral, "PP_DRIFT_TOL", 0.01)
+    monkeypatch.setattr(spectral, "TAIL_INCREMENT_TOL", 1e-6)
+    out = classify_quantum(evo, psi, omega, horizons=1e4)
+    assert out["thresholds"] == {"increment_tol": 1e-6, "pp_floor": 0.9,
+                                 "drift_tol": 0.01}
+    assert out["label"] == "exceptional-candidate"
 
 
 def test_classification_time_reversal_agrees():

@@ -1,0 +1,223 @@
+"""Run the seed-0 benchmark configs through two source trees; diff the reports.
+
+Usage: python3 tools/compare_reports.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are checkouts of the repository (or their ``src``
+directories).  The unit configs come from ``perfbench/workloads.py`` of
+the checkout this script sits in, read as it is: every unit of every
+workload at the default seed, plus the probe configs.  Each config runs
+through ``python -m qreduce.cli`` of each tree, in a fresh directory,
+writing JSON and CSV.
+
+Every JSON field that differs between the trees (``created_utc`` aside)
+is printed with its largest absolute and relative difference, and so is
+every differing CSV file.  The script exits 1 if a unit's exit status
+differs between the trees, else 0; the last line counts the files
+compared and the files that differ.
+"""
+
+import csv
+import importlib.util
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+IGNORED_KEYS = {"created_utc"}
+# Runs the CLI of one tree, refusing any other installed copy of qreduce.
+LAUNCH = ("import sys, qreduce.cli as cli\n"
+          "if not cli.__file__.startswith(sys.argv[1]):\n"
+          "    sys.exit(f'imported {cli.__file__}, not from {sys.argv[1]}')\n"
+          "sys.exit(cli.main(sys.argv[2:]))\n")
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def unit_configs() -> list:
+    """[(unit id, config)] for every seed-0 unit and every probe config."""
+    wl = _workloads()
+    out = [(f"{workload}/{name}", config)
+           for workload in wl.WORKLOADS
+           for name, config in wl.units(workload, wl.DEFAULT_SEED)]
+    out += [(f"probe/{name}", config) for name, config, _ in wl.PROBES
+            if config is not None]
+    return out
+
+
+def source_dir(path: str) -> Path:
+    root = Path(path).resolve()
+    src = root / "src" if (root / "src" / "qreduce").is_dir() else root
+    if not (src / "qreduce" / "cli.py").is_file():
+        raise SystemExit(f"{path}: no qreduce source tree")
+    return src
+
+
+def run_unit(src: Path, config: dict, directory: Path):
+    """Run one config; returns (exit status, last line of stderr)."""
+    directory.mkdir(parents=True)
+    path = directory / "config.json"
+    path.write_text(json.dumps(config, indent=2))
+    done = subprocess.run(
+        [sys.executable, "-c", LAUNCH, str(src), str(path),
+         "--out", str(directory / "out"), "--format", "json,csv"],
+        cwd=directory, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True)
+    return done.returncode, (done.stderr.strip().splitlines() or [""])[-1]
+
+
+def _leaves(value, path=""):
+    """(path, leaf) pairs of a JSON value; a list of numbers is one leaf."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            if key not in IGNORED_KEYS:
+                yield from _leaves(value[key], f"{path}.{key}" if path else key)
+    elif isinstance(value, list) and not _numbers(value):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _numbers(values) -> bool:
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in values)
+
+
+def numeric_gap(old, new):
+    """(max abs, max rel) difference of two equal-length number sequences,
+    or None when they are not comparable as numbers."""
+    old = old if isinstance(old, list) else [old]
+    new = new if isinstance(new, list) else [new]
+    if len(old) != len(new) or not (_numbers(old) and _numbers(new)):
+        return None
+    worst_abs = worst_rel = 0.0
+    for a, b in zip(old, new):
+        if a == b:
+            continue
+        gap = abs(a - b)
+        worst_abs = max(worst_abs, gap)
+        worst_rel = max(worst_rel, gap / max(abs(a), abs(b)))
+    return worst_abs, worst_rel
+
+
+def _describe(old, new) -> str:
+    gap = numeric_gap(old, new)
+    if gap is None:
+        return f"{_short(old)} -> {_short(new)}"
+    return f"max abs diff {gap[0]:.3g}, max rel diff {gap[1]:.3g}"
+
+
+def _short(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def diff_json(old_text: str, new_text: str) -> list:
+    old = dict(_leaves(json.loads(old_text)))
+    new = dict(_leaves(json.loads(new_text)))
+    lines = []
+    for path in sorted(old.keys() | new.keys()):
+        if path not in new:
+            lines.append(f"{path}: only in OLD")
+        elif path not in old:
+            lines.append(f"{path}: only in NEW")
+        elif old[path] != new[path]:
+            lines.append(f"{path}: {_describe(old[path], new[path])}")
+    return lines
+
+
+def _cells(text: str) -> list:
+    rows = csv.reader(line for line in io.StringIO(text)
+                      if not line.startswith("#"))
+    cells = []
+    for row in rows:
+        for cell in row:
+            try:
+                cells.append(float(cell))
+            except ValueError:
+                cells.append(cell)
+    return cells
+
+
+def diff_csv(old_text: str, new_text: str) -> list:
+    old, new = _cells(old_text), _cells(new_text)
+    if len(old) != len(new):
+        return [f"{len(old)} cells -> {len(new)} cells"]
+    numeric = [(a, b) for a, b in zip(old, new)
+               if isinstance(a, float) and isinstance(b, float)]
+    text_changes = sum(a != b for a, b in zip(old, new)
+                       if not (isinstance(a, float) and isinstance(b, float)))
+    lines = []
+    if text_changes or old_text.splitlines()[:2] != new_text.splitlines()[:2]:
+        lines.append(f"{text_changes} non-numeric cells or header lines differ")
+    gap = numeric_gap([a for a, _ in numeric], [b for _, b in numeric])
+    if gap != (0.0, 0.0):
+        lines.append(f"max abs diff {gap[0]:.3g}, max rel diff {gap[1]:.3g}")
+    return lines or ["text differs"]
+
+
+def compare_unit(old_dir: Path, new_dir: Path) -> dict:
+    """({file name: [difference lines]} for the files that differ,
+    number of file names seen)."""
+    names = sorted({p.name for d in (old_dir, new_dir) if d.is_dir()
+                    for p in d.iterdir()})
+    found = {}
+    for name in names:
+        old, new = old_dir / name, new_dir / name
+        if not old.exists() or not new.exists():
+            found[name] = ["only in " + ("NEW" if new.exists() else "OLD")]
+            continue
+        old_text, new_text = old.read_text(), new.read_text()
+        if old_text == new_text:
+            continue
+        lines = (diff_json if name.endswith(".json") else diff_csv)(
+            old_text, new_text)
+        if lines:
+            found[name] = lines
+    return found, len(names)
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    trees = {"OLD": source_dir(args[0]), "NEW": source_dir(args[1])}
+    status_changed = differing = compared = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, (unit, config) in enumerate(unit_configs()):
+            codes, messages, outs = {}, {}, {}
+            for label, src in trees.items():
+                directory = Path(tmp) / label / str(index)
+                codes[label], messages[label] = run_unit(src, config, directory)
+                outs[label] = directory / "out"
+            print(f"{unit}: exit {codes['OLD']} / {codes['NEW']}")
+            for label, code in codes.items():
+                if code != 0:
+                    print(f"  {label}: {messages[label]}")
+            if codes["OLD"] != codes["NEW"]:
+                status_changed += 1
+                print("  EXIT STATUS DIFFERS")
+            found, files = compare_unit(outs["OLD"], outs["NEW"])
+            compared += files
+            differing += len(found)
+            for name, lines in found.items():
+                for line in lines:
+                    print(f"  {name}: {line}")
+    print(f"{compared} files compared, {differing} differ; "
+          f"{status_changed} units with a different exit status")
+    return 1 if status_changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
