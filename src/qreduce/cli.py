@@ -15,8 +15,12 @@ ehrenfest and the grid form of classify-quantum take their initial
 state as a {"packet": {"alpha0", "M0"}} block, defaulting to the vacuum,
 and refuse a top-level alpha0 or M0.  Counts (grid "n" and "N",
 comparator "N", reduce "samples", ehrenfest "sample_stride") must be
-positive integers, comparator-audit "dimension" 1 or 2.  The start state
-and the grid take the potential's dimension; ehrenfest is 1D only.
+positive integers, comparator-audit "dimension" 1 or 2.  The scalars
+"mass", "T", "dt", "E", "epsilon", comparator "s", grid "L" and region
+"radius", and each entry of "alpha0", "horizons", "dilations", a list
+"epsilon" and a region's "center" and "half_widths", must be JSON
+numbers, not booleans or strings.  The start state and the grid take
+the potential's dimension; ehrenfest is 1D only.
 
 Every report embeds the tool version, the sha256 hash of the canonical
 config serialization, the full config echo, and the provenance of the
@@ -101,11 +105,27 @@ def _number(block: dict, path: str, key: str, default=None, required=False):
     return float(value)
 
 
+def _numbers(raw, path: str) -> list:
+    """A list of numbers, entry i read by _number as the field path.i."""
+    if not isinstance(raw, list):
+        _fail(path, "must be a list of numbers")
+    entries = dict(enumerate(raw))
+    return [_number(entries, path, i, required=True) for i in entries]
+
+
 def _count(block: dict, path: str, key: str, default: int) -> int:
     value = block.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         _fail(f"{path}.{key}", "must be a positive integer")
     return value
+
+
+def _epsilon(problem: dict, default):
+    """The tolerance: one number, or a list of one per component."""
+    if isinstance(problem.get("epsilon"), list):
+        return _numbers(problem["epsilon"], "problem.epsilon")
+    return _number(problem, "problem", "epsilon", default=default,
+                   required=True)
 
 
 def _potential_from(problem: dict) -> PotentialModel:
@@ -136,7 +156,7 @@ def _phase_point(problem: dict, spec: HamiltonianSpec,
     if not isinstance(raw, list) or len(raw) != size:
         _fail(f"{path}.alpha0", f"must be a list [xi.., pi..] of length "
               f"{size}, two per axis of the potential")
-    return PhasePoint.from_vector(np.asarray(raw, dtype=float))
+    return PhasePoint.from_vector(np.asarray(_numbers(raw, f"{path}.alpha0")))
 
 
 def _start_packet(problem: dict, spec: HamiltonianSpec):
@@ -154,7 +174,7 @@ def _grid_from(problem: dict, spec: HamiltonianSpec) -> GridSpec:
     raw = _block(problem, "grid", required=False, path="problem.")
     grid = GridSpec(_count(raw, "problem.grid", "n", DEFAULT_GRID.n),
                     _count(raw, "problem.grid", "N", DEFAULT_GRID.N),
-                    float(raw.get("L", DEFAULT_GRID.L)))
+                    _number(raw, "problem.grid", "L", DEFAULT_GRID.L))
     if grid.n != spec.dimension:
         _fail("problem.grid.n", "must equal the potential's dimension, "
               f"{spec.dimension}")
@@ -174,12 +194,14 @@ def _region_from(problem: dict):
         return None
     if not isinstance(raw, dict) or "center" not in raw:
         _fail("problem.region", "must be an object with a center")
-    center = PhasePoint.from_vector(np.asarray(raw["center"], dtype=float))
+    center = PhasePoint.from_vector(
+        np.asarray(_numbers(raw["center"], "problem.region.center")))
     if "radius" in raw:
-        return PhaseRegion.ball(center, float(raw["radius"]))
+        return PhaseRegion.ball(center, _number(raw, "problem.region",
+                                                "radius", required=True))
     if "half_widths" in raw:
-        return PhaseRegion.box(center, np.asarray(raw["half_widths"],
-                                                  dtype=float))
+        return PhaseRegion.box(center, np.asarray(_numbers(
+            raw["half_widths"], "problem.region.half_widths")))
     _fail("problem.region", "needs a radius (ball) or half_widths (box)")
 
 
@@ -200,9 +222,7 @@ def _run_reduce(problem: dict):
     grid = _grid_from(problem, spec)
     comp = _comparator_from(problem)
     dt = _number(problem, "problem", "dt", default=DEFAULT_DT)
-    epsilon = problem.get("epsilon")
-    if epsilon is None:
-        _fail("problem.epsilon", "missing")
+    epsilon = _epsilon(problem, default=None)
     M0 = problem.get("M0", 1.0)
     if isinstance(M0, list):
         M0 = np.asarray(M0, dtype=float)
@@ -250,7 +270,7 @@ def _run_classify_quantum(problem: dict):
     if isinstance(horizons, list):
         if len(horizons) < 2:
             _fail("problem.horizons", "a list needs at least two horizons")
-        horizons = [float(h) for h in horizons]
+        horizons = _numbers(horizons, "problem.horizons")
     elif isinstance(horizons, (int, float)) and not isinstance(horizons, bool):
         horizons = float(horizons)
     else:
@@ -359,10 +379,11 @@ def _run_squeeze(problem: dict):
     dilations = problem.get("dilations")
     if not isinstance(dilations, list) or not dilations:
         _fail("problem.dilations", "must be a nonempty list")
+    dilations = _numbers(dilations, "problem.dilations")
     ro = ReductionProblem(
         spec=spec, alpha0=_phase_point(problem, spec),
         T=_number(problem, "problem", "T", required=True),
-        epsilon=problem.get("epsilon", 1.0), comparator=comp,
+        epsilon=_epsilon(problem, default=1.0), comparator=comp,
         E=_number(problem, "problem", "E"), grid=grid, dt=dt)
 
     def compute():

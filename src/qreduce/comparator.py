@@ -15,11 +15,12 @@ so |alpha|^2 below always means |z|^2 = (xi^2 + pi^2) / 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BasisResidualError, OverflowGuardError
-from .grid import GridSpec, GridWavefunction
+from .grid import GridSpec, GridWavefunction, _row_norms
 from .hamiltonian import PhasePoint
 
 RESIDUAL_TOL = 1e-8
@@ -35,9 +36,9 @@ class ComparatorSpec:
 
     The operator is centred at the phase-space origin.  Each instance
     keeps what it has computed in a private store: the complex Hermite
-    basis per grid and the operator scalars per dimension.  A run that
-    projects many states on one grid therefore builds the basis, and
-    runs the power iteration, once.
+    basis per grid, and per dimension the operator scalars and the
+    coefficient weights.  A run that projects many states on one grid
+    therefore builds the basis, and runs the power iteration, once.
     """
 
     s: float
@@ -99,8 +100,9 @@ def hermite_functions(x, K: int) -> np.ndarray:
 def _basis(spec: ComparatorSpec, grid: GridSpec) -> np.ndarray:
     """h_0..h_N on the grid axis as complex128, kept by the spec per grid.
 
-    The spec's store maps each grid to this basis and ("scalars",
-    dimension) to the operator scalars.  Grid states are complex, so
+    The spec's store maps each grid to this basis, ("scalars",
+    dimension) to the operator scalars and ("constants", dimension) to
+    the coefficient weights.  Grid states are complex, so
     numpy would cast a real basis to complex inside every product;
     storing the cast once keeps every product bitwise the same.
     """
@@ -112,14 +114,43 @@ def _basis(spec: ComparatorSpec, grid: GridSpec) -> np.ndarray:
     return h
 
 
+class _Constants(NamedTuple):
+    """Per-dimension coefficient weights of one spec, built once."""
+
+    weights: dict        # normalized flag -> comparator eigenvalues
+    growth: np.ndarray   # 2 s (total excitation) per coefficient
+    order: np.ndarray    # flat coefficient indices by total excitation
+
+
+def _constants(spec: ComparatorSpec, n: int) -> _Constants:
+    """The spec's _Constants for dimension n, kept under ("constants", n)."""
+    const = spec._store.get(("constants", n))
+    if const is None:
+        n_vals = np.arange(spec.N + 1)
+        decay = np.exp(-spec.s * n_vals)
+        factors = {True: decay, False: spec.sigma * decay}
+        if n == 1:
+            total_n = n_vals
+        else:
+            total_n = n_vals[:, None] + n_vals[None, :]
+            factors = {key: np.outer(f, f) for key, f in factors.items()}
+        const = spec._store[("constants", n)] = _Constants(
+            weights=factors, growth=2.0 * spec.s * total_n,
+            order=np.argsort(total_n.ravel(), kind="stable"))
+    return const
+
+
 def hermite_coefficients(spec: ComparatorSpec, psi, grid: GridSpec = None):
     """Project psi, or a stack of amplitudes, on the truncated Hermite basis.
 
     psi is a GridWavefunction, or with ``grid`` an array of B amplitudes
     on that grid stacked on a leading axis, shape (B,) + (grid.N,) * n.
-    One product projects them all: amps @ h.T * dx in 1D and
-    h @ amps @ h.T * dx^2 in 2D, which on a single state is bitwise the
-    product h @ amp.  The basis is the oscillator's about the origin.
+    A stack is projected row-exactly: one batched matrix-vector product
+    (amps[:, None, :] @ h.T * dx in 1D, h @ amps @ h.T * dx^2 in 2D),
+    so each row of the result, coefficients and residual, is bitwise the
+    projection of that row alone.  A (B, N) @ h.T matrix-matrix product
+    would be faster in 1D but sums in another order.  The basis is the
+    oscillator's about the origin.
 
     Returns
     -------
@@ -129,30 +160,37 @@ def hermite_coefficients(spec: ComparatorSpec, psi, grid: GridSpec = None):
         an array of B for a stack.
     """
     stacked = grid is not None
-    if not stacked:
-        grid, amps, norm_sq = psi.grid, psi.amp, psi.norm ** 2
-    else:
+    if stacked:
         amps = np.asarray(psi, dtype=complex)
-        norm_sq = np.sum(np.abs(amps.reshape(len(amps), -1)) ** 2,
-                         axis=-1) * grid.cell
+    else:
+        grid, amps = psi.grid, psi.amp[None]
     h = _basis(spec, grid)
+    # Squared after the root, as GridWavefunction.norm ** 2 is.
+    norm_sq = _row_norms(amps, grid) ** 2
     if grid.n == 1:
-        coeffs = amps @ h.T * grid.dx
+        coeffs = (amps[:, None, :] @ h.T)[:, 0] * grid.dx
     else:
         coeffs = h @ amps @ h.T * grid.cell
-    captured = np.sum(np.abs(coeffs) ** 2, axis=(-1, -2)[:grid.n])
+    captured = np.sum(np.abs(coeffs.reshape(len(amps), -1)) ** 2, axis=-1)
     residual = np.maximum(0.0, norm_sq - captured) / np.maximum(norm_sq, 1e-300)
-    return coeffs, residual if stacked else float(residual)
+    if stacked:
+        return coeffs, residual
+    return coeffs[0], float(residual[0])
 
 
 def apply_comparator(spec: ComparatorSpec, psi: GridWavefunction,
-                     normalized: bool = False) -> GridWavefunction:
+                     normalized: bool = False,
+                     projection=None) -> GridWavefunction:
     """Apply the comparator to a grid state via its Hermite expansion.
 
     With ``normalized`` the operator is rescaled to have unit top
     eigenvalue (divide by sigma_s per axis).  In two dimensions the basis
     is the tensor product and the number operator is the total one.  The
     operator is the one about the origin, so no state is displaced.
+    ``projection`` is psi's (coeffs, residual) when the caller already
+    holds it, as hermite_coefficients(spec, psi) or a row of its stacked
+    form; psi is then not projected again, and the result is bitwise the
+    same.
 
     Raises
     ------
@@ -160,18 +198,19 @@ def apply_comparator(spec: ComparatorSpec, psi: GridWavefunction,
         If more than RESIDUAL_TOL (1e-8) of the state's mass lies outside
         the basis.
     """
-    coeffs, residual = hermite_coefficients(spec, psi)
+    if projection is None:
+        projection = hermite_coefficients(spec, psi)
+    coeffs, residual = projection
     if residual > RESIDUAL_TOL:
         raise BasisResidualError(
             f"basis projection lost mass fraction {residual:.3g}")
     grid = psi.grid
-    decay = np.exp(-spec.s * np.arange(spec.N + 1))
-    factor = decay if normalized else spec.sigma * decay
+    weights = _constants(spec, grid.n).weights[normalized]
     h = _basis(spec, grid)
     if grid.n == 1:
-        amp = (coeffs * factor) @ h
+        amp = (coeffs * weights) @ h
     else:
-        amp = h.T @ (coeffs * np.outer(factor, factor)) @ h
+        amp = h.T @ (coeffs * weights) @ h
     return GridWavefunction(grid, amp)
 
 
@@ -286,7 +325,8 @@ def coherent_matrix_elements(spec: ComparatorSpec, alpha) -> dict:
             "one_minus_measured": one_minus_measured}
 
 
-def within_magnitude(spec: ComparatorSpec, E: float, psi: GridWavefunction) -> dict:
+def within_magnitude(spec: ComparatorSpec, E: float, psi: GridWavefunction,
+                     projection=None) -> dict:
     """Test membership of psi in the states within magnitude E.
 
     Uses the normalized comparator (unit top eigenvalue), so the inverse
@@ -298,6 +338,10 @@ def within_magnitude(spec: ComparatorSpec, E: float, psi: GridWavefunction) -> d
     quadrature noise floor are dropped first, since the growth factor
     would otherwise amplify projection rounding into the answer;
     verdicts are therefore at this truncation and precision.
+    ``projection`` is psi's (coeffs, residual) when the caller already
+    holds it, as hermite_coefficients(spec, psi) or a row of its stacked
+    form; psi is then not read (it may be None), and the result is
+    bitwise the same.
 
     Returns
     -------
@@ -305,20 +349,18 @@ def within_magnitude(spec: ComparatorSpec, E: float, psi: GridWavefunction) -> d
     """
     if E <= 0:
         raise ValueError("E must be positive")
-    coeffs, residual = hermite_coefficients(spec, psi)
+    if projection is None:
+        projection = hermite_coefficients(spec, psi)
+    coeffs, residual = projection
     if residual > RESIDUAL_TOL:
         raise BasisResidualError(
             f"basis projection lost mass fraction {residual:.3g}")
-    c_sq = np.abs(np.asarray(coeffs)) ** 2
+    c_sq = np.abs(coeffs) ** 2
     c_sq[c_sq <= NOISE_FLOOR * np.sum(c_sq)] = 0.0
-    if c_sq.ndim == 1:
-        total_n = np.arange(spec.N + 1)
-    else:
-        n_vals = np.arange(spec.N + 1)
-        total_n = n_vals[:, None] + n_vals[None, :]
+    const = _constants(spec, c_sq.ndim)
     with np.errstate(divide="ignore"):
-        log_terms = np.log(c_sq) + 2.0 * spec.s * total_n
-    divergent = _edge_dominated(log_terms.ravel(), total_n.ravel())
+        log_terms = np.log(c_sq) + const.growth
+    divergent = _edge_dominated(log_terms.ravel()[const.order])
     peak = float(np.max(log_terms))
     if peak > EXP_GUARD:
         inv_norm = np.inf
@@ -330,12 +372,10 @@ def within_magnitude(spec: ComparatorSpec, E: float, psi: GridWavefunction) -> d
             "residual": residual}
 
 
-def _edge_dominated(log_terms, total_n, window: int = 8,
-                    fraction: float = 0.5) -> bool:
-    # Sort by total excitation; the sum is untrustworthy when the last
-    # window of surviving terms carries most of its value.
-    order = np.argsort(total_n, kind="stable")
-    seq = log_terms[order]
+def _edge_dominated(seq, window: int = 8, fraction: float = 0.5) -> bool:
+    # seq holds the log terms by total excitation; the sum is
+    # untrustworthy when the last window of surviving terms carries most
+    # of its value.
     seq = seq[seq > -EXP_GUARD]
     if seq.size < 2 * window:
         return False

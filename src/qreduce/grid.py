@@ -294,6 +294,16 @@ def _moments(amps, grid):
     return np.stack(q + p, axis=-1)
 
 
+def _row_norms(amps, grid: GridSpec) -> np.ndarray:
+    """L2 norm of each state in a stack (B,) + (grid.N,) * n.
+
+    Each row is one contiguous sum, so it is bitwise the norm of that
+    row alone (GridWavefunction.norm).
+    """
+    flat = np.abs(amps.reshape(len(amps), grid.N ** grid.n)) ** 2
+    return np.sqrt(np.sum(flat, axis=-1) * grid.cell)
+
+
 def fourier_shift(psi: GridWavefunction, shift) -> GridWavefunction:
     """psi(x - shift) by Fourier phase ramp (exact for band-limited psi)."""
     grid = psi.grid

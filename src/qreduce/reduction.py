@@ -31,10 +31,10 @@ from scipy.integrate import cumulative_trapezoid
 from . import __version__
 from .classical import ClassicalTrajectory, PhaseRegion, integrate_flow
 from .comparator import BasisResidualError, ComparatorSpec, apply_comparator, \
-    comparator_scalars, within_magnitude
+    comparator_scalars, hermite_coefficients, within_magnitude
 from .errors import ConfigError, NumericalError, OverflowGuardError
-from .grid import DEFAULT_GRID, GridSpec, GridWavefunction, expectation_a, \
-    propagate
+from .grid import DEFAULT_GRID, GridSpec, GridWavefunction, _row_norms, \
+    expectation_a, propagate
 from .hamiltonian import MAX_POLY_DEGREE, HamiltonianSpec, PhasePoint, \
     taylor_remainder_V
 from .packets import GaussianPacket, PacketFlow, approximate_flow, packet, \
@@ -215,8 +215,9 @@ def run_grid(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
     steps // samples, at least 1) and the final step, also when stride
     does not divide the step count.  They are measured as propagate
     hands them over, a block at a time: one stacked expectation_a call
-    per block, and, with ``bound_inputs``, its per-snapshot bound work
-    row by row.  samples must be a positive integer.
+    per block and, with ``bound_inputs``, one BoundInputs.add call that
+    takes the block's per-snapshot bound work.  samples must be a
+    positive integer.
     """
     samples = _positive_int(samples, "samples")
     steps = max(1, int(round(T / dt)))
@@ -228,8 +229,7 @@ def run_grid(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
         times.append(block_times.copy())
         expectations.append(expectation_a(amps, grid))
         if bound_inputs is not None:
-            for t, amp in zip(block_times, amps):
-                bound_inputs.add(t, GridWavefunction(grid, amp))
+            bound_inputs.add(block_times, amps)
 
     observe(np.zeros(1), psi0.amp[None])
     ev = propagate(spec, psi0, T, dt, observer=observe, observe_stride=stride)
@@ -279,11 +279,12 @@ class BoundAssembly:
         return bool(np.all(self.membership_u) and np.all(self.membership_w))
 
 
-def _membership_probe(comp: ComparatorSpec, E, state: GridWavefunction):
+def _membership_probe(comp: ComparatorSpec, E, projection):
     # A state with mass beyond the truncated basis certifies nothing;
     # score it as divergent rather than aborting the assembly.
     try:
-        probe = within_magnitude(comp, E or E_PROBE, state)
+        probe = within_magnitude(comp, E or E_PROBE, None,
+                                 projection=projection)
     except BasisResidualError:
         return np.inf, True
     return probe["inv_norm"], probe["divergent"]
@@ -292,12 +293,21 @@ def _membership_probe(comp: ComparatorSpec, E, state: GridWavefunction):
 class BoundInputs:
     """The per-snapshot half of the bound assembly, fed as a run streams.
 
-    add(t, u) takes the grid state u at snapshot time t, samples the
-    approximating packet W = sample_on_grid(flow.packet_at(k)) at the
-    trajectory step k of t, and records delta1 = ||W - u||, delta2 =
-    ||(1 - Omega) W|| and the inverse-comparator norms of u and W.  The
-    first BasisResidualError or OverflowGuardError ends the bound work of
-    the run: it is kept in ``failure``, and assemble_bounds raises it.
+    add(times, amps) takes a block of grid states u (amps, shape (B,) +
+    (N,) * n on the problem's grid) at snapshot times, as propagate hands
+    them to run_grid.  It samples the approximating packets W =
+    sample_on_grid(flow.packet_at(k)), at the trajectory step k of each
+    time, into one block-sized buffer, and records per snapshot delta1 =
+    ||W - u||, delta2 = ||(1 - Omega) W|| (both from stacked row
+    differences) and the inverse-comparator norms of u and W.  Each
+    state is projected once:
+    u and W by one row-exact stacked hermite_coefficients product each,
+    and W's projection serves both delta2 (apply_comparator) and its
+    membership probe (within_magnitude), each called once per row, so
+    every number is bitwise the one a per-state run gives.  The first
+    BasisResidualError or OverflowGuardError ends the bound work of the
+    run: the rows before it are kept, the error is kept in ``failure``,
+    and assemble_bounds raises it.
     """
 
     def __init__(self, problem: ReductionProblem, flow: PacketFlow):
@@ -307,26 +317,42 @@ class BoundInputs:
         self.rows = []
         self.failure = None
 
-    def add(self, t: float, u_state: GridWavefunction):
+    def add(self, times, amps):
         traj = self.flow.traj
-        k = int(round(t / traj.dt))
-        if abs(traj.times[k] - t) > 1e-9:
+        steps = [int(round(t / traj.dt)) for t in times]
+        if np.any(np.abs(traj.times[steps] - times) > 1e-9):
             raise NumericalError("grid run and trajectory samples disagree")
         if self.failure is not None:
             return
-        comp, E = self.problem.comparator, self.problem.E
-        try:
-            w_state = sample_on_grid(self.flow.packet_at(k), u_state.grid)
-            delta1 = w_state.distance(u_state)
-            smoothed = apply_comparator(comp, w_state, normalized=True)
-            delta2 = w_state.distance(smoothed)
-            inv_u, div_u = _membership_probe(comp, E, u_state)
-            inv_w, div_w = _membership_probe(comp, E, w_state)
-        except (BasisResidualError, OverflowGuardError) as exc:
-            self.failure = exc
-            return
-        self.steps.append(k)
-        self.rows.append((delta1, delta2, inv_u, inv_w, div_u, div_w))
+        comp, E, grid = (self.problem.comparator, self.problem.E,
+                         self.problem.grid)
+        w = np.empty_like(amps)
+        for row, k in enumerate(steps):
+            w[row] = sample_on_grid(self.flow.packet_at(k), grid).amp
+        delta1 = _row_norms(w - amps, grid)
+        u_coeffs, u_residual = hermite_coefficients(comp, amps, grid)
+        w_coeffs, w_residual = hermite_coefficients(comp, w, grid)
+        probes = []
+        for row in range(len(amps)):
+            w_proj = (w_coeffs[row], float(w_residual[row]))
+            try:
+                smoothed = apply_comparator(
+                    comp, GridWavefunction(grid, w[row]), normalized=True,
+                    projection=w_proj)
+            except (BasisResidualError, OverflowGuardError) as exc:
+                self.failure = exc
+                break
+            # W's row is not read again once projected, so it turns into
+            # W - Omega W, whose norm is delta2.
+            w[row] -= smoothed.amp
+            u_proj = (u_coeffs[row], float(u_residual[row]))
+            probes.append(_membership_probe(comp, E, u_proj)
+                          + _membership_probe(comp, E, w_proj))
+        delta2 = _row_norms(w[:len(probes)], grid)
+        self.steps.extend(steps[:len(probes)])
+        self.rows.extend((d1, d2, inv_u, inv_w, div_u, div_w)
+                         for d1, d2, (inv_u, div_u, inv_w, div_w)
+                         in zip(delta1, delta2, probes))
 
 
 def assemble_bounds(problem: ReductionProblem, run: QuantumRun,

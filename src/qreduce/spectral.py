@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .comparator import ComparatorSpec, hermite_coefficients
+from .comparator import ComparatorSpec, _basis, _constants
 from .grid import GridSpec, GridWavefunction, propagate
 from .hamiltonian import HamiltonianSpec
 
@@ -226,20 +226,25 @@ def _grid_stay_curve(handle: GridHamiltonian, psi: GridWavefunction,
     """Times and tau(t) of <U_t psi, Omega U_t psi> on [-t, t] for a grid run.
 
     The comparator expectation sum_k e^{-s k} |c_k|^2 is taken at every
-    step, forward and backward in time, one hermite_coefficients product
-    per block of states that propagate hands its observer.
+    step, forward and backward in time, from one matrix-matrix projection
+    product per block of states that propagate hands its observer.  In
+    1D that product is not row-exact (hermite_coefficients is); a curve
+    integrated over thousands of steps needs no single-state bits.
     """
     if not isinstance(comp, ComparatorSpec):
         raise ValueError("grid evolutions take a ComparatorSpec as Omega")
     if not psi.is_unit:
         raise ValueError("psi must be a unit vector")
     grid = psi.grid
-    n_vals = np.exp(-comp.s * np.arange(comp.N + 1))
-    decay = n_vals if grid.n == 1 else np.outer(n_vals, n_vals)
+    decay = _constants(comp, grid.n).weights[True]
     coeff_axes = (-1, -2)[:grid.n]
+    h = _basis(comp, grid)
 
     def expectations(amps):
-        coeffs, _ = hermite_coefficients(comp, amps, grid)
+        if grid.n == 1:
+            coeffs = amps @ h.T * grid.dx
+        else:
+            coeffs = h @ amps @ h.T * grid.cell
         return np.sum(decay * np.abs(coeffs) ** 2, axis=coeff_axes)
 
     steps = max(2, int(np.ceil(T / handle.dt)))

@@ -293,6 +293,43 @@ def test_integer_fields_are_checked_not_truncated(tmp_path, mode, problem):
     assert not (tmp_path / "out").exists()
 
 
+LATTICE = {"potential": "harmonic", "alpha0": [1.0, 0.0], "T": 0.1,
+           "dt": 0.01, "epsilon": 0.1}
+TWO_LEVEL = {"matrix": [[0.0, 1.0], [1.0, 0.0]], "psi": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize("mode, problem, field", [
+    ("ehrenfest", {"potential": "harmonic", "T": 0.1, "dt": 0.01,
+                   "grid": {"L": True}}, "problem.grid.L"),
+    ("reduce", {**LATTICE, "grid": {"L": "20"}}, "problem.grid.L"),
+    ("classify-quantum", {**TWO_LEVEL, "horizons": [True, 2.0]},
+     "problem.horizons.0"),
+    ("reduce", {**LATTICE, "region": {"center": [1.0, 0.0], "radius": True}},
+     "problem.region.radius"),
+    ("reduce", {**LATTICE, "region": {"center": [1.0, True],
+                                      "half_widths": [0.2, 0.2]}},
+     "problem.region.center.1"),
+    ("reduce", {**LATTICE, "region": {"center": [1.0, 0.0],
+                                      "half_widths": [0.2, True]}},
+     "problem.region.half_widths.1"),
+    ("reduce", {**LATTICE, "alpha0": ["1.0", 0.0]}, "problem.alpha0.0"),
+    ("reduce", {**LATTICE, "epsilon": True}, "problem.epsilon"),
+    ("reduce", {**LATTICE, "epsilon": [0.1, "0.1"]}, "problem.epsilon.1"),
+    ("squeeze", {**LATTICE, "dilations": [1.0, True]},
+     "problem.dilations.1"),
+], ids=["grid-L-bool", "grid-L-string", "horizons-bool", "radius-bool",
+        "center-bool", "half-widths-bool", "alpha0-string", "epsilon-bool",
+        "epsilon-list-string", "dilations-bool"])
+def test_numeric_fields_refuse_booleans_and_strings(tmp_path, capsys, mode,
+                                                     problem, field):
+    # These were read with float(): true ran as 1.0 (a grid with L = 1
+    # then wrapped around and exited 3) and "20" ran as 20.
+    cfg = write_config(tmp_path, {"mode": mode, "problem": problem})
+    assert run(cfg, out_dir=tmp_path / "out") == 2
+    assert f"config.{field}: must be a number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_numerical_failure_exits_three(tmp_path):
     cfg = write_config(tmp_path, {
         "mode": "reduce",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qreduce.comparator import (ComparatorSpec, apply_comparator,
                                 coherent_coefficients, coherent_label,
@@ -269,21 +271,33 @@ def test_projection_and_synthesis_are_bitwise_the_explicit_products(grid, spec):
 
 @pytest.mark.parametrize("grid, spec", [
     (GRID, ComparatorSpec(s=1.0)),
-    (GridSpec(n=2, N=128, L=10.0), ComparatorSpec(s=1.0, N=32)),
+    (GridSpec(n=2, N=64, L=10.0), ComparatorSpec(s=1.0, N=32)),
 ], ids=["1d", "2d"])
-def test_stacked_projection_equals_the_per_state_one(grid, spec):
-    x = np.meshgrid(*([grid.x] * grid.n), indexing="ij")
-    states = [GridWavefunction(grid, np.exp(-0.5 * w * sum(xi ** 2 for xi in x)
-                                            + 1j * w * x[0])).normalized()
-              for w in (0.6, 1.0, 1.7)]
-    coeffs, residual = hermite_coefficients(
-        spec, np.stack([psi.amp for psi in states]), grid)
-    assert coeffs.shape == (3,) + (spec.N + 1,) * grid.n
-    assert residual.shape == (3,)
-    for row, psi in enumerate(states):
+@settings(max_examples=12, deadline=None)
+@given(rows=st.integers(1, 70), seed=st.integers(0, 2 ** 16))
+def test_stacked_projection_equals_the_per_state_one(grid, spec, rows, seed):
+    # Row-exact: each row of a stacked projection, and the synthesis and
+    # membership probe made from it, is bitwise the single-state result,
+    # whatever the stack height.
+    rng = np.random.default_rng(seed)
+    amps = np.stack([sample_on_grid(packet(
+        PhasePoint(*rng.uniform(-1.5, 1.5, (2, grid.n))),
+        rng.uniform(0.6, 1.7)), grid).amp for _ in range(rows)])
+    coeffs, residual = hermite_coefficients(spec, amps, grid)
+    assert coeffs.shape == (rows,) + (spec.N + 1,) * grid.n
+    assert residual.shape == (rows,)
+    for row in range(rows):
+        psi = GridWavefunction(grid, amps[row])
         single, single_residual = hermite_coefficients(spec, psi)
-        assert np.max(np.abs(coeffs[row] - single)) < 1e-13
-        assert abs(residual[row] - single_residual) < 1e-13
+        assert np.array_equal(coeffs[row], single)
+        assert residual[row] == single_residual
+        projection = (coeffs[row], float(residual[row]))
+        assert np.array_equal(
+            apply_comparator(spec, psi, normalized=True,
+                             projection=projection).amp,
+            apply_comparator(spec, psi, normalized=True).amp)
+        assert (within_magnitude(spec, 1e12, None, projection=projection)
+                == within_magnitude(spec, 1e12, psi))
 
 
 def test_scalars_are_kept_per_dimension_and_returned_fresh():

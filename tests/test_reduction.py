@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from qreduce import reduction
 from qreduce.classical import PhaseRegion, integrate_flow
-from qreduce.comparator import ComparatorSpec, apply_comparator, \
-    within_magnitude
+from qreduce.comparator import RESIDUAL_TOL, ComparatorSpec, \
+    apply_comparator, hermite_coefficients, within_magnitude
 from qreduce.errors import (BasisResidualError, ConfigError, NumericalError,
                              OverflowGuardError)
 from qreduce.grid import GridSpec, GridWavefunction, propagate
@@ -25,6 +25,7 @@ HARMONIC = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial([0, 0, 
 CUBIC_PERTURBED = HamiltonianSpec(
     mass=1.0, potential=PotentialModel.polynomial([0, 0, 0.5, 0.1 / 6]))
 PURE_CUBIC = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial([0, 0, 0, 1 / 6]))
+FREE = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial([0.0]))
 QUARTIC = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial([0, 0, 0, 0, 0.25]))
 X2Y = np.zeros((3, 2))
 X2Y[2, 1] = 1.0
@@ -531,6 +532,11 @@ STREAM_CASES = {
         alpha0=PhasePoint([1.0, 0.0], [0.0, 0.5]), T=0.1, dt=0.01,
         epsilon=0.05, samples=3, grid=GridSpec(n=2, N=64, L=10.0),
         comparator=ComparatorSpec(s=1.0, N=32)),
+    # 200 snapshots after the start: three full 64-row observer blocks
+    # and a partial last one.
+    "blocks-1d": ReductionProblem(
+        spec=CUBIC_PERTURBED, alpha0=PhasePoint(1.0, 0.0), T=2.0, dt=0.01,
+        epsilon=0.05, samples=200),
 }
 
 
@@ -563,3 +569,55 @@ def test_streamed_bounds_equal_the_snapshot_list_assembly(name):
     worst = max(report.sample_results, key=lambda r: r["max_error"])
     for key, value in olds[tuple(worst["alpha0"])].items():
         assert np.array_equal(getattr(report.bounds, key), value), key
+
+
+def test_residual_failure_mid_block_keeps_the_rows_before_it():
+    # A free packet spreads out of a 17-function basis: W's residual
+    # passes RESIDUAL_TOL near t = 0.85, inside the second 64-row block.
+    comp = ComparatorSpec(s=1.0, N=16)
+    problem = ReductionProblem(spec=FREE, alpha0=PhasePoint(0.0, 0.0),
+                               T=2.0, dt=0.01, epsilon=1.0, comparator=comp)
+    traj = integrate_flow(FREE, problem.alpha0, problem.T, problem.dt)
+    base = packet(problem.alpha0, 1.0)
+    flow = approximate_flow(FREE, traj, base)
+    psi0 = sample_on_grid(base, problem.grid)
+    inputs = BoundInputs(problem, flow)
+    run_grid(FREE, psi0, problem.T, problem.dt, problem.samples, inputs)
+    times, states = stored_run(FREE, psi0, problem.T, problem.dt,
+                               problem.samples)
+    w_states = [sample_on_grid(flow.packet_at(round(t / problem.dt)),
+                               problem.grid) for t in times]
+    first = next(row for row, w in enumerate(w_states)
+                 if hermite_coefficients(comp, w)[1] > RESIDUAL_TOL)
+    assert 65 < first < 129
+    with pytest.raises(BasisResidualError) as raised:
+        apply_comparator(comp, w_states[first], normalized=True)
+    assert str(inputs.failure) == str(raised.value)
+    assert inputs.steps == [round(t / problem.dt) for t in times[:first]]
+    old = snapshot_list_assembly(problem, flow, times[:first], states[:first])
+    delta1, delta2, inv_u, inv_w, _, _ = map(np.array, zip(*inputs.rows))
+    for key, value in [("delta1_measured", delta1), ("delta2", delta2),
+                       ("inv_norms_u", inv_u), ("inv_norms_w", inv_w)]:
+        assert np.array_equal(value, old[key]), key
+    report = run_reduction(problem)
+    assert report.verdict == "hypothesis-failed"
+    assert report.bound_failure["message"] == str(raised.value)
+
+
+def test_each_snapshot_state_is_projected_once(monkeypatch):
+    # u and W once each per snapshot: W's projection serves delta2 and
+    # its membership probe alike.
+    import qreduce.comparator as comparator
+    project = comparator.hermite_coefficients
+    rows = []
+
+    def counting(spec, psi, grid=None):
+        rows.append(1 if grid is None else len(psi))
+        return project(spec, psi, grid)
+
+    monkeypatch.setattr(comparator, "hermite_coefficients", counting)
+    monkeypatch.setattr(reduction, "hermite_coefficients", counting)
+    report = run_reduction(STREAM_CASES["lattice-1d"])
+    snapshots = len(report.sample_results) * len(report.times)
+    assert len(report.sample_results) == 9
+    assert sum(rows) == 2 * snapshots
