@@ -45,7 +45,7 @@ class ClassicalTrajectory:
     def n(self) -> int:
         return self.xi.shape[1]
 
-    @property
+    @cached_property
     def states(self) -> np.ndarray:
         """Samples stacked as an (m+1, 2n) array of (xi, pi) rows."""
         return np.hstack([self.xi, self.pi])
@@ -67,15 +67,20 @@ class ClassicalTrajectory:
                                     -pot.derivative(xi, 1)])
         return np.hstack([self.pi / self.spec.mass, -pot.gradient(self.xi)])
 
-    def at(self, t: float) -> np.ndarray:
-        """State at an arbitrary time in the span, cubic Hermite interpolated."""
+    def at(self, t) -> np.ndarray:
+        """State at a time in the span, cubic Hermite interpolated.
+
+        t may be an array of times; the result then has a (2n,) row per
+        time, each bitwise the state at that time alone.
+        """
+        t = np.asarray(t, dtype=float)
         t0, t1 = self.times[0], self.times[-1]
-        if not t0 - 1e-12 <= t <= t1 + 1e-12:
+        if not np.all((t0 - 1e-12 <= t) & (t <= t1 + 1e-12)):
             raise ValueError("time outside trajectory span")
-        k = min(int((t - t0) / self.dt), len(self.times) - 2)
-        s = (t - self.times[k]) / self.dt
-        return _hermite(self.states[k], self.states[k + 1],
-                        self.derivatives[k], self.derivatives[k + 1],
+        k = np.minimum(((t - t0) / self.dt).astype(int), len(self.times) - 2)
+        s = ((t - self.times[k]) / self.dt)[..., None]
+        states, slopes = self.states, self.derivatives
+        return _hermite(states[k], states[k + 1], slopes[k], slopes[k + 1],
                         self.dt, s)
 
     def to_csv(self, path) -> None:

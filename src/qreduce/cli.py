@@ -17,10 +17,12 @@ and refuse a top-level alpha0 or M0.  Counts (grid "n" and "N",
 comparator "N", reduce "samples", ehrenfest "sample_stride") must be
 positive integers, comparator-audit "dimension" 1 or 2.  The scalars
 "mass", "T", "dt", "E", "epsilon", comparator "s", grid "L" and region
-"radius", and each entry of "alpha0", "horizons", "dilations", a list
-"epsilon" and a region's "center" and "half_widths", must be JSON
-numbers, not booleans or strings.  The start state and the grid take
-the potential's dimension; ehrenfest is 1D only.
+"radius", and each entry of "alpha0", "horizons", "dilations", "radii",
+"psi", a list "epsilon", a region's "center" and "half_widths", and of
+the matrices "M0", "matrix" and "omega", must be JSON numbers, not
+booleans or strings.  "M0" is a number or an n x n matrix (in 1D also
+[m]).  The start state and the grid take the potential's dimension;
+ehrenfest is 1D only.
 
 Every report embeds the tool version, the sha256 hash of the canonical
 config serialization, the full config echo, and the provenance of the
@@ -113,6 +115,32 @@ def _numbers(raw, path: str) -> list:
     return [_number(entries, path, i, required=True) for i in entries]
 
 
+def _matrix(raw, path: str) -> np.ndarray:
+    """A list of rows of numbers, entry j of row i read by _number as the
+    field path.i.j."""
+    if not isinstance(raw, list) or not all(isinstance(row, list)
+                                            for row in raw):
+        _fail(path, "must be a list of rows of numbers")
+    rows = [_numbers(row, f"{path}.{i}") for i, row in enumerate(raw)]
+    if len({len(row) for row in rows}) > 1:
+        _fail(path, "rows must have equal lengths")
+    return np.array(rows, dtype=float)
+
+
+def _width(block: dict, path: str, n: int):
+    """M0: a number, or an n x n matrix of numbers (in 1D also [m])."""
+    raw = block.get("M0", 1.0)
+    if not isinstance(raw, list):
+        return _number(block, path, "M0", default=1.0)
+    if any(isinstance(row, list) for row in raw):
+        value = _matrix(raw, f"{path}.M0")
+    else:
+        value = np.array(_numbers(raw, f"{path}.M0"))
+    if np.atleast_2d(value).shape != (n, n):
+        _fail(f"{path}.M0", f"must be a number or a {n}x{n} matrix")
+    return value
+
+
 def _count(block: dict, path: str, key: str, default: int) -> int:
     value = block.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -167,7 +195,8 @@ def _start_packet(problem: dict, spec: HamiltonianSpec):
                   '{"packet": {"alpha0": [...], "M0": ...}}')
     pkt = (_block(problem, "packet", required=False, path="problem.")
            or {"alpha0": [0.0] * (2 * spec.dimension)})
-    return _phase_point(pkt, spec, "problem.packet"), pkt.get("M0", 1.0)
+    return (_phase_point(pkt, spec, "problem.packet"),
+            _width(pkt, "problem.packet", spec.dimension))
 
 
 def _grid_from(problem: dict, spec: HamiltonianSpec) -> GridSpec:
@@ -223,9 +252,7 @@ def _run_reduce(problem: dict):
     comp = _comparator_from(problem)
     dt = _number(problem, "problem", "dt", default=DEFAULT_DT)
     epsilon = _epsilon(problem, default=None)
-    M0 = problem.get("M0", 1.0)
-    if isinstance(M0, list):
-        M0 = np.asarray(M0, dtype=float)
+    M0 = _width(problem, "problem", spec.dimension)
     ro = ReductionProblem(
         spec=spec, alpha0=_phase_point(problem, spec),
         T=_number(problem, "problem", "T", required=True),
@@ -253,6 +280,8 @@ def _run_classify_classical(problem: dict):
     horizon = _number(problem, "problem", "T", required=True)
     dt = _number(problem, "problem", "dt", default=1e-3)
     radii = problem.get("radii")
+    if radii is not None:
+        radii = _numbers(radii, "problem.radii")
 
     def compute():
         res = classify_classical(spec, alpha0, horizon, radii=radii, dt=dt)
@@ -276,12 +305,13 @@ def _run_classify_quantum(problem: dict):
     else:
         _fail("problem.horizons", "must be a number or a list of numbers")
     if "matrix" in problem:
-        H = np.asarray(problem["matrix"], dtype=float)
+        H = _matrix(problem["matrix"], "problem.matrix")
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             _fail("problem.matrix", "must be square")
         if not np.allclose(H, H.T, atol=1e-12):
             _fail("problem.matrix", "must be symmetric")
-        psi = np.asarray(problem.get("psi", ()), dtype=complex)
+        psi = np.asarray(_numbers(problem.get("psi", []), "problem.psi"),
+                         dtype=complex)
         if psi.shape != (H.shape[0],):
             _fail("problem.psi", "must be a vector matching the matrix")
         norm = np.linalg.norm(psi)
@@ -292,7 +322,7 @@ def _run_classify_quantum(problem: dict):
         if omega_raw == "self":
             omega = np.outer(psi, psi.conj())
         else:
-            omega = np.asarray(omega_raw, dtype=float)
+            omega = _matrix(omega_raw, "problem.omega")
         provenance = _provenance()
         provenance["dimension"] = int(H.shape[0])
 

@@ -178,40 +178,59 @@ def hermite_coefficients(spec: ComparatorSpec, psi, grid: GridSpec = None):
     return coeffs[0], float(residual[0])
 
 
-def apply_comparator(spec: ComparatorSpec, psi: GridWavefunction,
-                     normalized: bool = False,
-                     projection=None) -> GridWavefunction:
-    """Apply the comparator to a grid state via its Hermite expansion.
+def apply_comparator(spec: ComparatorSpec, psi, normalized: bool = False,
+                     projection=None, grid: GridSpec = None):
+    """Apply the comparator to a grid state, or a stack, in the Hermite basis.
 
     With ``normalized`` the operator is rescaled to have unit top
     eigenvalue (divide by sigma_s per axis).  In two dimensions the basis
     is the tensor product and the number operator is the total one.  The
     operator is the one about the origin, so no state is displaced.
+    psi is a GridWavefunction, or with ``grid`` a stack of amplitudes as
+    hermite_coefficients takes it; a stack is synthesized row-exactly,
+    by the batched product (coeffs * weights)[:, None, :] @ h in 1D and
+    h.T @ (coeffs * weights) @ h per row in 2D, so each row is bitwise
+    the result for that row alone, and the single state is the stack of
+    one.
     ``projection`` is psi's (coeffs, residual) when the caller already
-    holds it, as hermite_coefficients(spec, psi) or a row of its stacked
-    form; psi is then not projected again, and the result is bitwise the
-    same.
+    holds it, from hermite_coefficients in the same form; psi is then
+    not projected again, and the result is bitwise the same.
+
+    Returns
+    -------
+    A GridWavefunction, or for a stack an amplitude array of its shape.
 
     Raises
     ------
     BasisResidualError
-        If more than RESIDUAL_TOL (1e-8) of the state's mass lies outside
-        the basis.
+        If more than RESIDUAL_TOL (1e-8) of a state's mass lies outside
+        the basis; for a stack, the error of the first such row.
     """
+    stacked = grid is not None
     if projection is None:
-        projection = hermite_coefficients(spec, psi)
+        projection = hermite_coefficients(spec, psi, grid)
     coeffs, residual = projection
-    if residual > RESIDUAL_TOL:
-        raise BasisResidualError(
-            f"basis projection lost mass fraction {residual:.3g}")
-    grid = psi.grid
-    weights = _constants(spec, grid.n).weights[normalized]
+    if not stacked:
+        grid, coeffs, residual = psi.grid, coeffs[None], [residual]
+    for value in residual:
+        if value > RESIDUAL_TOL:
+            raise _residual_error(value)
+    weighted = coeffs * _constants(spec, grid.n).weights[normalized]
     h = _basis(spec, grid)
     if grid.n == 1:
-        amp = (coeffs * weights) @ h
+        amps = (weighted[:, None, :] @ h)[:, 0]
     else:
-        amp = h.T @ (coeffs * weights) @ h
-    return GridWavefunction(grid, amp)
+        # Row by row: a broadcast h.T @ weighted @ h raised the peak
+        # memory of a run, for the same bits.
+        amps = np.empty((len(weighted), grid.N, grid.N), dtype=complex)
+        for row, c in enumerate(weighted):
+            amps[row] = h.T @ c @ h
+    return amps if stacked else GridWavefunction(grid, amps[0])
+
+
+def _residual_error(residual) -> BasisResidualError:
+    return BasisResidualError(
+        f"basis projection lost mass fraction {float(residual):.3g}")
 
 
 def comparator_scalars(spec: ComparatorSpec, dimension: int = 1) -> dict:
@@ -353,8 +372,7 @@ def within_magnitude(spec: ComparatorSpec, E: float, psi: GridWavefunction,
         projection = hermite_coefficients(spec, psi)
     coeffs, residual = projection
     if residual > RESIDUAL_TOL:
-        raise BasisResidualError(
-            f"basis projection lost mass fraction {residual:.3g}")
+        raise _residual_error(residual)
     c_sq = np.abs(coeffs) ** 2
     c_sq[c_sq <= NOISE_FLOOR * np.sum(c_sq)] = 0.0
     const = _constants(spec, c_sq.ndim)

@@ -44,6 +44,39 @@ def _as_matrix(value, n: int) -> np.ndarray:
     return out
 
 
+def _check_widths(M, A, B) -> None:
+    """A packet's width checks over stacks of (M, A, B), shape (R, n, n).
+
+    Raises the ValueError a GaussianPacket of the first failing row
+    raises, with the first check that row fails: M symmetric, Re M
+    positive definite, B M = A.
+    """
+    asym = np.max(np.abs(M - np.swapaxes(M, -1, -2)), axis=(-2, -1))
+    not_positive = np.any(np.linalg.eigvalsh(M.real) <= 0, axis=-1)
+    scale = np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
+    residual = np.max(np.abs(B @ M - A), axis=(-2, -1))
+    failed = np.array([asym > SYMMETRY_TOL, not_positive,
+                       residual > FACTOR_TOL * scale])
+    rows = np.flatnonzero(np.any(failed, axis=0))
+    if rows.size:
+        check = int(np.argmax(failed[:, rows[0]]))
+        raise ValueError(("width matrix must be symmetric",
+                          "Re M must be positive definite",
+                          "factors must satisfy M = B^(-1) A")[check])
+
+
+def _norm_factor(n: int, det_b) -> float:
+    # abs() of the complex scalar: np.abs of an array of determinants
+    # can differ from it in the last bit.
+    return float(np.pi ** (-n / 4.0) / np.sqrt(abs(det_b)))
+
+
+def _amplitude_factor(norm_prefactor: float, norm_factor: float,
+                      detB_angle: float, phase: float) -> complex:
+    return (norm_prefactor * norm_factor
+            * np.exp(-1j * (0.5 * detB_angle + phase)))
+
+
 @dataclass(eq=False)
 class GaussianPacket:
     """A displaced Gaussian U(alpha) Gamma^M with bookkeeping for its phase.
@@ -67,13 +100,7 @@ class GaussianPacket:
         self.M = _as_matrix(self.M, n)
         self.A = _as_matrix(self.A, n)
         self.B = _as_matrix(self.B, n)
-        if np.max(np.abs(self.M - self.M.T)) > SYMMETRY_TOL:
-            raise ValueError("width matrix must be symmetric")
-        if np.any(np.linalg.eigvalsh(self.M.real) <= 0):
-            raise ValueError("Re M must be positive definite")
-        if np.max(np.abs(self.B @ self.M - self.A)) > FACTOR_TOL * max(
-                1.0, float(np.max(np.abs(self.A)))):
-            raise ValueError("factors must satisfy M = B^(-1) A")
+        _check_widths(self.M[None], self.A[None], self.B[None])
         if self.detB_angle is None:
             self.detB_angle = float(np.angle(np.linalg.det(self.B)))
 
@@ -84,14 +111,13 @@ class GaussianPacket:
     @property
     def norm_factor(self) -> float:
         """Magnitude prefactor pi^{-n/4} |det B|^{-1/2}."""
-        return float(np.pi ** (-self.n / 4.0)
-                     / np.sqrt(abs(np.linalg.det(self.B))))
+        return _norm_factor(self.n, np.linalg.det(self.B))
 
     @property
     def amplitude_factor(self) -> complex:
         """Full complex prefactor, branch-continuous in det B."""
-        return (self.norm_prefactor * self.norm_factor
-                * np.exp(-1j * (0.5 * self.detB_angle + self.phase)))
+        return _amplitude_factor(self.norm_prefactor, self.norm_factor,
+                                 self.detB_angle, self.phase)
 
     @property
     def closed_norm(self) -> float:
@@ -129,26 +155,51 @@ def sample_on_grid(pkt: GaussianPacket, grid: GridSpec) -> GridWavefunction:
 
     The displacement follows (U(alpha)psi)(x) = e^{i pi.xi/2}
     e^{i pi.(x-xi)} psi(x-xi), matching the grid Weyl operator, so
-    sampled packets and grid displacements compose consistently.
+    sampled packets and grid displacements compose consistently.  This
+    is the stack of one of the formula PacketFlow.sample evaluates for
+    a block of trajectory steps, so both give the same bits.
     """
     if grid.n != pkt.n:
         raise ValueError("grid and packet dimensions differ")
-    xi, pi_m = pkt.alpha.xi, pkt.alpha.pi
+    out = np.empty((1,) + (grid.N,) * grid.n, dtype=complex)
+    _sample_rows(grid, pkt.alpha.xi[None], pkt.alpha.pi[None], pkt.M[None],
+                 [pkt.amplitude_factor], out)
+    return GridWavefunction(grid, out[0])
+
+
+def _sample_rows(grid: GridSpec, xi, pi_m, M, factors, out) -> None:
+    """Write the packet of each row (centre xi, pi_m of shape (R, n),
+    width M of shape (R, n, n) and complex amplitude factor) into out,
+    shape (R,) + (grid.N,) * n.
+
+    Each element takes the arithmetic of a single packet.  In 1D the
+    quadratic form and the phase are taken for all rows at once, in out
+    and u; the exponentials go row by row, since block-sized complex
+    temporaries raised the peak memory of a run.  2D goes one row at a
+    time: its u @ pi_m is a BLAS product whose bits a stacked form would
+    not keep.
+    """
     if grid.n == 1:
-        u = grid.x - xi[0]
-        quad = np.exp(-0.5 * pkt.M[0, 0] * u * u)
-        plane = np.exp(1j * (pi_m[0] * u + 0.5 * pi_m[0] * xi[0]))
-    else:
-        u = grid.x_mesh - xi
+        u = grid.x - xi
+        np.multiply(-0.5 * M[:, 0], u, out=out)
+        out *= u
+        # u is not read again, so it turns into the phase pi u + pi xi / 2.
+        u *= pi_m
+        u += 0.5 * pi_m * xi
+        for row in range(len(out)):
+            out[row] = factors[row] * np.exp(out[row]) * np.exp(1j * u[row])
+        return
+    for row in range(len(out)):
+        u = grid.x_mesh - xi[row]
         # u.M.u term by term, in the order einsum("...i,ij,...j->...")
         # sums it: the same bits at a third of its cost.
         form = 0
         for i in range(2):
             for j in range(2):
-                form = form + u[..., i] * pkt.M[i, j] * u[..., j]
-        quad = np.exp(-0.5 * form)
-        plane = np.exp(1j * (u @ pi_m + 0.5 * float(pi_m @ xi)))
-    return GridWavefunction(grid, pkt.amplitude_factor * quad * plane)
+                form = form + u[..., i] * M[row, i, j] * u[..., j]
+        phase = u @ pi_m[row] + 0.5 * float(pi_m[row] @ xi[row])
+        out[row] = (factors[row] * np.exp(-0.5 * form)
+                    * np.exp(1j * phase))
 
 
 @dataclass(eq=False)
@@ -314,7 +365,13 @@ def phase_X(spec: HamiltonianSpec, traj: ClassicalTrajectory) -> np.ndarray:
 
 @dataclass(eq=False)
 class PacketFlow:
-    """W(t,0) applied to a fixed initial packet, sampled along a trajectory."""
+    """W(t,0) applied to a fixed initial packet, sampled along a trajectory.
+
+    The checks a GaussianPacket makes of itself run once, at
+    construction, over the whole flow: finite trajectory points, then
+    the width checks on every step of the series, stacked.  packet_at
+    and sample then check nothing per step.
+    """
 
     spec: HamiltonianSpec
     traj: ClassicalTrajectory
@@ -323,16 +380,48 @@ class PacketFlow:
     X: np.ndarray
     branch_offset: float
 
+    def __post_init__(self):
+        if not (np.all(np.isfinite(self.traj.xi))
+                and np.all(np.isfinite(self.traj.pi))):
+            raise ValueError("phase point entries must be finite")
+        _check_widths(self.series.M, self.series.A, self.series.B)
+
     @property
     def times(self) -> np.ndarray:
         return self.traj.times
 
     def packet_at(self, k: int) -> GaussianPacket:
-        return GaussianPacket(
+        # The flow's checks cover step k, so GaussianPacket's are skipped.
+        pkt = object.__new__(GaussianPacket)
+        vars(pkt).update(
             alpha=self.traj.point(k), M=self.series.M[k], A=self.series.A[k],
             B=self.series.B[k], phase=self.base.phase + float(self.X[k]),
             norm_prefactor=self.base.norm_prefactor,
             detB_angle=float(self.series.detB_angle[k]) + self.branch_offset)
+        return pkt
+
+    def sample(self, steps, grid: GridSpec) -> np.ndarray:
+        """The packets at trajectory steps ``steps`` sampled on a grid.
+
+        Row r, of an array of shape (len(steps),) + (grid.N,) * n, is
+        bitwise sample_on_grid(self.packet_at(steps[r]), grid).amp,
+        evaluated straight from the series, the phase and the trajectory
+        with no packet built.
+        """
+        if grid.n != self.traj.n:
+            raise ValueError("grid and packet dimensions differ")
+        steps = np.asarray(steps, dtype=int)
+        out = np.empty((len(steps),) + (grid.N,) * grid.n, dtype=complex)
+        series, base = self.series, self.base
+        factors = [
+            _amplitude_factor(base.norm_prefactor, _norm_factor(grid.n, det),
+                              float(angle) + self.branch_offset,
+                              base.phase + float(x))
+            for det, angle, x in zip(np.linalg.det(series.B[steps]),
+                                     series.detB_angle[steps], self.X[steps])]
+        _sample_rows(grid, self.traj.xi[steps], self.traj.pi[steps],
+                     series.M[steps], factors, out)
+        return out
 
     def to_csv(self, path) -> None:
         """Columns t, xi.., pi.., Re/Im of M entries, phase."""

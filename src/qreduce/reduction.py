@@ -30,8 +30,9 @@ from scipy.integrate import cumulative_trapezoid
 
 from . import __version__
 from .classical import ClassicalTrajectory, PhaseRegion, integrate_flow
-from .comparator import BasisResidualError, ComparatorSpec, apply_comparator, \
-    comparator_scalars, hermite_coefficients, within_magnitude
+from .comparator import RESIDUAL_TOL, BasisResidualError, ComparatorSpec, \
+    _residual_error, apply_comparator, comparator_scalars, \
+    hermite_coefficients, within_magnitude
 from .errors import ConfigError, NumericalError, OverflowGuardError
 from .grid import DEFAULT_GRID, GridSpec, GridWavefunction, _row_norms, \
     expectation_a, propagate
@@ -242,8 +243,12 @@ def run_grid(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
 
 
 def measured_error(run: QuantumRun, traj: ClassicalTrajectory) -> ErrorCurve:
-    """Componentwise |classical alpha(t) - quantum expectations|."""
-    classical = np.array([traj.at(t) for t in run.times])
+    """Componentwise |classical alpha(t) - quantum expectations|.
+
+    The classical states come from one stacked cubic Hermite
+    interpolation over all run times, bitwise traj.at(t) per time.
+    """
+    classical = traj.at(run.times)
     return ErrorCurve(times=run.times,
                       components=np.abs(classical - run.expectations))
 
@@ -295,19 +300,21 @@ class BoundInputs:
 
     add(times, amps) takes a block of grid states u (amps, shape (B,) +
     (N,) * n on the problem's grid) at snapshot times, as propagate hands
-    them to run_grid.  It samples the approximating packets W =
-    sample_on_grid(flow.packet_at(k)), at the trajectory step k of each
-    time, into one block-sized buffer, and records per snapshot delta1 =
-    ||W - u||, delta2 = ||(1 - Omega) W|| (both from stacked row
-    differences) and the inverse-comparator norms of u and W.  Each
-    state is projected once:
-    u and W by one row-exact stacked hermite_coefficients product each,
-    and W's projection serves both delta2 (apply_comparator) and its
-    membership probe (within_magnitude), each called once per row, so
-    every number is bitwise the one a per-state run gives.  The first
-    BasisResidualError or OverflowGuardError ends the bound work of the
-    run: the rows before it are kept, the error is kept in ``failure``,
-    and assemble_bounds raises it.
+    them to run_grid, and scores the block as arrays.  flow.sample writes
+    the approximating packets W, at the trajectory step of each time,
+    into one block-sized buffer.  u and W are projected by one row-exact
+    stacked hermite_coefficients product each, and the W rows are
+    smoothed by one stacked apply_comparator call.  delta1 = ||W - u||
+    and delta2 = ||(1 - Omega) W|| are stacked row norms.  The membership
+    probes stay one within_magnitude call per state, each given that
+    state's projection, so W's one projection serves delta2 and its
+    probe alike.  Every number is bitwise the one a per-state run gives.
+    The first W row with more than RESIDUAL_TOL of its mass outside the
+    basis ends the bound work of the run: the rows before it are kept,
+    the BasisResidualError that apply_comparator raises for that row is
+    kept in ``failure``, and assemble_bounds raises it.  An error from
+    the smoothing of the rows before it ends the run's bound work too,
+    with none of the block's rows kept.
     """
 
     def __init__(self, problem: ReductionProblem, flow: PacketFlow):
@@ -319,40 +326,39 @@ class BoundInputs:
 
     def add(self, times, amps):
         traj = self.flow.traj
-        steps = [int(round(t / traj.dt)) for t in times]
+        steps = np.rint(times / traj.dt).astype(int)
         if np.any(np.abs(traj.times[steps] - times) > 1e-9):
             raise NumericalError("grid run and trajectory samples disagree")
         if self.failure is not None:
             return
         comp, E, grid = (self.problem.comparator, self.problem.E,
                          self.problem.grid)
-        w = np.empty_like(amps)
-        for row, k in enumerate(steps):
-            w[row] = sample_on_grid(self.flow.packet_at(k), grid).amp
+        w = self.flow.sample(steps, grid)
         delta1 = _row_norms(w - amps, grid)
         u_coeffs, u_residual = hermite_coefficients(comp, amps, grid)
         w_coeffs, w_residual = hermite_coefficients(comp, w, grid)
-        probes = []
-        for row in range(len(amps)):
-            w_proj = (w_coeffs[row], float(w_residual[row]))
-            try:
-                smoothed = apply_comparator(
-                    comp, GridWavefunction(grid, w[row]), normalized=True,
-                    projection=w_proj)
-            except (BasisResidualError, OverflowGuardError) as exc:
-                self.failure = exc
-                break
-            # W's row is not read again once projected, so it turns into
-            # W - Omega W, whose norm is delta2.
-            w[row] -= smoothed.amp
-            u_proj = (u_coeffs[row], float(u_residual[row]))
-            probes.append(_membership_probe(comp, E, u_proj)
-                          + _membership_probe(comp, E, w_proj))
-        delta2 = _row_norms(w[:len(probes)], grid)
-        self.steps.extend(steps[:len(probes)])
-        self.rows.extend((d1, d2, inv_u, inv_w, div_u, div_w)
-                         for d1, d2, (inv_u, div_u, inv_w, div_w)
-                         in zip(delta1, delta2, probes))
+        outside = np.flatnonzero(w_residual > RESIDUAL_TOL)
+        kept = outside[0] if outside.size else len(amps)
+        try:
+            # W's rows are not read again once projected, so they turn
+            # into W - Omega W, whose norms are delta2.
+            w[:kept] -= apply_comparator(
+                comp, w[:kept], normalized=True,
+                projection=(w_coeffs[:kept], w_residual[:kept]), grid=grid)
+        except (BasisResidualError, OverflowGuardError) as exc:
+            self.failure = exc
+            return
+        if kept < len(amps):
+            self.failure = _residual_error(w_residual[kept])
+        delta2 = _row_norms(w[:kept], grid)
+        self.steps.extend(steps[:kept].tolist())
+        for row in range(kept):
+            inv_u, div_u = _membership_probe(
+                comp, E, (u_coeffs[row], float(u_residual[row])))
+            inv_w, div_w = _membership_probe(
+                comp, E, (w_coeffs[row], float(w_residual[row])))
+            self.rows.append((delta1[row], delta2[row], inv_u, inv_w, div_u,
+                              div_w))
 
 
 def assemble_bounds(problem: ReductionProblem, run: QuantumRun,

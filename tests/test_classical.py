@@ -85,6 +85,36 @@ def test_trajectory_interpolation_matches_fine_sampling():
     assert state[1] == pytest.approx(1.0 - g * t, abs=1e-12)
 
 
+def scalar_interpolant(traj, t):
+    """The cubic Hermite state at one time, in scalar arithmetic."""
+    k = min(int((t - traj.times[0]) / traj.dt), len(traj.times) - 2)
+    s = (t - traj.times[k]) / traj.dt
+    y0, y1 = traj.states[k], traj.states[k + 1]
+    d0, d1 = traj.derivatives[k], traj.derivatives[k + 1]
+    s2 = s * s
+    s3 = s2 * s
+    return ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * traj.dt * d0
+            + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * traj.dt * d1)
+
+
+def test_interpolation_takes_an_array_of_times():
+    # Each row of the stacked form, and the single-time form, is bitwise
+    # the scalar interpolant; the sample stack is built once and kept.
+    traj = integrate_flow(QUARTIC, PhasePoint(1.0, 0.3), 1.0, 1e-2)
+    times = np.concatenate([traj.times[[0, 3, 57, -1]],
+                            [0.123456, 0.4567, 0.5, 0.7777, 0.9999,
+                             1.0 + 1e-13]])
+    stacked = traj.at(times)
+    assert stacked.shape == (len(times), 2)
+    for t, row in zip(times, stacked):
+        assert np.array_equal(scalar_interpolant(traj, t), row)
+        assert np.array_equal(traj.at(t), row)
+    assert traj.states is traj.states
+    for outside in ([0.5, 1.0 + 1e-9], [-1e-9], [np.nan]):
+        with pytest.raises(ValueError, match="outside trajectory span"):
+            traj.at(np.array(outside))
+
+
 def test_to_csv_roundtrip(tmp_path):
     traj = integrate_flow(HARMONIC, PhasePoint(1.0, 0.0), 0.1, 1e-2)
     path = tmp_path / "traj.csv"

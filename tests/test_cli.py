@@ -317,9 +317,31 @@ TWO_LEVEL = {"matrix": [[0.0, 1.0], [1.0, 0.0]], "psi": [1.0, 0.0]}
     ("reduce", {**LATTICE, "epsilon": [0.1, "0.1"]}, "problem.epsilon.1"),
     ("squeeze", {**LATTICE, "dilations": [1.0, True]},
      "problem.dilations.1"),
+    ("reduce", {**LATTICE, "M0": [True]}, "problem.M0.0"),
+    ("reduce", {**LATTICE, "M0": "1.0"}, "problem.M0"),
+    ("ehrenfest", {"potential": "harmonic", "T": 0.1, "dt": 0.01,
+                   "packet": {"alpha0": [0.0, 0.0], "M0": True}},
+     "problem.packet.M0"),
+    ("classify-quantum", {"potential": "harmonic", "horizons": 1.0,
+                          "packet": {"alpha0": [0.0, 0.0],
+                                     "M0": [[1.0, "0"]]}},
+     "problem.packet.M0.0.1"),
+    ("classify-classical", {"potential": "harmonic", "alpha0": [1.0, 0.0],
+                            "T": 1.0, "radii": [True, 2.0]},
+     "problem.radii.0"),
+    ("classify-quantum", {**TWO_LEVEL, "horizons": 10.0,
+                          "matrix": [[0.0, "1.0"], [1.0, 0.0]]},
+     "problem.matrix.0.1"),
+    ("classify-quantum", {**TWO_LEVEL, "horizons": 10.0, "psi": [True, 0.0]},
+     "problem.psi.0"),
+    ("classify-quantum", {**TWO_LEVEL, "horizons": 10.0,
+                          "omega": [[1.0, 0.0], [0.0, False]]},
+     "problem.omega.1.1"),
 ], ids=["grid-L-bool", "grid-L-string", "horizons-bool", "radius-bool",
         "center-bool", "half-widths-bool", "alpha0-string", "epsilon-bool",
-        "epsilon-list-string", "dilations-bool"])
+        "epsilon-list-string", "dilations-bool", "M0-entry-bool",
+        "M0-string", "packet-M0-bool", "packet-M0-entry-string",
+        "radii-bool", "matrix-string", "psi-bool", "omega-bool"])
 def test_numeric_fields_refuse_booleans_and_strings(tmp_path, capsys, mode,
                                                      problem, field):
     # These were read with float(): true ran as 1.0 (a grid with L = 1
@@ -328,6 +350,40 @@ def test_numeric_fields_refuse_booleans_and_strings(tmp_path, capsys, mode,
     assert run(cfg, out_dir=tmp_path / "out") == 2
     assert f"config.{field}: must be a number" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode, problem, message", [
+    ("reduce", {**LATTICE, "M0": [[1.0, 0.0], [0.0, 1.0]]},
+     "config.problem.M0: must be a number or a 1x1 matrix"),
+    ("reduce", {**LATTICE, "M0": [[1.0], [0.0, 1.0]]},
+     "config.problem.M0: rows must have equal lengths"),
+    ("reduce", {**LATTICE, "M0": [[1.0], 2.0]},
+     "config.problem.M0: must be a list of rows of numbers"),
+    ("classify-quantum", {**TWO_LEVEL, "horizons": 10.0, "matrix": 1.0},
+     "config.problem.matrix: must be a list of rows of numbers"),
+], ids=["M0-2x2-in-1d", "M0-ragged", "M0-mixed", "matrix-scalar"])
+def test_matrix_fields_are_config_faults(tmp_path, capsys, mode, problem,
+                                         message):
+    # A width of the wrong shape exited 3 from inside the run.
+    cfg = write_config(tmp_path, {"mode": mode, "problem": problem})
+    assert run(cfg, out_dir=tmp_path / "out") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("width", [1.5, [1.5], [[1.5]]],
+                         ids=["number", "list", "matrix"])
+def test_one_dimensional_widths_read_alike(tmp_path, width):
+    cfg = write_config(tmp_path, {"mode": "reduce",
+                                  "problem": {**LATTICE, "M0": width}})
+    assert run(cfg, out_dir=tmp_path / "out") == 0
+    result = json.loads((tmp_path / "out" / "reduce.json").read_text())
+    reference = write_config(tmp_path, {
+        "mode": "reduce", "problem": {**LATTICE, "M0": 1.5}}, "ref.json")
+    assert run(reference, out_dir=tmp_path / "ref") == 0
+    expected = json.loads((tmp_path / "ref" / "reduce.json").read_text())
+    assert result["result"]["delta1_measured"] == \
+        expected["result"]["delta1_measured"]
 
 
 def test_numerical_failure_exits_three(tmp_path):

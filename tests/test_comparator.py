@@ -309,3 +309,56 @@ def test_scalars_are_kept_per_dimension_and_returned_fresh():
     assert again == comparator_scalars(ComparatorSpec(s=1.0))
     assert again["aOmega_sq_measured"] > 0.0
     assert comparator_scalars(spec, dimension=2)["norm"] == spec.sigma ** 2
+
+
+@pytest.mark.parametrize("grid, spec", [
+    (GRID, ComparatorSpec(s=1.0)),
+    (GridSpec(n=2, N=64, L=10.0), ComparatorSpec(s=1.0, N=32)),
+], ids=["1d", "2d"])
+@settings(max_examples=8, deadline=None)
+@given(rows=st.integers(1, 70), seed=st.integers(0, 2 ** 16),
+       normalized=st.booleans())
+def test_stacked_synthesis_equals_the_per_state_one(grid, spec, rows, seed,
+                                                    normalized):
+    # apply_comparator on a stack, with or without its projection, is
+    # bitwise the per-state call on every row.
+    rng = np.random.default_rng(seed)
+    amps = np.stack([sample_on_grid(packet(
+        PhasePoint(*rng.uniform(-1.5, 1.5, (2, grid.n))),
+        rng.uniform(0.6, 1.7)), grid).amp for _ in range(rows)])
+    projection = hermite_coefficients(spec, amps, grid)
+    stacked = apply_comparator(spec, amps, normalized=normalized,
+                               projection=projection, grid=grid)
+    assert np.array_equal(
+        apply_comparator(spec, amps, normalized=normalized, grid=grid),
+        stacked)
+    assert stacked.shape == amps.shape
+    for row in range(rows):
+        single = apply_comparator(spec, GridWavefunction(grid, amps[row]),
+                                  normalized=normalized)
+        assert np.array_equal(stacked[row], single.amp)
+
+
+def test_stacked_synthesis_raises_for_its_first_row_outside_the_basis():
+    # A far packet leaves a 17-function basis; in the middle of a stack
+    # it raises the error of that row, and the rows before it synthesize
+    # as they do alone.
+    spec = ComparatorSpec(s=1.0, N=16)
+    centres = [(0.2, 0.0), (0.0, -0.3), (4.0, 0.0), (0.1, 0.1), (0.0, 5.0)]
+    amps = np.stack([sample_on_grid(packet(PhasePoint(*c), 1.0), GRID).amp
+                     for c in centres])
+    coeffs, residual = hermite_coefficients(spec, amps, GRID)
+    assert list(residual > 1e-8) == [False, False, True, False, True]
+    with pytest.raises(BasisResidualError) as single:
+        apply_comparator(spec, GridWavefunction(GRID, amps[2]))
+    for projection in (None, (coeffs, residual)):
+        with pytest.raises(BasisResidualError) as stacked:
+            apply_comparator(spec, amps, projection=projection, grid=GRID)
+        assert str(stacked.value) == str(single.value)
+    head = apply_comparator(spec, amps[:2], projection=(coeffs[:2],
+                                                        residual[:2]),
+                            grid=GRID)
+    for row in range(2):
+        assert np.array_equal(
+            head[row], apply_comparator(spec,
+                                        GridWavefunction(GRID, amps[row])).amp)

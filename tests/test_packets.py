@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -287,3 +289,99 @@ def test_two_dimensional_sampling_is_bitwise_the_einsum_form(seed):
     plane = np.exp(1j * (u @ pi_m + 0.5 * float(pi_m @ xi)))
     assert np.array_equal(sample_on_grid(pkt, grid).amp,
                           pkt.amplitude_factor * quad * plane)
+
+
+COUPLED_2D = HamiltonianSpec(mass=1.0, dimension=2,
+                             potential=PotentialModel.polynomial2d(
+                                 [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0],
+                                  [0.5, 0.01, 0.0], [0.02, 0.0, 0.0]]))
+SAMPLER_CASES = {1: (CUBIC, GridSpec(n=1, N=512, L=12.0)),
+                 2: (COUPLED_2D, GridSpec(n=2, N=32, L=8.0))}
+
+
+def random_width(rng, n):
+    """A complex symmetric width with positive definite real part."""
+    R, S = rng.normal(size=(2, n, n))
+    return R @ R.T + 0.3 * np.eye(n) + 0.5j * (S + S.T)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=10, deadline=None)
+@given(rows=st.integers(1, 70), seed=st.integers(0, 2 ** 16))
+def test_block_sampler_is_bitwise_the_per_packet_sampling(n, rows, seed):
+    # PacketFlow.sample evaluates a block straight from the series; each
+    # row must be the packet sampled on its own, in 1D also the explicit
+    # one-packet formula.
+    rng = np.random.default_rng(seed)
+    spec, grid = SAMPLER_CASES[n]
+    alpha0 = PhasePoint(*rng.uniform(-1.5, 1.5, (2, n)))
+    traj = integrate_flow(spec, alpha0, 1.0, 0.02)
+    # A start phase and det B branch of its own put base.phase and the
+    # flow's branch offset into every amplitude factor.
+    base = dataclasses.replace(packet(alpha0, random_width(rng, n)),
+                               phase=rng.uniform(-3.0, 3.0),
+                               detB_angle=rng.uniform(-3.0, 3.0))
+    flow = approximate_flow(spec, traj, base)
+    assert flow.branch_offset != 0.0
+    steps = rng.integers(0, len(traj), rows)
+    block = flow.sample(steps, grid)
+    assert block.shape == (rows,) + (grid.N,) * n
+    for row, k in enumerate(steps):
+        pkt = flow.packet_at(k)
+        assert np.array_equal(block[row], sample_on_grid(pkt, grid).amp)
+        if n == 1:
+            xi, pi_m = pkt.alpha.xi[0], pkt.alpha.pi[0]
+            u = grid.x - xi
+            explicit = (pkt.amplitude_factor
+                        * np.exp(-0.5 * pkt.M[0, 0] * u * u)
+                        * np.exp(1j * (pi_m * u + 0.5 * pi_m * xi)))
+            assert np.array_equal(block[row], explicit)
+
+
+def corrupt(series, k, **entries):
+    """A copy of the series with its entries at step k replaced; entries
+    maps a field to a function of its value there."""
+    changed = {}
+    for name, change in entries.items():
+        changed[name] = getattr(series, name).copy()
+        changed[name][k] = change(changed[name][k])
+    return dataclasses.replace(series, **changed)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"M": lambda m: m + np.array([[0.0, 1e-6], [0.0, 0.0]])},
+     "width matrix must be symmetric"),
+    ({"M": lambda m: -m, "A": lambda a: -a},
+     "Re M must be positive definite"),
+    ({"A": lambda a: a + 1e-6}, "factors must satisfy M = B^(-1) A"),
+], ids=["asymmetric", "re-m-not-positive", "factors"])
+def test_a_corrupted_flow_raises_what_its_packet_raises(entries, message):
+    # The packet checks run once per flow, stacked, with the message a
+    # GaussianPacket built at the bad step gives.
+    alpha0 = PhasePoint([1.0, 0.0], [0.0, 0.5])
+    traj = integrate_flow(COUPLED_2D, alpha0, 0.3, 0.02)
+    flow = approximate_flow(COUPLED_2D, traj, packet(alpha0, 1.0))
+    bad = corrupt(flow.series, 7, **entries)
+    with pytest.raises(ValueError) as single:
+        GaussianPacket(alpha=traj.point(7), M=bad.M[7], A=bad.A[7],
+                       B=bad.B[7])
+    assert str(single.value) == message
+    with pytest.raises(ValueError) as stacked:
+        dataclasses.replace(flow, series=bad)
+    assert str(stacked.value) == message
+
+
+def test_a_flow_reports_its_first_failing_step():
+    # Step 4 fails the factor check and step 9 the symmetry check: the
+    # flow raises what a packet at step 4, the first bad one, raises.
+    alpha0 = PhasePoint([1.0, 0.0], [0.0, 0.5])
+    traj = integrate_flow(COUPLED_2D, alpha0, 0.3, 0.02)
+    flow = approximate_flow(COUPLED_2D, traj, packet(alpha0, 1.0))
+    bad = corrupt(corrupt(flow.series, 4, A=lambda a: a + 1e-6), 9,
+                  M=lambda m: m + np.array([[0.0, 1e-6], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"^factors must satisfy"):
+        dataclasses.replace(flow, series=bad)
+    xi = traj.xi.copy()
+    xi[3, 1] = np.nan
+    with pytest.raises(ValueError, match="phase point entries must be finite"):
+        dataclasses.replace(flow, traj=dataclasses.replace(traj, xi=xi))

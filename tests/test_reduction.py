@@ -304,6 +304,31 @@ def test_measured_error_zero_at_start():
     assert np.max(error.components[0]) < 1e-9
 
 
+@pytest.mark.parametrize("spec, alpha0, T, dt, samples", [
+    (QUARTIC, PhasePoint(1.0, 0.0), 0.2, 1e-3, 200),
+    (CUBIC_PERTURBED, PhasePoint(0.8, 0.3), 0.5, 0.02, 7),
+    (HamiltonianSpec(mass=1.0, dimension=2,
+                     potential=PotentialModel.polynomial2d(
+                         [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0],
+                          [0.5, 0.01, 0.0], [0.02, 0.0, 0.0]])),
+     PhasePoint([1.0, 0.0], [0.0, 0.5]), 0.1, 0.01, 3),
+], ids=["quartic", "cubic-off-stride", "coupled-2d"])
+def test_measured_error_is_bitwise_the_per_time_interpolation(
+        spec, alpha0, T, dt, samples):
+    # One stacked interpolation over the run times, the same bits as
+    # traj.at(t) one time at a time.
+    traj = integrate_flow(spec, alpha0, T, dt)
+    grid = GridSpec(1, 1024, 20.0) if spec.dimension == 1 \
+        else GridSpec(2, 64, 10.0)
+    run = run_grid(spec, sample_on_grid(packet(alpha0, 1.0), grid), T, dt,
+                   samples)
+    per_time = np.array([traj.at(t) for t in run.times])
+    assert np.array_equal(traj.at(run.times), per_time)
+    error = measured_error(run, traj)
+    assert np.array_equal(error.components,
+                          np.abs(per_time - run.expectations))
+
+
 def test_region_lattice_sampling():
     region = PhaseRegion.ball(PhasePoint(1.0, 0.0), 0.1)
     problem = ReductionProblem(spec=HARMONIC, alpha0=PhasePoint(1.0, 0.0),
