@@ -17,12 +17,13 @@ and refuse a top-level alpha0 or M0.  Counts (grid "n" and "N",
 comparator "N", reduce "samples", ehrenfest "sample_stride") must be
 positive integers, comparator-audit "dimension" 1 or 2.  The scalars
 "mass", "T", "dt", "E", "epsilon", comparator "s", grid "L" and region
-"radius", and each entry of "alpha0", "horizons", "dilations", "radii",
-"psi", a list "epsilon", a region's "center" and "half_widths", and of
-the matrices "M0", "matrix" and "omega", must be JSON numbers, not
-booleans or strings.  "M0" is a number or an n x n matrix (in 1D also
-[m]).  The start state and the grid take the potential's dimension;
-ehrenfest is 1D only.
+"radius", and each entry of "alpha0", "horizons", "lambdas",
+"dilations", "radii", "psi", a list "epsilon", a region's "center" and
+"half_widths", a potential's "coeffs", and of the matrices "M0",
+"matrix", "omega" and "coeff_matrix", must be finite JSON numbers: not
+booleans, strings, NaN or Infinity.  "M0" is a number or an n x n
+matrix (in 1D also [m]).  The start state and the grid take the
+potential's dimension; ehrenfest is 1D only.
 
 Every report embeds the tool version, the sha256 hash of the canonical
 config serialization, the full config echo, and the provenance of the
@@ -51,6 +52,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -104,6 +106,9 @@ def _number(block: dict, path: str, key: str, default=None, required=False):
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(f"{path}.{key}", "must be a number")
+    # json reads the bare literals NaN, Infinity and -Infinity.
+    if not math.isfinite(value):
+        _fail(f"{path}.{key}", "must be a finite number")
     return float(value)
 
 
@@ -164,9 +169,11 @@ def _potential_from(problem: dict) -> PotentialModel:
                   f"choose from {sorted(PRESETS)}")
         return PotentialModel.polynomial(PRESETS[raw])
     if isinstance(raw, dict) and "coeffs" in raw:
-        return PotentialModel.polynomial(raw["coeffs"])
+        return PotentialModel.polynomial(
+            _numbers(raw["coeffs"], "problem.potential.coeffs"))
     if isinstance(raw, dict) and "coeff_matrix" in raw:
-        return PotentialModel.polynomial2d(raw["coeff_matrix"])
+        return PotentialModel.polynomial2d(
+            _matrix(raw["coeff_matrix"], "problem.potential.coeff_matrix"))
     _fail("problem.potential",
           "must be a preset name, {'coeffs': [...]} or {'coeff_matrix': [[...]]}")
 
@@ -301,7 +308,7 @@ def _run_classify_quantum(problem: dict):
             _fail("problem.horizons", "a list needs at least two horizons")
         horizons = _numbers(horizons, "problem.horizons")
     elif isinstance(horizons, (int, float)) and not isinstance(horizons, bool):
-        horizons = float(horizons)
+        horizons = _number(problem, "problem", "horizons")
     else:
         _fail("problem.horizons", "must be a number or a list of numbers")
     if "matrix" in problem:
@@ -377,16 +384,14 @@ def _run_scale(problem: dict):
     lambdas = problem.get("lambdas")
     if not isinstance(lambdas, list) or not lambdas:
         _fail("problem.lambdas", "must be a nonempty list")
-    if any(isinstance(l, bool) or not isinstance(l, (int, float))
-           for l in lambdas):
-        _fail("problem.lambdas", "entries must be numbers")
+    lambdas = _numbers(lambdas, "problem.lambdas")
     if any(l <= 0 for l in lambdas):
         _fail("problem.lambdas", "entries must be positive")
     if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
         _fail("problem.lambdas", "must be strictly decreasing")
     grid = _grid_from(problem, spec)
-    # Each family member runs with the default comparator of
-    # ReductionProblem, so the grid must resolve that basis.
+    # Each family member is posed as a ReductionProblem with the default
+    # comparator, whose checks ask the grid to resolve that basis.
     if not ComparatorSpec(s=1.0).fits(grid):
         _fail("problem.grid", "cannot resolve the default comparator "
               "basis that scale runs use")

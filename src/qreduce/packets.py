@@ -48,19 +48,22 @@ def _check_widths(M, A, B) -> None:
     """A packet's width checks over stacks of (M, A, B), shape (R, n, n).
 
     Raises the ValueError a GaussianPacket of the first failing row
-    raises, with the first check that row fails: M symmetric, Re M
-    positive definite, B M = A.
+    raises, with the first check that row fails: M, A and B finite, M
+    symmetric, Re M positive definite, B M = A.
     """
+    finite = np.all(np.isfinite(np.concatenate([M, A, B], axis=-1)),
+                    axis=(-2, -1))
     asym = np.max(np.abs(M - np.swapaxes(M, -1, -2)), axis=(-2, -1))
     not_positive = np.any(np.linalg.eigvalsh(M.real) <= 0, axis=-1)
     scale = np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
     residual = np.max(np.abs(B @ M - A), axis=(-2, -1))
-    failed = np.array([asym > SYMMETRY_TOL, not_positive,
+    failed = np.array([~finite, asym > SYMMETRY_TOL, not_positive,
                        residual > FACTOR_TOL * scale])
     rows = np.flatnonzero(np.any(failed, axis=0))
     if rows.size:
         check = int(np.argmax(failed[:, rows[0]]))
-        raise ValueError(("width matrix must be symmetric",
+        raise ValueError(("width matrix must be finite",
+                          "width matrix must be symmetric",
                           "Re M must be positive definite",
                           "factors must satisfy M = B^(-1) A")[check])
 

@@ -16,11 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .classical import integrate_flow
 from .errors import ConfigError, QReduceError
 from .grid import DEFAULT_GRID, GridSpec, expectation_a
 from .hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel
-from .packets import packet, sample_on_grid
-from .reduction import DEFAULT_DT, ReductionProblem, run_reduction
+from .packets import approximate_flow, packet, sample_on_grid
+from .reduction import DEFAULT_DT, ReductionProblem, duhamel_curve, \
+    measured_error, run_grid
 
 SCALE_EXPONENTS = {
     "position": 0.5,
@@ -131,24 +133,26 @@ def coherent_scaling_check(alpha_lam: PhasePoint, lam: float,
 
 
 def _family_row(spec, alpha0, T, lam, grid, dt) -> dict:
+    # The problem is posed for its config checks; of its pipeline only
+    # the stages behind the row's two numbers run, with no bound stage.
     family = scale_hamiltonian(spec, lam).family_member
     problem = ReductionProblem(spec=family, alpha0=alpha0, T=T,
                                epsilon=1e6, grid=grid, dt=dt)
     try:
-        report = run_reduction(problem)
+        traj = integrate_flow(family, alpha0, T, dt)
+        base = packet(alpha0, problem.M0)
+        flow = approximate_flow(family, traj, base)
+        run = run_grid(family, sample_on_grid(base, grid), T, dt,
+                       problem.samples)
+        error = measured_error(run, traj)
+        # The curve is nondecreasing and the run's last snapshot is the
+        # final step, so its last value is its maximum over the snapshots.
+        bound = float(duhamel_curve(family, flow)[-1])
     except QReduceError as exc:
         return {"lam": float(lam), "error": None, "bound": None,
                 "failed": f"{type(exc).__name__}: {exc}"}
-    if report.bounds is None:
-        failure = report.bound_failure
-        return {"lam": float(lam), "error": None, "bound": None,
-                "failed": f"{failure['error']}: {failure['message']}"}
-    return {
-        "lam": float(lam),
-        "error": report.error.overall,
-        "bound": float(np.max(report.bounds.delta1_duhamel)),
-        "failed": None,
-    }
+    return {"lam": float(lam), "error": error.overall, "bound": bound,
+            "failed": None}
 
 
 def hepp_experiment(spec: HamiltonianSpec, alpha0: PhasePoint, T: float,
@@ -157,9 +161,12 @@ def hepp_experiment(spec: HamiltonianSpec, alpha0: PhasePoint, T: float,
     """Drive the scaled Hamiltonian family at a fixed numerical center.
 
     For each lambda the reduction pipeline runs with the family member
-    g_lam, the same initial phase point, and the same horizon; the rows
-    report the worst expectation error and the worst Duhamel remainder
-    bound.  For an anharmonic polynomial both shrink as lambda does,
+    g_lam, the same initial phase point, and the same horizon, up to the
+    two numbers its row reports: the worst expectation error and the
+    worst Duhamel remainder bound.  No comparator work runs, so a row
+    fails (failed names the error) only in a stage behind those numbers:
+    the classical flow, the packet flow, the grid run or the remainder
+    cross-check.  For an anharmonic polynomial both shrink as lambda does,
     since every degree-k > 2 coefficient carries lambda^(k/2 - 1).
     """
     lams = [float(l) for l in lambdas]

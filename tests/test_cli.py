@@ -295,6 +295,7 @@ def test_integer_fields_are_checked_not_truncated(tmp_path, mode, problem):
 
 LATTICE = {"potential": "harmonic", "alpha0": [1.0, 0.0], "T": 0.1,
            "dt": 0.01, "epsilon": 0.1}
+CLASSICAL = {"alpha0": [1.0, 0.0], "T": 1.0}
 TWO_LEVEL = {"matrix": [[0.0, 1.0], [1.0, 0.0]], "psi": [1.0, 0.0]}
 
 
@@ -337,11 +338,25 @@ TWO_LEVEL = {"matrix": [[0.0, 1.0], [1.0, 0.0]], "psi": [1.0, 0.0]}
     ("classify-quantum", {**TWO_LEVEL, "horizons": 10.0,
                           "omega": [[1.0, 0.0], [0.0, False]]},
      "problem.omega.1.1"),
+    ("classify-classical", {**CLASSICAL, "potential": {"coeffs": [0, 0, True]}},
+     "problem.potential.coeffs.2"),
+    ("classify-classical", {**CLASSICAL,
+                            "potential": {"coeffs": [0, 0, "0.5"]}},
+     "problem.potential.coeffs.2"),
+    ("classify-classical", {**CLASSICAL, "alpha0": [1.0, 0.0, 0.0, 0.0],
+                            "potential": {"coeff_matrix": [[0, 0, 0.5],
+                                                           ["0", 0, 0],
+                                                           [0.5, 0, 0]]}},
+     "problem.potential.coeff_matrix.1.0"),
+    ("scale", {"potential": "cubic-perturbed", "alpha0": [1.0, 0.5],
+               "T": 0.5, "lambdas": [1.0, True]}, "problem.lambdas.1"),
 ], ids=["grid-L-bool", "grid-L-string", "horizons-bool", "radius-bool",
         "center-bool", "half-widths-bool", "alpha0-string", "epsilon-bool",
         "epsilon-list-string", "dilations-bool", "M0-entry-bool",
         "M0-string", "packet-M0-bool", "packet-M0-entry-string",
-        "radii-bool", "matrix-string", "psi-bool", "omega-bool"])
+        "radii-bool", "matrix-string", "psi-bool", "omega-bool",
+        "coeffs-bool", "coeffs-string", "coeff-matrix-string",
+        "lambdas-bool"])
 def test_numeric_fields_refuse_booleans_and_strings(tmp_path, capsys, mode,
                                                      problem, field):
     # These were read with float(): true ran as 1.0 (a grid with L = 1
@@ -349,6 +364,36 @@ def test_numeric_fields_refuse_booleans_and_strings(tmp_path, capsys, mode,
     cfg = write_config(tmp_path, {"mode": mode, "problem": problem})
     assert run(cfg, out_dir=tmp_path / "out") == 2
     assert f"config.{field}: must be a number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("mode, problem, field", [
+    ("reduce", {**LATTICE, "M0": NAN}, "problem.M0"),
+    ("reduce", {**LATTICE, "M0": [[NAN]]}, "problem.M0.0.0"),
+    ("reduce", {**LATTICE, "T": INF}, "problem.T"),
+    ("reduce", {**LATTICE, "alpha0": [1.0, -INF]}, "problem.alpha0.1"),
+    ("ehrenfest", {"potential": "harmonic", "T": 0.1, "dt": 0.01,
+                   "packet": {"alpha0": [0.0, 0.0], "M0": NAN}},
+     "problem.packet.M0"),
+    ("classify-quantum", {**TWO_LEVEL, "horizons": INF}, "problem.horizons"),
+    ("scale", {"potential": "cubic-perturbed", "alpha0": [1.0, 0.5],
+               "T": 0.5, "lambdas": [1.0, NAN]}, "problem.lambdas.1"),
+    ("classify-classical", {**CLASSICAL, "potential": {"coeffs": [0, 0, NAN]}},
+     "problem.potential.coeffs.2"),
+], ids=["M0-nan", "M0-entry-nan", "T-infinity", "alpha0-minus-infinity",
+        "packet-M0-nan", "horizons-infinity", "lambdas-nan", "coeffs-nan"])
+def test_numeric_fields_refuse_nan_and_infinity(tmp_path, capsys, mode,
+                                                problem, field):
+    # json reads the bare literals NaN and Infinity; a NaN width used to
+    # run to a not-reduced verdict with a NaN error.
+    cfg = write_config(tmp_path, {"mode": mode, "problem": problem})
+    assert re.search(r"\bNaN\b|\bInfinity\b", cfg.read_text())
+    assert run(cfg, out_dir=tmp_path / "out") == 2
+    assert f"config.{field}: must be a finite number" in \
+        capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

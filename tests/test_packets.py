@@ -354,7 +354,12 @@ def corrupt(series, k, **entries):
     ({"M": lambda m: -m, "A": lambda a: -a},
      "Re M must be positive definite"),
     ({"A": lambda a: a + 1e-6}, "factors must satisfy M = B^(-1) A"),
-], ids=["asymmetric", "re-m-not-positive", "factors"])
+    ({"M": lambda m: m * np.nan}, "width matrix must be finite"),
+    ({"A": lambda a: a + np.inf}, "width matrix must be finite"),
+    ({"B": lambda b: b * np.nan, "M": lambda m: m + 1.0},
+     "width matrix must be finite"),
+], ids=["asymmetric", "re-m-not-positive", "factors", "m-nan", "a-infinite",
+        "b-nan-before-factors"])
 def test_a_corrupted_flow_raises_what_its_packet_raises(entries, message):
     # The packet checks run once per flow, stacked, with the message a
     # GaussianPacket built at the bad step gives.
@@ -369,6 +374,17 @@ def test_a_corrupted_flow_raises_what_its_packet_raises(entries, message):
     with pytest.raises(ValueError) as stacked:
         dataclasses.replace(flow, series=bad)
     assert str(stacked.value) == message
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("M", [np.nan, np.inf, [[1.0, 0.0], [0.0, np.nan]]],
+                         ids=["nan", "infinity", "matrix-entry-nan"])
+def test_a_non_finite_width_is_refused(M):
+    # Every comparison with NaN is false, so a NaN width passed the other
+    # checks and ran to a NaN error.
+    n = np.ndim(M) or 1
+    with pytest.raises(ValueError, match="^width matrix must be finite$"):
+        packet(PhasePoint(np.ones(n), np.zeros(n)), M)
 
 
 def test_a_flow_reports_its_first_failing_step():

@@ -5,6 +5,7 @@ import pytest
 from conftest import spectral_moments
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid
 
 from qreduce import reduction
 from qreduce.classical import PhaseRegion, integrate_flow
@@ -13,7 +14,8 @@ from qreduce.comparator import RESIDUAL_TOL, ComparatorSpec, \
 from qreduce.errors import (BasisResidualError, ConfigError, NumericalError,
                              OverflowGuardError)
 from qreduce.grid import GridSpec, GridWavefunction, propagate
-from qreduce.hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel
+from qreduce.hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel, \
+    taylor_remainder_V
 from qreduce.packets import approximate_flow, packet, sample_on_grid
 from qreduce.reduction import (BoundInputs, ReductionProblem, assemble_bounds,
                                duhamel_curve, ehrenfest_run,
@@ -126,6 +128,63 @@ def test_exact_remainder_norm_matches_dense_reference(case):
     assert abs(exact - reference) <= 1e-8 * max(1.0, reference)
 
 
+def stacked_reference(spec, center, re_m):
+    """The dense reference as a stack of meshgrid nodes u = L z, with
+    taylor_remainder_V at each; also the same norm of the terms its
+    subtraction cancels, the size below which r is rounding."""
+    z = np.linspace(-10.0, 10.0, 321)
+    w = np.exp(-0.5 * z ** 2) * (z[1] - z[0]) / np.sqrt(2.0 * np.pi)
+    w[[0, -1]] *= 0.5
+    u, weights = reduction._gaussian_rule(z, w, re_m)
+    r = np.reshape(taylor_remainder_V(spec, center, u), -1)
+    pot = spec.potential
+    shifted = center + u if spec.dimension == 2 else center[0] + u[:, 0]
+    hess = pot.hessian(center)
+    cancelled = (np.abs(pot.value(shifted)) + np.abs(pot.value(center))
+                 + np.abs(u @ pot.gradient(center))
+                 + np.abs(0.5 * np.einsum("pi,ij,pj->p", u, hess, u)))
+    return (float(np.sqrt(weights @ (r * r))),
+            float(np.sqrt(weights @ (cancelled * cancelled))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=remainder_cases())
+def test_broadcast_reference_is_the_stacked_point_formula(case):
+    # Same nodes, weights and subtraction, evaluated on broadcast axes:
+    # 1e-13 relative, above the rounding of the cancelled terms.
+    spec, center, M = case
+    stacked, cancelled = stacked_reference(spec, center, np.real(M))
+    broadcast = reduction._reference_norm(spec, center, np.real(M))
+    if spec.dimension == 1:
+        assert broadcast == stacked
+    assert abs(broadcast - stacked) <= 1e-13 * stacked + 1e-14 * cancelled
+
+
+def test_duhamel_curve_keeps_its_bits_on_the_remainder_2d_config(
+        monkeypatch):
+    # The dense reference only gates: the curve is bitwise the exact
+    # integral with no spot checked, and the stacked-point reference
+    # passes the same curve.
+    C = np.zeros((4, 4))
+    C[0, 2] = C[2, 0] = 0.5
+    C[2, 1], C[3, 0] = 0.01, 0.02
+    spec = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial2d(C),
+                           dimension=2)
+    start = PhasePoint([1.0, 0.0], [0.0, 0.5])
+    traj = integrate_flow(spec, start, 0.5, 0.01)
+    flow = approximate_flow(spec, traj, packet(start, np.eye(2)))
+    curve = duhamel_curve(spec, flow)
+    assert len(curve) == 51
+    assert curve[-1] == pytest.approx(0.013826466248830395, rel=1e-14, abs=0)
+    unchecked = reduction._remainder_norms(spec, flow.traj.xi,
+                                           flow.series.M.real, ())
+    assert np.array_equal(
+        curve, cumulative_trapezoid(unchecked, flow.times, initial=0.0))
+    monkeypatch.setattr(reduction, "_reference_norm",
+                        lambda *args: stacked_reference(*args)[0])
+    assert np.array_equal(duhamel_curve(spec, flow), curve)
+
+
 @pytest.mark.parametrize("spec, start", [
     (PURE_CUBIC, PhasePoint(0.0, 0.0)),
     (COUPLED_2D, PhasePoint([0.0, 0.0], [0.0, 0.0])),
@@ -135,8 +194,8 @@ def test_remainder_spot_check_is_live(monkeypatch, spec, start):
     traj = integrate_flow(spec, start, 0.1, 0.01)
     flow = approximate_flow(spec, traj, packet(start, 1.0))
     duhamel_curve(spec, flow)
-    exact = reduction.taylor_remainder_V
-    monkeypatch.setattr(reduction, "taylor_remainder_V",
+    exact = reduction._dense_remainder
+    monkeypatch.setattr(reduction, "_dense_remainder",
                         lambda *args: exact(*args) * (1.0 + 1e-6))
     with pytest.raises(NumericalError):
         duhamel_curve(spec, flow)

@@ -6,6 +6,7 @@ from qreduce.errors import ConfigError
 from qreduce.grid import GridSpec
 from qreduce.hamiltonian import (HamiltonianSpec, PhasePoint, PotentialModel,
                                  eval_h)
+from qreduce.reduction import ReductionProblem, run_reduction
 from qreduce.scaling import (coherent_scaling_check, hepp_experiment,
                              scale_hamiltonian, scale_value)
 
@@ -122,6 +123,29 @@ def test_hepp_family_shrinks_the_error():
     assert out["monotone_error"]
     assert out["monotone_bound"]
     assert out["rows"][0]["error"] > out["rows"][1]["error"]
+
+
+@pytest.mark.parametrize("spec, alpha0, grid, T, dt", [
+    # 401 steps at stride 2: the final snapshot is off the stride.
+    (CUBIC, PhasePoint(1.0, 0.5), GridSpec(1, 1024, 20.0), 0.401, 1e-3),
+    (HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial2d(
+        [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.1, 0.0]]), dimension=2),
+     PhasePoint([1.0, 0.0], [0.0, 0.5]), GridSpec(2, 256, 17.0), 0.3, 0.01),
+], ids=["1d", "2d"])
+def test_scale_rows_are_bitwise_the_full_pipeline(spec, alpha0, grid, T, dt):
+    # A row skips the comparator half of run_reduction, whose error and
+    # worst Duhamel bound over the snapshots it reports unchanged.
+    lambdas = [1.0, 0.25]
+    out = hepp_experiment(spec, alpha0, T=T, lambdas=lambdas, grid=grid,
+                          dt=dt)
+    for lam, row in zip(lambdas, out["rows"]):
+        report = run_reduction(ReductionProblem(
+            spec=scale_hamiltonian(spec, lam).family_member, alpha0=alpha0,
+            T=T, epsilon=1e6, grid=grid, dt=dt))
+        assert len(report.times) == (202 if spec.dimension == 1 else 31)
+        assert row["failed"] is None
+        assert row["error"] == report.error.overall
+        assert row["bound"] == float(np.max(report.bounds.delta1_duhamel))
 
 
 def test_hepp_quadratic_is_exact_under_any_reading():
