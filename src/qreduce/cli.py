@@ -21,9 +21,14 @@ positive integers, comparator-audit "dimension" 1 or 2.  The scalars
 "dilations", "radii", "psi", a list "epsilon", a region's "center" and
 "half_widths", a potential's "coeffs", and of the matrices "M0",
 "matrix", "omega" and "coeff_matrix", must be finite JSON numbers: not
-booleans, strings, NaN or Infinity.  "M0" is a number or an n x n
-matrix (in 1D also [m]).  The start state and the grid take the
-potential's dimension; ehrenfest is 1D only.
+booleans, strings, NaN or Infinity.  "T", "dt", and each entry of
+"horizons", "lambdas" and "dilations" must be positive, and dt <= T
+wherever a mode takes both (the grid form of classify-quantum takes no
+T: its dt needs only be positive).  "M0" is a number or an n x n matrix
+(in 1D also [m]) with Re M0 positive definite and M0 symmetric.  The
+start state and the grid take the potential's dimension, and a scale
+center must lie within 0.75 L of the grid's middle on every axis;
+ehrenfest is 1D only.
 
 Every report embeds the tool version, the sha256 hash of the canonical
 config serialization, the full config echo, and the provenance of the
@@ -64,8 +69,9 @@ from .classical import PhaseRegion, classify_classical
 from .comparator import ComparatorSpec, comparator_scalars
 from .errors import ConfigError, QReduceError
 from .grid import DEFAULT_GRID, GridSpec
-from .hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel
-from .packets import packet, sample_on_grid
+from .hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel, \
+    time_steps
+from .packets import _as_matrix, _check_widths, packet, sample_on_grid
 from .reduction import (DEFAULT_DT, ReductionProblem, ehrenfest_residuals,
                         ehrenfest_run, run_reduction, squeeze_sweep)
 from .scaling import hepp_experiment
@@ -132,17 +138,50 @@ def _matrix(raw, path: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+def _positive(value: float, path: str) -> float:
+    if value <= 0:
+        _fail(path, "must be positive")
+    return value
+
+
+def _positives(raw, path: str) -> list:
+    """A list of positive numbers, entry i read as the field path.i."""
+    values = _numbers(raw, path)
+    for i, value in enumerate(values):
+        _positive(value, f"{path}.{i}")
+    return values
+
+
+def _horizon(problem: dict, dt_default: float):
+    """(T, dt): T positive and dt valid for it by time_steps' rule."""
+    T = _positive(_number(problem, "problem", "T", required=True),
+                  "problem.T")
+    dt = _number(problem, "problem", "dt", default=dt_default)
+    try:
+        time_steps(T, dt)
+    except ValueError:
+        _fail("problem.dt", "must be positive and at most T")
+    return T, dt
+
+
 def _width(block: dict, path: str, n: int):
-    """M0: a number, or an n x n matrix of numbers (in 1D also [m])."""
+    """M0: a number, or an n x n matrix of numbers (in 1D also [m]), that
+    passes the width checks of packet(alpha0, M0)."""
     raw = block.get("M0", 1.0)
     if not isinstance(raw, list):
-        return _number(block, path, "M0", default=1.0)
-    if any(isinstance(row, list) for row in raw):
+        value = _number(block, path, "M0", default=1.0)
+    elif any(isinstance(row, list) for row in raw):
         value = _matrix(raw, f"{path}.M0")
     else:
         value = np.array(_numbers(raw, f"{path}.M0"))
-    if np.atleast_2d(value).shape != (n, n):
+    if np.ndim(value) and np.atleast_2d(value).shape != (n, n):
         _fail(f"{path}.M0", f"must be a number or a {n}x{n} matrix")
+    M = _as_matrix(value, n)
+    try:
+        # packet's factors: A = M0, B = identity.
+        _check_widths(M[None], M[None], np.eye(n)[None])
+    except ValueError as exc:
+        _fail(f"{path}.M0", str(exc))
     return value
 
 
@@ -257,12 +296,11 @@ def _run_reduce(problem: dict):
     spec = _spec_from(problem)
     grid = _grid_from(problem, spec)
     comp = _comparator_from(problem)
-    dt = _number(problem, "problem", "dt", default=DEFAULT_DT)
+    T, dt = _horizon(problem, DEFAULT_DT)
     epsilon = _epsilon(problem, default=None)
     M0 = _width(problem, "problem", spec.dimension)
     ro = ReductionProblem(
-        spec=spec, alpha0=_phase_point(problem, spec),
-        T=_number(problem, "problem", "T", required=True),
+        spec=spec, alpha0=_phase_point(problem, spec), T=T,
         epsilon=epsilon, comparator=comp,
         E=_number(problem, "problem", "E"), grid=grid, M0=M0,
         region=_region_from(problem), dt=dt,
@@ -284,8 +322,7 @@ def _run_reduce(problem: dict):
 def _run_classify_classical(problem: dict):
     spec = _spec_from(problem)
     alpha0 = _phase_point(problem, spec)
-    horizon = _number(problem, "problem", "T", required=True)
-    dt = _number(problem, "problem", "dt", default=1e-3)
+    horizon, dt = _horizon(problem, 1e-3)
     radii = problem.get("radii")
     if radii is not None:
         radii = _numbers(radii, "problem.radii")
@@ -306,9 +343,10 @@ def _run_classify_quantum(problem: dict):
     if isinstance(horizons, list):
         if len(horizons) < 2:
             _fail("problem.horizons", "a list needs at least two horizons")
-        horizons = _numbers(horizons, "problem.horizons")
+        horizons = _positives(horizons, "problem.horizons")
     elif isinstance(horizons, (int, float)) and not isinstance(horizons, bool):
-        horizons = _number(problem, "problem", "horizons")
+        horizons = _positive(_number(problem, "problem", "horizons"),
+                             "problem.horizons")
     else:
         _fail("problem.horizons", "must be a number or a list of numbers")
     if "matrix" in problem:
@@ -343,7 +381,8 @@ def _run_classify_quantum(problem: dict):
     spec = _spec_from(problem)
     grid = _grid_from(problem, spec)
     comp = _comparator_from(problem)
-    dt = _number(problem, "problem", "dt", default=0.25)
+    dt = _positive(_number(problem, "problem", "dt", default=0.25),
+                   "problem.dt")
     alpha0, M0 = _start_packet(problem, spec)
 
     def compute():
@@ -380,22 +419,16 @@ def _run_comparator_audit(problem: dict):
 def _run_scale(problem: dict):
     spec = _spec_from(problem)
     alpha0 = _phase_point(problem, spec)
-    T = _number(problem, "problem", "T", required=True)
+    T, dt = _horizon(problem, DEFAULT_DT)
     lambdas = problem.get("lambdas")
     if not isinstance(lambdas, list) or not lambdas:
         _fail("problem.lambdas", "must be a nonempty list")
-    lambdas = _numbers(lambdas, "problem.lambdas")
-    if any(l <= 0 for l in lambdas):
-        _fail("problem.lambdas", "entries must be positive")
+    lambdas = _positives(lambdas, "problem.lambdas")
     if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
         _fail("problem.lambdas", "must be strictly decreasing")
     grid = _grid_from(problem, spec)
-    # Each family member is posed as a ReductionProblem with the default
-    # comparator, whose checks ask the grid to resolve that basis.
-    if not ComparatorSpec(s=1.0).fits(grid):
-        _fail("problem.grid", "cannot resolve the default comparator "
-              "basis that scale runs use")
-    dt = _number(problem, "problem", "dt", default=DEFAULT_DT)
+    if not grid.holds_center(alpha0.xi):
+        _fail("problem.alpha0", "initial center too close to the grid edge")
 
     def compute():
         out = hepp_experiment(spec, alpha0, T, lambdas, grid=grid, dt=dt)
@@ -410,14 +443,13 @@ def _run_squeeze(problem: dict):
     spec = _spec_from(problem)
     grid = _grid_from(problem, spec)
     comp = _comparator_from(problem)
-    dt = _number(problem, "problem", "dt", default=DEFAULT_DT)
+    T, dt = _horizon(problem, DEFAULT_DT)
     dilations = problem.get("dilations")
     if not isinstance(dilations, list) or not dilations:
         _fail("problem.dilations", "must be a nonempty list")
-    dilations = _numbers(dilations, "problem.dilations")
+    dilations = _positives(dilations, "problem.dilations")
     ro = ReductionProblem(
-        spec=spec, alpha0=_phase_point(problem, spec),
-        T=_number(problem, "problem", "T", required=True),
+        spec=spec, alpha0=_phase_point(problem, spec), T=T,
         epsilon=_epsilon(problem, default=1.0), comparator=comp,
         E=_number(problem, "problem", "E"), grid=grid, dt=dt)
 
@@ -437,8 +469,7 @@ def _run_ehrenfest(problem: dict):
     if spec.dimension != 1:
         _fail("problem.potential", "ehrenfest diagnostics are one-dimensional")
     grid = _grid_from(problem, spec)
-    T = _number(problem, "problem", "T", required=True)
-    dt = _number(problem, "problem", "dt", default=DEFAULT_DT)
+    T, dt = _horizon(problem, DEFAULT_DT)
     stride = _count(problem, "problem", "sample_stride", 2)
     alpha0, M0 = _start_packet(problem, spec)
 

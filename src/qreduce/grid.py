@@ -16,7 +16,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import WraparoundError
-from .hamiltonian import HamiltonianSpec
+from .hamiltonian import HamiltonianSpec, time_steps
 
 BOUNDARY_TOL = 1e-10
 NORM_TOL = 1e-12
@@ -74,6 +74,11 @@ class GridSpec:
     def cell(self) -> float:
         """Volume element dx^n."""
         return self.dx ** self.n
+
+    def holds_center(self, xi) -> bool:
+        """Whether a packet centred at xi starts clear of the grid edge:
+        |xi| <= 0.75 L on every axis."""
+        return bool(np.max(np.abs(xi)) <= 0.75 * self.L)
 
 
 DEFAULT_GRID = GridSpec(n=1, N=1024, L=20.0)
@@ -195,13 +200,10 @@ def propagate(spec: HamiltonianSpec, psi0: GridWavefunction, t_final: float,
         When boundary-band mass exceeds BOUNDARY_TOL (checked upfront,
         every CHECK_STRIDE steps and at the end): grid too small.
     """
-    if t_final <= 0 or dt <= 0 or dt > t_final:
-        raise ValueError("need 0 < dt <= t_final")
+    steps, dt = time_steps(t_final, dt)
     if observe_stride < 1:
         raise ValueError("observe_stride must be at least 1")
     grid = psi0.grid
-    steps = max(1, int(round(t_final / dt)))
-    dt = t_final / steps
     v = potential_on_grid(spec, grid)
     half_v = np.exp(-0.5j * dt * v)
     kinetic = np.exp(-1j * dt * grid.k_squared / (2.0 * spec.mass))

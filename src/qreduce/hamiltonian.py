@@ -214,6 +214,20 @@ class HamiltonianSpec:
             raise ValueError("potential dimension does not match spec")
 
 
+def time_steps(t_final: float, dt: float):
+    """(steps, step) of a run over [0, t_final] at a requested dt.
+
+    The one step rule of the classical flow and the grid run: valid only
+    when 0 < dt <= t_final (ValueError otherwise), steps = max(1,
+    round(t_final / dt)) and step = t_final / steps, so the steps divide
+    the horizon exactly.
+    """
+    if not 0 < dt <= t_final:
+        raise ValueError("need 0 < dt <= t_final")
+    steps = max(1, int(round(t_final / dt)))
+    return steps, t_final / steps
+
+
 def eval_h(spec: HamiltonianSpec, alpha: PhasePoint) -> float:
     """Total energy h(alpha) = pi^2 / 2m + V(xi)."""
     return float(energies(spec, alpha.xi, alpha.pi))

@@ -34,11 +34,11 @@ from .classical import ClassicalTrajectory, PhaseRegion, integrate_flow
 from .comparator import RESIDUAL_TOL, BasisResidualError, ComparatorSpec, \
     _residual_error, apply_comparator, comparator_scalars, \
     hermite_coefficients, within_magnitude
-from .errors import ConfigError, NumericalError, OverflowGuardError
+from .errors import ConfigError, NumericalError
 from .grid import DEFAULT_GRID, GridSpec, GridWavefunction, _row_norms, \
     expectation_a, propagate
 from .hamiltonian import MAX_POLY_DEGREE, HamiltonianSpec, PhasePoint, \
-    taylor_remainder_V
+    taylor_remainder_V, time_steps
 from .packets import GaussianPacket, PacketFlow, approximate_flow, packet, \
     sample_on_grid
 
@@ -92,7 +92,7 @@ class ReductionProblem:
             raise ConfigError("potential, grid and alpha0 dimensions differ")
         if not self.comparator.fits(self.grid):
             raise ConfigError("grid cannot resolve the comparator basis")
-        if np.max(np.abs(self.alpha0.xi)) > 0.75 * self.grid.L:
+        if not self.grid.holds_center(self.alpha0.xi):
             raise ConfigError("initial center too close to the grid edge")
 
     def epsilon_vector(self) -> np.ndarray:
@@ -227,15 +227,14 @@ class QuantumRun:
     """What a streamed grid run measured at its snapshots.
 
     times and expectations (one (2n,) row per snapshot) come from every
-    run; bound_inputs holds the per-snapshot bound measurements when the
-    run was given a BoundInputs.  No grid state is kept.
+    run; the bound measurements, when there are any, went to the
+    BoundInputs the run was given.  No grid state is kept.
     """
 
     times: np.ndarray
     expectations: np.ndarray
     boundary_mass_max: float
     norm_drift: float
-    bound_inputs: "BoundInputs" = None
 
 
 def run_grid(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
@@ -245,14 +244,15 @@ def run_grid(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
 
     The snapshots are the start, every stride-th step (stride =
     steps // samples, at least 1) and the final step, also when stride
-    does not divide the step count.  They are measured as propagate
-    hands them over, a block at a time: one stacked expectation_a call
-    per block and, with ``bound_inputs``, one BoundInputs.add call that
-    takes the block's per-snapshot bound work.  samples must be a
-    positive integer.
+    does not divide the step count; the steps follow time_steps(T, dt).
+    They are measured as propagate hands them over, a block at a time:
+    one stacked expectation_a call per block and, with ``bound_inputs``,
+    one BoundInputs.add call that takes the block's per-snapshot bound
+    work and keeps it for assemble_bounds.  samples must be a positive
+    integer.
     """
     samples = _positive_int(samples, "samples")
-    steps = max(1, int(round(T / dt)))
+    steps, step_dt = time_steps(T, dt)
     stride = max(1, steps // samples)
     grid = psi0.grid
     times, expectations = [], []
@@ -266,11 +266,11 @@ def run_grid(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
     observe(np.zeros(1), psi0.amp[None])
     ev = propagate(spec, psi0, T, dt, observer=observe, observe_stride=stride)
     if steps % stride:
-        observe(np.array([steps * (T / steps)]), ev.final.amp[None])
+        observe(np.array([steps * step_dt]), ev.final.amp[None])
     return QuantumRun(times=np.concatenate(times),
                       expectations=np.concatenate(expectations),
                       boundary_mass_max=ev.boundary_mass_max,
-                      norm_drift=ev.norm_drift, bound_inputs=bound_inputs)
+                      norm_drift=ev.norm_drift)
 
 
 def measured_error(run: QuantumRun, traj: ClassicalTrajectory) -> ErrorCurve:
@@ -315,15 +315,19 @@ class BoundAssembly:
         return bool(np.all(self.membership_u) and np.all(self.membership_w))
 
 
-def _membership_probe(comp: ComparatorSpec, E, projection):
-    # A state with mass beyond the truncated basis certifies nothing;
-    # score it as divergent rather than aborting the assembly.
-    try:
-        probe = within_magnitude(comp, E or E_PROBE, None,
-                                 projection=projection)
-    except BasisResidualError:
-        return np.inf, True
-    return probe["inv_norm"], probe["divergent"]
+def _membership_probes(comp: ComparatorSpec, E, coeffs, residual):
+    # One within_magnitude call per row, given the row's projection.  A
+    # state with mass beyond the truncated basis certifies nothing; it
+    # scores as divergent rather than aborting the assembly.
+    inv, divergent = np.full(len(coeffs), np.inf), np.ones(len(coeffs), bool)
+    for row, projection in enumerate(zip(coeffs, residual.tolist())):
+        try:
+            probe = within_magnitude(comp, E or E_PROBE, None,
+                                     projection=projection)
+        except BasisResidualError:
+            continue
+        inv[row], divergent[row] = probe["inv_norm"], probe["divergent"]
+    return inv, divergent
 
 
 class BoundInputs:
@@ -333,26 +337,24 @@ class BoundInputs:
     (N,) * n on the problem's grid) at snapshot times, as propagate hands
     them to run_grid, and scores the block as arrays.  flow.sample writes
     the approximating packets W, at the trajectory step of each time,
-    into one block-sized buffer.  u and W are projected by one row-exact
+    into one block-sized buffer.  W and u are projected by one row-exact
     stacked hermite_coefficients product each, and the W rows are
     smoothed by one stacked apply_comparator call.  delta1 = ||W - u||
     and delta2 = ||(1 - Omega) W|| are stacked row norms.  The membership
     probes stay one within_magnitude call per state, each given that
     state's projection, so W's one projection serves delta2 and its
     probe alike.  Every number is bitwise the one a per-state run gives.
-    The first W row with more than RESIDUAL_TOL of its mass outside the
-    basis ends the bound work of the run: the rows before it are kept,
-    the BasisResidualError that apply_comparator raises for that row is
-    kept in ``failure``, and assemble_bounds raises it.  An error from
-    the smoothing of the rows before it ends the run's bound work too,
-    with none of the block's rows kept.
+    ``blocks`` holds one tuple of arrays per block: steps, delta1,
+    delta2, the inverse norms of u and W, their divergence flags.  The
+    first W row with more than RESIDUAL_TOL of its mass outside the basis
+    ends the run's bound work: its BasisResidualError goes to
+    ``failure``, for assemble_bounds to raise, and its block is not kept.
     """
 
     def __init__(self, problem: ReductionProblem, flow: PacketFlow):
         self.problem = problem
         self.flow = flow
-        self.steps = []
-        self.rows = []
+        self.blocks = []
         self.failure = None
 
     def add(self, times, amps):
@@ -365,62 +367,51 @@ class BoundInputs:
         comp, E, grid = (self.problem.comparator, self.problem.E,
                          self.problem.grid)
         w = self.flow.sample(steps, grid)
-        delta1 = _row_norms(w - amps, grid)
-        u_coeffs, u_residual = hermite_coefficients(comp, amps, grid)
         w_coeffs, w_residual = hermite_coefficients(comp, w, grid)
         outside = np.flatnonzero(w_residual > RESIDUAL_TOL)
-        kept = outside[0] if outside.size else len(amps)
-        try:
-            # W's rows are not read again once projected, so they turn
-            # into W - Omega W, whose norms are delta2.
-            w[:kept] -= apply_comparator(
-                comp, w[:kept], normalized=True,
-                projection=(w_coeffs[:kept], w_residual[:kept]), grid=grid)
-        except (BasisResidualError, OverflowGuardError) as exc:
-            self.failure = exc
+        if outside.size:
+            self.failure = _residual_error(w_residual[outside[0]])
             return
-        if kept < len(amps):
-            self.failure = _residual_error(w_residual[kept])
-        delta2 = _row_norms(w[:kept], grid)
-        self.steps.extend(steps[:kept].tolist())
-        for row in range(kept):
-            inv_u, div_u = _membership_probe(
-                comp, E, (u_coeffs[row], float(u_residual[row])))
-            inv_w, div_w = _membership_probe(
-                comp, E, (w_coeffs[row], float(w_residual[row])))
-            self.rows.append((delta1[row], delta2[row], inv_u, inv_w, div_u,
-                              div_w))
+        delta1 = _row_norms(w - amps, grid)
+        u_coeffs, u_residual = hermite_coefficients(comp, amps, grid)
+        # W's rows are not read again once projected, so they turn into
+        # W - Omega W, whose norms are delta2.
+        w -= apply_comparator(comp, w, normalized=True,
+                              projection=(w_coeffs, w_residual), grid=grid)
+        inv_u, div_u = _membership_probes(comp, E, u_coeffs, u_residual)
+        inv_w, div_w = _membership_probes(comp, E, w_coeffs, w_residual)
+        self.blocks.append((steps, delta1, _row_norms(w, grid), inv_u, inv_w,
+                            div_u, div_w))
 
 
 def assemble_bounds(problem: ReductionProblem, run: QuantumRun,
-                    flow: PacketFlow, error: ErrorCurve = None) -> BoundAssembly:
+                    inputs: BoundInputs,
+                    error: ErrorCurve = None) -> BoundAssembly:
     """Evaluate both bound assemblies at the run's sample times.
 
-    The run must have been streamed with BoundInputs(problem, flow),
+    inputs is the BoundInputs(problem, flow) the run was streamed with,
     which measured delta1, delta2 and the inverse norms of every
-    snapshot; this stage adds the Duhamel curve, selects E, takes the
-    operator scalars and assembles.  E defaults to 1.5x the largest
-    measured inverse-comparator norm over both state families, so the
-    magnitude hypotheses hold unless the truncated expansion diverges.
-    When the hypotheses hold and an error curve is supplied, domination
-    of the measured error is asserted.
+    snapshot; this stage adds the Duhamel curve of inputs.flow, selects
+    E, takes the operator scalars and assembles.  E defaults to 1.5x the
+    largest measured inverse-comparator norm over both state families,
+    so the magnitude hypotheses hold unless the truncated expansion
+    diverges.  When the hypotheses hold and an error curve is supplied,
+    domination of the measured error is asserted.
 
     Raises
     ------
-    BasisResidualError, OverflowGuardError
-        The first failure of the streamed bound work, if there was one.
+    NumericalError
+        From the Duhamel curve's spot check, which runs first.
+    BasisResidualError
+        The W residual that ended the streamed bound work, if one did.
     """
-    inputs = run.bound_inputs
-    if inputs is None or inputs.flow is not flow:
-        raise ValueError("the run was not streamed with BoundInputs for "
-                         "this flow")
     comp = problem.comparator
-    duh_full = duhamel_curve(problem.spec, flow)
+    duh_full = duhamel_curve(problem.spec, inputs.flow)
     if inputs.failure is not None:
         raise inputs.failure
-    delta1_duh = duh_full[inputs.steps]
-    delta1, delta2, inv_u, inv_w, div_u, div_w = (
-        np.array(column) for column in zip(*inputs.rows))
+    steps, delta1, delta2, inv_u, inv_w, div_u, div_w = (
+        np.concatenate(column) for column in zip(*inputs.blocks))
+    delta1_duh = duh_full[steps]
     finite = np.concatenate([inv_u[~div_u], inv_w[~div_w]])
     if problem.E is not None:
         E = problem.E
@@ -532,15 +523,15 @@ def _single_run(problem: ReductionProblem, alpha0: PhasePoint):
     base = packet(alpha0, problem.M0)
     flow = approximate_flow(spec, traj, base)
     psi0 = sample_on_grid(base, problem.grid)
-    run = run_grid(spec, psi0, problem.T, problem.dt, problem.samples,
-                   BoundInputs(problem, flow))
+    inputs = BoundInputs(problem, flow)
+    run = run_grid(spec, psi0, problem.T, problem.dt, problem.samples, inputs)
     error = measured_error(run, traj)
     eps = problem.epsilon_vector()
     within = bool(np.all(error.components < eps[None, :]))
     bounds = failure = None
     try:
-        bounds = assemble_bounds(problem, run, flow, error)
-    except (BasisResidualError, OverflowGuardError) as exc:
+        bounds = assemble_bounds(problem, run, inputs, error)
+    except BasisResidualError as exc:
         # The certificate broke down, not the run: the measured error
         # still decides the verdict, and no bound is reported.
         failure = {"alpha0": alpha0.vector.tolist(),
@@ -565,9 +556,9 @@ def run_reduction(problem: ReductionProblem) -> ReductionReport:
     ("not-reduced"); otherwise any failed magnitude hypothesis leaves
     the question open ("hypothesis-failed").  The reported curves belong
     to the worst sample (largest error).  A bound stage that breaks down
-    (BasisResidualError, OverflowGuardError) leaves that sample without
-    bounds, so its hypotheses count as failed; the report's
-    bound_failure names the first such sample.  provenance["E_source"]
+    (BasisResidualError: a W state outside the comparator basis) leaves
+    that sample without bounds, so its hypotheses count as failed; the
+    report's bound_failure names the first such sample.  provenance["E_source"]
     is "given" for a user E and "auto" for one selected from the run,
     where the magnitude hypotheses hold by construction.
     """
@@ -679,7 +670,9 @@ def squeeze_sweep(problem: ReductionProblem, dilations) -> dict:
     comparator vacuum.  The total uses the specialized assembly with the
     Duhamel integral standing in for Delta_1.  E is taken from the
     problem, else measured on the d = 1 flow, which its row then reuses;
-    E_source in the result says which ("given" or "auto").
+    E_source in the result says which ("given" or "auto").  Each final
+    state is projected on the comparator basis once, with its flow, and
+    that projection serves both the E probe and the smoothing.
     """
     dilations = [float(d) for d in dilations]
     if any(d <= 0 for d in dilations):
@@ -691,20 +684,22 @@ def squeeze_sweep(problem: ReductionProblem, dilations) -> dict:
     @functools.cache
     def final_state(d):
         flow = approximate_flow(spec, traj, packet(problem.alpha0, d))
-        return flow, sample_on_grid(flow.packet_at(-1), problem.grid)
+        w_state = sample_on_grid(flow.packet_at(-1), problem.grid)
+        return flow, w_state, hermite_coefficients(comp, w_state)
 
     if problem.E is not None:
         E = problem.E
     else:
-        _, reference = final_state(1.0)
-        probe = within_magnitude(comp, E_PROBE, reference)
+        probe = within_magnitude(comp, E_PROBE, None,
+                                 projection=final_state(1.0)[2])
         E = E_MARGIN * probe["inv_norm"] if not probe["divergent"] else E_PROBE
     prefactor = float(np.sqrt(np.exp(comp.s) / (comp.s * np.e)))
     rows = []
     for d in dilations:
-        flow, w_state = final_state(d)
+        flow, w_state, projection = final_state(d)
         duh = float(duhamel_curve(spec, flow)[-1])
-        smoothed = apply_comparator(comp, w_state, normalized=True)
+        smoothed = apply_comparator(comp, w_state, normalized=True,
+                                    projection=projection)
         comparator_term = w_state.distance(smoothed)
         total = prefactor * ((E + 3.0) * duh
                              + 2.0 * (E + 1.0) * comparator_term)

@@ -21,8 +21,7 @@ from .errors import ConfigError, QReduceError
 from .grid import DEFAULT_GRID, GridSpec, expectation_a
 from .hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel
 from .packets import approximate_flow, packet, sample_on_grid
-from .reduction import DEFAULT_DT, ReductionProblem, duhamel_curve, \
-    measured_error, run_grid
+from .reduction import DEFAULT_DT, duhamel_curve, measured_error, run_grid
 
 SCALE_EXPONENTS = {
     "position": 0.5,
@@ -133,17 +132,14 @@ def coherent_scaling_check(alpha_lam: PhasePoint, lam: float,
 
 
 def _family_row(spec, alpha0, T, lam, grid, dt) -> dict:
-    # The problem is posed for its config checks; of its pipeline only
-    # the stages behind the row's two numbers run, with no bound stage.
+    # Of the reduction pipeline only the stages behind the row's two
+    # numbers run, from the unit-width packet, with no comparator work.
     family = scale_hamiltonian(spec, lam).family_member
-    problem = ReductionProblem(spec=family, alpha0=alpha0, T=T,
-                               epsilon=1e6, grid=grid, dt=dt)
     try:
         traj = integrate_flow(family, alpha0, T, dt)
-        base = packet(alpha0, problem.M0)
+        base = packet(alpha0, 1.0)
         flow = approximate_flow(family, traj, base)
-        run = run_grid(family, sample_on_grid(base, grid), T, dt,
-                       problem.samples)
+        run = run_grid(family, sample_on_grid(base, grid), T, dt)
         error = measured_error(run, traj)
         # The curve is nondecreasing and the run's last snapshot is the
         # final step, so its last value is its maximum over the snapshots.
@@ -163,10 +159,12 @@ def hepp_experiment(spec: HamiltonianSpec, alpha0: PhasePoint, T: float,
     For each lambda the reduction pipeline runs with the family member
     g_lam, the same initial phase point, and the same horizon, up to the
     two numbers its row reports: the worst expectation error and the
-    worst Duhamel remainder bound.  No comparator work runs, so a row
-    fails (failed names the error) only in a stage behind those numbers:
-    the classical flow, the packet flow, the grid run or the remainder
-    cross-check.  For an anharmonic polynomial both shrink as lambda does,
+    worst Duhamel remainder bound, from the unit-width packet.  No
+    comparator work runs, so the grid need not resolve a comparator
+    basis, and a row fails (failed names the error) only in a stage
+    behind those numbers: the classical flow, the packet flow, the grid
+    run or the remainder cross-check.  A centre too close to the grid
+    edge (GridSpec.holds_center) is a ConfigError, as in a reduction.  For an anharmonic polynomial both shrink as lambda does,
     since every degree-k > 2 coefficient carries lambda^(k/2 - 1).
     """
     lams = [float(l) for l in lambdas]
@@ -174,6 +172,8 @@ def hepp_experiment(spec: HamiltonianSpec, alpha0: PhasePoint, T: float,
         raise ConfigError("scale parameters must be positive")
     if any(b >= a for a, b in zip(lams, lams[1:])):
         raise ConfigError("scale parameters must be strictly decreasing")
+    if not grid.holds_center(alpha0.xi):
+        raise ConfigError("initial center too close to the grid edge")
     rows = [_family_row(spec, alpha0, T, l, grid, dt) for l in lams]
     ok = [r for r in rows if r["failed"] is None]
     errors = [r["error"] for r in ok]

@@ -5,12 +5,16 @@ from hypothesis import strategies as st
 
 from qreduce import FlowDivergedError, HamiltonianSpec, PhasePoint, PotentialModel
 from qreduce.classical import (
+    DIVERGENCE_NORM,
     PhaseRegion,
+    _horner,
     classical_average_stay,
     classical_transit_time,
     classify_classical,
     integrate_flow,
 )
+from qreduce.cli import PRESETS
+from qreduce.hamiltonian import time_steps
 
 HARMONIC = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial([0, 0, 0.5]))
 FREE = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial([0.0]))
@@ -232,3 +236,71 @@ def test_no_capture_forward_backward_symmetry():
         rev = classify_classical(HARMONIC, PhasePoint(alpha.xi, -alpha.pi),
                                  horizon=20.0, dt=1e-2)
         assert fwd.label == rev.label == "bound"
+
+
+def two_force_leapfrog(force, x, p, mass, steps, dt):
+    """Kick-drift-kick with the force evaluated at both kicks of a step,
+    up to the first state outside the divergence window."""
+    xs, ps = [x], [p]
+    half = 0.5 * dt
+    for _ in range(steps):
+        p = p - half * force(x)
+        x = x + dt * p / mass
+        p = p - half * force(x)
+        xs.append(x)
+        ps.append(p)
+        if not np.all(np.abs(np.append(x, p)) < DIVERGENCE_NORM):
+            break
+    return np.array(xs), np.array(ps)
+
+
+@st.composite
+def flow_cases(draw):
+    # A preset in 1D, or a 2D polynomial within the degree cap; a start
+    # point, a mass, a horizon and a step.
+    unit = st.floats(min_value=-2.0, max_value=2.0)
+    n = draw(st.sampled_from([1, 2]))
+    if n == 1:
+        pot = PotentialModel.polynomial(PRESETS[draw(st.sampled_from(
+            sorted(PRESETS)))])
+    else:
+        C = np.zeros((5, 5))
+        for i, j in np.ndindex(C.shape):
+            if i + j <= 4:
+                C[i, j] = draw(unit)
+        pot = PotentialModel.polynomial2d(C)
+    spec = HamiltonianSpec(mass=draw(st.floats(min_value=0.5, max_value=2.0)),
+                           potential=pot, dimension=n)
+    alpha0 = PhasePoint([draw(unit) for _ in range(n)],
+                        [draw(unit) for _ in range(n)])
+    T = draw(st.floats(min_value=0.1, max_value=5.0))
+    return spec, alpha0, T, draw(st.floats(min_value=1e-3, max_value=T))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=flow_cases())
+def test_leapfrog_reuses_each_force_bitwise(case):
+    # One force evaluation per step is the same arithmetic on the same
+    # operands as two, so the trajectory keeps its bits.
+    spec, alpha0, T, dt = case
+    pot = spec.potential
+    if spec.dimension == 1:
+        dcoef = list(np.polynomial.polynomial.polyder(pot.coeffs))
+        xs, ps = two_force_leapfrog(lambda x: _horner(dcoef, x),
+                                    float(alpha0.xi[0]), float(alpha0.pi[0]),
+                                    spec.mass, *time_steps(T, dt))
+        xs, ps = xs[:, None], ps[:, None]
+    else:
+        xs, ps = two_force_leapfrog(pot.gradient, alpha0.xi.copy(),
+                                    alpha0.pi.copy(), spec.mass,
+                                    *time_steps(T, dt))
+    try:
+        traj = integrate_flow(spec, alpha0, T, dt)
+    except FlowDivergedError as err:
+        traj = err.trajectory
+        assert len(traj.times) == len(xs) - 1
+    else:
+        assert len(traj.times) == len(xs)
+    kept = len(traj.times)
+    assert np.array_equal(traj.xi, xs[:kept])
+    assert np.array_equal(traj.pi, ps[:kept])

@@ -203,8 +203,7 @@ def test_comparator_too_large_for_the_grid_exits_two(tmp_path):
 @pytest.mark.parametrize("fault", [
     {"lambdas": [0.5, 1.0]},
     {"lambdas": [1.0, -0.5]},
-    {"grid": {"n": 1, "N": 256, "L": 8.0}},
-], ids=["increasing", "negative", "grid-too-small"])
+], ids=["increasing", "negative"])
 def test_scale_config_faults_exit_two(tmp_path, fault):
     # Validated before compute(): no run starts, no failure report.
     problem = {"potential": "cubic-perturbed", "alpha0": [1.0, 0.5],
@@ -212,6 +211,23 @@ def test_scale_config_faults_exit_two(tmp_path, fault):
     cfg = write_config(tmp_path, {"mode": "scale", "problem": problem})
     assert run(cfg, out_dir=tmp_path / "out") == 2
     assert not (tmp_path / "out" / "scale-failure.json").exists()
+
+
+def test_scale_runs_on_a_grid_too_small_for_the_comparator(tmp_path):
+    # A scale row runs no comparator work, so its grid need not resolve
+    # the default comparator basis (this grid cannot).
+    problem = {"potential": "cubic-perturbed", "alpha0": [1.0, 0.5],
+               "T": 0.5, "lambdas": [1.0, 0.25],
+               "grid": {"n": 1, "N": 256, "L": 8.0}}
+    cfg = write_config(tmp_path, {"mode": "scale", "problem": problem})
+    assert run(cfg, out_dir=tmp_path / "out") == 0
+    rows = json.loads((tmp_path / "out" / "scale.json").read_text())[
+        "result"]["rows"]
+    assert [row["failed"] for row in rows] == [None, None]
+    assert [row["error"] for row in rows] == pytest.approx(
+        [0.011828, 0.005953], rel=1e-4)
+    assert [row["bound"] for row in rows] == pytest.approx(
+        [0.011270, 0.005670], rel=1e-4)
 
 
 COUNT_KEYS = {
@@ -290,6 +306,74 @@ def test_integer_fields_are_checked_not_truncated(tmp_path, mode, problem):
                    "dt": 0.01, "epsilon": 0.1, **problem}
     cfg = write_config(tmp_path, {"mode": mode, "problem": problem})
     assert run(cfg, out_dir=tmp_path / "out") == 2
+    assert not (tmp_path / "out").exists()
+
+
+HARMONIC_AT_1 = {"potential": "harmonic", "alpha0": [1.0, 0.0]}
+SCALE_CASE = {"potential": "cubic-perturbed", "alpha0": [1.0, 0.5],
+              "lambdas": [1.0, 0.25]}
+GRID_QUANTUM = {"potential": "harmonic", "grid": {"n": 1, "N": 256, "L": 10.0},
+                "comparator": {"s": 1.0, "N": 16}}
+
+
+@pytest.mark.parametrize("mode, problem, field", [
+    ("reduce", {**HARMONIC_AT_1, "T": 0.1, "dt": 0.5, "epsilon": 1e-3},
+     "problem.dt"),
+    ("reduce", {**HARMONIC_AT_1, "T": 0.1, "dt": -0.01, "epsilon": 1e-3},
+     "problem.dt"),
+    ("reduce", {**HARMONIC_AT_1, "T": 0.1, "dt": 0, "epsilon": 1e-3},
+     "problem.dt"),
+    ("classify-classical", {**HARMONIC_AT_1, "T": 0}, "problem.T"),
+    ("classify-classical", {**HARMONIC_AT_1, "T": -1}, "problem.T"),
+    ("classify-classical", {**HARMONIC_AT_1, "T": 1.0, "dt": -0.1},
+     "problem.dt"),
+    ("ehrenfest", {"potential": "harmonic", "T": -1}, "problem.T"),
+    ("ehrenfest", {"potential": "harmonic", "T": 0.1, "dt": 0.2},
+     "problem.dt"),
+    ("scale", {**SCALE_CASE, "T": -0.5}, "problem.T"),
+    ("scale", {**SCALE_CASE, "T": 0.1, "dt": 0.2}, "problem.dt"),
+    ("squeeze", {**HARMONIC_AT_1, "T": 0.1, "dt": 0.01,
+                 "dilations": [1.0, 0.0]}, "problem.dilations.1"),
+    ("squeeze", {**HARMONIC_AT_1, "T": 0.1, "dt": 0.01,
+                 "dilations": [-1.0]}, "problem.dilations.0"),
+    ("classify-quantum", {**GRID_QUANTUM, "horizons": -1.0},
+     "problem.horizons"),
+    ("classify-quantum", {**GRID_QUANTUM, "horizons": [-1.0, 2.0]},
+     "problem.horizons.0"),
+    ("classify-quantum", {**GRID_QUANTUM, "horizons": 2.0, "dt": 0},
+     "problem.dt"),
+    ("classify-quantum", {**GRID_QUANTUM, "horizons": 2.0, "dt": -0.1},
+     "problem.dt"),
+    ("reduce", {**HARMONIC_AT_1, "T": 0.1, "dt": 0.01, "epsilon": 1e-3,
+                "M0": -1.0}, "problem.M0"),
+    ("reduce", {"potential": POT_2D, "alpha0": [0.0, 0.0, 0.0, 0.0],
+                "T": 0.1, "dt": 0.01, "epsilon": 1e-3,
+                "grid": {"n": 2, "N": 64, "L": 10.0},
+                "comparator": {"s": 1.0, "N": 16},
+                "M0": [[1.0, 0.5], [0.0, 1.0]]}, "problem.M0"),
+    ("ehrenfest", {"potential": "harmonic", "T": 0.1, "dt": 0.01,
+                   "packet": {"alpha0": [0.0, 0.0], "M0": -2.0}},
+     "problem.packet.M0"),
+    ("classify-quantum", {**GRID_QUANTUM, "horizons": 2.0,
+                          "packet": {"alpha0": [0.0, 0.0], "M0": -2.0}},
+     "problem.packet.M0"),
+    ("scale", {**SCALE_CASE, "T": 0.5, "alpha0": [19.0, 0.0]},
+     "problem.alpha0"),
+], ids=["reduce-dt-above-T", "reduce-dt-negative", "reduce-dt-zero",
+        "classical-T-zero", "classical-T-negative", "classical-dt-negative",
+        "ehrenfest-T-negative", "ehrenfest-dt-above-T", "scale-T-negative",
+        "scale-dt-above-T", "squeeze-dilation-zero",
+        "squeeze-dilation-negative", "quantum-horizon-negative",
+        "quantum-horizons-entry-negative", "quantum-dt-zero",
+        "quantum-dt-negative", "reduce-M0-negative", "reduce-M0-asymmetric",
+        "ehrenfest-M0-negative", "quantum-M0-negative", "scale-center-edge"])
+def test_setup_faults_exit_two_and_name_their_field(tmp_path, capsys, mode,
+                                                    problem, field):
+    # Each of these used to start the run and exit 3, raise out of run(),
+    # or (a negative grid dt) exit 0 with a stay curve of two steps.
+    cfg = write_config(tmp_path, {"mode": mode, "problem": problem})
+    assert run(cfg, out_dir=tmp_path / "out") == 2
+    assert f"config.{field}: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -429,6 +513,20 @@ def test_one_dimensional_widths_read_alike(tmp_path, width):
     expected = json.loads((tmp_path / "ref" / "reduce.json").read_text())
     assert result["result"]["delta1_measured"] == \
         expected["result"]["delta1_measured"]
+
+
+@pytest.mark.parametrize("width", [None, 1.0, [[1.0, 0.0], [0.0, 1.0]]],
+                         ids=["default", "number", "matrix"])
+def test_two_dimensional_widths_read_alike(tmp_path, width):
+    # A number, or no M0 at all, stands for that multiple of the identity.
+    problem = {"potential": POT_2D, "alpha0": [1.0, 0.0, 0.0, 0.5], "T": 0.1,
+               "dt": 0.01, "epsilon": 0.05, "grid": {"n": 2, "N": 64,
+                                                     "L": 10.0},
+               "comparator": {"s": 1.0, "N": 16}}
+    if width is not None:
+        problem["M0"] = width
+    cfg = write_config(tmp_path, {"mode": "reduce", "problem": problem})
+    assert run(cfg, out_dir=tmp_path / "out") == 0
 
 
 def test_numerical_failure_exits_three(tmp_path):

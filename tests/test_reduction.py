@@ -11,8 +11,7 @@ from qreduce import reduction
 from qreduce.classical import PhaseRegion, integrate_flow
 from qreduce.comparator import RESIDUAL_TOL, ComparatorSpec, \
     apply_comparator, hermite_coefficients, within_magnitude
-from qreduce.errors import (BasisResidualError, ConfigError, NumericalError,
-                             OverflowGuardError)
+from qreduce.errors import BasisResidualError, ConfigError, NumericalError
 from qreduce.grid import GridSpec, GridWavefunction, propagate
 from qreduce.hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel, \
     taylor_remainder_V
@@ -222,9 +221,10 @@ def test_duhamel_dominates_measured_distance():
     traj = integrate_flow(CUBIC_PERTURBED, problem.alpha0, 1.0, problem.dt)
     flow = approximate_flow(CUBIC_PERTURBED, traj, origin_packet())
     psi0 = sample_on_grid(origin_packet(), problem.grid)
+    inputs = BoundInputs(problem, flow)
     run = run_grid(CUBIC_PERTURBED, psi0, 1.0, problem.dt,
-                   bound_inputs=BoundInputs(problem, flow))
-    bounds = assemble_bounds(problem, run, flow)
+                   bound_inputs=inputs)
+    bounds = assemble_bounds(problem, run, inputs)
     assert np.all(bounds.delta1_measured <= bounds.delta1_duhamel + 1e-6)
     assert bounds.delta1_measured[-1] > 1e-6
 
@@ -299,9 +299,9 @@ def test_theorem_bound_single_time_api():
     traj = integrate_flow(HARMONIC, problem.alpha0, 0.5, problem.dt)
     flow = approximate_flow(HARMONIC, traj, packet(problem.alpha0, 1.0))
     psi0 = sample_on_grid(packet(problem.alpha0, 1.0), problem.grid)
-    run = run_grid(HARMONIC, psi0, 0.5, problem.dt,
-                   bound_inputs=BoundInputs(problem, flow))
-    bounds = assemble_bounds(problem, run, flow)
+    inputs = BoundInputs(problem, flow)
+    run = run_grid(HARMONIC, psi0, 0.5, problem.dt, bound_inputs=inputs)
+    bounds = assemble_bounds(problem, run, inputs)
     assert bounds.hypotheses_hold
     assert bounds.specialized[-1] >= bounds.general[-1] >= 0.0
 
@@ -524,6 +524,27 @@ def test_squeeze_sweep_cubic_tradeoff():
         squeeze_sweep(problem, [0.0, 1.0])
 
 
+def test_squeeze_projects_each_final_state_once(monkeypatch):
+    # With E auto, the d = 1 projection serves both the E probe and the
+    # smoothing of its row.
+    import qreduce.comparator as comparator
+    project = comparator.hermite_coefficients
+    calls = []
+
+    def counting(spec, psi, grid=None):
+        calls.append(psi)
+        return project(spec, psi, grid)
+
+    problem = ReductionProblem(spec=CUBIC_PERTURBED,
+                               alpha0=PhasePoint(0.5, 0.0), T=0.1, dt=0.01,
+                               epsilon=1.0)
+    expected = squeeze_sweep(problem, [0.5, 1.0, 2.0])
+    monkeypatch.setattr(comparator, "hermite_coefficients", counting)
+    monkeypatch.setattr(reduction, "hermite_coefficients", counting)
+    assert squeeze_sweep(problem, [0.5, 1.0, 2.0]) == expected
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("E, source", [(None, "auto"), (50.0, "given")])
 def test_reports_say_whether_E_was_given(E, source):
     problem = ReductionProblem(spec=CUBIC_PERTURBED, alpha0=PhasePoint(0.5, 0.0),
@@ -534,24 +555,23 @@ def test_reports_say_whether_E_was_given(E, source):
     assert squeeze_sweep(problem, [1.0])["E_source"] == source
 
 
-def raise_on_apply(error):
-    def raising(*args, **kwargs):
-        raise error("basis projection lost mass fraction 1e-07")
-    return raising
+def test_bound_stage_failure_leaves_the_verdict_to_the_error(monkeypatch):
+    # Epsilon holds, so a broken certificate is a failed hypothesis: the
+    # first W block reads 1e-7 of its mass outside the basis.
+    project = reduction.hermite_coefficients
 
+    def outside(spec, psi, grid=None):
+        coeffs, residual = project(spec, psi, grid)
+        return coeffs, np.full_like(residual, 1e-7)
 
-@pytest.mark.parametrize("error", [BasisResidualError, OverflowGuardError])
-def test_bound_stage_failure_leaves_the_verdict_to_the_error(monkeypatch,
-                                                             error):
-    # Epsilon holds, so a broken certificate is a failed hypothesis.
-    monkeypatch.setattr(reduction, "apply_comparator", raise_on_apply(error))
+    monkeypatch.setattr(reduction, "hermite_coefficients", outside)
     problem = ReductionProblem(spec=HARMONIC, alpha0=PhasePoint(1.0, 0.0),
                                T=0.1, epsilon=1e-3, dt=0.01)
     report = run_reduction(problem)
     assert report.verdict == "hypothesis-failed"
     assert report.bounds is None
     assert report.bound_failure == {
-        "alpha0": [1.0, 0.0], "error": error.__name__,
+        "alpha0": [1.0, 0.0], "error": "BasisResidualError",
         "message": "basis projection lost mass fraction 1e-07"}
     out = report.to_json_dict()
     for key in ("bound_general", "bound_specialized", "delta1_measured",
@@ -636,9 +656,10 @@ def test_streamed_bounds_equal_the_snapshot_list_assembly(name):
         base = packet(alpha0, problem.M0)
         flow = approximate_flow(problem.spec, traj, base)
         psi0 = sample_on_grid(base, problem.grid)
+        inputs = BoundInputs(problem, flow)
         run = run_grid(problem.spec, psi0, problem.T, problem.dt,
-                       problem.samples, BoundInputs(problem, flow))
-        bounds = assemble_bounds(problem, run, flow)
+                       problem.samples, inputs)
+        bounds = assemble_bounds(problem, run, inputs)
         times, states = stored_run(problem.spec, psi0, problem.T, problem.dt,
                                    problem.samples)
         assert np.array_equal(run.times, times)
@@ -655,7 +676,7 @@ def test_streamed_bounds_equal_the_snapshot_list_assembly(name):
         assert np.array_equal(getattr(report.bounds, key), value), key
 
 
-def test_residual_failure_mid_block_keeps_the_rows_before_it():
+def test_residual_failure_mid_block_ends_the_bound_stage():
     # A free packet spreads out of a 17-function basis: W's residual
     # passes RESIDUAL_TOL near t = 0.85, inside the second 64-row block.
     comp = ComparatorSpec(s=1.0, N=16)
@@ -666,23 +687,17 @@ def test_residual_failure_mid_block_keeps_the_rows_before_it():
     flow = approximate_flow(FREE, traj, base)
     psi0 = sample_on_grid(base, problem.grid)
     inputs = BoundInputs(problem, flow)
-    run_grid(FREE, psi0, problem.T, problem.dt, problem.samples, inputs)
-    times, states = stored_run(FREE, psi0, problem.T, problem.dt,
-                               problem.samples)
+    run = run_grid(FREE, psi0, problem.T, problem.dt, problem.samples, inputs)
     w_states = [sample_on_grid(flow.packet_at(round(t / problem.dt)),
-                               problem.grid) for t in times]
+                               problem.grid) for t in run.times]
     first = next(row for row, w in enumerate(w_states)
                  if hermite_coefficients(comp, w)[1] > RESIDUAL_TOL)
     assert 65 < first < 129
     with pytest.raises(BasisResidualError) as raised:
         apply_comparator(comp, w_states[first], normalized=True)
     assert str(inputs.failure) == str(raised.value)
-    assert inputs.steps == [round(t / problem.dt) for t in times[:first]]
-    old = snapshot_list_assembly(problem, flow, times[:first], states[:first])
-    delta1, delta2, inv_u, inv_w, _, _ = map(np.array, zip(*inputs.rows))
-    for key, value in [("delta1_measured", delta1), ("delta2", delta2),
-                       ("inv_norms_u", inv_u), ("inv_norms_w", inv_w)]:
-        assert np.array_equal(value, old[key]), key
+    with pytest.raises(BasisResidualError, match=str(raised.value)):
+        assemble_bounds(problem, run, inputs)
     report = run_reduction(problem)
     assert report.verdict == "hypothesis-failed"
     assert report.bound_failure["message"] == str(raised.value)
