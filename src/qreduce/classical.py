@@ -20,6 +20,7 @@ from .hamiltonian import HamiltonianSpec, PhasePoint, energies, time_steps
 
 DIVERGENCE_NORM = 1e8
 BISECT_REL_TOL = 1e-10
+CLASSIFY_DT = 1e-3
 
 
 @dataclass
@@ -82,14 +83,6 @@ class ClassicalTrajectory:
         states, slopes = self.states, self.derivatives
         return _hermite(states[k], states[k + 1], slopes[k], slopes[k + 1],
                         self.dt, s)
-
-    def to_csv(self, path) -> None:
-        """Write columns t, xi0.., pi0.., energy as comma-separated text."""
-        n = self.n
-        header = ",".join(["t"] + [f"xi{i}" for i in range(n)]
-                          + [f"pi{i}" for i in range(n)] + ["energy"])
-        data = np.column_stack([self.times, self.xi, self.pi, self.energies])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
 def _hermite(y0, y1, d0, d1, h, s):
@@ -304,7 +297,7 @@ class ClassificationResult:
 
 def classify_classical(spec: HamiltonianSpec, alpha0: PhasePoint,
                        horizon: float, radii=None,
-                       dt: float = 1e-3) -> ClassificationResult:
+                       dt: float = CLASSIFY_DT) -> ClassificationResult:
     """Label alpha0 as bound, scattering or undecided over a finite horizon.
 
     Bound means the phase-space norm stays within one of the tested radii

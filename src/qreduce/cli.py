@@ -33,9 +33,11 @@ ehrenfest is 1D only.
 Every report embeds the tool version, the sha256 hash of the canonical
 config serialization, the full config echo, and the provenance of the
 numerics actually used (grid, dt, comparator truncation), so reruns of
-one config are byte-identical apart from the created_utc stamp.  CSV
-files open with two comment lines (tool, config hash) followed by a
-header row; the columns per mode are:
+one config are byte-identical apart from the created_utc stamp.  The
+provenance dt is the step the run took, time_steps(T, dt); the grid
+form of classify-quantum, which steps by its own rule, reports the
+requested dt.  CSV files open with two comment lines (tool, config
+hash) followed by a header row; the columns per mode are:
 
     reduce:             t, error_max, bound_general, bound_specialized,
                         delta1_measured, delta1_duhamel, delta2
@@ -65,15 +67,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classical import PhaseRegion, classify_classical
+from .classical import CLASSIFY_DT, PhaseRegion, classify_classical
 from .comparator import ComparatorSpec, comparator_scalars
 from .errors import ConfigError, QReduceError
 from .grid import DEFAULT_GRID, GridSpec
 from .hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel, \
     time_steps
 from .packets import _as_matrix, _check_widths, packet, sample_on_grid
-from .reduction import (DEFAULT_DT, ReductionProblem, ehrenfest_residuals,
-                        ehrenfest_run, run_reduction, squeeze_sweep)
+from .reduction import (DEFAULT_DT, DEFAULT_S, DEFAULT_SAMPLES,
+                        EHRENFEST_STRIDE, ReductionProblem, _provenance,
+                        ehrenfest_residuals, ehrenfest_run, run_reduction,
+                        squeeze_sweep)
 from .scaling import hepp_experiment
 from .spectral import GridHamiltonian, classify_quantum, finite_evolution
 
@@ -220,7 +224,7 @@ def _potential_from(problem: dict) -> PotentialModel:
 def _spec_from(problem: dict) -> HamiltonianSpec:
     pot = _potential_from(problem)
     mass = _number(problem, "problem", "mass", default=1.0)
-    return HamiltonianSpec(mass=mass, potential=pot, dimension=pot.ndim)
+    return HamiltonianSpec(mass=mass, potential=pot)
 
 
 def _phase_point(problem: dict, spec: HamiltonianSpec,
@@ -259,7 +263,7 @@ def _grid_from(problem: dict, spec: HamiltonianSpec) -> GridSpec:
 def _comparator_from(problem: dict) -> ComparatorSpec:
     raw = _block(problem, "comparator", required=False, path="problem.")
     return ComparatorSpec(
-        s=_number(raw, "problem.comparator", "s", default=1.0),
+        s=_number(raw, "problem.comparator", "s", default=DEFAULT_S),
         N=_count(raw, "problem.comparator", "N", ComparatorSpec.N))
 
 
@@ -280,18 +284,6 @@ def _region_from(problem: dict):
     _fail("problem.region", "needs a radius (ball) or half_widths (box)")
 
 
-def _provenance(grid: GridSpec = None, dt=None,
-                comparator: ComparatorSpec = None) -> dict:
-    out = {}
-    if grid is not None:
-        out["grid"] = {"n": grid.n, "N": grid.N, "L": grid.L}
-    if dt is not None:
-        out["dt"] = dt
-    if comparator is not None:
-        out["comparator"] = {"s": comparator.s, "N": comparator.N}
-    return out
-
-
 def _run_reduce(problem: dict):
     spec = _spec_from(problem)
     grid = _grid_from(problem, spec)
@@ -304,7 +296,7 @@ def _run_reduce(problem: dict):
         epsilon=epsilon, comparator=comp,
         E=_number(problem, "problem", "E"), grid=grid, M0=M0,
         region=_region_from(problem), dt=dt,
-        samples=_count(problem, "problem", "samples", 200))
+        samples=_count(problem, "problem", "samples", DEFAULT_SAMPLES))
 
     def compute():
         report = run_reduction(ro).to_json_dict()
@@ -322,7 +314,7 @@ def _run_reduce(problem: dict):
 def _run_classify_classical(problem: dict):
     spec = _spec_from(problem)
     alpha0 = _phase_point(problem, spec)
-    horizon, dt = _horizon(problem, 1e-3)
+    horizon, dt = _horizon(problem, CLASSIFY_DT)
     radii = problem.get("radii")
     if radii is not None:
         radii = _numbers(radii, "problem.radii")
@@ -331,7 +323,7 @@ def _run_classify_classical(problem: dict):
         res = classify_classical(spec, alpha0, horizon, radii=radii, dt=dt)
         result = {"label": res.label, "horizon": res.horizon,
                   "diagnostics": res.diagnostics,
-                  "provenance": _provenance(dt=dt)}
+                  "provenance": _provenance(T=horizon, dt=dt)}
         rows = [(res.label, res.horizon, res.diagnostics.get("diverged"))]
         return result, ("label", "horizon", "diverged"), rows, None
 
@@ -368,28 +360,28 @@ def _run_classify_quantum(problem: dict):
             omega = np.outer(psi, psi.conj())
         else:
             omega = _matrix(omega_raw, "problem.omega")
-        provenance = _provenance()
-        provenance["dimension"] = int(H.shape[0])
+        provenance = {"dimension": int(H.shape[0])}
 
-        def compute():
-            out = classify_quantum(finite_evolution(H), psi, omega, horizons)
-            out["provenance"] = provenance
-            rows = list(zip(out["horizons"], out["mu"], out["tau"]))
-            return out, ("T", "mu", "tau"), rows, None
+        def evolution():
+            return finite_evolution(H), psi, omega
+    else:
+        spec = _spec_from(problem)
+        grid = _grid_from(problem, spec)
+        comp = _comparator_from(problem)
+        dt = _positive(_number(problem, "problem", "dt",
+                               default=GridHamiltonian.dt), "problem.dt")
+        alpha0, M0 = _start_packet(problem, spec)
+        # This run steps by its own rule, max(2, ceil(T / dt)) steps, so
+        # its provenance dt is the requested one.
+        provenance = _provenance(grid=grid, comparator=comp, dt=dt)
 
-        return compute
-    spec = _spec_from(problem)
-    grid = _grid_from(problem, spec)
-    comp = _comparator_from(problem)
-    dt = _positive(_number(problem, "problem", "dt", default=0.25),
-                   "problem.dt")
-    alpha0, M0 = _start_packet(problem, spec)
+        def evolution():
+            psi = sample_on_grid(packet(alpha0, M0), grid)
+            return GridHamiltonian(spec, grid, dt=dt), psi, comp
 
     def compute():
-        psi = sample_on_grid(packet(alpha0, M0), grid)
-        handle = GridHamiltonian(spec, grid, dt=dt)
-        out = classify_quantum(handle, psi, comp, horizons)
-        out["provenance"] = _provenance(grid=grid, dt=dt, comparator=comp)
+        out = classify_quantum(*evolution(), horizons)
+        out["provenance"] = provenance
         rows = list(zip(out["horizons"], out["mu"], out["tau"]))
         return out, ("T", "mu", "tau"), rows, None
 
@@ -432,7 +424,7 @@ def _run_scale(problem: dict):
 
     def compute():
         out = hepp_experiment(spec, alpha0, T, lambdas, grid=grid, dt=dt)
-        out["provenance"] = _provenance(grid=grid, dt=dt)
+        out["provenance"] = _provenance(grid=grid, T=T, dt=dt)
         rows = [(r["lam"], r["error"], r["bound"]) for r in out["rows"]]
         return out, ("lambda", "error", "bound"), rows, None
 
@@ -455,7 +447,8 @@ def _run_squeeze(problem: dict):
 
     def compute():
         out = squeeze_sweep(ro, dilations)
-        out["provenance"] = _provenance(grid=grid, dt=dt, comparator=comp)
+        out["provenance"] = _provenance(grid=grid, comparator=comp, T=T,
+                                        dt=dt)
         rows = [(r["d"], r["duhamel_term"], r["comparator_term"],
                  r["total_bound"]) for r in out["rows"]]
         header = ("d", "duhamel_term", "comparator_term", "total_bound")
@@ -470,7 +463,7 @@ def _run_ehrenfest(problem: dict):
         _fail("problem.potential", "ehrenfest diagnostics are one-dimensional")
     grid = _grid_from(problem, spec)
     T, dt = _horizon(problem, DEFAULT_DT)
-    stride = _count(problem, "problem", "sample_stride", 2)
+    stride = _count(problem, "problem", "sample_stride", EHRENFEST_STRIDE)
     alpha0, M0 = _start_packet(problem, spec)
 
     def compute():
@@ -483,7 +476,7 @@ def _run_ehrenfest(problem: dict):
             "gap_max": float(np.max(res["gap"])),
             "times": res["times"], "identity": res["identity"],
             "gap": res["gap"],
-            "provenance": _provenance(grid=grid, dt=dt),
+            "provenance": _provenance(grid=grid, T=T, dt=dt),
         }
         rows = list(zip(res["times"], res["identity"], res["gap"]))
         return result, ("t", "identity", "gap"), rows, None

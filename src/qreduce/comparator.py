@@ -127,8 +127,7 @@ def _constants(spec: ComparatorSpec, n: int) -> _Constants:
     const = spec._store.get(("constants", n))
     if const is None:
         n_vals = np.arange(spec.N + 1)
-        decay = np.exp(-spec.s * n_vals)
-        factors = {True: decay, False: spec.sigma * decay}
+        factors = {True: np.exp(-spec.s * n_vals), False: spec.eigenvalues}
         if n == 1:
             total_n = n_vals
         else:
@@ -252,7 +251,6 @@ def comparator_scalars(spec: ComparatorSpec, dimension: int = 1) -> dict:
 def _scalars(spec: ComparatorSpec, dimension: int) -> dict:
     s, sigma = spec.s, spec.sigma
     n_vals = np.arange(spec.N + 1)
-    eig = sigma * np.exp(-s * n_vals)
     trace_1d = float(np.sum(np.exp(-s * n_vals))
                      + np.exp(-s * (spec.N + 1)) / (1 - np.exp(-s))) * sigma
     # q in the number basis: tridiagonal sqrt((n+1)/2) couplings.
@@ -260,7 +258,7 @@ def _scalars(spec: ComparatorSpec, dimension: int) -> dict:
     Q = np.zeros((spec.N + 1, spec.N + 1))
     Q[n_vals[:-1], n_vals[:-1] + 1] = cpl
     Q[n_vals[:-1] + 1, n_vals[:-1]] = cpl
-    QD = Q * eig
+    QD = Q * spec.eigenvalues
     measured_sq = _power_iteration_sq(QD)
     bound = sigma ** 2 * np.exp(s - 1.0) / s
     return {"norm": sigma ** dimension,
@@ -329,7 +327,7 @@ def coherent_matrix_elements(spec: ComparatorSpec, alpha) -> dict:
     if lam_2s * z_sq > EXP_GUARD:
         raise OverflowGuardError("inverse norm exponent exceeds the guard")
     c_sq = np.abs(coherent_coefficients(alpha, spec.N)) ** 2
-    eig = sigma * np.exp(-s * np.arange(spec.N + 1))
+    eig = spec.eigenvalues
     diag_closed = float(sigma * np.exp(-sigma * z_sq))
     diag_measured = float(np.sum(c_sq * eig))
     inv_closed = float(np.exp(lam_2s * z_sq) / sigma ** 2)

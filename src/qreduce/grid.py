@@ -116,9 +116,6 @@ class GridWavefunction:
         """L2 inner product <self, other>, conjugate-linear in self."""
         return complex(np.sum(np.conj(self.amp) * other.amp) * self.grid.cell)
 
-    def fidelity(self, other: "GridWavefunction") -> float:
-        return abs(self.inner(other))
-
     def distance(self, other: "GridWavefunction") -> float:
         return float(np.sqrt(np.sum(np.abs(self.amp - other.amp) ** 2)
                              * self.grid.cell))
@@ -135,24 +132,6 @@ class GridWavefunction:
             sl[axis] = slice(self.grid.N - band, self.grid.N)
             mask[tuple(sl)] = True
         return float(np.sum(dens[mask]) * self.grid.cell)
-
-    def to_csv(self, path) -> None:
-        """1D snapshot as columns x, re, im under a grid-header comment."""
-        if self.grid.n != 1:
-            raise ValueError("CSV snapshots are 1D only; use save_npz")
-        data = np.column_stack([self.grid.x, self.amp.real, self.amp.imag])
-        np.savetxt(path, data, delimiter=",", header=(
-            f"grid n={self.grid.n} N={self.grid.N} L={self.grid.L}\nx,re,im"),
-            comments="# ")
-
-    def save_npz(self, path) -> None:
-        np.savez(path, n=self.grid.n, N=self.grid.N, L=self.grid.L, amp=self.amp)
-
-    @classmethod
-    def load_npz(cls, path) -> "GridWavefunction":
-        with np.load(path) as data:
-            grid = GridSpec(int(data["n"]), int(data["N"]), float(data["L"]))
-            return cls(grid, data["amp"])
 
 
 @dataclass(eq=False)

@@ -199,19 +199,19 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Mass, dimension and potential defining h = pi^2/2m + V(xi)."""
+    """Mass and potential defining h = pi^2/2m + V(xi)."""
 
     mass: float
     potential: PotentialModel
-    dimension: int = 1
 
     def __post_init__(self):
         if self.mass <= 0:
             raise ValueError("mass must be positive")
-        if self.dimension not in (1, 2):
-            raise ValueError("dimension must be 1 or 2")
-        if self.potential.ndim != self.dimension:
-            raise ValueError("potential dimension does not match spec")
+
+    @property
+    def dimension(self) -> int:
+        """Degrees of freedom, the potential's: 1 or 2."""
+        return self.potential.ndim
 
 
 def time_steps(t_final: float, dt: float):

@@ -351,14 +351,16 @@ def phase_X(spec: HamiltonianSpec, traj: ClassicalTrajectory) -> np.ndarray:
     X_phase(t) = int_0^t [h(alpha(s)) - <h^(1)(alpha(s)), alpha(s)>/2] ds,
     and the propagator factor is X = exp(-i X_phase).  For h homogeneous
     of degree two the integrand cancels identically, which is what makes
-    the packet propagator exact there.
+    the packet propagator exact there.  The gradient h^(1) = (V', pi/m)
+    is read off traj.derivatives = (pi/m, -V'), which evolve_AB has
+    already filled; sign flips are exact, so no bit changes.
     """
-    pot = spec.potential
-    if pot.ndim == 1:
+    n, velocity = traj.n, traj.derivatives
+    if n == 1:
         xi = traj.xi[:, 0]
-        integrand = pot.value(xi) - 0.5 * pot.derivative(xi, 1) * xi
+        integrand = spec.potential.value(xi) + 0.5 * velocity[:, 1] * xi
     else:
-        grad = np.hstack([pot.gradient(traj.xi), traj.pi / spec.mass])
+        grad = np.hstack([-velocity[:, n:], velocity[:, :n]])
         # A stack of row products: bitwise each row's grad @ state.
         dots = np.matmul(grad[:, None, :], traj.states[:, :, None])[:, 0, 0]
         integrand = energies(spec, traj.xi, traj.pi) - 0.5 * dots
@@ -425,21 +427,6 @@ class PacketFlow:
         _sample_rows(grid, self.traj.xi[steps], self.traj.pi[steps],
                      series.M[steps], factors, out)
         return out
-
-    def to_csv(self, path) -> None:
-        """Columns t, xi.., pi.., Re/Im of M entries, phase."""
-        n = self.traj.n
-        cols = [self.times, self.traj.xi, self.traj.pi]
-        names = ["t"] + [f"xi{i}" for i in range(n)] + [f"pi{i}" for i in range(n)]
-        flat = self.series.M.reshape(len(self.times), n * n)
-        for ij in range(n * n):
-            cols.extend([flat[:, ij].real, flat[:, ij].imag])
-            names.extend([f"re_m{ij}", f"im_m{ij}"])
-        cols.append(self.base.phase + self.X)
-        names.append("phase")
-        data = np.column_stack(cols)
-        np.savetxt(path, data, delimiter=",", header=",".join(names),
-                   comments="")
 
 
 def approximate_flow(spec: HamiltonianSpec, traj: ClassicalTrajectory,

@@ -47,6 +47,9 @@ CROSS_CHECK_TOL = 1e-8
 GAUSS_NODES = MAX_POLY_DEGREE + 1
 DOMINATION_SLACK = 1e-8
 DEFAULT_DT = 1e-3
+DEFAULT_SAMPLES = 200
+DEFAULT_S = 1.0
+EHRENFEST_STRIDE = 2
 E_MARGIN = 1.5
 E_PROBE = 1e12
 
@@ -66,19 +69,20 @@ class ReductionProblem:
     alpha0: PhasePoint
     T: float
     epsilon: object
-    comparator: ComparatorSpec = field(default_factory=lambda: ComparatorSpec(s=1.0))
+    comparator: ComparatorSpec = field(
+        default_factory=lambda: ComparatorSpec(s=DEFAULT_S))
     E: float = None
     grid: GridSpec = DEFAULT_GRID
     M0: object = 1.0
     region: PhaseRegion = None
     dt: float = DEFAULT_DT
-    samples: int = 200
+    samples: int = DEFAULT_SAMPLES
 
     def __post_init__(self):
-        eps = np.atleast_1d(np.asarray(self.epsilon, dtype=float))
+        eps = self.epsilon_vector()
         if np.any(eps <= 0):
             raise ConfigError("epsilon must be positive")
-        if eps.size not in (1, 2 * self.alpha0.n):
+        if eps.size != 2 * self.alpha0.n:
             raise ConfigError("epsilon must be scalar or one value per component")
         if self.T <= 0:
             raise ConfigError("horizon T must be positive")
@@ -238,7 +242,7 @@ class QuantumRun:
 
 
 def run_grid(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
-             dt: float, samples: int = 200,
+             dt: float, samples: int = DEFAULT_SAMPLES,
              bound_inputs: "BoundInputs" = None) -> QuantumRun:
     """Propagate psi0 and measure ~samples evenly spaced snapshots.
 
@@ -384,6 +388,51 @@ class BoundInputs:
                             div_u, div_w))
 
 
+def _select_E(E, probe) -> float:
+    """The magnitude threshold of a run: E when given.  Otherwise probe()
+    returns the inverse comparator norms of the probed states and their
+    divergence flags, and E is E_MARGIN times the largest norm of a state
+    that did not diverge, or E_PROBE when every probed state diverged."""
+    if E is not None:
+        return E
+    inv_norms, divergent = (np.asarray(a) for a in probe())
+    finite = inv_norms[~divergent]
+    return E_MARGIN * float(np.max(finite)) if finite.size else E_PROBE
+
+
+def _closed_prefactor(comp: ComparatorSpec) -> float:
+    """(e^s / (s e))^{1/2}: the specialized bound's operator prefactor."""
+    return float(np.sqrt(np.exp(comp.s) / (comp.s * np.e)))
+
+
+def _specialized_bound(prefactor: float, E: float, delta1, delta2):
+    """prefactor ((E + 3) delta1 + 2 (E + 1) delta2), for scalars or arrays."""
+    return prefactor * ((E + 3.0) * delta1 + 2.0 * (E + 1.0) * delta2)
+
+
+def _E_source(problem: ReductionProblem) -> str:
+    """How E was chosen: "given" by the user, or "auto" from the run."""
+    return "auto" if problem.E is None else "given"
+
+
+def _provenance(grid: GridSpec = None, comparator: ComparatorSpec = None,
+                T: float = None, dt: float = None) -> dict:
+    """The numerics a report ran with: grid, time step and comparator.
+
+    Each entry is written when its argument is given.  With the horizon
+    T, "dt" is the step time_steps(T, dt) runs, which divides T; without
+    it, dt is written as given.
+    """
+    out = {}
+    if grid is not None:
+        out["grid"] = {"n": grid.n, "N": grid.N, "L": grid.L}
+    if dt is not None:
+        out["dt"] = dt if T is None else time_steps(T, dt)[1]
+    if comparator is not None:
+        out["comparator"] = {"s": comparator.s, "N": comparator.N}
+    return out
+
+
 def assemble_bounds(problem: ReductionProblem, run: QuantumRun,
                     inputs: BoundInputs,
                     error: ErrorCurve = None) -> BoundAssembly:
@@ -412,13 +461,8 @@ def assemble_bounds(problem: ReductionProblem, run: QuantumRun,
     steps, delta1, delta2, inv_u, inv_w, div_u, div_w = (
         np.concatenate(column) for column in zip(*inputs.blocks))
     delta1_duh = duh_full[steps]
-    finite = np.concatenate([inv_u[~div_u], inv_w[~div_w]])
-    if problem.E is not None:
-        E = problem.E
-    elif finite.size:
-        E = E_MARGIN * float(np.max(finite))
-    else:
-        E = E_PROBE
+    E = _select_E(problem.E, lambda: (np.concatenate([inv_u, inv_w]),
+                                      np.concatenate([div_u, div_w])))
     member_u = (~div_u) & (inv_u <= E)
     member_w = (~div_w) & (inv_w <= E)
     scalars = comparator_scalars(comp, dimension=problem.grid.n)
@@ -427,10 +471,9 @@ def assemble_bounds(problem: ReductionProblem, run: QuantumRun,
     omega = float(np.sqrt(scalars["aOmega_sq_measured"]) / comp.sigma)
     norm_one_minus = 1.0 - np.exp(-comp.s * comp.N)
     m1_general = 2.0 + (E + 1.0) * norm_one_minus
-    m2 = 2.0 * (E + 1.0)
-    prefactor = float(np.sqrt(np.exp(comp.s) / (comp.s * np.e)))
-    general = omega * (m1_general * delta1 + m2 * delta2)
-    specialized = prefactor * ((E + 3.0) * delta1 + m2 * delta2)
+    general = omega * (m1_general * delta1 + 2.0 * (E + 1.0) * delta2)
+    prefactor = _closed_prefactor(comp)
+    specialized = _specialized_bound(prefactor, E, delta1, delta2)
     assembly = BoundAssembly(
         times=run.times, delta1_measured=delta1, delta1_duhamel=delta1_duh,
         delta2=delta2, inv_norms_u=inv_u, inv_norms_w=inv_w,
@@ -581,11 +624,9 @@ def run_reduction(problem: ReductionProblem) -> ReductionReport:
         for a0, _, err, _, v, _ in outcomes]
     failures = [item[5] for item in outcomes if item[5] is not None]
     provenance = {
-        "grid": {"n": problem.grid.n, "N": problem.grid.N, "L": problem.grid.L},
-        "dt": problem.dt,
-        "comparator": {"s": problem.comparator.s, "N": problem.comparator.N},
+        **_provenance(problem.grid, problem.comparator, problem.T, problem.dt),
         "E_used": None if bounds is None else bounds.E_used,
-        "E_source": "auto" if problem.E is None else "given",
+        "E_source": _E_source(problem),
         "boundary_mass_max": run.boundary_mass_max,
         "norm_drift": run.norm_drift,
         "version": __version__,
@@ -609,7 +650,8 @@ class EhrenfestData:
 
 
 def ehrenfest_run(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
-                  dt: float = DEFAULT_DT, sample_stride: int = 2) -> EhrenfestData:
+                  dt: float = DEFAULT_DT,
+                  sample_stride: int = EHRENFEST_STRIDE) -> EhrenfestData:
     """Propagate and record <q>, <p>, <V'(q)> and V'(<q>) densely.
 
     One-dimensional only; the sampling interval sample_stride * dt sets
@@ -687,13 +729,13 @@ def squeeze_sweep(problem: ReductionProblem, dilations) -> dict:
         w_state = sample_on_grid(flow.packet_at(-1), problem.grid)
         return flow, w_state, hermite_coefficients(comp, w_state)
 
-    if problem.E is not None:
-        E = problem.E
-    else:
-        probe = within_magnitude(comp, E_PROBE, None,
-                                 projection=final_state(1.0)[2])
-        E = E_MARGIN * probe["inv_norm"] if not probe["divergent"] else E_PROBE
-    prefactor = float(np.sqrt(np.exp(comp.s) / (comp.s * np.e)))
+    def probe():
+        result = within_magnitude(comp, E_PROBE, None,
+                                  projection=final_state(1.0)[2])
+        return [result["inv_norm"]], [result["divergent"]]
+
+    E = _select_E(problem.E, probe)
+    prefactor = _closed_prefactor(comp)
     rows = []
     for d in dilations:
         flow, w_state, projection = final_state(d)
@@ -701,11 +743,10 @@ def squeeze_sweep(problem: ReductionProblem, dilations) -> dict:
         smoothed = apply_comparator(comp, w_state, normalized=True,
                                     projection=projection)
         comparator_term = w_state.distance(smoothed)
-        total = prefactor * ((E + 3.0) * duh
-                             + 2.0 * (E + 1.0) * comparator_term)
         rows.append({"d": d, "duhamel_term": duh,
                      "comparator_term": comparator_term,
-                     "total_bound": total})
+                     "total_bound": _specialized_bound(prefactor, E, duh,
+                                                       comparator_term)})
     argmin = min(rows, key=lambda row: row["total_bound"])["d"]
     return {"rows": rows, "argmin": argmin, "E_used": float(E),
-            "E_source": "auto" if problem.E is None else "given"}
+            "E_source": _E_source(problem)}

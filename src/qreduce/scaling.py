@@ -86,11 +86,9 @@ def scale_hamiltonian(spec: HamiltonianSpec, lam: float) -> ScaledHamiltonians:
     if lam <= 0:
         raise ConfigError("scale parameter must be positive")
     scaled = HamiltonianSpec(
-        mass=spec.mass, dimension=spec.dimension,
-        potential=_scaled_potential(spec.potential, lam, 1.0))
+        mass=spec.mass, potential=_scaled_potential(spec.potential, lam, 1.0))
     family = HamiltonianSpec(
-        mass=spec.mass, dimension=spec.dimension,
-        potential=_scaled_potential(spec.potential, lam, -1.0))
+        mass=spec.mass, potential=_scaled_potential(spec.potential, lam, -1.0))
     return ScaledHamiltonians(scaled, family)
 
 

@@ -108,11 +108,19 @@ def finite_evolution(H) -> FiniteEvolution:
 
 @dataclass(frozen=True)
 class GridHamiltonian:
-    """Grid evolution handle for the stay/transit diagnostics."""
+    """Grid evolution handle for the stay/transit diagnostics.
+
+    dt is the requested step, a positive finite number (ValueError
+    otherwise); a run over [0, T] takes max(2, ceil(T / dt)) equal steps.
+    """
 
     spec: HamiltonianSpec
     grid: GridSpec
     dt: float = 0.25
+
+    def __post_init__(self):
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be positive and finite")
 
 
 def _unit_coefficients(evo: FiniteEvolution, psi) -> np.ndarray:
@@ -190,26 +198,25 @@ def ergodic_average(evo: FiniteEvolution, psi, F, horizons) -> dict:
     Returns
     -------
     dict with "predicted" and "measured", the latter keyed by horizon.
+    The measured value at a horizon is the stay curve's mean,
+    tau / (2 T'), as average_stay takes it.
     """
     F = _check_hermitian("F", F)
-    c = _unit_coefficients(evo, psi)
-    W, F_eig = _signal_weights(evo, c, F)
-    predicted = _dephased_value(evo, c, F_eig)
     hs = np.atleast_1d(np.asarray(horizons, dtype=float))
     if np.any(hs <= 0):
         raise ValueError("horizons must be positive")
     hs = np.sort(hs)
-    a = evo.eigenvalues
-    times = _quad_times(float(hs[-1]), float(a[-1] - a[0]))
-    signal = _signal_on_times(W, a, times)
-    cum = cumulative_simpson(signal, x=times, initial=0.0)
+    times, tau, predicted = _finite_stay_curve(evo, psi, F, float(hs[-1]))
     idx = _horizon_indices(times, hs)
-    measured = {float(h): float(cum[i] / times[i]) for h, i in zip(hs, idx)}
+    measured = {float(h): float(tau[i] / (2.0 * times[i]))
+                for h, i in zip(hs, idx)}
     return {"predicted": predicted, "measured": measured}
 
 
 def _finite_stay_curve(evo: FiniteEvolution, psi, Omega, T: float):
-    Omega = _check_hermitian("Omega", Omega)
+    """Times, tau(t) = int_{-t}^{t} <U_s psi, Omega U_s psi> ds and the
+    dephased prediction Tr[Omega rho], for a Hermitian Omega the caller
+    has checked, at steps of at most QUAD_DT."""
     c = _unit_coefficients(evo, psi)
     W, O_eig = _signal_weights(evo, c, Omega)
     a = evo.eigenvalues
@@ -265,8 +272,11 @@ def _grid_stay_curve(handle: GridHamiltonian, psi: GridWavefunction,
 
 
 def _stay_curve(evo, psi, Omega, T: float):
+    if T <= 0:
+        raise ValueError("T must be positive")
     if isinstance(evo, FiniteEvolution):
-        return _finite_stay_curve(evo, psi, Omega, T)
+        return _finite_stay_curve(evo, psi, _check_hermitian("Omega", Omega),
+                                  T)
     if isinstance(evo, GridHamiltonian):
         return _grid_stay_curve(evo, psi, Omega, T)
     raise ValueError("evo must be a FiniteEvolution or GridHamiltonian")
@@ -281,8 +291,6 @@ def average_stay(evo, psi, Omega, T: float) -> dict:
     Grid evolutions report the finite-T value only, with the comparator
     as the region operator.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
     times, tau, prediction = _stay_curve(evo, psi, Omega, T)
     value = float(tau[-1] / (2.0 * times[-1]))
     note = ("finite-dimensional evolution: every vector is bound and the "
@@ -290,6 +298,12 @@ def average_stay(evo, psi, Omega, T: float) -> dict:
             else "grid evolution: finite-horizon value only")
     return {"value": value, "prediction": prediction, "T": float(times[-1]),
             "note": note}
+
+
+def _trailing_increment(times, tau) -> float:
+    """What the trailing half of the horizon adds to the stay curve tau."""
+    half = _horizon_indices(times, np.array([times[-1] / 2.0]))[0]
+    return float(tau[-1] - tau[half])
 
 
 def transit_time(evo, psi, Omega, T: float) -> dict:
@@ -300,11 +314,8 @@ def transit_time(evo, psi, Omega, T: float) -> dict:
     growing at T and certifies no finite transit time.  Finite
     evolutions integrate at steps of at most QUAD_DT.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
     times, tau, _ = _stay_curve(evo, psi, Omega, T)
-    half = _horizon_indices(times, np.array([times[-1] / 2.0]))[0]
-    increment = float(tau[-1] - tau[half])
+    increment = _trailing_increment(times, tau)
     return {"value": float(tau[-1]),
             "divergent": bool(increment > TAIL_INCREMENT_TOL),
             "trailing_increment": increment, "T": float(times[-1])}
@@ -389,8 +400,7 @@ def classify_quantum(evo, psi, Omega, horizons) -> dict:
     idx = _horizon_indices(times, hs)
     taus = tau_curve[idx]
     mus = taus / (2.0 * times[idx])
-    half = _horizon_indices(times, np.array([times[-1] / 2.0]))[0]
-    trailing = float(tau_curve[-1] - tau_curve[half])
+    trailing = _trailing_increment(times, tau_curve)
     stable = abs(mus[-1] - mus[-2]) <= PP_DRIFT_TOL * max(mus[-1], PP_FLOOR)
     if trailing < TAIL_INCREMENT_TOL:
         label = "ac-like"

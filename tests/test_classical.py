@@ -119,17 +119,6 @@ def test_interpolation_takes_an_array_of_times():
             traj.at(np.array(outside))
 
 
-def test_to_csv_roundtrip(tmp_path):
-    traj = integrate_flow(HARMONIC, PhasePoint(1.0, 0.0), 0.1, 1e-2)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "t,xi0,pi0,energy"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (11, 4)
-    assert data[-1, 0] == pytest.approx(0.1)
-
-
 def test_transit_time_free_chord():
     # Speed 2 through the position box [-1, 1]: chord time 1.
     traj = integrate_flow(FREE, PhasePoint(-3.0, 2.0), 4.0, 1e-3)
@@ -270,7 +259,7 @@ def flow_cases(draw):
                 C[i, j] = draw(unit)
         pot = PotentialModel.polynomial2d(C)
     spec = HamiltonianSpec(mass=draw(st.floats(min_value=0.5, max_value=2.0)),
-                           potential=pot, dimension=n)
+                           potential=pot)
     alpha0 = PhasePoint([draw(unit) for _ in range(n)],
                         [draw(unit) for _ in range(n)])
     T = draw(st.floats(min_value=0.1, max_value=5.0))

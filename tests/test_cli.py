@@ -230,6 +230,40 @@ def test_scale_runs_on_a_grid_too_small_for_the_comparator(tmp_path):
         [0.011270, 0.005670], rel=1e-4)
 
 
+STEP_CASES = {
+    "reduce": {"potential": "harmonic", "alpha0": [1.0, 0.0],
+               "epsilon": 1e-3},
+    "classify-classical": {"potential": "harmonic", "alpha0": [1.0, 0.0]},
+    "scale": {"potential": "cubic-perturbed", "alpha0": [1.0, 0.5],
+              "lambdas": [1.0, 0.5]},
+    "squeeze": {"potential": "cubic-perturbed", "alpha0": [0.0, 0.0],
+                "dilations": [1.0]},
+    # Stride 1: three steps give the two interior times the residuals need.
+    "ehrenfest": {"potential": "harmonic", "sample_stride": 1,
+                  "packet": {"alpha0": [1.0, 0.0]}},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(STEP_CASES))
+def test_provenance_dt_is_the_step_that_ran(tmp_path, mode):
+    # T 0.1 at a requested dt 0.03 runs round(0.1 / 0.03) = 3 steps.
+    cfg = write_config(tmp_path, {"mode": mode, "problem": {
+        **STEP_CASES[mode], "T": 0.1, "dt": 0.03}})
+    assert run(cfg, out_dir=tmp_path) == 0
+    report = json.loads((tmp_path / f"{mode}.json").read_text())
+    assert report["result"]["provenance"]["dt"] == 0.1 / 3
+
+
+def test_grid_classify_quantum_reports_the_requested_dt(tmp_path):
+    # Its stay curve steps by its own rule, max(2, ceil(T / dt)).
+    cfg = write_config(tmp_path, {"mode": "classify-quantum", "problem": {
+        "potential": "harmonic", "grid": {"n": 1, "N": 256, "L": 12.0},
+        "comparator": {"s": 1.0, "N": 32}, "horizons": 0.1, "dt": 0.03}})
+    assert run(cfg, out_dir=tmp_path) == 0
+    report = json.loads((tmp_path / "classify-quantum.json").read_text())
+    assert report["result"]["provenance"]["dt"] == 0.03
+
+
 COUNT_KEYS = {
     "reduce": ("samples", {"potential": "harmonic", "alpha0": [1.0, 0.0],
                            "T": 0.1, "dt": 0.01, "epsilon": 1e-3}),

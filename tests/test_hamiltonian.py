@@ -172,7 +172,7 @@ def test_polynomial2d_remainder():
     C[2, 1] = 1.0
     C[0, 2] = 1.0
     pot = PotentialModel.polynomial2d(C)
-    spec = HamiltonianSpec(mass=1.0, potential=pot, dimension=2)
+    spec = HamiltonianSpec(mass=1.0, potential=pot)
     r = taylor_remainder_V(spec, np.array([0.0, 0.0]), np.array([2.0, 3.0]))
     assert r == pytest.approx(12.0)
 
@@ -199,9 +199,14 @@ def test_phase_point_rejects_nonfinite():
         PhasePoint(np.nan, 0.0)
 
 
+def test_spec_dimension_is_the_potential_dimension():
+    one = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial([0, 0, 0.5]))
+    two = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial2d(
+        [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]))
+    assert (one.dimension, two.dimension) == (1, 2)
+
+
 def test_spec_validation():
     pot = PotentialModel.polynomial([0, 0, 0.5])
     with pytest.raises(ValueError):
         HamiltonianSpec(mass=-1.0, potential=pot)
-    with pytest.raises(ValueError):
-        HamiltonianSpec(mass=1.0, potential=pot, dimension=2)

@@ -206,21 +206,10 @@ def test_norm_conserved_along_cubic_flow():
     assert psi.norm == pytest.approx(1.0, abs=1e-8)
 
 
-def test_flow_export_csv(tmp_path):
-    traj = integrate_flow(HARMONIC, PhasePoint(1.0, 0.0), 0.1, 1e-2)
-    flow = approximate_flow(HARMONIC, traj, packet(PhasePoint(1.0, 0.0), 1.0))
-    path = tmp_path / "flow.csv"
-    flow.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "t,xi0,pi0,re_m0,im_m0,phase"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (11, 6)
-
-
 def test_two_dimensional_isotropic_harmonic():
     pot = PotentialModel.polynomial2d([[0.0, 0.0, 0.5], [0.0, 0.0, 0.0],
                                        [0.5, 0.0, 0.0]])
-    spec2 = HamiltonianSpec(mass=1.0, potential=pot, dimension=2)
+    spec2 = HamiltonianSpec(mass=1.0, potential=pot)
     traj = integrate_flow(spec2, PhasePoint([1.0, 0.0], [0.0, 0.5]), 1.0, 1e-3)
     series = evolve_AB(spec2, traj)
     phases = np.exp(1j * 1.0)
@@ -231,7 +220,7 @@ def test_two_dimensional_isotropic_harmonic():
 
 
 CUBIC_2D = HamiltonianSpec(
-    mass=1.3, dimension=2, potential=PotentialModel.polynomial2d(
+    mass=1.3, potential=PotentialModel.polynomial2d(
         [[0.0, 0.3, 0.5, 0.1], [0.2, -0.1, 0.05, 0.0],
          [0.5, 0.01, 0.02, 0.0], [0.02, 0.01, 0.0, 0.0]]))
 
@@ -291,10 +280,8 @@ def test_two_dimensional_sampling_is_bitwise_the_einsum_form(seed):
                           pkt.amplitude_factor * quad * plane)
 
 
-COUPLED_2D = HamiltonianSpec(mass=1.0, dimension=2,
-                             potential=PotentialModel.polynomial2d(
-                                 [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0],
-                                  [0.5, 0.01, 0.0], [0.02, 0.0, 0.0]]))
+COUPLED_2D = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial2d(
+    [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.01, 0.0], [0.02, 0.0, 0.0]]))
 SAMPLER_CASES = {1: (CUBIC, GridSpec(n=1, N=512, L=12.0)),
                  2: (COUPLED_2D, GridSpec(n=2, N=32, L=8.0))}
 

@@ -31,11 +31,11 @@ QUARTIC = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial([0, 0, 0
 X2Y = np.zeros((3, 2))
 X2Y[2, 1] = 1.0
 CUBIC_2D = HamiltonianSpec(
-    mass=1.0, potential=PotentialModel.polynomial2d(X2Y), dimension=2)
+    mass=1.0, potential=PotentialModel.polynomial2d(X2Y))
 # Harmonic in both axes plus x^2 y; the origin is a fixed point.
 COUPLED_2D = HamiltonianSpec(
     mass=1.0, potential=PotentialModel.polynomial2d(
-        [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 1.0, 0.0]]), dimension=2)
+        [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 1.0, 0.0]]))
 
 CUBIC_AT_REST = 0.22821773229381922
 QUARTIC_AT_REST = 0.6404344228724749
@@ -102,7 +102,7 @@ def remainder_cases(draw):
             if i + j <= 4:
                 C[i, j] = draw(coeff)
         pot = PotentialModel.polynomial2d(C)
-    spec = HamiltonianSpec(mass=1.0, potential=pot, dimension=n)
+    spec = HamiltonianSpec(mass=1.0, potential=pot)
     center = np.array([draw(st.floats(min_value=-2.0, max_value=2.0))
                        for _ in range(n)])
     top = 10.0 ** draw(st.floats(min_value=-1.5, max_value=1.5))
@@ -167,8 +167,7 @@ def test_duhamel_curve_keeps_its_bits_on_the_remainder_2d_config(
     C = np.zeros((4, 4))
     C[0, 2] = C[2, 0] = 0.5
     C[2, 1], C[3, 0] = 0.01, 0.02
-    spec = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial2d(C),
-                           dimension=2)
+    spec = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial2d(C))
     start = PhasePoint([1.0, 0.0], [0.0, 0.5])
     traj = integrate_flow(spec, start, 0.5, 0.01)
     flow = approximate_flow(spec, traj, packet(start, np.eye(2)))
@@ -340,7 +339,7 @@ def test_run_reduction_builds_each_basis_once(monkeypatch):
 def test_scalar_M0_broadcasts_in_two_dimensions():
     pot = PotentialModel.polynomial2d([[0.0, 0.0, 0.5], [0.0, 0.0, 0.0],
                                        [0.5, 0.01, 0.0], [0.02, 0.0, 0.0]])
-    spec2 = HamiltonianSpec(mass=1.0, potential=pot, dimension=2)
+    spec2 = HamiltonianSpec(mass=1.0, potential=pot)
 
     def report(**width):
         problem = ReductionProblem(
@@ -366,10 +365,8 @@ def test_measured_error_zero_at_start():
 @pytest.mark.parametrize("spec, alpha0, T, dt, samples", [
     (QUARTIC, PhasePoint(1.0, 0.0), 0.2, 1e-3, 200),
     (CUBIC_PERTURBED, PhasePoint(0.8, 0.3), 0.5, 0.02, 7),
-    (HamiltonianSpec(mass=1.0, dimension=2,
-                     potential=PotentialModel.polynomial2d(
-                         [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0],
-                          [0.5, 0.01, 0.0], [0.02, 0.0, 0.0]])),
+    (HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial2d(
+        [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.01, 0.0], [0.02, 0.0, 0.0]])),
      PhasePoint([1.0, 0.0], [0.0, 0.5]), 0.1, 0.01, 3),
 ], ids=["quartic", "cubic-off-stride", "coupled-2d"])
 def test_measured_error_is_bitwise_the_per_time_interpolation(
@@ -493,7 +490,7 @@ def test_ehrenfest_rejects_two_dimensional_grids():
     h0 = np.pi ** -0.25 * np.exp(-0.5 * grid2.x ** 2)
     from qreduce.grid import GridWavefunction
     psi = GridWavefunction(grid2, np.outer(h0, h0))
-    spec2 = HamiltonianSpec(mass=1.0, dimension=2,
+    spec2 = HamiltonianSpec(mass=1.0,
                             potential=PotentialModel.polynomial2d([[0.0]]))
     with pytest.raises(ValueError):
         ehrenfest_run(spec2, psi, 0.1)
@@ -622,6 +619,19 @@ def snapshot_list_assembly(problem, flow, times, states):
             "membership_w": ~div_w & (inv_w <= E)}
 
 
+def test_a_2d_reduce_runs_from_a_spec_without_a_dimension():
+    spec = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial2d(
+        [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]))
+    assert spec.dimension == 2
+    report = run_reduction(ReductionProblem(
+        spec=spec, alpha0=PhasePoint([1.0, 0.0], [0.0, 0.5]), T=0.1,
+        dt=0.01, epsilon=0.05, samples=3, grid=GridSpec(n=2, N=64, L=10.0),
+        comparator=ComparatorSpec(s=1.0, N=32)))
+    assert report.provenance["grid"]["n"] == 2
+    assert report.verdict != "not-reduced"
+    assert report.error.overall < 1e-3
+
+
 STREAM_CASES = {
     # 25 steps at stride 3: the last step is off the stride.
     "lattice-1d": ReductionProblem(
@@ -629,10 +639,9 @@ STREAM_CASES = {
         epsilon=0.05, samples=7,
         region=PhaseRegion.box(PhasePoint(1.0, 0.0), [0.2, 0.2])),
     "coupled-2d": ReductionProblem(
-        spec=HamiltonianSpec(mass=1.0, dimension=2,
-                             potential=PotentialModel.polynomial2d(
-                                 [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0],
-                                  [0.5, 0.01, 0.0], [0.02, 0.0, 0.0]])),
+        spec=HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial2d(
+            [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.01, 0.0],
+             [0.02, 0.0, 0.0]])),
         alpha0=PhasePoint([1.0, 0.0], [0.0, 0.5]), T=0.1, dt=0.01,
         epsilon=0.05, samples=3, grid=GridSpec(n=2, N=64, L=10.0),
         comparator=ComparatorSpec(s=1.0, N=32)),

@@ -72,7 +72,7 @@ def test_scale_hamiltonian_2d_total_degree():
     pot = PotentialModel.polynomial2d([[0.0, 0.0, 0.5], [0.0, 0.0, 0.0],
                                        [0.5, 0.0, 0.25]])
     pair = scale_hamiltonian(
-        HamiltonianSpec(mass=2.0, potential=pot, dimension=2), 4.0)
+        HamiltonianSpec(mass=2.0, potential=pot), 4.0)
     C = pair.in_scaled_units.potential.coeff_matrix
     assert C[0, 2] == pytest.approx(0.5)
     assert C[2, 0] == pytest.approx(0.5)
@@ -129,7 +129,7 @@ def test_hepp_family_shrinks_the_error():
     # 401 steps at stride 2: the final snapshot is off the stride.
     (CUBIC, PhasePoint(1.0, 0.5), GridSpec(1, 1024, 20.0), 0.401, 1e-3),
     (HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial2d(
-        [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.1, 0.0]]), dimension=2),
+        [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.1, 0.0]])),
      PhasePoint([1.0, 0.0], [0.0, 0.5]), GridSpec(2, 256, 17.0), 0.3, 0.01),
 ], ids=["1d", "2d"])
 def test_scale_rows_are_bitwise_the_full_pipeline(spec, alpha0, grid, T, dt):

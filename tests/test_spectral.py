@@ -117,11 +117,30 @@ def test_ergodic_rejects_bad_inputs():
     with pytest.raises(ValueError):
         ergodic_average(evo, np.array([1.0, 1.0]), np.eye(2), horizons=1.0)
     psi = np.array([1.0, 0.0], dtype=complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="F must be Hermitian"):
         ergodic_average(evo, psi, np.array([[0.0, 1.0], [0.0, 0.0]]),
                         horizons=1.0)
     with pytest.raises(ValueError):
         ergodic_average(evo, psi, np.eye(2), horizons=-2.0)
+
+
+def test_ergodic_average_is_the_mean_stay():
+    # Both take the mean tau / (2 T) of one finite stay curve.
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        evo = finite_evolution(random_hermitian(rng, 8))
+        psi, F = random_unit(rng, 8), random_hermitian(rng, 8)
+        for T in (0.7, 13.0, 120.0):
+            measured = ergodic_average(evo, psi, F, T)["measured"][T]
+            assert measured == average_stay(evo, psi, F, T)["value"]
+
+
+@pytest.mark.parametrize("dt", [-0.1, 0.0, np.nan, np.inf])
+def test_grid_hamiltonian_refuses_a_bad_dt(dt):
+    # dt -0.1 used to run a two-step stay curve, and dt 0 to raise
+    # ZeroDivisionError inside classify_quantum.
+    with pytest.raises(ValueError, match="dt"):
+        GridHamiltonian(HARMONIC, GridSpec(1, 256, 12.0), dt=dt)
 
 
 def test_average_stay_on_eigenvectors():
