@@ -305,13 +305,15 @@ def classify_classical(spec: HamiltonianSpec, alpha0: PhasePoint,
     and keeps growing over the trailing fifth of the window, or the flow
     blows up in finite time.  Anything else is undecided; a state that
     escapes every radius without monotone growth is flagged as an
-    exceptional candidate in the diagnostics, never asserted.
+    exceptional candidate in the diagnostics, never asserted.  The
+    diagnostics' dt is the step that ran, time_steps(horizon, dt).
     """
     if radii is None:
         base = max(1.0, alpha0.s_norm)
         radii = [base * 2.0 ** k for k in range(6)]
     radii = sorted(float(r) for r in radii)
-    diagnostics = {"dt": dt, "radii": radii, "diverged": False}
+    diagnostics = {"dt": time_steps(horizon, dt)[1], "radii": radii,
+                   "diverged": False}
     try:
         traj = integrate_flow(spec, alpha0, horizon, dt)
     except FlowDivergedError as err:

@@ -331,7 +331,7 @@ def coherent_matrix_elements(spec: ComparatorSpec, alpha) -> dict:
     diag_closed = float(sigma * np.exp(-sigma * z_sq))
     diag_measured = float(np.sum(c_sq * eig))
     inv_closed = float(np.exp(lam_2s * z_sq) / sigma ** 2)
-    inv_measured = float(np.sum(c_sq * np.exp(2.0 * s * np.arange(spec.N + 1)))
+    inv_measured = float(np.sum(c_sq * np.exp(_constants(spec, 1).growth))
                          / sigma ** 2)
     # Mass beyond the truncation is scored with the worst factor 1.
     tail = max(0.0, 1.0 - float(np.sum(c_sq)))

@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .classical import ClassicalTrajectory, _hermite
 from .errors import CausticError, NumericalError
 from .grid import GridSpec, GridWavefunction
 from .hamiltonian import HamiltonianSpec, PhasePoint, energies
+from .quadrature import cumulative_simpson
 
 SYMMETRY_TOL = 1e-10
 FACTOR_TOL = 1e-10
@@ -364,8 +364,7 @@ def phase_X(spec: HamiltonianSpec, traj: ClassicalTrajectory) -> np.ndarray:
         # A stack of row products: bitwise each row's grad @ state.
         dots = np.matmul(grad[:, None, :], traj.states[:, :, None])[:, 0, 0]
         integrand = energies(spec, traj.xi, traj.pi) - 0.5 * dots
-    return cumulative_simpson(np.asarray(integrand, dtype=float),
-                              dx=traj.dt, initial=0.0)
+    return cumulative_simpson(integrand, dx=traj.dt)
 
 
 @dataclass(eq=False)

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.integrate import cumulative_trapezoid
 
 from . import __version__
 from .classical import ClassicalTrajectory, PhaseRegion, integrate_flow
@@ -41,6 +40,7 @@ from .hamiltonian import MAX_POLY_DEGREE, HamiltonianSpec, PhasePoint, \
     taylor_remainder_V, time_steps
 from .packets import GaussianPacket, PacketFlow, approximate_flow, packet, \
     sample_on_grid
+from .quadrature import cumulative_trapezoid
 
 CROSS_CHECK_TOL = 1e-8
 # Gauss-Hermite nodes per axis: exact to degree 17, so for r^2 at the caps.
@@ -199,7 +199,7 @@ def duhamel_curve(spec: HamiltonianSpec, flow: PacketFlow) -> np.ndarray:
     count = len(flow.times)
     values = _remainder_norms(spec, flow.traj.xi, flow.series.M.real,
                               {0, count // 2, count - 1})
-    return cumulative_trapezoid(values, flow.times, initial=0.0)
+    return cumulative_trapezoid(values, flow.times)
 
 
 @dataclass(eq=False)

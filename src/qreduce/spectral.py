@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .comparator import ComparatorSpec, _basis, _constants
 from .grid import GridSpec, GridWavefunction, propagate
 from .hamiltonian import HamiltonianSpec
+from .quadrature import cumulative_simpson
 
 MAX_DIM = 4096
 HERMITIAN_TOL = 1e-12
@@ -208,8 +208,8 @@ def ergodic_average(evo: FiniteEvolution, psi, F, horizons) -> dict:
     hs = np.sort(hs)
     times, tau, predicted = _finite_stay_curve(evo, psi, F, float(hs[-1]))
     idx = _horizon_indices(times, hs)
-    measured = {float(h): float(tau[i] / (2.0 * times[i]))
-                for h, i in zip(hs, idx)}
+    means = _mean_stay(tau[idx], times[idx])
+    measured = dict(zip(hs.tolist(), means.tolist()))
     return {"predicted": predicted, "measured": measured}
 
 
@@ -223,7 +223,7 @@ def _finite_stay_curve(evo: FiniteEvolution, psi, Omega, T: float):
     times = _quad_times(T, float(a[-1] - a[0]))
     signal = _signal_on_times(W, a, times)
     # tau(T') = int_{-T'}^{T'} = 2 int_0^{T'} by evenness of the signal.
-    tau = 2.0 * cumulative_simpson(signal, x=times, initial=0.0)
+    tau = 2.0 * cumulative_simpson(signal, x=times)
     prediction = _dephased_value(evo, c, O_eig)
     return times, tau, prediction
 
@@ -267,7 +267,7 @@ def _grid_stay_curve(handle: GridHamiltonian, psi: GridWavefunction,
         curves.append(np.concatenate(values))
     times = np.linspace(0.0, T, steps + 1)
     both = curves[0] + curves[1]
-    tau = cumulative_simpson(both, x=times, initial=0.0)
+    tau = cumulative_simpson(both, x=times)
     return times, tau, None
 
 
@@ -292,12 +292,17 @@ def average_stay(evo, psi, Omega, T: float) -> dict:
     as the region operator.
     """
     times, tau, prediction = _stay_curve(evo, psi, Omega, T)
-    value = float(tau[-1] / (2.0 * times[-1]))
+    value = float(_mean_stay(tau[-1], times[-1]))
     note = ("finite-dimensional evolution: every vector is bound and the "
             "ergodic prediction applies" if prediction is not None
             else "grid evolution: finite-horizon value only")
     return {"value": value, "prediction": prediction, "T": float(times[-1]),
             "note": note}
+
+
+def _mean_stay(tau, t):
+    """The mean presence tau(t) / 2t over [-t, t] of a stay curve."""
+    return tau / (2.0 * t)
 
 
 def _trailing_increment(times, tau) -> float:
@@ -399,7 +404,7 @@ def classify_quantum(evo, psi, Omega, horizons) -> dict:
     times, tau_curve, _ = _stay_curve(evo, psi, Omega, float(hs[-1]))
     idx = _horizon_indices(times, hs)
     taus = tau_curve[idx]
-    mus = taus / (2.0 * times[idx])
+    mus = _mean_stay(taus, times[idx])
     trailing = _trailing_increment(times, tau_curve)
     stable = abs(mus[-1] - mus[-2]) <= PP_DRIFT_TOL * max(mus[-1], PP_FLOOR)
     if trailing < TAIL_INCREMENT_TOL:

@@ -254,6 +254,18 @@ def test_provenance_dt_is_the_step_that_ran(tmp_path, mode):
     assert report["result"]["provenance"]["dt"] == 0.1 / 3
 
 
+def test_classify_classical_reports_one_step(tmp_path):
+    # The diagnostics used to echo the requested 0.03 beside the
+    # provenance's 0.1 / 3.
+    cfg = write_config(tmp_path, {"mode": "classify-classical", "problem": {
+        **STEP_CASES["classify-classical"], "T": 0.1, "dt": 0.03}})
+    assert run(cfg, out_dir=tmp_path) == 0
+    result = json.loads(
+        (tmp_path / "classify-classical.json").read_text())["result"]
+    assert result["diagnostics"]["dt"] == 0.1 / 3
+    assert result["provenance"]["dt"] == 0.1 / 3
+
+
 def test_grid_classify_quantum_reports_the_requested_dt(tmp_path):
     # Its stay curve steps by its own rule, max(2, ceil(T / dt)).
     cfg = write_config(tmp_path, {"mode": "classify-quantum", "problem": {

@@ -1,6 +1,11 @@
-"""Every module-level import in the package's modules is used."""
+"""Every module-level import in the package is used, and a CLI run loads
+no scipy subpackage that qreduce does not call."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +37,41 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+# Runs in a fresh interpreter: one reduce and one grid classify-quantum
+# config through cli.run, then the scipy subpackages still loaded.
+GUARD = """
+import json, sys
+from qreduce import cli
+codes = [cli.run(path, out_dir=sys.argv[1]) for path in sys.argv[2:]]
+heavy = sorted(m for m in sys.modules if m.split(".")[:2] in (
+    ["scipy", "integrate"], ["scipy", "optimize"], ["scipy", "sparse"]))
+print(json.dumps({"codes": codes, "heavy": heavy}))
+"""
+
+
+def test_cli_runs_load_no_heavy_scipy_subpackage(tmp_path):
+    # scipy.integrate alone pulls in scipy.optimize, scipy.sparse and
+    # scipy.linalg: a third of the set-up time of every process.
+    configs = [
+        {"mode": "reduce", "problem": {
+            "potential": "harmonic", "alpha0": [1.0, 0.0], "T": 0.1,
+            "dt": 0.01, "epsilon": 1e-3}},
+        {"mode": "classify-quantum", "problem": {
+            "potential": "harmonic", "horizons": 1.0,
+            "grid": {"n": 1, "N": 256, "L": 12.0},
+            "comparator": {"s": 1.0, "N": 32}}},
+    ]
+    paths = []
+    for k, config in enumerate(configs):
+        paths.append(tmp_path / f"config{k}.json")
+        paths[-1].write_text(json.dumps(config))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", GUARD, str(tmp_path / "out"),
+         *map(str, paths)], env=env, capture_output=True, text=True,
+        check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "codes": [0, 0], "heavy": []}
