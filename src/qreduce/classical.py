@@ -61,12 +61,8 @@ class ClassicalTrajectory:
     @cached_property
     def derivatives(self) -> np.ndarray:
         """Phase-space velocities (xi_dot, pi_dot) at every sample."""
-        pot = self.spec.potential
-        if pot.ndim == 1:
-            xi = self.xi[:, 0]
-            return np.column_stack([self.pi[:, 0] / self.spec.mass,
-                                    -pot.derivative(xi, 1)])
-        return np.hstack([self.pi / self.spec.mass, -pot.gradient(self.xi)])
+        return np.hstack([self.pi / self.spec.mass,
+                          -self.spec.potential.gradient(self.xi)])
 
     def at(self, t) -> np.ndarray:
         """State at a time in the span, cubic Hermite interpolated.
@@ -183,7 +179,7 @@ def _finish(spec, m, dt, xi, pi, last):
 
 def _integrate_leapfrog_1d(spec, alpha0, m, dt):
     # Scalar fast path: Horner on plain floats keeps long runs cheap.
-    dcoef = list(np.polynomial.polynomial.polyder(spec.potential.coeffs))
+    dcoef = list(spec.potential._derivative((1,)))
     mass = spec.mass
     xi = np.empty((m + 1, 1))
     pi = np.empty((m + 1, 1))

@@ -75,9 +75,9 @@ from .hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel, \
     time_steps
 from .packets import _as_matrix, _check_widths, packet, sample_on_grid
 from .reduction import (DEFAULT_DT, DEFAULT_S, DEFAULT_SAMPLES,
-                        EHRENFEST_STRIDE, ReductionProblem, _provenance,
-                        ehrenfest_residuals, ehrenfest_run, run_reduction,
-                        squeeze_sweep)
+                        EHRENFEST_STRIDE, ReductionProblem, _positive_int,
+                        _provenance, ehrenfest_residuals, ehrenfest_run,
+                        run_reduction, squeeze_sweep)
 from .scaling import hepp_experiment
 from .spectral import GridHamiltonian, classify_quantum, finite_evolution
 
@@ -190,10 +190,10 @@ def _width(block: dict, path: str, n: int):
 
 
 def _count(block: dict, path: str, key: str, default: int) -> int:
-    value = block.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    try:
+        return _positive_int(block.get(key, default), key)
+    except ValueError:
         _fail(f"{path}.{key}", "must be a positive integer")
-    return value
 
 
 def _epsilon(problem: dict, default):

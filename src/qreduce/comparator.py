@@ -28,6 +28,9 @@ EXP_GUARD = 700.0
 NOISE_FLOOR = 1e-26
 RESOLUTION_RADIUS = 6.0
 RESOLUTION_POINTS = 400
+POWER_ITERATIONS = 200
+EDGE_WINDOW = 8
+EDGE_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -267,11 +270,11 @@ def _scalars(spec: ComparatorSpec, dimension: int) -> dict:
             "aOmega_bound": float(bound)}
 
 
-def _power_iteration_sq(mat, iters: int = 200) -> float:
+def _power_iteration_sq(mat) -> float:
     gram = mat.T.conj() @ mat
     v = np.ones(mat.shape[1]) / np.sqrt(mat.shape[1])
     val = 0.0
-    for _ in range(iters):
+    for _ in range(POWER_ITERATIONS):
         w = gram @ v
         val = float(np.linalg.norm(w))
         if val == 0.0:
@@ -388,17 +391,17 @@ def within_magnitude(spec: ComparatorSpec, E: float, psi: GridWavefunction,
             "residual": residual}
 
 
-def _edge_dominated(seq, window: int = 8, fraction: float = 0.5) -> bool:
+def _edge_dominated(seq) -> bool:
     # seq holds the log terms by total excitation; the sum is
     # untrustworthy when the last window of surviving terms carries most
     # of its value.
     seq = seq[seq > -EXP_GUARD]
-    if seq.size < 2 * window:
+    if seq.size < 2 * EDGE_WINDOW:
         return False
     top = seq.max()
-    edge = np.exp(seq[-window:] - top).sum()
+    edge = np.exp(seq[-EDGE_WINDOW:] - top).sum()
     total = np.exp(seq - top).sum()
-    return bool(edge > fraction * total)
+    return bool(edge > EDGE_FRACTION * total)
 
 
 def coherent_resolution_check(spec: ComparatorSpec, k_index: int) -> dict:

@@ -146,9 +146,7 @@ class GridEvolution:
 def potential_on_grid(spec: HamiltonianSpec, grid: GridSpec) -> np.ndarray:
     if spec.dimension != grid.n:
         raise ValueError("Hamiltonian and grid dimensions differ")
-    if grid.n == 1:
-        return np.asarray(spec.potential.value(grid.x), dtype=float)
-    return np.asarray(spec.potential.value(grid.x_mesh), dtype=float)
+    return spec.potential.value(grid.x if grid.n == 1 else grid.x_mesh)
 
 
 def propagate(spec: HamiltonianSpec, psi0: GridWavefunction, t_final: float,

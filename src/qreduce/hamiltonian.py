@@ -13,11 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as npoly
+from numpy.polynomial.hermite_e import hermegauss
 
 MAX_POLY_DEGREE = 8
 MAX_POLY_DEGREE_2D = 4
+GAUSS_NODES = MAX_POLY_DEGREE + 1
 
 
 def _polyval_nd(coef, x):
@@ -34,18 +35,18 @@ def _polyval_nd(coef, x):
 class PotentialModel:
     """A polynomial potential V with exact derivatives.
 
-    Degree <= MAX_POLY_DEGREE (8) in one dimension, total degree <=
-    MAX_POLY_DEGREE_2D (4) in two.  Derivatives of all orders come from
-    coefficient differentiation, done once per potential and order, and
-    Taylor remainders about any batch of centres are exact.  gradient and
-    hessian take one point or a stack of points and evaluate a stack in
-    one call.
+    V is one coefficient tensor with an axis per degree of freedom:
+    coeffs[i] multiplies x^i in 1D, coeffs[i, j] x^i y^j in 2D.  Degree
+    <= MAX_POLY_DEGREE (8) in 1D, total degree <= MAX_POLY_DEGREE_2D (4)
+    in 2D.  Derivatives of all orders come from coefficient
+    differentiation, done once per potential and multi-index, and Taylor
+    remainders about any batch of centres are exact.  gradient and
+    hessian take one point or a stack of points.
     """
 
-    def __init__(self, *, coeffs=None, coeff_matrix=None):
-        self.coeffs = coeffs
-        self.coeff_matrix = coeff_matrix
-        self._derivatives = {}
+    def __init__(self, coeffs):
+        self.coeffs = np.asarray(coeffs, dtype=float)
+        self._derivatives = {(0,) * self.coeffs.ndim: self.coeffs}
 
     # -- constructors -------------------------------------------------
 
@@ -57,7 +58,7 @@ class PotentialModel:
             raise ValueError("1D polynomial needs a flat coefficient list")
         if len(coeffs) - 1 > MAX_POLY_DEGREE:
             raise ValueError(f"polynomial degree capped at {MAX_POLY_DEGREE}")
-        return cls(coeffs=coeffs)
+        return cls(coeffs)
 
     @classmethod
     def polynomial2d(cls, coeff_matrix) -> "PotentialModel":
@@ -65,33 +66,29 @@ class PotentialModel:
         C = np.asarray(coeff_matrix, dtype=float)
         if C.ndim != 2:
             raise ValueError("2D polynomial needs a coefficient matrix")
-        for i in range(C.shape[0]):
-            for j in range(C.shape[1]):
-                if C[i, j] != 0.0 and i + j > MAX_POLY_DEGREE_2D:
-                    raise ValueError(
-                        f"2D total degree capped at {MAX_POLY_DEGREE_2D}")
-        return cls(coeff_matrix=C)
+        if np.any((C != 0.0) & (sum(np.indices(C.shape)) > MAX_POLY_DEGREE_2D)):
+            raise ValueError(f"2D total degree capped at {MAX_POLY_DEGREE_2D}")
+        return cls(C)
 
     # -- queries ------------------------------------------------------
 
     @property
     def ndim(self) -> int:
-        return 2 if self.coeff_matrix is not None else 1
+        return self.coeffs.ndim
 
     def value(self, x):
         """Evaluate V at x (scalar or array; 2D takes (..., 2) stacks)."""
-        if self.coeff_matrix is not None:
-            x = np.asarray(x, dtype=float)
-            return npoly.polyval2d(x[..., 0], x[..., 1], self.coeff_matrix)
-        return Polynomial(self.coeffs)(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        axes = [x] if self.ndim == 1 else np.moveaxis(x, -1, 0)
+        return self._evaluate(axes, (0,) * self.ndim)
 
     def derivative(self, x, order=1):
         """Evaluate d^order V / dx^order at x (1D potentials)."""
-        if self.coeff_matrix is not None:
+        if self.ndim != 1:
             raise ValueError("use gradient/hessian for 2D potentials")
         if order < 1:
             raise ValueError("derivative order must be >= 1")
-        return self._derivative(order)(np.asarray(x, dtype=float))
+        return self._evaluate([np.asarray(x, dtype=float)], (order,))
 
     def gradient(self, xi):
         """Gradient of V at a point, or at each point of a stack.
@@ -100,41 +97,44 @@ class PotentialModel:
         result has the same shape.  Every point is evaluated by the same
         elementwise Horner steps, so a stack is bitwise the loop.
         """
-        xi = self._points(xi)
-        if self.coeff_matrix is not None:
-            x, y = xi[..., 0], xi[..., 1]
-            return np.stack([npoly.polyval2d(x, y, self._derivative(a))
-                             for a in ((1, 0), (0, 1))], axis=-1)
-        return np.asarray(self.derivative(xi, order=1))
+        axes = np.moveaxis(np.atleast_1d(np.asarray(xi, dtype=float)), -1, 0)
+        units = np.eye(self.ndim, dtype=int)
+        return np.stack([self._evaluate(axes, a) for a in units], axis=-1)
 
     def hessian(self, xi):
         """Hessian of V at a point, (n, n), or at a stack (..., n) -> (..., n, n)."""
-        xi = self._points(xi)
-        if self.coeff_matrix is not None:
-            x, y = xi[..., 0], xi[..., 1]
-            dxx, dxy, dyy = (npoly.polyval2d(x, y, self._derivative(a))
-                             for a in ((2, 0), (1, 1), (0, 2)))
-            return np.stack([np.stack([dxx, dxy], axis=-1),
-                             np.stack([dxy, dyy], axis=-1)], axis=-2)
-        return np.asarray(self.derivative(xi, order=2))[..., None]
+        axes = np.moveaxis(np.atleast_1d(np.asarray(xi, dtype=float)), -1, 0)
+        units = np.eye(self.ndim, dtype=int)
+        return np.stack([np.stack([self._evaluate(axes, a + b) for b in units],
+                                  axis=-1) for a in units], axis=-2)
 
-    @staticmethod
-    def _points(xi):
-        xi = np.asarray(xi, dtype=float)
-        return xi[None] if xi.ndim == 0 else xi
-
-    def _derivative(self, order):
-        # Differentiated once per potential: a Polynomial per order in 1D,
-        # a coefficient matrix per multi-index (d/dx, d/dy) in 2D.
-        D = self._derivatives.get(order)
+    def _derivative(self, a):
+        """Coefficients of d^a V for a multi-index a, one entry per axis;
+        differentiated once per potential and multi-index."""
+        a = tuple(a)
+        D = self._derivatives.get(a)
         if D is None:
-            if self.coeff_matrix is None:
-                D = Polynomial(self.coeffs).deriv(order)
-            else:
-                D = self.coeff_matrix
-                for axis, m in enumerate(order):
-                    D = npoly.polyder(D, m, axis=axis)
-            self._derivatives[order] = D
+            D = self.coeffs
+            for axis, m in enumerate(a):
+                D = npoly.polyder(D, m, axis=axis)
+            self._derivatives[a] = D
+        return D
+
+    def _evaluate(self, axes, a):
+        """d^a V with coordinate i at axes[i], arrays that broadcast
+        against each other.  Horner runs in polyval2d's order, in the
+        first coordinate inside and then in the next, so a 1D value is
+        bitwise polyval's and a 2D one polyval2d's."""
+        if len(axes) != self.ndim:
+            raise ValueError(f"points need one coordinate per axis of V, "
+                             f"n = {self.ndim}")
+        D = self._derivative(a)
+        D = D.reshape(D.shape + (1,) * max(x.ndim for x in axes))
+        for x in axes:
+            out = D[-1] + x * 0
+            for c in D[-2::-1]:
+                out = c + out * x
+            D = out
         return D
 
     def remainder(self, centers, u):
@@ -144,7 +144,10 @@ class PotentialModel:
         (K, G).  The coefficients d^a V(c_k) / a! come from exact
         differentiation, so r is identically zero for quadratic V.
         """
-        C = self.coeffs if self.coeff_matrix is None else self.coeff_matrix
+        # _polyval_nd runs Horner in x outermost, not in _evaluate's order:
+        # the shared order would move remainder-2d's delta1_duhamel by
+        # rounding, a change that waits for ROADMAP item 1's rounding floor.
+        C = self.coeffs
         taylor = np.zeros((len(centers), 1) + C.shape)
         for a in np.ndindex(C.shape):
             if sum(a) >= 3:
@@ -153,6 +156,13 @@ class PotentialModel:
                     D = npoly.polyder(D, m, axis=axis)
                 taylor[(slice(None), 0) + a] = _polyval_nd(D, centers)
         return _polyval_nd(taylor, u)
+
+
+def normal_rule():
+    """Gauss-Hermite nodes z and weights w with sum_k w_k f(z_k) = E f(Z),
+    Z standard normal, for f of degree <= 17: r^2 at the degree caps."""
+    z, w = hermegauss(GAUSS_NODES)
+    return z, w / np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -277,17 +287,12 @@ def taylor_remainder_V(spec: HamiltonianSpec, xi_center, x):
     """
     pot = spec.potential
     xi_center = np.atleast_1d(np.asarray(xi_center, dtype=float))
-    if pot.ndim == 2:
-        x = np.asarray(x, dtype=float)
-        grad = pot.gradient(xi_center)
-        hess = pot.hessian(xi_center)
-        lin = x @ grad
-        quad = 0.5 * np.einsum("...i,ij,...j->...", x, hess, x)
-        return (pot.value(xi_center + x) - pot.value(xi_center)
-                - lin - quad)
     x = np.asarray(x, dtype=float)
+    if pot.ndim == 2:
+        lin = x @ pot.gradient(xi_center)
+        quad = 0.5 * np.einsum("...i,ij,...j->...", x,
+                               pot.hessian(xi_center), x)
+        return pot.value(xi_center + x) - pot.value(xi_center) - lin - quad
     c = xi_center[0]
-    v0 = pot.value(c)
-    v1 = pot.derivative(c, 1)
-    v2 = pot.derivative(c, 2)
-    return pot.value(c + x) - v0 - v1 * x - 0.5 * v2 * x * x
+    v1, v2 = pot.derivative(c, 1), pot.derivative(c, 2)
+    return pot.value(c + x) - pot.value(c) - v1 * x - 0.5 * v2 * x * x

@@ -25,8 +25,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
-from numpy.polynomial.hermite_e import hermegauss
 
 from . import __version__
 from .classical import ClassicalTrajectory, PhaseRegion, integrate_flow
@@ -36,15 +34,13 @@ from .comparator import RESIDUAL_TOL, BasisResidualError, ComparatorSpec, \
 from .errors import ConfigError, NumericalError
 from .grid import DEFAULT_GRID, GridSpec, GridWavefunction, _row_norms, \
     expectation_a, propagate
-from .hamiltonian import MAX_POLY_DEGREE, HamiltonianSpec, PhasePoint, \
+from .hamiltonian import HamiltonianSpec, PhasePoint, normal_rule, \
     taylor_remainder_V, time_steps
 from .packets import GaussianPacket, PacketFlow, approximate_flow, packet, \
     sample_on_grid
 from .quadrature import cumulative_trapezoid
 
 CROSS_CHECK_TOL = 1e-8
-# Gauss-Hermite nodes per axis: exact to degree 17, so for r^2 at the caps.
-GAUSS_NODES = MAX_POLY_DEGREE + 1
 DOMINATION_SLACK = 1e-8
 DEFAULT_DT = 1e-3
 DEFAULT_SAMPLES = 200
@@ -120,8 +116,9 @@ def _dense_remainder(spec: HamiltonianSpec, center, re_m, z) -> np.ndarray:
     """r(c + L z) by subtraction on every node tuple of z, shape (P,) * n.
 
     L = chol((2 Re M)^{-1}) is lower triangular, so in 2D u_0 = L_00 z_a
-    reads only the first node: V's x-polynomials are taken once per
-    node, and Horner in y runs over the (z_a, z_b) grid.
+    reads only the first node: on broadcast (P, 1) and (P, P) axes, V's
+    x-polynomials are taken once per node and Horner in y runs over the
+    (z_a, z_b) grid.
     """
     L = np.linalg.cholesky(np.linalg.inv(2.0 * re_m))
     if spec.dimension == 1:
@@ -129,8 +126,7 @@ def _dense_remainder(spec: HamiltonianSpec, center, re_m, z) -> np.ndarray:
     pot = spec.potential
     u0 = (L[0, 0] * z)[:, None]
     u1 = L[1, 0] * z[:, None] + L[1, 1] * z
-    x_poly = npoly.polyval(center[0] + u0[:, 0], pot.coeff_matrix)
-    r = npoly.polyval(center[1] + u1, x_poly[..., None], tensor=False)
+    r = pot._evaluate([center[0] + u0, center[1] + u1], (0, 0))
     (g0, g1), ((h00, h01), (_, h11)) = (pot.gradient(center),
                                         pot.hessian(center))
     # V(c) + g.u + u.H.u / 2, the terms in u_0 alone on the first node.
@@ -152,8 +148,7 @@ def _reference_norm(spec: HamiltonianSpec, center, re_m) -> float:
 def _remainder_norms(spec: HamiltonianSpec, centers, re_m, spots):
     # Tensor Gauss-Hermite for all samples at once, exact at the degree
     # caps; the dense reference checks the samples in spots.
-    z, w = hermegauss(GAUSS_NODES)
-    u, weights = _gaussian_rule(z, w / np.sqrt(2.0 * np.pi), re_m)
+    u, weights = _gaussian_rule(*normal_rule(), re_m)
     r = spec.potential.remainder(centers, u)
     values = np.sqrt((r * r) @ weights)
     for k in spots:
@@ -319,14 +314,14 @@ class BoundAssembly:
         return bool(np.all(self.membership_u) and np.all(self.membership_w))
 
 
-def _membership_probes(comp: ComparatorSpec, E, coeffs, residual):
-    # One within_magnitude call per row, given the row's projection.  A
-    # state with mass beyond the truncated basis certifies nothing; it
-    # scores as divergent rather than aborting the assembly.
+def _membership_probes(comp: ComparatorSpec, coeffs, residual):
+    # One within_magnitude call per row, given its projection, read for the
+    # inverse norm and divergence flag.  A state with mass beyond the basis
+    # certifies nothing; it scores as divergent, not aborting the assembly.
     inv, divergent = np.full(len(coeffs), np.inf), np.ones(len(coeffs), bool)
     for row, projection in enumerate(zip(coeffs, residual.tolist())):
         try:
-            probe = within_magnitude(comp, E or E_PROBE, None,
+            probe = within_magnitude(comp, E_PROBE, None,
                                      projection=projection)
         except BasisResidualError:
             continue
@@ -368,8 +363,7 @@ class BoundInputs:
             raise NumericalError("grid run and trajectory samples disagree")
         if self.failure is not None:
             return
-        comp, E, grid = (self.problem.comparator, self.problem.E,
-                         self.problem.grid)
+        comp, grid = self.problem.comparator, self.problem.grid
         w = self.flow.sample(steps, grid)
         w_coeffs, w_residual = hermite_coefficients(comp, w, grid)
         outside = np.flatnonzero(w_residual > RESIDUAL_TOL)
@@ -382,8 +376,8 @@ class BoundInputs:
         # W - Omega W, whose norms are delta2.
         w -= apply_comparator(comp, w, normalized=True,
                               projection=(w_coeffs, w_residual), grid=grid)
-        inv_u, div_u = _membership_probes(comp, E, u_coeffs, u_residual)
-        inv_w, div_w = _membership_probes(comp, E, w_coeffs, w_residual)
+        inv_u, div_u = _membership_probes(comp, u_coeffs, u_residual)
+        inv_w, div_w = _membership_probes(comp, w_coeffs, w_residual)
         self.blocks.append((steps, delta1, _row_norms(w, grid), inv_u, inv_w,
                             div_u, div_w))
 
@@ -713,36 +707,39 @@ def squeeze_sweep(problem: ReductionProblem, dilations) -> dict:
     Duhamel integral standing in for Delta_1.  E is taken from the
     problem, else measured on the d = 1 flow, which its row then reuses;
     E_source in the result says which ("given" or "auto").  Each final
-    state is projected on the comparator basis once, with its flow, and
-    that projection serves both the E probe and the smoothing.
+    state W is sampled as a stack of one by flow.sample and scored as
+    BoundInputs.add scores a block: one stacked hermite_coefficients
+    projection, which serves both the E probe and the smoothing, one
+    apply_comparator call and a row norm of W - Omega W.
     """
     dilations = [float(d) for d in dilations]
     if any(d <= 0 for d in dilations):
         raise ConfigError("dilations must be positive")
     spec = problem.spec
     traj = integrate_flow(spec, problem.alpha0, problem.T, problem.dt)
-    comp = problem.comparator
+    comp, grid, last = problem.comparator, problem.grid, len(traj) - 1
 
     @functools.cache
     def final_state(d):
         flow = approximate_flow(spec, traj, packet(problem.alpha0, d))
-        w_state = sample_on_grid(flow.packet_at(-1), problem.grid)
-        return flow, w_state, hermite_coefficients(comp, w_state)
+        w = flow.sample([last], grid)
+        return flow, w, hermite_coefficients(comp, w, grid)
 
     def probe():
+        coeffs, residual = final_state(1.0)[2]
         result = within_magnitude(comp, E_PROBE, None,
-                                  projection=final_state(1.0)[2])
+                                  projection=(coeffs[0], residual[0]))
         return [result["inv_norm"]], [result["divergent"]]
 
     E = _select_E(problem.E, probe)
     prefactor = _closed_prefactor(comp)
     rows = []
     for d in dilations:
-        flow, w_state, projection = final_state(d)
+        flow, w, projection = final_state(d)
         duh = float(duhamel_curve(spec, flow)[-1])
-        smoothed = apply_comparator(comp, w_state, normalized=True,
-                                    projection=projection)
-        comparator_term = w_state.distance(smoothed)
+        smoothed = apply_comparator(comp, w, normalized=True,
+                                    projection=projection, grid=grid)
+        comparator_term = float(_row_norms(w - smoothed, grid)[0])
         rows.append({"d": d, "duhamel_term": duh,
                      "comparator_term": comparator_term,
                      "total_bound": _specialized_bound(prefactor, E, duh,

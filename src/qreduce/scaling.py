@@ -66,14 +66,9 @@ class ScaledHamiltonians(NamedTuple):
 
 
 def _scaled_potential(pot: PotentialModel, lam, sign: float) -> PotentialModel:
-    if pot.ndim == 1:
-        degrees = np.arange(len(pot.coeffs))
-        return PotentialModel.polynomial(
-            pot.coeffs * lam ** (sign * (1.0 - degrees / 2.0)))
-    C = pot.coeff_matrix
-    i, j = np.indices(C.shape)
-    return PotentialModel.polynomial2d(
-        C * lam ** (sign * (1.0 - (i + j) / 2.0)))
+    # A degree-k coefficient times lambda^(sign (1 - k/2)), k the total degree.
+    degrees = sum(np.indices(pot.coeffs.shape))
+    return PotentialModel(pot.coeffs * lam ** (sign * (1.0 - degrees / 2.0)))
 
 
 def scale_hamiltonian(spec: HamiltonianSpec, lam: float) -> ScaledHamiltonians:
@@ -162,8 +157,9 @@ def hepp_experiment(spec: HamiltonianSpec, alpha0: PhasePoint, T: float,
     basis, and a row fails (failed names the error) only in a stage
     behind those numbers: the classical flow, the packet flow, the grid
     run or the remainder cross-check.  A centre too close to the grid
-    edge (GridSpec.holds_center) is a ConfigError, as in a reduction.  For an anharmonic polynomial both shrink as lambda does,
-    since every degree-k > 2 coefficient carries lambda^(k/2 - 1).
+    edge (GridSpec.holds_center) is a ConfigError, as in a reduction.
+    For an anharmonic polynomial error and bound shrink with lambda:
+    every degree-k > 2 coefficient carries lambda^(k/2 - 1).
     """
     lams = [float(l) for l in lambdas]
     if any(l <= 0 for l in lams):

@@ -29,6 +29,8 @@ PP_DRIFT_TOL = 0.05
 # recurrence_time: coarse steps per fastest period, fine points per side.
 RECURRENCE_STEPS_PER_PERIOD = 64
 RECURRENCE_REFINE = 256
+# Times per block of the signal sum: bounds its (eigenvalues, times) array.
+SIGNAL_CHUNK = 65536
 
 
 @dataclass(eq=False)
@@ -159,13 +161,13 @@ def _dephased_value(evo: FiniteEvolution, c: np.ndarray,
     return total
 
 
-def _signal_on_times(W: np.ndarray, a: np.ndarray, times: np.ndarray,
-                     chunk: int = 65536) -> np.ndarray:
+def _signal_on_times(W: np.ndarray, a: np.ndarray,
+                     times: np.ndarray) -> np.ndarray:
     out = np.empty(times.size)
-    for lo in range(0, times.size, chunk):
-        ts = times[lo:lo + chunk]
+    for lo in range(0, times.size, SIGNAL_CHUNK):
+        ts = times[lo:lo + SIGNAL_CHUNK]
         u = np.exp(-1j * np.outer(a, ts))
-        out[lo:lo + chunk] = np.real(np.sum(u.conj() * (W @ u), axis=0))
+        out[lo:lo + SIGNAL_CHUNK] = np.real(np.sum(u.conj() * (W @ u), axis=0))
     return out
 
 

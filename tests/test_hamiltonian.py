@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as npoly
 
 from qreduce import (
@@ -13,6 +16,8 @@ from qreduce import (
     hessian_h,
     taylor_remainder_V,
 )
+from qreduce.hamiltonian import MAX_POLY_DEGREE, MAX_POLY_DEGREE_2D
+from qreduce.scaling import scale_hamiltonian
 
 
 def harmonic_spec(mass=1.0):
@@ -166,6 +171,18 @@ def test_stacked_derivatives_are_bitwise_the_per_point_ones(C, seed):
                           [pot1.hessian(x)[0, 0] for x in column])
 
 
+def test_points_must_have_one_coordinate_per_axis():
+    # A point or stack whose last axis is not n long is refused, not read
+    # for its first n coordinates (2D) or elementwise (1D).
+    pot = PotentialModel.polynomial2d([[0, 0, 0.5], [0, 0, 0], [0.5, 0, 0]])
+    for xi in ([1.0, 2.0, 3.0], [[1.0], [2.0]]):
+        for query in (pot.value, pot.gradient, pot.hessian):
+            with pytest.raises(ValueError, match="n = 2"):
+                query(np.array(xi))
+    with pytest.raises(ValueError, match="n = 1"):
+        PotentialModel.polynomial([0, 0, 0.5]).gradient(np.array([1.0, 2.0]))
+
+
 def test_polynomial2d_remainder():
     # Cubic term x^2 y contributes remainder about origin; quadratic y^2 drops out.
     C = np.zeros((3, 3))
@@ -210,3 +227,106 @@ def test_spec_validation():
     pot = PotentialModel.polynomial([0, 0, 0.5])
     with pytest.raises(ValueError):
         HamiltonianSpec(mass=-1.0, potential=pot)
+
+
+# The formulas the coefficient-tensor model replaced: numpy's Polynomial
+# in 1D, polyval2d over polyder matrices in 2D.
+def _reference_derivative(C, a):
+    D = C
+    for axis, m in enumerate(a):
+        D = npoly.polyder(D, m, axis=axis)
+    return D
+
+
+def _reference_points(xi):
+    xi = np.asarray(xi, dtype=float)
+    return xi[None] if xi.ndim == 0 else xi
+
+
+def _reference_gradient(C, xi):
+    xi = _reference_points(xi)
+    if C.ndim == 1:
+        return np.asarray(Polynomial(C).deriv(1)(xi))
+    x, y = xi[..., 0], xi[..., 1]
+    return np.stack([npoly.polyval2d(x, y, _reference_derivative(C, a))
+                     for a in ((1, 0), (0, 1))], axis=-1)
+
+
+def _reference_hessian(C, xi):
+    xi = _reference_points(xi)
+    if C.ndim == 1:
+        return np.asarray(Polynomial(C).deriv(2)(xi))[..., None]
+    x, y = xi[..., 0], xi[..., 1]
+    dxx, dxy, dyy = (npoly.polyval2d(x, y, _reference_derivative(C, a))
+                     for a in ((2, 0), (1, 1), (0, 2)))
+    return np.stack([np.stack([dxx, dxy], axis=-1),
+                     np.stack([dxy, dyy], axis=-1)], axis=-2)
+
+
+def _reference_scaled(C, lam, sign):
+    if C.ndim == 1:
+        degrees = np.arange(len(C))
+        return C * lam ** (sign * (1.0 - degrees / 2.0))
+    i, j = np.indices(C.shape)
+    return C * lam ** (sign * (1.0 - (i + j) / 2.0))
+
+
+def _assert_bitwise(new, ref, signed=True):
+    # signed=False compares zeros by value alone: Polynomial's call maps
+    # x to 0.0 + 1.0 x first, which turns an x of -0.0 into +0.0.
+    new, ref = np.asarray(new), np.asarray(ref)
+    assert new.shape == ref.shape and new.dtype == ref.dtype
+    assert np.array_equal(new, ref)
+    if signed:
+        assert np.array_equal(np.signbit(new), np.signbit(ref))
+
+
+finite = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@st.composite
+def models(draw):
+    # Coefficients within either degree cap, at points of every accepted
+    # form: a scalar or an array (1D values), one point or a (..., n)
+    # stack.
+    if draw(st.booleans()):
+        C = np.array(draw(st.lists(finite, min_size=1,
+                                   max_size=MAX_POLY_DEGREE + 1)))
+    else:
+        shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+        C = np.array(draw(st.lists(finite, min_size=math.prod(shape),
+                                   max_size=math.prod(shape)))
+                     ).reshape(shape)
+        C[sum(np.indices(shape)) > MAX_POLY_DEGREE_2D] = 0.0
+    shape = draw(st.sampled_from([(), (1,), (5,), (3, 4)]))
+    if C.ndim == 2:
+        shape += (2,)
+    xi = np.array(draw(st.lists(finite, min_size=math.prod(shape),
+                                max_size=math.prod(shape)))).reshape(shape)
+    return C, xi
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=models(), lam=st.floats(0.01, 100.0))
+def test_model_is_bitwise_the_polynomial_formulas(case, lam):
+    C, xi = case
+    pot = PotentialModel(C)
+    signed = C.ndim == 2 or not np.any((xi == 0.0) & np.signbit(xi))
+    if C.ndim == 1:
+        _assert_bitwise(pot.value(xi), Polynomial(C)(xi), signed)
+        for k in (1, 2, 3):
+            _assert_bitwise(pot.derivative(xi, k),
+                            Polynomial(C).deriv(k)(xi), signed)
+        # A scalar is one point; an array becomes a (..., 1) stack.
+        xi = xi if xi.ndim == 0 else xi[..., None]
+    else:
+        _assert_bitwise(pot.value(xi),
+                        npoly.polyval2d(xi[..., 0], xi[..., 1], C))
+    _assert_bitwise(pot.gradient(xi), _reference_gradient(C, xi), signed)
+    _assert_bitwise(pot.hessian(xi), _reference_hessian(C, xi), signed)
+    spec = HamiltonianSpec(mass=1.0, potential=pot)
+    pair = scale_hamiltonian(spec, lam)
+    _assert_bitwise(pair.in_scaled_units.potential.coeffs,
+                    _reference_scaled(C, lam, 1.0))
+    _assert_bitwise(pair.family_member.potential.coeffs,
+                    _reference_scaled(C, lam, -1.0))

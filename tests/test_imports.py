@@ -75,3 +75,52 @@ def test_cli_runs_load_no_heavy_scipy_subpackage(tmp_path):
         check=True)
     assert json.loads(done.stdout.splitlines()[-1]) == {
         "codes": [0, 0], "heavy": []}
+
+
+def _polynomial_references(source: str) -> list:
+    """Lines that import numpy.polynomial or read it off numpy."""
+    tree = ast.parse(source)
+    numpy_names = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import)
+                   for alias in node.names if alias.name == "numpy"}
+
+    def polynomial(module):
+        return module == "numpy.polynomial" \
+            or module.startswith("numpy.polynomial.")
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(polynomial(alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = polynomial(node.module or "") or node.module == "numpy" \
+                and any(alias.name == "polynomial" for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr == "polynomial" \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in numpy_names
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_check_sees_every_form_of_a_polynomial_reference():
+    source = ("import numpy as np\n"
+              "from numpy.polynomial import polynomial as npoly\n"
+              "from numpy.polynomial.hermite_e import hermegauss\n"
+              "from numpy import polynomial\n"
+              "import numpy.polynomial\n"
+              "d = np.polynomial.polynomial.polyder\n"
+              "e = np.linalg.norm\n")
+    assert _polynomial_references(source) == [2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_the_potential_model_knows_numpy_polynomial(path):
+    # PotentialModel owns how V is stored and evaluated: no other module
+    # differentiates or evaluates polynomials itself.
+    if path.name != "hamiltonian.py":
+        assert _polynomial_references(path.read_text()) == []

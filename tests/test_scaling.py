@@ -73,7 +73,7 @@ def test_scale_hamiltonian_2d_total_degree():
                                        [0.5, 0.0, 0.25]])
     pair = scale_hamiltonian(
         HamiltonianSpec(mass=2.0, potential=pot), 4.0)
-    C = pair.in_scaled_units.potential.coeff_matrix
+    C = pair.in_scaled_units.potential.coeffs
     assert C[0, 2] == pytest.approx(0.5)
     assert C[2, 0] == pytest.approx(0.5)
     assert C[2, 2] == pytest.approx(0.25 / 4.0)

@@ -5,7 +5,9 @@ Usage: python3 tools/compare_reports.py OLD_SRC NEW_SRC
 OLD_SRC and NEW_SRC are checkouts of the repository (or their ``src``
 directories).  The unit configs come from ``perfbench/workloads.py`` of
 the checkout this script sits in, read as it is: every unit of every
-workload at the default seed, plus the probe configs.  Each config runs
+workload at the default seed, the probe configs, and 2D scale, squeeze
+and classify-classical configs on the remainder-2d unit's potential,
+start state and grid, which no workload runs.  Each config runs
 through ``python -m qreduce.cli`` of each tree, in a fresh directory,
 writing JSON and CSV.
 
@@ -43,14 +45,36 @@ def _workloads():
     return module
 
 
+def _modes_2d(wl) -> list:
+    """[(name, config)]: scale, squeeze and classify-classical in 2D, on
+    the seed-0 remainder-2d unit's potential, alpha0 and dt, with its T
+    and grid where the mode takes them (classify-classical runs to 20)."""
+    (_, reduce_2d), = wl.units("remainder-2d", wl.DEFAULT_SEED)
+    problem = reduce_2d["problem"]
+    shared = {key: problem[key] for key in ("potential", "alpha0", "T", "dt")}
+    return [
+        ("scale", {"mode": "scale", "problem": {
+            **shared, "grid": problem["grid"],
+            "lambdas": [1.0, 0.5, 0.25]}}),
+        ("squeeze", {"mode": "squeeze", "problem": {
+            **shared, "grid": problem["grid"],
+            "comparator": problem["comparator"],
+            "dilations": [0.5, 1.0, 2.0]}}),
+        ("classify-classical", {"mode": "classify-classical", "problem": {
+            **shared, "T": 20.0}}),
+    ]
+
+
 def unit_configs() -> list:
-    """[(unit id, config)] for every seed-0 unit and every probe config."""
+    """[(unit id, config)] for every seed-0 unit, every probe config and
+    the 2D mode configs."""
     wl = _workloads()
     out = [(f"{workload}/{name}", config)
            for workload in wl.WORKLOADS
            for name, config in wl.units(workload, wl.DEFAULT_SEED)]
     out += [(f"probe/{name}", config) for name, config, _ in wl.PROBES
             if config is not None]
+    out += [(f"2d/{name}", config) for name, config in _modes_2d(wl)]
     return out
 
 
