@@ -303,11 +303,15 @@ def classify_classical(spec: HamiltonianSpec, alpha0: PhasePoint,
     escapes every radius without monotone growth is flagged as an
     exceptional candidate in the diagnostics, never asserted.  The
     diagnostics' dt is the step that ran, time_steps(horizon, dt).
+    Given radii must be a nonempty list of positive numbers (ValueError
+    otherwise).
     """
     if radii is None:
         base = max(1.0, alpha0.s_norm)
         radii = [base * 2.0 ** k for k in range(6)]
     radii = sorted(float(r) for r in radii)
+    if not radii or radii[0] <= 0:
+        raise ValueError("radii must be a nonempty list of positive numbers")
     diagnostics = {"dt": time_steps(horizon, dt)[1], "radii": radii,
                    "diverged": False}
     try:

@@ -24,11 +24,14 @@ positive integers, comparator-audit "dimension" 1 or 2.  The scalars
 booleans, strings, NaN or Infinity.  "T", "dt", and each entry of
 "horizons", "lambdas" and "dilations" must be positive, and dt <= T
 wherever a mode takes both (the grid form of classify-quantum takes no
-T: its dt needs only be positive).  "M0" is a number or an n x n matrix
-(in 1D also [m]) with Re M0 positive definite and M0 symmetric.  The
-start state and the grid take the potential's dimension, and a scale
-center must lie within 0.75 L of the grid's middle on every axis;
-ehrenfest is 1D only.
+T: its dt needs only be positive).  "radii", when given, is a nonempty
+list of positive numbers.  "M0" is a number or an n x n matrix (in 1D
+also [m]) with Re M0 positive definite and M0 symmetric.  The start
+state, a region's center (2n entries) and the grid take the potential's
+dimension, and a scale center must lie within 0.75 L of the grid's
+middle on every axis; ehrenfest is 1D only.  In the matrix form of
+classify-quantum, "matrix" and an explicit "omega" are square,
+symmetric and of one size.
 
 Every report embeds the tool version, the sha256 hash of the canonical
 config serialization, the full config echo, and the provenance of the
@@ -79,7 +82,8 @@ from .reduction import (DEFAULT_DT, DEFAULT_S, DEFAULT_SAMPLES,
                         _provenance, ehrenfest_residuals, ehrenfest_run,
                         run_reduction, squeeze_sweep)
 from .scaling import hepp_experiment
-from .spectral import GridHamiltonian, classify_quantum, finite_evolution
+from .spectral import GridHamiltonian, _check_hermitian, classify_quantum, \
+    finite_evolution
 
 MODES = ("reduce", "classify-classical", "classify-quantum",
          "comparator-audit", "scale", "squeeze", "ehrenfest")
@@ -140,6 +144,17 @@ def _matrix(raw, path: str) -> np.ndarray:
     if len({len(row) for row in rows}) > 1:
         _fail(path, "rows must have equal lengths")
     return np.array(rows, dtype=float)
+
+
+def _symmetric(raw, path: str) -> np.ndarray:
+    """A square matrix of numbers that classify_quantum takes as
+    Hermitian: spectral's rule, read at setup."""
+    M = _matrix(raw, path)
+    try:
+        _check_hermitian(path, M)
+    except ValueError:
+        _fail(path, "must be a square symmetric matrix")
+    return M
 
 
 def _positive(value: float, path: str) -> float:
@@ -267,14 +282,17 @@ def _comparator_from(problem: dict) -> ComparatorSpec:
         N=_count(raw, "problem.comparator", "N", ComparatorSpec.N))
 
 
-def _region_from(problem: dict):
+def _region_from(problem: dict, spec: HamiltonianSpec):
     raw = problem.get("region")
     if raw is None:
         return None
     if not isinstance(raw, dict) or "center" not in raw:
         _fail("problem.region", "must be an object with a center")
-    center = PhasePoint.from_vector(
-        np.asarray(_numbers(raw["center"], "problem.region.center")))
+    center = _numbers(raw["center"], "problem.region.center")
+    if len(center) != 2 * spec.dimension:
+        _fail("problem.region.center", f"must be a list [xi.., pi..] of "
+              f"length {2 * spec.dimension}, two per axis of the potential")
+    center = PhasePoint.from_vector(np.asarray(center))
     if "radius" in raw:
         return PhaseRegion.ball(center, _number(raw, "problem.region",
                                                 "radius", required=True))
@@ -295,7 +313,7 @@ def _run_reduce(problem: dict):
         spec=spec, alpha0=_phase_point(problem, spec), T=T,
         epsilon=epsilon, comparator=comp,
         E=_number(problem, "problem", "E"), grid=grid, M0=M0,
-        region=_region_from(problem), dt=dt,
+        region=_region_from(problem, spec), dt=dt,
         samples=_count(problem, "problem", "samples", DEFAULT_SAMPLES))
 
     def compute():
@@ -317,7 +335,9 @@ def _run_classify_classical(problem: dict):
     horizon, dt = _horizon(problem, CLASSIFY_DT)
     radii = problem.get("radii")
     if radii is not None:
-        radii = _numbers(radii, "problem.radii")
+        if not isinstance(radii, list) or not radii:
+            _fail("problem.radii", "must be a nonempty list")
+        radii = _positives(radii, "problem.radii")
 
     def compute():
         res = classify_classical(spec, alpha0, horizon, radii=radii, dt=dt)
@@ -342,11 +362,7 @@ def _run_classify_quantum(problem: dict):
     else:
         _fail("problem.horizons", "must be a number or a list of numbers")
     if "matrix" in problem:
-        H = _matrix(problem["matrix"], "problem.matrix")
-        if H.ndim != 2 or H.shape[0] != H.shape[1]:
-            _fail("problem.matrix", "must be square")
-        if not np.allclose(H, H.T, atol=1e-12):
-            _fail("problem.matrix", "must be symmetric")
+        H = _symmetric(problem["matrix"], "problem.matrix")
         psi = np.asarray(_numbers(problem.get("psi", []), "problem.psi"),
                          dtype=complex)
         if psi.shape != (H.shape[0],):
@@ -359,7 +375,9 @@ def _run_classify_quantum(problem: dict):
         if omega_raw == "self":
             omega = np.outer(psi, psi.conj())
         else:
-            omega = _matrix(omega_raw, "problem.omega")
+            omega = _symmetric(omega_raw, "problem.omega")
+            if omega.shape != H.shape:
+                _fail("problem.omega", "must match the matrix's size")
         provenance = {"dimension": int(H.shape[0])}
 
         def evolution():

@@ -68,7 +68,7 @@ class GridSpec:
 
     @cached_property
     def k_squared(self) -> np.ndarray:
-        return np.sum(self.k_mesh ** 2, axis=-1) if self.n == 2 else self.k ** 2
+        return np.sum(self.k_mesh ** 2, axis=-1)
 
     @property
     def cell(self) -> float:
@@ -399,12 +399,8 @@ def localization_check(psi_set, F, G):
     g_vals = _grid_values(G, grid, k_coords)
     if np.any(f_vals < 0) or np.any(g_vals < 0):
         raise ValueError("F and G must be nonnegative")
-    x_radius = np.abs(grid.x) if grid.n == 1 \
-        else np.sqrt(np.sum(grid.x_mesh ** 2, axis=-1))
-    k_radius = np.abs(grid.k) if grid.n == 1 \
-        else np.sqrt(np.sum(grid.k_mesh ** 2, axis=-1))
-    _check_radial_growth("F", f_vals, x_radius)
-    _check_radial_growth("G", g_vals, k_radius)
+    _check_radial_growth("F", f_vals, np.sqrt(np.sum(grid.x_mesh ** 2, -1)))
+    _check_radial_growth("G", g_vals, np.sqrt(np.sum(grid.k_mesh ** 2, -1)))
     results = []
     for psi in psi_set:
         if psi.grid != grid:
@@ -435,8 +431,7 @@ def construct_localizer(psi_set) -> np.ndarray:
     for psi in psi_set:
         if abs(psi.norm - 1.0) > 1e-10:
             raise ValueError("localizer members must be unit vectors")
-    radius = np.abs(grid.x) if grid.n == 1 \
-        else np.sqrt(np.sum(grid.x_mesh ** 2, axis=-1))
+    radius = np.sqrt(np.sum(grid.x_mesh ** 2, axis=-1))
     order = np.argsort(radius.ravel(), kind="stable")
     # worst[i] = largest tail mass strictly outside the i-th sorted shell.
     tails = []

@@ -21,15 +21,18 @@ MAX_POLY_DEGREE_2D = 4
 GAUSS_NODES = MAX_POLY_DEGREE + 1
 
 
-def _polyval_nd(coef, x):
-    """sum_a coef[..., a] x^a by nested Horner steps: the last x.shape[-1]
-    axes of coef index powers, its leading axes broadcast against x's."""
-    if x.shape[-1] == 0:
-        return coef
-    out = 0.0
-    for c in reversed(np.moveaxis(coef, -x.shape[-1], 0)):
-        out = out * x[..., 0] + _polyval_nd(c, x[..., 1:])
-    return out
+def _horner(D, axes):
+    """sum_a D[a] x^a with coordinate i at axes[i], arrays that broadcast
+    against each other: D's first len(axes) axes index powers, its other
+    axes broadcast against the coordinates.  Horner runs in polyval2d's
+    order, in the first coordinate inside and then in the next, so a 1D
+    value is bitwise polyval's and a 2D one polyval2d's."""
+    for x in axes:
+        out = D[-1] + x * 0
+        for c in D[-2::-1]:
+            out = c + out * x
+        D = out
+    return D
 
 
 class PotentialModel:
@@ -122,20 +125,13 @@ class PotentialModel:
 
     def _evaluate(self, axes, a):
         """d^a V with coordinate i at axes[i], arrays that broadcast
-        against each other.  Horner runs in polyval2d's order, in the
-        first coordinate inside and then in the next, so a 1D value is
-        bitwise polyval's and a 2D one polyval2d's."""
+        against each other, by _horner."""
         if len(axes) != self.ndim:
             raise ValueError(f"points need one coordinate per axis of V, "
                              f"n = {self.ndim}")
         D = self._derivative(a)
-        D = D.reshape(D.shape + (1,) * max(x.ndim for x in axes))
-        for x in axes:
-            out = D[-1] + x * 0
-            for c in D[-2::-1]:
-                out = c + out * x
-            D = out
-        return D
+        return _horner(D.reshape(D.shape + (1,) * max(x.ndim for x in axes)),
+                       axes)
 
     def remainder(self, centers, u):
         """Taylor remainder of order >= 3 about K centres, at displacements u.
@@ -144,18 +140,20 @@ class PotentialModel:
         (K, G).  The coefficients d^a V(c_k) / a! come from exact
         differentiation, so r is identically zero for quadratic V.
         """
-        # _polyval_nd runs Horner in x outermost, not in _evaluate's order:
-        # the shared order would move remainder-2d's delta1_duhamel by
-        # rounding, a change that waits for ROADMAP item 1's rounding floor.
+        # Taylor tensors with their axes reversed and coordinates passed
+        # in reverse order make _horner run the last coordinate innermost
+        # and the first outermost.  Reports' delta1_duhamel holds that
+        # order's bits; _evaluate's order would move it by rounding.
         C = self.coeffs
-        taylor = np.zeros((len(centers), 1) + C.shape)
+        taylor = np.zeros(C.shape[::-1] + (len(centers), 1))
+        at_centers = np.moveaxis(centers, -1, 0)[::-1]
         for a in np.ndindex(C.shape):
             if sum(a) >= 3:
                 D = C / math.prod(map(math.factorial, a))
                 for axis, m in enumerate(a):
                     D = npoly.polyder(D, m, axis=axis)
-                taylor[(slice(None), 0) + a] = _polyval_nd(D, centers)
-        return _polyval_nd(taylor, u)
+                taylor[a[::-1]] = _horner(D.T[..., None], at_centers)[:, None]
+        return _horner(taylor, np.moveaxis(u, -1, 0)[::-1])
 
 
 def normal_rule():
@@ -285,14 +283,28 @@ def taylor_remainder_V(spec: HamiltonianSpec, xi_center, x):
     The remainder, identically zero for quadratic V, with the same leading
     shape as x.
     """
-    pot = spec.potential
-    xi_center = np.atleast_1d(np.asarray(xi_center, dtype=float))
     x = np.asarray(x, dtype=float)
-    if pot.ndim == 2:
-        lin = x @ pot.gradient(xi_center)
-        quad = 0.5 * np.einsum("...i,ij,...j->...", x,
-                               pot.hessian(xi_center), x)
-        return pot.value(xi_center + x) - pot.value(xi_center) - lin - quad
-    c = xi_center[0]
-    v1, v2 = pot.derivative(c, 1), pot.derivative(c, 2)
-    return pot.value(c + x) - pot.value(c) - v1 * x - 0.5 * v2 * x * x
+    axes = [x] if spec.dimension == 1 else np.moveaxis(x, -1, 0)
+    return _remainder_by_subtraction(
+        spec.potential, np.atleast_1d(np.asarray(xi_center, dtype=float)),
+        axes)
+
+
+def _remainder_by_subtraction(pot: PotentialModel, center, u):
+    """r(c + u) = V(c + u) - V(c) - grad V(c).u - u.H(c).u / 2 for a
+    centre c of shape (n,), with u_i at u[i], arrays that broadcast
+    against each other; the result has their broadcast shape.
+
+    Term i is u_i (g_i + sum_{j<i} H_ij u_j + H_ii u_i / 2), so it spans
+    only the axes of u_0 .. u_i, and each term is subtracted in place
+    from V(c + u); V(c) goes with the first.
+    """
+    g, H = pot.gradient(center), pot.hessian(center)
+    r = pot._evaluate([c + x for c, x in zip(center, u)], (0,) * pot.ndim)
+    for i, x in enumerate(u):
+        slope = g[i]
+        for j in range(i):
+            slope = slope + H[i, j] * u[j]
+        term = x * (slope + 0.5 * H[i, i] * x)
+        r -= term if i else pot._evaluate(center, (0,) * pot.ndim) + term
+    return r

@@ -34,8 +34,8 @@ from .comparator import RESIDUAL_TOL, BasisResidualError, ComparatorSpec, \
 from .errors import ConfigError, NumericalError
 from .grid import DEFAULT_GRID, GridSpec, GridWavefunction, _row_norms, \
     expectation_a, propagate
-from .hamiltonian import HamiltonianSpec, PhasePoint, normal_rule, \
-    taylor_remainder_V, time_steps
+from .hamiltonian import HamiltonianSpec, PhasePoint, \
+    _remainder_by_subtraction, normal_rule, time_steps
 from .packets import GaussianPacket, PacketFlow, approximate_flow, packet, \
     sample_on_grid
 from .quadrature import cumulative_trapezoid
@@ -90,6 +90,8 @@ class ReductionProblem:
             raise ConfigError(str(exc)) from None
         if not self.spec.dimension == self.grid.n == self.alpha0.n:
             raise ConfigError("potential, grid and alpha0 dimensions differ")
+        if self.region is not None and self.region.center.n != self.alpha0.n:
+            raise ConfigError("region and alpha0 dimensions differ")
         if not self.comparator.fits(self.grid):
             raise ConfigError("grid cannot resolve the comparator basis")
         if not self.grid.holds_center(self.alpha0.xi):
@@ -115,24 +117,17 @@ def _gaussian_rule(z: np.ndarray, w: np.ndarray, re_m: np.ndarray):
 def _dense_remainder(spec: HamiltonianSpec, center, re_m, z) -> np.ndarray:
     """r(c + L z) by subtraction on every node tuple of z, shape (P,) * n.
 
-    L = chol((2 Re M)^{-1}) is lower triangular, so in 2D u_0 = L_00 z_a
-    reads only the first node: on broadcast (P, 1) and (P, P) axes, V's
-    x-polynomials are taken once per node and Horner in y runs over the
-    (z_a, z_b) grid.
+    L = chol((2 Re M)^{-1}) is lower triangular, so u_i = sum_{j<=i}
+    L_ij z_j reads only the first i + 1 nodes: on broadcast axes, node
+    z_j along axis j, V's polynomials in the first coordinate are taken
+    once per node and each subtracted term spans only the axes it reads.
     """
+    n = len(center)
     L = np.linalg.cholesky(np.linalg.inv(2.0 * re_m))
-    if spec.dimension == 1:
-        return taylor_remainder_V(spec, center, L[0, 0] * z)
-    pot = spec.potential
-    u0 = (L[0, 0] * z)[:, None]
-    u1 = L[1, 0] * z[:, None] + L[1, 1] * z
-    r = pot._evaluate([center[0] + u0, center[1] + u1], (0, 0))
-    (g0, g1), ((h00, h01), (_, h11)) = (pot.gradient(center),
-                                        pot.hessian(center))
-    # V(c) + g.u + u.H.u / 2, the terms in u_0 alone on the first node.
-    r -= pot.value(center) + u0 * (g0 + 0.5 * h00 * u0)
-    r -= u1 * (g1 + h01 * u0 + 0.5 * h11 * u1)
-    return r
+    zs = [z.reshape((-1,) + (1,) * (n - 1 - j)) for j in range(n)]
+    u = [functools.reduce(np.add, [L[i, j] * zs[j] for j in range(i + 1)])
+         for i in range(n)]
+    return _remainder_by_subtraction(spec.potential, center, u)
 
 
 def _reference_norm(spec: HamiltonianSpec, center, re_m) -> float:
@@ -141,8 +136,10 @@ def _reference_norm(spec: HamiltonianSpec, center, re_m) -> float:
     w = np.exp(-0.5 * z ** 2) * (z[1] - z[0]) / np.sqrt(2.0 * np.pi)
     w[[0, -1]] *= 0.5
     r = _dense_remainder(spec, center, re_m, z)
-    total = w @ (r * r)
-    return float(np.sqrt(total if r.ndim == 1 else total @ w))
+    total = r * r
+    for _ in range(r.ndim):
+        total = w @ total
+    return float(np.sqrt(total))
 
 
 def _remainder_norms(spec: HamiltonianSpec, centers, re_m, spots):
@@ -168,9 +165,9 @@ def remainder_norm(spec: HamiltonianSpec, pkt: GaussianPacket) -> float:
     density of covariance (2 Re M)^{-1}: tensor Gauss-Hermite quadrature,
     exact within the degree caps.  It is cross-checked by a dense
     trapezoid rule, 321 nodes per whitened axis on [-10, 10] with r
-    found by subtraction, V(c+u) - V(c) - grad V.u - u.H.u / 2; in 2D
-    that rule runs on broadcast axes, u_0 on the first node and u_1 on
-    the 321 x 321 grid, with no stack of node points.
+    found by subtraction, V(c+u) - V(c) - grad V.u - u.H.u / 2; that
+    rule runs on broadcast axes, u_i on the first i + 1 nodes, with no
+    stack of node points.
 
     Raises
     ------

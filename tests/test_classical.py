@@ -198,6 +198,9 @@ def test_classify_harmonic_bound():
     result = classify_classical(HARMONIC, PhasePoint(1.0, 0.0), horizon=50.0)
     assert result.label == "bound"
     assert result.diagnostics["sup_norm"] == pytest.approx(1.0, abs=1e-6)
+    for radii in ([2.0, -1.0], [0.0], []):
+        with pytest.raises(ValueError, match="radii"):
+            classify_classical(HARMONIC, PhasePoint(1.0, 0.0), 50.0, radii)
 
 
 def test_classify_free_scattering():

@@ -405,6 +405,23 @@ GRID_QUANTUM = {"potential": "harmonic", "grid": {"n": 1, "N": 256, "L": 10.0},
      "problem.packet.M0"),
     ("scale", {**SCALE_CASE, "T": 0.5, "alpha0": [19.0, 0.0]},
      "problem.alpha0"),
+    ("reduce", {**HARMONIC_AT_1, "T": 0.1, "dt": 0.01, "epsilon": 1e-3,
+                "region": {"center": [1.0, 0.0, 0.0, 0.0],
+                           "half_widths": [0.1, 0.1, 0.1, 0.1]}},
+     "problem.region.center"),
+    ("reduce", {**HARMONIC_AT_1, "T": 0.1, "dt": 0.01, "epsilon": 1e-3,
+                "region": {"center": [1.0, 0.0, 0.0, 0.0], "radius": 0.1}},
+     "problem.region.center"),
+    ("classify-quantum", {"matrix": [[0.0, 1.0], [1.0, 0.0]],
+                          "psi": [1.0, 0.0], "horizons": [1.0, 2.0],
+                          "omega": [[1.0]]}, "problem.omega"),
+    ("classify-quantum", {"matrix": [[0.0, 1.0], [1.0, 0.0]],
+                          "psi": [1.0, 0.0], "horizons": [1.0, 2.0],
+                          "omega": [[1.0, 0.5], [0.0, 1.0]]}, "problem.omega"),
+    ("classify-classical", {**HARMONIC_AT_1, "T": 1.0, "radii": [-1.0]},
+     "problem.radii.0"),
+    ("classify-classical", {**HARMONIC_AT_1, "T": 1.0, "radii": []},
+     "problem.radii"),
 ], ids=["reduce-dt-above-T", "reduce-dt-negative", "reduce-dt-zero",
         "classical-T-zero", "classical-T-negative", "classical-dt-negative",
         "ehrenfest-T-negative", "ehrenfest-dt-above-T", "scale-T-negative",
@@ -412,11 +429,14 @@ GRID_QUANTUM = {"potential": "harmonic", "grid": {"n": 1, "N": 256, "L": 10.0},
         "squeeze-dilation-negative", "quantum-horizon-negative",
         "quantum-horizons-entry-negative", "quantum-dt-zero",
         "quantum-dt-negative", "reduce-M0-negative", "reduce-M0-asymmetric",
-        "ehrenfest-M0-negative", "quantum-M0-negative", "scale-center-edge"])
+        "ehrenfest-M0-negative", "quantum-M0-negative", "scale-center-edge",
+        "reduce-box-center-length", "reduce-ball-center-length",
+        "quantum-omega-size", "quantum-omega-asymmetric",
+        "classical-radius-negative", "classical-radii-empty"])
 def test_setup_faults_exit_two_and_name_their_field(tmp_path, capsys, mode,
                                                     problem, field):
     # Each of these used to start the run and exit 3, raise out of run(),
-    # or (a negative grid dt) exit 0 with a stay curve of two steps.
+    # or (a negative grid dt, a negative or no radius) exit 0.
     cfg = write_config(tmp_path, {"mode": mode, "problem": problem})
     assert run(cfg, out_dir=tmp_path / "out") == 2
     assert f"config.{field}: " in capsys.readouterr().err

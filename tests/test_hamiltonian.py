@@ -284,20 +284,24 @@ def _assert_bitwise(new, ref, signed=True):
 finite = st.floats(-3.0, 3.0, allow_nan=False)
 
 
+def _draw_coefficients(draw) -> np.ndarray:
+    """A coefficient tensor within either degree cap."""
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(finite, min_size=1,
+                                      max_size=MAX_POLY_DEGREE + 1)))
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    C = np.array(draw(st.lists(finite, min_size=math.prod(shape),
+                               max_size=math.prod(shape)))).reshape(shape)
+    C[sum(np.indices(shape)) > MAX_POLY_DEGREE_2D] = 0.0
+    return C
+
+
 @st.composite
 def models(draw):
     # Coefficients within either degree cap, at points of every accepted
     # form: a scalar or an array (1D values), one point or a (..., n)
     # stack.
-    if draw(st.booleans()):
-        C = np.array(draw(st.lists(finite, min_size=1,
-                                   max_size=MAX_POLY_DEGREE + 1)))
-    else:
-        shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
-        C = np.array(draw(st.lists(finite, min_size=math.prod(shape),
-                                   max_size=math.prod(shape)))
-                     ).reshape(shape)
-        C[sum(np.indices(shape)) > MAX_POLY_DEGREE_2D] = 0.0
+    C = _draw_coefficients(draw)
     shape = draw(st.sampled_from([(), (1,), (5,), (3, 4)]))
     if C.ndim == 2:
         shape += (2,)
@@ -330,3 +334,52 @@ def test_model_is_bitwise_the_polynomial_formulas(case, lam):
                     _reference_scaled(C, lam, 1.0))
     _assert_bitwise(pair.family_member.potential.coeffs,
                     _reference_scaled(C, lam, -1.0))
+
+
+def _reference_polyval_nd(coef, x):
+    # sum_a coef[..., a] x^a, Horner in x[..., 0] outermost: the last
+    # x.shape[-1] axes of coef index powers.
+    if x.shape[-1] == 0:
+        return coef
+    out = 0.0
+    for c in reversed(np.moveaxis(coef, -x.shape[-1], 0)):
+        out = out * x[..., 0] + _reference_polyval_nd(c, x[..., 1:])
+    return out
+
+
+def _reference_remainder(C, centers, u):
+    taylor = np.zeros((len(centers), 1) + C.shape)
+    for a in np.ndindex(C.shape):
+        if sum(a) >= 3:
+            D = C / math.prod(map(math.factorial, a))
+            for axis, m in enumerate(a):
+                D = npoly.polyder(D, m, axis=axis)
+            taylor[(slice(None), 0) + a] = _reference_polyval_nd(D, centers)
+    return _reference_polyval_nd(taylor, u)
+
+
+signed_zeros = st.one_of(finite, st.just(-0.0))
+
+
+@st.composite
+def remainder_cases(draw):
+    # (K, n) centres and (K, G, n) displacements, -0.0 entries included.
+    C = _draw_coefficients(draw)
+    K, G = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+
+    def array(shape):
+        return np.array(draw(st.lists(signed_zeros, min_size=math.prod(shape),
+                                      max_size=math.prod(shape)))
+                        ).reshape(shape)
+
+    return C, array((K, C.ndim)), array((K, G, C.ndim))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=remainder_cases())
+def test_remainder_is_bitwise_the_outer_first_horner(case):
+    # remainder runs _evaluate's Horner on reversed axes; that must be
+    # the x-outermost nesting operation for operation, sign bits included.
+    C, centers, u = case
+    _assert_bitwise(PotentialModel(C).remainder(centers, u),
+                    _reference_remainder(C, centers, u))

@@ -422,6 +422,10 @@ def test_problem_validation():
     with pytest.raises(ConfigError):
         ReductionProblem(spec=HARMONIC, alpha0=PhasePoint(1.0, 0.0),
                          T=1.0, epsilon=1.0, E=-2.0)
+    with pytest.raises(ConfigError, match="region"):
+        ReductionProblem(spec=HARMONIC, alpha0=PhasePoint(1.0, 0.0),
+                         T=1.0, epsilon=1.0, region=PhaseRegion.ball(
+                             PhasePoint([1.0, 0.0], [0.0, 0.0]), 0.1))
     # The default comparator needs more functions than a 64-point grid holds.
     with pytest.raises(ConfigError):
         ReductionProblem(spec=HARMONIC, alpha0=PhasePoint(1.0, 0.0),

@@ -5,9 +5,10 @@ Usage: python3 tools/compare_reports.py OLD_SRC NEW_SRC
 OLD_SRC and NEW_SRC are checkouts of the repository (or their ``src``
 directories).  The unit configs come from ``perfbench/workloads.py`` of
 the checkout this script sits in, read as it is: every unit of every
-workload at the default seed, the probe configs, and 2D scale, squeeze
-and classify-classical configs on the remainder-2d unit's potential,
-start state and grid, which no workload runs.  Each config runs
+workload at the default seed, the probe configs, 2D scale, squeeze and
+classify-classical configs on the remainder-2d unit's potential, start
+state and grid, and a matrix-form classify-quantum config with an
+explicit omega, which no workload runs.  Each config runs
 through ``python -m qreduce.cli`` of each tree, in a fresh directory,
 writing JSON and CSV.
 
@@ -65,9 +66,17 @@ def _modes_2d(wl) -> list:
     ]
 
 
+# A three-level matrix, a unit psi and an explicit diagonal omega.
+MATRIX_QUANTUM = {"mode": "classify-quantum", "problem": {
+    "matrix": [[1.0, 0.5, 0.0], [0.5, 0.0, 0.25], [0.0, 0.25, -1.0]],
+    "psi": [0.6, 0.8, 0.0],
+    "omega": [[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]],
+    "horizons": [5.0, 10.0, 20.0]}}
+
+
 def unit_configs() -> list:
-    """[(unit id, config)] for every seed-0 unit, every probe config and
-    the 2D mode configs."""
+    """[(unit id, config)] for every seed-0 unit, every probe config, the
+    2D mode configs and the matrix-form classify-quantum config."""
     wl = _workloads()
     out = [(f"{workload}/{name}", config)
            for workload in wl.WORKLOADS
@@ -75,6 +84,7 @@ def unit_configs() -> list:
     out += [(f"probe/{name}", config) for name, config, _ in wl.PROBES
             if config is not None]
     out += [(f"2d/{name}", config) for name, config in _modes_2d(wl)]
+    out.append(("matrix/classify-quantum", MATRIX_QUANTUM))
     return out
 
 
