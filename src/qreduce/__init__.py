@@ -4,171 +4,27 @@ The package propagates classical trajectories, Gaussian packet
 approximations and full grid wavefunctions side by side, evaluates
 explicit error bounds between them, and classifies states as bound,
 scattering or exceptional on both sides of the correspondence.
+
+This namespace holds the exception types and the entry points the
+README names; every other name is imported from its own module.
 """
+
+from types import ModuleType as _Module
 
 __version__ = "0.1.0"
 
-from .errors import (
-    BasisResidualError,
-    CausticError,
-    ConfigError,
-    FlowDivergedError,
-    NumericalError,
-    OverflowGuardError,
-    QReduceError,
-    WraparoundError,
-)
-from .hamiltonian import (
-    HamiltonianSpec,
-    PhasePoint,
-    PotentialModel,
-    eval_h,
-    gradient_h,
-    hessian_h,
-    taylor_remainder_V,
-)
-from .classical import (
-    ClassicalTrajectory,
-    ClassificationResult,
-    PhaseRegion,
-    classical_average_stay,
-    classical_transit_time,
-    classify_classical,
-    integrate_flow,
-)
-from .grid import (
-    DEFAULT_GRID,
-    GridSpec,
-    GridWavefunction,
-    construct_localizer,
-    dilate,
-    expectation_a,
-    localization_check,
-    propagate,
-    weyl_displace,
-)
-from .packets import (
-    GaussianPacket,
-    MetaplecticSeries,
-    PacketFlow,
-    approximate_flow,
-    evolve_AB,
-    packet,
-    phase_X,
-    sample_on_grid,
-    vacuum,
-)
-from .comparator import (
-    ComparatorSpec,
-    apply_comparator,
-    coherent_matrix_elements,
-    comparator_scalars,
-    hermite_coefficients,
-    within_magnitude,
-)
-from .reduction import (
-    BoundAssembly,
-    BoundInputs,
-    EhrenfestData,
-    ErrorCurve,
-    QuantumRun,
-    ReductionProblem,
-    ReductionReport,
-    ehrenfest_residuals,
-    ehrenfest_run,
-    run_reduction,
-    squeeze_sweep,
-)
-from .spectral import (
-    FiniteEvolution,
-    GridHamiltonian,
-    average_stay,
-    classify_quantum,
-    dephased_matrix,
-    ergodic_average,
-    finite_evolution,
-    recurrence_time,
-    transit_time,
-)
-from .scaling import (
-    ScaledHamiltonians,
-    coherent_scaling_check,
-    hepp_experiment,
-    scale_hamiltonian,
-    scale_value,
-)
+from .errors import (BasisResidualError, CausticError, ConfigError,
+                     FlowDivergedError, NumericalError, OverflowGuardError,
+                     QReduceError, WraparoundError)
+from .hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel
+from .classical import classify_classical
+from .comparator import coherent_matrix_elements, comparator_scalars
+from .reduction import (ReductionProblem, ehrenfest_residuals, ehrenfest_run,
+                        run_reduction, squeeze_sweep)
+from .spectral import classify_quantum
+from .scaling import hepp_experiment, scale_hamiltonian
 
-__all__ = [
-    "__version__",
-    "QReduceError",
-    "ConfigError",
-    "NumericalError",
-    "FlowDivergedError",
-    "WraparoundError",
-    "CausticError",
-    "BasisResidualError",
-    "OverflowGuardError",
-    "PotentialModel",
-    "PhasePoint",
-    "HamiltonianSpec",
-    "eval_h",
-    "gradient_h",
-    "hessian_h",
-    "taylor_remainder_V",
-    "ClassicalTrajectory",
-    "ClassificationResult",
-    "PhaseRegion",
-    "classical_average_stay",
-    "classical_transit_time",
-    "classify_classical",
-    "integrate_flow",
-    "DEFAULT_GRID",
-    "GridSpec",
-    "GridWavefunction",
-    "construct_localizer",
-    "dilate",
-    "expectation_a",
-    "localization_check",
-    "propagate",
-    "weyl_displace",
-    "GaussianPacket",
-    "MetaplecticSeries",
-    "PacketFlow",
-    "approximate_flow",
-    "evolve_AB",
-    "packet",
-    "phase_X",
-    "sample_on_grid",
-    "vacuum",
-    "ComparatorSpec",
-    "apply_comparator",
-    "coherent_matrix_elements",
-    "comparator_scalars",
-    "hermite_coefficients",
-    "within_magnitude",
-    "BoundAssembly",
-    "BoundInputs",
-    "EhrenfestData",
-    "ErrorCurve",
-    "QuantumRun",
-    "ReductionProblem",
-    "ReductionReport",
-    "ehrenfest_residuals",
-    "ehrenfest_run",
-    "run_reduction",
-    "squeeze_sweep",
-    "FiniteEvolution",
-    "GridHamiltonian",
-    "average_stay",
-    "classify_quantum",
-    "dephased_matrix",
-    "ergodic_average",
-    "finite_evolution",
-    "recurrence_time",
-    "transit_time",
-    "ScaledHamiltonians",
-    "coherent_scaling_check",
-    "hepp_experiment",
-    "scale_hamiltonian",
-    "scale_value",
-]
+# The names imported above; the submodules they bind stay out.
+__all__ = sorted(name for name, value in list(globals().items())
+                 if not name.startswith("_")
+                 and not isinstance(value, _Module))

@@ -273,15 +273,6 @@ def classical_transit_time(traj: ClassicalTrajectory, region: PhaseRegion,
     return min(tau, t1 - t0)
 
 
-def classical_average_stay(traj: ClassicalTrajectory, region: PhaseRegion,
-                           window) -> float:
-    """Mean stay mu = tau / window length, in [0, 1]."""
-    t0, t1 = float(window[0]), float(window[1])
-    if t1 <= t0:
-        raise ValueError("window must have positive length")
-    return classical_transit_time(traj, region, window) / (t1 - t0)
-
-
 @dataclass(frozen=True)
 class ClassificationResult:
     """A finite-horizon bound/scattering verdict with its evidence."""

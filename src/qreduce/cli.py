@@ -21,15 +21,16 @@ positive integers, comparator-audit "dimension" 1 or 2.  The scalars
 "dilations", "radii", "psi", a list "epsilon", a region's "center" and
 "half_widths", a potential's "coeffs", and of the matrices "M0",
 "matrix", "omega" and "coeff_matrix", must be finite JSON numbers: not
-booleans, strings, NaN or Infinity.  "T", "dt", and each entry of
-"horizons", "lambdas" and "dilations" must be positive, and dt <= T
-wherever a mode takes both (the grid form of classify-quantum takes no
-T: its dt needs only be positive).  "radii", when given, is a nonempty
-list of positive numbers.  "M0" is a number or an n x n matrix (in 1D
-also [m]) with Re M0 positive definite and M0 symmetric.  The start
-state, a region's center (2n entries) and the grid take the potential's
-dimension, and a scale center must lie within 0.75 L of the grid's
-middle on every axis; ehrenfest is 1D only.  In the matrix form of
+booleans, strings, NaN or Infinity.  "T", "dt", region "radius", and
+each entry of "horizons", "lambdas", "dilations" and "half_widths" must
+be positive, and dt <= T wherever a mode takes both (the grid form of
+classify-quantum takes no T: its dt needs only be positive).  "radii",
+when given, is a nonempty list of positive numbers.  "M0" is a number
+or an n x n matrix (in 1D also [m]) with Re M0 positive definite and M0
+symmetric.  The start state, a region's center and half_widths (2n
+entries each) and the grid take the potential's dimension, and a scale
+center must lie within 0.75 L of the grid's middle on every axis;
+ehrenfest is 1D only.  In the matrix form of
 classify-quantum, "matrix" and an explicit "omega" are square,
 symmetric and of one size.
 
@@ -294,11 +295,16 @@ def _region_from(problem: dict, spec: HamiltonianSpec):
               f"length {2 * spec.dimension}, two per axis of the potential")
     center = PhasePoint.from_vector(np.asarray(center))
     if "radius" in raw:
-        return PhaseRegion.ball(center, _number(raw, "problem.region",
-                                                "radius", required=True))
+        return PhaseRegion.ball(center, _positive(_number(
+            raw, "problem.region", "radius", required=True),
+            "problem.region.radius"))
     if "half_widths" in raw:
-        return PhaseRegion.box(center, np.asarray(_numbers(
-            raw["half_widths"], "problem.region.half_widths")))
+        half_widths = _positives(raw["half_widths"],
+                                 "problem.region.half_widths")
+        if len(half_widths) != 2 * spec.dimension:
+            _fail("problem.region.half_widths", f"must be a list of length "
+                  f"{2 * spec.dimension}, two per axis of the potential")
+        return PhaseRegion.box(center, np.asarray(half_widths))
     _fail("problem.region", "needs a radius (ball) or half_widths (box)")
 
 

@@ -26,8 +26,6 @@ from .hamiltonian import PhasePoint
 RESIDUAL_TOL = 1e-8
 EXP_GUARD = 700.0
 NOISE_FLOOR = 1e-26
-RESOLUTION_RADIUS = 6.0
-RESOLUTION_POINTS = 400
 POWER_ITERATIONS = 200
 EDGE_WINDOW = 8
 EDGE_FRACTION = 0.5
@@ -65,18 +63,9 @@ class ComparatorSpec:
         return 1.0 - np.exp(-self.s)
 
     @property
-    def lam(self) -> float:
-        return np.exp(self.s) - 1.0
-
-    @property
     def eigenvalues(self) -> np.ndarray:
         """sigma_s e^{-s n} for n = 0..N."""
         return self.sigma * np.exp(-self.s * np.arange(self.N + 1))
-
-    @property
-    def truncation_tail(self) -> float:
-        """Operator-norm bound on the discarded part, sigma_s e^{-s(N+1)}."""
-        return float(self.sigma * np.exp(-self.s * (self.N + 1)))
 
 
 def hermite_functions(x, K: int) -> np.ndarray:
@@ -402,27 +391,3 @@ def _edge_dominated(seq) -> bool:
     edge = np.exp(seq[-EDGE_WINDOW:] - top).sum()
     total = np.exp(seq - top).sum()
     return bool(edge > EDGE_FRACTION * total)
-
-
-def coherent_resolution_check(spec: ComparatorSpec, k_index: int) -> dict:
-    """Spot check of the coherent resolution of the comparator.
-
-    Quadrature of (lambda_s / pi) e^{-lambda_s |z|^2} |<h_k, Gamma(z)>|^2
-    over the complex-label disc |z| <= RESOLUTION_RADIUS on a square of
-    RESOLUTION_POINTS points per axis, against the closed diagonal
-    sigma_s e^{-s k}.
-    """
-    s, sigma, lam = spec.s, spec.sigma, spec.lam
-    u = np.linspace(-RESOLUTION_RADIUS, RESOLUTION_RADIUS, RESOLUTION_POINTS)
-    du = u[1] - u[0]
-    re, im = np.meshgrid(u, u, indexing="ij")
-    r_sq = re ** 2 + im ** 2
-    inside = r_sq <= RESOLUTION_RADIUS ** 2
-    log_fact = np.sum(np.log(np.arange(1, k_index + 1))) if k_index else 0.0
-    overlap_sq = np.exp(-r_sq + k_index * np.log(np.maximum(r_sq, 1e-300))
-                        - log_fact)
-    integrand = (lam / np.pi) * np.exp(-lam * r_sq) * overlap_sq
-    value = float(np.sum(integrand[inside]) * du * du)
-    closed = float(sigma * np.exp(-s * k_index))
-    return {"quadrature": value, "closed": closed,
-            "error": abs(value - closed)}

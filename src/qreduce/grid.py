@@ -2,7 +2,7 @@
 
 Wavefunctions live on [-L, L)^n with hbar = 1.  Evolution is Strang
 split-operator with FFT kinetics, so it is unitary to rounding; position
-shifts and dilations are spectral, exact for band-limited amplitudes.
+shifts are spectral, exact for band-limited amplitudes.
 A boundary-mass monitor guards the periodic wrap: experiments are valid
 only while essentially no mass touches the edge bands.
 """
@@ -322,33 +322,6 @@ def weyl_displace(psi: GridWavefunction, alpha) -> GridWavefunction:
             + (grid.x_mesh[..., 1] - xi[1]) * pi[1]
     phase = np.exp(1j * (dot + 0.5 * float(np.dot(pi, xi))))
     return GridWavefunction(grid, phase * shifted.amp)
-
-
-def dilate(psi: GridWavefunction, hbar: float) -> GridWavefunction:
-    """Unitary dilation (D(hbar)psi)(x) = hbar^{n/4} psi(hbar^{1/2} x).
-
-    Off-lattice values come from the trigonometric interpolant, one axis
-    at a time, so the map is exact on band-limited amplitudes whose
-    rescaled support still fits the grid.
-    """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    grid = psi.grid
-    if hbar == 1.0:
-        return GridWavefunction(grid, psi.amp.copy())
-    root = np.sqrt(hbar)
-    # basis[j, m] = exp(i k_m (sqrt(hbar) x_j + L)) / N evaluates the
-    # Fourier series of psi at the scaled points.
-    basis = np.exp(1j * np.outer(root * grid.x + grid.L, grid.k)) / grid.N
-    amp = psi.amp
-    for axis in range(grid.n):
-        amp = np.moveaxis(amp, axis, -1)
-        amp = np.fft.fft(amp, axis=-1) @ basis.T
-        amp = np.moveaxis(amp, -1, axis)
-    out = GridWavefunction(grid, hbar ** (grid.n / 4.0) * amp)
-    if abs(out.norm - psi.norm) > 1e-8 * max(1.0, psi.norm):
-        raise WraparoundError("dilation moved mass off the grid")
-    return out
 
 
 def _grid_values(f, grid, coords):

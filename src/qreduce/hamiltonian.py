@@ -236,58 +236,12 @@ def time_steps(t_final: float, dt: float):
     return steps, t_final / steps
 
 
-def eval_h(spec: HamiltonianSpec, alpha: PhasePoint) -> float:
-    """Total energy h(alpha) = pi^2 / 2m + V(xi)."""
-    return float(energies(spec, alpha.xi, alpha.pi))
-
-
 def energies(spec: HamiltonianSpec, xi, pi) -> np.ndarray:
     """h = pi^2 / 2m + V(xi) at each row of (..., n) position and
     momentum stacks, in one call."""
     pot = spec.potential
     v = pot.value(xi if pot.ndim == 2 else xi[..., 0])
     return np.sum(pi ** 2, axis=-1) / (2.0 * spec.mass) + v
-
-
-def gradient_h(spec: HamiltonianSpec, alpha: PhasePoint) -> np.ndarray:
-    """Exact gradient (d_xi h, d_pi h) stacked as a 2n-vector."""
-    d_xi = spec.potential.gradient(alpha.xi)
-    return np.concatenate([np.atleast_1d(d_xi), alpha.pi / spec.mass])
-
-
-def hessian_h(spec: HamiltonianSpec, alpha: PhasePoint) -> np.ndarray:
-    """Exact Hessian as the 2n x 2n block matrix [[d2_xixi, d2_xipi],
-    [d2_pixi, d2_pipi]]."""
-    n = alpha.n
-    H = np.zeros((2 * n, 2 * n))
-    V_xx = spec.potential.hessian(alpha.xi)
-    H[:n, :n] = V_xx
-    H[n:, n:] = np.eye(n) / spec.mass
-    return H
-
-
-def taylor_remainder_V(spec: HamiltonianSpec, xi_center, x):
-    """Pointwise cubic-and-higher Taylor remainder of V about xi_center.
-
-    r(x) = V(xi_center + x) - V(xi_center) - V'(xi_center).x
-           - x.V''(xi_center).x / 2
-
-    Parameters
-    ----------
-    xi_center : position about which V is expanded, shape (n,) or scalar.
-    x : displacement(s); scalar, (n,), or an array of displacements whose
-        last axis has length n (1D accepts plain arrays).
-
-    Returns
-    -------
-    The remainder, identically zero for quadratic V, with the same leading
-    shape as x.
-    """
-    x = np.asarray(x, dtype=float)
-    axes = [x] if spec.dimension == 1 else np.moveaxis(x, -1, 0)
-    return _remainder_by_subtraction(
-        spec.potential, np.atleast_1d(np.asarray(xi_center, dtype=float)),
-        axes)
 
 
 def _remainder_by_subtraction(pot: PotentialModel, center, u):

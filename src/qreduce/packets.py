@@ -123,13 +123,6 @@ class GaussianPacket:
                                  self.detB_angle, self.phase)
 
     @property
-    def closed_norm(self) -> float:
-        """L2 norm from the closed form; 1 for evolution-consistent factors."""
-        det_re = float(np.linalg.det(self.M.real))
-        det_b = abs(np.linalg.det(self.B))
-        return float(self.norm_prefactor / np.sqrt(det_b) / det_re ** 0.25)
-
-    @property
     def center(self) -> np.ndarray:
         """Expectation of a = (q, p): exactly the displacement."""
         return self.alpha.vector

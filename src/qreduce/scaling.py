@@ -18,7 +18,7 @@ import numpy as np
 
 from .classical import integrate_flow
 from .errors import ConfigError, QReduceError
-from .grid import DEFAULT_GRID, GridSpec, expectation_a
+from .grid import DEFAULT_GRID, GridSpec
 from .hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel
 from .packets import approximate_flow, packet, sample_on_grid
 from .reduction import DEFAULT_DT, duhamel_curve, measured_error, run_grid
@@ -85,43 +85,6 @@ def scale_hamiltonian(spec: HamiltonianSpec, lam: float) -> ScaledHamiltonians:
     family = HamiltonianSpec(
         mass=spec.mass, potential=_scaled_potential(spec.potential, lam, -1.0))
     return ScaledHamiltonians(scaled, family)
-
-
-def coherent_scaling_check(alpha_lam: PhasePoint, lam: float,
-                           grid: GridSpec = DEFAULT_GRID) -> dict:
-    """Grid check of the coherent-state centering identity under scaling.
-
-    In the lambda units the packet with fixed numerical center
-    alpha_lam is the unit-width packet at alpha_lam / sqrt(lambda), and
-    the position/momentum operators carry a sqrt(lambda) factor, so
-
-        <scaled a> = sqrt(lambda) <vacuum a> + alpha_lam
-
-    with the vacuum term vanishing by symmetry.  The returned residual
-    is the max-norm gap between the two sides measured by quadrature;
-    the second moments exhibit the sqrt(lambda) operator factor, which
-    the centering identity alone cannot see: the packet's position
-    variance in the scaled units is lambda times the fixed-units value.
-    """
-    if lam <= 0:
-        raise ConfigError("scale parameter must be positive")
-    center = PhasePoint.from_vector(alpha_lam.vector / np.sqrt(lam))
-    state = sample_on_grid(packet(center, 1.0), grid)
-    zero = PhasePoint.from_vector(np.zeros(2 * alpha_lam.n))
-    vacuum = sample_on_grid(packet(zero, 1.0), grid)
-    lhs = np.sqrt(lam) * expectation_a(state)
-    rhs = np.sqrt(lam) * expectation_a(vacuum) + alpha_lam.vector
-    x = grid.x if grid.n == 1 else grid.x_mesh[..., 0]
-    mean_q = lhs[0] / np.sqrt(lam)
-    var_fixed = float(np.sum((x - mean_q) ** 2 * state.density) * grid.cell)
-    return {
-        "lam": float(lam),
-        "lhs": lhs,
-        "rhs": rhs,
-        "residual": float(np.max(np.abs(lhs - rhs))),
-        "var_q_fixed": var_fixed,
-        "var_q_scaled": lam * var_fixed,
-    }
 
 
 def _family_row(spec, alpha0, T, lam, grid, dt) -> dict:

@@ -66,11 +66,6 @@ class FiniteEvolution:
     def dim(self) -> int:
         return self.eigenvalues.size
 
-    def projector_completeness(self) -> float:
-        """Norm defect of sum_n P_n = 1 (unitarity of the eigenbasis)."""
-        v = self.vectors
-        return float(np.linalg.norm(v @ v.conj().T - np.eye(self.dim), 2))
-
     def evolve(self, psi: np.ndarray, t: float) -> np.ndarray:
         c = self.vectors.conj().T @ np.asarray(psi, dtype=complex)
         return self.vectors @ (np.exp(-1j * self.eigenvalues * t) * c)
@@ -134,16 +129,6 @@ def _unit_coefficients(evo: FiniteEvolution, psi) -> np.ndarray:
     return evo.vectors.conj().T @ psi
 
 
-def dephased_matrix(evo: FiniteEvolution, psi) -> np.ndarray:
-    """Density matrix sum_n P_n |psi><psi| P_n in the original basis."""
-    c = _unit_coefficients(evo, psi)
-    rho_eig = np.zeros((evo.dim, evo.dim), dtype=complex)
-    for idx in evo.groups:
-        block = c[idx]
-        rho_eig[np.ix_(idx, idx)] = np.outer(block, block.conj())
-    return evo.vectors @ rho_eig @ evo.vectors.conj().T
-
-
 def _signal_weights(evo: FiniteEvolution, c: np.ndarray, F: np.ndarray):
     # f(t) = <U_t psi, F U_t psi> = sum_jk W_jk e^{i(a_j - a_k) t}
     # with W_jk = conj(c_j) F_jk c_k in the eigenbasis.
@@ -201,7 +186,7 @@ def ergodic_average(evo: FiniteEvolution, psi, F, horizons) -> dict:
     -------
     dict with "predicted" and "measured", the latter keyed by horizon.
     The measured value at a horizon is the stay curve's mean,
-    tau / (2 T'), as average_stay takes it.
+    tau / (2 T').
     """
     F = _check_hermitian("F", F)
     hs = np.atleast_1d(np.asarray(horizons, dtype=float))
@@ -270,36 +255,19 @@ def _grid_stay_curve(handle: GridHamiltonian, psi: GridWavefunction,
     times = np.linspace(0.0, T, steps + 1)
     both = curves[0] + curves[1]
     tau = cumulative_simpson(both, x=times)
-    return times, tau, None
+    return times, tau
 
 
 def _stay_curve(evo, psi, Omega, T: float):
     if T <= 0:
         raise ValueError("T must be positive")
     if isinstance(evo, FiniteEvolution):
-        return _finite_stay_curve(evo, psi, _check_hermitian("Omega", Omega),
-                                  T)
+        times, tau, _ = _finite_stay_curve(
+            evo, psi, _check_hermitian("Omega", Omega), T)
+        return times, tau
     if isinstance(evo, GridHamiltonian):
         return _grid_stay_curve(evo, psi, Omega, T)
     raise ValueError("evo must be a FiniteEvolution or GridHamiltonian")
-
-
-def average_stay(evo, psi, Omega, T: float) -> dict:
-    """Mean presence (1/2T) int_{-T}^{T} <U_t psi, Omega U_t psi> dt.
-
-    For finite-dimensional evolutions (quadrature steps of at most
-    QUAD_DT) the ergodic prediction Tr[Omega rho] always applies, every
-    vector being bound there; the note in the result says so explicitly.
-    Grid evolutions report the finite-T value only, with the comparator
-    as the region operator.
-    """
-    times, tau, prediction = _stay_curve(evo, psi, Omega, T)
-    value = float(_mean_stay(tau[-1], times[-1]))
-    note = ("finite-dimensional evolution: every vector is bound and the "
-            "ergodic prediction applies" if prediction is not None
-            else "grid evolution: finite-horizon value only")
-    return {"value": value, "prediction": prediction, "T": float(times[-1]),
-            "note": note}
 
 
 def _mean_stay(tau, t):
@@ -311,21 +279,6 @@ def _trailing_increment(times, tau) -> float:
     """What the trailing half of the horizon adds to the stay curve tau."""
     half = _horizon_indices(times, np.array([times[-1] / 2.0]))[0]
     return float(tau[-1] - tau[half])
-
-
-def transit_time(evo, psi, Omega, T: float) -> dict:
-    """Total presence int_{-T}^{T} <U_t psi, Omega U_t psi> dt at horizon.
-
-    The value is flagged divergent when the trailing half of the horizon
-    still adds more than TAIL_INCREMENT_TOL: the integral is then still
-    growing at T and certifies no finite transit time.  Finite
-    evolutions integrate at steps of at most QUAD_DT.
-    """
-    times, tau, _ = _stay_curve(evo, psi, Omega, T)
-    increment = _trailing_increment(times, tau)
-    return {"value": float(tau[-1]),
-            "divergent": bool(increment > TAIL_INCREMENT_TOL),
-            "trailing_increment": increment, "T": float(times[-1])}
 
 
 def recurrence_time(evo: FiniteEvolution, psi, eps: float, T_min: float = 0.0,
@@ -403,7 +356,7 @@ def classify_quantum(evo, psi, Omega, horizons) -> dict:
         raise ValueError("need positive horizons, at least two after "
                          "ladder expansion")
     hs = np.sort(hs)
-    times, tau_curve, _ = _stay_curve(evo, psi, Omega, float(hs[-1]))
+    times, tau_curve = _stay_curve(evo, psi, Omega, float(hs[-1]))
     idx = _horizon_indices(times, hs)
     taus = tau_curve[idx]
     mus = _mean_stay(taus, times[idx])

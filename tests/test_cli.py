@@ -412,6 +412,13 @@ GRID_QUANTUM = {"potential": "harmonic", "grid": {"n": 1, "N": 256, "L": 10.0},
     ("reduce", {**HARMONIC_AT_1, "T": 0.1, "dt": 0.01, "epsilon": 1e-3,
                 "region": {"center": [1.0, 0.0, 0.0, 0.0], "radius": 0.1}},
      "problem.region.center"),
+    ("reduce", {**HARMONIC_AT_1, "T": 0.1, "dt": 0.01, "epsilon": 1e-3,
+                "region": {"center": [1.0, 0.0],
+                           "half_widths": [0.1, 0.1, 0.1]}},
+     "problem.region.half_widths"),
+    ("reduce", {**HARMONIC_AT_1, "T": 0.1, "dt": 0.01, "epsilon": 1e-3,
+                "region": {"center": [1.0, 0.0], "radius": -1.0}},
+     "problem.region.radius"),
     ("classify-quantum", {"matrix": [[0.0, 1.0], [1.0, 0.0]],
                           "psi": [1.0, 0.0], "horizons": [1.0, 2.0],
                           "omega": [[1.0]]}, "problem.omega"),
@@ -431,12 +438,15 @@ GRID_QUANTUM = {"potential": "harmonic", "grid": {"n": 1, "N": 256, "L": 10.0},
         "quantum-dt-negative", "reduce-M0-negative", "reduce-M0-asymmetric",
         "ehrenfest-M0-negative", "quantum-M0-negative", "scale-center-edge",
         "reduce-box-center-length", "reduce-ball-center-length",
+        "reduce-box-half-widths-length", "reduce-ball-radius-negative",
         "quantum-omega-size", "quantum-omega-asymmetric",
         "classical-radius-negative", "classical-radii-empty"])
 def test_setup_faults_exit_two_and_name_their_field(tmp_path, capsys, mode,
                                                     problem, field):
     # Each of these used to start the run and exit 3, raise out of run(),
-    # or (a negative grid dt, a negative or no radius) exit 0.
+    # or (a negative grid dt, a negative or no radius) exit 0; a region's
+    # half_widths of the wrong length or a negative radius exited 2
+    # without naming the field.
     cfg = write_config(tmp_path, {"mode": mode, "problem": problem})
     assert run(cfg, out_dir=tmp_path / "out") == 2
     assert f"config.{field}: " in capsys.readouterr().err

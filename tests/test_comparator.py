@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from qreduce.comparator import (ComparatorSpec, apply_comparator,
                                 coherent_coefficients, coherent_label,
-                                coherent_matrix_elements,
-                                coherent_resolution_check, comparator_scalars,
+                                coherent_matrix_elements, comparator_scalars,
                                 hermite_coefficients, hermite_functions,
                                 within_magnitude)
 from qreduce.errors import BasisResidualError, OverflowGuardError
@@ -38,7 +37,6 @@ def test_spec_validation():
 def test_log2_closed_numbers():
     spec = ComparatorSpec(s=np.log(2.0))
     assert abs(spec.sigma - 0.5) < 1e-15
-    assert abs(spec.lam - 1.0) < 1e-15
     # Eigenvalues halve with each excitation.
     assert abs(spec.eigenvalues[0] - 0.5) < 1e-15
     assert abs(spec.eigenvalues[3] - 0.0625) < 1e-15
@@ -46,7 +44,10 @@ def test_log2_closed_numbers():
 
 @pytest.mark.parametrize("s", S_VALUES)
 def test_truncation_tail_negligible(s):
-    assert ComparatorSpec(s=s).truncation_tail <= 1e-12
+    # The operator-norm bound sigma_s e^{-s(N+1)} on the part of the
+    # comparator that the default basis cutoff discards.
+    spec = ComparatorSpec(s=s)
+    assert spec.eigenvalues[-1] * np.exp(-s) <= 1e-12
 
 
 @pytest.mark.parametrize("s", S_VALUES)
@@ -191,8 +192,18 @@ def test_within_magnitude_squeezed_divergence():
 @pytest.mark.parametrize("s", [np.log(2.0), 1.0])
 @pytest.mark.parametrize("k", [0, 1])
 def test_coherent_resolution_spot_check(s, k):
-    out = coherent_resolution_check(ComparatorSpec(s=s), k)
-    assert out["error"] < 1e-4
+    # Quadrature of (lambda_s / pi) e^{-lambda_s |z|^2} |<h_k, Gamma(z)>|^2
+    # over the disc |z| <= 6 of complex labels, against the diagonal
+    # sigma_s e^{-s k} of the comparator.
+    spec = ComparatorSpec(s=s)
+    lam = np.exp(s) - 1.0
+    u = np.linspace(-6.0, 6.0, 400)
+    re, im = np.meshgrid(u, u, indexing="ij")
+    r_sq = re ** 2 + im ** 2
+    overlap_sq = np.exp(-r_sq) * r_sq ** k / np.prod(np.arange(1, k + 1))
+    integrand = (lam / np.pi) * np.exp(-lam * r_sq) * overlap_sq
+    value = np.sum(integrand[r_sq <= 36.0]) * (u[1] - u[0]) ** 2
+    assert abs(value - spec.eigenvalues[k]) < 1e-4
 
 
 def test_hermite_orthonormality_by_quadrature():

@@ -3,12 +3,12 @@ import pytest
 from conftest import spectral_moments
 
 from qreduce import HamiltonianSpec, PhasePoint, PotentialModel, WraparoundError
+from qreduce.packets import packet, sample_on_grid
 from qreduce.grid import (
     DEFAULT_GRID,
     GridSpec,
     GridWavefunction,
     construct_localizer,
-    dilate,
     expectation_a,
     localization_check,
     propagate,
@@ -114,8 +114,8 @@ def test_stacked_expectations_equal_the_per_state_formula(grid):
     rows = []
     for scale in (1.0, 2.0, 0.5, 1.0 + 1e-9, 1.0):
         alpha = rng.uniform(-2.0, 2.0, 2 * grid.n)
-        rows.append(scale * dilate(weyl_displace(vacuum(grid), alpha),
-                                   rng.uniform(0.5, 2.0)).amp)
+        pkt = packet(alpha, rng.uniform(0.5, 2.0) * np.eye(grid.n))
+        rows.append(scale * sample_on_grid(pkt, grid).normalized().amp)
     got = expectation_a(np.stack(rows), grid)
     assert got.shape == (5, 2 * grid.n)
     for amp, moments in zip(rows, got):
@@ -152,27 +152,6 @@ def test_weyl_density_is_shifted_density():
     x = psi.grid.x
     expected = np.pi ** -0.5 * np.exp(-((x - 2.0) ** 2))
     assert np.max(np.abs(moved.density - expected)) < 1e-10
-
-
-def test_dilate_identity_and_vacuum_family():
-    psi = vacuum()
-    assert dilate(psi, 1.0).distance(psi) == 0.0
-    hbar = 0.25
-    x = psi.grid.x
-    gamma_hbar = GridWavefunction(
-        psi.grid, (hbar * np.pi) ** -0.25 * np.exp(-0.5 * x ** 2 / hbar))
-    out = dilate(gamma_hbar, hbar)
-    assert out.distance(psi) < 1e-8
-    assert out.norm == pytest.approx(1.0, abs=1e-10)
-
-
-def test_dilate_variance_scaling():
-    psi = vacuum()
-    hbar = 2.0
-    out = dilate(psi, hbar)
-    x = psi.grid.x
-    var = np.sum(x ** 2 * out.density) * psi.grid.dx
-    assert var == pytest.approx(0.5 / hbar, abs=1e-10)
 
 
 def test_propagation_self_check_small():

@@ -7,16 +7,9 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as npoly
 
-from qreduce import (
-    HamiltonianSpec,
-    PhasePoint,
-    PotentialModel,
-    eval_h,
-    gradient_h,
-    hessian_h,
-    taylor_remainder_V,
-)
-from qreduce.hamiltonian import MAX_POLY_DEGREE, MAX_POLY_DEGREE_2D
+from qreduce import HamiltonianSpec, PhasePoint, PotentialModel
+from qreduce.hamiltonian import (MAX_POLY_DEGREE, MAX_POLY_DEGREE_2D,
+                                 _remainder_by_subtraction, energies)
 from qreduce.scaling import scale_hamiltonian
 
 
@@ -24,72 +17,82 @@ def harmonic_spec(mass=1.0):
     return HamiltonianSpec(mass=mass, potential=PotentialModel.polynomial([0, 0, 0.5]))
 
 
+def energy(spec, xi, pi):
+    return float(energies(spec, np.array([xi]), np.array([pi])))
+
+
+def by_subtraction(pot, center, x):
+    """The subtraction-form remainder about a 1D centre at displacements x."""
+    return _remainder_by_subtraction(pot, np.array([center]),
+                                     [np.asarray(x, dtype=float)])
+
+
 def test_eval_h_harmonic_ground_circle():
     # h = (xi^2 + pi^2)/2 on the unit circle.
     spec = harmonic_spec()
-    assert eval_h(spec, PhasePoint(1.0, 0.0)) == pytest.approx(0.5)
-    assert eval_h(spec, PhasePoint(0.0, 1.0)) == pytest.approx(0.5)
-    assert eval_h(spec, PhasePoint(np.sqrt(0.5), np.sqrt(0.5))) == pytest.approx(0.5)
+    assert energy(spec, 1.0, 0.0) == pytest.approx(0.5)
+    assert energy(spec, 0.0, 1.0) == pytest.approx(0.5)
+    assert energy(spec, np.sqrt(0.5), np.sqrt(0.5)) == pytest.approx(0.5)
 
 
 def test_eval_h_free_mass_two():
     spec = HamiltonianSpec(mass=2.0, potential=PotentialModel.polynomial([0.0]))
-    assert eval_h(spec, PhasePoint(3.0, 4.0)) == pytest.approx(4.0)
+    assert energy(spec, 3.0, 4.0) == pytest.approx(4.0)
 
 
 def test_eval_h_cubic():
     # V = xi^3/6 at (2, 1): 1/2 + 8/6.
     spec = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial([0, 0, 0, 1 / 6]))
-    assert eval_h(spec, PhasePoint(2.0, 1.0)) == pytest.approx(0.5 + 8.0 / 6.0)
+    assert energy(spec, 2.0, 1.0) == pytest.approx(0.5 + 8.0 / 6.0)
 
 
 def test_gradient_h_harmonic():
-    spec = harmonic_spec()
-    assert gradient_h(spec, PhasePoint(1.0, 0.0)) == pytest.approx([1.0, 0.0])
-    assert gradient_h(spec, PhasePoint(0.0, 2.0)) == pytest.approx([0.0, 2.0])
-    assert gradient_h(spec, PhasePoint(2.0, 1.0)) == pytest.approx([2.0, 1.0])
+    pot = harmonic_spec().potential
+    for xi in (0.0, 1.0, 2.0):
+        assert pot.gradient(xi) == pytest.approx([xi])
 
 
 def test_hessian_h_quartic():
     # V = xi^4/4 has V'' = 3 xi^2, so 12 at xi = 2.
-    spec = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial([0, 0, 0, 0, 0.25]))
-    H = hessian_h(spec, PhasePoint(2.0, 0.0))
-    assert H == pytest.approx(np.array([[12.0, 0.0], [0.0, 1.0]]))
+    pot = PotentialModel.polynomial([0, 0, 0, 0, 0.25])
+    assert pot.hessian(2.0) == pytest.approx(np.array([[12.0]]))
 
 
 def test_hessian_h_mass_two_free():
+    # d^2 h / d pi^2 = 1 / m, here by a central second difference.
     spec = HamiltonianSpec(mass=2.0, potential=PotentialModel.polynomial([0.0]))
-    H = hessian_h(spec, PhasePoint(1.0, 1.0))
-    assert H == pytest.approx(np.array([[0.0, 0.0], [0.0, 0.5]]))
+    eps = 1e-3
+    second = (energy(spec, 1.0, 1.0 + eps) - 2.0 * energy(spec, 1.0, 1.0)
+              + energy(spec, 1.0, 1.0 - eps)) / eps ** 2
+    assert second == pytest.approx(0.5, rel=1e-6)
+    assert spec.potential.hessian(1.0) == pytest.approx(np.array([[0.0]]))
 
 
 def test_remainder_zero_for_quadratic():
-    spec = harmonic_spec()
     x = np.linspace(-3, 3, 41)
-    r = taylor_remainder_V(spec, 0.7, x)
+    r = by_subtraction(harmonic_spec().potential, 0.7, x)
     assert np.max(np.abs(r)) < 1e-12
 
 
 def test_remainder_cubic_exact():
     # V = xi^3/6 about 0: remainder is x^3/6, so 8/6 at x = 2.
-    spec = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial([0, 0, 0, 1 / 6]))
-    assert taylor_remainder_V(spec, 0.0, 2.0) == pytest.approx(8.0 / 6.0)
+    pot = PotentialModel.polynomial([0, 0, 0, 1 / 6])
+    assert by_subtraction(pot, 0.0, 2.0) == pytest.approx(8.0 / 6.0)
 
 
 def test_remainder_quartic_at_shifted_center():
     # V = x^4/4 about xi = 1 at x = 1: V(2) - V(1) - V'(1) - V''(1)/2
     # = 4 - 1/4 - 1 - 3/2 = 1.25.
-    spec = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial([0, 0, 0, 0, 0.25]))
-    assert taylor_remainder_V(spec, 1.0, 1.0) == pytest.approx(1.25)
+    pot = PotentialModel.polynomial([0, 0, 0, 0, 0.25])
+    assert by_subtraction(pot, 1.0, 1.0) == pytest.approx(1.25)
 
 
 def test_remainder_coeffs_match_pointwise():
     # The exact-coefficient remainder equals the subtraction form.
     pot = PotentialModel.polynomial([0.3, -0.2, 0.5, 0.1, 0.05])
-    spec = HamiltonianSpec(mass=1.0, potential=pot)
     x = np.linspace(-2, 2, 17)
     via_coeffs = pot.remainder(np.array([[0.8]]), x[None, :, None])[0]
-    direct = taylor_remainder_V(spec, 0.8, x)
+    direct = by_subtraction(pot, 0.8, x)
     assert direct == pytest.approx(via_coeffs, abs=1e-12)
 
 
@@ -102,26 +105,23 @@ points = st.floats(min_value=-3, max_value=3, allow_nan=False)
 @given(coeffs=coeff_lists, xi=points, pi=points,
        mass=st.floats(min_value=0.25, max_value=4))
 def test_gradient_matches_finite_differences(coeffs, xi, pi, mass):
+    # The gradient of h is (V'(xi), pi / m).
     spec = HamiltonianSpec(mass=mass, potential=PotentialModel.polynomial(coeffs))
-    alpha = PhasePoint(xi, pi)
-    g = gradient_h(spec, alpha)
+    g = [spec.potential.gradient(xi)[0], pi / mass]
     eps = 1e-5
-    fd = np.empty(2)
-    for k, d in enumerate([PhasePoint(eps, 0.0), PhasePoint(0.0, eps)]):
-        fd[k] = (eval_h(spec, alpha + d) - eval_h(spec, alpha - d)) / (2 * eps)
+    fd = [(energy(spec, xi + eps, pi) - energy(spec, xi - eps, pi)) / (2 * eps),
+          (energy(spec, xi, pi + eps) - energy(spec, xi, pi - eps)) / (2 * eps)]
     assert g == pytest.approx(fd, rel=1e-4, abs=1e-5)
 
 
 @settings(max_examples=50, deadline=None)
-@given(coeffs=coeff_lists, xi=points, pi=points)
-def test_hessian_symmetric_and_matches_fd(coeffs, xi, pi):
-    spec = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial(coeffs))
-    alpha = PhasePoint(xi, pi)
-    H = hessian_h(spec, alpha)
+@given(coeffs=coeff_lists, xi=points)
+def test_hessian_symmetric_and_matches_fd(coeffs, xi):
+    pot = PotentialModel.polynomial(coeffs)
+    H = pot.hessian(xi)
     assert H == pytest.approx(H.T)
     eps = 1e-4
-    dplus = gradient_h(spec, alpha + PhasePoint(eps, 0.0))
-    dminus = gradient_h(spec, alpha - PhasePoint(eps, 0.0))
+    dplus, dminus = pot.gradient(xi + eps), pot.gradient(xi - eps)
     assert H[:, 0] == pytest.approx((dplus - dminus) / (2 * eps), rel=1e-3, abs=1e-4)
 
 
@@ -189,8 +189,8 @@ def test_polynomial2d_remainder():
     C[2, 1] = 1.0
     C[0, 2] = 1.0
     pot = PotentialModel.polynomial2d(C)
-    spec = HamiltonianSpec(mass=1.0, potential=pot)
-    r = taylor_remainder_V(spec, np.array([0.0, 0.0]), np.array([2.0, 3.0]))
+    r = _remainder_by_subtraction(pot, np.array([0.0, 0.0]),
+                                  [np.array(2.0), np.array(3.0)])
     assert r == pytest.approx(12.0)
 
 

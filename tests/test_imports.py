@@ -1,16 +1,19 @@
-"""Every module-level import in the package is used, and a CLI run loads
-no scipy subpackage that qreduce does not call."""
+"""Every module-level import in the package is used, every function is
+reached from outside the focused tests, and a CLI run loads no scipy
+subpackage that qreduce does not call."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qreduce"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qreduce"
 # __init__.py imports to re-export.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -37,6 +40,117 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _referenced(node) -> set:
+    """Every name a node reads: names and imported names as themselves,
+    attributes as ".name", the only form that reaches a method."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names |= {sub.attr, "." + sub.attr}
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.split(".")[-1])
+    return names
+
+
+def _unreached(modules: dict, roots: list, keep=()) -> list:
+    """Top-level functions and methods of the modules ({name: source})
+    that no root reaches, as "module.name" or "module.Class.name".
+
+    A root is Python source or, when it does not parse, text read for
+    identifiers.  Module-level code reaches what it names, a reached
+    definition what its body names, and the definitions in keep are
+    reached.  Names are matched without their owner: a function is
+    reached by its name or any attribute of it, a method by any
+    attribute of its name; dunder methods always are.
+    """
+    definitions, names = {}, set()
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                definitions[f"{module}.{node.name}"] = (node, node.name)
+                continue
+            parts = [node]
+            if isinstance(node, ast.ClassDef):
+                parts = node.decorator_list + node.bases
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        definitions[f"{module}.{node.name}.{sub.name}"] = (
+                            sub, "." + sub.name)
+                    else:
+                        parts.append(sub)
+            for part in parts:
+                names |= _referenced(part)
+    for text in roots:
+        try:
+            names |= _referenced(ast.parse(text))
+        except SyntaxError:
+            words = re.findall(r"[A-Za-z_]\w*", text)
+            names |= set(words) | {"." + word for word in words}
+    reached = set()
+    while True:
+        new = {key for key, (node, name) in definitions.items()
+               if key not in reached and (key in keep or name in names
+                                          or node.name.startswith("__"))}
+        if not new:
+            return sorted(definitions.keys() - reached)
+        reached |= new
+        for key in new:
+            names |= _referenced(definitions[key][0])
+
+
+# Oracles kept on purpose, though only the focused tests call them.
+KEPT = {
+    # ROADMAP item 5 reports it in the health block.
+    "classical.ClassicalTrajectory.energy_drift",
+    # ROADMAP item 5 replaces it with a splitting-error estimate.
+    "grid.propagation_self_check",
+    # The per-row oracle of PacketFlow.sample.
+    "packets.PacketFlow.packet_at",
+    # The overlap that the grid tests use.
+    "grid.GridWavefunction.inner",
+    # The per-state normalisation that expectation_a's tests compare with.
+    "grid.GridWavefunction.normalized",
+    # The classical transit time the README lists among the classifiers:
+    # ROADMAP item 10 deletes it with its tests.
+    "classical.classical_transit_time",
+}
+
+
+def test_the_reachability_check_sees_a_test_only_definition():
+    module = ("def run():\n    return _helper()\n\n"
+              "def _helper():\n    orphan = Box().size\n    return orphan\n\n"
+              "def only_tested():\n    pass\n\n"
+              "class Box:\n    def __init__(self):\n        pass\n\n"
+              "    @property\n    def size(self):\n        return 1\n\n"
+              "    def orphan(self):\n        pass\n")
+    # A focused test that calls only_tested is not a root, and a variable
+    # named orphan is no attribute access.
+    roots = ["from m import run\nrun()\n"]
+    assert _unreached({"m": module}, roots) == ["m.Box.orphan",
+                                                "m.only_tested"]
+    assert _unreached({"m": module}, roots, keep={"m.only_tested"}) == [
+        "m.Box.orphan"]
+    assert _unreached({"m": module}, ["Call `only_tested` and `run`."]) == [
+        "m.Box.orphan"]
+
+
+def test_every_definition_is_reached_outside_the_focused_tests():
+    # Reached from the package's modules, the release gate, the
+    # benchmark, the tools or the READMEs; a definition that only the
+    # focused tests call is dead library surface.
+    modules = {path.stem: path.read_text() for path in MODULES}
+    roots = [path.read_text() for path in (
+        ROOT / "tests" / "test_acceptance.py", ROOT / "README.md",
+        ROOT / "perfbench" / "README.md",
+        *sorted((ROOT / "perfbench").glob("*.py")),
+        *sorted((ROOT / "tools").glob("*.py")))]
+    assert _unreached(modules, roots, keep=KEPT) == []
+    # Each kept name still needs its place here.
+    assert KEPT <= set(_unreached(modules, roots))
 
 
 # Runs in a fresh interpreter: one reduce and one grid classify-quantum

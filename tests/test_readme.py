@@ -1,9 +1,12 @@
 """Documented examples must run as written."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
 
+import qreduce
+from qreduce import errors
 from qreduce.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -43,3 +46,28 @@ def test_cli_quick_start_runs(tmp_path, monkeypatch):
     assert main(args) == 0
     assert (tmp_path / "results" / "reduce.json").stat().st_size > 0
     assert (tmp_path / "results" / "reduce.csv").stat().st_size > 0
+
+
+def readme_entry_points() -> set:
+    """The names the library quick start imports from qreduce and the
+    backticked names of the "Other entry points" paragraph after it."""
+    tree = ast.parse(library_quick_start())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "qreduce"
+             for alias in node.names}
+    paragraph = README.read_text().split("Other entry points", 1)[1]
+    paragraph = paragraph.split("\n\n", 1)[0]
+    return names | set(re.findall(r"`([A-Za-z_]\w*)`", paragraph))
+
+
+def test_help_lists_the_readme_entry_points_and_the_errors():
+    # help(qreduce) lists __all__: the README's names and the exception
+    # types, each importable from qreduce.
+    names = readme_entry_points()
+    assert {"run_reduction", "classify_quantum", "hepp_experiment"} <= names
+    exceptions = {name for name, value in vars(errors).items()
+                  if isinstance(value, type) and issubclass(value, Exception)}
+    assert sorted(qreduce.__all__) == sorted(names | exceptions)
+    imported = {}
+    exec("from qreduce import *", imported)
+    assert names | exceptions <= imported.keys()

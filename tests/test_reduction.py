@@ -14,7 +14,7 @@ from qreduce.comparator import RESIDUAL_TOL, ComparatorSpec, \
 from qreduce.errors import BasisResidualError, ConfigError, NumericalError
 from qreduce.grid import GridSpec, GridWavefunction, propagate
 from qreduce.hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel, \
-    taylor_remainder_V
+    _remainder_by_subtraction
 from qreduce.packets import approximate_flow, packet, sample_on_grid
 from qreduce.reduction import (BoundInputs, ReductionProblem, assemble_bounds,
                                duhamel_curve, ehrenfest_run,
@@ -129,13 +129,13 @@ def test_exact_remainder_norm_matches_dense_reference(case):
 
 def stacked_reference(spec, center, re_m):
     """The dense reference as a stack of meshgrid nodes u = L z, with
-    taylor_remainder_V at each; also the same norm of the terms its
+    _remainder_by_subtraction at each; also the same norm of the terms its
     subtraction cancels, the size below which r is rounding."""
     z = np.linspace(-10.0, 10.0, 321)
     w = np.exp(-0.5 * z ** 2) * (z[1] - z[0]) / np.sqrt(2.0 * np.pi)
     w[[0, -1]] *= 0.5
     u, weights = reduction._gaussian_rule(z, w, re_m)
-    r = np.reshape(taylor_remainder_V(spec, center, u), -1)
+    r = _remainder_by_subtraction(spec.potential, center, u.T)
     pot = spec.potential
     shifted = center + u if spec.dimension == 2 else center[0] + u[:, 0]
     hess = pot.hessian(center)

@@ -5,10 +5,9 @@ from hypothesis import given, settings, strategies as st
 from qreduce.errors import ConfigError
 from qreduce.grid import GridSpec
 from qreduce.hamiltonian import (HamiltonianSpec, PhasePoint, PotentialModel,
-                                 eval_h)
+                                 energies)
 from qreduce.reduction import ReductionProblem, run_reduction
-from qreduce.scaling import (coherent_scaling_check, hepp_experiment,
-                             scale_hamiltonian, scale_value)
+from qreduce.scaling import hepp_experiment, scale_hamiltonian, scale_value
 
 DIMENSIONAL_KINDS = ("position", "momentum", "time", "mass", "energy")
 CUBIC = HamiltonianSpec(
@@ -94,26 +93,10 @@ def test_magnitude_invariance_of_scaled_energy():
         alpha = PhasePoint(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
         scaled_spec = scale_hamiltonian(CUBIC, lam).in_scaled_units
         scaled_alpha = PhasePoint.from_vector(np.sqrt(lam) * alpha.vector)
-        assert np.isclose(eval_h(scaled_spec, scaled_alpha),
-                          lam * eval_h(CUBIC, alpha),
-                          rtol=1e-12, atol=1e-12)
-
-
-def test_coherent_scaling_identity_on_the_grid():
-    out = coherent_scaling_check(PhasePoint(1.0, 0.5), 0.25)
-    assert out["residual"] < 1e-9
-    assert out["var_q_fixed"] == pytest.approx(0.5, abs=1e-9)
-    assert out["var_q_scaled"] == pytest.approx(0.125, abs=1e-9)
-    wide = coherent_scaling_check(PhasePoint(1.0, 0.5), 2.0)
-    assert wide["residual"] < 1e-9
-    assert wide["var_q_scaled"] == pytest.approx(1.0, abs=1e-8)
-
-
-def test_coherent_scaling_trivial_center():
-    out = coherent_scaling_check(PhasePoint(0.0, 0.0), 0.25)
-    assert out["residual"] == 0.0
-    with pytest.raises(ConfigError):
-        coherent_scaling_check(PhasePoint(0.0, 0.0), 0.0)
+        assert np.isclose(
+            energies(scaled_spec, scaled_alpha.xi, scaled_alpha.pi),
+            lam * energies(CUBIC, alpha.xi, alpha.pi),
+            rtol=1e-12, atol=1e-12)
 
 
 def test_hepp_family_shrinks_the_error():

@@ -7,10 +7,9 @@ from qreduce.comparator import ComparatorSpec
 from qreduce.grid import GridSpec
 from qreduce.hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel
 from qreduce.packets import packet, sample_on_grid
-from qreduce.spectral import (FiniteEvolution, GridHamiltonian, average_stay,
-                              classify_quantum, dephased_matrix,
+from qreduce.spectral import (GridHamiltonian, classify_quantum,
                               ergodic_average, finite_evolution,
-                              recurrence_time, transit_time)
+                              recurrence_time)
 
 FREE = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial([0.0]))
 HARMONIC = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial([0, 0, 0.5]))
@@ -31,7 +30,9 @@ def random_unit(rng, d):
 def test_finite_evolution_groups_degenerate_levels():
     evo = finite_evolution(np.diag([0.0, 1.0, 1.0 + 1e-13, 2.0]))
     assert [len(g) for g in evo.groups] == [1, 2, 1]
-    assert evo.projector_completeness() < 1e-10
+    # The eigenbasis is unitary: sum_n P_n = 1.
+    v = evo.vectors
+    assert np.linalg.norm(v @ v.conj().T - np.eye(4), 2) < 1e-10
     assert np.allclose(evo.group_values, [0.0, 1.0, 2.0], atol=1e-12)
 
 
@@ -47,14 +48,6 @@ def test_evolve_is_unitary_and_periodic():
     assert abs(np.linalg.norm(moved) - 1.0) < 1e-12
     back = evo.evolve(psi, 2.0 * np.pi)
     assert np.linalg.norm(back - psi) < 1e-12
-
-
-def test_dephased_matrix_drops_cross_terms_only():
-    evo = finite_evolution(np.diag([0.0, 1.0]))
-    psi = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    rho = dephased_matrix(evo, psi)
-    assert np.allclose(rho, np.diag([0.5, 0.5]), atol=1e-14)
-    assert abs(np.trace(rho) - 1.0) < 1e-14
 
 
 def test_ergodic_eigenvector_is_exact():
@@ -132,7 +125,7 @@ def test_ergodic_average_is_the_mean_stay():
         psi, F = random_unit(rng, 8), random_hermitian(rng, 8)
         for T in (0.7, 13.0, 120.0):
             measured = ergodic_average(evo, psi, F, T)["measured"][T]
-            assert measured == average_stay(evo, psi, F, T)["value"]
+            assert measured == classify_quantum(evo, psi, F, T)["mu"][-1]
 
 
 @pytest.mark.parametrize("dt", [-0.1, 0.0, np.nan, np.inf])
@@ -148,25 +141,29 @@ def test_average_stay_on_eigenvectors():
     own = np.array([1.0, 0.0, 0.0], dtype=complex)
     other = np.array([0.0, 1.0, 0.0], dtype=complex)
     proj = np.diag([1.0, 0.0, 0.0])
-    stay = average_stay(evo, own, proj, T=50.0)
-    assert stay["value"] == pytest.approx(1.0, abs=1e-9)
-    assert stay["prediction"] == pytest.approx(1.0, abs=1e-12)
-    assert "bound" in stay["note"]
-    off = average_stay(evo, other, proj, T=50.0)
-    assert off["value"] == pytest.approx(0.0, abs=1e-12)
-    assert off["prediction"] == pytest.approx(0.0, abs=1e-12)
+    stay = classify_quantum(evo, own, proj, horizons=50.0)
+    assert stay["mu"][-1] == pytest.approx(1.0, abs=1e-9)
+    predicted = ergodic_average(evo, own, proj, horizons=50.0)["predicted"]
+    assert predicted == pytest.approx(1.0, abs=1e-12)
+    off = classify_quantum(evo, other, proj, horizons=50.0)
+    assert off["mu"][-1] == pytest.approx(0.0, abs=1e-12)
+    predicted = ergodic_average(evo, other, proj, horizons=50.0)["predicted"]
+    assert predicted == pytest.approx(0.0, abs=1e-12)
 
 
 def test_transit_time_linear_growth_flags_divergent():
+    # An eigenvector inside Omega stays there: tau grows as 2T and the
+    # trailing half of the horizon adds T, far above TAIL_INCREMENT_TOL.
     evo = finite_evolution(THREE_LEVEL)
     own = np.array([1.0, 0.0, 0.0], dtype=complex)
-    out = transit_time(evo, own, np.diag([1.0, 0.0, 0.0]), T=100.0)
-    assert out["divergent"]
-    assert out["value"] == pytest.approx(200.0, rel=1e-9)
+    out = classify_quantum(evo, own, np.diag([1.0, 0.0, 0.0]), horizons=100.0)
+    assert out["tau"][-1] == pytest.approx(200.0, rel=1e-9)
+    assert out["trailing_increment"] == pytest.approx(100.0, rel=1e-9)
     orthogonal = np.array([0.0, 0.0, 1.0], dtype=complex)
-    silent = transit_time(evo, orthogonal, np.diag([1.0, 0.0, 0.0]), T=100.0)
-    assert silent["value"] == 0.0
-    assert not silent["divergent"]
+    silent = classify_quantum(evo, orthogonal, np.diag([1.0, 0.0, 0.0]),
+                              horizons=100.0)
+    assert silent["tau"][-1] == 0.0
+    assert silent["trailing_increment"] == 0.0
 
 
 def test_stay_equals_transit_over_horizon():
@@ -174,21 +171,8 @@ def test_stay_equals_transit_over_horizon():
     psi = np.array([1.0, 1.0]) / np.sqrt(2.0)
     omega = np.outer(psi, psi.conj())
     T = 37.0
-    mu = average_stay(evo, psi, omega, T)["value"]
-    tau = transit_time(evo, psi, omega, T)["value"]
-    assert mu == pytest.approx(tau / (2.0 * T), abs=0.0)
-
-
-def test_free_packet_stay_decreases_and_transit_converges():
-    psi = sample_on_grid(packet(PhasePoint(0.0, 4.0), 1.0), FREE_GRID)
-    handle = GridHamiltonian(FREE, FREE_GRID, dt=0.25)
-    comp = ComparatorSpec(s=0.5, N=64)
-    mus = [average_stay(handle, psi, comp, T)["value"] for T in (10.0, 40.0)]
-    out = transit_time(handle, psi, comp, T=160.0)
-    mus.append(out["value"] / 320.0)
-    assert mus[0] > mus[1] > mus[2]
-    assert not out["divergent"]
-    assert out["trailing_increment"] < 1e-4
+    out = classify_quantum(evo, psi, omega, horizons=T)
+    assert out["mu"][-1] == pytest.approx(out["tau"][-1] / (2.0 * T), abs=0.0)
 
 
 def test_recurrence_two_level_finds_the_period():
@@ -224,6 +208,18 @@ def test_classify_oscillator_ground_state_pp_like():
     out = classify_quantum(handle, psi, ComparatorSpec(s=1.0), horizons=40.0)
     assert out["label"] == "pp-like"
     assert out["mu"][-1] == pytest.approx(1.0, abs=1e-3)
+
+
+def test_free_packet_stay_decreases_and_transit_converges():
+    psi = sample_on_grid(packet(PhasePoint(0.0, 4.0), 1.0), FREE_GRID)
+    handle = GridHamiltonian(FREE, FREE_GRID, dt=0.25)
+    comp = ComparatorSpec(s=0.5, N=64)
+    out = classify_quantum(handle, psi, comp, horizons=[10.0, 40.0, 160.0])
+    mus = out["mu"]
+    assert mus[2] == pytest.approx(out["tau"][2] / 320.0, abs=0.0)
+    assert mus[0] > mus[1] > mus[2]
+    assert out["trailing_increment"] < spectral.TAIL_INCREMENT_TOL
+    assert out["trailing_increment"] < 1e-4
 
 
 def test_classify_free_packet_ac_like():
