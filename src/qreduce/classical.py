@@ -1,10 +1,7 @@
-"""Classical flows: Hamilton's equations, transit times and state labels.
+"""Classical flows: Hamilton's equations, phase-space regions and state labels.
 
 Trajectories are integrated with a kick-drift-kick symplectic stepper,
 which h = pi^2/2m + V(xi) admits because it is separable.
-Transit times through phase-space regions are computed by locating each
-boundary crossing on a cubic Hermite interpolant of the sampled flow, so
-their accuracy is set by the crossing bisection, not the sample step.
 Bound/scattering labels are finite-horizon proxies and say so.
 """
 
@@ -19,7 +16,6 @@ from .errors import FlowDivergedError
 from .hamiltonian import HamiltonianSpec, PhasePoint, energies, time_steps
 
 DIVERGENCE_NORM = 1e8
-BISECT_REL_TOL = 1e-10
 CLASSIFY_DT = 1e-3
 
 
@@ -216,61 +212,6 @@ def _integrate_leapfrog(spec, alpha0, m, dt):
         if not np.all(np.abs(np.concatenate([x, p])) < DIVERGENCE_NORM):
             return _finish(spec, m, dt, xi, pi, k - 1)
     return _finish(spec, m, dt, xi, pi, m)
-
-
-def _bisect_crossing(traj, region, t_lo, t_hi):
-    """Boundary crossing time inside [t_lo, t_hi] (gap changes sign there)."""
-    g_lo = float(region.gap(traj.at(t_lo)))
-    tol = BISECT_REL_TOL * traj.dt
-    while t_hi - t_lo > tol:
-        mid = 0.5 * (t_lo + t_hi)
-        if (float(region.gap(traj.at(mid))) <= 0.0) == (g_lo <= 0.0):
-            t_lo = mid
-        else:
-            t_hi = mid
-    return 0.5 * (t_lo + t_hi)
-
-
-def classical_transit_time(traj: ClassicalTrajectory, region: PhaseRegion,
-                           window) -> float:
-    """Time the trajectory spends inside the region during the window.
-
-    The indicator integral is evaluated exactly between boundary crossings;
-    each crossing is located by bisection on the Hermite interpolant to a
-    tolerance of 1e-10 dt.  Double crossings inside a single step go
-    unnoticed, which bounds the resolution by the sample step.
-
-    Parameters
-    ----------
-    window : pair (t0, t1) with t0 <= t1, contained in the trajectory span.
-
-    Returns
-    -------
-    tau in [0, t1 - t0].
-    """
-    t0, t1 = float(window[0]), float(window[1])
-    if t0 > t1:
-        raise ValueError("window must be ordered")
-    if t0 < traj.times[0] - 1e-12 or t1 > traj.times[-1] + 1e-12:
-        raise ValueError("window outside trajectory span")
-    if t1 == t0:
-        return 0.0
-    interior = traj.times[(traj.times > t0) & (traj.times < t1)]
-    grid = np.concatenate([[t0], interior, [t1]])
-    gvals = np.empty(len(grid))
-    gvals[1:-1] = region.gap(traj.states[(traj.times > t0) & (traj.times < t1)])
-    gvals[0] = region.gap(traj.at(t0))
-    gvals[-1] = region.gap(traj.at(t1))
-    inside = gvals <= 0.0
-    lengths = np.diff(grid)
-    tau = float(np.sum(lengths[inside[:-1] & inside[1:]]))
-    for k in np.nonzero(inside[:-1] != inside[1:])[0]:
-        t_star = _bisect_crossing(traj, region, grid[k], grid[k + 1])
-        if inside[k]:
-            tau += t_star - grid[k]
-        else:
-            tau += grid[k + 1] - t_star
-    return min(tau, t1 - t0)
 
 
 @dataclass(frozen=True)

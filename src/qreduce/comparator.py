@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BasisResidualError, OverflowGuardError
-from .grid import GridSpec, GridWavefunction, _row_norms
+from .grid import GridSpec, _row_norms
 from .hamiltonian import PhasePoint
 
 RESIDUAL_TOL = 1e-8
@@ -109,7 +109,7 @@ def _basis(spec: ComparatorSpec, grid: GridSpec) -> np.ndarray:
 class _Constants(NamedTuple):
     """Per-dimension coefficient weights of one spec, built once."""
 
-    weights: dict        # normalized flag -> comparator eigenvalues
+    decay: np.ndarray    # e^{-s (total excitation)} per coefficient
     growth: np.ndarray   # 2 s (total excitation) per coefficient
     order: np.ndarray    # flat coefficient indices by total excitation
 
@@ -119,24 +119,24 @@ def _constants(spec: ComparatorSpec, n: int) -> _Constants:
     const = spec._store.get(("constants", n))
     if const is None:
         n_vals = np.arange(spec.N + 1)
-        factors = {True: np.exp(-spec.s * n_vals), False: spec.eigenvalues}
+        decay = np.exp(-spec.s * n_vals)
         if n == 1:
             total_n = n_vals
         else:
             total_n = n_vals[:, None] + n_vals[None, :]
-            factors = {key: np.outer(f, f) for key, f in factors.items()}
+            decay = np.outer(decay, decay)
         const = spec._store[("constants", n)] = _Constants(
-            weights=factors, growth=2.0 * spec.s * total_n,
+            decay=decay, growth=2.0 * spec.s * total_n,
             order=np.argsort(total_n.ravel(), kind="stable"))
     return const
 
 
-def hermite_coefficients(spec: ComparatorSpec, psi, grid: GridSpec = None):
-    """Project psi, or a stack of amplitudes, on the truncated Hermite basis.
+def hermite_coefficients(spec: ComparatorSpec, amps, grid: GridSpec):
+    """Project a stack of grid amplitudes on the truncated Hermite basis.
 
-    psi is a GridWavefunction, or with ``grid`` an array of B amplitudes
-    on that grid stacked on a leading axis, shape (B,) + (grid.N,) * n.
-    A stack is projected row-exactly: one batched matrix-vector product
+    amps holds B states on ``grid`` stacked on a leading axis, shape
+    (B,) + (grid.N,) * n; a single state is a stack of one.  The stack
+    is projected row-exactly: one batched matrix-vector product
     (amps[:, None, :] @ h.T * dx in 1D, h @ amps @ h.T * dx^2 in 2D),
     so each row of the result, coefficients and residual, is bitwise the
     projection of that row alone.  A (B, N) @ h.T matrix-matrix product
@@ -145,16 +145,10 @@ def hermite_coefficients(spec: ComparatorSpec, psi, grid: GridSpec = None):
 
     Returns
     -------
-    coeffs : complex array, shape (N+1,) in 1D and (N+1, N+1) in 2D,
-        with a leading axis of B for a stack.
-    residual : mass fraction outside the truncated basis, a float, or
-        an array of B for a stack.
+    coeffs : complex array, shape (B, N+1) in 1D and (B, N+1, N+1) in 2D.
+    residual : array of B mass fractions outside the truncated basis.
     """
-    stacked = grid is not None
-    if stacked:
-        amps = np.asarray(psi, dtype=complex)
-    else:
-        grid, amps = psi.grid, psi.amp[None]
+    amps = np.asarray(amps, dtype=complex)
     h = _basis(spec, grid)
     # Squared after the root, as GridWavefunction.norm ** 2 is.
     norm_sq = _row_norms(amps, grid) ** 2
@@ -164,59 +158,45 @@ def hermite_coefficients(spec: ComparatorSpec, psi, grid: GridSpec = None):
         coeffs = h @ amps @ h.T * grid.cell
     captured = np.sum(np.abs(coeffs.reshape(len(amps), -1)) ** 2, axis=-1)
     residual = np.maximum(0.0, norm_sq - captured) / np.maximum(norm_sq, 1e-300)
-    if stacked:
-        return coeffs, residual
-    return coeffs[0], float(residual[0])
+    return coeffs, residual
 
 
-def apply_comparator(spec: ComparatorSpec, psi, normalized: bool = False,
-                     projection=None, grid: GridSpec = None):
-    """Apply the comparator to a grid state, or a stack, in the Hermite basis.
+def apply_comparator(spec: ComparatorSpec, projection, grid: GridSpec):
+    """Apply the comparator at unit top eigenvalue to a projected stack.
 
-    With ``normalized`` the operator is rescaled to have unit top
-    eigenvalue (divide by sigma_s per axis).  In two dimensions the basis
-    is the tensor product and the number operator is the total one.  The
-    operator is the one about the origin, so no state is displaced.
-    psi is a GridWavefunction, or with ``grid`` a stack of amplitudes as
-    hermite_coefficients takes it; a stack is synthesized row-exactly,
-    by the batched product (coeffs * weights)[:, None, :] @ h in 1D and
-    h.T @ (coeffs * weights) @ h per row in 2D, so each row is bitwise
-    the result for that row alone, and the single state is the stack of
-    one.
-    ``projection`` is psi's (coeffs, residual) when the caller already
-    holds it, from hermite_coefficients in the same form; psi is then
-    not projected again, and the result is bitwise the same.
+    projection is the stack's (coeffs, residual), as hermite_coefficients
+    returns it for ``grid``.  The operator is divided by sigma_s per axis,
+    so each coefficient is weighted by e^{-s n}; in two dimensions the
+    basis is the tensor product and n the total number.  The operator is
+    the one about the origin, so no state is displaced.
+    The stack is synthesized row-exactly, by the batched product
+    (coeffs * decay)[:, None, :] @ h in 1D and h.T @ (coeffs * decay) @ h
+    per row in 2D, so each row is bitwise the result for that row alone.
 
     Returns
     -------
-    A GridWavefunction, or for a stack an amplitude array of its shape.
+    An amplitude array of shape (B,) + (grid.N,) * n.
 
     Raises
     ------
     BasisResidualError
-        If more than RESIDUAL_TOL (1e-8) of a state's mass lies outside
-        the basis; for a stack, the error of the first such row.
+        The error of the first row with more than RESIDUAL_TOL (1e-8) of
+        its mass outside the basis.
     """
-    stacked = grid is not None
-    if projection is None:
-        projection = hermite_coefficients(spec, psi, grid)
     coeffs, residual = projection
-    if not stacked:
-        grid, coeffs, residual = psi.grid, coeffs[None], [residual]
     for value in residual:
         if value > RESIDUAL_TOL:
             raise _residual_error(value)
-    weighted = coeffs * _constants(spec, grid.n).weights[normalized]
+    weighted = coeffs * _constants(spec, grid.n).decay
     h = _basis(spec, grid)
     if grid.n == 1:
-        amps = (weighted[:, None, :] @ h)[:, 0]
-    else:
-        # Row by row: a broadcast h.T @ weighted @ h raised the peak
-        # memory of a run, for the same bits.
-        amps = np.empty((len(weighted), grid.N, grid.N), dtype=complex)
-        for row, c in enumerate(weighted):
-            amps[row] = h.T @ c @ h
-    return amps if stacked else GridWavefunction(grid, amps[0])
+        return (weighted[:, None, :] @ h)[:, 0]
+    # Row by row: a broadcast h.T @ weighted @ h raised the peak memory
+    # of a run, for the same bits.
+    amps = np.empty((len(weighted), grid.N, grid.N), dtype=complex)
+    for row, c in enumerate(weighted):
+        amps[row] = h.T @ c @ h
+    return amps
 
 
 def _residual_error(residual) -> BasisResidualError:
@@ -272,18 +252,14 @@ def _power_iteration_sq(mat) -> float:
     return val
 
 
-def coherent_label(alpha) -> complex:
-    """The complex label z = (xi + i pi)/sqrt(2) of a displacement."""
-    if isinstance(alpha, PhasePoint):
-        if alpha.n != 1:
-            raise ValueError("coherent labels are one-dimensional")
-        xi, pi = float(alpha.xi[0]), float(alpha.pi[0])
-    else:
-        xi, pi = float(alpha[0]), float(alpha[1])
-    return complex(xi, pi) / np.sqrt(2.0)
+def coherent_label(alpha: PhasePoint) -> complex:
+    """The complex label z = (xi + i pi)/sqrt(2) of a 1D displacement."""
+    if alpha.n != 1:
+        raise ValueError("coherent labels are one-dimensional")
+    return complex(float(alpha.xi[0]), float(alpha.pi[0])) / np.sqrt(2.0)
 
 
-def coherent_coefficients(alpha, K: int) -> np.ndarray:
+def coherent_coefficients(alpha: PhasePoint, K: int) -> np.ndarray:
     """Number-basis coefficients of Gamma(alpha) up to a global phase.
 
     c_k = e^{-|z|^2/2} z^k / sqrt(k!), built multiplicatively for
@@ -297,7 +273,7 @@ def coherent_coefficients(alpha, K: int) -> np.ndarray:
     return c
 
 
-def coherent_matrix_elements(spec: ComparatorSpec, alpha) -> dict:
+def coherent_matrix_elements(spec: ComparatorSpec, alpha: PhasePoint) -> dict:
     """Closed-form and truncated-basis comparator data for Gamma(alpha).
 
     Returns the diagonal element sigma e^{-sigma |z|^2}, the inverse-image
@@ -334,12 +310,13 @@ def coherent_matrix_elements(spec: ComparatorSpec, alpha) -> dict:
             "one_minus_measured": one_minus_measured}
 
 
-def within_magnitude(spec: ComparatorSpec, E: float, psi: GridWavefunction,
-                     projection=None) -> dict:
-    """Test membership of psi in the states within magnitude E.
+def within_magnitude(spec: ComparatorSpec, E: float, projection) -> dict:
+    """Test one projected state for membership within magnitude E.
 
-    Uses the normalized comparator (unit top eigenvalue), so the inverse
-    image of h_0 has norm 1.  The inverse norm is the truncated sum
+    projection is the state's (coeffs, residual): one row of
+    hermite_coefficients' stack.  Uses the comparator at unit top
+    eigenvalue, as apply_comparator does, so the inverse image of h_0
+    has norm 1.  The inverse norm is the truncated sum
     sum_k |c_k|^2 e^{2 s k(total)}, computed in log space.  The sum is
     flagged divergent when its value is carried by the highest surviving
     excitations: then the truncated number is an artifact of where the
@@ -347,10 +324,6 @@ def within_magnitude(spec: ComparatorSpec, E: float, psi: GridWavefunction,
     quadrature noise floor are dropped first, since the growth factor
     would otherwise amplify projection rounding into the answer;
     verdicts are therefore at this truncation and precision.
-    ``projection`` is psi's (coeffs, residual) when the caller already
-    holds it, as hermite_coefficients(spec, psi) or a row of its stacked
-    form; psi is then not read (it may be None), and the result is
-    bitwise the same.
 
     Returns
     -------
@@ -358,8 +331,6 @@ def within_magnitude(spec: ComparatorSpec, E: float, psi: GridWavefunction,
     """
     if E <= 0:
         raise ValueError("E must be positive")
-    if projection is None:
-        projection = hermite_coefficients(spec, psi)
     coeffs, residual = projection
     if residual > RESIDUAL_TOL:
         raise _residual_error(residual)

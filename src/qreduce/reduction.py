@@ -318,8 +318,7 @@ def _membership_probes(comp: ComparatorSpec, coeffs, residual):
     inv, divergent = np.full(len(coeffs), np.inf), np.ones(len(coeffs), bool)
     for row, projection in enumerate(zip(coeffs, residual.tolist())):
         try:
-            probe = within_magnitude(comp, E_PROBE, None,
-                                     projection=projection)
+            probe = within_magnitude(comp, E_PROBE, projection)
         except BasisResidualError:
             continue
         inv[row], divergent[row] = probe["inv_norm"], probe["divergent"]
@@ -334,12 +333,12 @@ class BoundInputs:
     them to run_grid, and scores the block as arrays.  flow.sample writes
     the approximating packets W, at the trajectory step of each time,
     into one block-sized buffer.  W and u are projected by one row-exact
-    stacked hermite_coefficients product each, and the W rows are
-    smoothed by one stacked apply_comparator call.  delta1 = ||W - u||
-    and delta2 = ||(1 - Omega) W|| are stacked row norms.  The membership
-    probes stay one within_magnitude call per state, each given that
-    state's projection, so W's one projection serves delta2 and its
-    probe alike.  Every number is bitwise the one a per-state run gives.
+    hermite_coefficients call each, and apply_comparator smooths the W
+    rows from W's projection.  delta1 = ||W - u|| and
+    delta2 = ||(1 - Omega) W|| are stacked row norms.  The membership
+    probes are one within_magnitude call per state, on that state's row
+    of the projection, so W's one projection serves delta2 and its probe
+    alike.  Every number is bitwise the one a stack of one gives.
     ``blocks`` holds one tuple of arrays per block: steps, delta1,
     delta2, the inverse norms of u and W, their divergence flags.  The
     first W row with more than RESIDUAL_TOL of its mass outside the basis
@@ -371,8 +370,7 @@ class BoundInputs:
         u_coeffs, u_residual = hermite_coefficients(comp, amps, grid)
         # W's rows are not read again once projected, so they turn into
         # W - Omega W, whose norms are delta2.
-        w -= apply_comparator(comp, w, normalized=True,
-                              projection=(w_coeffs, w_residual), grid=grid)
+        w -= apply_comparator(comp, (w_coeffs, w_residual), grid)
         inv_u, div_u = _membership_probes(comp, u_coeffs, u_residual)
         inv_w, div_w = _membership_probes(comp, w_coeffs, w_residual)
         self.blocks.append((steps, delta1, _row_norms(w, grid), inv_u, inv_w,
@@ -425,8 +423,7 @@ def _provenance(grid: GridSpec = None, comparator: ComparatorSpec = None,
 
 
 def assemble_bounds(problem: ReductionProblem, run: QuantumRun,
-                    inputs: BoundInputs,
-                    error: ErrorCurve = None) -> BoundAssembly:
+                    inputs: BoundInputs, error: ErrorCurve) -> BoundAssembly:
     """Evaluate both bound assemblies at the run's sample times.
 
     inputs is the BoundInputs(problem, flow) the run was streamed with,
@@ -435,13 +432,15 @@ def assemble_bounds(problem: ReductionProblem, run: QuantumRun,
     E, takes the operator scalars and assembles.  E defaults to 1.5x the
     largest measured inverse-comparator norm over both state families,
     so the magnitude hypotheses hold unless the truncated expansion
-    diverges.  When the hypotheses hold and an error curve is supplied,
-    domination of the measured error is asserted.
+    diverges.  error is the run's measured_error(run, traj); when the
+    hypotheses hold, the assembled bounds must dominate it.
 
     Raises
     ------
     NumericalError
-        From the Duhamel curve's spot check, which runs first.
+        From the Duhamel curve's spot check, which runs first, or when
+        the hypotheses hold and a bound falls below the measured error
+        by more than DOMINATION_SLACK.
     BasisResidualError
         The W residual that ended the streamed bound work, if one did.
     """
@@ -471,7 +470,7 @@ def assemble_bounds(problem: ReductionProblem, run: QuantumRun,
         membership_u=member_u, membership_w=member_w, E_used=float(E),
         omega_measured=omega, prefactor_closed=prefactor,
         general=general, specialized=specialized)
-    if error is not None and assembly.hypotheses_hold:
+    if assembly.hypotheses_hold:
         worst = error.max_norm - np.minimum(general, specialized)
         if np.max(worst) > DOMINATION_SLACK:
             raise NumericalError("assembled bound fails to dominate the "
@@ -705,9 +704,9 @@ def squeeze_sweep(problem: ReductionProblem, dilations) -> dict:
     problem, else measured on the d = 1 flow, which its row then reuses;
     E_source in the result says which ("given" or "auto").  Each final
     state W is sampled as a stack of one by flow.sample and scored as
-    BoundInputs.add scores a block: one stacked hermite_coefficients
-    projection, which serves both the E probe and the smoothing, one
-    apply_comparator call and a row norm of W - Omega W.
+    BoundInputs.add scores a block: one hermite_coefficients projection,
+    which serves both the E probe (within_magnitude on its one row) and
+    apply_comparator, then a row norm of W - Omega W.
     """
     dilations = [float(d) for d in dilations]
     if any(d <= 0 for d in dilations):
@@ -724,8 +723,7 @@ def squeeze_sweep(problem: ReductionProblem, dilations) -> dict:
 
     def probe():
         coeffs, residual = final_state(1.0)[2]
-        result = within_magnitude(comp, E_PROBE, None,
-                                  projection=(coeffs[0], residual[0]))
+        result = within_magnitude(comp, E_PROBE, (coeffs[0], residual[0]))
         return [result["inv_norm"]], [result["divergent"]]
 
     E = _select_E(problem.E, probe)
@@ -734,8 +732,7 @@ def squeeze_sweep(problem: ReductionProblem, dilations) -> dict:
     for d in dilations:
         flow, w, projection = final_state(d)
         duh = float(duhamel_curve(spec, flow)[-1])
-        smoothed = apply_comparator(comp, w, normalized=True,
-                                    projection=projection, grid=grid)
+        smoothed = apply_comparator(comp, projection, grid)
         comparator_term = float(_row_norms(w - smoothed, grid)[0])
         rows.append({"d": d, "duhamel_term": duh,
                      "comparator_term": comparator_term,

@@ -156,12 +156,16 @@ def _signal_on_times(W: np.ndarray, a: np.ndarray,
     return out
 
 
+def _step_count(T: float, dt: float) -> int:
+    """Equal steps of at most dt over [0, T], at least two."""
+    return max(2, int(np.ceil(T / dt)))
+
+
 def _quad_times(T: float, omega_max: float) -> np.ndarray:
     # Steps of QUAD_DT, and at least eight per fastest oscillation.
     dt = min(QUAD_DT, (2.0 * np.pi / omega_max) / 8.0) if omega_max > 0 \
         else QUAD_DT
-    steps = max(2, int(np.ceil(T / dt)))
-    return np.linspace(0.0, T, steps + 1)
+    return np.linspace(0.0, T, _step_count(T, dt) + 1)
 
 
 def _horizon_indices(times: np.ndarray, horizons: np.ndarray) -> np.ndarray:
@@ -193,26 +197,24 @@ def ergodic_average(evo: FiniteEvolution, psi, F, horizons) -> dict:
     if np.any(hs <= 0):
         raise ValueError("horizons must be positive")
     hs = np.sort(hs)
-    times, tau, predicted = _finite_stay_curve(evo, psi, F, float(hs[-1]))
+    c = _unit_coefficients(evo, psi)
+    W, F_eig = _signal_weights(evo, c, F)
+    times, tau = _finite_stay_curve(evo, W, float(hs[-1]))
     idx = _horizon_indices(times, hs)
     means = _mean_stay(tau[idx], times[idx])
     measured = dict(zip(hs.tolist(), means.tolist()))
-    return {"predicted": predicted, "measured": measured}
+    return {"predicted": _dephased_value(evo, c, F_eig), "measured": measured}
 
 
-def _finite_stay_curve(evo: FiniteEvolution, psi, Omega, T: float):
-    """Times, tau(t) = int_{-t}^{t} <U_s psi, Omega U_s psi> ds and the
-    dephased prediction Tr[Omega rho], for a Hermitian Omega the caller
-    has checked, at steps of at most QUAD_DT."""
-    c = _unit_coefficients(evo, psi)
-    W, O_eig = _signal_weights(evo, c, Omega)
+def _finite_stay_curve(evo: FiniteEvolution, W: np.ndarray, T: float):
+    """Times and tau(t) = int_{-t}^{t} <U_s psi, Omega U_s psi> ds, from
+    the signal weights W of psi and Omega, at steps of at most QUAD_DT."""
     a = evo.eigenvalues
     times = _quad_times(T, float(a[-1] - a[0]))
     signal = _signal_on_times(W, a, times)
     # tau(T') = int_{-T'}^{T'} = 2 int_0^{T'} by evenness of the signal.
     tau = 2.0 * cumulative_simpson(signal, x=times)
-    prediction = _dephased_value(evo, c, O_eig)
-    return times, tau, prediction
+    return times, tau
 
 
 def _grid_stay_curve(handle: GridHamiltonian, psi: GridWavefunction,
@@ -230,7 +232,7 @@ def _grid_stay_curve(handle: GridHamiltonian, psi: GridWavefunction,
     if not psi.is_unit:
         raise ValueError("psi must be a unit vector")
     grid = psi.grid
-    decay = _constants(comp, grid.n).weights[True]
+    decay = _constants(comp, grid.n).decay
     coeff_axes = (-1, -2)[:grid.n]
     h = _basis(comp, grid)
 
@@ -241,7 +243,7 @@ def _grid_stay_curve(handle: GridHamiltonian, psi: GridWavefunction,
             coeffs = h @ amps @ h.T * grid.cell
         return np.sum(decay * np.abs(coeffs) ** 2, axis=coeff_axes)
 
-    steps = max(2, int(np.ceil(T / handle.dt)))
+    steps = _step_count(T, handle.dt)
     dt = T / steps
     curves = []
     # Backward time from a real Hamiltonian is forward time from the
@@ -262,9 +264,9 @@ def _stay_curve(evo, psi, Omega, T: float):
     if T <= 0:
         raise ValueError("T must be positive")
     if isinstance(evo, FiniteEvolution):
-        times, tau, _ = _finite_stay_curve(
-            evo, psi, _check_hermitian("Omega", Omega), T)
-        return times, tau
+        Omega = _check_hermitian("Omega", Omega)
+        W, _ = _signal_weights(evo, _unit_coefficients(evo, psi), Omega)
+        return _finite_stay_curve(evo, W, T)
     if isinstance(evo, GridHamiltonian):
         return _grid_stay_curve(evo, psi, Omega, T)
     raise ValueError("evo must be a FiniteEvolution or GridHamiltonian")

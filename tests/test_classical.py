@@ -8,7 +8,6 @@ from qreduce.classical import (
     DIVERGENCE_NORM,
     PhaseRegion,
     _horner,
-    classical_transit_time,
     classify_classical,
     integrate_flow,
 )
@@ -116,64 +115,6 @@ def test_interpolation_takes_an_array_of_times():
     for outside in ([0.5, 1.0 + 1e-9], [-1e-9], [np.nan]):
         with pytest.raises(ValueError, match="outside trajectory span"):
             traj.at(np.array(outside))
-
-
-def test_transit_time_free_chord():
-    # Speed 2 through the position box [-1, 1]: chord time 1.
-    traj = integrate_flow(FREE, PhasePoint(-3.0, 2.0), 4.0, 1e-3)
-    region = PhaseRegion.box(PhasePoint(0.0, 0.0), [1.0, np.inf])
-    tau = classical_transit_time(traj, region, (0.0, 4.0))
-    assert tau == pytest.approx(1.0, abs=1e-3)
-
-
-def test_transit_time_orbit_inside_ball():
-    traj = integrate_flow(HARMONIC, PhasePoint(1.0, 0.0), 2 * np.pi, 1e-3)
-    region = PhaseRegion.ball(PhasePoint(0.0, 0.0), 2.0)
-    tau = classical_transit_time(traj, region, (0.0, 2 * np.pi))
-    assert tau == pytest.approx(2 * np.pi, abs=1e-3)
-
-
-def test_transit_time_against_fine_indicator_sum():
-    region = PhaseRegion.box(PhasePoint(0.0, 0.0), [0.5, np.inf])
-    traj = integrate_flow(QUARTIC, PhasePoint(1.0, 0.0), 4.0, 1e-3)
-    tau = classical_transit_time(traj, region, (0.0, 4.0))
-    fine = integrate_flow(QUARTIC, PhasePoint(1.0, 0.0), 4.0, 1e-5)
-    oracle = float(np.sum(np.abs(fine.xi[:, 0]) <= 0.5)) * fine.dt
-    assert tau == pytest.approx(oracle, abs=2e-3)
-
-
-def test_average_stay_orbit_inside():
-    traj = integrate_flow(HARMONIC, PhasePoint(1.0, 0.0), 2 * np.pi, 1e-3)
-    region = PhaseRegion.ball(PhasePoint(0.0, 0.0), 2.0)
-    tau = classical_transit_time(traj, region, (0.0, 2 * np.pi))
-    assert tau / (2 * np.pi) == pytest.approx(1.0)
-
-
-def test_average_stay_free_tail_decreasing():
-    # The mean stay tau / t of a free particle that leaves the box at t = 1.
-    traj = integrate_flow(FREE, PhasePoint(0.0, 1.0), 40.0, 1e-2)
-    region = PhaseRegion.box(PhasePoint(0.0, 0.0), [1.0, np.inf])
-    mus = [classical_transit_time(traj, region, (0.0, t)) / t
-           for t in (5.0, 10.0, 20.0, 40.0)]
-    assert all(a > b for a, b in zip(mus, mus[1:]))
-    assert mus[-1] == pytest.approx(1.0 / 40.0, abs=1e-3)
-
-
-def test_average_stay_half_period():
-    # |cos t| <= 1/sqrt(2) holds on half of each period.
-    traj = integrate_flow(HARMONIC, PhasePoint(1.0, 0.0), 2 * np.pi, 1e-3)
-    region = PhaseRegion.box(PhasePoint(0.0, 0.0), [np.sqrt(0.5), np.inf])
-    tau = classical_transit_time(traj, region, (0.0, 2 * np.pi))
-    assert tau == pytest.approx(np.pi, abs=2e-3 * np.pi)
-
-
-def test_window_validation():
-    traj = integrate_flow(HARMONIC, PhasePoint(1.0, 0.0), 1.0, 1e-2)
-    region = PhaseRegion.ball(PhasePoint(0.0, 0.0), 2.0)
-    with pytest.raises(ValueError):
-        classical_transit_time(traj, region, (0.0, 2.0))
-    with pytest.raises(ValueError):
-        classical_transit_time(traj, region, (0.5, 0.25))
 
 
 def test_region_validation():

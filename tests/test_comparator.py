@@ -25,6 +25,23 @@ def coherent_state(xi, pi, grid=GRID):
     return weyl_displace(hermite_state(0, grid), np.array([xi, pi]))
 
 
+def project(spec, psi):
+    """The projection of one grid state, as a stack of one."""
+    return hermite_coefficients(spec, psi.amp[None], psi.grid)
+
+
+def smoothed(spec, psi):
+    """The comparator at unit top eigenvalue applied to one grid state."""
+    out = apply_comparator(spec, project(spec, psi), psi.grid)
+    return GridWavefunction(psi.grid, out[0])
+
+
+def membership(spec, E, psi):
+    """within_magnitude on the one row of psi's projection."""
+    coeffs, residual = project(spec, psi)
+    return within_magnitude(spec, E, (coeffs[0], residual[0]))
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ComparatorSpec(s=0.0)
@@ -75,18 +92,18 @@ def test_bound_value_at_s_one():
 
 @pytest.mark.parametrize("n", [0, 3, 10])
 def test_eigenfunctions_scale_exactly(n):
+    # Eigenvalues sigma_s e^{-s n} with sigma_s divided out.
     spec = ComparatorSpec(s=np.log(2.0))
     psi = hermite_state(n)
-    out = apply_comparator(spec, psi)
-    lam = spec.sigma * np.exp(-spec.s * n)
-    expected = GridWavefunction(GRID, lam * psi.amp)
+    out = smoothed(spec, psi)
+    expected = GridWavefunction(GRID, np.exp(-spec.s * n) * psi.amp)
     assert out.distance(expected) < 1e-9
 
 
 def test_normalized_comparator_fixes_ground_state():
     spec = ComparatorSpec(s=1.0)
     psi = hermite_state(0)
-    out = apply_comparator(spec, psi, normalized=True)
+    out = smoothed(spec, psi)
     assert out.distance(psi) < 1e-10
 
 
@@ -98,7 +115,7 @@ def test_quadratic_form_strictly_between_zero_and_one():
         c = rng.normal(size=spec.N + 1) + 1j * rng.normal(size=spec.N + 1)
         c /= np.linalg.norm(c)
         psi = GridWavefunction(GRID, c @ basis)
-        val = psi.inner(apply_comparator(spec, psi)).real
+        val = psi.inner(smoothed(spec, psi)).real
         assert 0.0 < val < 1.0
 
 
@@ -107,19 +124,19 @@ def test_quadratic_form_strictly_between_zero_and_one():
                                    (2.0, 2.0), (3.0, -3.0)])
 def test_coherent_diagonal_matches_closed_form(s, alpha):
     spec = ComparatorSpec(s=s)
-    out = coherent_matrix_elements(spec, alpha)
+    out = coherent_matrix_elements(spec, PhasePoint(*alpha))
     assert abs(out["diag_measured"] - out["diag"]) < 1e-8
     assert out["one_minus_measured"] <= out["one_minus_bound"] + 1e-8
 
 
 def test_coherent_examples_at_log2():
     spec = ComparatorSpec(s=np.log(2.0))
-    at_origin = coherent_matrix_elements(spec, (0.0, 0.0))
+    at_origin = coherent_matrix_elements(spec, PhasePoint(0.0, 0.0))
     assert abs(at_origin["diag"] - 0.5) < 1e-15
     assert abs(at_origin["inv_norm_sq"] - 4.0) < 1e-12
     # |alpha|^2 = 2 at displacement (2, 0); lambda_{2s} = 3.
-    displaced = coherent_matrix_elements(spec, (2.0, 0.0))
-    assert abs(coherent_label((2.0, 0.0))) ** 2 == pytest.approx(2.0)
+    displaced = coherent_matrix_elements(spec, PhasePoint(2.0, 0.0))
+    assert abs(coherent_label(PhasePoint(2.0, 0.0))) ** 2 == pytest.approx(2.0)
     assert abs(displaced["diag"] - 0.5 * np.exp(-1.0)) < 1e-15
     assert abs(displaced["diag"] - 0.18394) < 1e-5
     assert abs(displaced["inv_norm_sq"] - 4.0 * np.exp(6.0)) < 1e-9
@@ -131,7 +148,7 @@ def test_one_minus_bound_needs_the_square_root():
     # The norm of (1 - comparator) applied to an off-center coherent state
     # genuinely exceeds 1 - sigma e^{-sigma |z|^2}; only the square root
     # of that expression is a valid bound.
-    out = coherent_matrix_elements(ComparatorSpec(s=1.0), (1.0, 0.0))
+    out = coherent_matrix_elements(ComparatorSpec(s=1.0), PhasePoint(1.0, 0.0))
     sigma = ComparatorSpec(s=1.0).sigma
     unrooted = 1.0 - sigma * np.exp(-sigma * 0.5)
     assert out["one_minus_measured"] > unrooted
@@ -141,27 +158,30 @@ def test_one_minus_bound_needs_the_square_root():
 def test_inverse_norm_overflow_guard():
     spec = ComparatorSpec(s=2.0)
     with pytest.raises(OverflowGuardError):
-        coherent_matrix_elements(spec, (30.0, 0.0))
+        coherent_matrix_elements(spec, PhasePoint(30.0, 0.0))
 
 
 def test_grid_diagonal_matches_closed_form():
+    # The diagonal sigma e^{-sigma |z|^2} with sigma divided out.
     spec = ComparatorSpec(s=1.0)
     psi = coherent_state(1.2, -0.7)
-    val = psi.inner(apply_comparator(spec, psi)).real
-    z_sq = abs(coherent_label((1.2, -0.7))) ** 2
-    assert abs(val - spec.sigma * np.exp(-spec.sigma * z_sq)) < 1e-8
+    val = psi.inner(smoothed(spec, psi)).real
+    z_sq = abs(coherent_label(PhasePoint(1.2, -0.7))) ** 2
+    assert abs(val - np.exp(-spec.sigma * z_sq)) < 1e-8
 
 
 def test_projection_residual_raises():
     spec = ComparatorSpec(s=1.0, N=16)
     psi = coherent_state(6.0, 0.0)
     with pytest.raises(BasisResidualError):
-        apply_comparator(spec, psi)
+        smoothed(spec, psi)
+    with pytest.raises(BasisResidualError):
+        membership(spec, 1e12, psi)
 
 
 def test_within_magnitude_ground_state():
     spec = ComparatorSpec(s=1.0)
-    out = within_magnitude(spec, 1.0, hermite_state(0))
+    out = membership(spec, 1.0, hermite_state(0))
     assert out["member"] and not out["divergent"]
     assert abs(out["inv_norm"] - 1.0) < 1e-8
 
@@ -170,11 +190,11 @@ def test_within_magnitude_coherent():
     spec = ComparatorSpec(s=np.log(2.0))
     psi = coherent_state(2.0, 0.0)
     # Normalized inverse norm is e^{lambda_{2s} |z|^2 / 2} = e^3.
-    out = within_magnitude(spec, 25.0, psi)
+    out = membership(spec, 25.0, psi)
     assert not out["divergent"]
     assert out["inv_norm"] == pytest.approx(np.exp(3.0), rel=1e-6)
     assert out["member"]
-    assert not within_magnitude(spec, 10.0, psi)["member"]
+    assert not membership(spec, 10.0, psi)["member"]
 
 
 def test_within_magnitude_squeezed_divergence():
@@ -182,11 +202,11 @@ def test_within_magnitude_squeezed_divergence():
     origin = PhasePoint(0.0, 0.0)
     narrow = sample_on_grid(packet(origin, 10.0), GRID)
     mild = sample_on_grid(packet(origin, 1.1), GRID)
-    vac = within_magnitude(spec, 1e6, hermite_state(0))
-    squeezed = within_magnitude(spec, 1e6, narrow)
+    vac = membership(spec, 1e6, hermite_state(0))
+    squeezed = membership(spec, 1e6, narrow)
     assert squeezed["divergent"] and not squeezed["member"]
     assert squeezed["inv_norm"] > vac["inv_norm"]
-    assert not within_magnitude(spec, 1e6, mild)["divergent"]
+    assert not membership(spec, 1e6, mild)["divergent"]
 
 
 @pytest.mark.parametrize("s", [np.log(2.0), 1.0])
@@ -217,18 +237,21 @@ def test_basis_rejects_coarse_grid():
     spec = ComparatorSpec(s=1.0)
     psi = hermite_state(0, GridSpec(n=1, N=64, L=6.0))
     with pytest.raises(ValueError):
-        apply_comparator(spec, psi)
+        project(spec, psi)
 
 
 def test_two_dimensional_tensor_comparator():
+    # The tensor product weighs h_j h_k by e^{-s (j + k)}, sigma^2
+    # divided out: the vacuum is fixed and h_1 h_2 scales by e^{-3s}.
     grid2 = GridSpec(n=2, N=128, L=10.0)
     spec = ComparatorSpec(s=np.log(2.0), N=32)
-    h0 = hermite_functions(grid2.x, 0)[0]
-    vac = GridWavefunction(grid2, np.outer(h0, h0))
-    out = apply_comparator(spec, vac)
-    expected = GridWavefunction(grid2, spec.sigma ** 2 * vac.amp)
-    assert out.distance(expected) < 1e-9
-    member = within_magnitude(spec, 1.0 + 1e-9, vac)
+    h = hermite_functions(grid2.x, 2)
+    vac = GridWavefunction(grid2, np.outer(h[0], h[0]))
+    assert smoothed(spec, vac).distance(vac) < 1e-9
+    excited = GridWavefunction(grid2, np.outer(h[1], h[2]))
+    expected = GridWavefunction(grid2, np.exp(-3.0 * spec.s) * excited.amp)
+    assert smoothed(spec, excited).distance(expected) < 1e-9
+    member = membership(spec, 1.0 + 1e-9, vac)
     assert member["member"]
     assert abs(member["inv_norm"] - 1.0) < 1e-8
 
@@ -236,10 +259,11 @@ def test_two_dimensional_tensor_comparator():
 def test_coefficients_of_displaced_vacuum_match_formula():
     spec = ComparatorSpec(s=1.0)
     psi = coherent_state(1.0, 1.0)
-    coeffs, residual = hermite_coefficients(spec, psi)
-    assert residual < 1e-10
-    predicted = np.abs(coherent_coefficients((1.0, 1.0), spec.N))
-    assert np.max(np.abs(np.abs(coeffs) - predicted)) < 1e-10
+    coeffs, residual = project(spec, psi)
+    assert coeffs.shape == (1, spec.N + 1) and residual.shape == (1,)
+    assert residual[0] < 1e-10
+    predicted = np.abs(coherent_coefficients(PhasePoint(1.0, 1.0), spec.N))
+    assert np.max(np.abs(np.abs(coeffs[0]) - predicted)) < 1e-10
 
 
 def explicit_projection(spec, psi):
@@ -254,7 +278,7 @@ def explicit_projection(spec, psi):
 
 def explicit_synthesis(spec, coeffs, grid):
     h = hermite_functions(grid.x, spec.N)
-    factor = spec.sigma * np.exp(-spec.s * np.arange(spec.N + 1))
+    factor = np.exp(-spec.s * np.arange(spec.N + 1))
     if grid.n == 1:
         return (coeffs * factor) @ h
     return h.T @ (coeffs * np.outer(factor, factor)) @ h
@@ -273,9 +297,9 @@ def test_projection_and_synthesis_are_bitwise_the_explicit_products(grid, spec):
     norm_sq = psi.norm ** 2
     residual = max(0.0, norm_sq - float(np.sum(np.abs(coeffs) ** 2))) / norm_sq
     for _ in range(2):  # the first call builds the basis, the second reuses it
-        assert np.array_equal(hermite_coefficients(spec, psi)[0], coeffs)
-        assert hermite_coefficients(spec, psi)[1] == residual
-    out = apply_comparator(spec, psi)
+        assert np.array_equal(project(spec, psi)[0][0], coeffs)
+        assert project(spec, psi)[1][0] == residual
+    out = smoothed(spec, psi)
     expected = GridWavefunction(grid, explicit_synthesis(spec, coeffs, grid))
     assert np.array_equal(out.amp, expected.amp)
 
@@ -288,8 +312,8 @@ def test_projection_and_synthesis_are_bitwise_the_explicit_products(grid, spec):
 @given(rows=st.integers(1, 70), seed=st.integers(0, 2 ** 16))
 def test_stacked_projection_equals_the_per_state_one(grid, spec, rows, seed):
     # Row-exact: each row of a stacked projection, and the synthesis and
-    # membership probe made from it, is bitwise the single-state result,
-    # whatever the stack height.
+    # membership probe made from it, is bitwise the result for a stack of
+    # that row alone, whatever the stack height.
     rng = np.random.default_rng(seed)
     amps = np.stack([sample_on_grid(packet(
         PhasePoint(*rng.uniform(-1.5, 1.5, (2, grid.n))),
@@ -298,17 +322,15 @@ def test_stacked_projection_equals_the_per_state_one(grid, spec, rows, seed):
     assert coeffs.shape == (rows,) + (spec.N + 1,) * grid.n
     assert residual.shape == (rows,)
     for row in range(rows):
-        psi = GridWavefunction(grid, amps[row])
-        single, single_residual = hermite_coefficients(spec, psi)
-        assert np.array_equal(coeffs[row], single)
-        assert residual[row] == single_residual
-        projection = (coeffs[row], float(residual[row]))
+        single = hermite_coefficients(spec, amps[row:row + 1], grid)
+        assert np.array_equal(coeffs[row], single[0][0])
+        assert residual[row] == single[1][0]
         assert np.array_equal(
-            apply_comparator(spec, psi, normalized=True,
-                             projection=projection).amp,
-            apply_comparator(spec, psi, normalized=True).amp)
-        assert (within_magnitude(spec, 1e12, None, projection=projection)
-                == within_magnitude(spec, 1e12, psi))
+            apply_comparator(spec, (coeffs[row:row + 1],
+                                    residual[row:row + 1]), grid),
+            apply_comparator(spec, single, grid))
+        assert (within_magnitude(spec, 1e12, (coeffs[row], residual[row]))
+                == within_magnitude(spec, 1e12, (single[0][0], single[1][0])))
 
 
 def test_scalars_are_kept_per_dimension_and_returned_fresh():
@@ -327,27 +349,21 @@ def test_scalars_are_kept_per_dimension_and_returned_fresh():
     (GridSpec(n=2, N=64, L=10.0), ComparatorSpec(s=1.0, N=32)),
 ], ids=["1d", "2d"])
 @settings(max_examples=8, deadline=None)
-@given(rows=st.integers(1, 70), seed=st.integers(0, 2 ** 16),
-       normalized=st.booleans())
-def test_stacked_synthesis_equals_the_per_state_one(grid, spec, rows, seed,
-                                                    normalized):
-    # apply_comparator on a stack, with or without its projection, is
-    # bitwise the per-state call on every row.
+@given(rows=st.integers(1, 70), seed=st.integers(0, 2 ** 16))
+def test_stacked_synthesis_equals_the_per_state_one(grid, spec, rows, seed):
+    # apply_comparator on a stack is bitwise, on every row, the call on
+    # the projection of a stack of that row alone.
     rng = np.random.default_rng(seed)
     amps = np.stack([sample_on_grid(packet(
         PhasePoint(*rng.uniform(-1.5, 1.5, (2, grid.n))),
         rng.uniform(0.6, 1.7)), grid).amp for _ in range(rows)])
-    projection = hermite_coefficients(spec, amps, grid)
-    stacked = apply_comparator(spec, amps, normalized=normalized,
-                               projection=projection, grid=grid)
-    assert np.array_equal(
-        apply_comparator(spec, amps, normalized=normalized, grid=grid),
-        stacked)
+    stacked = apply_comparator(spec, hermite_coefficients(spec, amps, grid),
+                               grid)
     assert stacked.shape == amps.shape
     for row in range(rows):
-        single = apply_comparator(spec, GridWavefunction(grid, amps[row]),
-                                  normalized=normalized)
-        assert np.array_equal(stacked[row], single.amp)
+        single = apply_comparator(
+            spec, hermite_coefficients(spec, amps[row:row + 1], grid), grid)
+        assert np.array_equal(stacked[row:row + 1], single)
 
 
 def test_stacked_synthesis_raises_for_its_first_row_outside_the_basis():
@@ -361,15 +377,12 @@ def test_stacked_synthesis_raises_for_its_first_row_outside_the_basis():
     coeffs, residual = hermite_coefficients(spec, amps, GRID)
     assert list(residual > 1e-8) == [False, False, True, False, True]
     with pytest.raises(BasisResidualError) as single:
-        apply_comparator(spec, GridWavefunction(GRID, amps[2]))
-    for projection in (None, (coeffs, residual)):
-        with pytest.raises(BasisResidualError) as stacked:
-            apply_comparator(spec, amps, projection=projection, grid=GRID)
-        assert str(stacked.value) == str(single.value)
-    head = apply_comparator(spec, amps[:2], projection=(coeffs[:2],
-                                                        residual[:2]),
-                            grid=GRID)
+        apply_comparator(spec, hermite_coefficients(spec, amps[2:3], GRID),
+                         GRID)
+    with pytest.raises(BasisResidualError) as stacked:
+        apply_comparator(spec, (coeffs, residual), GRID)
+    assert str(stacked.value) == str(single.value)
+    head = apply_comparator(spec, (coeffs[:2], residual[:2]), GRID)
     for row in range(2):
-        assert np.array_equal(
-            head[row], apply_comparator(spec,
-                                        GridWavefunction(GRID, amps[row])).amp)
+        assert np.array_equal(head[row:row + 1], apply_comparator(
+            spec, hermite_coefficients(spec, amps[row:row + 1], GRID), GRID))

@@ -114,9 +114,6 @@ KEPT = {
     "grid.GridWavefunction.inner",
     # The per-state normalisation that expectation_a's tests compare with.
     "grid.GridWavefunction.normalized",
-    # The classical transit time the README lists among the classifiers:
-    # ROADMAP item 10 deletes it with its tests.
-    "classical.classical_transit_time",
 }
 
 

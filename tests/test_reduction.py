@@ -223,7 +223,7 @@ def test_duhamel_dominates_measured_distance():
     inputs = BoundInputs(problem, flow)
     run = run_grid(CUBIC_PERTURBED, psi0, 1.0, problem.dt,
                    bound_inputs=inputs)
-    bounds = assemble_bounds(problem, run, inputs)
+    bounds = assemble_bounds(problem, run, inputs, measured_error(run, traj))
     assert np.all(bounds.delta1_measured <= bounds.delta1_duhamel + 1e-6)
     assert bounds.delta1_measured[-1] > 1e-6
 
@@ -300,7 +300,7 @@ def test_theorem_bound_single_time_api():
     psi0 = sample_on_grid(packet(problem.alpha0, 1.0), problem.grid)
     inputs = BoundInputs(problem, flow)
     run = run_grid(HARMONIC, psi0, 0.5, problem.dt, bound_inputs=inputs)
-    bounds = assemble_bounds(problem, run, inputs)
+    bounds = assemble_bounds(problem, run, inputs, measured_error(run, traj))
     assert bounds.hypotheses_hold
     assert bounds.specialized[-1] >= bounds.general[-1] >= 0.0
 
@@ -532,9 +532,9 @@ def test_squeeze_projects_each_final_state_once(monkeypatch):
     project = comparator.hermite_coefficients
     calls = []
 
-    def counting(spec, psi, grid=None):
-        calls.append(psi)
-        return project(spec, psi, grid)
+    def counting(spec, amps, grid):
+        calls.append(amps)
+        return project(spec, amps, grid)
 
     problem = ReductionProblem(spec=CUBIC_PERTURBED,
                                alpha0=PhasePoint(0.5, 0.0), T=0.1, dt=0.01,
@@ -561,8 +561,8 @@ def test_bound_stage_failure_leaves_the_verdict_to_the_error(monkeypatch):
     # first W block reads 1e-7 of its mass outside the basis.
     project = reduction.hermite_coefficients
 
-    def outside(spec, psi, grid=None):
-        coeffs, residual = project(spec, psi, grid)
+    def outside(spec, amps, grid):
+        coeffs, residual = project(spec, amps, grid)
         return coeffs, np.full_like(residual, 1e-7)
 
     monkeypatch.setattr(reduction, "hermite_coefficients", outside)
@@ -598,23 +598,28 @@ def stored_run(spec, psi0, T, dt, samples):
 
 
 def snapshot_list_assembly(problem, flow, times, states):
-    """delta1, delta2 and both membership probes per stored state."""
-    comp = problem.comparator
+    """delta1, delta2 and both membership probes per stored state, each
+    state projected as a stack of one."""
+    comp, grid = problem.comparator, problem.grid
 
-    def probe(state):
+    def probe(projection):
+        coeffs, residual = projection
         try:
-            out = within_magnitude(comp, reduction.E_PROBE, state)
+            out = within_magnitude(comp, reduction.E_PROBE,
+                                   (coeffs[0], residual[0]))
         except BasisResidualError:
             return np.inf, True
         return out["inv_norm"], out["divergent"]
 
     rows = []
     for t, u in zip(times, states):
-        w = sample_on_grid(flow.packet_at(round(t / flow.traj.dt)),
-                           problem.grid)
-        smoothed = apply_comparator(comp, w, normalized=True)
-        rows.append((w.distance(u), w.distance(smoothed)) + probe(u)
-                    + probe(w))
+        w = sample_on_grid(flow.packet_at(round(t / flow.traj.dt)), grid)
+        w_projection = hermite_coefficients(comp, w.amp[None], grid)
+        smoothed = GridWavefunction(
+            grid, apply_comparator(comp, w_projection, grid)[0])
+        u_projection = hermite_coefficients(comp, u.amp[None], grid)
+        rows.append((w.distance(u), w.distance(smoothed))
+                    + probe(u_projection) + probe(w_projection))
     d1, d2, inv_u, div_u, inv_w, div_w = map(np.array, zip(*rows))
     E = 1.5 * np.max(np.concatenate([inv_u[~div_u], inv_w[~div_w]]))
     return {"E_used": E, "delta1_measured": d1, "delta2": d2,
@@ -672,7 +677,8 @@ def test_streamed_bounds_equal_the_snapshot_list_assembly(name):
         inputs = BoundInputs(problem, flow)
         run = run_grid(problem.spec, psi0, problem.T, problem.dt,
                        problem.samples, inputs)
-        bounds = assemble_bounds(problem, run, inputs)
+        bounds = assemble_bounds(problem, run, inputs,
+                                 measured_error(run, traj))
         times, states = stored_run(problem.spec, psi0, problem.T, problem.dt,
                                    problem.samples)
         assert np.array_equal(run.times, times)
@@ -701,16 +707,18 @@ def test_residual_failure_mid_block_ends_the_bound_stage():
     psi0 = sample_on_grid(base, problem.grid)
     inputs = BoundInputs(problem, flow)
     run = run_grid(FREE, psi0, problem.T, problem.dt, problem.samples, inputs)
-    w_states = [sample_on_grid(flow.packet_at(round(t / problem.dt)),
-                               problem.grid) for t in run.times]
-    first = next(row for row, w in enumerate(w_states)
-                 if hermite_coefficients(comp, w)[1] > RESIDUAL_TOL)
+    w_projections = [hermite_coefficients(
+        comp, sample_on_grid(flow.packet_at(round(t / problem.dt)),
+                             problem.grid).amp[None], problem.grid)
+        for t in run.times]
+    first = next(row for row, (_, residual) in enumerate(w_projections)
+                 if residual[0] > RESIDUAL_TOL)
     assert 65 < first < 129
     with pytest.raises(BasisResidualError) as raised:
-        apply_comparator(comp, w_states[first], normalized=True)
+        apply_comparator(comp, w_projections[first], problem.grid)
     assert str(inputs.failure) == str(raised.value)
     with pytest.raises(BasisResidualError, match=str(raised.value)):
-        assemble_bounds(problem, run, inputs)
+        assemble_bounds(problem, run, inputs, measured_error(run, traj))
     report = run_reduction(problem)
     assert report.verdict == "hypothesis-failed"
     assert report.bound_failure["message"] == str(raised.value)
@@ -723,9 +731,9 @@ def test_each_snapshot_state_is_projected_once(monkeypatch):
     project = comparator.hermite_coefficients
     rows = []
 
-    def counting(spec, psi, grid=None):
-        rows.append(1 if grid is None else len(psi))
-        return project(spec, psi, grid)
+    def counting(spec, amps, grid):
+        rows.append(len(amps))
+        return project(spec, amps, grid)
 
     monkeypatch.setattr(comparator, "hermite_coefficients", counting)
     monkeypatch.setattr(reduction, "hermite_coefficients", counting)

@@ -128,6 +128,21 @@ def test_ergodic_average_is_the_mean_stay():
             assert measured == classify_quantum(evo, psi, F, T)["mu"][-1]
 
 
+def test_classify_quantum_skips_the_dephased_prediction(monkeypatch):
+    # Only ergodic_average reports Tr[Omega rho]; the labels never read it.
+    def unreachable(*args):
+        raise AssertionError("dephased prediction computed")
+
+    evo = finite_evolution(THREE_LEVEL)
+    psi = np.array([1.0, 1.0, 1.0], dtype=complex) / np.sqrt(3.0)
+    omega = np.diag([1.0, 0.0, 0.0])
+    expected = classify_quantum(evo, psi, omega, horizons=50.0)
+    monkeypatch.setattr(spectral, "_dephased_value", unreachable)
+    assert classify_quantum(evo, psi, omega, horizons=50.0) == expected
+    with pytest.raises(AssertionError, match="dephased"):
+        ergodic_average(evo, psi, omega, horizons=50.0)
+
+
 @pytest.mark.parametrize("dt", [-0.1, 0.0, np.nan, np.inf])
 def test_grid_hamiltonian_refuses_a_bad_dt(dt):
     # dt -0.1 used to run a two-step stay curve, and dt 0 to raise
