@@ -159,7 +159,7 @@ def integrate_flow(spec: HamiltonianSpec, alpha0: PhasePoint,
     m, dt = time_steps(t_final, dt)
     if spec.potential.ndim == 1:
         return _integrate_leapfrog_1d(spec, alpha0, m, dt)
-    return _integrate_leapfrog(spec, alpha0, m, dt)
+    return _integrate_leapfrog_2d(spec, alpha0, m, dt)
 
 
 def _finish(spec, m, dt, xi, pi, last):
@@ -194,22 +194,47 @@ def _integrate_leapfrog_1d(spec, alpha0, m, dt):
     return _finish(spec, m, dt, xi, pi, m)
 
 
-def _integrate_leapfrog(spec, alpha0, m, dt):
+def _horner_2d(columns, x, y):
+    # hamiltonian._horner's order on plain floats, so bitwise
+    # PotentialModel.gradient: each column D[:, j] in x, then the column
+    # values in y, each started as D[-1] + x * 0.
+    values = []
+    for col in columns:
+        acc = col[-1] + x * 0
+        for c in col[-2::-1]:
+            acc = c + acc * x
+        values.append(acc)
+    acc = values[-1] + y * 0
+    for c in values[-2::-1]:
+        acc = c + acc * y
+    return acc
+
+
+def _integrate_leapfrog_2d(spec, alpha0, m, dt):
+    # 2D on plain floats: the derivative coefficients are taken once per
+    # flow, and each kick and drift is the array loop's scalar arithmetic.
     pot = spec.potential
-    xi = np.empty((m + 1, alpha0.n))
-    pi = np.empty((m + 1, alpha0.n))
-    x = alpha0.xi.copy()
-    p = alpha0.pi.copy()
-    xi[0], pi[0] = x, p
+    dx = pot._derivative((1, 0)).T.tolist()
+    dy = pot._derivative((0, 1)).T.tolist()
+    mass = spec.mass
+    xi = np.empty((m + 1, 2))
+    pi = np.empty((m + 1, 2))
+    x, y = map(float, alpha0.xi)
+    px, py = map(float, alpha0.pi)
+    xi[0], pi[0] = (x, y), (px, py)
     half = 0.5 * dt
-    force = pot.gradient(x)
+    fx, fy = _horner_2d(dx, x, y), _horner_2d(dy, x, y)
     for k in range(1, m + 1):
-        p = p - half * force
-        x = x + dt * p / spec.mass
-        force = pot.gradient(x)
-        p = p - half * force
-        xi[k], pi[k] = x, p
-        if not np.all(np.abs(np.concatenate([x, p])) < DIVERGENCE_NORM):
+        px -= half * fx
+        py -= half * fy
+        x += dt * px / mass
+        y += dt * py / mass
+        fx, fy = _horner_2d(dx, x, y), _horner_2d(dy, x, y)
+        px -= half * fx
+        py -= half * fy
+        xi[k, 0], xi[k, 1], pi[k, 0], pi[k, 1] = x, y, px, py
+        if not (abs(x) < DIVERGENCE_NORM and abs(y) < DIVERGENCE_NORM
+                and abs(px) < DIVERGENCE_NORM and abs(py) < DIVERGENCE_NORM):
             return _finish(spec, m, dt, xi, pi, k - 1)
     return _finish(spec, m, dt, xi, pi, m)
 

@@ -2,7 +2,8 @@
 
 Wavefunctions live on [-L, L)^n with hbar = 1.  Evolution is Strang
 split-operator with FFT kinetics, so it is unitary to rounding; position
-shifts are spectral, exact for band-limited amplitudes.
+shifts are spectral, exact for band-limited amplitudes.  Every
+transform is numpy.fft's.
 A boundary-mass monitor guards the periodic wrap: experiments are valid
 only while essentially no mass touches the edge bands.
 """
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 from .errors import WraparoundError
 from .hamiltonian import HamiltonianSpec, time_steps
@@ -156,9 +156,9 @@ def propagate(spec: HamiltonianSpec, psi0: GridWavefunction, t_final: float,
 
     Each step applies exp(-iV dt/2) exp(-i p^2 dt/2m) exp(-iV dt/2); the
     scheme is norm-preserving and second order in dt.  The FFTs are
-    scipy's in 1D (bitwise numpy's on supported builds, at lower call
-    cost) and numpy's in 2D.  Only the final state is kept; the steps
-    before it reach the caller through ``observer``.
+    numpy's; in 1D the step runs in place on one work buffer, which
+    saves a temporary per product and transform.  Only the final state
+    is kept; the steps before it reach the caller through ``observer``.
 
     ``observer`` sees the run in blocks, so running measurements need no
     snapshot storage and can batch their work.  The amplitude after every
@@ -184,12 +184,11 @@ def propagate(spec: HamiltonianSpec, psi0: GridWavefunction, t_final: float,
     v = potential_on_grid(spec, grid)
     half_v = np.exp(-0.5j * dt * v)
     kinetic = np.exp(-1j * dt * grid.k_squared / (2.0 * spec.mass))
-    fft, ifft = ((scipy.fft.fft, scipy.fft.ifft) if grid.n == 1
-                 else (np.fft.fft2, np.fft.ifft2))
     boundary_max = psi0.boundary_mass()
     if boundary_max > BOUNDARY_TOL:
         raise WraparoundError("initial state already touches the grid edge")
     amp = psi0.amp.copy()
+    work = np.empty_like(amp) if grid.n == 1 else None
     norm0 = psi0.norm
     norm_drift = 0.0
     if observer is not None:
@@ -198,7 +197,17 @@ def propagate(spec: HamiltonianSpec, psi0: GridWavefunction, t_final: float,
         block = np.empty((rows,) + amp.shape, dtype=complex)
         filled = 0
     for step in range(1, steps + 1):
-        amp = half_v * ifft(kinetic * fft(half_v * amp))
+        if grid.n == 1:
+            # In place on one buffer, each product table-first.
+            np.multiply(half_v, amp, out=work)
+            np.fft.fft(work, out=work)
+            np.multiply(kinetic, work, out=work)
+            np.fft.ifft(work, out=work)
+            np.multiply(half_v, work, out=amp)
+        else:
+            # numpy's temporary elision runs these 256 KiB products
+            # result-first; reports hold those bits, which out= would move.
+            amp = half_v * np.fft.ifft2(kinetic * np.fft.fft2(half_v * amp))
         t = step * dt
         if observer is not None and step % observe_stride == 0:
             block_times[filled] = t
@@ -238,7 +247,7 @@ def expectation_a(psi, grid: GridSpec = None) -> np.ndarray:
     normalised first, as GridWavefunction.normalized() does.  Momenta
     are spectral: in 1D <p> = Re <psi, -i d psi> with the derivative a
     Fourier multiplier (an FFT pair per state); in 2D by Parseval from
-    one scipy FFT per state, <p_j> = sum_k k_j |psi_hat(k)|^2 dx^2 / N^2.
+    one 2D FFT per state, <p_j> = sum_k k_j |psi_hat(k)|^2 dx^2 / N^2.
     """
     if grid is None:
         if not psi.is_unit:
@@ -266,7 +275,10 @@ def _moments(amps, grid):
         p = [np.sum(np.conj(amps) * -1j * dpsi, axis=-1).real * cell]
     else:
         # Axis marginals (sum over the other axis), one product per axis.
-        power = np.abs(scipy.fft.fft2(amps)) ** 2 * (cell / grid.N ** 2)
+        # Two 1D passes, axis -2 first: np.fft.fft2 runs the axes in the
+        # other order and so differs in the last bits.
+        spectrum = np.fft.fft(np.fft.fft(amps, axis=-2), axis=-1)
+        power = np.abs(spectrum) ** 2 * (cell / grid.N ** 2)
         q = [np.sum(dens, axis=-1) @ grid.x * cell,
              np.sum(dens, axis=-2) @ grid.x * cell]
         p = [np.sum(power, axis=-1) @ grid.k, np.sum(power, axis=-2) @ grid.k]

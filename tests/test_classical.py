@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qreduce import FlowDivergedError, HamiltonianSpec, PhasePoint, PotentialModel
@@ -12,7 +12,7 @@ from qreduce.classical import (
     integrate_flow,
 )
 from qreduce.cli import PRESETS
-from qreduce.hamiltonian import time_steps
+from qreduce.hamiltonian import energies, time_steps
 
 HARMONIC = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial([0, 0, 0.5]))
 FREE = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial([0.0]))
@@ -177,11 +177,11 @@ def two_force_leapfrog(force, x, p, mass, steps, dt):
 
 
 @st.composite
-def flow_cases(draw):
+def flow_cases(draw, dims=(1, 2)):
     # A preset in 1D, or a 2D polynomial within the degree cap; a start
     # point, a mass, a horizon and a step.
     unit = st.floats(min_value=-2.0, max_value=2.0)
-    n = draw(st.sampled_from([1, 2]))
+    n = draw(st.sampled_from(dims))
     if n == 1:
         pot = PotentialModel.polynomial(PRESETS[draw(st.sampled_from(
             sorted(PRESETS)))])
@@ -226,3 +226,67 @@ def test_leapfrog_reuses_each_force_bitwise(case):
     kept = len(traj.times)
     assert np.array_equal(traj.xi, xs[:kept])
     assert np.array_equal(traj.pi, ps[:kept])
+
+
+def numpy_leapfrog_2d(spec, alpha0, m, dt):
+    """The 2D kick-drift-kick on numpy arrays with PotentialModel.gradient,
+    up to the last state inside the divergence window, and whether the
+    flow left it."""
+    x, p = alpha0.xi.copy(), alpha0.pi.copy()
+    xs, ps = [x], [p]
+    half = 0.5 * dt
+    force = spec.potential.gradient(x)
+    for _ in range(m):
+        p = p - half * force
+        x = x + dt * p / spec.mass
+        force = spec.potential.gradient(x)
+        p = p - half * force
+        if not np.all(np.abs(np.concatenate([x, p])) < DIVERGENCE_NORM):
+            return np.array(xs), np.array(ps), True
+        xs.append(x)
+        ps.append(p)
+    return np.array(xs), np.array(ps), False
+
+
+def check_2d_flow_matches_the_numpy_loop(spec, alpha0, T, dt):
+    m, step = time_steps(T, dt)
+    xs, ps, diverged = numpy_leapfrog_2d(spec, alpha0, m, step)
+    try:
+        traj = integrate_flow(spec, alpha0, T, dt)
+    except FlowDivergedError as err:
+        traj = err.trajectory
+        assert diverged
+        assert err.t_last == traj.times[-1]
+    else:
+        assert not diverged
+    assert np.array_equal(traj.times, step * np.arange(len(xs)))
+    # Bit for bit, signs of zero included: reports print them.
+    for got, want in ((traj.xi, xs), (traj.pi, ps),
+                      (traj.energies, energies(spec, xs, ps))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return diverged
+
+
+# A free particle whose coefficients are all -0.0, at rest with momenta
+# -0.0: the x force and so the x momentum keep the sign of zero that
+# gradient's Horner start, D[-1] + x * 0, gives them.
+NEGATIVE_ZERO_CASE = (
+    HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial2d(
+        np.full((3, 1), -0.0))),
+    PhasePoint([1.0, -0.5], [-0.0, -0.0]), 1.0, 0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=flow_cases(dims=(2,)))
+@example(case=NEGATIVE_ZERO_CASE)
+def test_2d_float_flow_is_bitwise_the_numpy_loop(case):
+    check_2d_flow_matches_the_numpy_loop(*case)
+
+
+def test_2d_float_flow_stops_where_the_numpy_loop_does():
+    C = np.zeros((5, 5))
+    C[2, 0] = C[0, 2] = 0.5
+    C[4, 0] = C[0, 4] = -2.0
+    spec = HamiltonianSpec(mass=1.3, potential=PotentialModel.polynomial2d(C))
+    assert check_2d_flow_matches_the_numpy_loop(
+        spec, PhasePoint([1.5, -0.5], [0.5, 1.0]), 5.0, 1e-2)

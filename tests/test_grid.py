@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from conftest import spectral_moments
 
 from qreduce import HamiltonianSpec, PhasePoint, PotentialModel, WraparoundError
@@ -276,8 +277,8 @@ def test_observer_sees_strided_steps_in_blocks(spec, grid, steps, stride,
 
 
 def test_propagate_matches_a_numpy_strang_loop():
-    # The 1D step runs on scipy.fft; a numpy.fft loop written out here
-    # agrees to rounding (bitwise on matching builds, not assumed).
+    # The in-place 1D step does the written-out expression's arithmetic,
+    # each product table-first, so it keeps its bits.
     spec = HamiltonianSpec(mass=1.0,
                            potential=PotentialModel.polynomial([0, 0, 0.5, 0.05]))
     psi0 = weyl_displace(vacuum(), np.array([1.0, 0.5]))
@@ -288,4 +289,46 @@ def test_propagate_matches_a_numpy_strang_loop():
     for _ in range(steps):
         amp = half_v * np.fft.ifft(kinetic * np.fft.fft(half_v * amp))
     final = propagate(spec, psi0, steps * dt, dt).final
-    assert np.max(np.abs(final.amp - amp)) < 1e-13
+    assert np.array_equal(final.amp, amp)
+
+
+@pytest.mark.parametrize("grid", [DEFAULT_GRID, GridSpec(n=1, N=4096, L=40.0)],
+                         ids=["N1024", "N4096"])
+def test_propagate_matches_a_scipy_strang_loop(grid):
+    # The step as it ran on scipy.fft: numpy's FFTs are the same
+    # pocketfft, so every 1D report below 16,384 points keeps its bits.
+    spec = HamiltonianSpec(mass=1.5,
+                           potential=PotentialModel.polynomial([0, 0.1, 0.5, 0.05]))
+    psi0 = weyl_displace(vacuum(grid), np.array([1.0, 0.5]))
+    steps, dt = 200, 5e-3
+    half_v = np.exp(-0.5j * dt * spec.potential.value(grid.x))
+    kinetic = np.exp(-1j * dt * grid.k ** 2 / (2.0 * spec.mass))
+    amp = psi0.amp
+    for _ in range(steps):
+        amp = half_v * scipy.fft.ifft(kinetic * scipy.fft.fft(half_v * amp))
+    final = propagate(spec, psi0, steps * dt, dt).final
+    assert np.array_equal(final.amp, amp)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(n=2, N=64, L=8.0),
+                                  GridSpec(n=2, N=128, L=10.0)],
+                         ids=["N64", "N128"])
+def test_stacked_2d_expectations_match_the_scipy_parseval_form(grid):
+    # The 2D momenta as they ran on scipy.fft.fft2: two numpy passes in
+    # its axis order keep their bits.
+    rng = np.random.default_rng(7)
+    rows = []
+    for _ in range(4):
+        pkt = packet(rng.uniform(-2.0, 2.0, 4),
+                     rng.uniform(0.5, 2.0) * np.eye(2))
+        rows.append(sample_on_grid(pkt, grid).normalized().amp)
+    amps = np.stack(rows)
+    assert all(GridWavefunction(grid, amp).is_unit for amp in amps)
+    cell = grid.cell
+    dens = np.abs(amps) ** 2
+    power = np.abs(scipy.fft.fft2(amps)) ** 2 * (cell / grid.N ** 2)
+    want = np.stack([np.sum(dens, axis=-1) @ grid.x * cell,
+                     np.sum(dens, axis=-2) @ grid.x * cell,
+                     np.sum(power, axis=-1) @ grid.k,
+                     np.sum(power, axis=-2) @ grid.k], axis=-1)
+    assert np.array_equal(expectation_a(amps, grid), want)

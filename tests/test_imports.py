@@ -1,6 +1,6 @@
 """Every module-level import in the package is used, every function is
 reached from outside the focused tests, and a CLI run loads no scipy
-subpackage that qreduce does not call."""
+module: numpy is the only runtime dependency."""
 
 import ast
 import json
@@ -150,25 +150,31 @@ def test_every_definition_is_reached_outside_the_focused_tests():
     assert KEPT <= set(_unreached(modules, roots))
 
 
-# Runs in a fresh interpreter: one reduce and one grid classify-quantum
-# config through cli.run, then the scipy subpackages still loaded.
+# Runs in a fresh interpreter: configs through cli.run, then every
+# module loaded from the scipy package.
 GUARD = """
 import json, sys
 from qreduce import cli
 codes = [cli.run(path, out_dir=sys.argv[1]) for path in sys.argv[2:]]
-heavy = sorted(m for m in sys.modules if m.split(".")[:2] in (
-    ["scipy", "integrate"], ["scipy", "optimize"], ["scipy", "sparse"]))
-print(json.dumps({"codes": codes, "heavy": heavy}))
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 
-def test_cli_runs_load_no_heavy_scipy_subpackage(tmp_path):
-    # scipy.integrate alone pulls in scipy.optimize, scipy.sparse and
-    # scipy.linalg: a third of the set-up time of every process.
+def test_cli_runs_load_no_scipy_module(tmp_path):
+    # scipy is a test tool only: a 1D and a 2D reduce (the 2D one reaches
+    # the 2D moments) and a grid classify-quantum run on numpy alone.
     configs = [
         {"mode": "reduce", "problem": {
             "potential": "harmonic", "alpha0": [1.0, 0.0], "T": 0.1,
             "dt": 0.01, "epsilon": 1e-3}},
+        {"mode": "reduce", "problem": {
+            "potential": {"coeff_matrix": [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0],
+                                           [0.5, 0.01, 0.0]]},
+            "alpha0": [1.0, 0.0, 0.0, 0.5], "T": 0.1, "dt": 0.01,
+            "epsilon": 0.05, "grid": {"n": 2, "N": 128, "L": 10.0},
+            "comparator": {"s": 1.0, "N": 32},
+            "M0": [[1.0, 0.0], [0.0, 1.0]]}},
         {"mode": "classify-quantum", "problem": {
             "potential": "harmonic", "horizons": 1.0,
             "grid": {"n": 1, "N": 256, "L": 12.0},
@@ -185,7 +191,7 @@ def test_cli_runs_load_no_heavy_scipy_subpackage(tmp_path):
          *map(str, paths)], env=env, capture_output=True, text=True,
         check=True)
     assert json.loads(done.stdout.splitlines()[-1]) == {
-        "codes": [0, 0], "heavy": []}
+        "codes": [0, 0, 0], "scipy": []}
 
 
 def _polynomial_references(source: str) -> list:
