@@ -334,18 +334,22 @@ def within_magnitude(spec: ComparatorSpec, E: float, projection) -> dict:
     coeffs, residual = projection
     if residual > RESIDUAL_TOL:
         raise _residual_error(residual)
-    c_sq = np.abs(coeffs) ** 2
-    c_sq[c_sq <= NOISE_FLOOR * np.sum(c_sq)] = 0.0
+    c_sq = np.abs(coeffs)
+    np.square(c_sq, out=c_sq)
+    c_sq[c_sq <= NOISE_FLOOR * c_sq.sum()] = 0.0
     const = _constants(spec, c_sq.ndim)
-    with np.errstate(divide="ignore"):
-        log_terms = np.log(c_sq) + const.growth
+    # A dropped coefficient's log term is -inf, which no sum counts.
+    log_terms = np.full(c_sq.shape, -np.inf)
+    np.log(c_sq, where=c_sq != 0, out=log_terms)
+    log_terms += const.growth
     divergent = _edge_dominated(log_terms.ravel()[const.order])
-    peak = float(np.max(log_terms))
+    peak = float(log_terms.max())
     if peak > EXP_GUARD:
         inv_norm = np.inf
         divergent = True
     else:
-        inv_norm = float(np.sqrt(np.sum(np.exp(log_terms[np.isfinite(log_terms)]))))
+        terms = np.exp(log_terms[np.isfinite(log_terms)])
+        inv_norm = float(np.sqrt(terms.sum()))
     member = bool(not divergent and inv_norm <= E)
     return {"member": member, "inv_norm": inv_norm, "divergent": divergent,
             "residual": residual}
@@ -358,7 +362,5 @@ def _edge_dominated(seq) -> bool:
     seq = seq[seq > -EXP_GUARD]
     if seq.size < 2 * EDGE_WINDOW:
         return False
-    top = seq.max()
-    edge = np.exp(seq[-EDGE_WINDOW:] - top).sum()
-    total = np.exp(seq - top).sum()
-    return bool(edge > EDGE_FRACTION * total)
+    scaled = np.exp(seq - seq.max())
+    return bool(scaled[-EDGE_WINDOW:].sum() > EDGE_FRACTION * scaled.sum())

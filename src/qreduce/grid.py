@@ -23,6 +23,8 @@ NORM_TOL = 1e-12
 # Memory bound of the block that propagate hands to its observer.
 OBSERVE_BLOCK_BYTES = 1 << 20
 CHECK_STRIDE = 100  # steps between propagate's boundary and norm checks
+# numpy's threshold for running a product in place on a temporary operand.
+ELIDE_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -156,9 +158,10 @@ def propagate(spec: HamiltonianSpec, psi0: GridWavefunction, t_final: float,
 
     Each step applies exp(-iV dt/2) exp(-i p^2 dt/2m) exp(-iV dt/2); the
     scheme is norm-preserving and second order in dt.  The FFTs are
-    numpy's; in 1D the step runs in place on one work buffer, which
-    saves a temporary per product and transform.  Only the final state
-    is kept; the steps before it reach the caller through ``observer``.
+    numpy's, one axis at a time in np.fft.fft2's order (last axis
+    first), and the step runs in place on one work buffer that the call
+    owns, so the step itself allocates nothing.  Only the final state is
+    kept; the steps before it reach the caller through ``observer``.
 
     ``observer`` sees the run in blocks, so running measurements need no
     snapshot storage and can batch their work.  The amplitude after every
@@ -188,7 +191,8 @@ def propagate(spec: HamiltonianSpec, psi0: GridWavefunction, t_final: float,
     if boundary_max > BOUNDARY_TOL:
         raise WraparoundError("initial state already touches the grid edge")
     amp = psi0.amp.copy()
-    work = np.empty_like(amp) if grid.n == 1 else None
+    work = np.empty_like(amp)
+    axes = tuple(range(-1, -grid.n - 1, -1))
     norm0 = psi0.norm
     norm_drift = 0.0
     if observer is not None:
@@ -197,17 +201,14 @@ def propagate(spec: HamiltonianSpec, psi0: GridWavefunction, t_final: float,
         block = np.empty((rows,) + amp.shape, dtype=complex)
         filled = 0
     for step in range(1, steps + 1):
-        if grid.n == 1:
-            # In place on one buffer, each product table-first.
-            np.multiply(half_v, amp, out=work)
-            np.fft.fft(work, out=work)
-            np.multiply(kinetic, work, out=work)
-            np.fft.ifft(work, out=work)
-            np.multiply(half_v, work, out=amp)
-        else:
-            # numpy's temporary elision runs these 256 KiB products
-            # result-first; reports hold those bits, which out= would move.
-            amp = half_v * np.fft.ifft2(kinetic * np.fft.fft2(half_v * amp))
+        # half_v * ifftn(kinetic * fftn(half_v * amp)), in place.
+        np.multiply(half_v, amp, out=work)
+        for axis in axes:
+            np.fft.fft(work, axis=axis, out=work)
+        _product(kinetic, work, work)
+        for axis in axes:
+            np.fft.ifft(work, axis=axis, out=work)
+        _product(half_v, work, amp)
         t = step * dt
         if observer is not None and step % observe_stride == 0:
             block_times[filled] = t
@@ -228,6 +229,17 @@ def propagate(spec: HamiltonianSpec, psi0: GridWavefunction, t_final: float,
         observer(block_times[:filled], block[:filled])
     return GridEvolution(final=GridWavefunction(grid, amp),
                          boundary_mass_max=boundary_max, norm_drift=norm_drift)
+
+
+def _product(factor, temp, out) -> None:
+    """out = factor * temp, with the bits that expression has when temp
+    is a fresh result: numpy's temporary elision runs it in place,
+    result-first, once temp holds ELIDE_BYTES, and factor-first below
+    that.  Complex products round differently in the two orders (FMA)."""
+    if temp.nbytes >= ELIDE_BYTES:
+        np.multiply(temp, factor, out=out)
+    else:
+        np.multiply(factor, temp, out=out)
 
 
 def propagation_self_check(spec: HamiltonianSpec, psi0: GridWavefunction,
@@ -275,12 +287,16 @@ def _moments(amps, grid):
         p = [np.sum(np.conj(amps) * -1j * dpsi, axis=-1).real * cell]
     else:
         # Axis marginals (sum over the other axis), one product per axis.
-        # Two 1D passes, axis -2 first: np.fft.fft2 runs the axes in the
-        # other order and so differs in the last bits.
-        spectrum = np.fft.fft(np.fft.fft(amps, axis=-2), axis=-1)
-        power = np.abs(spectrum) ** 2 * (cell / grid.N ** 2)
         q = [np.sum(dens, axis=-1) @ grid.x * cell,
              np.sum(dens, axis=-2) @ grid.x * cell]
+        # Two 1D passes, axis -2 first, the second in place: np.fft.fft2
+        # runs the axes in the other order and so differs in the last bits.
+        spectrum = np.fft.fft(amps, axis=-2)
+        np.fft.fft(spectrum, axis=-1, out=spectrum)
+        # dens is not read again, so it turns into the power spectrum.
+        power = np.abs(spectrum, out=dens)
+        np.square(power, out=power)
+        power *= cell / grid.N ** 2
         p = [np.sum(power, axis=-1) @ grid.k, np.sum(power, axis=-2) @ grid.k]
     return np.stack(q + p, axis=-1)
 

@@ -26,11 +26,15 @@ def _horner(D, axes):
     against each other: D's first len(axes) axes index powers, its other
     axes broadcast against the coordinates.  Horner runs in polyval2d's
     order, in the first coordinate inside and then in the next, so a 1D
-    value is bitwise polyval's and a 2D one polyval2d's."""
+    value is bitwise polyval's and a 2D one polyval2d's.  Each pass runs
+    in place on its one result array, which already has the broadcast
+    shape: real products and sums round the same in either operand
+    order."""
     for x in axes:
         out = D[-1] + x * 0
         for c in D[-2::-1]:
-            out = c + out * x
+            out *= x
+            out += c
         D = out
     return D
 

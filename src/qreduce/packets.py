@@ -172,8 +172,9 @@ def _sample_rows(grid: GridSpec, xi, pi_m, M, factors, out) -> None:
     quadratic form and the phase are taken for all rows at once, in out
     and u; the exponentials go row by row, since block-sized complex
     temporaries raised the peak memory of a run.  2D goes one row at a
-    time: its u @ pi_m is a BLAS product whose bits a stacked form would
-    not keep.
+    time, in out[row] and row buffers that the call owns: u.M.u on
+    broadcast axes, and the phase as the BLAS product u @ pi_m, whose
+    bits a stacked form would not keep.
     """
     if grid.n == 1:
         u = grid.x - xi
@@ -185,17 +186,31 @@ def _sample_rows(grid: GridSpec, xi, pi_m, M, factors, out) -> None:
         for row in range(len(out)):
             out[row] = factors[row] * np.exp(out[row]) * np.exp(1j * u[row])
         return
-    for row in range(len(out)):
-        u = grid.x_mesh - xi[row]
-        # u.M.u term by term, in the order einsum("...i,ij,...j->...")
-        # sums it: the same bits at a third of its cost.
-        form = 0
-        for i in range(2):
-            for j in range(2):
-                form = form + u[..., i] * M[row, i, j] * u[..., j]
-        phase = u @ pi_m[row] + 0.5 * float(pi_m[row] @ xi[row])
-        out[row] = (factors[row] * np.exp(-0.5 * form)
-                    * np.exp(1j * phase))
+    u_mesh = np.empty(grid.x_mesh.shape)
+    phase = np.empty(u_mesh.shape[:-1])
+    term = np.empty(out.shape[1:], dtype=complex)
+    for row, form in enumerate(out):
+        np.subtract(grid.x_mesh, xi[row], out=u_mesh)
+        # u_0 along axis 0 and u_1 along axis 1: the same differences as
+        # u_mesh's, so the same bits.
+        u = ((grid.x - xi[row, 0])[:, None], (grid.x - xi[row, 1])[None, :])
+        m = M[row]
+        # u.M.u = ((0 + t00 + t01) + t10) + t11, t_ij = u_i M_ij u_j, the
+        # order einsum("...i,ij,...j->...") sums it: the same bits at a
+        # third of its cost.  t01 and t10 span the row, t00 and t11 an axis.
+        np.multiply(u[0] * m[0, 1], u[1], out=form)
+        np.add(0 + u[0] * m[0, 0] * u[0], form, out=form)
+        np.multiply(u[1] * m[1, 0], u[0], out=term)
+        form += term
+        form += u[1] * m[1, 1] * u[1]
+        np.multiply(-0.5, form, out=form)
+        np.exp(form, out=form)
+        np.multiply(factors[row], form, out=form)
+        np.matmul(u_mesh, pi_m[row], out=phase)
+        phase += 0.5 * float(pi_m[row] @ xi[row])
+        np.multiply(1j, phase, out=term)
+        np.exp(term, out=term)
+        form *= term
 
 
 @dataclass(eq=False)

@@ -135,9 +135,9 @@ def _reference_norm(spec: HamiltonianSpec, center, re_m) -> float:
     z = np.linspace(-10.0, 10.0, 321)
     w = np.exp(-0.5 * z ** 2) * (z[1] - z[0]) / np.sqrt(2.0 * np.pi)
     w[[0, -1]] *= 0.5
-    r = _dense_remainder(spec, center, re_m, z)
-    total = r * r
-    for _ in range(r.ndim):
+    total = _dense_remainder(spec, center, re_m, z)
+    total *= total
+    for _ in range(len(center)):
         total = w @ total
     return float(np.sqrt(total))
 

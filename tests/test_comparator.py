@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qreduce.comparator import (ComparatorSpec, apply_comparator,
-                                coherent_coefficients, coherent_label,
-                                coherent_matrix_elements, comparator_scalars,
-                                hermite_coefficients, hermite_functions,
-                                within_magnitude)
+from qreduce.comparator import (EDGE_FRACTION, EDGE_WINDOW, EXP_GUARD,
+                                NOISE_FLOOR, ComparatorSpec, _constants,
+                                apply_comparator, coherent_coefficients,
+                                coherent_label, coherent_matrix_elements,
+                                comparator_scalars, hermite_coefficients,
+                                hermite_functions, within_magnitude)
 from qreduce.errors import BasisResidualError, OverflowGuardError
 from qreduce.grid import GridSpec, GridWavefunction, weyl_displace
 from qreduce.hamiltonian import PhasePoint
@@ -207,6 +208,57 @@ def test_within_magnitude_squeezed_divergence():
     assert squeezed["divergent"] and not squeezed["member"]
     assert squeezed["inv_norm"] > vac["inv_norm"]
     assert not membership(spec, 1e6, mild)["divergent"]
+
+
+def membership_by_errstate(spec, E, projection):
+    """within_magnitude as it was written before its two edge sums shared
+    one exp: log 0 under np.errstate, and an exp per sum."""
+    coeffs, residual = projection
+    c_sq = np.abs(coeffs) ** 2
+    c_sq[c_sq <= NOISE_FLOOR * np.sum(c_sq)] = 0.0
+    const = _constants(spec, c_sq.ndim)
+    with np.errstate(divide="ignore"):
+        log_terms = np.log(c_sq) + const.growth
+    seq = log_terms.ravel()[const.order]
+    seq = seq[seq > -EXP_GUARD]
+    divergent = False
+    if seq.size >= 2 * EDGE_WINDOW:
+        top = seq.max()
+        edge = np.exp(seq[-EDGE_WINDOW:] - top).sum()
+        divergent = bool(edge > EDGE_FRACTION * np.exp(seq - top).sum())
+    if float(np.max(log_terms)) > EXP_GUARD:
+        inv_norm, divergent = np.inf, True
+    else:
+        inv_norm = float(np.sqrt(np.sum(np.exp(
+            log_terms[np.isfinite(log_terms)]))))
+    return {"member": bool(not divergent and inv_norm <= E),
+            "inv_norm": inv_norm, "divergent": divergent, "residual": residual}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_within_magnitude_is_the_errstate_form(n):
+    # Packets on a lattice of centres and widths, some with noise that the
+    # edge rule flags, a state of zeros and one past the exponent guard.
+    grid, spec = ((GRID, ComparatorSpec(s=1.0)) if n == 1 else
+                  (GridSpec(n=2, N=128, L=10.0), ComparatorSpec(s=1.0, N=32)))
+    rng = np.random.default_rng(11)
+    centres = rng.uniform(-2.5, 2.5, (12, 2 * n))
+    amps = np.stack([sample_on_grid(packet(c, w * np.eye(n)), grid).amp
+                     for c in centres for w in (0.5, 1.0, 3.0)])
+    amps[::4] += 1e-7 * rng.normal(size=amps[::4].shape)
+    coeffs = list(hermite_coefficients(spec, amps, grid)[0])
+    coeffs += [np.zeros_like(coeffs[0]), np.ones_like(coeffs[0])]
+    outcomes = set()
+    for s, c in [(spec.s, c) for c in coeffs] + [(6.0, coeffs[-1])]:
+        comp = ComparatorSpec(s=s, N=spec.N)
+        for E in (2.0, 50.0):
+            got = within_magnitude(comp, E, (c, 0.0))
+            assert got == membership_by_errstate(comp, E, (c, 0.0))
+            assert list(map(type, got.values())) == [bool, float, bool, float]
+            outcomes.add((got["member"], got["divergent"],
+                          got["inv_norm"] == np.inf))
+    assert outcomes >= {(True, False, False), (False, True, False),
+                        (False, True, True)}
 
 
 @pytest.mark.parametrize("s", [np.log(2.0), 1.0])

@@ -292,11 +292,14 @@ def test_propagate_matches_a_numpy_strang_loop():
     assert np.array_equal(final.amp, amp)
 
 
-@pytest.mark.parametrize("grid", [DEFAULT_GRID, GridSpec(n=1, N=4096, L=40.0)],
-                         ids=["N1024", "N4096"])
+@pytest.mark.parametrize("grid", [DEFAULT_GRID, GridSpec(n=1, N=4096, L=40.0),
+                                  GridSpec(n=1, N=16384, L=160.0)],
+                         ids=["N1024", "N4096", "N16384"])
 def test_propagate_matches_a_scipy_strang_loop(grid):
     # The step as it ran on scipy.fft: numpy's FFTs are the same
-    # pocketfft, so every 1D report below 16,384 points keeps its bits.
+    # pocketfft, and from 16,384 points (256 KiB) the in-place products
+    # run result-first, as numpy ran the expression's, so every 1D report
+    # keeps its bits.
     spec = HamiltonianSpec(mass=1.5,
                            potential=PotentialModel.polynomial([0, 0.1, 0.5, 0.05]))
     psi0 = weyl_displace(vacuum(grid), np.array([1.0, 0.5]))
@@ -307,6 +310,30 @@ def test_propagate_matches_a_scipy_strang_loop(grid):
     for _ in range(steps):
         amp = half_v * scipy.fft.ifft(kinetic * scipy.fft.fft(half_v * amp))
     final = propagate(spec, psi0, steps * dt, dt).final
+    assert np.array_equal(final.amp, amp)
+
+
+COUPLED_2D = HamiltonianSpec(mass=1.5, potential=PotentialModel.polynomial2d(
+    [[0.0, 0.1, 0.5], [0.0, 0.0, 0.0], [0.5, 0.01, 0.0], [0.02, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("grid", [GridSpec(n=2, N=64, L=8.0),
+                                  GridSpec(n=2, N=128, L=10.0)],
+                         ids=["N64", "N128"])
+def test_2d_step_in_place_is_bitwise_the_written_out_expression(grid):
+    # The 2D step as it ran before it went in place.  numpy ran the
+    # expression's two products factor-first at N = 64 and, by temporary
+    # elision, result-first at N = 128 (256 KiB); complex products round
+    # differently in the two orders.
+    psi0 = sample_on_grid(packet([1.0, -0.5, 0.3, 0.5],
+                                 [[1.0, 0.2], [0.2, 0.8]]), grid)
+    steps, dt = 25, 0.01
+    half_v = np.exp(-0.5j * dt * COUPLED_2D.potential.value(grid.x_mesh))
+    kinetic = np.exp(-1j * dt * grid.k_squared / (2.0 * COUPLED_2D.mass))
+    amp = psi0.amp
+    for _ in range(steps):
+        amp = half_v * np.fft.ifft2(kinetic * np.fft.fft2(half_v * amp))
+    final = propagate(COUPLED_2D, psi0, steps * dt, dt).final
     assert np.array_equal(final.amp, amp)
 
 

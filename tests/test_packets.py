@@ -12,6 +12,7 @@ from qreduce.hamiltonian import energies
 from qreduce.grid import DEFAULT_GRID, GridSpec, expectation_a, propagate
 from qreduce.packets import (
     GaussianPacket,
+    _sample_rows,
     approximate_flow,
     evolve_AB,
     packet,
@@ -335,6 +336,43 @@ def test_block_sampler_is_bitwise_the_per_packet_sampling(n, rows, seed):
                         * np.exp(-0.5 * pkt.M[0, 0] * u * u)
                         * np.exp(1j * (pi_m * u + 0.5 * pi_m * xi)))
             assert np.array_equal(block[row], explicit)
+
+
+def term_by_term_rows(grid, xi, pi_m, M, factors):
+    """The 2D packet rows as _sample_rows wrote them before it ran on row
+    buffers: fresh arrays, and u.M.u term by term on the stacked mesh."""
+    out = np.empty((len(xi), grid.N, grid.N), dtype=complex)
+    for row in range(len(xi)):
+        u = grid.x_mesh - xi[row]
+        form = 0
+        for i in range(2):
+            for j in range(2):
+                form = form + u[..., i] * M[row, i, j] * u[..., j]
+        phase = u @ pi_m[row] + 0.5 * float(pi_m[row] @ xi[row])
+        out[row] = (factors[row] * np.exp(-0.5 * form)
+                    * np.exp(1j * phase))
+    return out
+
+
+@pytest.mark.parametrize("grid", [GridSpec(n=2, N=64, L=8.0),
+                                  GridSpec(n=2, N=128, L=10.0)],
+                         ids=["N64", "N128"])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 16))
+def test_2d_rows_on_buffers_are_bitwise_the_term_by_term_form(grid, seed):
+    # M asymmetric at 1e-13 tells the two cross terms apart, and a centre
+    # on a grid node puts exact zeros in u.
+    rng = np.random.default_rng(seed)
+    rows = 3
+    M = np.stack([random_width(rng, 2) for _ in range(rows)])
+    M[:, 0, 1] += 1e-13 * (1.0 + 1.0j)
+    xi = rng.uniform(-2.0, 2.0, (rows, 2))
+    xi[0] = grid.x[grid.N // 2 + 3], grid.x[grid.N // 2 - 5]
+    pi_m = rng.uniform(-2.0, 2.0, (rows, 2))
+    factors = list(rng.normal(size=rows) + 1j * rng.normal(size=rows))
+    out = np.empty((rows, grid.N, grid.N), dtype=complex)
+    _sample_rows(grid, xi, pi_m, M, factors, out)
+    assert np.array_equal(out, term_by_term_rows(grid, xi, pi_m, M, factors))
 
 
 def corrupt(series, k, **entries):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
-from qreduce import reduction
+from qreduce import hamiltonian, reduction
 from qreduce.classical import PhaseRegion, integrate_flow
 from qreduce.comparator import RESIDUAL_TOL, ComparatorSpec, \
     apply_comparator, hermite_coefficients, within_magnitude
@@ -157,6 +157,40 @@ def test_broadcast_reference_is_the_stacked_point_formula(case):
     if spec.dimension == 1:
         assert broadcast == stacked
     assert abs(broadcast - stacked) <= 1e-13 * stacked + 1e-14 * cancelled
+
+
+def horner_by_expression(D, axes):
+    """hamiltonian._horner as it ran before it went in place."""
+    for x in axes:
+        out = D[-1] + x * 0
+        for c in D[-2::-1]:
+            out = c + out * x
+        D = out
+    return D
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=remainder_cases())
+def test_in_place_remainders_are_bitwise_their_expression_forms(case):
+    # The dense reference squares in place and its Horner runs in place;
+    # the Gauss-Hermite remainder shares that Horner.
+    spec, center, M = case
+    re_m = np.real(M)
+    reference = reduction._reference_norm(spec, center, re_m)
+    exact = reduction._remainder_norms(spec, center[None], re_m[None], ())
+    z = np.linspace(-10.0, 10.0, 321)
+    w = np.exp(-0.5 * z ** 2) * (z[1] - z[0]) / np.sqrt(2.0 * np.pi)
+    w[[0, -1]] *= 0.5
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hamiltonian, "_horner", horner_by_expression)
+        r = reduction._dense_remainder(spec, center, re_m, z)
+        assert np.array_equal(
+            reduction._remainder_norms(spec, center[None], re_m[None], ()),
+            exact)
+    total = r * r
+    for _ in range(r.ndim):
+        total = w @ total
+    assert reference == float(np.sqrt(total))
 
 
 def test_duhamel_curve_keeps_its_bits_on_the_remainder_2d_config(
