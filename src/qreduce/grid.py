@@ -167,12 +167,12 @@ def propagate(spec: HamiltonianSpec, psi0: GridWavefunction, t_final: float,
     snapshot storage and can batch their work.  The amplitude after every
     step that is a multiple of ``observe_stride`` (step 0 excluded) is
     copied into a block buffer of at most OBSERVE_BLOCK_BYTES (64 rows in
-    1D at N = 1024, 4 in 2D at N = 128, never fewer than one); when it is
-    full, and once more for a final partial block, propagate calls
-    observer(times, amps) with times of shape (rows,), times[i] = step * dt,
-    and amps of shape (rows,) + (N,) * n, rows in step order.  Both are
-    views of buffers reused for the next block: copy what must outlive
-    the call.
+    1D at N = 1024, 4 in 2D at N = 128, never fewer than one, and no more
+    than the run observes); when it is full, and once more for a final
+    partial block, propagate calls observer(times, amps) with times of
+    shape (rows,), times[i] = step * dt, and amps of shape (rows,) +
+    (N,) * n, rows in step order.  Both are views of buffers reused for
+    the next block: copy what must outlive the call.
 
     Raises
     ------
@@ -196,9 +196,9 @@ def propagate(spec: HamiltonianSpec, psi0: GridWavefunction, t_final: float,
     norm0 = psi0.norm
     norm_drift = 0.0
     if observer is not None:
-        rows = max(1, OBSERVE_BLOCK_BYTES // amp.nbytes)
+        block = _observer_block(grid, steps // observe_stride)
+        rows = len(block)
         block_times = np.empty(rows)
-        block = np.empty((rows,) + amp.shape, dtype=complex)
         filled = 0
     for step in range(1, steps + 1):
         # half_v * ifftn(kinetic * fftn(half_v * amp)), in place.
@@ -231,6 +231,16 @@ def propagate(spec: HamiltonianSpec, psi0: GridWavefunction, t_final: float,
                          boundary_mass_max=boundary_max, norm_drift=norm_drift)
 
 
+def _observer_block(grid: GridSpec, states: int) -> np.ndarray:
+    """An uninitialised complex array of the shape of the block in which
+    propagate hands ``states`` observed states on ``grid`` to its
+    observer: as many rows as fit in OBSERVE_BLOCK_BYTES, but no more
+    than ``states`` and never fewer than one."""
+    state_bytes = np.dtype(complex).itemsize * grid.N ** grid.n
+    rows = max(1, min(states, OBSERVE_BLOCK_BYTES // state_bytes))
+    return np.empty((rows,) + (grid.N,) * grid.n, dtype=complex)
+
+
 def _product(factor, temp, out) -> None:
     """out = factor * temp, with the bits that expression has when temp
     is a fresh result: numpy's temporary elision runs it in place,
@@ -250,7 +260,7 @@ def propagation_self_check(spec: HamiltonianSpec, psi0: GridWavefunction,
     return coarse.distance(fine)
 
 
-def expectation_a(psi, grid: GridSpec = None) -> np.ndarray:
+def expectation_a(psi, grid: GridSpec = None, work=None) -> np.ndarray:
     """Expectations (<q_1..q_n>, <p_1..p_n>) as a real 2n-vector.
 
     psi is a unit-norm GridWavefunction, or with ``grid`` a stack of B
@@ -260,15 +270,20 @@ def expectation_a(psi, grid: GridSpec = None) -> np.ndarray:
     are spectral: in 1D <p> = Re <psi, -i d psi> with the derivative a
     Fourier multiplier (an FFT pair per state); in 2D by Parseval from
     one 2D FFT per state, <p_j> = sum_k k_j |psi_hat(k)|^2 dx^2 / N^2.
+    ``work``, a complex array of the stack's shape whose contents are
+    not read, takes the spectra in place of a fresh array; the result
+    has the same bits either way.
     """
     if grid is None:
         if not psi.is_unit:
             raise ValueError("expectation_a needs a unit-norm state")
         return _moments(psi.amp[None], psi.grid)[0]
-    return _moments(np.asarray(psi, dtype=complex), grid)
+    return _moments(np.asarray(psi, dtype=complex), grid, work)
 
 
-def _moments(amps, grid):
+def _moments(amps, grid, work=None):
+    """The (B, 2n) moments of a stack; the spectra go into ``work``, a
+    complex array of the stack's shape, or a fresh one without it."""
     axes = tuple(range(-grid.n, 0))
     cell = grid.cell
     dens = np.abs(amps) ** 2
@@ -277,21 +292,27 @@ def _moments(amps, grid):
     if np.any(off):
         amps = amps / np.where(off, norms, 1.0).reshape((-1,) + (1,) * grid.n)
         dens = np.abs(amps) ** 2
+    if work is None:
+        work = np.empty_like(amps)
     if grid.n == 1:
         # Not Parseval in 1D: this form gives the same bits as the
         # per-state formula did, and under a harmonic V, where the
         # measured error is itself rounding (~1e-13), other rounding
         # would change that error by its own size.
         q = [np.sum(grid.x * dens, axis=-1) * cell]
-        dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(amps))
+        # ifft(1j * k * fft(amps)) in work.  1j * k is imaginary, so the
+        # product rounds alike in either operand order.
+        np.fft.fft(amps, out=work)
+        work *= 1j * grid.k
+        dpsi = np.fft.ifft(work, out=work)
         p = [np.sum(np.conj(amps) * -1j * dpsi, axis=-1).real * cell]
     else:
         # Axis marginals (sum over the other axis), one product per axis.
         q = [np.sum(dens, axis=-1) @ grid.x * cell,
              np.sum(dens, axis=-2) @ grid.x * cell]
-        # Two 1D passes, axis -2 first, the second in place: np.fft.fft2
-        # runs the axes in the other order and so differs in the last bits.
-        spectrum = np.fft.fft(amps, axis=-2)
+        # Two 1D passes, axis -2 first: np.fft.fft2 runs the axes in the
+        # other order and so differs in the last bits.
+        spectrum = np.fft.fft(amps, axis=-2, out=work)
         np.fft.fft(spectrum, axis=-1, out=spectrum)
         # dens is not read again, so it turns into the power spectrum.
         power = np.abs(spectrum, out=dens)

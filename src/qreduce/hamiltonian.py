@@ -248,21 +248,27 @@ def energies(spec: HamiltonianSpec, xi, pi) -> np.ndarray:
     return np.sum(pi ** 2, axis=-1) / (2.0 * spec.mass) + v
 
 
-def _remainder_by_subtraction(pot: PotentialModel, center, u):
-    """r(c + u) = V(c + u) - V(c) - grad V(c).u - u.H(c).u / 2 for a
-    centre c of shape (n,), with u_i at u[i], arrays that broadcast
-    against each other; the result has their broadcast shape.
+def _remainder_by_subtraction(pot: PotentialModel, center):
+    """The map u -> r(c + u) = V(c + u) - V(c) - grad V(c).u - u.H(c).u / 2
+    about a centre c of shape (n,), with u_i at u[i], arrays that
+    broadcast against each other; r has their broadcast shape.  V(c),
+    grad V(c) and H(c) are taken once, for every call of the map.
 
     Term i is u_i (g_i + sum_{j<i} H_ij u_j + H_ii u_i / 2), so it spans
     only the axes of u_0 .. u_i, and each term is subtracted in place
     from V(c + u); V(c) goes with the first.
     """
+    v = pot._evaluate(center, (0,) * pot.ndim)
     g, H = pot.gradient(center), pot.hessian(center)
-    r = pot._evaluate([c + x for c, x in zip(center, u)], (0,) * pot.ndim)
-    for i, x in enumerate(u):
-        slope = g[i]
-        for j in range(i):
-            slope = slope + H[i, j] * u[j]
-        term = x * (slope + 0.5 * H[i, i] * x)
-        r -= term if i else pot._evaluate(center, (0,) * pot.ndim) + term
-    return r
+
+    def remainder(u):
+        r = pot._evaluate([c + x for c, x in zip(center, u)], (0,) * pot.ndim)
+        for i, x in enumerate(u):
+            slope = g[i]
+            for j in range(i):
+                slope = slope + H[i, j] * u[j]
+            term = x * (slope + 0.5 * H[i, i] * x)
+            r -= term if i else v + term
+        return r
+
+    return remainder

@@ -174,7 +174,9 @@ def _sample_rows(grid: GridSpec, xi, pi_m, M, factors, out) -> None:
     temporaries raised the peak memory of a run.  2D goes one row at a
     time, in out[row] and row buffers that the call owns: u.M.u on
     broadcast axes, and the phase as the BLAS product u @ pi_m, whose
-    bits a stacked form would not keep.
+    bits a stacked form would not keep.  That product reads the mesh of
+    u, which is built from the two axis differences by broadcast copies:
+    they are the differences x_mesh - xi would take, so the same bits.
     """
     if grid.n == 1:
         u = grid.x - xi
@@ -190,10 +192,10 @@ def _sample_rows(grid: GridSpec, xi, pi_m, M, factors, out) -> None:
     phase = np.empty(u_mesh.shape[:-1])
     term = np.empty(out.shape[1:], dtype=complex)
     for row, form in enumerate(out):
-        np.subtract(grid.x_mesh, xi[row], out=u_mesh)
-        # u_0 along axis 0 and u_1 along axis 1: the same differences as
-        # u_mesh's, so the same bits.
+        # u_0 along axis 0 and u_1 along axis 1.
         u = ((grid.x - xi[row, 0])[:, None], (grid.x - xi[row, 1])[None, :])
+        np.copyto(u_mesh[..., 0], u[0])
+        np.copyto(u_mesh[..., 1], u[1])
         m = M[row]
         # u.M.u = ((0 + t00 + t01) + t10) + t11, t_ij = u_i M_ij u_j, the
         # order einsum("...i,ij,...j->...") sums it: the same bits at a
@@ -412,18 +414,21 @@ class PacketFlow:
             detB_angle=float(self.series.detB_angle[k]) + self.branch_offset)
         return pkt
 
-    def sample(self, steps, grid: GridSpec) -> np.ndarray:
+    def sample(self, steps, grid: GridSpec, out=None) -> np.ndarray:
         """The packets at trajectory steps ``steps`` sampled on a grid.
 
         Row r, of an array of shape (len(steps),) + (grid.N,) * n, is
         bitwise sample_on_grid(self.packet_at(steps[r]), grid).amp,
         evaluated straight from the series, the phase and the trajectory
-        with no packet built.
+        with no packet built.  The rows are written into ``out``, a
+        complex array of that shape, when it is given, and it is
+        returned; else into a fresh array.
         """
         if grid.n != self.traj.n:
             raise ValueError("grid and packet dimensions differ")
         steps = np.asarray(steps, dtype=int)
-        out = np.empty((len(steps),) + (grid.N,) * grid.n, dtype=complex)
+        if out is None:
+            out = np.empty((len(steps),) + (grid.N,) * grid.n, dtype=complex)
         series, base = self.series, self.base
         factors = [
             _amplitude_factor(base.norm_prefactor, _norm_factor(grid.n, det),

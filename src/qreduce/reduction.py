@@ -32,8 +32,8 @@ from .comparator import RESIDUAL_TOL, BasisResidualError, ComparatorSpec, \
     _residual_error, apply_comparator, comparator_scalars, \
     hermite_coefficients, within_magnitude
 from .errors import ConfigError, NumericalError
-from .grid import DEFAULT_GRID, GridSpec, GridWavefunction, _row_norms, \
-    expectation_a, propagate
+from .grid import DEFAULT_GRID, GridSpec, GridWavefunction, _observer_block, \
+    _row_norms, expectation_a, propagate
 from .hamiltonian import HamiltonianSpec, PhasePoint, \
     _remainder_by_subtraction, normal_rule, time_steps
 from .packets import GaussianPacket, PacketFlow, approximate_flow, packet, \
@@ -48,6 +48,8 @@ DEFAULT_S = 1.0
 EHRENFEST_STRIDE = 2
 E_MARGIN = 1.5
 E_PROBE = 1e12
+# Memory bound of a block of rows of the dense remainder reference.
+REFERENCE_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -121,13 +123,23 @@ def _dense_remainder(spec: HamiltonianSpec, center, re_m, z) -> np.ndarray:
     L_ij z_j reads only the first i + 1 nodes: on broadcast axes, node
     z_j along axis j, V's polynomials in the first coordinate are taken
     once per node and each subtracted term spans only the axes it reads.
+    The nodes go a block of first-axis nodes at a time, each block's
+    rows of r within REFERENCE_BLOCK_BYTES: r is elementwise, so the
+    blocks keep its bits, and only the result spans every node tuple.
     """
     n = len(center)
     L = np.linalg.cholesky(np.linalg.inv(2.0 * re_m))
-    zs = [z.reshape((-1,) + (1,) * (n - 1 - j)) for j in range(n)]
-    u = [functools.reduce(np.add, [L[i, j] * zs[j] for j in range(i + 1)])
-         for i in range(n)]
-    return _remainder_by_subtraction(spec.potential, center, u)
+    remainder = _remainder_by_subtraction(spec.potential, center)
+    out = np.empty((len(z),) * n)
+    step = max(1, REFERENCE_BLOCK_BYTES // out[0].nbytes)
+    for start in range(0, len(z), step):
+        rows = slice(start, start + step)
+        zs = [(z[rows] if j == 0 else z).reshape((-1,) + (1,) * (n - 1 - j))
+              for j in range(n)]
+        out[rows] = remainder(
+            [functools.reduce(np.add, [L[i, j] * zs[j] for j in range(i + 1)])
+             for i in range(n)])
+    return out
 
 
 def _reference_norm(spec: HamiltonianSpec, center, re_m) -> float:
@@ -246,18 +258,26 @@ def run_grid(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
     one BoundInputs.add call that takes the block's per-snapshot bound
     work and keeps it for assemble_bounds.  samples must be a positive
     integer.
+
+    The run allocates one scratch block, of the shape of propagate's
+    observer block, and every block's work goes through its leading
+    rows: first the spectra of expectation_a, then the bound stage's W.
+    So the observer allocates no block-sized array of its own for
+    either, and the heap does not grow and trim again for each block.
     """
     samples = _positive_int(samples, "samples")
     steps, step_dt = time_steps(T, dt)
     stride = max(1, steps // samples)
     grid = psi0.grid
+    scratch = _observer_block(grid, steps // stride)
     times, expectations = [], []
 
     def observe(block_times, amps):
+        work = scratch[:len(amps)]
         times.append(block_times.copy())
-        expectations.append(expectation_a(amps, grid))
+        expectations.append(expectation_a(amps, grid, work=work))
         if bound_inputs is not None:
-            bound_inputs.add(block_times, amps)
+            bound_inputs.add(block_times, amps, work)
 
     observe(np.zeros(1), psi0.amp[None])
     ev = propagate(spec, psi0, T, dt, observer=observe, observe_stride=stride)
@@ -328,11 +348,13 @@ def _membership_probes(comp: ComparatorSpec, coeffs, residual):
 class BoundInputs:
     """The per-snapshot half of the bound assembly, fed as a run streams.
 
-    add(times, amps) takes a block of grid states u (amps, shape (B,) +
-    (N,) * n on the problem's grid) at snapshot times, as propagate hands
-    them to run_grid, and scores the block as arrays.  flow.sample writes
-    the approximating packets W, at the trajectory step of each time,
-    into one block-sized buffer.  W and u are projected by one row-exact
+    add(times, amps, work) takes a block of grid states u (amps, shape
+    (B,) + (N,) * n on the problem's grid) at snapshot times, as
+    propagate hands them to run_grid, and scores the block as arrays.
+    flow.sample writes the approximating packets W, at the trajectory
+    step of each time, into ``work``: a complex block of amps' shape
+    whose contents are not read, run_grid's scratch block for the run,
+    which add overwrites.  W and u are projected by one row-exact
     hermite_coefficients call each, and apply_comparator smooths the W
     rows from W's projection.  delta1 = ||W - u|| and
     delta2 = ||(1 - Omega) W|| are stacked row norms.  The membership
@@ -352,7 +374,7 @@ class BoundInputs:
         self.blocks = []
         self.failure = None
 
-    def add(self, times, amps):
+    def add(self, times, amps, work):
         traj = self.flow.traj
         steps = np.rint(times / traj.dt).astype(int)
         if np.any(np.abs(traj.times[steps] - times) > 1e-9):
@@ -360,7 +382,7 @@ class BoundInputs:
         if self.failure is not None:
             return
         comp, grid = self.problem.comparator, self.problem.grid
-        w = self.flow.sample(steps, grid)
+        w = self.flow.sample(steps, grid, out=work)
         w_coeffs, w_residual = hermite_coefficients(comp, w, grid)
         outside = np.flatnonzero(w_residual > RESIDUAL_TOL)
         if outside.size:

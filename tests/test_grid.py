@@ -359,3 +359,32 @@ def test_stacked_2d_expectations_match_the_scipy_parseval_form(grid):
                      np.sum(power, axis=-1) @ grid.k,
                      np.sum(power, axis=-2) @ grid.k], axis=-1)
     assert np.array_equal(expectation_a(amps, grid), want)
+
+
+@pytest.mark.parametrize("grid, rows", [
+    (DEFAULT_GRID, 1), (DEFAULT_GRID, 64),
+    (GridSpec(n=2, N=64, L=8.0), 4), (GridSpec(n=2, N=128, L=10.0), 4),
+], ids=["1d-1row", "1d-64rows", "2d-N64", "2d-N128"])
+def test_expectations_in_a_work_block_are_bitwise_the_fresh_form(grid, rows):
+    # work is the leading rows of a larger scratch block that holds NaN:
+    # the spectra go there, its contents are not read and the rows past
+    # it are not written.  In 1D the momenta are also bitwise the
+    # written-out expression's at 1 row (16 KiB) and at 64 rows (1 MiB),
+    # either side of ELIDE_BYTES, past which numpy ran the expression's
+    # product in the other operand order.
+    rng = np.random.default_rng(11)
+    amps = np.stack([
+        sample_on_grid(packet(rng.uniform(-2.0, 2.0, 2 * grid.n),
+                              rng.uniform(0.5, 2.0) * np.eye(grid.n)),
+                       grid).normalized().amp
+        for _ in range(rows)])
+    fresh = expectation_a(amps, grid)
+    scratch = np.full((rows + 3,) + amps.shape[1:], np.nan, dtype=complex)
+    assert np.array_equal(expectation_a(amps, grid, work=scratch[:rows]),
+                          fresh)
+    assert not np.any(np.isnan(scratch[:rows]))
+    assert np.all(np.isnan(scratch[rows:]))
+    if grid.n == 1:
+        dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(amps))
+        p = np.sum(np.conj(amps) * -1j * dpsi, axis=-1).real * grid.cell
+        assert np.array_equal(fresh[:, 1], p)

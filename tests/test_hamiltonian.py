@@ -23,8 +23,8 @@ def energy(spec, xi, pi):
 
 def by_subtraction(pot, center, x):
     """The subtraction-form remainder about a 1D centre at displacements x."""
-    return _remainder_by_subtraction(pot, np.array([center]),
-                                     [np.asarray(x, dtype=float)])
+    return _remainder_by_subtraction(pot, np.array([center]))(
+        [np.asarray(x, dtype=float)])
 
 
 def test_eval_h_harmonic_ground_circle():
@@ -189,8 +189,8 @@ def test_polynomial2d_remainder():
     C[2, 1] = 1.0
     C[0, 2] = 1.0
     pot = PotentialModel.polynomial2d(C)
-    r = _remainder_by_subtraction(pot, np.array([0.0, 0.0]),
-                                  [np.array(2.0), np.array(3.0)])
+    r = _remainder_by_subtraction(pot, np.array([0.0, 0.0]))(
+        [np.array(2.0), np.array(3.0)])
     assert r == pytest.approx(12.0)
 
 

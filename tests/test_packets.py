@@ -338,6 +338,22 @@ def test_block_sampler_is_bitwise_the_per_packet_sampling(n, rows, seed):
             assert np.array_equal(block[row], explicit)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_block_sampler_fills_and_returns_a_given_buffer(n):
+    # The buffer is the leading rows of a larger block holding NaN: every
+    # entry is written, bitwise the fresh block's, and none past it.
+    spec, grid = SAMPLER_CASES[n]
+    alpha0 = PhasePoint(np.full(n, 0.5), np.full(n, -0.25))
+    traj = integrate_flow(spec, alpha0, 0.5, 0.02)
+    flow = approximate_flow(spec, traj, packet(alpha0, 1.0))
+    steps = [0, 7, 25, 13]
+    scratch = np.full((6,) + (grid.N,) * n, np.nan, dtype=complex)
+    out = scratch[:4]
+    assert flow.sample(steps, grid, out=out) is out
+    assert np.array_equal(out, flow.sample(steps, grid))
+    assert np.all(np.isnan(scratch[4:]))
+
+
 def term_by_term_rows(grid, xi, pi_m, M, factors):
     """The 2D packet rows as _sample_rows wrote them before it ran on row
     buffers: fresh arrays, and u.M.u term by term on the stacked mesh."""

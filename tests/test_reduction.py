@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -12,9 +13,9 @@ from qreduce.classical import PhaseRegion, integrate_flow
 from qreduce.comparator import RESIDUAL_TOL, ComparatorSpec, \
     apply_comparator, hermite_coefficients, within_magnitude
 from qreduce.errors import BasisResidualError, ConfigError, NumericalError
-from qreduce.grid import GridSpec, GridWavefunction, propagate
+from qreduce.grid import GridSpec, GridWavefunction, expectation_a, propagate
 from qreduce.hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel, \
-    _remainder_by_subtraction
+    _remainder_by_subtraction, time_steps
 from qreduce.packets import approximate_flow, packet, sample_on_grid
 from qreduce.reduction import (BoundInputs, ReductionProblem, assemble_bounds,
                                duhamel_curve, ehrenfest_run,
@@ -135,7 +136,7 @@ def stacked_reference(spec, center, re_m):
     w = np.exp(-0.5 * z ** 2) * (z[1] - z[0]) / np.sqrt(2.0 * np.pi)
     w[[0, -1]] *= 0.5
     u, weights = reduction._gaussian_rule(z, w, re_m)
-    r = _remainder_by_subtraction(spec.potential, center, u.T)
+    r = _remainder_by_subtraction(spec.potential, center)(u.T)
     pot = spec.potential
     shifted = center + u if spec.dimension == 2 else center[0] + u[:, 0]
     hess = pot.hessian(center)
@@ -191,6 +192,10 @@ def test_in_place_remainders_are_bitwise_their_expression_forms(case):
     for _ in range(r.ndim):
         total = w @ total
     assert reference == float(np.sqrt(total))
+    # Its blocks of first-axis nodes keep the bits of one block.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reduction, "REFERENCE_BLOCK_BYTES", 1 << 30)
+        assert reduction._reference_norm(spec, center, re_m) == reference
 
 
 def test_duhamel_curve_keeps_its_bits_on_the_remainder_2d_config(
@@ -727,6 +732,66 @@ def test_streamed_bounds_equal_the_snapshot_list_assembly(name):
     worst = max(report.sample_results, key=lambda r: r["max_error"])
     for key, value in olds[tuple(worst["alpha0"])].items():
         assert np.array_equal(getattr(report.bounds, key), value), key
+
+
+class RecordingInputs(BoundInputs):
+    """BoundInputs that keeps the work block of every add call."""
+
+    def __init__(self, problem, flow):
+        super().__init__(problem, flow)
+        self.works = []
+
+    def add(self, times, amps, work):
+        self.works.append(work)
+        super().add(times, amps, work)
+
+
+def fresh_buffer_run(problem, psi0, inputs):
+    """run_grid's snapshots and expectations with a fresh spectrum and a
+    fresh W block for every block, as the observer ran before one scratch
+    block served the run."""
+    steps, step_dt = time_steps(problem.T, problem.dt)
+    stride = max(1, steps // problem.samples)
+    grid = psi0.grid
+    times, moments = [], []
+
+    def observe(block_times, amps):
+        times.append(block_times.copy())
+        moments.append(expectation_a(amps, grid))
+        inputs.add(block_times, amps, np.empty_like(amps))
+
+    observe(np.zeros(1), psi0.amp[None])
+    final = propagate(problem.spec, psi0, problem.T, problem.dt,
+                      observer=observe, observe_stride=stride).final
+    if steps % stride:
+        observe(np.array([steps * step_dt]), final.amp[None])
+    return np.concatenate(times), np.concatenate(moments)
+
+
+def test_a_2d_run_works_in_one_scratch_block():
+    # 23 steps at stride 2 on a 4-row grid: the start, blocks of 4, 4 and
+    # 3 rows and the off-stride last step, all in one scratch base.
+    problem = dataclasses.replace(STREAM_CASES["coupled-2d"], T=0.23,
+                                  samples=11, grid=GridSpec(n=2, N=128, L=10.0))
+    traj = integrate_flow(problem.spec, problem.alpha0, problem.T, problem.dt)
+    base = packet(problem.alpha0, problem.M0)
+    flow = approximate_flow(problem.spec, traj, base)
+    psi0 = sample_on_grid(base, problem.grid)
+    inputs = RecordingInputs(problem, flow)
+    run = run_grid(problem.spec, psi0, problem.T, problem.dt, problem.samples,
+                   inputs)
+    assert [len(work) for work in inputs.works] == [1, 4, 4, 3, 1]
+    scratch = inputs.works[0].base
+    assert scratch.shape == (4, 128, 128)
+    assert all(work.base is scratch for work in inputs.works)
+    fresh = BoundInputs(problem, flow)
+    times, moments = fresh_buffer_run(problem, psi0, fresh)
+    assert np.array_equal(run.times, times)
+    assert np.array_equal(run.expectations, moments)
+    assert len(inputs.blocks) == len(fresh.blocks) == 5
+    for got, want in zip(inputs.blocks, fresh.blocks):
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 def test_residual_failure_mid_block_ends_the_bound_stage():

@@ -5,12 +5,12 @@ Usage: python3 tools/compare_reports.py OLD_SRC NEW_SRC
 OLD_SRC and NEW_SRC are checkouts of the repository (or their ``src``
 directories).  The unit configs come from ``perfbench/workloads.py`` of
 the checkout this script sits in, read as it is: every unit of every
-workload at the default seed, the probe configs, 2D scale, squeeze and
-classify-classical configs on the remainder-2d unit's potential, start
-state and grid, and a matrix-form classify-quantum config with an
-explicit omega, which no workload runs.  Each config runs
-through ``python -m qreduce.cli`` of each tree, in a fresh directory,
-writing JSON and CSV.
+workload at the default seed, the probe configs, 2D boxed-region
+reduce, scale, squeeze and classify-classical configs on the
+remainder-2d unit's potential, start state and grid, and a matrix-form
+classify-quantum config with an explicit omega, which no workload
+runs.  Each config runs through ``python -m qreduce.cli`` of each
+tree, in a fresh directory, writing JSON and CSV.
 
 Every JSON field that differs between the trees (``created_utc`` aside)
 is printed with its largest absolute and relative difference, and so is
@@ -47,13 +47,19 @@ def _workloads():
 
 
 def _modes_2d(wl) -> list:
-    """[(name, config)]: scale, squeeze and classify-classical in 2D, on
-    the seed-0 remainder-2d unit's potential, alpha0 and dt, with its T
-    and grid where the mode takes them (classify-classical runs to 20)."""
+    """[(name, config)]: a boxed-region reduce, scale, squeeze and
+    classify-classical in 2D, on the seed-0 remainder-2d unit's
+    potential, alpha0 and dt, with its T and grid where the mode takes
+    them (classify-classical runs to 20).  The region reduce is that
+    unit with a box of half-width 0.01 about alpha0: its 81 lattice
+    samples run their 2D grid runs one after another in one process."""
     (_, reduce_2d), = wl.units("remainder-2d", wl.DEFAULT_SEED)
     problem = reduce_2d["problem"]
     shared = {key: problem[key] for key in ("potential", "alpha0", "T", "dt")}
     return [
+        ("reduce-region", {**reduce_2d, "problem": {
+            **problem, "region": {"center": problem["alpha0"],
+                                  "half_widths": [0.01] * 4}}}),
         ("scale", {"mode": "scale", "problem": {
             **shared, "grid": problem["grid"],
             "lambdas": [1.0, 0.5, 0.25]}}),
