@@ -137,12 +137,31 @@ class GridWavefunction:
 
 
 @dataclass(eq=False)
-class GridEvolution:
-    """The final state of a split-operator run plus health telemetry."""
+class GridStack:
+    """S amplitudes on one grid, shape (S,) + (N,) * n, that propagate
+    runs as one stack.  Treat instances as immutable."""
 
-    final: GridWavefunction
-    boundary_mass_max: float
-    norm_drift: float
+    grid: GridSpec
+    amps: np.ndarray
+
+    def __post_init__(self):
+        expected = (self.grid.N,) * self.grid.n
+        self.amps = np.asarray(self.amps, dtype=complex)
+        if self.amps.ndim != self.grid.n + 1 or self.amps.shape[1:] != expected:
+            raise ValueError(f"stack shape {self.amps.shape} != (S,) + {expected}")
+
+
+@dataclass(eq=False)
+class GridEvolution:
+    """The final state of a split-operator run plus health telemetry.
+
+    For a GridStack run, final is the final GridStack and
+    boundary_mass_max and norm_drift hold one value per row.
+    """
+
+    final: GridWavefunction | GridStack
+    boundary_mass_max: float | np.ndarray
+    norm_drift: float | np.ndarray
 
 
 def potential_on_grid(spec: HamiltonianSpec, grid: GridSpec) -> np.ndarray:
@@ -151,8 +170,8 @@ def potential_on_grid(spec: HamiltonianSpec, grid: GridSpec) -> np.ndarray:
     return spec.potential.value(grid.x if grid.n == 1 else grid.x_mesh)
 
 
-def propagate(spec: HamiltonianSpec, psi0: GridWavefunction, t_final: float,
-              dt: float, observer=None,
+def propagate(spec: HamiltonianSpec, psi0: GridWavefunction | GridStack,
+              t_final: float, dt: float, observer=None,
               observe_stride: int = 1) -> GridEvolution:
     """Evolve psi0 under exp(-i h t) by Strang splitting.
 
@@ -163,90 +182,129 @@ def propagate(spec: HamiltonianSpec, psi0: GridWavefunction, t_final: float,
     owns, so the step itself allocates nothing.  Only the final state is
     kept; the steps before it reach the caller through ``observer``.
 
+    psi0 is one state or a GridStack of S states, which take each step
+    together: a single state runs as a stack of one.  numpy transforms
+    each row of a batched FFT as it would that row alone, and the table
+    products take the operand order that one state's size sets, so each
+    row is bitwise the run of that state alone.  Boundary mass and norm
+    drift are tracked per row.
+
     ``observer`` sees the run in blocks, so running measurements need no
     snapshot storage and can batch their work.  The amplitude after every
     step that is a multiple of ``observe_stride`` (step 0 excluded) is
-    copied into a block buffer of at most OBSERVE_BLOCK_BYTES (64 rows in
-    1D at N = 1024, 4 in 2D at N = 128, never fewer than one, and no more
-    than the run observes); when it is full, and once more for a final
-    partial block, propagate calls observer(times, amps) with times of
-    shape (rows,), times[i] = step * dt, and amps of shape (rows,) +
-    (N,) * n, rows in step order.  Both are views of buffers reused for
-    the next block: copy what must outlive the call.
+    copied into a block buffer (_block_rows: at most OBSERVE_BLOCK_BYTES
+    for a single run, 64 states in 1D at N = 1024, 4 in 2D at N = 128).
+    When it is full, and once more for a final partial block, propagate
+    calls observer(times, amps) with times of shape (rows,), times[i] =
+    step * dt, and amps of shape (rows,) + (N,) * n, rows in step order,
+    or (S, rows) + (N,) * n for a stack.  Both are views of buffers
+    reused for the next block: copy what must outlive the call.
 
     Raises
     ------
     WraparoundError
-        When boundary-band mass exceeds BOUNDARY_TOL (checked upfront,
-        every CHECK_STRIDE steps and at the end): grid too small.
+        When the boundary-band mass of any row exceeds BOUNDARY_TOL
+        (checked upfront, every CHECK_STRIDE steps and at the end): grid
+        too small.
     """
     steps, dt = time_steps(t_final, dt)
     if observe_stride < 1:
         raise ValueError("observe_stride must be at least 1")
     grid = psi0.grid
+    stacked = isinstance(psi0, GridStack)
+    amp = (psi0.amps if stacked else psi0.amp[None]).copy()
     v = potential_on_grid(spec, grid)
     half_v = np.exp(-0.5j * dt * v)
     kinetic = np.exp(-1j * dt * grid.k_squared / (2.0 * spec.mass))
-    boundary_max = psi0.boundary_mass()
-    if boundary_max > BOUNDARY_TOL:
+    states = [GridWavefunction(grid, row) for row in amp]
+    boundary_max = np.array([psi.boundary_mass() for psi in states])
+    if np.any(boundary_max > BOUNDARY_TOL):
         raise WraparoundError("initial state already touches the grid edge")
-    amp = psi0.amp.copy()
     work = np.empty_like(amp)
+    # The tables broadcast over the rows of a stack; a stack of one steps
+    # on its one state, where numpy's products skip the broadcast.
+    state, state_work = (amp[0], work[0]) if len(amp) == 1 else (amp, work)
     axes = tuple(range(-1, -grid.n - 1, -1))
-    norm0 = psi0.norm
-    norm_drift = 0.0
+    # The written-out step ran on one state, so its size, not the
+    # stack's, sets the operand order of the table products.
+    result_first = amp[0].nbytes >= ELIDE_BYTES
+    norm0 = np.array([psi.norm for psi in states])
+    norm_drift = np.zeros(len(amp))
     if observer is not None:
-        block = _observer_block(grid, steps // observe_stride)
-        rows = len(block)
-        block_times = np.empty(rows)
+        block = _observer_block(grid, steps // observe_stride, len(amp))
+        block = block.reshape((len(amp), -1) + block.shape[1:])
+        block_rows = block.shape[1]
+        block_times = np.empty(block_rows)
         filled = 0
     for step in range(1, steps + 1):
         # half_v * ifftn(kinetic * fftn(half_v * amp)), in place.
-        np.multiply(half_v, amp, out=work)
+        np.multiply(half_v, state, out=state_work)
         for axis in axes:
-            np.fft.fft(work, axis=axis, out=work)
-        _product(kinetic, work, work)
+            np.fft.fft(state_work, axis=axis, out=state_work)
+        _product(kinetic, state_work, state_work, result_first)
         for axis in axes:
-            np.fft.ifft(work, axis=axis, out=work)
-        _product(half_v, work, amp)
+            np.fft.ifft(state_work, axis=axis, out=state_work)
+        _product(half_v, state_work, state, result_first)
         t = step * dt
         if observer is not None and step % observe_stride == 0:
             block_times[filled] = t
-            block[filled] = amp
+            block[:, filled] = amp
             filled += 1
-            if filled == rows:
-                observer(block_times, block)
+            if filled == block_rows:
+                observer(block_times, block if stacked else block[0])
                 filled = 0
         if step % CHECK_STRIDE == 0 or step == steps:
-            psi = GridWavefunction(grid, amp)
-            boundary_max = max(boundary_max, psi.boundary_mass())
-            norm_drift = max(norm_drift, abs(psi.norm - norm0))
-            if boundary_max > BOUNDARY_TOL:
+            for row, psi in enumerate(states):
+                boundary_max[row] = max(boundary_max[row], psi.boundary_mass())
+                norm_drift[row] = max(norm_drift[row], abs(psi.norm - norm0[row]))
+            if np.any(boundary_max > BOUNDARY_TOL):
+                first = boundary_max[np.argmax(boundary_max > BOUNDARY_TOL)]
                 raise WraparoundError(
-                    f"boundary mass {boundary_max:.3g} at t = {t:.6g}; "
+                    f"boundary mass {first:.3g} at t = {t:.6g}; "
                     "enlarge the grid")
     if observer is not None and filled:
-        observer(block_times[:filled], block[:filled])
-    return GridEvolution(final=GridWavefunction(grid, amp),
-                         boundary_mass_max=boundary_max, norm_drift=norm_drift)
+        observer(block_times[:filled],
+                 block[:, :filled] if stacked else block[0, :filled])
+    if stacked:
+        return GridEvolution(final=GridStack(grid, amp),
+                             boundary_mass_max=boundary_max,
+                             norm_drift=norm_drift)
+    return GridEvolution(final=states[0],
+                         boundary_mass_max=float(boundary_max[0]),
+                         norm_drift=float(norm_drift[0]))
 
 
-def _observer_block(grid: GridSpec, states: int) -> np.ndarray:
-    """An uninitialised complex array of the shape of the block in which
-    propagate hands ``states`` observed states on ``grid`` to its
-    observer: as many rows as fit in OBSERVE_BLOCK_BYTES, but no more
-    than ``states`` and never fewer than one."""
+def _observer_block(grid: GridSpec, states: int, stack: int = 1) -> np.ndarray:
+    """An uninitialised complex array of (rows * stack,) + (N,) * n: the
+    block in which propagate hands ``states`` observed states of each row
+    of a ``stack`` on ``grid`` to its observer, rows per row as
+    _block_rows gives them."""
+    rows = _block_rows(grid, states, stack)
+    return np.empty((rows * stack,) + (grid.N,) * grid.n, dtype=complex)
+
+
+def _block_rows(grid: GridSpec, states: int, stack: int = 1) -> int:
+    """The states of each row of a ``stack`` in propagate's observer block.
+
+    A single run's block holds as many states as fit in
+    OBSERVE_BLOCK_BYTES, but no more than ``states`` and at least one.
+    A 1D stack splits it evenly, one state per row at least.  Each row
+    of a 2D stack keeps it: the 2D moments take their axis marginals by
+    BLAS matrix-vector products, whose row bits depend on the rows in
+    one call.
+    """
     state_bytes = np.dtype(complex).itemsize * grid.N ** grid.n
     rows = max(1, min(states, OBSERVE_BLOCK_BYTES // state_bytes))
-    return np.empty((rows,) + (grid.N,) * grid.n, dtype=complex)
+    return max(1, rows // stack) if grid.n == 1 else rows
 
 
-def _product(factor, temp, out) -> None:
+def _product(factor, temp, out, result_first: bool) -> None:
     """out = factor * temp, with the bits that expression has when temp
     is a fresh result: numpy's temporary elision runs it in place,
-    result-first, once temp holds ELIDE_BYTES, and factor-first below
-    that.  Complex products round differently in the two orders (FMA)."""
-    if temp.nbytes >= ELIDE_BYTES:
+    result-first, once temp holds ELIDE_BYTES (``result_first``), and
+    factor-first below that.  Complex products round differently in the
+    two orders (FMA)."""
+    if result_first:
         np.multiply(temp, factor, out=out)
     else:
         np.multiply(factor, temp, out=out)
@@ -263,9 +321,11 @@ def propagation_self_check(spec: HamiltonianSpec, psi0: GridWavefunction,
 def expectation_a(psi, grid: GridSpec = None, work=None) -> np.ndarray:
     """Expectations (<q_1..q_n>, <p_1..p_n>) as a real 2n-vector.
 
-    psi is a unit-norm GridWavefunction, or with ``grid`` a stack of B
-    amplitudes of shape (B,) + (grid.N,) * n, for which the result is a
-    (B, 2n) array.  A row whose norm is off 1 by more than NORM_TOL is
+    psi is a unit-norm GridWavefunction, or with ``grid`` a stack of
+    amplitudes of shape lead + (grid.N,) * n, for which the result is a
+    lead + (2n,) array.  In 2D the marginals of each (B,) + (N, N) block
+    along the last lead axis go through one matrix-vector product, as a
+    stack of B states alone does.  A row whose norm is off 1 by more than NORM_TOL is
     normalised first, as GridWavefunction.normalized() does.  Momenta
     are spectral: in 1D <p> = Re <psi, -i d psi> with the derivative a
     Fourier multiplier (an FFT pair per state); in 2D by Parseval from
@@ -282,15 +342,15 @@ def expectation_a(psi, grid: GridSpec = None, work=None) -> np.ndarray:
 
 
 def _moments(amps, grid, work=None):
-    """The (B, 2n) moments of a stack; the spectra go into ``work``, a
-    complex array of the stack's shape, or a fresh one without it."""
+    """The lead + (2n,) moments of a stack; the spectra go into ``work``,
+    a complex array of the stack's shape, or a fresh one without it."""
     axes = tuple(range(-grid.n, 0))
     cell = grid.cell
     dens = np.abs(amps) ** 2
     norms = np.sqrt(np.sum(dens, axis=axes) * cell)
     off = np.abs(norms - 1.0) > NORM_TOL
     if np.any(off):
-        amps = amps / np.where(off, norms, 1.0).reshape((-1,) + (1,) * grid.n)
+        amps = amps / np.where(off, norms, 1.0)[(...,) + (None,) * grid.n]
         dens = np.abs(amps) ** 2
     if work is None:
         work = np.empty_like(amps)
@@ -328,7 +388,8 @@ def _row_norms(amps, grid: GridSpec) -> np.ndarray:
     Each row is one contiguous sum, so it is bitwise the norm of that
     row alone (GridWavefunction.norm).
     """
-    flat = np.abs(amps.reshape(len(amps), grid.N ** grid.n)) ** 2
+    flat = np.abs(amps.reshape(len(amps), grid.N ** grid.n))
+    np.square(flat, out=flat)
     return np.sqrt(np.sum(flat, axis=-1) * grid.cell)
 
 

@@ -9,6 +9,7 @@ only a polynomial has.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -160,11 +161,17 @@ class PotentialModel:
         return _horner(taylor, np.moveaxis(u, -1, 0)[::-1])
 
 
+@functools.cache
 def normal_rule():
     """Gauss-Hermite nodes z and weights w with sum_k w_k f(z_k) = E f(Z),
-    Z standard normal, for f of degree <= 17: r^2 at the degree caps."""
+    Z standard normal, for f of degree <= 17: r^2 at the degree caps.
+
+    The rule is computed once (an eigenvalue solve) and shared, so both
+    arrays are read-only."""
     z, w = hermegauss(GAUSS_NODES)
-    return z, w / np.sqrt(2.0 * np.pi)
+    w = w / np.sqrt(2.0 * np.pi)
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
 
 
 @dataclass(frozen=True)

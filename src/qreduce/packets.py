@@ -422,23 +422,39 @@ class PacketFlow:
         evaluated straight from the series, the phase and the trajectory
         with no packet built.  The rows are written into ``out``, a
         complex array of that shape, when it is given, and it is
-        returned; else into a fresh array.
+        returned; else into a fresh array.  This is the flow stack of one
+        of _sample_flows.
         """
-        if grid.n != self.traj.n:
-            raise ValueError("grid and packet dimensions differ")
-        steps = np.asarray(steps, dtype=int)
         if out is None:
             out = np.empty((len(steps),) + (grid.N,) * grid.n, dtype=complex)
-        series, base = self.series, self.base
-        factors = [
+        _sample_flows([self], steps, grid, out[None])
+        return out
+
+
+def _sample_flows(flows, steps, grid: GridSpec, out) -> None:
+    """Write the packets of each flow at trajectory steps ``steps`` into
+    its row of out, a contiguous complex array of shape
+    (len(flows), len(steps)) + (grid.N,) * n, as flow.sample would: the
+    rows of all flows go through one _sample_rows call, whose elements
+    each take the arithmetic of a single packet."""
+    if any(grid.n != flow.traj.n for flow in flows):
+        raise ValueError("grid and packet dimensions differ")
+    steps = np.asarray(steps, dtype=int)
+    factors, xi, pi_m, M = [], [], [], []
+    for flow in flows:
+        series, base = flow.series, flow.base
+        factors += [
             _amplitude_factor(base.norm_prefactor, _norm_factor(grid.n, det),
-                              float(angle) + self.branch_offset,
+                              float(angle) + flow.branch_offset,
                               base.phase + float(x))
             for det, angle, x in zip(np.linalg.det(series.B[steps]),
-                                     series.detB_angle[steps], self.X[steps])]
-        _sample_rows(grid, self.traj.xi[steps], self.traj.pi[steps],
-                     series.M[steps], factors, out)
-        return out
+                                     series.detB_angle[steps], flow.X[steps])]
+        xi.append(flow.traj.xi[steps])
+        pi_m.append(flow.traj.pi[steps])
+        M.append(series.M[steps])
+    _sample_rows(grid, np.concatenate(xi), np.concatenate(pi_m),
+                 np.concatenate(M), factors,
+                 out.reshape((-1,) + out.shape[2:]))
 
 
 def approximate_flow(spec: HamiltonianSpec, traj: ClassicalTrajectory,

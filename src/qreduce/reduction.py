@@ -32,12 +32,12 @@ from .comparator import RESIDUAL_TOL, BasisResidualError, ComparatorSpec, \
     _residual_error, apply_comparator, comparator_scalars, \
     hermite_coefficients, within_magnitude
 from .errors import ConfigError, NumericalError
-from .grid import DEFAULT_GRID, GridSpec, GridWavefunction, _observer_block, \
-    _row_norms, expectation_a, propagate
+from .grid import DEFAULT_GRID, GridSpec, GridStack, GridWavefunction, \
+    _block_rows, _observer_block, _row_norms, expectation_a, propagate
 from .hamiltonian import HamiltonianSpec, PhasePoint, \
     _remainder_by_subtraction, normal_rule, time_steps
-from .packets import GaussianPacket, PacketFlow, approximate_flow, packet, \
-    sample_on_grid
+from .packets import GaussianPacket, PacketFlow, _sample_flows, \
+    approximate_flow, packet, sample_on_grid
 from .quadrature import cumulative_trapezoid
 
 CROSS_CHECK_TOL = 1e-8
@@ -245,9 +245,9 @@ class QuantumRun:
     norm_drift: float
 
 
-def run_grid(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
-             dt: float, samples: int = DEFAULT_SAMPLES,
-             bound_inputs: "BoundInputs" = None) -> QuantumRun:
+def run_grid(spec: HamiltonianSpec, psi0: GridWavefunction | GridStack,
+             T: float, dt: float, samples: int = DEFAULT_SAMPLES,
+             bound_inputs=None):
     """Propagate psi0 and measure ~samples evenly spaced snapshots.
 
     The snapshots are the start, every stride-th step (stride =
@@ -255,11 +255,16 @@ def run_grid(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
     does not divide the step count; the steps follow time_steps(T, dt).
     They are measured as propagate hands them over, a block at a time:
     one stacked expectation_a call per block and, with ``bound_inputs``,
-    one BoundInputs.add call that takes the block's per-snapshot bound
-    work and keeps it for assemble_bounds.  samples must be a positive
-    integer.
+    one bound pass that takes the block's per-snapshot bound work and
+    keeps it for assemble_bounds.  samples must be a positive integer.
 
-    The run allocates one scratch block, of the shape of propagate's
+    psi0 is one state, with at most one BoundInputs, and the result its
+    QuantumRun; or a GridStack of S states, with a list of S BoundInputs
+    (one per row) or None, and the result a list of S QuantumRuns, each
+    bitwise the run of its row alone.  The moments and the bound pass
+    take each block of the whole stack at once.
+
+    The run allocates one scratch block, of the size of propagate's
     observer block, and every block's work goes through its leading
     rows: first the spectra of expectation_a, then the bound stage's W.
     So the observer allocates no block-sized array of its own for
@@ -269,24 +274,39 @@ def run_grid(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
     steps, step_dt = time_steps(T, dt)
     stride = max(1, steps // samples)
     grid = psi0.grid
-    scratch = _observer_block(grid, steps // stride)
+    stacked = isinstance(psi0, GridStack)
+    if not stacked:
+        psi0 = GridStack(grid, psi0.amp[None])
+    width = len(psi0.amps)
+    scratch = _observer_block(grid, steps // stride, width)
     times, expectations = [], []
 
     def observe(block_times, amps):
-        work = scratch[:len(amps)]
+        # amps is (S, rows) + (N,) * n, the rows of each state together.
+        work = scratch[:width * len(block_times)]
         times.append(block_times.copy())
-        expectations.append(expectation_a(amps, grid, work=work))
-        if bound_inputs is not None:
-            bound_inputs.add(block_times, amps, work)
+        expectations.append(expectation_a(amps, grid,
+                                          work=work.reshape(amps.shape)))
+        if bound_inputs is None:
+            return
+        if stacked:
+            BoundInputs.add_stack(bound_inputs, block_times, amps,
+                                  work.reshape(amps.shape))
+        else:
+            bound_inputs.add(block_times, amps[0], work)
 
-    observe(np.zeros(1), psi0.amp[None])
+    observe(np.zeros(1), psi0.amps[:, None])
     ev = propagate(spec, psi0, T, dt, observer=observe, observe_stride=stride)
     if steps % stride:
-        observe(np.array([steps * step_dt]), ev.final.amp[None])
-    return QuantumRun(times=np.concatenate(times),
-                      expectations=np.concatenate(expectations),
-                      boundary_mass_max=ev.boundary_mass_max,
-                      norm_drift=ev.norm_drift)
+        observe(np.array([steps * step_dt]), ev.final.amps[:, None])
+    times = np.concatenate(times)
+    expectations = np.concatenate(expectations, axis=1)
+    runs = [QuantumRun(times=times, expectations=moments,
+                       boundary_mass_max=float(boundary),
+                       norm_drift=float(drift))
+            for moments, boundary, drift in zip(
+                expectations, ev.boundary_mass_max, ev.norm_drift)]
+    return runs if stacked else runs[0]
 
 
 def measured_error(run: QuantumRun, traj: ClassicalTrajectory) -> ErrorCurve:
@@ -346,26 +366,31 @@ def _membership_probes(comp: ComparatorSpec, coeffs, residual):
 
 
 class BoundInputs:
-    """The per-snapshot half of the bound assembly, fed as a run streams.
+    """The per-snapshot half of the bound assembly of one sample, fed as a
+    run streams.
 
     add(times, amps, work) takes a block of grid states u (amps, shape
     (B,) + (N,) * n on the problem's grid) at snapshot times, as
     propagate hands them to run_grid, and scores the block as arrays.
-    flow.sample writes the approximating packets W, at the trajectory
-    step of each time, into ``work``: a complex block of amps' shape
-    whose contents are not read, run_grid's scratch block for the run,
-    which add overwrites.  W and u are projected by one row-exact
-    hermite_coefficients call each, and apply_comparator smooths the W
-    rows from W's projection.  delta1 = ||W - u|| and
-    delta2 = ||(1 - Omega) W|| are stacked row norms.  The membership
-    probes are one within_magnitude call per state, on that state's row
-    of the projection, so W's one projection serves delta2 and its probe
-    alike.  Every number is bitwise the one a stack of one gives.
-    ``blocks`` holds one tuple of arrays per block: steps, delta1,
-    delta2, the inverse norms of u and W, their divergence flags.  The
-    first W row with more than RESIDUAL_TOL of its mass outside the basis
-    ends the run's bound work: its BasisResidualError goes to
-    ``failure``, for assemble_bounds to raise, and its block is not kept.
+    It is the stack of one of add_stack(inputs, times, amps, work),
+    which scores the block of a stacked run, amps of shape (S, B) +
+    (N,) * n, for the S samples' inputs at once.  The approximating
+    packets W of every sample, at the trajectory step of each time, go
+    into ``work``: a complex block of amps' shape whose contents are not
+    read, run_grid's scratch block for the run.  W and u are projected
+    by one row-exact hermite_coefficients call each, and
+    apply_comparator smooths the W rows from W's projection.
+    delta1 = ||W - u|| and delta2 = ||(1 - Omega) W|| are stacked row
+    norms.  The membership probes are one within_magnitude call per
+    state, on that state's row of the projection, so W's one projection
+    serves delta2 and its probe alike.  Every number is bitwise the one
+    a stack of one gives.  ``blocks`` holds one tuple per block: the
+    steps, a (4, B) array of delta1, delta2 and the inverse norms of u
+    and W, and a (2, B) array of their divergence flags.  The first W
+    row of a sample with more than RESIDUAL_TOL of its mass outside the
+    basis ends that sample's bound work: its BasisResidualError goes to
+    the sample's ``failure``, for assemble_bounds to raise, and its block
+    is not kept; the other samples of the stack go on.
     """
 
     def __init__(self, problem: ReductionProblem, flow: PacketFlow):
@@ -375,28 +400,53 @@ class BoundInputs:
         self.failure = None
 
     def add(self, times, amps, work):
-        traj = self.flow.traj
-        steps = np.rint(times / traj.dt).astype(int)
-        if np.any(np.abs(traj.times[steps] - times) > 1e-9):
-            raise NumericalError("grid run and trajectory samples disagree")
-        if self.failure is not None:
+        BoundInputs.add_stack([self], times, amps[None], work[None])
+
+    @staticmethod
+    def add_stack(inputs, times, amps, work):
+        # The samples of one run share its snapshot times, and so the
+        # trajectory steps of every flow on the run's time step.
+        steps = np.rint(times / inputs[0].flow.traj.dt).astype(int)
+        for item in inputs:
+            if np.any(np.abs(item.flow.traj.times[steps] - times) > 1e-9):
+                raise NumericalError("grid run and trajectory samples disagree")
+        live = [row for row, item in enumerate(inputs) if item.failure is None]
+        if not live:
             return
-        comp, grid = self.problem.comparator, self.problem.grid
-        w = self.flow.sample(steps, grid, out=work)
-        w_coeffs, w_residual = hermite_coefficients(comp, w, grid)
-        outside = np.flatnonzero(w_residual > RESIDUAL_TOL)
-        if outside.size:
-            self.failure = _residual_error(w_residual[outside[0]])
+        comp, grid = inputs[0].problem.comparator, inputs[0].problem.grid
+        w = work[:len(live)]
+        _sample_flows([inputs[row].flow for row in live], steps, grid, w)
+        w_coeffs, w_residual = hermite_coefficients(comp, _rows(w), grid)
+        residual = w_residual.reshape(len(live), -1)
+        outside = residual > RESIDUAL_TOL
+        if np.any(outside):
+            for row, over, row_residual in zip(live, outside, residual):
+                if np.any(over):
+                    inputs[row].failure = _residual_error(
+                        row_residual[np.argmax(over)])
+            # The block again, for the samples still in the basis.
+            BoundInputs.add_stack(inputs, times, amps, work)
             return
-        delta1 = _row_norms(w - amps, grid)
-        u_coeffs, u_residual = hermite_coefficients(comp, amps, grid)
+        u = amps if len(live) == len(amps) else amps[live]
+        delta1 = _row_norms(_rows(w - u), grid)
+        u_coeffs, u_residual = hermite_coefficients(comp, _rows(u), grid)
         # W's rows are not read again once projected, so they turn into
         # W - Omega W, whose norms are delta2.
-        w -= apply_comparator(comp, (w_coeffs, w_residual), grid)
+        w_rows = _rows(w)
+        w_rows -= apply_comparator(comp, (w_coeffs, w_residual), grid)
+        delta2 = _row_norms(w_rows, grid)
         inv_u, div_u = _membership_probes(comp, u_coeffs, u_residual)
         inv_w, div_w = _membership_probes(comp, w_coeffs, w_residual)
-        self.blocks.append((steps, delta1, _row_norms(w, grid), inv_u, inv_w,
-                            div_u, div_w))
+        values = np.stack([delta1, delta2, inv_u, inv_w]).reshape(
+            4, len(live), -1)
+        flags = np.stack([div_u, div_w]).reshape(2, len(live), -1)
+        for at, row in enumerate(live):
+            inputs[row].blocks.append((steps, values[:, at], flags[:, at]))
+
+
+def _rows(stack):
+    """A (S, B, ...) array of S samples' blocks as S * B rows."""
+    return stack.reshape((-1,) + stack.shape[2:])
 
 
 def _select_E(E, probe) -> float:
@@ -470,8 +520,10 @@ def assemble_bounds(problem: ReductionProblem, run: QuantumRun,
     duh_full = duhamel_curve(problem.spec, inputs.flow)
     if inputs.failure is not None:
         raise inputs.failure
-    steps, delta1, delta2, inv_u, inv_w, div_u, div_w = (
-        np.concatenate(column) for column in zip(*inputs.blocks))
+    steps, values, flags = (np.concatenate(column, axis=-1)
+                            for column in zip(*inputs.blocks))
+    delta1, delta2, inv_u, inv_w = values
+    div_u, div_w = flags
     delta1_duh = duh_full[steps]
     E = _select_E(problem.E, lambda: (np.concatenate([inv_u, inv_w]),
                                       np.concatenate([div_u, div_w])))
@@ -572,36 +624,6 @@ def _region_lattice(problem: ReductionProblem) -> list:
     return [p for p, ok in zip(points, inside) if ok]
 
 
-def _single_run(problem: ReductionProblem, alpha0: PhasePoint):
-    spec = problem.spec
-    traj = integrate_flow(spec, alpha0, problem.T, problem.dt)
-    base = packet(alpha0, problem.M0)
-    flow = approximate_flow(spec, traj, base)
-    psi0 = sample_on_grid(base, problem.grid)
-    inputs = BoundInputs(problem, flow)
-    run = run_grid(spec, psi0, problem.T, problem.dt, problem.samples, inputs)
-    error = measured_error(run, traj)
-    eps = problem.epsilon_vector()
-    within = bool(np.all(error.components < eps[None, :]))
-    bounds = failure = None
-    try:
-        bounds = assemble_bounds(problem, run, inputs, error)
-    except BasisResidualError as exc:
-        # The certificate broke down, not the run: the measured error
-        # still decides the verdict, and no bound is reported.
-        failure = {"alpha0": alpha0.vector.tolist(),
-                   "error": type(exc).__name__, "message": str(exc)}
-    # An epsilon violation disproves reduction outright; the magnitude
-    # hypotheses only gate the positive certificate.
-    if not within:
-        verdict = "not-reduced"
-    elif bounds is not None and bounds.hypotheses_hold:
-        verdict = "reduced"
-    else:
-        verdict = "hypothesis-failed"
-    return run, error, bounds, verdict, failure
-
-
 def run_reduction(problem: ReductionProblem) -> ReductionReport:
     """Full pipeline: flows, grid run, errors, bounds and the verdict.
 
@@ -616,11 +638,50 @@ def run_reduction(problem: ReductionProblem) -> ReductionReport:
     report's bound_failure names the first such sample.  provenance["E_source"]
     is "given" for a user E and "auto" for one selected from the run,
     where the magnitude hypotheses hold by construction.
+
+    Each sample has its own classical flow, packet flow and Duhamel
+    curve.  The grid runs go as stacks: one run_grid call per chunk of
+    as many states as a single run's observer block holds (64 in 1D at
+    N = 1024, 4 in 2D at N = 128), with one BoundInputs per sample.
+    Every number is bitwise the one a run of the sample alone gives.
     """
+    spec, grid = problem.spec, problem.grid
+    eps = problem.epsilon_vector()
+    points = _region_lattice(problem)
+    chunk = _block_rows(grid, len(points))
     outcomes = []
-    for a0 in _region_lattice(problem):
-        run, error, bounds, verdict, failure = _single_run(problem, a0)
-        outcomes.append((a0, run, error, bounds, verdict, failure))
+    for first in range(0, len(points), chunk):
+        lattice = points[first:first + chunk]
+        trajs, inputs = [], []
+        amps = np.empty((len(lattice),) + (grid.N,) * grid.n, dtype=complex)
+        for row, alpha0 in enumerate(lattice):
+            trajs.append(integrate_flow(spec, alpha0, problem.T, problem.dt))
+            base = packet(alpha0, problem.M0)
+            inputs.append(BoundInputs(problem, approximate_flow(
+                spec, trajs[-1], base)))
+            amps[row] = sample_on_grid(base, grid).amp
+        runs = run_grid(spec, GridStack(grid, amps), problem.T, problem.dt,
+                        problem.samples, inputs)
+        for alpha0, traj, run, item in zip(lattice, trajs, runs, inputs):
+            error = measured_error(run, traj)
+            bounds = failure = None
+            try:
+                bounds = assemble_bounds(problem, run, item, error)
+            except BasisResidualError as exc:
+                # The certificate broke down, not the run: the measured
+                # error still decides the verdict, and no bound is
+                # reported.
+                failure = {"alpha0": alpha0.vector.tolist(),
+                           "error": type(exc).__name__, "message": str(exc)}
+            # An epsilon violation disproves reduction outright; the
+            # magnitude hypotheses only gate the positive certificate.
+            if not np.all(error.components < eps[None, :]):
+                verdict = "not-reduced"
+            elif bounds is not None and bounds.hypotheses_hold:
+                verdict = "reduced"
+            else:
+                verdict = "hypothesis-failed"
+            outcomes.append((alpha0, run, error, bounds, verdict, failure))
     worst = max(outcomes, key=lambda item: item[2].overall)
     _, run, error, bounds, _, _ = worst
     verdicts = [item[4] for item in outcomes]
@@ -678,21 +739,40 @@ def ehrenfest_run(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
     grid = psi0.grid
     dv = spec.potential.derivative(grid.x)
     cell = grid.cell
+    stride = _positive_int(sample_stride, "sample_stride")
+    # One work block per run, two of propagate's observer blocks: the
+    # spectrum (then the derivative) and the momentum integrand.
+    rows = _block_rows(grid, time_steps(T, dt)[0] // stride)
+    work = np.empty((2, rows, grid.N), dtype=complex)
     blocks = []
 
     def collect(times, amps):
-        dens = np.abs(amps) ** 2
+        dpsi, integrand = work[:, :len(amps)]
+        # The density and a weighted density, real arrays, take the
+        # integrand's memory until the integrand is formed.
+        dens, weighted = integrand.view(float).reshape((2,) + amps.shape)
+        np.abs(amps, out=dens)
+        np.square(dens, out=dens)
         mass = np.sum(dens, axis=-1) * cell
-        q = np.sum(grid.x * dens, axis=-1) * cell / mass
-        dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(amps))
-        p = np.sum(np.conj(amps) * -1j * dpsi, axis=-1).real * cell / mass
-        blocks.append(np.column_stack([
-            times, q, p, np.sum(dv * dens, axis=-1) * cell / mass,
-            spec.potential.derivative(q)]))
+        q = np.sum(np.multiply(grid.x, dens, out=weighted), axis=-1) \
+            * cell / mass
+        grad_v_mean = np.sum(np.multiply(dv, dens, out=weighted), axis=-1) \
+            * cell / mass
+        # ifft(1j * k * fft(amps)); 1j * k is imaginary, so the product
+        # rounds alike in either operand order.
+        np.fft.fft(amps, out=dpsi)
+        dpsi *= 1j * grid.k
+        np.fft.ifft(dpsi, out=dpsi)
+        # conj(amps) * -1j * dpsi, in that order, summed as complex.
+        np.conjugate(amps, out=integrand)
+        integrand *= -1j
+        integrand *= dpsi
+        p = np.sum(integrand, axis=-1).real * cell / mass
+        blocks.append(np.column_stack([times, q, p, grad_v_mean,
+                                       spec.potential.derivative(q)]))
 
     collect(np.zeros(1), psi0.amp[None])
-    propagate(spec, psi0, T, dt, observer=collect,
-              observe_stride=_positive_int(sample_stride, "sample_stride"))
+    propagate(spec, psi0, T, dt, observer=collect, observe_stride=stride)
     data = np.concatenate(blocks)
     return EhrenfestData(times=data[:, 0], position=data[:, 1],
                          momentum=data[:, 2], grad_v_mean=data[:, 3],

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comparator import ComparatorSpec, _basis, _constants
-from .grid import GridSpec, GridWavefunction, propagate
+from .grid import GridSpec, GridStack, GridWavefunction, propagate
 from .hamiltonian import HamiltonianSpec
 from .quadrature import cumulative_simpson
 
@@ -222,10 +222,17 @@ def _grid_stay_curve(handle: GridHamiltonian, psi: GridWavefunction,
     """Times and tau(t) of <U_t psi, Omega U_t psi> on [-t, t] for a grid run.
 
     The comparator expectation sum_k e^{-s k} |c_k|^2 is taken at every
-    step, forward and backward in time, from one matrix-matrix projection
-    product per block of states that propagate hands its observer.  In
-    1D that product is not row-exact (hermite_coefficients is); a curve
-    integrated over thousands of steps needs no single-state bits.
+    step, forward and backward in time.  Backward time from a real
+    Hamiltonian is forward time from the conjugate state, so both runs
+    go as one 2-row stack, and each block that propagate hands its
+    observer is projected by one matrix-matrix product over both rows'
+    states.  In 1D that product is not row-exact (hermite_coefficients
+    is): BLAS takes a one-row product (gemv) in other bits than a
+    block's (gemm).  Each start state keeps a one-row product of its
+    own, as its run alone had; a run alone whose last block held one
+    state (steps one more than a multiple of 64 at N = 1024) differs
+    from the stack in that step's last bits.  A curve integrated over
+    thousands of steps needs no single-state bits.
     """
     if not isinstance(comp, ComparatorSpec):
         raise ValueError("grid evolutions take a ComparatorSpec as Omega")
@@ -245,17 +252,19 @@ def _grid_stay_curve(handle: GridHamiltonian, psi: GridWavefunction,
 
     steps = _step_count(T, handle.dt)
     dt = T / steps
-    curves = []
-    # Backward time from a real Hamiltonian is forward time from the
-    # conjugate state; the comparator kernel is real, so its expectation
-    # in the conjugate state needs no further adjustment.
-    for start in (psi.amp, np.conj(psi.amp)):
-        values = [expectations(start[None])]
-        propagate(handle.spec, GridWavefunction(grid, start), T, dt,
-                  observer=lambda t, amps: values.append(expectations(amps)))
-        curves.append(np.concatenate(values))
+    # The comparator kernel is real, so its expectation in the conjugate
+    # state needs no further adjustment.
+    starts = np.stack([psi.amp, np.conj(psi.amp)])
+    curves = [[expectations(start[None])] for start in starts]
+
+    def observe(t, amps):
+        rows = expectations(amps.reshape((-1,) + amps.shape[2:]))
+        for curve, values in zip(curves, rows.reshape(len(starts), -1)):
+            curve.append(values)
+
+    propagate(handle.spec, GridStack(grid, starts), T, dt, observer=observe)
     times = np.linspace(0.0, T, steps + 1)
-    both = curves[0] + curves[1]
+    both = np.concatenate(curves[0]) + np.concatenate(curves[1])
     tau = cumulative_simpson(both, x=times)
     return times, tau
 

@@ -8,7 +8,9 @@ from qreduce.packets import packet, sample_on_grid
 from qreduce.grid import (
     DEFAULT_GRID,
     GridSpec,
+    GridStack,
     GridWavefunction,
+    _observer_block,
     construct_localizer,
     expectation_a,
     localization_check,
@@ -388,3 +390,102 @@ def test_expectations_in_a_work_block_are_bitwise_the_fresh_form(grid, rows):
         dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(amps))
         p = np.sum(np.conj(amps) * -1j * dpsi, axis=-1).real * grid.cell
         assert np.array_equal(fresh[:, 1], p)
+
+
+CUBIC_1D = HamiltonianSpec(mass=1.0,
+                           potential=PotentialModel.polynomial([0, 0.1, 0.5, 0.05]))
+
+
+def random_states(grid, count, seed):
+    rng = np.random.default_rng(seed)
+    return [sample_on_grid(packet(rng.uniform(-1.0, 1.0, 2 * grid.n),
+                                  rng.uniform(0.7, 1.5) * np.eye(grid.n)), grid)
+            for _ in range(count)]
+
+
+STACK_CASES = [(CUBIC_1D, DEFAULT_GRID, size, 120, 5e-3) for size in (1, 2, 9, 17)] + [
+    (COUPLED_2D, GridSpec(n=2, N=N, L=8.0 if N == 64 else 10.0), size, 7, 0.01)
+    for N in (64, 128) for size in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("spec, grid, size, steps, dt", STACK_CASES, ids=[
+    f"{grid.n}d-N{grid.N}-S{size}" for _, grid, size, _, _ in STACK_CASES])
+def test_stacked_rows_are_bitwise_the_runs_alone(spec, grid, size, steps, dt):
+    # Each row of a stack, observed every third step, ends and is seen
+    # exactly as the same state run alone, with its own telemetry.  At 17
+    # rows of 16 KiB the stack holds ELIDE_BYTES though no state does, so
+    # the table products must take their operand order from one state.
+    states = random_states(grid, size, seed=size)
+
+    def observed(psi0):
+        seen = []
+        run = propagate(spec, psi0, steps * dt, dt, observe_stride=3,
+                        observer=lambda t, amps: seen.append((t.copy(),
+                                                              amps.copy())))
+        return run, seen
+
+    run, seen = observed(GridStack(grid, np.stack([psi.amp for psi in states])))
+    assert all(amps.shape[0] == size for _, amps in seen)
+    for row, psi in enumerate(states):
+        alone, alone_seen = observed(psi)
+        assert np.array_equal(run.final.amps[row], alone.final.amp)
+        assert run.boundary_mass_max[row] == alone.boundary_mass_max
+        assert run.norm_drift[row] == alone.norm_drift
+        assert np.array_equal(np.concatenate([t for t, _ in seen]),
+                              np.concatenate([t for t, _ in alone_seen]))
+        assert np.array_equal(np.concatenate([a[row] for _, a in seen]),
+                              np.concatenate([a for _, a in alone_seen]))
+
+
+def test_a_wrapping_row_ends_a_stacked_run():
+    grid = GridSpec(n=1, N=256, L=10.0)
+    still = sample_on_grid(packet([0.0, 0.0], 1.0), grid)
+    moving = sample_on_grid(packet([3.0, 12.0], 1.0), grid)
+    assert propagate(FREE, still, 1.0, 1e-2).boundary_mass_max <= 1e-10
+    with pytest.raises(WraparoundError, match="boundary mass"):
+        propagate(FREE, GridStack(grid, np.stack([still.amp, moving.amp])),
+                  1.0, 1e-2)
+    edge = weyl_displace(vacuum(grid), np.array([9.5, 0.0]))
+    with pytest.raises(WraparoundError, match="initial state"):
+        propagate(FREE, GridStack(grid, np.stack([still.amp, edge.amp])),
+                  1.0, 1e-2)
+
+
+def test_grid_stack_checks_its_shape():
+    with pytest.raises(ValueError):
+        GridStack(DEFAULT_GRID, np.zeros(DEFAULT_GRID.N))
+    with pytest.raises(ValueError):
+        GridStack(DEFAULT_GRID, np.zeros((2, 64)))
+    assert GridStack(DEFAULT_GRID, np.zeros((3, 1024))).amps.dtype == complex
+
+
+def test_a_stack_splits_one_runs_observer_block_in_1d():
+    # 1D: a single run's block (at most 64 states of 16 KiB, no more than
+    # the run observes) split across the stack, one state per row at
+    # least.  2D: each row keeps a single run's block.
+    assert _observer_block(DEFAULT_GRID, 25, 1).shape == (25, 1024)
+    assert _observer_block(DEFAULT_GRID, 25, 9).shape == (18, 1024)
+    assert _observer_block(DEFAULT_GRID, 500, 64).shape == (64, 1024)
+    assert _observer_block(DEFAULT_GRID, 500, 100).shape == (100, 1024)
+    grid = GridSpec(n=2, N=128, L=10.0)
+    assert _observer_block(grid, 50, 4).shape == (16, 128, 128)
+    assert _observer_block(grid, 2, 4).shape == (8, 128, 128)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(n=2, N=64, L=8.0), DEFAULT_GRID],
+                         ids=["2d", "1d"])
+def test_moments_of_a_batch_take_each_block_alone(grid):
+    # A (S, B) batch of states: each state's block of B rows has the
+    # moments it has alone.  In 2D that needs the marginals' BLAS
+    # matrix-vector products taken block by block, whose row bits depend
+    # on the rows in one call.
+    rng = np.random.default_rng(5)
+    amps = np.stack([
+        sample_on_grid(packet(rng.uniform(-2.0, 2.0, 2 * grid.n),
+                              rng.uniform(0.5, 2.0) * np.eye(grid.n)),
+                       grid).normalized().amp
+        for _ in range(12)]).reshape((3, 4) + (grid.N,) * grid.n)
+    batch = expectation_a(amps, grid)
+    assert batch.shape == (3, 4, 2 * grid.n)
+    for row in range(3):
+        assert np.array_equal(batch[row], expectation_a(amps[row], grid))

@@ -13,7 +13,8 @@ from qreduce.classical import PhaseRegion, integrate_flow
 from qreduce.comparator import RESIDUAL_TOL, ComparatorSpec, \
     apply_comparator, hermite_coefficients, within_magnitude
 from qreduce.errors import BasisResidualError, ConfigError, NumericalError
-from qreduce.grid import GridSpec, GridWavefunction, expectation_a, propagate
+from qreduce.grid import GridSpec, GridStack, GridWavefunction, expectation_a, \
+    propagate
 from qreduce.hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel, \
     _remainder_by_subtraction, time_steps
 from qreduce.packets import approximate_flow, packet, sample_on_grid
@@ -840,3 +841,190 @@ def test_each_snapshot_state_is_projected_once(monkeypatch):
     snapshots = len(report.sample_results) * len(report.times)
     assert len(report.sample_results) == 9
     assert sum(rows) == 2 * snapshots
+
+
+def per_sample_loop(problem):
+    """(alpha0, run, inputs, error, bounds, verdict, failure) per lattice
+    sample, as run_reduction ran the lattice before it was stacked: each
+    sample's flow, grid run and bound stage on its own, one after
+    another."""
+    eps = problem.epsilon_vector()
+    outcomes = []
+    for alpha0 in reduction._region_lattice(problem):
+        traj = integrate_flow(problem.spec, alpha0, problem.T, problem.dt)
+        base = packet(alpha0, problem.M0)
+        inputs = BoundInputs(problem,
+                             approximate_flow(problem.spec, traj, base))
+        run = run_grid(problem.spec, sample_on_grid(base, problem.grid),
+                       problem.T, problem.dt, problem.samples, inputs)
+        error = measured_error(run, traj)
+        bounds = failure = None
+        try:
+            bounds = assemble_bounds(problem, run, inputs, error)
+        except BasisResidualError as exc:
+            failure = {"alpha0": alpha0.vector.tolist(),
+                       "error": type(exc).__name__, "message": str(exc)}
+        if not np.all(error.components < eps[None, :]):
+            verdict = "not-reduced"
+        elif bounds is not None and bounds.hypotheses_hold:
+            verdict = "reduced"
+        else:
+            verdict = "hypothesis-failed"
+        outcomes.append((alpha0, run, inputs, error, bounds, verdict, failure))
+    return outcomes
+
+
+BOUND_FIELDS = ("delta1_measured", "delta1_duhamel", "delta2", "inv_norms_u",
+                "inv_norms_w", "membership_u", "membership_w", "general",
+                "specialized", "E_used", "omega_measured")
+
+
+def assert_report_is_the_per_sample_loop(problem, report):
+    outcomes = per_sample_loop(problem)
+    assert report.sample_results == [
+        {"alpha0": alpha0.vector.tolist(), "max_error": error.overall,
+         "verdict": verdict}
+        for alpha0, _, _, error, _, verdict, _ in outcomes]
+    _, run, _, error, bounds, _, _ = max(outcomes,
+                                         key=lambda item: item[3].overall)
+    assert np.array_equal(report.times, run.times)
+    assert np.array_equal(report.error.components, error.components)
+    assert report.provenance["boundary_mass_max"] == run.boundary_mass_max
+    assert report.provenance["norm_drift"] == run.norm_drift
+    failures = [item[6] for item in outcomes if item[6] is not None]
+    assert report.bound_failure == (failures[0] if failures else None)
+    assert (report.bounds is None) == (bounds is None)
+    for key in BOUND_FIELDS if bounds is not None else ():
+        assert np.array_equal(getattr(report.bounds, key),
+                              getattr(bounds, key)), key
+    return report, outcomes
+
+
+def stacked_reduction(problem, monkeypatch):
+    """run_reduction's report and the stack size of each grid run."""
+    sizes = []
+
+    def counting(spec, psi0, *args, **kwargs):
+        sizes.append(len(psi0.amps))
+        return propagate(spec, psi0, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reduction, "propagate", counting)
+        return run_reduction(problem), sizes
+
+
+def test_a_1d_region_reduce_is_bitwise_the_per_sample_loop(monkeypatch):
+    # Nine samples, one stack: one propagate loop for the lattice.
+    problem = STREAM_CASES["lattice-1d"]
+    report, sizes = stacked_reduction(problem, monkeypatch)
+    assert sizes == [9]
+    assert_report_is_the_per_sample_loop(problem, report)
+    assert report.bounds is not None
+
+
+# Nine samples of the coupled 2D unit on a 128-point grid, whose 256 KiB
+# states go four to a stack: chunks of 4, 4 and 1.
+REGION_2D = dataclasses.replace(
+    STREAM_CASES["coupled-2d"], grid=GridSpec(n=2, N=128, L=10.0),
+    region=PhaseRegion.box(STREAM_CASES["coupled-2d"].alpha0,
+                           [0.01, 0.01, np.inf, np.inf]))
+
+
+def test_a_2d_region_reduce_in_chunks_is_bitwise_the_per_sample_loop(
+        monkeypatch):
+    report, sizes = stacked_reduction(REGION_2D, monkeypatch)
+    assert sizes == [4, 4, 1]
+    assert_report_is_the_per_sample_loop(REGION_2D, report)
+    assert len(report.sample_results) == 9
+
+
+# A free packet spreads out of a 17-function basis; the samples displaced
+# by +-1 leave it before T, the centre does not.
+SPREADING = ReductionProblem(
+    spec=FREE, alpha0=PhasePoint(0.0, 0.0), T=0.6, dt=0.01, epsilon=1.0,
+    comparator=ComparatorSpec(s=1.0, N=16),
+    region=PhaseRegion.box(PhasePoint(0.0, 0.0), [1.0, np.inf]))
+
+
+def test_a_sample_outside_the_basis_fails_alone():
+    report, outcomes = assert_report_is_the_per_sample_loop(
+        SPREADING, run_reduction(SPREADING))
+    assert [item[6] is not None for item in outcomes] == [True, False, True]
+    assert report.bound_failure["alpha0"] == outcomes[0][0].vector.tolist()
+    assert outcomes[1][4] is not None
+    assert [r["verdict"] for r in report.sample_results] == [
+        "hypothesis-failed", outcomes[1][5], "hypothesis-failed"]
+
+
+@pytest.mark.parametrize("problem", [
+    STREAM_CASES["lattice-1d"], REGION_2D, SPREADING],
+    ids=["lattice-1d", "region-2d", "spreading"])
+def test_a_stacked_run_feeds_each_sample_its_own_numbers(problem):
+    # One run_grid call for a stack of the first four samples: each
+    # sample's QuantumRun and BoundInputs (its columns, or its own
+    # failure) are bitwise those of its run alone.  In 1D the stack's
+    # blocks are its rows' share of a single run's block, so the columns
+    # are compared across blocks.
+    outcomes = per_sample_loop(problem)[:4]
+    inputs = [BoundInputs(problem, item[2].flow) for item in outcomes]
+    amps = np.stack([sample_on_grid(item[2].flow.base, problem.grid).amp
+                     for item in outcomes])
+    runs = run_grid(problem.spec, GridStack(problem.grid, amps), problem.T,
+                    problem.dt, problem.samples, inputs)
+    for run, got, (_, alone, want, *_) in zip(runs, inputs, outcomes):
+        assert np.array_equal(run.times, alone.times)
+        assert np.array_equal(run.expectations, alone.expectations)
+        assert run.boundary_mass_max == alone.boundary_mass_max
+        assert run.norm_drift == alone.norm_drift
+        assert str(got.failure) == str(want.failure)
+        if want.failure is not None:
+            # The blocks before the failing one are never read.
+            continue
+        for a, b in zip(zip(*got.blocks), zip(*want.blocks), strict=True):
+            assert np.array_equal(np.concatenate(a, axis=-1),
+                                  np.concatenate(b, axis=-1))
+
+
+def test_ehrenfest_blocks_are_bitwise_the_written_out_block_form():
+    # The block observer as it ran before it went in place, on full
+    # 64-row blocks (1 MiB, where numpy elided the expression's
+    # temporaries) and a partial one; the momentum integrand is summed as
+    # complex numbers.
+    grid = GridSpec(1, 1024, 20.0)
+    psi0 = sample_on_grid(packet(PhasePoint(1.0, 0.3), 1.3), grid)
+    T, dt, stride = 0.8, 2e-3, 2
+    pot = CUBIC_PERTURBED.potential
+    dv = pot.derivative(grid.x)
+    cell = grid.cell
+    blocks = []
+
+    def collect(times, amps):
+        dens = np.abs(amps) ** 2
+        mass = np.sum(dens, axis=-1) * cell
+        q = np.sum(grid.x * dens, axis=-1) * cell / mass
+        dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(amps))
+        p = np.sum(np.conj(amps) * -1j * dpsi, axis=-1).real * cell / mass
+        blocks.append(np.column_stack([
+            times, q, p, np.sum(dv * dens, axis=-1) * cell / mass,
+            pot.derivative(q)]))
+
+    collect(np.zeros(1), psi0.amp[None])
+    propagate(CUBIC_PERTURBED, psi0, T, dt, observer=collect,
+              observe_stride=stride)
+    expected = np.concatenate(blocks)
+    data = ehrenfest_run(CUBIC_PERTURBED, psi0, T, dt=dt, sample_stride=stride)
+    assert [len(block) for block in blocks] == [1, 64, 64, 64, 8]
+    for column, got in enumerate((data.times, data.position, data.momentum,
+                                  data.grad_v_mean, data.grad_v_at_mean)):
+        assert np.array_equal(got, expected[:, column])
+
+
+def test_the_normal_rule_is_computed_once_and_read_only():
+    from numpy.polynomial.hermite_e import hermegauss
+    z, w = hamiltonian.normal_rule()
+    assert hamiltonian.normal_rule()[0] is z
+    nodes, weights = hermegauss(hamiltonian.GAUSS_NODES)
+    assert np.array_equal(z, nodes)
+    assert np.array_equal(w, weights / np.sqrt(2.0 * np.pi))
+    with pytest.raises(ValueError):
+        w[0] = 0.0

@@ -309,3 +309,52 @@ def test_bound_states_form_a_linear_manifold(raw):
     omega = np.outer(psi, psi.conj())
     out = classify_quantum(evo, psi, omega, horizons=2000.0)
     assert out["label"] == "pp-like"
+
+
+def per_member_stay_curve(handle, psi, comp, T):
+    """_grid_stay_curve as it ran before its two runs became one stack:
+    a forward run on psi and one on conj(psi), each alone."""
+    from qreduce.comparator import _basis, _constants
+    from qreduce.grid import GridWavefunction, propagate
+    from qreduce.quadrature import cumulative_simpson
+    grid = psi.grid
+    decay = _constants(comp, grid.n).decay
+    h = _basis(comp, grid)
+
+    def expectations(amps):
+        if grid.n == 1:
+            coeffs = amps @ h.T * grid.dx
+        else:
+            coeffs = h @ amps @ h.T * grid.cell
+        return np.sum(decay * np.abs(coeffs) ** 2, axis=(-1, -2)[:grid.n])
+
+    steps = spectral._step_count(T, handle.dt)
+    curves = []
+    for start in (psi.amp, np.conj(psi.amp)):
+        values = [expectations(start[None])]
+        propagate(handle.spec, GridWavefunction(grid, start), T, T / steps,
+                  observer=lambda t, amps: values.append(expectations(amps)))
+        curves.append(np.concatenate(values))
+    times = np.linspace(0.0, T, steps + 1)
+    return times, cumulative_simpson(curves[0] + curves[1], x=times)
+
+
+@pytest.mark.parametrize("spec, grid, alpha0, T", [
+    (HARMONIC, GridSpec(1, 256, 12.0), [0.3, 1.0], 5.0),
+    (HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial2d(
+        [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])),
+     GridSpec(2, 32, 8.0), [1.0, 0.0, 0.0, 0.5], 1.0),
+], ids=["1d", "2d"])
+def test_the_stacked_stay_curve_is_bitwise_the_two_runs_alone(spec, grid,
+                                                              alpha0, T):
+    # 100 (1D) and 20 (2D) steps: the forward and backward runs go as
+    # one 2-row stack, in blocks of half a single run's rows in 1D, and
+    # each start state keeps its own one-row projection (at this 1D
+    # start, a 2-row product of both starts moves tau).
+    handle = GridHamiltonian(spec, grid, dt=0.05)
+    psi = sample_on_grid(packet(alpha0, np.eye(grid.n)), grid)
+    comp = ComparatorSpec(s=1.0, N=16)
+    times, tau = spectral._grid_stay_curve(handle, psi, comp, T)
+    want_times, want_tau = per_member_stay_curve(handle, psi, comp, T)
+    assert np.array_equal(times, want_times)
+    assert np.array_equal(tau, want_tau)
