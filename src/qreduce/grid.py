@@ -139,7 +139,8 @@ class GridWavefunction:
 @dataclass(eq=False)
 class GridStack:
     """S amplitudes on one grid, shape (S,) + (N,) * n, that propagate
-    runs as one stack.  Treat instances as immutable."""
+    runs as one stack; stack[i] is row i as a GridWavefunction.  Treat
+    instances as immutable."""
 
     grid: GridSpec
     amps: np.ndarray
@@ -150,18 +151,26 @@ class GridStack:
         if self.amps.ndim != self.grid.n + 1 or self.amps.shape[1:] != expected:
             raise ValueError(f"stack shape {self.amps.shape} != (S,) + {expected}")
 
+    @classmethod
+    def of(cls, *states: GridWavefunction) -> "GridStack":
+        """The stack of states on one grid, in the order given."""
+        return cls(states[0].grid, np.stack([psi.amp for psi in states]))
+
+    def __len__(self) -> int:
+        return len(self.amps)
+
+    def __getitem__(self, row: int) -> GridWavefunction:
+        return GridWavefunction(self.grid, self.amps[row])
+
 
 @dataclass(eq=False)
 class GridEvolution:
-    """The final state of a split-operator run plus health telemetry.
+    """The final stack of a split-operator run plus health telemetry:
+    boundary_mass_max and norm_drift hold one value per row."""
 
-    For a GridStack run, final is the final GridStack and
-    boundary_mass_max and norm_drift hold one value per row.
-    """
-
-    final: GridWavefunction | GridStack
-    boundary_mass_max: float | np.ndarray
-    norm_drift: float | np.ndarray
+    final: GridStack
+    boundary_mass_max: np.ndarray
+    norm_drift: np.ndarray
 
 
 def potential_on_grid(spec: HamiltonianSpec, grid: GridSpec) -> np.ndarray:
@@ -170,35 +179,36 @@ def potential_on_grid(spec: HamiltonianSpec, grid: GridSpec) -> np.ndarray:
     return spec.potential.value(grid.x if grid.n == 1 else grid.x_mesh)
 
 
-def propagate(spec: HamiltonianSpec, psi0: GridWavefunction | GridStack,
-              t_final: float, dt: float, observer=None,
+def propagate(spec: HamiltonianSpec, psi0: GridStack, t_final: float,
+              dt: float, observer=None,
               observe_stride: int = 1) -> GridEvolution:
-    """Evolve psi0 under exp(-i h t) by Strang splitting.
+    """Evolve the S states of psi0 under exp(-i h t) by Strang splitting.
 
     Each step applies exp(-iV dt/2) exp(-i p^2 dt/2m) exp(-iV dt/2); the
     scheme is norm-preserving and second order in dt.  The FFTs are
     numpy's, one axis at a time in np.fft.fft2's order (last axis
     first), and the step runs in place on one work buffer that the call
-    owns, so the step itself allocates nothing.  Only the final state is
-    kept; the steps before it reach the caller through ``observer``.
+    owns, so the step itself allocates nothing.  Only the final states
+    are kept; the steps before them reach the caller through
+    ``observer``.
 
-    psi0 is one state or a GridStack of S states, which take each step
-    together: a single state runs as a stack of one.  numpy transforms
-    each row of a batched FFT as it would that row alone, and the table
-    products take the operand order that one state's size sets, so each
-    row is bitwise the run of that state alone.  Boundary mass and norm
-    drift are tracked per row.
+    The rows of psi0 take each step together; one state runs as a stack
+    of one (GridStack.of(psi)).  numpy transforms each row of a batched
+    FFT as it would that row alone, and the table products take the
+    operand order that one state's size sets, so each row is bitwise the
+    run of that state alone.  Boundary mass and norm drift are tracked
+    per row.
 
     ``observer`` sees the run in blocks, so running measurements need no
     snapshot storage and can batch their work.  The amplitude after every
     step that is a multiple of ``observe_stride`` (step 0 excluded) is
-    copied into a block buffer (_block_rows: at most OBSERVE_BLOCK_BYTES
-    for a single run, 64 states in 1D at N = 1024, 4 in 2D at N = 128).
-    When it is full, and once more for a final partial block, propagate
-    calls observer(times, amps) with times of shape (rows,), times[i] =
-    step * dt, and amps of shape (rows,) + (N,) * n, rows in step order,
-    or (S, rows) + (N,) * n for a stack.  Both are views of buffers
-    reused for the next block: copy what must outlive the call.
+    copied into a block buffer of at most OBSERVE_BLOCK_BYTES, split
+    across the stack (_block_rows: 64 states in 1D at N = 1024, 4 in 2D
+    at N = 128).  When it is full, and once more for a final partial
+    block, propagate calls observer(times, amps) with times of shape
+    (rows,), times[i] = step * dt, and amps of shape (S, rows) + (N,) * n,
+    each row's states in step order.  Both are views of buffers reused
+    for the next block: copy what must outlive the call.
 
     Raises
     ------
@@ -211,8 +221,7 @@ def propagate(spec: HamiltonianSpec, psi0: GridWavefunction | GridStack,
     if observe_stride < 1:
         raise ValueError("observe_stride must be at least 1")
     grid = psi0.grid
-    stacked = isinstance(psi0, GridStack)
-    amp = (psi0.amps if stacked else psi0.amp[None]).copy()
+    amp = psi0.amps.copy()
     v = potential_on_grid(spec, grid)
     half_v = np.exp(-0.5j * dt * v)
     kinetic = np.exp(-1j * dt * grid.k_squared / (2.0 * spec.mass))
@@ -251,7 +260,7 @@ def propagate(spec: HamiltonianSpec, psi0: GridWavefunction | GridStack,
             block[:, filled] = amp
             filled += 1
             if filled == block_rows:
-                observer(block_times, block if stacked else block[0])
+                observer(block_times, block)
                 filled = 0
         if step % CHECK_STRIDE == 0 or step == steps:
             for row, psi in enumerate(states):
@@ -263,15 +272,9 @@ def propagate(spec: HamiltonianSpec, psi0: GridWavefunction | GridStack,
                     f"boundary mass {first:.3g} at t = {t:.6g}; "
                     "enlarge the grid")
     if observer is not None and filled:
-        observer(block_times[:filled],
-                 block[:, :filled] if stacked else block[0, :filled])
-    if stacked:
-        return GridEvolution(final=GridStack(grid, amp),
-                             boundary_mass_max=boundary_max,
-                             norm_drift=norm_drift)
-    return GridEvolution(final=states[0],
-                         boundary_mass_max=float(boundary_max[0]),
-                         norm_drift=float(norm_drift[0]))
+        observer(block_times[:filled], block[:, :filled])
+    return GridEvolution(final=GridStack(grid, amp),
+                         boundary_mass_max=boundary_max, norm_drift=norm_drift)
 
 
 def _observer_block(grid: GridSpec, states: int, stack: int = 1) -> np.ndarray:
@@ -288,14 +291,11 @@ def _block_rows(grid: GridSpec, states: int, stack: int = 1) -> int:
 
     A single run's block holds as many states as fit in
     OBSERVE_BLOCK_BYTES, but no more than ``states`` and at least one.
-    A 1D stack splits it evenly, one state per row at least.  Each row
-    of a 2D stack keeps it: the 2D moments take their axis marginals by
-    BLAS matrix-vector products, whose row bits depend on the rows in
-    one call.
+    A stack splits it evenly, one state per row at least.
     """
     state_bytes = np.dtype(complex).itemsize * grid.N ** grid.n
     rows = max(1, min(states, OBSERVE_BLOCK_BYTES // state_bytes))
-    return max(1, rows // stack) if grid.n == 1 else rows
+    return max(1, rows // stack)
 
 
 def _product(factor, temp, out, result_first: bool) -> None:
@@ -313,8 +313,9 @@ def _product(factor, temp, out, result_first: bool) -> None:
 def propagation_self_check(spec: HamiltonianSpec, psi0: GridWavefunction,
                            t_final: float, dt: float) -> float:
     """Distance between a dt and a dt/2 run; estimates the splitting error."""
-    coarse = propagate(spec, psi0, t_final, dt).final
-    fine = propagate(spec, psi0, t_final, dt / 2).final
+    stack = GridStack.of(psi0)
+    coarse = propagate(spec, stack, t_final, dt).final[0]
+    fine = propagate(spec, stack, t_final, dt / 2).final[0]
     return coarse.distance(fine)
 
 

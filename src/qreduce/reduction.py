@@ -245,24 +245,24 @@ class QuantumRun:
     norm_drift: float
 
 
-def run_grid(spec: HamiltonianSpec, psi0: GridWavefunction | GridStack,
-             T: float, dt: float, samples: int = DEFAULT_SAMPLES,
-             bound_inputs=None):
-    """Propagate psi0 and measure ~samples evenly spaced snapshots.
+def run_grid(spec: HamiltonianSpec, psi0: GridStack, T: float, dt: float,
+             samples: int = DEFAULT_SAMPLES,
+             bound_inputs: list = None) -> list:
+    """Propagate the S states of psi0 and measure ~samples evenly spaced
+    snapshots of each: a list of S QuantumRuns, one per row.
 
     The snapshots are the start, every stride-th step (stride =
     steps // samples, at least 1) and the final step, also when stride
     does not divide the step count; the steps follow time_steps(T, dt).
-    They are measured as propagate hands them over, a block at a time:
-    one stacked expectation_a call per block and, with ``bound_inputs``,
-    one bound pass that takes the block's per-snapshot bound work and
-    keeps it for assemble_bounds.  samples must be a positive integer.
-
-    psi0 is one state, with at most one BoundInputs, and the result its
-    QuantumRun; or a GridStack of S states, with a list of S BoundInputs
-    (one per row) or None, and the result a list of S QuantumRuns, each
-    bitwise the run of its row alone.  The moments and the bound pass
-    take each block of the whole stack at once.
+    They are measured as propagate hands them over, a block of the
+    whole stack at a time: one stacked expectation_a call per block and,
+    with ``bound_inputs`` (S BoundInputs, one per row),
+    BoundInputs.add_stack, which takes the block's per-snapshot bound
+    work and keeps it for assemble_bounds.  Each run is bitwise the run
+    of its row alone, but for the 2D moments of a stack of more than
+    one: their axis marginals go through BLAS matrix-vector products,
+    whose row bits depend on the rows per call.  samples must be a
+    positive integer.
 
     The run allocates one scratch block, of the size of propagate's
     observer block, and every block's work goes through its leading
@@ -274,26 +274,16 @@ def run_grid(spec: HamiltonianSpec, psi0: GridWavefunction | GridStack,
     steps, step_dt = time_steps(T, dt)
     stride = max(1, steps // samples)
     grid = psi0.grid
-    stacked = isinstance(psi0, GridStack)
-    if not stacked:
-        psi0 = GridStack(grid, psi0.amp[None])
-    width = len(psi0.amps)
-    scratch = _observer_block(grid, steps // stride, width)
+    scratch = _observer_block(grid, steps // stride, len(psi0))
     times, expectations = [], []
 
     def observe(block_times, amps):
         # amps is (S, rows) + (N,) * n, the rows of each state together.
-        work = scratch[:width * len(block_times)]
+        work = scratch[:len(amps) * len(block_times)].reshape(amps.shape)
         times.append(block_times.copy())
-        expectations.append(expectation_a(amps, grid,
-                                          work=work.reshape(amps.shape)))
-        if bound_inputs is None:
-            return
-        if stacked:
-            BoundInputs.add_stack(bound_inputs, block_times, amps,
-                                  work.reshape(amps.shape))
-        else:
-            bound_inputs.add(block_times, amps[0], work)
+        expectations.append(expectation_a(amps, grid, work=work))
+        if bound_inputs is not None:
+            BoundInputs.add_stack(bound_inputs, block_times, amps, work)
 
     observe(np.zeros(1), psi0.amps[:, None])
     ev = propagate(spec, psi0, T, dt, observer=observe, observe_stride=stride)
@@ -301,12 +291,11 @@ def run_grid(spec: HamiltonianSpec, psi0: GridWavefunction | GridStack,
         observe(np.array([steps * step_dt]), ev.final.amps[:, None])
     times = np.concatenate(times)
     expectations = np.concatenate(expectations, axis=1)
-    runs = [QuantumRun(times=times, expectations=moments,
+    return [QuantumRun(times=times, expectations=moments,
                        boundary_mass_max=float(boundary),
                        norm_drift=float(drift))
             for moments, boundary, drift in zip(
                 expectations, ev.boundary_mass_max, ev.norm_drift)]
-    return runs if stacked else runs[0]
 
 
 def measured_error(run: QuantumRun, traj: ClassicalTrajectory) -> ErrorCurve:
@@ -369,16 +358,14 @@ class BoundInputs:
     """The per-snapshot half of the bound assembly of one sample, fed as a
     run streams.
 
-    add(times, amps, work) takes a block of grid states u (amps, shape
-    (B,) + (N,) * n on the problem's grid) at snapshot times, as
-    propagate hands them to run_grid, and scores the block as arrays.
-    It is the stack of one of add_stack(inputs, times, amps, work),
-    which scores the block of a stacked run, amps of shape (S, B) +
-    (N,) * n, for the S samples' inputs at once.  The approximating
-    packets W of every sample, at the trajectory step of each time, go
-    into ``work``: a complex block of amps' shape whose contents are not
-    read, run_grid's scratch block for the run.  W and u are projected
-    by one row-exact hermite_coefficients call each, and
+    BoundInputs.add_stack(inputs, times, amps, work) scores one block of
+    a stacked run for the S samples' inputs at once: grid states u (amps,
+    shape (S, B) + (N,) * n on the problem's grid, row i for inputs[i])
+    at snapshot times, as propagate hands them to run_grid.  The
+    approximating packets W of every sample, at the trajectory step of
+    each time, go into ``work``: a complex block of amps' shape whose
+    contents are not read, run_grid's scratch block for the run.  W and
+    u are projected by one row-exact hermite_coefficients call each, and
     apply_comparator smooths the W rows from W's projection.
     delta1 = ||W - u|| and delta2 = ||(1 - Omega) W|| are stacked row
     norms.  The membership probes are one within_magnitude call per
@@ -399,11 +386,8 @@ class BoundInputs:
         self.blocks = []
         self.failure = None
 
-    def add(self, times, amps, work):
-        BoundInputs.add_stack([self], times, amps[None], work[None])
-
     @staticmethod
-    def add_stack(inputs, times, amps, work):
+    def add_stack(inputs: list, times, amps, work):
         # The samples of one run share its snapshot times, and so the
         # trajectory steps of every flow on the run's time step.
         steps = np.rint(times / inputs[0].flow.traj.dt).astype(int)
@@ -640,15 +624,18 @@ def run_reduction(problem: ReductionProblem) -> ReductionReport:
     where the magnitude hypotheses hold by construction.
 
     Each sample has its own classical flow, packet flow and Duhamel
-    curve.  The grid runs go as stacks: one run_grid call per chunk of
-    as many states as a single run's observer block holds (64 in 1D at
-    N = 1024, 4 in 2D at N = 128), with one BoundInputs per sample.
-    Every number is bitwise the one a run of the sample alone gives.
+    curve.  In 1D the grid runs go as stacks: one run_grid call per
+    chunk of as many states as a single run's observer block holds (64
+    at N = 1024), with one BoundInputs per sample.  In 2D each sample
+    runs as a stack of one: the 2D moments take their axis marginals by
+    BLAS matrix-vector products, whose row bits depend on the rows in
+    one call, so a sample keeps a single run's block.  Every number is
+    bitwise the one a run of the sample alone gives.
     """
     spec, grid = problem.spec, problem.grid
     eps = problem.epsilon_vector()
     points = _region_lattice(problem)
-    chunk = _block_rows(grid, len(points))
+    chunk = _block_rows(grid, len(points)) if grid.n == 1 else 1
     outcomes = []
     for first in range(0, len(points), chunk):
         lattice = points[first:first + chunk]
@@ -746,7 +733,8 @@ def ehrenfest_run(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
     work = np.empty((2, rows, grid.N), dtype=complex)
     blocks = []
 
-    def collect(times, amps):
+    def collect(times, stack):
+        amps = stack[0]
         dpsi, integrand = work[:, :len(amps)]
         # The density and a weighted density, real arrays, take the
         # integrand's memory until the integrand is formed.
@@ -771,8 +759,9 @@ def ehrenfest_run(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
         blocks.append(np.column_stack([times, q, p, grad_v_mean,
                                        spec.potential.derivative(q)]))
 
-    collect(np.zeros(1), psi0.amp[None])
-    propagate(spec, psi0, T, dt, observer=collect, observe_stride=stride)
+    collect(np.zeros(1), psi0.amp[None, None])
+    propagate(spec, GridStack.of(psi0), T, dt, observer=collect,
+              observe_stride=stride)
     data = np.concatenate(blocks)
     return EhrenfestData(times=data[:, 0], position=data[:, 1],
                          momentum=data[:, 2], grad_v_mean=data[:, 3],
@@ -806,9 +795,9 @@ def squeeze_sweep(problem: ReductionProblem, dilations) -> dict:
     problem, else measured on the d = 1 flow, which its row then reuses;
     E_source in the result says which ("given" or "auto").  Each final
     state W is sampled as a stack of one by flow.sample and scored as
-    BoundInputs.add scores a block: one hermite_coefficients projection,
-    which serves both the E probe (within_magnitude on its one row) and
-    apply_comparator, then a row norm of W - Omega W.
+    BoundInputs.add_stack scores a block: one hermite_coefficients
+    projection, which serves both the E probe (within_magnitude on its
+    one row) and apply_comparator, then a row norm of W - Omega W.
     """
     dilations = [float(d) for d in dilations]
     if any(d <= 0 for d in dilations):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .classical import integrate_flow
 from .errors import ConfigError, QReduceError
-from .grid import DEFAULT_GRID, GridSpec
+from .grid import DEFAULT_GRID, GridSpec, GridStack
 from .hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel
 from .packets import approximate_flow, packet, sample_on_grid
 from .reduction import DEFAULT_DT, duhamel_curve, measured_error, run_grid
@@ -95,7 +95,8 @@ def _family_row(spec, alpha0, T, lam, grid, dt) -> dict:
         traj = integrate_flow(family, alpha0, T, dt)
         base = packet(alpha0, 1.0)
         flow = approximate_flow(family, traj, base)
-        run = run_grid(family, sample_on_grid(base, grid), T, dt)
+        run = run_grid(family, GridStack.of(sample_on_grid(base, grid)),
+                       T, dt)[0]
         error = measured_error(run, traj)
         # The curve is nondecreasing and the run's last snapshot is the
         # final step, so its last value is its maximum over the snapshots.

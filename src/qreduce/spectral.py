@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comparator import ComparatorSpec, _basis, _constants
-from .grid import GridSpec, GridStack, GridWavefunction, propagate
+from .grid import GridSpec, GridStack, GridWavefunction, _block_rows, \
+    propagate
 from .hamiltonian import HamiltonianSpec
 from .quadrature import cumulative_simpson
 
@@ -228,11 +229,12 @@ def _grid_stay_curve(handle: GridHamiltonian, psi: GridWavefunction,
     observer is projected by one matrix-matrix product over both rows'
     states.  In 1D that product is not row-exact (hermite_coefficients
     is): BLAS takes a one-row product (gemv) in other bits than a
-    block's (gemm).  Each start state keeps a one-row product of its
-    own, as its run alone had; a run alone whose last block held one
-    state (steps one more than a multiple of 64 at N = 1024) differs
-    from the stack in that step's last bits.  A curve integrated over
-    thousands of steps needs no single-state bits.
+    block's (gemm), whose row bits do not depend on its row count.  So
+    each state that a run alone projects by itself is projected by
+    itself here too: each start state; every state when a run alone's
+    blocks hold one; the last when only its last block does (steps one
+    more than a multiple of 64 at N = 1024).  The curve is bitwise the
+    two runs alone.
     """
     if not isinstance(comp, ComparatorSpec):
         raise ValueError("grid evolutions take a ComparatorSpec as Omega")
@@ -257,9 +259,16 @@ def _grid_stay_curve(handle: GridHamiltonian, psi: GridWavefunction,
     starts = np.stack([psi.amp, np.conj(psi.amp)])
     curves = [[expectations(start[None])] for start in starts]
 
+    alone = _block_rows(grid, steps)
+    observed = [0]
+
     def observe(t, amps):
         rows = expectations(amps.reshape((-1,) + amps.shape[2:]))
-        for curve, values in zip(curves, rows.reshape(len(starts), -1)):
+        rows = rows.reshape(len(starts), -1)
+        observed[0] += len(t)
+        if alone == 1 or (observed[0] == steps and steps % alone == 1):
+            rows[:, -1] = [expectations(member[-1:])[0] for member in amps]
+        for curve, values in zip(curves, rows):
             curve.append(values)
 
     propagate(handle.spec, GridStack(grid, starts), T, dt, observer=observe)

@@ -9,9 +9,9 @@ from conftest import corpus_spec
 from qreduce.classical import integrate_flow
 from qreduce.comparator import (ComparatorSpec, coherent_matrix_elements,
                                 comparator_scalars)
-from qreduce.grid import (GridSpec, GridWavefunction, construct_localizer,
-                          expectation_a, localization_check, propagate,
-                          weyl_displace)
+from qreduce.grid import (GridSpec, GridStack, GridWavefunction,
+                          construct_localizer, expectation_a,
+                          localization_check, propagate, weyl_displace)
 from qreduce.hamiltonian import PhasePoint
 from qreduce.packets import evolve_AB, packet, sample_on_grid, vacuum
 from qreduce.reduction import (ReductionProblem, ehrenfest_residuals,
@@ -199,6 +199,7 @@ def test_criterion_12_localization():
     amp = np.where(support, members[0].amp, 0.0)
     amp = amp / np.sqrt(np.sum(np.abs(amp) ** 2) * grid.cell)
     truncated = GridWavefunction(grid, amp)
-    stepped = propagate(corpus_spec("free"), truncated, 1e-3, 1e-3).final
+    stepped = propagate(corpus_spec("free"), GridStack.of(truncated), 1e-3,
+                        1e-3).final[0]
     outside = float(np.sum(stepped.density[~support]) * grid.cell)
     assert outside > 0.0

@@ -53,9 +53,9 @@ def test_vacuum_norm_and_parseval():
 def test_harmonic_period_fidelity():
     grid = GridSpec(n=1, N=1024, L=10.0)
     psi0 = vacuum(grid)
-    result = propagate(HARMONIC, psi0, 2 * np.pi, 1e-3)
-    assert abs(result.final.inner(psi0)) > 1 - 1e-6
-    assert result.norm_drift < 1e-10
+    result = propagate(HARMONIC, GridStack.of(psi0), 2 * np.pi, 1e-3)
+    assert abs(result.final[0].inner(psi0)) > 1 - 1e-6
+    assert result.norm_drift[0] < 1e-10
 
 
 def test_harmonic_eigenstate_phase():
@@ -66,7 +66,7 @@ def test_harmonic_eigenstate_phase():
     psi0 = GridWavefunction(grid, amp)
     assert psi0.norm == pytest.approx(1.0, abs=1e-10)
     t = np.pi / 2
-    final = propagate(HARMONIC, psi0, t, 1e-3).final
+    final = propagate(HARMONIC, GridStack.of(psi0), t, 1e-3).final[0]
     overlap = psi0.inner(final)
     assert abs(overlap) > 1 - 1e-6
     expected = np.exp(-1j * 2.5 * t)
@@ -75,8 +75,8 @@ def test_harmonic_eigenstate_phase():
 
 def test_free_gaussian_spreading_law():
     psi0 = vacuum()
-    result = propagate(FREE, psi0, 2.0, 1e-3)
-    dens = result.final.density
+    result = propagate(FREE, GridStack.of(psi0), 2.0, 1e-3)
+    dens = result.final[0].density
     x = DEFAULT_GRID.x
     var = np.sum(x ** 2 * dens) * DEFAULT_GRID.dx
     # sigma^2(t) = sigma^2(0) (1 + t^2 / (4 sigma^4 m^2)) with sigma^2(0) = 1/2.
@@ -89,7 +89,7 @@ def test_truncated_state_spreads_immediately():
     psi0 = GridWavefunction(grid, amp).normalized()
     outside0 = np.sum(psi0.density[np.abs(grid.x) > 3.0]) * grid.dx
     assert outside0 == 0.0
-    final = propagate(FREE, psi0, 1e-3, 1e-3).final
+    final = propagate(FREE, GridStack.of(psi0), 1e-3, 1e-3).final[0]
     outside = np.sum(final.density[np.abs(grid.x) > 3.0]) * grid.dx
     assert outside > 1e-16
 
@@ -166,7 +166,7 @@ def test_wraparound_detected():
     grid = GridSpec(n=1, N=256, L=8.0)
     psi = weyl_displace(vacuum(grid), PhasePoint(0.0, 6.0))
     with pytest.raises(WraparoundError):
-        propagate(FREE, psi, 3.0, 1e-3)
+        propagate(FREE, GridStack.of(psi), 3.0, 1e-3)
 
 
 def test_grid_convergence_of_expectations():
@@ -238,8 +238,8 @@ def test_two_dimensional_basics():
         mass=1.0,
         potential=PotentialModel.polynomial2d([[0.0, 0.0, 0.5], [0.0, 0.0, 0.0],
                                                [0.5, 0.0, 0.0]]))
-    result = propagate(spec2, psi, 2 * np.pi, 2e-3)
-    assert abs(result.final.inner(psi)) > 1 - 1e-5
+    result = propagate(spec2, GridStack.of(psi), 2 * np.pi, 2e-3)
+    assert abs(result.final[0].inner(psi)) > 1 - 1e-5
 
 
 CUBIC_2D = HamiltonianSpec(
@@ -262,9 +262,9 @@ def test_observer_sees_strided_steps_in_blocks(spec, grid, steps, stride,
     def observed(observe_stride):
         seen = []
         final = propagate(
-            spec, psi0, T, 1e-3, observe_stride=observe_stride,
-            observer=lambda t, amps: seen.append((t.copy(), amps.copy()))).final
-        return seen, final
+            spec, GridStack.of(psi0), T, 1e-3, observe_stride=observe_stride,
+            observer=lambda t, amps: seen.append((t.copy(), amps[0].copy())))
+        return seen, final.final[0]
 
     seen, _ = observed(stride)
     every, final = observed(1)
@@ -290,8 +290,8 @@ def test_propagate_matches_a_numpy_strang_loop():
     amp = psi0.amp
     for _ in range(steps):
         amp = half_v * np.fft.ifft(kinetic * np.fft.fft(half_v * amp))
-    final = propagate(spec, psi0, steps * dt, dt).final
-    assert np.array_equal(final.amp, amp)
+    final = propagate(spec, GridStack.of(psi0), steps * dt, dt).final
+    assert np.array_equal(final.amps[0], amp)
 
 
 @pytest.mark.parametrize("grid", [DEFAULT_GRID, GridSpec(n=1, N=4096, L=40.0),
@@ -311,8 +311,8 @@ def test_propagate_matches_a_scipy_strang_loop(grid):
     amp = psi0.amp
     for _ in range(steps):
         amp = half_v * scipy.fft.ifft(kinetic * scipy.fft.fft(half_v * amp))
-    final = propagate(spec, psi0, steps * dt, dt).final
-    assert np.array_equal(final.amp, amp)
+    final = propagate(spec, GridStack.of(psi0), steps * dt, dt).final
+    assert np.array_equal(final.amps[0], amp)
 
 
 COUPLED_2D = HamiltonianSpec(mass=1.5, potential=PotentialModel.polynomial2d(
@@ -335,8 +335,8 @@ def test_2d_step_in_place_is_bitwise_the_written_out_expression(grid):
     amp = psi0.amp
     for _ in range(steps):
         amp = half_v * np.fft.ifft2(kinetic * np.fft.fft2(half_v * amp))
-    final = propagate(COUPLED_2D, psi0, steps * dt, dt).final
-    assert np.array_equal(final.amp, amp)
+    final = propagate(COUPLED_2D, GridStack.of(psi0), steps * dt, dt).final
+    assert np.array_equal(final.amps[0], amp)
 
 
 @pytest.mark.parametrize("grid", [GridSpec(n=2, N=64, L=8.0),
@@ -417,38 +417,38 @@ def test_stacked_rows_are_bitwise_the_runs_alone(spec, grid, size, steps, dt):
     # the table products must take their operand order from one state.
     states = random_states(grid, size, seed=size)
 
-    def observed(psi0):
+    def observed(*psi0):
         seen = []
-        run = propagate(spec, psi0, steps * dt, dt, observe_stride=3,
+        run = propagate(spec, GridStack.of(*psi0), steps * dt, dt,
+                        observe_stride=3,
                         observer=lambda t, amps: seen.append((t.copy(),
                                                               amps.copy())))
         return run, seen
 
-    run, seen = observed(GridStack(grid, np.stack([psi.amp for psi in states])))
+    run, seen = observed(*states)
     assert all(amps.shape[0] == size for _, amps in seen)
     for row, psi in enumerate(states):
         alone, alone_seen = observed(psi)
-        assert np.array_equal(run.final.amps[row], alone.final.amp)
-        assert run.boundary_mass_max[row] == alone.boundary_mass_max
-        assert run.norm_drift[row] == alone.norm_drift
+        assert np.array_equal(run.final.amps[row], alone.final.amps[0])
+        assert run.boundary_mass_max[row] == alone.boundary_mass_max[0]
+        assert run.norm_drift[row] == alone.norm_drift[0]
         assert np.array_equal(np.concatenate([t for t, _ in seen]),
                               np.concatenate([t for t, _ in alone_seen]))
         assert np.array_equal(np.concatenate([a[row] for _, a in seen]),
-                              np.concatenate([a for _, a in alone_seen]))
+                              np.concatenate([a[0] for _, a in alone_seen]))
 
 
 def test_a_wrapping_row_ends_a_stacked_run():
     grid = GridSpec(n=1, N=256, L=10.0)
     still = sample_on_grid(packet([0.0, 0.0], 1.0), grid)
     moving = sample_on_grid(packet([3.0, 12.0], 1.0), grid)
-    assert propagate(FREE, still, 1.0, 1e-2).boundary_mass_max <= 1e-10
+    assert propagate(FREE, GridStack.of(still), 1.0,
+                     1e-2).boundary_mass_max[0] <= 1e-10
     with pytest.raises(WraparoundError, match="boundary mass"):
-        propagate(FREE, GridStack(grid, np.stack([still.amp, moving.amp])),
-                  1.0, 1e-2)
+        propagate(FREE, GridStack.of(still, moving), 1.0, 1e-2)
     edge = weyl_displace(vacuum(grid), np.array([9.5, 0.0]))
     with pytest.raises(WraparoundError, match="initial state"):
-        propagate(FREE, GridStack(grid, np.stack([still.amp, edge.amp])),
-                  1.0, 1e-2)
+        propagate(FREE, GridStack.of(still, edge), 1.0, 1e-2)
 
 
 def test_grid_stack_checks_its_shape():
@@ -456,20 +456,26 @@ def test_grid_stack_checks_its_shape():
         GridStack(DEFAULT_GRID, np.zeros(DEFAULT_GRID.N))
     with pytest.raises(ValueError):
         GridStack(DEFAULT_GRID, np.zeros((2, 64)))
-    assert GridStack(DEFAULT_GRID, np.zeros((3, 1024))).amps.dtype == complex
+    stack = GridStack(DEFAULT_GRID, np.zeros((3, 1024)))
+    assert stack.amps.dtype == complex and len(stack) == 3
+    psi = vacuum()
+    pair = GridStack.of(psi, weyl_displace(psi, np.array([1.0, 0.0])))
+    assert pair.amps.shape == (2, 1024)
+    assert np.array_equal(pair[0].amp, psi.amp) and pair[0].grid == DEFAULT_GRID
 
 
-def test_a_stack_splits_one_runs_observer_block_in_1d():
-    # 1D: a single run's block (at most 64 states of 16 KiB, no more than
-    # the run observes) split across the stack, one state per row at
-    # least.  2D: each row keeps a single run's block.
+def test_a_stack_splits_one_runs_observer_block():
+    # A single run's block (at most 64 states of 16 KiB in 1D, 4 of 256
+    # KiB in 2D, no more than the run observes) split across the stack,
+    # one state per row at least.
     assert _observer_block(DEFAULT_GRID, 25, 1).shape == (25, 1024)
     assert _observer_block(DEFAULT_GRID, 25, 9).shape == (18, 1024)
     assert _observer_block(DEFAULT_GRID, 500, 64).shape == (64, 1024)
     assert _observer_block(DEFAULT_GRID, 500, 100).shape == (100, 1024)
     grid = GridSpec(n=2, N=128, L=10.0)
-    assert _observer_block(grid, 50, 4).shape == (16, 128, 128)
-    assert _observer_block(grid, 2, 4).shape == (8, 128, 128)
+    assert _observer_block(grid, 50, 1).shape == (4, 128, 128)
+    assert _observer_block(grid, 50, 2).shape == (4, 128, 128)
+    assert _observer_block(grid, 2, 4).shape == (4, 128, 128)
 
 
 @pytest.mark.parametrize("grid", [GridSpec(n=2, N=64, L=8.0), DEFAULT_GRID],

@@ -9,7 +9,8 @@ from scipy.integrate import cumulative_simpson
 from qreduce import CausticError, HamiltonianSpec, PhasePoint, PotentialModel
 from qreduce.classical import _hermite, integrate_flow
 from qreduce.hamiltonian import energies
-from qreduce.grid import DEFAULT_GRID, GridSpec, expectation_a, propagate
+from qreduce.grid import DEFAULT_GRID, GridSpec, GridStack, expectation_a, \
+    propagate
 from qreduce.packets import (
     GaussianPacket,
     _sample_rows,
@@ -180,7 +181,7 @@ def test_quadratic_exactness_with_global_phase(spec, alpha0, t_final):
     traj = integrate_flow(spec, alpha0, t_final, 1e-3)
     base = packet(alpha0, 1.0)
     psi0 = sample_on_grid(base, grid)
-    exact = propagate(spec, psi0, t_final, 1e-3).final
+    exact = propagate(spec, GridStack.of(psi0), t_final, 1e-3).final[0]
     approx = sample_on_grid(final_packet(spec, traj, base), grid)
     assert approx.distance(exact) < 1e-6
 

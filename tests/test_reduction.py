@@ -261,8 +261,8 @@ def test_duhamel_dominates_measured_distance():
     flow = approximate_flow(CUBIC_PERTURBED, traj, origin_packet())
     psi0 = sample_on_grid(origin_packet(), problem.grid)
     inputs = BoundInputs(problem, flow)
-    run = run_grid(CUBIC_PERTURBED, psi0, 1.0, problem.dt,
-                   bound_inputs=inputs)
+    run, = run_grid(CUBIC_PERTURBED, GridStack.of(psi0), 1.0, problem.dt,
+                    bound_inputs=[inputs])
     bounds = assemble_bounds(problem, run, inputs, measured_error(run, traj))
     assert np.all(bounds.delta1_measured <= bounds.delta1_duhamel + 1e-6)
     assert bounds.delta1_measured[-1] > 1e-6
@@ -339,7 +339,8 @@ def test_theorem_bound_single_time_api():
     flow = approximate_flow(HARMONIC, traj, packet(problem.alpha0, 1.0))
     psi0 = sample_on_grid(packet(problem.alpha0, 1.0), problem.grid)
     inputs = BoundInputs(problem, flow)
-    run = run_grid(HARMONIC, psi0, 0.5, problem.dt, bound_inputs=inputs)
+    run, = run_grid(HARMONIC, GridStack.of(psi0), 0.5, problem.dt,
+                    bound_inputs=[inputs])
     bounds = assemble_bounds(problem, run, inputs, measured_error(run, traj))
     assert bounds.hypotheses_hold
     assert bounds.specialized[-1] >= bounds.general[-1] >= 0.0
@@ -396,7 +397,7 @@ def test_scalar_M0_broadcasts_in_two_dimensions():
 def test_measured_error_zero_at_start():
     traj = integrate_flow(QUARTIC, PhasePoint(1.0, 0.0), 0.2, 1e-3)
     psi0 = sample_on_grid(packet(PhasePoint(1.0, 0.0), 1.0), GridSpec(1, 1024, 20.0))
-    run = run_grid(QUARTIC, psi0, 0.2, 1e-3)
+    run, = run_grid(QUARTIC, GridStack.of(psi0), 0.2, 1e-3)
     error = measured_error(run, traj)
     assert error.times[0] == 0.0
     assert np.max(error.components[0]) < 1e-9
@@ -416,8 +417,8 @@ def test_measured_error_is_bitwise_the_per_time_interpolation(
     traj = integrate_flow(spec, alpha0, T, dt)
     grid = GridSpec(1, 1024, 20.0) if spec.dimension == 1 \
         else GridSpec(2, 64, 10.0)
-    run = run_grid(spec, sample_on_grid(packet(alpha0, 1.0), grid), T, dt,
-                   samples)
+    run, = run_grid(spec, GridStack.of(sample_on_grid(packet(alpha0, 1.0), grid)),
+                    T, dt, samples)
     per_time = np.array([traj.at(t) for t in run.times])
     assert np.array_equal(traj.at(run.times), per_time)
     error = measured_error(run, traj)
@@ -506,9 +507,9 @@ def test_ehrenfest_blocks_equal_the_per_state_formulas():
 
     def store(t, amps):
         times.append(t.copy())
-        states.append(amps.copy())
+        states.append(amps[0].copy())
 
-    propagate(CUBIC_PERTURBED, psi0, T, dt, observer=store)
+    propagate(CUBIC_PERTURBED, GridStack.of(psi0), T, dt, observer=store)
     times, states = np.concatenate(times), np.concatenate(states)
     pot = CUBIC_PERTURBED.potential
     dv = pot.derivative(grid.x)
@@ -629,8 +630,8 @@ def stored_run(spec, psi0, T, dt, samples):
     steps = max(1, round(T / dt))
     stride = max(1, steps // samples)
     every = [psi0.amp[None]]
-    propagate(spec, psi0, T, dt, observer=lambda t, amps: every.append(
-        amps.copy()))
+    propagate(spec, GridStack.of(psi0), T, dt,
+              observer=lambda t, amps: every.append(amps[0].copy()))
     every = np.concatenate(every)
     kept = [0] + [k for k in range(1, steps) if k % stride == 0] + [steps]
     return (np.array(kept) * (T / steps),
@@ -715,8 +716,8 @@ def test_streamed_bounds_equal_the_snapshot_list_assembly(name):
         flow = approximate_flow(problem.spec, traj, base)
         psi0 = sample_on_grid(base, problem.grid)
         inputs = BoundInputs(problem, flow)
-        run = run_grid(problem.spec, psi0, problem.T, problem.dt,
-                       problem.samples, inputs)
+        run, = run_grid(problem.spec, GridStack.of(psi0), problem.T,
+                        problem.dt, problem.samples, [inputs])
         bounds = assemble_bounds(problem, run, inputs,
                                  measured_error(run, traj))
         times, states = stored_run(problem.spec, psi0, problem.T, problem.dt,
@@ -735,18 +736,6 @@ def test_streamed_bounds_equal_the_snapshot_list_assembly(name):
         assert np.array_equal(getattr(report.bounds, key), value), key
 
 
-class RecordingInputs(BoundInputs):
-    """BoundInputs that keeps the work block of every add call."""
-
-    def __init__(self, problem, flow):
-        super().__init__(problem, flow)
-        self.works = []
-
-    def add(self, times, amps, work):
-        self.works.append(work)
-        super().add(times, amps, work)
-
-
 def fresh_buffer_run(problem, psi0, inputs):
     """run_grid's snapshots and expectations with a fresh spectrum and a
     fresh W block for every block, as the observer ran before one scratch
@@ -757,19 +746,20 @@ def fresh_buffer_run(problem, psi0, inputs):
     times, moments = [], []
 
     def observe(block_times, amps):
+        # amps holds the block of the one state, shape (1, rows) + (N, N).
         times.append(block_times.copy())
-        moments.append(expectation_a(amps, grid))
-        inputs.add(block_times, amps, np.empty_like(amps))
+        moments.append(expectation_a(amps[0], grid))
+        BoundInputs.add_stack([inputs], block_times, amps, np.empty_like(amps))
 
-    observe(np.zeros(1), psi0.amp[None])
-    final = propagate(problem.spec, psi0, problem.T, problem.dt,
+    observe(np.zeros(1), psi0.amp[None, None])
+    final = propagate(problem.spec, GridStack.of(psi0), problem.T, problem.dt,
                       observer=observe, observe_stride=stride).final
     if steps % stride:
-        observe(np.array([steps * step_dt]), final.amp[None])
+        observe(np.array([steps * step_dt]), final.amps[:, None])
     return np.concatenate(times), np.concatenate(moments)
 
 
-def test_a_2d_run_works_in_one_scratch_block():
+def test_a_2d_run_works_in_one_scratch_block(monkeypatch):
     # 23 steps at stride 2 on a 4-row grid: the start, blocks of 4, 4 and
     # 3 rows and the off-stride last step, all in one scratch base.
     problem = dataclasses.replace(STREAM_CASES["coupled-2d"], T=0.23,
@@ -778,13 +768,23 @@ def test_a_2d_run_works_in_one_scratch_block():
     base = packet(problem.alpha0, problem.M0)
     flow = approximate_flow(problem.spec, traj, base)
     psi0 = sample_on_grid(base, problem.grid)
-    inputs = RecordingInputs(problem, flow)
-    run = run_grid(problem.spec, psi0, problem.T, problem.dt, problem.samples,
-                   inputs)
-    assert [len(work) for work in inputs.works] == [1, 4, 4, 3, 1]
-    scratch = inputs.works[0].base
+    inputs = BoundInputs(problem, flow)
+    works = []
+    add_stack = BoundInputs.add_stack
+
+    def recording(inputs, times, amps, work):
+        works.append(work)
+        add_stack(inputs, times, amps, work)
+
+    monkeypatch.setattr(BoundInputs, "add_stack", recording)
+    run, = run_grid(problem.spec, GridStack.of(psi0), problem.T, problem.dt,
+                    problem.samples, [inputs])
+    monkeypatch.undo()
+    assert [work.shape[:2] for work in works] == [
+        (1, 1), (1, 4), (1, 4), (1, 3), (1, 1)]
+    scratch = works[0].base
     assert scratch.shape == (4, 128, 128)
-    assert all(work.base is scratch for work in inputs.works)
+    assert all(work.base is scratch for work in works)
     fresh = BoundInputs(problem, flow)
     times, moments = fresh_buffer_run(problem, psi0, fresh)
     assert np.array_equal(run.times, times)
@@ -806,7 +806,8 @@ def test_residual_failure_mid_block_ends_the_bound_stage():
     flow = approximate_flow(FREE, traj, base)
     psi0 = sample_on_grid(base, problem.grid)
     inputs = BoundInputs(problem, flow)
-    run = run_grid(FREE, psi0, problem.T, problem.dt, problem.samples, inputs)
+    run, = run_grid(FREE, GridStack.of(psi0), problem.T, problem.dt,
+                    problem.samples, [inputs])
     w_projections = [hermite_coefficients(
         comp, sample_on_grid(flow.packet_at(round(t / problem.dt)),
                              problem.grid).amp[None], problem.grid)
@@ -855,8 +856,9 @@ def per_sample_loop(problem):
         base = packet(alpha0, problem.M0)
         inputs = BoundInputs(problem,
                              approximate_flow(problem.spec, traj, base))
-        run = run_grid(problem.spec, sample_on_grid(base, problem.grid),
-                       problem.T, problem.dt, problem.samples, inputs)
+        run, = run_grid(problem.spec,
+                        GridStack.of(sample_on_grid(base, problem.grid)),
+                        problem.T, problem.dt, problem.samples, [inputs])
         error = measured_error(run, traj)
         bounds = failure = None
         try:
@@ -922,8 +924,8 @@ def test_a_1d_region_reduce_is_bitwise_the_per_sample_loop(monkeypatch):
     assert report.bounds is not None
 
 
-# Nine samples of the coupled 2D unit on a 128-point grid, whose 256 KiB
-# states go four to a stack: chunks of 4, 4 and 1.
+# Nine samples of the coupled 2D unit on a 128-point grid, each run as a
+# stack of one.
 REGION_2D = dataclasses.replace(
     STREAM_CASES["coupled-2d"], grid=GridSpec(n=2, N=128, L=10.0),
     region=PhaseRegion.box(STREAM_CASES["coupled-2d"].alpha0,
@@ -933,7 +935,7 @@ REGION_2D = dataclasses.replace(
 def test_a_2d_region_reduce_in_chunks_is_bitwise_the_per_sample_loop(
         monkeypatch):
     report, sizes = stacked_reduction(REGION_2D, monkeypatch)
-    assert sizes == [4, 4, 1]
+    assert sizes == [1] * 9
     assert_report_is_the_per_sample_loop(REGION_2D, report)
     assert len(report.sample_results) == 9
 
@@ -956,21 +958,20 @@ def test_a_sample_outside_the_basis_fails_alone():
         "hypothesis-failed", outcomes[1][5], "hypothesis-failed"]
 
 
-@pytest.mark.parametrize("problem", [
-    STREAM_CASES["lattice-1d"], REGION_2D, SPREADING],
-    ids=["lattice-1d", "region-2d", "spreading"])
+@pytest.mark.parametrize("problem", [STREAM_CASES["lattice-1d"], SPREADING],
+                         ids=["lattice-1d", "spreading"])
 def test_a_stacked_run_feeds_each_sample_its_own_numbers(problem):
-    # One run_grid call for a stack of the first four samples: each
+    # One run_grid call for a 1D stack of the first four samples: each
     # sample's QuantumRun and BoundInputs (its columns, or its own
-    # failure) are bitwise those of its run alone.  In 1D the stack's
-    # blocks are its rows' share of a single run's block, so the columns
-    # are compared across blocks.
+    # failure) are bitwise those of its run alone.  The stack's blocks
+    # are its rows' share of a single run's block, so the columns are
+    # compared across blocks.
     outcomes = per_sample_loop(problem)[:4]
     inputs = [BoundInputs(problem, item[2].flow) for item in outcomes]
-    amps = np.stack([sample_on_grid(item[2].flow.base, problem.grid).amp
-                     for item in outcomes])
-    runs = run_grid(problem.spec, GridStack(problem.grid, amps), problem.T,
-                    problem.dt, problem.samples, inputs)
+    stack = GridStack.of(*[sample_on_grid(item[2].flow.base, problem.grid)
+                           for item in outcomes])
+    runs = run_grid(problem.spec, stack, problem.T, problem.dt,
+                    problem.samples, inputs)
     for run, got, (_, alone, want, *_) in zip(runs, inputs, outcomes):
         assert np.array_equal(run.times, alone.times)
         assert np.array_equal(run.expectations, alone.expectations)
@@ -998,7 +999,8 @@ def test_ehrenfest_blocks_are_bitwise_the_written_out_block_form():
     cell = grid.cell
     blocks = []
 
-    def collect(times, amps):
+    def collect(times, stack):
+        amps = stack[0]
         dens = np.abs(amps) ** 2
         mass = np.sum(dens, axis=-1) * cell
         q = np.sum(grid.x * dens, axis=-1) * cell / mass
@@ -1008,8 +1010,8 @@ def test_ehrenfest_blocks_are_bitwise_the_written_out_block_form():
             times, q, p, np.sum(dv * dens, axis=-1) * cell / mass,
             pot.derivative(q)]))
 
-    collect(np.zeros(1), psi0.amp[None])
-    propagate(CUBIC_PERTURBED, psi0, T, dt, observer=collect,
+    collect(np.zeros(1), psi0.amp[None, None])
+    propagate(CUBIC_PERTURBED, GridStack.of(psi0), T, dt, observer=collect,
               observe_stride=stride)
     expected = np.concatenate(blocks)
     data = ehrenfest_run(CUBIC_PERTURBED, psi0, T, dt=dt, sample_stride=stride)

@@ -315,7 +315,7 @@ def per_member_stay_curve(handle, psi, comp, T):
     """_grid_stay_curve as it ran before its two runs became one stack:
     a forward run on psi and one on conj(psi), each alone."""
     from qreduce.comparator import _basis, _constants
-    from qreduce.grid import GridWavefunction, propagate
+    from qreduce.grid import GridStack, GridWavefunction, propagate
     from qreduce.quadrature import cumulative_simpson
     grid = psi.grid
     decay = _constants(comp, grid.n).decay
@@ -332,29 +332,58 @@ def per_member_stay_curve(handle, psi, comp, T):
     curves = []
     for start in (psi.amp, np.conj(psi.amp)):
         values = [expectations(start[None])]
-        propagate(handle.spec, GridWavefunction(grid, start), T, T / steps,
-                  observer=lambda t, amps: values.append(expectations(amps)))
+        propagate(handle.spec, GridStack.of(GridWavefunction(grid, start)), T,
+                  T / steps,
+                  observer=lambda t, amps: values.append(expectations(amps[0])))
         curves.append(np.concatenate(values))
     times = np.linspace(0.0, T, steps + 1)
-    return times, cumulative_simpson(curves[0] + curves[1], x=times)
+    signal = curves[0] + curves[1]
+    return times, signal, cumulative_simpson(signal, x=times)
 
 
-@pytest.mark.parametrize("spec, grid, alpha0, T", [
-    (HARMONIC, GridSpec(1, 256, 12.0), [0.3, 1.0], 5.0),
+# A 1D run alone at N = 1024 takes blocks of 64 states: 65 steps end on
+# a lone state (a one-row product), 97 on 33 states, which the stack
+# splits to one state per run.  At N = 32768 a run alone takes blocks of
+# 2 states and the stack one per run; at N = 65536 every state is alone.
+STAY_CASES = [
+    (HARMONIC, GridSpec(1, 256, 12.0), [0.3, 1.0], 0.05, 5.0),
     (HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial2d(
         [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])),
-     GridSpec(2, 32, 8.0), [1.0, 0.0, 0.0, 0.5], 1.0),
-], ids=["1d", "2d"])
-def test_the_stacked_stay_curve_is_bitwise_the_two_runs_alone(spec, grid,
-                                                              alpha0, T):
-    # 100 (1D) and 20 (2D) steps: the forward and backward runs go as
-    # one 2-row stack, in blocks of half a single run's rows in 1D, and
-    # each start state keeps its own one-row projection (at this 1D
-    # start, a 2-row product of both starts moves tau).
-    handle = GridHamiltonian(spec, grid, dt=0.05)
+     GridSpec(2, 32, 8.0), [1.0, 0.0, 0.0, 0.5], 0.05, 1.0),
+    (HARMONIC, GridSpec(1, 1024, 20.0), [0.3, 1.0], 0.0625, 65 * 0.0625),
+    (HARMONIC, GridSpec(1, 1024, 20.0), [0.3, 1.0], 0.0625, 97 * 0.0625),
+    (HARMONIC, GridSpec(1, 32768, 20.0), [0.3, 1.0], 0.0625, 3 * 0.0625),
+    (HARMONIC, GridSpec(1, 65536, 20.0), [0.3, 1.0], 0.0625, 3 * 0.0625),
+]
+
+
+@pytest.mark.parametrize("spec, grid, alpha0, dt, T", STAY_CASES,
+                         ids=["1d", "2d", "1d-65", "1d-97", "1d-N32768",
+                              "1d-N65536"])
+def test_the_stacked_stay_curve_is_bitwise_the_two_runs_alone(
+        monkeypatch, spec, grid, alpha0, dt, T):
+    # The forward and backward runs go as one 2-row stack, in blocks of
+    # half a single run's rows, and each state that a run alone projects
+    # by itself (each start; the lone last state of 65 steps; every state
+    # at N = 65536) keeps its own one-row projection: at the 1D start, a
+    # 2-row product of both starts moves tau.  The per-step signal is
+    # compared too, since one step's last bits need not reach tau.
+    handle = GridHamiltonian(spec, grid, dt=dt)
     psi = sample_on_grid(packet(alpha0, np.eye(grid.n)), grid)
     comp = ComparatorSpec(s=1.0, N=16)
+    signals = []
+    integrate = spectral.cumulative_simpson
+
+    def recording(signal, x):
+        signals.append(signal)
+        return integrate(signal, x=x)
+
+    monkeypatch.setattr(spectral, "cumulative_simpson", recording)
     times, tau = spectral._grid_stay_curve(handle, psi, comp, T)
-    want_times, want_tau = per_member_stay_curve(handle, psi, comp, T)
+    monkeypatch.undo()
+    want_times, want_signal, want_tau = per_member_stay_curve(handle, psi,
+                                                              comp, T)
+    assert len(times) == spectral._step_count(T, dt) + 1
     assert np.array_equal(times, want_times)
+    assert np.array_equal(signals[0], want_signal)
     assert np.array_equal(tau, want_tau)
