@@ -179,8 +179,11 @@ def _integrate_leapfrog_1d(spec, alpha0, m, dt):
     mass = spec.mass
     xi = np.empty((m + 1, 1))
     pi = np.empty((m + 1, 1))
+    # Writes through flat memoryviews: numpy's item assignment costs more
+    # than the step's arithmetic, and Python lists would keep every float.
+    xs, ps = memoryview(xi.ravel()), memoryview(pi.ravel())
     x, p = float(alpha0.xi[0]), float(alpha0.pi[0])
-    xi[0, 0], pi[0, 0] = x, p
+    xs[0], ps[0] = x, p
     half = 0.5 * dt
     force = _horner(dcoef, x)
     for k in range(1, m + 1):
@@ -188,7 +191,7 @@ def _integrate_leapfrog_1d(spec, alpha0, m, dt):
         x += dt * p / mass
         force = _horner(dcoef, x)
         p -= half * force
-        xi[k, 0], pi[k, 0] = x, p
+        xs[k], ps[k] = x, p
         if not (abs(x) < DIVERGENCE_NORM and abs(p) < DIVERGENCE_NORM):
             return _finish(spec, m, dt, xi, pi, k - 1)
     return _finish(spec, m, dt, xi, pi, m)
@@ -219,9 +222,10 @@ def _integrate_leapfrog_2d(spec, alpha0, m, dt):
     mass = spec.mass
     xi = np.empty((m + 1, 2))
     pi = np.empty((m + 1, 2))
+    xs, ps = memoryview(xi.ravel()), memoryview(pi.ravel())
     x, y = map(float, alpha0.xi)
     px, py = map(float, alpha0.pi)
-    xi[0], pi[0] = (x, y), (px, py)
+    xs[0], xs[1], ps[0], ps[1] = x, y, px, py
     half = 0.5 * dt
     fx, fy = _horner_2d(dx, x, y), _horner_2d(dy, x, y)
     for k in range(1, m + 1):
@@ -232,7 +236,7 @@ def _integrate_leapfrog_2d(spec, alpha0, m, dt):
         fx, fy = _horner_2d(dx, x, y), _horner_2d(dy, x, y)
         px -= half * fx
         py -= half * fy
-        xi[k, 0], xi[k, 1], pi[k, 0], pi[k, 1] = x, y, px, py
+        xs[2 * k], xs[2 * k + 1], ps[2 * k], ps[2 * k + 1] = x, y, px, py
         if not (abs(x) < DIVERGENCE_NORM and abs(y) < DIVERGENCE_NORM
                 and abs(px) < DIVERGENCE_NORM and abs(py) < DIVERGENCE_NORM):
             return _finish(spec, m, dt, xi, pi, k - 1)

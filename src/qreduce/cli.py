@@ -525,6 +525,9 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
+        # Bool, int and float arrays list as JSON-ready Python scalars.
+        if value.dtype.kind in "biuf":
+            return value.tolist()
         return _jsonable(value.tolist())
     if isinstance(value, (np.floating, np.integer, np.bool_)):
         return value.item()

@@ -3,7 +3,8 @@
 Wavefunctions live on [-L, L)^n with hbar = 1.  Evolution is Strang
 split-operator with FFT kinetics, so it is unitary to rounding; position
 shifts are spectral, exact for band-limited amplitudes.  Every
-transform is numpy.fft's.
+transform is numpy's pocketfft: the step's through the gufuncs that
+numpy.fft wraps, which spares its Python wrapper on every step.
 A boundary-mass monitor guards the periodic wrap: experiments are valid
 only while essentially no mass touches the edge bands.
 """
@@ -186,11 +187,11 @@ def propagate(spec: HamiltonianSpec, psi0: GridStack, t_final: float,
 
     Each step applies exp(-iV dt/2) exp(-i p^2 dt/2m) exp(-iV dt/2); the
     scheme is norm-preserving and second order in dt.  The FFTs are
-    numpy's, one axis at a time in np.fft.fft2's order (last axis
-    first), and the step runs in place on one work buffer that the call
-    owns, so the step itself allocates nothing.  Only the final states
-    are kept; the steps before them reach the caller through
-    ``observer``.
+    the pocketfft gufuncs behind np.fft.fft and ifft, bitwise numpy's
+    without its Python wrapper, one axis at a time in np.fft.fft2's
+    order (last axis first), and the step runs in place on one work
+    buffer that the call owns, so the step itself allocates nothing.
+    Only the final states are kept; earlier steps reach ``observer``.
 
     The rows of psi0 take each step together; one state runs as a stack
     of one (GridStack.of(psi)).  numpy transforms each row of a batched
@@ -233,7 +234,11 @@ def propagate(spec: HamiltonianSpec, psi0: GridStack, t_final: float,
     # The tables broadcast over the rows of a stack; a stack of one steps
     # on its one state, where numpy's products skip the broadcast.
     state, state_work = (amp[0], work[0]) if len(amp) == 1 else (amp, work)
-    axes = tuple(range(-1, -grid.n - 1, -1))
+    # np.fft.fft and ifft(a, axis=x, out=a) call these with the same
+    # arguments (ifft's factor is 1/N).  Read here: importing qreduce
+    # loads no numpy.fft.
+    pfu = np.fft._pocketfft_umath
+    fft_axes = [[(axis,), (), (axis,)] for axis in range(-1, -grid.n - 1, -1)]
     # The written-out step ran on one state, so its size, not the
     # stack's, sets the operand order of the table products.
     result_first = amp[0].nbytes >= ELIDE_BYTES
@@ -248,11 +253,11 @@ def propagate(spec: HamiltonianSpec, psi0: GridStack, t_final: float,
     for step in range(1, steps + 1):
         # half_v * ifftn(kinetic * fftn(half_v * amp)), in place.
         np.multiply(half_v, state, out=state_work)
-        for axis in axes:
-            np.fft.fft(state_work, axis=axis, out=state_work)
+        for axes in fft_axes:
+            pfu.fft(state_work, 1, axes=axes, out=state_work)
         _product(kinetic, state_work, state_work, result_first)
-        for axis in axes:
-            np.fft.ifft(state_work, axis=axis, out=state_work)
+        for axes in fft_axes:
+            pfu.ifft(state_work, 1.0 / grid.N, axes=axes, out=state_work)
         _product(half_v, state_work, state, result_first)
         t = step * dt
         if observer is not None and step % observe_stride == 0:

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from qreduce import FlowDivergedError, HamiltonianSpec, PhasePoint, PotentialModel
 from qreduce.classical import (
+    CLASSIFY_DT,
     DIVERGENCE_NORM,
     PhaseRegion,
     _horner,
+    _horner_2d,
     classify_classical,
     integrate_flow,
 )
@@ -290,3 +292,88 @@ def test_2d_float_flow_stops_where_the_numpy_loop_does():
     spec = HamiltonianSpec(mass=1.3, potential=PotentialModel.polynomial2d(C))
     assert check_2d_flow_matches_the_numpy_loop(
         spec, PhasePoint([1.5, -0.5], [0.5, 1.0]), 5.0, 1e-2)
+
+
+def array_leapfrog(spec, alpha0, m, dt):
+    """The flow loops as they wrote each step into preallocated arrays,
+    then kept the rows before the first that left the window: (times,
+    xi, pi, whether the flow left it)."""
+    n = spec.dimension
+    xi, pi = np.empty((m + 1, n)), np.empty((m + 1, n))
+    half = 0.5 * dt
+    last = m
+    if n == 1:
+        dcoef = list(spec.potential._derivative((1,)))
+        x, p = float(alpha0.xi[0]), float(alpha0.pi[0])
+        xi[0, 0], pi[0, 0] = x, p
+        force = _horner(dcoef, x)
+        for k in range(1, m + 1):
+            p -= half * force
+            x += dt * p / spec.mass
+            force = _horner(dcoef, x)
+            p -= half * force
+            xi[k, 0], pi[k, 0] = x, p
+            if not (abs(x) < DIVERGENCE_NORM and abs(p) < DIVERGENCE_NORM):
+                last = k - 1
+                break
+    else:
+        dx = spec.potential._derivative((1, 0)).T.tolist()
+        dy = spec.potential._derivative((0, 1)).T.tolist()
+        x, y = map(float, alpha0.xi)
+        px, py = map(float, alpha0.pi)
+        xi[0], pi[0] = (x, y), (px, py)
+        fx, fy = _horner_2d(dx, x, y), _horner_2d(dy, x, y)
+        for k in range(1, m + 1):
+            px -= half * fx
+            py -= half * fy
+            x += dt * px / spec.mass
+            y += dt * py / spec.mass
+            fx, fy = _horner_2d(dx, x, y), _horner_2d(dy, x, y)
+            px -= half * fx
+            py -= half * fy
+            xi[k, 0], xi[k, 1], pi[k, 0], pi[k, 1] = x, y, px, py
+            if not (abs(x) < DIVERGENCE_NORM and abs(y) < DIVERGENCE_NORM
+                    and abs(px) < DIVERGENCE_NORM
+                    and abs(py) < DIVERGENCE_NORM):
+                last = k - 1
+                break
+    return (dt * np.arange(last + 1), xi[:last + 1], pi[:last + 1],
+            last < m)
+
+
+QUARTIC_WELL_2D = np.zeros((5, 5))
+QUARTIC_WELL_2D[2, 0] = QUARTIC_WELL_2D[0, 2] = 0.5
+QUARTIC_WELL_2D[4, 0] = QUARTIC_WELL_2D[0, 4] = -2.0
+ARRAY_LOOP_CASES = {
+    # The classify-classical benchmark unit's 20,000-step cubic flow.
+    "cubic-1d": (HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial(
+        PRESETS["cubic-perturbed"])), PhasePoint(1.0, 0.0), 20.0, CLASSIFY_DT),
+    "barrier-1d-diverges": (BARRIER, PhasePoint(0.0, 1.7), 50.0, 1e-3),
+    "coupled-2d": (HamiltonianSpec(mass=1.5, potential=PotentialModel.polynomial2d(
+        [[0.0, 0.1, 0.5], [0.0, 0.0, 0.0], [0.5, 0.01, 0.0]])),
+        PhasePoint([1.0, -0.5], [0.3, 0.5]), 10.0, 1e-3),
+    "quartic-2d-diverges": (HamiltonianSpec(
+        mass=1.3, potential=PotentialModel.polynomial2d(QUARTIC_WELL_2D)),
+        PhasePoint([1.5, -0.5], [0.5, 1.0]), 5.0, 1e-2),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_LOOP_CASES)
+def test_flows_are_bitwise_the_array_writing_loops(name):
+    # The loops keep their samples in lists and build the arrays once:
+    # every sample, energy and time keeps its bits, and a flow that
+    # leaves the window keeps the samples before that step, no more.
+    spec, alpha0, T, dt = ARRAY_LOOP_CASES[name]
+    m, step = time_steps(T, dt)
+    times, xs, ps, diverged = array_leapfrog(spec, alpha0, m, step)
+    assert diverged == name.endswith("-diverges")
+    try:
+        traj = integrate_flow(spec, alpha0, T, dt)
+    except FlowDivergedError as err:
+        traj = err.trajectory
+        assert diverged and err.t_last == times[-1]
+    else:
+        assert not diverged
+    for got, want in ((traj.times, times), (traj.xi, xs), (traj.pi, ps),
+                      (traj.energies, energies(spec, xs, ps))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

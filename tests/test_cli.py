@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from qreduce.cli import config_hash, main, run
+from qreduce.cli import _jsonable, config_hash, main, run
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -667,6 +667,42 @@ def test_config_hash_tracks_tolerances():
     tweaked = {"mode": "reduce", "tolerances": {"epsilon": 0.2}}
     assert config_hash(base) != config_hash(tweaked)
     assert config_hash(base) == config_hash(json.loads(json.dumps(base)))
+
+
+def recursive_jsonable(value):
+    """_jsonable as it recursed into every element of every array."""
+    if isinstance(value, dict):
+        return {str(k): recursive_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [recursive_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return recursive_jsonable(value.tolist())
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
+        return value.item()
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    return value
+
+
+def test_numeric_arrays_list_as_the_recursion_did():
+    # Bool, int and float arrays go out as tolist() gives them; complex
+    # and object arrays still recurse.  The report text is the same.
+    rng = np.random.default_rng(0)
+    value = {
+        "float": rng.standard_normal(3140),
+        "float32": rng.standard_normal((3, 4)).astype(np.float32),
+        "special": np.array([np.nan, np.inf, -np.inf, -0.0, 1e-310]),
+        "int": np.arange(-5, 5), "uint": np.arange(7, dtype=np.uint8),
+        "bool": np.array([[True, False], [False, True]]),
+        "scalar": np.array(2.5), "empty": np.zeros((0, 3)),
+        "complex": np.array([1 + 2j, -0.0 - 1j, complex(np.nan, np.inf)]),
+        "object": np.array([np.float64(1.5), 2 + 1j, None], dtype=object),
+        "nested": [{1: np.ones(2)}, (np.int64(3), np.bool_(True))],
+    }
+    text = json.dumps(_jsonable(value), sort_keys=True, indent=2,
+                      ensure_ascii=False)
+    assert text == json.dumps(recursive_jsonable(value), sort_keys=True,
+                              indent=2, ensure_ascii=False)
 
 
 def test_json_round_trips_the_envelope(tmp_path):

@@ -4,6 +4,7 @@ import scipy.fft
 from conftest import spectral_moments
 
 from qreduce import HamiltonianSpec, PhasePoint, PotentialModel, WraparoundError
+from qreduce import grid as grid_module
 from qreduce.packets import packet, sample_on_grid
 from qreduce.grid import (
     DEFAULT_GRID,
@@ -14,6 +15,7 @@ from qreduce.grid import (
     construct_localizer,
     expectation_a,
     localization_check,
+    potential_on_grid,
     propagate,
     propagation_self_check,
     weyl_displace,
@@ -436,6 +438,57 @@ def test_stacked_rows_are_bitwise_the_runs_alone(spec, grid, size, steps, dt):
                               np.concatenate([t for t, _ in alone_seen]))
         assert np.array_equal(np.concatenate([a[row] for _, a in seen]),
                               np.concatenate([a[0] for _, a in alone_seen]))
+
+
+def numpy_fft_steps(spec, grid, amps, steps, dt):
+    """propagate's step on a stack with np.fft.fft and ifft in place
+    (out=), one axis at a time in np.fft.fft2's order, last axis first."""
+    half_v = np.exp(-0.5j * dt * potential_on_grid(spec, grid))
+    kinetic = np.exp(-1j * dt * grid.k_squared / (2.0 * spec.mass))
+    result_first = amps[0].nbytes >= 1 << 18
+    amps = amps.copy()
+    work = np.empty_like(amps)
+    axes = (-1, -2)[:grid.n]
+    for _ in range(steps):
+        np.multiply(half_v, amps, out=work)
+        for axis in axes:
+            np.fft.fft(work, axis=axis, out=work)
+        if result_first:
+            np.multiply(work, kinetic, out=work)
+        else:
+            np.multiply(kinetic, work, out=work)
+        for axis in axes:
+            np.fft.ifft(work, axis=axis, out=work)
+        if result_first:
+            np.multiply(work, half_v, out=amps)
+        else:
+            np.multiply(half_v, work, out=amps)
+    return amps
+
+
+FFT_CASES = [(CUBIC_1D, GridSpec(n=1, N=N, L=10.0), size)
+             for N in (4, 1024, 16384) for size in (1, 2, 9)] + [
+    (COUPLED_2D, GridSpec(n=2, N=N, L=8.0), size)
+    for N in (64, 128) for size in (1, 2, 9)]
+
+
+@pytest.mark.parametrize("spec, grid, size", FFT_CASES, ids=[
+    f"{grid.n}d-N{grid.N}-S{size}" for _, grid, size in FFT_CASES])
+def test_the_step_transforms_are_bitwise_numpy_fft_in_place(spec, grid, size,
+                                                            monkeypatch):
+    # propagate calls the pocketfft gufuncs that np.fft.fft and ifft wrap:
+    # on random amplitudes, which touch every bit of the transforms and
+    # need the boundary check off, each step is bitwise the step on
+    # np.fft in place, whose inverse scales by 1/N and whose 2D pair runs
+    # the last axis first.
+    monkeypatch.setattr(grid_module, "BOUNDARY_TOL", np.inf)
+    rng = np.random.default_rng(grid.N + size)
+    shape = (size,) + (grid.N,) * grid.n
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    steps, dt = 3, 0.01
+    final = propagate(spec, GridStack(grid, amps), steps * dt, dt).final
+    assert np.array_equal(final.amps, numpy_fft_steps(spec, grid, amps,
+                                                      steps, dt))
 
 
 def test_a_wrapping_row_ends_a_stacked_run():

@@ -194,6 +194,56 @@ def test_cli_runs_load_no_scipy_module(tmp_path):
         "codes": [0, 0, 0], "scipy": []}
 
 
+def test_importing_the_cli_loads_no_numpy_fft():
+    # numpy.fft loads on the first transform, not at import: propagate
+    # reads its gufuncs at call time, and the benchmark worker's
+    # calibration, not its set-up, pays for the import.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", "import json, sys, qreduce.cli; print(json."
+         "dumps(sorted(m for m in sys.modules if m.startswith('numpy.fft'))))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+def _pocketfft_references(source: str) -> list:
+    """Lines that import or read numpy.fft._pocketfft_umath."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        if any(name.split(".")[-1] == "_pocketfft_umath" for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_check_sees_every_form_of_a_pocketfft_reference():
+    source = ("import numpy as np\n"
+              "from numpy.fft import _pocketfft_umath\n"
+              "import numpy.fft._pocketfft_umath\n"
+              "from numpy.fft._pocketfft_umath import fft\n"
+              "u = np.fft._pocketfft_umath.ifft\n"
+              "f = np.fft.fft\n")
+    assert _pocketfft_references(source) == [2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_the_grid_step_knows_the_pocketfft_gufuncs(path):
+    # The Strang step calls the gufuncs behind np.fft with numpy's own
+    # arguments, a private numpy interface: only grid.py may read it, in
+    # one place, and every other transform goes through np.fft.
+    found = _pocketfft_references(path.read_text())
+    assert len(found) == (1 if path.name == "grid.py" else 0)
+
+
 def _polynomial_references(source: str) -> list:
     """Lines that import numpy.polynomial or read it off numpy."""
     tree = ast.parse(source)
