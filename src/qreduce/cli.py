@@ -28,9 +28,12 @@ classify-quantum takes no T: its dt needs only be positive).  "radii",
 when given, is a nonempty list of positive numbers.  "M0" is a number
 or an n x n matrix (in 1D also [m]) with Re M0 positive definite and M0
 symmetric.  The start state, a region's center and half_widths (2n
-entries each) and the grid take the potential's dimension, and a scale
-center must lie within 0.75 L of the grid's middle on every axis;
-ehrenfest is 1D only.  In the matrix form of
+entries each) and the grid take the potential's dimension.  The start
+center of every grid run (alpha0 in reduce, scale and squeeze,
+packet.alpha0 in ehrenfest and grid classify-quantum) and every point
+of a reduce region's sample lattice must lie within 0.75 L of the
+grid's middle on every axis; ehrenfest is 1D only, and "coeffs" and
+"coeff_matrix" must be nonempty.  In the matrix form of
 classify-quantum, "matrix" and an explicit "omega" are square,
 symmetric and of one size.
 
@@ -253,16 +256,20 @@ def _phase_point(problem: dict, spec: HamiltonianSpec,
     return PhasePoint.from_vector(np.asarray(_numbers(raw, f"{path}.alpha0")))
 
 
-def _start_packet(problem: dict, spec: HamiltonianSpec):
-    """(alpha0, M0) from the packet block; a top-level one is refused."""
+def _start_packet(problem: dict, spec: HamiltonianSpec, grid: GridSpec):
+    """(alpha0, M0) from the packet block, centred clear of the grid edge
+    by the rule reduce and scale apply; a top-level one is refused."""
     for key in ("alpha0", "M0"):
         if key in problem:
             _fail(f"problem.{key}", "this mode takes its start state as "
                   '{"packet": {"alpha0": [...], "M0": ...}}')
     pkt = (_block(problem, "packet", required=False, path="problem.")
            or {"alpha0": [0.0] * (2 * spec.dimension)})
-    return (_phase_point(pkt, spec, "problem.packet"),
-            _width(pkt, "problem.packet", spec.dimension))
+    alpha0 = _phase_point(pkt, spec, "problem.packet")
+    if not grid.holds_center(alpha0.xi):
+        _fail("problem.packet.alpha0",
+              "initial center too close to the grid edge")
+    return alpha0, _width(pkt, "problem.packet", spec.dimension)
 
 
 def _grid_from(problem: dict, spec: HamiltonianSpec) -> GridSpec:
@@ -394,7 +401,7 @@ def _run_classify_quantum(problem: dict):
         comp = _comparator_from(problem)
         dt = _positive(_number(problem, "problem", "dt",
                                default=GridHamiltonian.dt), "problem.dt")
-        alpha0, M0 = _start_packet(problem, spec)
+        alpha0, M0 = _start_packet(problem, spec, grid)
         # This run steps by its own rule, max(2, ceil(T / dt)) steps, so
         # its provenance dt is the requested one.
         provenance = _provenance(grid=grid, comparator=comp, dt=dt)
@@ -488,7 +495,7 @@ def _run_ehrenfest(problem: dict):
     grid = _grid_from(problem, spec)
     T, dt = _horizon(problem, DEFAULT_DT)
     stride = _count(problem, "problem", "sample_stride", EHRENFEST_STRIDE)
-    alpha0, M0 = _start_packet(problem, spec)
+    alpha0, M0 = _start_packet(problem, spec, grid)
 
     def compute():
         psi = sample_on_grid(packet(alpha0, M0), grid)

@@ -6,7 +6,8 @@ shifts are spectral, exact for band-limited amplitudes.  Every
 transform is numpy's pocketfft: the step's through the gufuncs that
 numpy.fft wraps, which spares its Python wrapper on every step.
 A boundary-mass monitor guards the periodic wrap: experiments are valid
-only while essentially no mass touches the edge bands.
+only while essentially no mass touches the edge bands.  Each stacked
+measurement has one routine: _row_norms, _edge_mass, _moment_sums.
 """
 
 from __future__ import annotations
@@ -78,9 +79,19 @@ class GridSpec:
         """Volume element dx^n."""
         return self.dx ** self.n
 
+    @cached_property
+    def edge(self) -> np.ndarray:
+        """Mask of the outer max(2, N // 128) points of every axis, shape
+        (N,) * n: the bands whose mass propagate watches."""
+        width = max(2, self.N // 128)
+        band = np.zeros(self.N, dtype=bool)
+        band[:width] = band[-width:] = True
+        return band if self.n == 1 else np.logical_or.outer(band, band)
+
     def holds_center(self, xi) -> bool:
-        """Whether a packet centred at xi starts clear of the grid edge:
-        |xi| <= 0.75 L on every axis."""
+        """Whether a packet centred at xi, or at every row of a stack of
+        centres, starts clear of the grid edge: |xi| <= 0.75 L on every
+        axis."""
         return bool(np.max(np.abs(xi)) <= 0.75 * self.L)
 
 
@@ -102,7 +113,7 @@ class GridWavefunction:
 
     @property
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amp) ** 2) * self.grid.cell))
+        return float(_row_norms(self.amp[None], self.grid)[0])
 
     @property
     def is_unit(self) -> bool:
@@ -120,21 +131,7 @@ class GridWavefunction:
         return complex(np.sum(np.conj(self.amp) * other.amp) * self.grid.cell)
 
     def distance(self, other: "GridWavefunction") -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amp - other.amp) ** 2)
-                             * self.grid.cell))
-
-    def boundary_mass(self) -> float:
-        """Mass in the outer max(2, N // 128) points of every axis."""
-        band = max(2, self.grid.N // 128)
-        dens = self.density
-        mask = np.zeros_like(dens, dtype=bool)
-        for axis in range(self.grid.n):
-            sl = [slice(None)] * self.grid.n
-            sl[axis] = slice(0, band)
-            mask[tuple(sl)] = True
-            sl[axis] = slice(self.grid.N - band, self.grid.N)
-            mask[tuple(sl)] = True
-        return float(np.sum(dens[mask]) * self.grid.cell)
+        return float(_row_norms((self.amp - other.amp)[None], self.grid)[0])
 
 
 @dataclass(eq=False)
@@ -198,7 +195,8 @@ def propagate(spec: HamiltonianSpec, psi0: GridStack, t_final: float,
     FFT as it would that row alone, and the table products take the
     operand order that one state's size sets, so each row is bitwise the
     run of that state alone.  Boundary mass and norm drift are tracked
-    per row.
+    per row, on the whole stack at once: _edge_mass and _row_norms take
+    one sum per row, so each row's telemetry is also a run alone's.
 
     ``observer`` sees the run in blocks, so running measurements need no
     snapshot storage and can batch their work.  The amplitude after every
@@ -226,8 +224,7 @@ def propagate(spec: HamiltonianSpec, psi0: GridStack, t_final: float,
     v = potential_on_grid(spec, grid)
     half_v = np.exp(-0.5j * dt * v)
     kinetic = np.exp(-1j * dt * grid.k_squared / (2.0 * spec.mass))
-    states = [GridWavefunction(grid, row) for row in amp]
-    boundary_max = np.array([psi.boundary_mass() for psi in states])
+    boundary_max = _edge_mass(amp, grid)
     if np.any(boundary_max > BOUNDARY_TOL):
         raise WraparoundError("initial state already touches the grid edge")
     work = np.empty_like(amp)
@@ -242,7 +239,7 @@ def propagate(spec: HamiltonianSpec, psi0: GridStack, t_final: float,
     # The written-out step ran on one state, so its size, not the
     # stack's, sets the operand order of the table products.
     result_first = amp[0].nbytes >= ELIDE_BYTES
-    norm0 = np.array([psi.norm for psi in states])
+    norm0 = _row_norms(amp, grid)
     norm_drift = np.zeros(len(amp))
     if observer is not None:
         block = _observer_block(grid, steps // observe_stride, len(amp))
@@ -268,9 +265,12 @@ def propagate(spec: HamiltonianSpec, psi0: GridStack, t_final: float,
                 observer(block_times, block)
                 filled = 0
         if step % CHECK_STRIDE == 0 or step == steps:
-            for row, psi in enumerate(states):
-                boundary_max[row] = max(boundary_max[row], psi.boundary_mass())
-                norm_drift[row] = max(norm_drift[row], abs(psi.norm - norm0[row]))
+            # Each row's max(old, new) as Python's max takes it: new only
+            # where it is the larger, so a NaN keeps what was there.
+            edge = _edge_mass(amp, grid)
+            np.copyto(boundary_max, edge, where=edge > boundary_max)
+            drift = np.abs(_row_norms(amp, grid) - norm0)
+            np.copyto(norm_drift, drift, where=drift > norm_drift)
             if np.any(boundary_max > BOUNDARY_TOL):
                 first = boundary_max[np.argmax(boundary_max > BOUNDARY_TOL)]
                 raise WraparoundError(
@@ -349,7 +349,8 @@ def expectation_a(psi, grid: GridSpec = None, work=None) -> np.ndarray:
 
 def _moments(amps, grid, work=None):
     """The lead + (2n,) moments of a stack; the spectra go into ``work``,
-    a complex array of the stack's shape, or a fresh one without it."""
+    a complex array of the stack's shape, or a fresh one without it.
+    In 1D they are _moment_sums times the cell."""
     axes = tuple(range(-grid.n, 0))
     cell = grid.cell
     dens = np.abs(amps) ** 2
@@ -361,42 +362,56 @@ def _moments(amps, grid, work=None):
     if work is None:
         work = np.empty_like(amps)
     if grid.n == 1:
-        # Not Parseval in 1D: this form gives the same bits as the
-        # per-state formula did, and under a harmonic V, where the
-        # measured error is itself rounding (~1e-13), other rounding
-        # would change that error by its own size.
-        q = [np.sum(grid.x * dens, axis=-1) * cell]
-        # ifft(1j * k * fft(amps)) in work.  1j * k is imaginary, so the
-        # product rounds alike in either operand order.
-        np.fft.fft(amps, out=work)
-        work *= 1j * grid.k
-        dpsi = np.fft.ifft(work, out=work)
-        p = [np.sum(np.conj(amps) * -1j * dpsi, axis=-1).real * cell]
-    else:
-        # Axis marginals (sum over the other axis), one product per axis.
-        q = [np.sum(dens, axis=-1) @ grid.x * cell,
-             np.sum(dens, axis=-2) @ grid.x * cell]
-        # Two 1D passes, axis -2 first: np.fft.fft2 runs the axes in the
-        # other order and so differs in the last bits.
-        spectrum = np.fft.fft(amps, axis=-2, out=work)
-        np.fft.fft(spectrum, axis=-1, out=spectrum)
-        # dens is not read again, so it turns into the power spectrum.
-        power = np.abs(spectrum, out=dens)
-        np.square(power, out=power)
-        power *= cell / grid.N ** 2
-        p = [np.sum(power, axis=-1) @ grid.k, np.sum(power, axis=-2) @ grid.k]
+        q, p = _moment_sums(amps, dens, grid, work)
+        return np.stack([q * cell, p * cell], axis=-1)
+    # Axis marginals (sum over the other axis), one product per axis.
+    q = [np.sum(dens, axis=-1) @ grid.x * cell,
+         np.sum(dens, axis=-2) @ grid.x * cell]
+    # Two 1D passes, axis -2 first: np.fft.fft2 runs the axes in the
+    # other order and so differs in the last bits.
+    spectrum = np.fft.fft(amps, axis=-2, out=work)
+    np.fft.fft(spectrum, axis=-1, out=spectrum)
+    # dens is not read again, so it turns into the power spectrum.
+    power = np.abs(spectrum, out=dens)
+    np.square(power, out=power)
+    power *= cell / grid.N ** 2
+    p = [np.sum(power, axis=-1) @ grid.k, np.sum(power, axis=-2) @ grid.k]
     return np.stack(q + p, axis=-1)
 
 
+def _moment_sums(amps, dens, grid: GridSpec, work):
+    """Row sums (sum x |psi|^2, Re sum conj(psi) (-i dpsi)) of a 1D
+    stack, given dens = |amps|^2; dpsi = ifft(1j k fft(psi)) is taken in
+    ``work``, of amps' shape.  Not Parseval: this form keeps the bits of
+    the per-state formula, and under a harmonic V the measured error is
+    itself rounding (~1e-13), which other rounding would change."""
+    q = np.sum(grid.x * dens, axis=-1)
+    # 1j * k is imaginary: either operand order rounds alike.
+    np.fft.fft(amps, out=work)
+    work *= 1j * grid.k
+    dpsi = np.fft.ifft(work, out=work)
+    return q, np.sum(np.conj(amps) * -1j * dpsi, axis=-1).real
+
+
 def _row_norms(amps, grid: GridSpec) -> np.ndarray:
-    """L2 norm of each state in a stack (B,) + (grid.N,) * n.
+    """L2 norm of each state in a stack (B,) + (grid.N,) * n: the
+    package's one norm formula (GridWavefunction.norm reads it too).
 
     Each row is one contiguous sum, so it is bitwise the norm of that
-    row alone (GridWavefunction.norm).
+    row alone.
     """
     flat = np.abs(amps.reshape(len(amps), grid.N ** grid.n))
     np.square(flat, out=flat)
     return np.sqrt(np.sum(flat, axis=-1) * grid.cell)
+
+
+def _edge_mass(amps, grid: GridSpec) -> np.ndarray:
+    """Mass in the GridSpec.edge bands of each state in a stack.  One
+    np.sum per row: one axis=-1 sum over the gathered bands is not each
+    row's bits alone (1D N = 1024 at 9 rows, 2D N = 64 at 2)."""
+    dens = np.abs(amps[:, grid.edge])
+    np.square(dens, out=dens)
+    return np.array([np.sum(row) for row in dens]) * grid.cell
 
 
 def fourier_shift(psi: GridWavefunction, shift) -> GridWavefunction:

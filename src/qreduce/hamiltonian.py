@@ -62,8 +62,9 @@ class PotentialModel:
     def polynomial(cls, coeffs) -> "PotentialModel":
         """1D polynomial V(x) = sum_k coeffs[k] x^k."""
         coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
-        if coeffs.ndim != 1:
-            raise ValueError("1D polynomial needs a flat coefficient list")
+        if coeffs.ndim != 1 or not coeffs.size:
+            raise ValueError("1D polynomial needs a flat, nonempty "
+                             "coefficient list")
         if len(coeffs) - 1 > MAX_POLY_DEGREE:
             raise ValueError(f"polynomial degree capped at {MAX_POLY_DEGREE}")
         return cls(coeffs)
@@ -72,8 +73,9 @@ class PotentialModel:
     def polynomial2d(cls, coeff_matrix) -> "PotentialModel":
         """2D polynomial V(x, y) = sum_{ij} C[i, j] x^i y^j, total degree <= 4."""
         C = np.asarray(coeff_matrix, dtype=float)
-        if C.ndim != 2:
-            raise ValueError("2D polynomial needs a coefficient matrix")
+        if C.ndim != 2 or not C.size:
+            raise ValueError("2D polynomial needs a nonempty coefficient "
+                             "matrix")
         if np.any((C != 0.0) & (sum(np.indices(C.shape)) > MAX_POLY_DEGREE_2D)):
             raise ValueError(f"2D total degree capped at {MAX_POLY_DEGREE_2D}")
         return cls(C)
@@ -208,12 +210,6 @@ class PhasePoint:
         vec = np.asarray(vec, dtype=float)
         n = vec.size // 2
         return cls(vec[:n], vec[n:])
-
-    def __add__(self, other):
-        return PhasePoint(self.xi + other.xi, self.pi + other.pi)
-
-    def __sub__(self, other):
-        return PhasePoint(self.xi - other.xi, self.pi - other.pi)
 
 
 @dataclass(frozen=True)

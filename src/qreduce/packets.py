@@ -122,11 +122,6 @@ class GaussianPacket:
         return _amplitude_factor(self.norm_prefactor, self.norm_factor,
                                  self.detB_angle, self.phase)
 
-    @property
-    def center(self) -> np.ndarray:
-        """Expectation of a = (q, p): exactly the displacement."""
-        return self.alpha.vector
-
 
 def vacuum(n: int = 1) -> GaussianPacket:
     """The unit-width packet Gamma(x) = pi^{-n/4} exp(-<x,x>/2) at the origin."""
@@ -152,8 +147,8 @@ def sample_on_grid(pkt: GaussianPacket, grid: GridSpec) -> GridWavefunction:
     The displacement follows (U(alpha)psi)(x) = e^{i pi.xi/2}
     e^{i pi.(x-xi)} psi(x-xi), matching the grid Weyl operator, so
     sampled packets and grid displacements compose consistently.  This
-    is the stack of one of the formula PacketFlow.sample evaluates for
-    a block of trajectory steps, so both give the same bits.
+    is the stack of one of the formula _sample_flows evaluates for a
+    block of trajectory steps, so both give the same bits.
     """
     if grid.n != pkt.n:
         raise ValueError("grid and packet dimensions differ")
@@ -384,7 +379,7 @@ class PacketFlow:
     The checks a GaussianPacket makes of itself run once, at
     construction, over the whole flow: finite trajectory points, then
     the width checks on every step of the series, stacked.  packet_at
-    and sample then check nothing per step.
+    and _sample_flows then check nothing per step.
     """
 
     spec: HamiltonianSpec
@@ -414,29 +409,15 @@ class PacketFlow:
             detB_angle=float(self.series.detB_angle[k]) + self.branch_offset)
         return pkt
 
-    def sample(self, steps, grid: GridSpec, out=None) -> np.ndarray:
-        """The packets at trajectory steps ``steps`` sampled on a grid.
-
-        Row r, of an array of shape (len(steps),) + (grid.N,) * n, is
-        bitwise sample_on_grid(self.packet_at(steps[r]), grid).amp,
-        evaluated straight from the series, the phase and the trajectory
-        with no packet built.  The rows are written into ``out``, a
-        complex array of that shape, when it is given, and it is
-        returned; else into a fresh array.  This is the flow stack of one
-        of _sample_flows.
-        """
-        if out is None:
-            out = np.empty((len(steps),) + (grid.N,) * grid.n, dtype=complex)
-        _sample_flows([self], steps, grid, out[None])
-        return out
-
 
 def _sample_flows(flows, steps, grid: GridSpec, out) -> None:
     """Write the packets of each flow at trajectory steps ``steps`` into
     its row of out, a contiguous complex array of shape
-    (len(flows), len(steps)) + (grid.N,) * n, as flow.sample would: the
-    rows of all flows go through one _sample_rows call, whose elements
-    each take the arithmetic of a single packet."""
+    (len(flows), len(steps)) + (grid.N,) * n.  out[f, r] is bitwise
+    sample_on_grid(flows[f].packet_at(steps[r]), grid).amp, evaluated
+    straight from the series, the phase and the trajectory with no
+    packet built: the rows of all flows go through one _sample_rows
+    call, whose elements each take the arithmetic of a single packet."""
     if any(grid.n != flow.traj.n for flow in flows):
         raise ValueError("grid and packet dimensions differ")
     steps = np.asarray(steps, dtype=int)

@@ -33,7 +33,8 @@ from .comparator import RESIDUAL_TOL, BasisResidualError, ComparatorSpec, \
     hermite_coefficients, within_magnitude
 from .errors import ConfigError, NumericalError
 from .grid import DEFAULT_GRID, GridSpec, GridStack, GridWavefunction, \
-    _block_rows, _observer_block, _row_norms, expectation_a, propagate
+    _block_rows, _moment_sums, _observer_block, _row_norms, expectation_a, \
+    propagate
 from .hamiltonian import HamiltonianSpec, PhasePoint, \
     _remainder_by_subtraction, normal_rule, time_steps
 from .packets import GaussianPacket, PacketFlow, _sample_flows, \
@@ -60,7 +61,8 @@ class ReductionProblem:
     the 2n components) or a 2n-vector (componentwise).  E is the
     magnitude threshold for the comparator hypotheses; None selects it
     from the run itself with a 1.5x margin.  region, when given, is an
-    initial-condition set sampled on a corner/center lattice.
+    initial-condition set sampled on a corner/center lattice.  alpha0
+    and every lattice point must hold GridSpec.holds_center.
     """
 
     spec: HamiltonianSpec
@@ -98,6 +100,10 @@ class ReductionProblem:
             raise ConfigError("grid cannot resolve the comparator basis")
         if not self.grid.holds_center(self.alpha0.xi):
             raise ConfigError("initial center too close to the grid edge")
+        lattice = _lattice_vectors(self)
+        if not self.grid.holds_center(lattice[:, :self.alpha0.n]):
+            raise ConfigError("a region lattice point starts too close to "
+                              "the grid edge")
 
     def epsilon_vector(self) -> np.ndarray:
         eps = np.atleast_1d(np.asarray(self.epsilon, dtype=float))
@@ -582,11 +588,12 @@ class ReductionReport:
         return out
 
 
-def _region_lattice(problem: ReductionProblem) -> list:
-    """Corner/center lattice over the initial-condition region."""
+def _lattice_vectors(problem: ReductionProblem) -> np.ndarray:
+    """The (K, 2n) points of the corner/center lattice over the
+    initial-condition region, in lattice order; alpha0 alone without one."""
     region = problem.region
     if region is None:
-        return [problem.alpha0]
+        return problem.alpha0.vector[None]
     center = region.center.vector
     if region.kind == "ball":
         spans = np.full(center.size, region.radius / np.sqrt(center.size))
@@ -597,15 +604,15 @@ def _region_lattice(problem: ReductionProblem) -> list:
     spans = spans * (1.0 - 1e-12)
     axes = [np.array([c - w, c, c + w]) for c, w in zip(center, spans)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    seen = set()
-    points = []
-    for v in mesh.reshape(-1, center.size):
-        key = tuple(v)
-        if key not in seen:
-            seen.add(key)
-            points.append(PhasePoint.from_vector(v))
-    inside = region.contains(np.array([p.vector for p in points]))
-    return [p for p, ok in zip(points, inside) if ok]
+    # Each point once (a zero span repeats it), first come first.
+    points = np.array(list(dict.fromkeys(map(tuple, mesh.reshape(
+        -1, center.size)))))
+    return points[region.contains(points)]
+
+
+def _region_lattice(problem: ReductionProblem) -> list:
+    """Corner/center lattice over the initial-condition region."""
+    return [PhasePoint.from_vector(v) for v in _lattice_vectors(problem)]
 
 
 def run_reduction(problem: ReductionProblem) -> ReductionReport:
@@ -718,8 +725,9 @@ def ehrenfest_run(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
     the finite-difference accuracy of the identity residual, and
     sample_stride must be a positive integer.  The start
     and every sample_stride-th step are recorded, a block of states at a
-    time: one batched FFT pair for <p>, row sums for the moments and one
-    polynomial evaluation for V'(<q>) per block.
+    time: <q> and <p> from _moment_sums, the 1D moments' sums, and a
+    row sum for <V'(q)>, each times cell / mass, and one polynomial
+    evaluation for V'(<q>) per block.
     """
     if psi0.grid.n != 1:
         raise ValueError("ehrenfest diagnostics are one-dimensional")
@@ -727,35 +735,16 @@ def ehrenfest_run(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
     dv = spec.potential.derivative(grid.x)
     cell = grid.cell
     stride = _positive_int(sample_stride, "sample_stride")
-    # One work block per run, two of propagate's observer blocks: the
-    # spectrum (then the derivative) and the momentum integrand.
-    rows = _block_rows(grid, time_steps(T, dt)[0] // stride)
-    work = np.empty((2, rows, grid.N), dtype=complex)
+    work = _observer_block(grid, time_steps(T, dt)[0] // stride)
     blocks = []
 
     def collect(times, stack):
         amps = stack[0]
-        dpsi, integrand = work[:, :len(amps)]
-        # The density and a weighted density, real arrays, take the
-        # integrand's memory until the integrand is formed.
-        dens, weighted = integrand.view(float).reshape((2,) + amps.shape)
-        np.abs(amps, out=dens)
-        np.square(dens, out=dens)
+        dens = np.abs(amps) ** 2
         mass = np.sum(dens, axis=-1) * cell
-        q = np.sum(np.multiply(grid.x, dens, out=weighted), axis=-1) \
-            * cell / mass
-        grad_v_mean = np.sum(np.multiply(dv, dens, out=weighted), axis=-1) \
-            * cell / mass
-        # ifft(1j * k * fft(amps)); 1j * k is imaginary, so the product
-        # rounds alike in either operand order.
-        np.fft.fft(amps, out=dpsi)
-        dpsi *= 1j * grid.k
-        np.fft.ifft(dpsi, out=dpsi)
-        # conj(amps) * -1j * dpsi, in that order, summed as complex.
-        np.conjugate(amps, out=integrand)
-        integrand *= -1j
-        integrand *= dpsi
-        p = np.sum(integrand, axis=-1).real * cell / mass
+        q, p = (s * cell / mass
+                for s in _moment_sums(amps, dens, grid, work[:len(amps)]))
+        grad_v_mean = np.sum(dv * dens, axis=-1) * cell / mass
         blocks.append(np.column_stack([times, q, p, grad_v_mean,
                                        spec.potential.derivative(q)]))
 
@@ -794,10 +783,13 @@ def squeeze_sweep(problem: ReductionProblem, dilations) -> dict:
     Duhamel integral standing in for Delta_1.  E is taken from the
     problem, else measured on the d = 1 flow, which its row then reuses;
     E_source in the result says which ("given" or "auto").  Each final
-    state W is sampled as a stack of one by flow.sample and scored as
-    BoundInputs.add_stack scores a block: one hermite_coefficients
-    projection, which serves both the E probe (within_magnitude on its
-    one row) and apply_comparator, then a row norm of W - Omega W.
+    state W is scored by the bound stage's code, as BoundInputs.add_stack
+    scores a block: sampled by _sample_flows as a stack of one, one
+    hermite_coefficients projection, which serves both apply_comparator
+    and the E probe (_membership_probes), then a row norm of W - Omega W.
+    A W with mass beyond the basis raises apply_comparator's
+    BasisResidualError as soon as it is scored: with E auto, the d = 1
+    state first.
     """
     dilations = [float(d) for d in dilations]
     if any(d <= 0 for d in dilations):
@@ -808,23 +800,21 @@ def squeeze_sweep(problem: ReductionProblem, dilations) -> dict:
 
     @functools.cache
     def final_state(d):
+        # (flow, ||(1 - Omega) W||, W's projection); W turns into W - Omega W.
         flow = approximate_flow(spec, traj, packet(problem.alpha0, d))
-        w = flow.sample([last], grid)
-        return flow, w, hermite_coefficients(comp, w, grid)
+        w = np.empty((1, 1) + (grid.N,) * grid.n, dtype=complex)
+        _sample_flows([flow], [last], grid, w)
+        projection = hermite_coefficients(comp, w[0], grid)
+        w[0] -= apply_comparator(comp, projection, grid)
+        return flow, float(_row_norms(w[0], grid)[0]), projection
 
-    def probe():
-        coeffs, residual = final_state(1.0)[2]
-        result = within_magnitude(comp, E_PROBE, (coeffs[0], residual[0]))
-        return [result["inv_norm"]], [result["divergent"]]
-
-    E = _select_E(problem.E, probe)
+    E = _select_E(problem.E, lambda: _membership_probes(
+        comp, *final_state(1.0)[2]))
     prefactor = _closed_prefactor(comp)
     rows = []
     for d in dilations:
-        flow, w, projection = final_state(d)
+        flow, comparator_term, _ = final_state(d)
         duh = float(duhamel_curve(spec, flow)[-1])
-        smoothed = apply_comparator(comp, projection, grid)
-        comparator_term = float(_row_norms(w - smoothed, grid)[0])
         rows.append({"d": d, "duhamel_term": duh,
                      "comparator_term": comparator_term,
                      "total_bound": _specialized_bound(prefactor, E, duh,

@@ -405,6 +405,13 @@ GRID_QUANTUM = {"potential": "harmonic", "grid": {"n": 1, "N": 256, "L": 10.0},
      "problem.packet.M0"),
     ("scale", {**SCALE_CASE, "T": 0.5, "alpha0": [19.0, 0.0]},
      "problem.alpha0"),
+    ("ehrenfest", {"potential": "harmonic", "T": 0.1, "dt": 0.01,
+                   "packet": {"alpha0": [30.0, 0.0]}},
+     "problem.packet.alpha0"),
+    ("classify-quantum", {"potential": "harmonic", "horizons": 1.0,
+                          "grid": SMALL_GRID, "comparator": SMALL_COMPARATOR,
+                          "packet": {"alpha0": [11.9, 0.0]}},
+     "problem.packet.alpha0"),
     ("reduce", {**HARMONIC_AT_1, "T": 0.1, "dt": 0.01, "epsilon": 1e-3,
                 "region": {"center": [1.0, 0.0, 0.0, 0.0],
                            "half_widths": [0.1, 0.1, 0.1, 0.1]}},
@@ -437,6 +444,7 @@ GRID_QUANTUM = {"potential": "harmonic", "grid": {"n": 1, "N": 256, "L": 10.0},
         "quantum-horizons-entry-negative", "quantum-dt-zero",
         "quantum-dt-negative", "reduce-M0-negative", "reduce-M0-asymmetric",
         "ehrenfest-M0-negative", "quantum-M0-negative", "scale-center-edge",
+        "ehrenfest-center-edge", "quantum-center-edge",
         "reduce-box-center-length", "reduce-ball-center-length",
         "reduce-box-half-widths-length", "reduce-ball-radius-negative",
         "quantum-omega-size", "quantum-omega-asymmetric",
@@ -444,9 +452,9 @@ GRID_QUANTUM = {"potential": "harmonic", "grid": {"n": 1, "N": 256, "L": 10.0},
 def test_setup_faults_exit_two_and_name_their_field(tmp_path, capsys, mode,
                                                     problem, field):
     # Each of these used to start the run and exit 3, raise out of run(),
-    # or (a negative grid dt, a negative or no radius) exit 0; a region's
-    # half_widths of the wrong length or a negative radius exited 2
-    # without naming the field.
+    # or (a negative grid dt, a negative or no radius, an ehrenfest packet
+    # off the grid) exit 0; a region's half_widths of the wrong length or
+    # a negative radius exited 2 without naming the field.
     cfg = write_config(tmp_path, {"mode": mode, "problem": problem})
     assert run(cfg, out_dir=tmp_path / "out") == 2
     assert f"config.{field}: " in capsys.readouterr().err
@@ -457,6 +465,41 @@ LATTICE = {"potential": "harmonic", "alpha0": [1.0, 0.0], "T": 0.1,
            "dt": 0.01, "epsilon": 0.1}
 CLASSICAL = {"alpha0": [1.0, 0.0], "T": 1.0}
 TWO_LEVEL = {"matrix": [[0.0, 1.0], [1.0, 0.0]], "psi": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize("mode, problem", [
+    ("reduce", LATTICE),
+    ("classify-classical", CLASSICAL),
+    ("classify-quantum", {**GRID_QUANTUM, "horizons": 1.0}),
+    ("scale", {**SCALE_CASE, "T": 0.1, "dt": 0.01}),
+    ("squeeze", {**LATTICE, "dilations": [1.0]}),
+    ("ehrenfest", {"T": 0.1, "dt": 0.01}),
+], ids=["reduce", "classify-classical", "classify-quantum", "scale", "squeeze",
+        "ehrenfest"])
+@pytest.mark.parametrize("potential", [{"coeffs": []}, {"coeff_matrix": [[]]}],
+                         ids=["coeffs", "coeff-matrix"])
+def test_empty_potentials_exit_two(tmp_path, capsys, mode, problem, potential):
+    # An empty coefficient list or matrix raised IndexError out of run().
+    cfg = write_config(tmp_path, {"mode": mode, "problem": {
+        **problem, "potential": potential}})
+    assert run(cfg, out_dir=tmp_path / "out") == 2
+    assert "nonempty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("region", [
+    {"center": [1.0, 0.0], "half_widths": [18.0, 0.1]},
+    {"center": [30.0, 0.0], "radius": 0.1},
+], ids=["box-corners-past-the-edge", "ball-off-the-grid"])
+def test_region_lattices_off_the_grid_exit_two(tmp_path, capsys, region):
+    # Only alpha0 was checked: the box's corners wrapped around (exit 3),
+    # and the ball's samples, of norm ~1e-22, ran to a not-reduced
+    # verdict (exit 0).
+    cfg = write_config(tmp_path, {"mode": "reduce", "problem": {
+        **LATTICE, "region": region}})
+    assert run(cfg, out_dir=tmp_path / "out") == 2
+    assert "region lattice point" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("mode, problem, field", [

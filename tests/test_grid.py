@@ -11,7 +11,9 @@ from qreduce.grid import (
     GridSpec,
     GridStack,
     GridWavefunction,
+    _edge_mass,
     _observer_block,
+    _row_norms,
     construct_localizer,
     expectation_a,
     localization_check,
@@ -438,6 +440,52 @@ def test_stacked_rows_are_bitwise_the_runs_alone(spec, grid, size, steps, dt):
                               np.concatenate([t for t, _ in alone_seen]))
         assert np.array_equal(np.concatenate([a[row] for _, a in seen]),
                               np.concatenate([a[0] for _, a in alone_seen]))
+
+
+def per_state_boundary_mass(psi):
+    """GridWavefunction.boundary_mass as it was: the density summed over
+    a mask of the outer max(2, N // 128) points of every axis."""
+    band = max(2, psi.grid.N // 128)
+    dens = np.abs(psi.amp) ** 2
+    mask = np.zeros_like(dens, dtype=bool)
+    for axis in range(psi.grid.n):
+        sl = [slice(None)] * psi.grid.n
+        sl[axis] = slice(0, band)
+        mask[tuple(sl)] = True
+        sl[axis] = slice(psi.grid.N - band, psi.grid.N)
+        mask[tuple(sl)] = True
+    return float(np.sum(dens[mask]) * psi.grid.cell)
+
+
+def per_state_norm(psi):
+    """GridWavefunction.norm as it was, one sum over the whole state."""
+    return float(np.sqrt(np.sum(np.abs(psi.amp) ** 2) * psi.grid.cell))
+
+
+HEALTH_CASES = [(GridSpec(n=n, N=N, L=10.0), size)
+                for n, N in ((1, 1024), (1, 16384), (2, 64), (2, 128))
+                for size in (1, 2, 9)]
+
+
+@pytest.mark.parametrize("grid, size", HEALTH_CASES, ids=[
+    f"{grid.n}d-N{grid.N}-S{size}" for grid, size in HEALTH_CASES])
+def test_stacked_health_checks_are_the_per_state_formulas(grid, size):
+    # propagate's checks read a whole stack: each row's edge mass and
+    # norm is bitwise the per-state formula.  One axis=-1 sum over the
+    # gathered bands is not at 1D N = 1024 (S = 9), 1D N = 16384 and 2D
+    # (S >= 2), so the edge mass sums each row alone.
+    rng = np.random.default_rng(grid.N + size)
+    shape = (size,) + (grid.N,) * grid.n
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stack = GridStack(grid, amps)
+    states = [stack[row] for row in range(size)]
+    assert _edge_mass(amps, grid).tolist() == [
+        per_state_boundary_mass(psi) for psi in states]
+    expected = [per_state_norm(psi) for psi in states]
+    assert _row_norms(amps, grid).tolist() == expected
+    assert [psi.norm for psi in states] == expected
+    assert states[0].distance(states[-1]) == per_state_norm(
+        GridWavefunction(grid, states[0].amp - states[-1].amp))
 
 
 def numpy_fft_steps(spec, grid, amps, steps, dt):

@@ -108,7 +108,7 @@ KEPT = {
     "classical.ClassicalTrajectory.energy_drift",
     # ROADMAP item 5 replaces it with a splitting-error estimate.
     "grid.propagation_self_check",
-    # The per-row oracle of PacketFlow.sample.
+    # The per-row oracle of _sample_flows.
     "packets.PacketFlow.packet_at",
     # The overlap that the grid tests use.
     "grid.GridWavefunction.inner",

@@ -530,6 +530,24 @@ def test_ehrenfest_blocks_equal_the_per_state_formulas():
         assert np.array_equal(got, expected[:, column])
 
 
+def test_ehrenfest_reads_its_moments_per_unit_mass():
+    # Doubling a state doubles every amplitude of its run exactly, so its
+    # densities, sums and mass are exactly four times the unit state's;
+    # read per unit mass, every recorded number keeps its bits.  Sums not
+    # divided by the mass, or divided twice, read 4x or x/4 here.
+    grid = GridSpec(1, 1024, 20.0)
+    psi0 = sample_on_grid(packet(PhasePoint(1.0, 0.3), 1.3), grid)
+    doubled = GridWavefunction(grid, 2.0 * psi0.amp)
+    unit = ehrenfest_run(CUBIC_PERTURBED, psi0, 0.3, dt=2e-3, sample_stride=3)
+    twice = ehrenfest_run(CUBIC_PERTURBED, doubled, 0.3, dt=2e-3,
+                          sample_stride=3)
+    for name in ("times", "position", "momentum", "grad_v_mean",
+                 "grad_v_at_mean"):
+        assert np.array_equal(getattr(twice, name), getattr(unit, name))
+    assert np.allclose([unit.position[0], unit.momentum[0]],
+                       expectation_a(psi0), rtol=0, atol=1e-12)
+
+
 def test_ehrenfest_rejects_two_dimensional_grids():
     grid2 = GridSpec(n=2, N=64, L=8.0)
     h0 = np.pi ** -0.25 * np.exp(-0.5 * grid2.x ** 2)
@@ -585,6 +603,49 @@ def test_squeeze_projects_each_final_state_once(monkeypatch):
     monkeypatch.setattr(reduction, "hermite_coefficients", counting)
     assert squeeze_sweep(problem, [0.5, 1.0, 2.0]) == expected
     assert len(calls) == 3
+
+
+def test_squeeze_reads_E_from_the_unit_width_final_state():
+    # E auto is 1.5 times the inverse comparator norm of the d = 1 final
+    # state W, also when d = 1 is not in the sweep: that W sampled on its
+    # own, projected and probed as within_magnitude probes one state.
+    problem = ReductionProblem(spec=CUBIC_PERTURBED,
+                               alpha0=PhasePoint(0.5, 0.2), T=0.1, dt=0.01,
+                               epsilon=1.0)
+    traj = integrate_flow(CUBIC_PERTURBED, problem.alpha0, 0.1, 0.01)
+    flow = approximate_flow(CUBIC_PERTURBED, traj, packet(problem.alpha0, 1.0))
+    w = sample_on_grid(flow.packet_at(len(traj) - 1), problem.grid)
+    coeffs, residual = hermite_coefficients(problem.comparator, w.amp[None],
+                                            problem.grid)
+    probe = within_magnitude(problem.comparator, reduction.E_PROBE,
+                             (coeffs[0], residual[0]))
+    assert not probe["divergent"]
+    table = squeeze_sweep(problem, [2.0, 0.5])
+    assert table["E_used"] == 1.5 * probe["inv_norm"]
+    assert table["E_used"] == squeeze_sweep(problem, [1.0])["E_used"]
+
+
+def test_squeeze_raises_the_residual_of_the_first_state_scored():
+    # Over 2 pi of the quartic the d = 0.5 and d = 1 final states W leave
+    # the basis.  With E auto the d = 1 probe scores first and raises that
+    # state's residual; with E given, the first state of the sweep does.
+    problem = ReductionProblem(spec=QUARTIC, alpha0=PhasePoint(1.0, 0.0),
+                               T=2 * np.pi, dt=0.01, epsilon=1.0)
+    traj = integrate_flow(QUARTIC, problem.alpha0, problem.T, problem.dt)
+
+    def message(d):
+        flow = approximate_flow(QUARTIC, traj, packet(problem.alpha0, d))
+        w = sample_on_grid(flow.packet_at(len(traj) - 1), problem.grid)
+        residual = hermite_coefficients(problem.comparator, w.amp[None],
+                                        problem.grid)[1][0]
+        assert residual > RESIDUAL_TOL
+        return f"basis projection lost mass fraction {residual:.3g}"
+
+    assert message(0.5) != message(1.0)
+    for E, d in ((None, 1.0), (10.0, 0.5)):
+        with pytest.raises(BasisResidualError) as info:
+            squeeze_sweep(dataclasses.replace(problem, E=E), [0.5, 1.0, 2.0])
+        assert str(info.value) == message(d)
 
 
 @pytest.mark.parametrize("E, source", [(None, "auto"), (50.0, "given")])

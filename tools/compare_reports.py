@@ -6,11 +6,13 @@ OLD_SRC and NEW_SRC are checkouts of the repository (or their ``src``
 directories).  The unit configs come from ``perfbench/workloads.py`` of
 the checkout this script sits in, read as it is: every unit of every
 workload at the default seed, the probe configs, 2D boxed-region
-reduce, scale, squeeze and classify-classical configs on the
-remainder-2d unit's potential, start state and grid, and a matrix-form
-classify-quantum config with an explicit omega, which no workload
-runs.  Each config runs through ``python -m qreduce.cli`` of each
-tree, in a fresh directory, writing JSON and CSV.
+reduce, scale, squeeze, classify-classical and grid classify-quantum
+configs on the remainder-2d unit's potential, start state and grid, a
+matrix-form classify-quantum config with an explicit omega, and an
+ehrenfest config whose step count is not a multiple of its
+sample_stride, which no workload runs.  Each config runs through
+``python -m qreduce.cli`` of each tree, in a fresh directory, writing
+JSON and CSV.
 
 Every JSON field that differs between the trees (``created_utc`` aside)
 is printed with its largest absolute and relative difference, and so is
@@ -47,12 +49,15 @@ def _workloads():
 
 
 def _modes_2d(wl) -> list:
-    """[(name, config)]: a boxed-region reduce, scale, squeeze and
-    classify-classical in 2D, on the seed-0 remainder-2d unit's
-    potential, alpha0 and dt, with its T and grid where the mode takes
-    them (classify-classical runs to 20).  The region reduce is that
-    unit with a box of half-width 0.01 about alpha0: its 81 lattice
-    samples run their 2D grid runs one after another in one process."""
+    """[(name, config)]: a boxed-region reduce, scale, squeeze,
+    classify-classical and grid classify-quantum in 2D, on the seed-0
+    remainder-2d unit's potential, alpha0 and dt, with its T and grid
+    where the mode takes them (classify-classical runs to 20).  The
+    region reduce is that unit with a box of half-width 0.01 about
+    alpha0: its 81 lattice samples run their 2D grid runs one after
+    another in one process.  classify-quantum starts its packet at
+    alpha0 with the unit's M0 and runs to 4 in 200 steps: a 2-row 2D
+    stack through propagate's per-row checks at steps 100 and 200."""
     (_, reduce_2d), = wl.units("remainder-2d", wl.DEFAULT_SEED)
     problem = reduce_2d["problem"]
     shared = {key: problem[key] for key in ("potential", "alpha0", "T", "dt")}
@@ -69,6 +74,11 @@ def _modes_2d(wl) -> list:
             "dilations": [0.5, 1.0, 2.0]}}),
         ("classify-classical", {"mode": "classify-classical", "problem": {
             **shared, "T": 20.0}}),
+        ("classify-quantum", {"mode": "classify-quantum", "problem": {
+            "potential": problem["potential"], "grid": problem["grid"],
+            "comparator": problem["comparator"], "horizons": 4.0,
+            "dt": 0.02, "packet": {"alpha0": problem["alpha0"],
+                                   "M0": problem["M0"]}}}),
     ]
 
 
@@ -80,9 +90,17 @@ MATRIX_QUANTUM = {"mode": "classify-quantum", "problem": {
     "horizons": [5.0, 10.0, 20.0]}}
 
 
+# 200 steps recorded every third: 67 samples over two observer blocks,
+# and the last step is not a sample.
+EHRENFEST_STRIDE = {"mode": "ehrenfest", "problem": {
+    "potential": "cubic-perturbed", "T": 1.0, "dt": 0.005,
+    "sample_stride": 3, "packet": {"alpha0": [1.0, 0.0]}}}
+
+
 def unit_configs() -> list:
     """[(unit id, config)] for every seed-0 unit, every probe config, the
-    2D mode configs and the matrix-form classify-quantum config."""
+    2D mode configs, the matrix-form classify-quantum config and an
+    ehrenfest whose step count is not a multiple of its stride."""
     wl = _workloads()
     out = [(f"{workload}/{name}", config)
            for workload in wl.WORKLOADS
@@ -91,6 +109,7 @@ def unit_configs() -> list:
             if config is not None]
     out += [(f"2d/{name}", config) for name, config in _modes_2d(wl)]
     out.append(("matrix/classify-quantum", MATRIX_QUANTUM))
+    out.append(("stride/ehrenfest", EHRENFEST_STRIDE))
     return out
 
 
