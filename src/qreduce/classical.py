@@ -23,16 +23,16 @@ CLASSIFY_DT = 1e-3
 class ClassicalTrajectory:
     """A uniformly sampled solution of Hamilton's equations.
 
-    Fields hold the sample times t_k = k dt (plus the start offset), the
-    positions and momenta as (m+1, n) arrays, and the energy h(alpha(t_k))
-    at every sample.  Treat instances as immutable.
+    Fields hold the sample times t_k = k dt (plus the start offset) and
+    the positions and momenta as (m+1, n) arrays.  The energy
+    h(alpha(t_k)) at every sample is taken on first read of energies.
+    Treat instances as immutable.
     """
 
     spec: HamiltonianSpec
     times: np.ndarray
     xi: np.ndarray
     pi: np.ndarray
-    energies: np.ndarray
     dt: float
 
     def __len__(self) -> int:
@@ -46,6 +46,11 @@ class ClassicalTrajectory:
     def states(self) -> np.ndarray:
         """Samples stacked as an (m+1, 2n) array of (xi, pi) rows."""
         return np.hstack([self.xi, self.pi])
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        """h(alpha(t_k)) at every sample."""
+        return energies(self.spec, self.xi, self.pi)
 
     @property
     def energy_drift(self) -> float:
@@ -118,21 +123,6 @@ class PhaseRegion:
     def box(cls, center: PhasePoint, half_widths) -> "PhaseRegion":
         return cls("box", center, half_widths=half_widths)
 
-    def gap(self, states) -> np.ndarray:
-        """Signed boundary gap, negative inside; accepts (..., 2n) stacks."""
-        states = np.asarray(states, dtype=float)
-        delta = states - self.center.vector
-        if self.kind == "ball":
-            return np.sqrt(np.sum(delta ** 2, axis=-1)) - self.radius
-        finite = np.isfinite(self.half_widths)
-        if not np.any(finite):
-            return np.full(states.shape[:-1], -np.inf)
-        over = np.abs(delta[..., finite]) - self.half_widths[finite]
-        return np.max(over, axis=-1)
-
-    def contains(self, states) -> np.ndarray:
-        return self.gap(states) <= 0.0
-
 
 def _horner(coeffs, x: float) -> float:
     acc = 0.0
@@ -166,8 +156,7 @@ def _finish(spec, m, dt, xi, pi, last):
     times = dt * np.arange(last + 1)
     xi = xi[:last + 1]
     pi = pi[:last + 1]
-    traj = ClassicalTrajectory(spec=spec, times=times, xi=xi, pi=pi,
-                               energies=energies(spec, xi, pi), dt=dt)
+    traj = ClassicalTrajectory(spec=spec, times=times, xi=xi, pi=pi, dt=dt)
     if last < m:
         raise FlowDivergedError(t_last=times[-1], trajectory=traj)
     return traj

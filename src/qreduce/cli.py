@@ -315,6 +315,15 @@ def _region_from(problem: dict, spec: HamiltonianSpec):
     _fail("problem.region", "needs a radius (ball) or half_widths (box)")
 
 
+def _reduction_problem(**fields) -> ReductionProblem:
+    """ReductionProblem(**fields); its refusal names the config field at
+    fault, config.problem.<field>."""
+    try:
+        return ReductionProblem(**fields)
+    except ConfigError as exc:
+        _fail(f"problem.{exc.field}", str(exc))
+
+
 def _run_reduce(problem: dict):
     spec = _spec_from(problem)
     grid = _grid_from(problem, spec)
@@ -322,7 +331,7 @@ def _run_reduce(problem: dict):
     T, dt = _horizon(problem, DEFAULT_DT)
     epsilon = _epsilon(problem, default=None)
     M0 = _width(problem, "problem", spec.dimension)
-    ro = ReductionProblem(
+    ro = _reduction_problem(
         spec=spec, alpha0=_phase_point(problem, spec), T=T,
         epsilon=epsilon, comparator=comp,
         E=_number(problem, "problem", "E"), grid=grid, M0=M0,
@@ -471,7 +480,7 @@ def _run_squeeze(problem: dict):
     if not isinstance(dilations, list) or not dilations:
         _fail("problem.dilations", "must be a nonempty list")
     dilations = _positives(dilations, "problem.dilations")
-    ro = ReductionProblem(
+    ro = _reduction_problem(
         spec=spec, alpha0=_phase_point(problem, spec), T=T,
         epsilon=_epsilon(problem, default=1.0), comparator=comp,
         E=_number(problem, "problem", "E"), grid=grid, dt=dt)

@@ -6,7 +6,15 @@ class QReduceError(Exception):
 
 
 class ConfigError(QReduceError):
-    """Invalid or schema-violating run configuration."""
+    """Invalid or schema-violating run configuration.
+
+    ``field``, when given, names the field at fault, e.g. "epsilon" for
+    a ReductionProblem refusal; the message is the exception's text.
+    """
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class NumericalError(QReduceError):

@@ -126,10 +126,6 @@ class GridWavefunction:
     def normalized(self) -> "GridWavefunction":
         return GridWavefunction(self.grid, self.amp / self.norm)
 
-    def inner(self, other: "GridWavefunction") -> complex:
-        """L2 inner product <self, other>, conjugate-linear in self."""
-        return complex(np.sum(np.conj(self.amp) * other.amp) * self.grid.cell)
-
     def distance(self, other: "GridWavefunction") -> float:
         return float(_row_norms((self.amp - other.amp)[None], self.grid)[0])
 
@@ -427,24 +423,19 @@ def fourier_shift(psi: GridWavefunction, shift) -> GridWavefunction:
     return GridWavefunction(grid, amp)
 
 
-def _split_alpha(alpha, n):
-    if hasattr(alpha, "xi"):
-        return alpha.xi, alpha.pi
-    vec = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if vec.size != 2 * n:
-        raise ValueError("alpha must supply 2n components")
-    return vec[:n], vec[n:]
-
-
 def weyl_displace(psi: GridWavefunction, alpha) -> GridWavefunction:
-    """Phase-space displacement of psi by alpha = (xi, pi).
+    """Phase-space displacement of psi by the 2n-vector alpha = (xi, pi),
+    e.g. PhasePoint.vector.
 
     (U(alpha)psi)(x) = e^{i pi.xi/2} e^{i pi.(x - xi)} psi(x - xi); the
     position shift is spectral, so arbitrary real xi is allowed.
     """
-    xi, pi = _split_alpha(alpha, psi.grid.n)
-    shifted = fourier_shift(psi, xi)
     grid = psi.grid
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    if alpha.size != 2 * grid.n:
+        raise ValueError("alpha must supply 2n components")
+    xi, pi = alpha[:grid.n], alpha[grid.n:]
+    shifted = fourier_shift(psi, xi)
     if grid.n == 1:
         x = grid.x
         dot = pi[0] * (x - xi[0])

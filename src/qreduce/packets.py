@@ -123,11 +123,10 @@ class GaussianPacket:
                                  self.detB_angle, self.phase)
 
 
-def vacuum(n: int = 1) -> GaussianPacket:
-    """The unit-width packet Gamma(x) = pi^{-n/4} exp(-<x,x>/2) at the origin."""
-    eye = np.eye(n, dtype=complex)
-    return GaussianPacket(alpha=PhasePoint(np.zeros(n), np.zeros(n)),
-                          M=eye, A=eye.copy(), B=eye.copy())
+def vacuum() -> GaussianPacket:
+    """The 1D unit-width packet Gamma(x) = pi^{-1/4} exp(-x^2/2) at the
+    origin, packet((0, 0), 1)."""
+    return packet(PhasePoint(0.0, 0.0), 1.0)
 
 
 def packet(alpha, M) -> GaussianPacket:
@@ -219,9 +218,6 @@ class MetaplecticSeries:
     B: np.ndarray
     M: np.ndarray
     detB_angle: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 def evolve_AB(spec: HamiltonianSpec, traj: ClassicalTrajectory,
@@ -382,7 +378,6 @@ class PacketFlow:
     and _sample_flows then check nothing per step.
     """
 
-    spec: HamiltonianSpec
     traj: ClassicalTrajectory
     base: GaussianPacket
     series: MetaplecticSeries
@@ -453,6 +448,6 @@ def approximate_flow(spec: HamiltonianSpec, traj: ClassicalTrajectory,
     series = evolve_AB(spec, traj, psi0_packet.A, psi0_packet.B)
     X = phase_X(spec, traj)
     offset = psi0_packet.detB_angle - float(series.detB_angle[0])
-    return PacketFlow(spec=spec, traj=traj, base=psi0_packet, series=series,
-                      X=X, branch_offset=offset)
+    return PacketFlow(traj=traj, base=psi0_packet, series=series, X=X,
+                      branch_offset=offset)
 

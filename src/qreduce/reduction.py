@@ -37,8 +37,8 @@ from .grid import DEFAULT_GRID, GridSpec, GridStack, GridWavefunction, \
     propagate
 from .hamiltonian import HamiltonianSpec, PhasePoint, \
     _remainder_by_subtraction, normal_rule, time_steps
-from .packets import GaussianPacket, PacketFlow, _sample_flows, \
-    approximate_flow, packet, sample_on_grid
+from .packets import PacketFlow, _sample_flows, approximate_flow, packet, \
+    sample_on_grid
 from .quadrature import cumulative_trapezoid
 
 CROSS_CHECK_TOL = 1e-8
@@ -63,6 +63,11 @@ class ReductionProblem:
     from the run itself with a 1.5x margin.  region, when given, is an
     initial-condition set sampled on a corner/center lattice.  alpha0
     and every lattice point must hold GridSpec.holds_center.
+
+    lattice, set at construction, holds the (K, 2n) start points that
+    run_reduction runs, one per row in lattice order (_lattice_vectors):
+    every corner/center point of the region, or alpha0 alone without one.
+    A refusal is a ConfigError whose ``field`` names the field at fault.
     """
 
     spec: HamiltonianSpec
@@ -77,33 +82,38 @@ class ReductionProblem:
     region: PhaseRegion = None
     dt: float = DEFAULT_DT
     samples: int = DEFAULT_SAMPLES
+    lattice: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         eps = self.epsilon_vector()
         if np.any(eps <= 0):
-            raise ConfigError("epsilon must be positive")
+            raise ConfigError("epsilon must be positive", "epsilon")
         if eps.size != 2 * self.alpha0.n:
-            raise ConfigError("epsilon must be scalar or one value per component")
+            raise ConfigError("epsilon must be scalar or one value per "
+                              "component", "epsilon")
         if self.T <= 0:
-            raise ConfigError("horizon T must be positive")
+            raise ConfigError("horizon T must be positive", "T")
         if self.E is not None and self.E <= 0:
-            raise ConfigError("magnitude threshold E must be positive")
+            raise ConfigError("magnitude threshold E must be positive", "E")
         try:
             _positive_int(self.samples, "samples")
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(str(exc), "samples") from None
         if not self.spec.dimension == self.grid.n == self.alpha0.n:
-            raise ConfigError("potential, grid and alpha0 dimensions differ")
+            raise ConfigError("potential, grid and alpha0 dimensions differ",
+                              "alpha0")
         if self.region is not None and self.region.center.n != self.alpha0.n:
-            raise ConfigError("region and alpha0 dimensions differ")
+            raise ConfigError("region and alpha0 dimensions differ", "region")
         if not self.comparator.fits(self.grid):
-            raise ConfigError("grid cannot resolve the comparator basis")
+            raise ConfigError("grid cannot resolve the comparator basis",
+                              "comparator")
         if not self.grid.holds_center(self.alpha0.xi):
-            raise ConfigError("initial center too close to the grid edge")
-        lattice = _lattice_vectors(self)
-        if not self.grid.holds_center(lattice[:, :self.alpha0.n]):
+            raise ConfigError("initial center too close to the grid edge",
+                              "alpha0")
+        object.__setattr__(self, "lattice", _lattice_vectors(self))
+        if not self.grid.holds_center(self.lattice[:, :self.alpha0.n]):
             raise ConfigError("a region lattice point starts too close to "
-                              "the grid edge")
+                              "the grid edge", "region")
 
     def epsilon_vector(self) -> np.ndarray:
         eps = np.atleast_1d(np.asarray(self.epsilon, dtype=float))
@@ -173,38 +183,28 @@ def _remainder_norms(spec: HamiltonianSpec, centers, re_m, spots):
     return values
 
 
-def remainder_norm(spec: HamiltonianSpec, pkt: GaussianPacket) -> float:
-    """L2 norm of the nonquadratic remainder applied to a unit packet.
-
-    For h = p^2/2m + V the kinetic and quadratic parts cancel exactly in
-    the difference generator, leaving multiplication by the
-    cubic-and-higher Taylor remainder r of V about the packet center.
-    The norm is E[r(u)^2]^{1/2} under the packet's Gaussian position
-    density of covariance (2 Re M)^{-1}: tensor Gauss-Hermite quadrature,
-    exact within the degree caps.  It is cross-checked by a dense
-    trapezoid rule, 321 nodes per whitened axis on [-10, 10] with r
-    found by subtraction, V(c+u) - V(c) - grad V.u - u.H.u / 2; that
-    rule runs on broadcast axes, u_i on the first i + 1 nodes, with no
-    stack of node points.
-
-    Raises
-    ------
-    NumericalError if the exact and reference norms disagree.
-    """
-    return float(_remainder_norms(spec, pkt.alpha.xi[None], pkt.M.real[None],
-                                  [0])[0])
-
-
 def duhamel_curve(spec: HamiltonianSpec, flow: PacketFlow) -> np.ndarray:
     """Cumulative integral of the remainder norm along the packet flow.
 
     Bounds ||(W(t,0) - U(t)) psi|| for every t on the flow's time grid;
-    nondecreasing since the integrand is a norm.  The integrand is
-    remainder_norm over the whole flow at once: one Gauss-Hermite
-    evaluation for every step, with the dense trapezoid reference taken
-    at the first, middle and last steps, one step at a time.  The
-    reference only gates (NumericalError on a mismatch), so the curve is
-    the exact integral.
+    nondecreasing since the integrand is a norm.  For h = p^2/2m + V the
+    kinetic and quadratic parts cancel exactly in the difference
+    generator, leaving multiplication by the cubic-and-higher Taylor
+    remainder r of V about the packet center.  The integrand at each
+    step is the L2 norm of r applied to the unit packet there,
+    E[r(u)^2]^{1/2} under its Gaussian position density of covariance
+    (2 Re M)^{-1}: tensor Gauss-Hermite quadrature, exact within the
+    degree caps, for every step in one evaluation (_remainder_norms).
+    At the first, middle and last steps, one step at a time, it is
+    cross-checked by a dense trapezoid rule, 321 nodes per whitened axis
+    on [-10, 10] with r found by subtraction, V(c+u) - V(c) - grad V.u -
+    u.H.u / 2; that rule runs on broadcast axes, u_i on the first i + 1
+    nodes, with no stack of node points.  The reference only gates, so
+    the curve is the exact integral.
+
+    Raises
+    ------
+    NumericalError if the exact and reference norms disagree.
     """
     count = len(flow.times)
     values = _remainder_norms(spec, flow.traj.xi, flow.series.M.real,
@@ -590,7 +590,12 @@ class ReductionReport:
 
 def _lattice_vectors(problem: ReductionProblem) -> np.ndarray:
     """The (K, 2n) points of the corner/center lattice over the
-    initial-condition region, in lattice order; alpha0 alone without one."""
+    initial-condition region, in lattice order; alpha0 alone without one.
+
+    A box spans its finite half-widths on their axes, a ball r / sqrt(2n)
+    on every axis, so each point lies in the region by construction, and
+    every one is kept: K is 3^(2n) less the repeats of a zero span.
+    """
     region = problem.region
     if region is None:
         return problem.alpha0.vector[None]
@@ -600,19 +605,14 @@ def _lattice_vectors(problem: ReductionProblem) -> np.ndarray:
     else:
         spans = np.where(np.isfinite(region.half_widths),
                          region.half_widths, 0.0)
-    # Pull corners strictly inside so boundary rounding cannot drop them.
+    # The pull-in sets the corners' bits, and with them the sample points
+    # and the pinned E_used of the benchmark's lattice-1d unit.
     spans = spans * (1.0 - 1e-12)
     axes = [np.array([c - w, c, c + w]) for c, w in zip(center, spans)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     # Each point once (a zero span repeats it), first come first.
-    points = np.array(list(dict.fromkeys(map(tuple, mesh.reshape(
+    return np.array(list(dict.fromkeys(map(tuple, mesh.reshape(
         -1, center.size)))))
-    return points[region.contains(points)]
-
-
-def _region_lattice(problem: ReductionProblem) -> list:
-    """Corner/center lattice over the initial-condition region."""
-    return [PhasePoint.from_vector(v) for v in _lattice_vectors(problem)]
 
 
 def run_reduction(problem: ReductionProblem) -> ReductionReport:
@@ -630,34 +630,36 @@ def run_reduction(problem: ReductionProblem) -> ReductionReport:
     is "given" for a user E and "auto" for one selected from the run,
     where the magnitude hypotheses hold by construction.
 
-    Each sample has its own classical flow, packet flow and Duhamel
-    curve.  In 1D the grid runs go as stacks: one run_grid call per
-    chunk of as many states as a single run's observer block holds (64
-    at N = 1024), with one BoundInputs per sample.  In 2D each sample
-    runs as a stack of one: the 2D moments take their axis marginals by
-    BLAS matrix-vector products, whose row bits depend on the rows in
-    one call, so a sample keeps a single run's block.  Every number is
-    bitwise the one a run of the sample alone gives.
+    The samples are the rows of problem.lattice.  Each has its own
+    classical flow, packet flow and Duhamel curve.  In 1D the grid runs
+    go as stacks: one run_grid call per chunk of as many states as a
+    single run's observer block holds (64 at N = 1024), with one
+    BoundInputs per sample.  In 2D each sample runs as a stack of one:
+    the 2D moments take their axis marginals by BLAS matrix-vector
+    products, whose row bits depend on the rows in one call, so a sample
+    keeps a single run's block.  Every number is bitwise the one a run
+    of the sample alone gives.
     """
     spec, grid = problem.spec, problem.grid
     eps = problem.epsilon_vector()
-    points = _region_lattice(problem)
+    points = problem.lattice
     chunk = _block_rows(grid, len(points)) if grid.n == 1 else 1
     outcomes = []
     for first in range(0, len(points), chunk):
         lattice = points[first:first + chunk]
-        trajs, inputs = [], []
+        inputs = []
         amps = np.empty((len(lattice),) + (grid.N,) * grid.n, dtype=complex)
-        for row, alpha0 in enumerate(lattice):
-            trajs.append(integrate_flow(spec, alpha0, problem.T, problem.dt))
+        for row, vector in enumerate(lattice):
+            alpha0 = PhasePoint.from_vector(vector)
+            traj = integrate_flow(spec, alpha0, problem.T, problem.dt)
             base = packet(alpha0, problem.M0)
             inputs.append(BoundInputs(problem, approximate_flow(
-                spec, trajs[-1], base)))
+                spec, traj, base)))
             amps[row] = sample_on_grid(base, grid).amp
         runs = run_grid(spec, GridStack(grid, amps), problem.T, problem.dt,
                         problem.samples, inputs)
-        for alpha0, traj, run, item in zip(lattice, trajs, runs, inputs):
-            error = measured_error(run, traj)
+        for alpha0, run, item in zip(lattice.tolist(), runs, inputs):
+            error = measured_error(run, item.flow.traj)
             bounds = failure = None
             try:
                 bounds = assemble_bounds(problem, run, item, error)
@@ -665,8 +667,8 @@ def run_reduction(problem: ReductionProblem) -> ReductionReport:
                 # The certificate broke down, not the run: the measured
                 # error still decides the verdict, and no bound is
                 # reported.
-                failure = {"alpha0": alpha0.vector.tolist(),
-                           "error": type(exc).__name__, "message": str(exc)}
+                failure = {"alpha0": alpha0, "error": type(exc).__name__,
+                           "message": str(exc)}
             # An epsilon violation disproves reduction outright; the
             # magnitude hypotheses only gate the positive certificate.
             if not np.all(error.components < eps[None, :]):
@@ -686,8 +688,7 @@ def run_reduction(problem: ReductionProblem) -> ReductionReport:
     else:
         overall = "hypothesis-failed"
     sample_results = [
-        {"alpha0": a0.vector.tolist(), "max_error": err.overall,
-         "verdict": v}
+        {"alpha0": a0, "max_error": err.overall, "verdict": v}
         for a0, _, err, _, v, _ in outcomes]
     failures = [item[5] for item in outcomes if item[5] is not None]
     provenance = {

@@ -21,6 +21,12 @@ def spectral_moments(psi):
     return np.array(q + p)
 
 
+def inner(a, b) -> complex:
+    """L2 inner product <a, b> of two states on one grid, conjugate-linear
+    in a."""
+    return complex(np.sum(np.conj(a.amp) * b.amp) * a.grid.cell)
+
+
 def corpus_spec(name: str) -> HamiltonianSpec:
     return HamiltonianSpec(mass=1.0,
                            potential=PotentialModel.polynomial(PRESETS[name]))

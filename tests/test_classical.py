@@ -377,3 +377,28 @@ def test_flows_are_bitwise_the_array_writing_loops(name):
     for got, want in ((traj.times, times), (traj.xi, xs), (traj.pi, ps),
                       (traj.energies, energies(spec, xs, ps))):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["cubic-1d", "barrier-1d-diverges",
+                                  "coupled-2d"])
+def test_energies_are_taken_on_first_read(monkeypatch, name):
+    # integrate_flow evaluates no h; the first read of traj.energies
+    # takes it once, with the bits of energies(spec, xi, pi).
+    import qreduce.classical as classical
+    spec, alpha0, T, dt = ARRAY_LOOP_CASES[name]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return energies(*args)
+
+    monkeypatch.setattr(classical, "energies", counting)
+    try:
+        traj = integrate_flow(spec, alpha0, T, dt)
+    except FlowDivergedError as err:
+        traj = err.trajectory
+    assert calls == []
+    got = traj.energies
+    assert len(calls) == 1 and traj.energies is got
+    want = energies(spec, traj.xi, traj.pi)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -436,6 +436,19 @@ GRID_QUANTUM = {"potential": "harmonic", "grid": {"n": 1, "N": 256, "L": 10.0},
      "problem.radii.0"),
     ("classify-classical", {**HARMONIC_AT_1, "T": 1.0, "radii": []},
      "problem.radii"),
+    ("reduce", {**HARMONIC_AT_1, "T": 0.1, "dt": 0.01, "epsilon": -1.0},
+     "problem.epsilon"),
+    ("reduce", {**HARMONIC_AT_1, "T": 0.1, "dt": 0.01,
+                "epsilon": [0.1, 0.1, 0.1]}, "problem.epsilon"),
+    ("reduce", {**HARMONIC_AT_1, "T": 0.1, "dt": 0.01, "epsilon": 1e-3,
+                "E": -2.0}, "problem.E"),
+    ("reduce", {"potential": "harmonic", "alpha0": [19.0, 0.0], "T": 0.1,
+                "dt": 0.01, "epsilon": 1e-3}, "problem.alpha0"),
+    ("reduce", {**HARMONIC_AT_1, "T": 0.1, "dt": 0.01, "epsilon": 1e-3,
+                "region": {"center": [14.9, 0.0], "radius": 1.0}},
+     "problem.region"),
+    ("squeeze", {**HARMONIC_AT_1, "T": 0.1, "dt": 0.01, "dilations": [1.0],
+                 "grid": {"N": 64, "L": 10.0}}, "problem.comparator"),
 ], ids=["reduce-dt-above-T", "reduce-dt-negative", "reduce-dt-zero",
         "classical-T-zero", "classical-T-negative", "classical-dt-negative",
         "ehrenfest-T-negative", "ehrenfest-dt-above-T", "scale-T-negative",
@@ -448,13 +461,17 @@ GRID_QUANTUM = {"potential": "harmonic", "grid": {"n": 1, "N": 256, "L": 10.0},
         "reduce-box-center-length", "reduce-ball-center-length",
         "reduce-box-half-widths-length", "reduce-ball-radius-negative",
         "quantum-omega-size", "quantum-omega-asymmetric",
-        "classical-radius-negative", "classical-radii-empty"])
+        "classical-radius-negative", "classical-radii-empty",
+        "reduce-epsilon-negative", "reduce-epsilon-length",
+        "reduce-E-negative", "reduce-center-edge", "reduce-region-edge",
+        "squeeze-grid-below-comparator"])
 def test_setup_faults_exit_two_and_name_their_field(tmp_path, capsys, mode,
                                                     problem, field):
     # Each of these used to start the run and exit 3, raise out of run(),
     # or (a negative grid dt, a negative or no radius, an ehrenfest packet
     # off the grid) exit 0; a region's half_widths of the wrong length or
-    # a negative radius exited 2 without naming the field.
+    # a negative radius, and each refusal of ReductionProblem, exited 2
+    # without naming the field.
     cfg = write_config(tmp_path, {"mode": mode, "problem": problem})
     assert run(cfg, out_dir=tmp_path / "out") == 2
     assert f"config.{field}: " in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import inner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -116,7 +117,7 @@ def test_quadratic_form_strictly_between_zero_and_one():
         c = rng.normal(size=spec.N + 1) + 1j * rng.normal(size=spec.N + 1)
         c /= np.linalg.norm(c)
         psi = GridWavefunction(GRID, c @ basis)
-        val = psi.inner(smoothed(spec, psi)).real
+        val = inner(psi, smoothed(spec, psi)).real
         assert 0.0 < val < 1.0
 
 
@@ -166,7 +167,7 @@ def test_grid_diagonal_matches_closed_form():
     # The diagonal sigma e^{-sigma |z|^2} with sigma divided out.
     spec = ComparatorSpec(s=1.0)
     psi = coherent_state(1.2, -0.7)
-    val = psi.inner(smoothed(spec, psi)).real
+    val = inner(psi, smoothed(spec, psi)).real
     z_sq = abs(coherent_label(PhasePoint(1.2, -0.7))) ** 2
     assert abs(val - np.exp(-spec.sigma * z_sq)) < 1e-8
 

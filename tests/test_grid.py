@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.fft
-from conftest import spectral_moments
+from conftest import inner, spectral_moments
 
 from qreduce import HamiltonianSpec, PhasePoint, PotentialModel, WraparoundError
 from qreduce import grid as grid_module
@@ -58,7 +58,7 @@ def test_harmonic_period_fidelity():
     grid = GridSpec(n=1, N=1024, L=10.0)
     psi0 = vacuum(grid)
     result = propagate(HARMONIC, GridStack.of(psi0), 2 * np.pi, 1e-3)
-    assert abs(result.final[0].inner(psi0)) > 1 - 1e-6
+    assert abs(inner(result.final[0], psi0)) > 1 - 1e-6
     assert result.norm_drift[0] < 1e-10
 
 
@@ -71,7 +71,7 @@ def test_harmonic_eigenstate_phase():
     assert psi0.norm == pytest.approx(1.0, abs=1e-10)
     t = np.pi / 2
     final = propagate(HARMONIC, GridStack.of(psi0), t, 1e-3).final[0]
-    overlap = psi0.inner(final)
+    overlap = inner(psi0, final)
     assert abs(overlap) > 1 - 1e-6
     expected = np.exp(-1j * 2.5 * t)
     assert overlap == pytest.approx(expected, abs=1e-5)
@@ -101,9 +101,9 @@ def test_truncated_state_spreads_immediately():
 def test_expectation_vacuum_and_displaced():
     psi = vacuum()
     assert expectation_a(psi) == pytest.approx([0.0, 0.0], abs=1e-12)
-    shifted = weyl_displace(psi, PhasePoint(2.0, 0.0))
+    shifted = weyl_displace(psi, PhasePoint(2.0, 0.0).vector)
     assert expectation_a(shifted) == pytest.approx([2.0, 0.0], abs=1e-10)
-    both = weyl_displace(psi, PhasePoint(1.0, 3.0))
+    both = weyl_displace(psi, PhasePoint(1.0, 3.0).vector)
     assert expectation_a(both) == pytest.approx([1.0, 3.0], abs=1e-10)
 
 
@@ -134,9 +134,9 @@ def test_stacked_expectations_equal_the_per_state_formula(grid):
 
 def test_weyl_identity_and_unitarity():
     psi = vacuum()
-    same = weyl_displace(psi, PhasePoint(0.0, 0.0))
+    same = weyl_displace(psi, PhasePoint(0.0, 0.0).vector)
     assert same.distance(psi) < 1e-12
-    moved = weyl_displace(psi, PhasePoint(1.7, -2.3))
+    moved = weyl_displace(psi, PhasePoint(1.7, -2.3).vector)
     assert moved.norm == pytest.approx(1.0, abs=1e-12)
 
 
@@ -155,7 +155,7 @@ def test_weyl_composition_law():
 
 def test_weyl_density_is_shifted_density():
     psi = vacuum()
-    moved = weyl_displace(psi, PhasePoint(2.0, 0.0))
+    moved = weyl_displace(psi, PhasePoint(2.0, 0.0).vector)
     x = psi.grid.x
     expected = np.pi ** -0.5 * np.exp(-((x - 2.0) ** 2))
     assert np.max(np.abs(moved.density - expected)) < 1e-10
@@ -168,14 +168,15 @@ def test_propagation_self_check_small():
 
 def test_wraparound_detected():
     grid = GridSpec(n=1, N=256, L=8.0)
-    psi = weyl_displace(vacuum(grid), PhasePoint(0.0, 6.0))
+    psi = weyl_displace(vacuum(grid), PhasePoint(0.0, 6.0).vector)
     with pytest.raises(WraparoundError):
         propagate(FREE, GridStack.of(psi), 3.0, 1e-3)
 
 
 def test_grid_convergence_of_expectations():
-    coarse = weyl_displace(vacuum(GridSpec(n=1, N=1024, L=20.0)), PhasePoint(1.0, 0.5))
-    fine = weyl_displace(vacuum(GridSpec(n=1, N=2048, L=20.0)), PhasePoint(1.0, 0.5))
+    alpha = PhasePoint(1.0, 0.5).vector
+    coarse = weyl_displace(vacuum(GridSpec(n=1, N=1024, L=20.0)), alpha)
+    fine = weyl_displace(vacuum(GridSpec(n=1, N=2048, L=20.0)), alpha)
     assert expectation_a(coarse) == pytest.approx(expectation_a(fine), abs=1e-8)
 
 
@@ -187,7 +188,7 @@ def test_localization_vacuum_moments():
 
 
 def test_localization_displaced_fails():
-    moved = weyl_displace(vacuum(), PhasePoint(3.0, 0.0))
+    moved = weyl_displace(vacuum(), PhasePoint(3.0, 0.0).vector)
     res = localization_check([moved], lambda x: x ** 2, lambda k: k ** 2)
     assert res[0]["F_expect"] > 1
     assert not res[0]["passed"]
@@ -221,7 +222,7 @@ def test_construct_localizer_vacuum():
 
 def test_construct_localizer_pair():
     psi = vacuum()
-    moved = weyl_displace(psi, PhasePoint(4.0, 1.0))
+    moved = weyl_displace(psi, PhasePoint(4.0, 1.0).vector)
     F = construct_localizer([psi, moved])
     for member in (psi, moved):
         expect = np.sum(np.where(member.density == 0, 0.0, F * member.density)) \
@@ -236,14 +237,14 @@ def test_two_dimensional_basics():
     psi = vacuum(grid)
     assert psi.norm == pytest.approx(1.0, abs=1e-10)
     alpha = PhasePoint([1.0, -0.5], [0.5, 2.0])
-    moved = weyl_displace(psi, alpha)
+    moved = weyl_displace(psi, alpha.vector)
     assert expectation_a(moved) == pytest.approx([1.0, -0.5, 0.5, 2.0], abs=1e-9)
     spec2 = HamiltonianSpec(
         mass=1.0,
         potential=PotentialModel.polynomial2d([[0.0, 0.0, 0.5], [0.0, 0.0, 0.0],
                                                [0.5, 0.0, 0.0]]))
     result = propagate(spec2, GridStack.of(psi), 2 * np.pi, 2e-3)
-    assert abs(result.final[0].inner(psi)) > 1 - 1e-5
+    assert abs(inner(result.final[0], psi)) > 1 - 1e-5
 
 
 CUBIC_2D = HamiltonianSpec(

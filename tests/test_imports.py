@@ -110,8 +110,6 @@ KEPT = {
     "grid.propagation_self_check",
     # The per-row oracle of _sample_flows.
     "packets.PacketFlow.packet_at",
-    # The overlap that the grid tests use.
-    "grid.GridWavefunction.inner",
     # The per-state normalisation that expectation_a's tests compare with.
     "grid.GridWavefunction.normalized",
 }
@@ -133,18 +131,31 @@ def test_the_reachability_check_sees_a_test_only_definition():
         "m.Box.orphan"]
     assert _unreached({"m": module}, ["Call `only_tested` and `run`."]) == [
         "m.Box.orphan"]
+    # A README reaches only what its fenced code names, not its prose.
+    readme = ("Call `only_tested` by hand.\n\n```sh\nrun --fast\n```\n"
+              "Then `orphan`.\n")
+    assert _fenced_code(readme) == ["run --fast\n"]
+    assert _unreached({"m": module}, _fenced_code(readme)) == [
+        "m.Box.orphan", "m.only_tested"]
+
+
+def _fenced_code(markdown: str) -> list:
+    """The text of each fenced code block of a Markdown document."""
+    return re.findall(r"^```[^\n]*\n(.*?)^```", markdown, re.S | re.M)
 
 
 def test_every_definition_is_reached_outside_the_focused_tests():
     # Reached from the package's modules, the release gate, the
-    # benchmark, the tools or the READMEs; a definition that only the
-    # focused tests call is dead library surface.
+    # benchmark, the tools or the READMEs' code blocks; a definition that
+    # only the focused tests call, or only prose names, is dead library
+    # surface.
     modules = {path.stem: path.read_text() for path in MODULES}
     roots = [path.read_text() for path in (
-        ROOT / "tests" / "test_acceptance.py", ROOT / "README.md",
-        ROOT / "perfbench" / "README.md",
+        ROOT / "tests" / "test_acceptance.py",
         *sorted((ROOT / "perfbench").glob("*.py")),
         *sorted((ROOT / "tools").glob("*.py")))]
+    for readme in (ROOT / "README.md", ROOT / "perfbench" / "README.md"):
+        roots += _fenced_code(readme.read_text())
     assert _unreached(modules, roots, keep=KEPT) == []
     # Each kept name still needs its place here.
     assert KEPT <= set(_unreached(modules, roots))

@@ -21,8 +21,7 @@ from qreduce.packets import approximate_flow, packet, sample_on_grid
 from qreduce.reduction import (BoundInputs, ReductionProblem, assemble_bounds,
                                duhamel_curve, ehrenfest_run,
                                ehrenfest_residuals, measured_error,
-                               remainder_norm, run_grid, run_reduction,
-                               squeeze_sweep)
+                               run_grid, run_reduction, squeeze_sweep)
 
 HARMONIC = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial([0, 0, 0.5]))
 CUBIC_PERTURBED = HamiltonianSpec(
@@ -47,18 +46,25 @@ def origin_packet(M=1.0):
     return packet(PhasePoint(0.0, 0.0), M)
 
 
+def packet_remainder_norm(spec, pkt):
+    """The remainder norm of one packet as duhamel_curve takes it at a
+    step: _remainder_norms on a stack of one, its spot checked."""
+    return float(reduction._remainder_norms(
+        spec, pkt.alpha.xi[None], pkt.M.real[None], [0])[0])
+
+
 def test_remainder_norm_quadratic_is_zero():
-    assert remainder_norm(HARMONIC, origin_packet()) == 0.0
+    assert packet_remainder_norm(HARMONIC, origin_packet()) == 0.0
 
 
 def test_remainder_norm_cubic_at_rest():
-    value = remainder_norm(PURE_CUBIC, origin_packet())
+    value = packet_remainder_norm(PURE_CUBIC, origin_packet())
     assert abs(value - (1.0 / 6.0) * np.sqrt(15.0 / 8.0)) < 1e-12
     assert abs(value - CUBIC_AT_REST) < 1e-12
 
 
 def test_remainder_norm_quartic_at_rest():
-    value = remainder_norm(QUARTIC, origin_packet())
+    value = packet_remainder_norm(QUARTIC, origin_packet())
     assert abs(value - 0.25 * np.sqrt(105.0 / 16.0)) < 1e-12
     assert abs(value - QUARTIC_AT_REST) < 1e-12
 
@@ -66,14 +72,14 @@ def test_remainder_norm_quartic_at_rest():
 def test_remainder_norm_displaced_quartic_mixes_orders():
     # About xi=1 the quartic remainder is u^3 + u^4/4; only even total
     # powers survive the Gaussian average.
-    value = remainder_norm(QUARTIC, packet(PhasePoint(1.0, 0.0), 1.0))
+    value = packet_remainder_norm(QUARTIC, packet(PhasePoint(1.0, 0.0), 1.0))
     assert abs(value - np.sqrt(15.0 / 8.0 + 105.0 / 256.0)) < 1e-12
 
 
 def test_remainder_norm_tracks_width():
     # Narrower packet, smaller cubic remainder: norm ~ variance^{3/2}.
-    wide = remainder_norm(PURE_CUBIC, origin_packet(1.0))
-    narrow = remainder_norm(PURE_CUBIC, origin_packet(2.0))
+    wide = packet_remainder_norm(PURE_CUBIC, origin_packet(1.0))
+    narrow = packet_remainder_norm(PURE_CUBIC, origin_packet(2.0))
     assert abs(narrow / wide - (0.5) ** 1.5) < 1e-10
 
 
@@ -81,10 +87,11 @@ def test_remainder_norm_two_dimensional_closed_forms():
     # V = x^2 y about the origin: r = u^2 v with independent Gaussian
     # axes, so E[r^2] = 3 var_x^2 var_y.
     origin = PhasePoint([0.0, 0.0], [0.0, 0.0])
-    iso = remainder_norm(CUBIC_2D, packet(origin, np.eye(2)))
+    iso = packet_remainder_norm(CUBIC_2D, packet(origin, np.eye(2)))
     assert abs(iso - np.sqrt(3.0 / 8.0)) < 1e-12
     # A strongly anisotropic width: var_x = 1/8, var_y = 500.
-    aniso = remainder_norm(CUBIC_2D, packet(origin, np.diag([4.0, 0.001])))
+    aniso = packet_remainder_norm(CUBIC_2D,
+                                  packet(origin, np.diag([4.0, 0.001])))
     expected = np.sqrt(3.0 * (1.0 / 8.0) ** 2 * 500.0)
     assert abs(aniso - expected) < 1e-12
 
@@ -124,7 +131,7 @@ def remainder_cases(draw):
 def test_exact_remainder_norm_matches_dense_reference(case):
     spec, center, M = case
     start = PhasePoint(center, np.zeros_like(center))
-    exact = remainder_norm(spec, packet(start, M))
+    exact = packet_remainder_norm(spec, packet(start, M))
     reference = reduction._reference_norm(spec, center, np.real(M))
     assert abs(exact - reference) <= 1e-8 * max(1.0, reference)
 
@@ -238,7 +245,7 @@ def test_remainder_spot_check_is_live(monkeypatch, spec, start):
     with pytest.raises(NumericalError):
         duhamel_curve(spec, flow)
     with pytest.raises(NumericalError):
-        remainder_norm(spec, flow.packet_at(0))
+        packet_remainder_norm(spec, flow.packet_at(0))
 
 
 def test_duhamel_linear_at_fixed_point():
@@ -434,6 +441,40 @@ def test_region_lattice_sampling():
     assert len(report.sample_results) == 9
     assert report.verdict == "reduced"
     assert all(r["verdict"] == "reduced" for r in report.sample_results)
+
+
+# Regions so small that rounding puts lattice points a few ulps past
+# their boundary.
+TINY_REGIONS = {
+    "box": PhaseRegion.box(PhasePoint(0.1, 2.9), [1e-6, 1e-6]),
+    "ball": PhaseRegion.ball(PhasePoint(1.3, 0.7), 3e-7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TINY_REGIONS))
+def test_every_lattice_point_of_a_tiny_region_runs(monkeypatch, name):
+    # The problem keeps its lattice, and run_reduction runs every point of
+    # it, in lattice order, with no second lattice built.
+    region = TINY_REGIONS[name]
+    problem = ReductionProblem(spec=HARMONIC, alpha0=region.center, T=0.1,
+                               dt=0.01, epsilon=1e-3, region=region)
+    assert problem.lattice.shape == (9, 2)
+    # Rounding puts the box's 8 outer points and the ball's 4 corners
+    # just past the boundary.
+    offsets = problem.lattice - region.center.vector
+    past = (np.sqrt(np.sum(offsets ** 2, axis=1)) - region.radius
+            if name == "ball"
+            else np.max(np.abs(offsets) - region.half_widths, axis=1))
+    assert np.sum(past > 0) == (4 if name == "ball" else 8)
+    calls = []
+    lattice_vectors = reduction._lattice_vectors
+    monkeypatch.setattr(reduction, "_lattice_vectors",
+                        lambda problem: calls.append(problem)
+                        or lattice_vectors(problem))
+    report = run_reduction(problem)
+    assert calls == []
+    assert [r["alpha0"] for r in report.sample_results] == \
+        problem.lattice.tolist()
 
 
 def test_report_serializes_to_json():
@@ -743,6 +784,11 @@ def test_a_2d_reduce_runs_from_a_spec_without_a_dimension():
     assert report.error.overall < 1e-3
 
 
+def lattice_points(problem):
+    """The problem's lattice as the PhasePoints run_reduction starts from."""
+    return [PhasePoint.from_vector(v) for v in problem.lattice]
+
+
 STREAM_CASES = {
     # 25 steps at stride 3: the last step is off the stride.
     "lattice-1d": ReductionProblem(
@@ -769,7 +815,7 @@ def test_streamed_bounds_equal_the_snapshot_list_assembly(name):
     # The streamed run projects the same states as a kept snapshot list
     # would, so every projection-derived number is bitwise the same.
     problem = STREAM_CASES[name]
-    points = reduction._region_lattice(problem)
+    points = lattice_points(problem)
     olds = {}
     for alpha0 in points:
         traj = integrate_flow(problem.spec, alpha0, problem.T, problem.dt)
@@ -912,7 +958,7 @@ def per_sample_loop(problem):
     another."""
     eps = problem.epsilon_vector()
     outcomes = []
-    for alpha0 in reduction._region_lattice(problem):
+    for alpha0 in lattice_points(problem):
         traj = integrate_flow(problem.spec, alpha0, problem.T, problem.dt)
         base = packet(alpha0, problem.M0)
         inputs = BoundInputs(problem,

@@ -8,9 +8,10 @@ the checkout this script sits in, read as it is: every unit of every
 workload at the default seed, the probe configs, 2D boxed-region
 reduce, scale, squeeze, classify-classical and grid classify-quantum
 configs on the remainder-2d unit's potential, start state and grid, a
-matrix-form classify-quantum config with an explicit omega, and an
+matrix-form classify-quantum config with an explicit omega, an
 ehrenfest config whose step count is not a multiple of its
-sample_stride, which no workload runs.  Each config runs through
+sample_stride, and a boxed-region reduce whose outer samples lose their
+bounds in one stacked run, which no workload runs.  Each config runs through
 ``python -m qreduce.cli`` of each tree, in a fresh directory, writing
 JSON and CSV.
 
@@ -97,10 +98,20 @@ EHRENFEST_STRIDE = {"mode": "ehrenfest", "problem": {
     "sample_stride": 3, "packet": {"alpha0": [1.0, 0.0]}}}
 
 
+# A free packet spreads out of a 17-function basis: nine samples in one
+# stack, whose outer ones lose their bounds (bound_failure at (-1, -0.5))
+# while the centre reads reduced.
+STACKED_FAILURE = {"mode": "reduce", "problem": {
+    "potential": "free", "alpha0": [0, 0], "T": 0.6, "dt": 0.01,
+    "epsilon": 1.0, "comparator": {"s": 1.0, "N": 16},
+    "region": {"center": [0, 0], "half_widths": [1.0, 0.5]}}}
+
+
 def unit_configs() -> list:
     """[(unit id, config)] for every seed-0 unit, every probe config, the
-    2D mode configs, the matrix-form classify-quantum config and an
-    ehrenfest whose step count is not a multiple of its stride."""
+    2D mode configs, the matrix-form classify-quantum config, an
+    ehrenfest whose step count is not a multiple of its stride and a
+    stacked region reduce with bound failures."""
     wl = _workloads()
     out = [(f"{workload}/{name}", config)
            for workload in wl.WORKLOADS
@@ -110,6 +121,7 @@ def unit_configs() -> list:
     out += [(f"2d/{name}", config) for name, config in _modes_2d(wl)]
     out.append(("matrix/classify-quantum", MATRIX_QUANTUM))
     out.append(("stride/ehrenfest", EHRENFEST_STRIDE))
+    out.append(("stacked/reduce-failure", STACKED_FAILURE))
     return out
 
 
