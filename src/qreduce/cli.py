@@ -29,11 +29,12 @@ when given, is a nonempty list of positive numbers.  "M0" is a number
 or an n x n matrix (in 1D also [m]) with Re M0 positive definite and M0
 symmetric.  The start state, a region's center and half_widths (2n
 entries each) and the grid take the potential's dimension.  The start
-center of every grid run (alpha0 in reduce, scale and squeeze,
-packet.alpha0 in ehrenfest and grid classify-quantum) and every point
-of a reduce region's sample lattice must lie within 0.75 L of the
-grid's middle on every axis; ehrenfest is 1D only, and "coeffs" and
-"coeff_matrix" must be nonempty.  In the matrix form of
+of every grid run (alpha0 in reduce, scale and squeeze, packet.alpha0
+in ehrenfest and grid classify-quantum) and every point of a reduce
+region's sample lattice must lie within 0.75 L of the grid's middle
+and within 0.75 pi/dx (the grid's Nyquist momentum) in momentum on
+every axis (GridSpec.holds_center); ehrenfest is 1D only, and "coeffs"
+and "coeff_matrix" must be nonempty.  In the matrix form of
 classify-quantum, "matrix" and an explicit "omega" are square,
 symmetric and of one size.
 
@@ -77,7 +78,7 @@ from . import __version__
 from .classical import CLASSIFY_DT, PhaseRegion, classify_classical
 from .comparator import ComparatorSpec, comparator_scalars
 from .errors import ConfigError, QReduceError
-from .grid import DEFAULT_GRID, GridSpec
+from .grid import DEFAULT_GRID, OFF_GRID, GridSpec
 from .hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel, \
     time_steps
 from .packets import _as_matrix, _check_widths, packet, sample_on_grid
@@ -257,8 +258,9 @@ def _phase_point(problem: dict, spec: HamiltonianSpec,
 
 
 def _start_packet(problem: dict, spec: HamiltonianSpec, grid: GridSpec):
-    """(alpha0, M0) from the packet block, centred clear of the grid edge
-    by the rule reduce and scale apply; a top-level one is refused."""
+    """(alpha0, M0) from the packet block, started on the grid by the
+    rule reduce and scale apply (GridSpec.holds_center); a top-level one
+    is refused."""
     for key in ("alpha0", "M0"):
         if key in problem:
             _fail(f"problem.{key}", "this mode takes its start state as "
@@ -266,9 +268,8 @@ def _start_packet(problem: dict, spec: HamiltonianSpec, grid: GridSpec):
     pkt = (_block(problem, "packet", required=False, path="problem.")
            or {"alpha0": [0.0] * (2 * spec.dimension)})
     alpha0 = _phase_point(pkt, spec, "problem.packet")
-    if not grid.holds_center(alpha0.xi):
-        _fail("problem.packet.alpha0",
-              "initial center too close to the grid edge")
+    if not grid.holds_center(alpha0.vector):
+        _fail("problem.packet.alpha0", f"initial packet {OFF_GRID}")
     return alpha0, _width(pkt, "problem.packet", spec.dimension)
 
 
@@ -459,8 +460,8 @@ def _run_scale(problem: dict):
     if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
         _fail("problem.lambdas", "must be strictly decreasing")
     grid = _grid_from(problem, spec)
-    if not grid.holds_center(alpha0.xi):
-        _fail("problem.alpha0", "initial center too close to the grid edge")
+    if not grid.holds_center(alpha0.vector):
+        _fail("problem.alpha0", f"initial packet {OFF_GRID}")
 
     def compute():
         out = hepp_experiment(spec, alpha0, T, lambdas, grid=grid, dt=dt)

@@ -22,8 +22,12 @@ from .hamiltonian import HamiltonianSpec, time_steps
 
 BOUNDARY_TOL = 1e-10
 NORM_TOL = 1e-12
-# Memory bound of the block that propagate hands to its observer.
+# Bounds of the block that propagate hands to its observer: its bytes,
+# and its states, the bound that holds in 1D below N = 2048.  The state
+# bound keeps a 1D run's block-sized buffers (observer block, scratch
+# block, bound-stage temporaries) at 512 KiB each at N = 1024.
 OBSERVE_BLOCK_BYTES = 1 << 20
+OBSERVE_BLOCK_STATES = 32
 CHECK_STRIDE = 100  # steps between propagate's boundary and norm checks
 # numpy's threshold for running a product in place on a temporary operand.
 ELIDE_BYTES = 1 << 18
@@ -88,14 +92,22 @@ class GridSpec:
         band[:width] = band[-width:] = True
         return band if self.n == 1 else np.logical_or.outer(band, band)
 
-    def holds_center(self, xi) -> bool:
-        """Whether a packet centred at xi, or at every row of a stack of
-        centres, starts clear of the grid edge: |xi| <= 0.75 L on every
-        axis."""
-        return bool(np.max(np.abs(xi)) <= 0.75 * self.L)
+    def holds_center(self, alpha) -> bool:
+        """Whether a packet centred at the 2n-vector alpha = (xi, pi), or
+        at every row of a (K, 2n) stack of them, starts inside the grid
+        in phase space: |xi| <= 0.75 L and |pi| <= 0.75 pi / dx on every
+        axis.  Past pi / dx (Nyquist) the grid aliases a momentum to
+        another; the margin leaves room for the packet's spread."""
+        alpha = np.asarray(alpha, dtype=float)
+        return bool(np.max(np.abs(alpha[..., :self.n])) <= 0.75 * self.L
+                    and np.max(np.abs(alpha[..., self.n:]))
+                    <= 0.75 * np.pi / self.dx)
 
 
 DEFAULT_GRID = GridSpec(n=1, N=1024, L=20.0)
+# The refusal text for a start that fails GridSpec.holds_center.
+OFF_GRID = ("starts too close to the grid edge or past 0.75 of its "
+            "Nyquist momentum")
 
 
 @dataclass(eq=False)
@@ -197,12 +209,13 @@ def propagate(spec: HamiltonianSpec, psi0: GridStack, t_final: float,
     ``observer`` sees the run in blocks, so running measurements need no
     snapshot storage and can batch their work.  The amplitude after every
     step that is a multiple of ``observe_stride`` (step 0 excluded) is
-    copied into a block buffer of at most OBSERVE_BLOCK_BYTES, split
-    across the stack (_block_rows: 64 states in 1D at N = 1024, 4 in 2D
-    at N = 128).  When it is full, and once more for a final partial
-    block, propagate calls observer(times, amps) with times of shape
-    (rows,), times[i] = step * dt, and amps of shape (S, rows) + (N,) * n,
-    each row's states in step order.  Both are views of buffers reused
+    copied into a block buffer of at most OBSERVE_BLOCK_BYTES and
+    OBSERVE_BLOCK_STATES states, split across the stack (_block_rows: 32
+    states in 1D at N = 1024, 4 in 2D at N = 128).  When it is full, and
+    once more for a final partial block, propagate calls
+    observer(times, amps) with times of shape (rows,), times[i] =
+    step * dt, and amps of shape (S, rows) + (N,) * n, each row's states
+    in step order.  Both are views of buffers reused
     for the next block: copy what must outlive the call.
 
     Raises
@@ -291,11 +304,14 @@ def _block_rows(grid: GridSpec, states: int, stack: int = 1) -> int:
     """The states of each row of a ``stack`` in propagate's observer block.
 
     A single run's block holds as many states as fit in
-    OBSERVE_BLOCK_BYTES, but no more than ``states`` and at least one.
-    A stack splits it evenly, one state per row at least.
+    OBSERVE_BLOCK_BYTES, but no more than OBSERVE_BLOCK_STATES (the cap
+    that binds in 1D at N = 1024: 32 states of 16 KiB), no more than
+    ``states`` and at least one.  A stack splits it evenly, one state
+    per row at least.
     """
     state_bytes = np.dtype(complex).itemsize * grid.N ** grid.n
-    rows = max(1, min(states, OBSERVE_BLOCK_BYTES // state_bytes))
+    rows = max(1, min(states, OBSERVE_BLOCK_STATES,
+                      OBSERVE_BLOCK_BYTES // state_bytes))
     return max(1, rows // stack)
 
 

@@ -32,9 +32,9 @@ from .comparator import RESIDUAL_TOL, BasisResidualError, ComparatorSpec, \
     _residual_error, apply_comparator, comparator_scalars, \
     hermite_coefficients, within_magnitude
 from .errors import ConfigError, NumericalError
-from .grid import DEFAULT_GRID, GridSpec, GridStack, GridWavefunction, \
-    _block_rows, _moment_sums, _observer_block, _row_norms, expectation_a, \
-    propagate
+from .grid import DEFAULT_GRID, OFF_GRID, GridSpec, GridStack, \
+    GridWavefunction, _block_rows, _moment_sums, _observer_block, _row_norms, \
+    expectation_a, propagate
 from .hamiltonian import HamiltonianSpec, PhasePoint, \
     _remainder_by_subtraction, normal_rule, time_steps
 from .packets import PacketFlow, _sample_flows, approximate_flow, packet, \
@@ -62,7 +62,8 @@ class ReductionProblem:
     magnitude threshold for the comparator hypotheses; None selects it
     from the run itself with a 1.5x margin.  region, when given, is an
     initial-condition set sampled on a corner/center lattice.  alpha0
-    and every lattice point must hold GridSpec.holds_center.
+    and every lattice point must hold GridSpec.holds_center, in position
+    and in momentum.
 
     lattice, set at construction, holds the (K, 2n) start points that
     run_reduction runs, one per row in lattice order (_lattice_vectors):
@@ -107,13 +108,11 @@ class ReductionProblem:
         if not self.comparator.fits(self.grid):
             raise ConfigError("grid cannot resolve the comparator basis",
                               "comparator")
-        if not self.grid.holds_center(self.alpha0.xi):
-            raise ConfigError("initial center too close to the grid edge",
-                              "alpha0")
+        if not self.grid.holds_center(self.alpha0.vector):
+            raise ConfigError(f"initial packet {OFF_GRID}", "alpha0")
         object.__setattr__(self, "lattice", _lattice_vectors(self))
-        if not self.grid.holds_center(self.lattice[:, :self.alpha0.n]):
-            raise ConfigError("a region lattice point starts too close to "
-                              "the grid edge", "region")
+        if not self.grid.holds_center(self.lattice):
+            raise ConfigError(f"a region lattice point {OFF_GRID}", "region")
 
     def epsilon_vector(self) -> np.ndarray:
         eps = np.atleast_1d(np.asarray(self.epsilon, dtype=float))
@@ -633,7 +632,7 @@ def run_reduction(problem: ReductionProblem) -> ReductionReport:
     The samples are the rows of problem.lattice.  Each has its own
     classical flow, packet flow and Duhamel curve.  In 1D the grid runs
     go as stacks: one run_grid call per chunk of as many states as a
-    single run's observer block holds (64 at N = 1024), with one
+    single run's observer block holds (32 at N = 1024), with one
     BoundInputs per sample.  In 2D each sample runs as a stack of one:
     the 2D moments take their axis marginals by BLAS matrix-vector
     products, whose row bits depend on the rows in one call, so a sample

@@ -18,7 +18,7 @@ import numpy as np
 
 from .classical import integrate_flow
 from .errors import ConfigError, QReduceError
-from .grid import DEFAULT_GRID, GridSpec, GridStack
+from .grid import DEFAULT_GRID, OFF_GRID, GridSpec, GridStack
 from .hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel
 from .packets import approximate_flow, packet, sample_on_grid
 from .reduction import DEFAULT_DT, duhamel_curve, measured_error, run_grid
@@ -120,8 +120,9 @@ def hepp_experiment(spec: HamiltonianSpec, alpha0: PhasePoint, T: float,
     comparator work runs, so the grid need not resolve a comparator
     basis, and a row fails (failed names the error) only in a stage
     behind those numbers: the classical flow, the packet flow, the grid
-    run or the remainder cross-check.  A centre too close to the grid
-    edge (GridSpec.holds_center) is a ConfigError, as in a reduction.
+    run or the remainder cross-check.  A start off the grid in position
+    or momentum (GridSpec.holds_center) is a ConfigError, as in a
+    reduction.
     For an anharmonic polynomial error and bound shrink with lambda:
     every degree-k > 2 coefficient carries lambda^(k/2 - 1).
     """
@@ -130,8 +131,8 @@ def hepp_experiment(spec: HamiltonianSpec, alpha0: PhasePoint, T: float,
         raise ConfigError("scale parameters must be positive")
     if any(b >= a for a, b in zip(lams, lams[1:])):
         raise ConfigError("scale parameters must be strictly decreasing")
-    if not grid.holds_center(alpha0.xi):
-        raise ConfigError("initial center too close to the grid edge")
+    if not grid.holds_center(alpha0.vector):
+        raise ConfigError(f"initial packet {OFF_GRID}")
     rows = [_family_row(spec, alpha0, T, l, grid, dt) for l in lams]
     ok = [r for r in rows if r["failed"] is None]
     errors = [r["error"] for r in ok]

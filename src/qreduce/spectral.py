@@ -233,7 +233,7 @@ def _grid_stay_curve(handle: GridHamiltonian, psi: GridWavefunction,
     each state that a run alone projects by itself is projected by
     itself here too: each start state; every state when a run alone's
     blocks hold one; the last when only its last block does (steps one
-    more than a multiple of 64 at N = 1024).  The curve is bitwise the
+    more than a multiple of 32 at N = 1024).  The curve is bitwise the
     two runs alone.
     """
     if not isinstance(comp, ComparatorSpec):

@@ -1,9 +1,11 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qreduce import grid as grid_module
 from qreduce.cli import _jsonable, config_hash, main, run
 
 
@@ -39,6 +41,29 @@ def test_reduce_harmonic_exits_clean(tmp_path):
     assert len(comments) == 2
     assert header[:2] == ["t", "error_max"]
     assert len(rows) > 10
+
+
+def test_the_block_cap_cuts_the_harmonic_reduce_peak(tmp_path, monkeypatch):
+    # The modes-1d benchmark's harmonic reduce at its unjittered start.
+    # Its allocation peak holds propagate's observer block, run_grid's
+    # scratch block and the bound stage's per-block temporaries beside
+    # the comparator basis: blocks of 32 states rather than 64 take
+    # about 1.9 MB off it.  A warm-up run fills the caches first, and the
+    # smaller cap is traced first, so no first-run cost favours it.
+    cfg = write_config(tmp_path, {"mode": "reduce", "problem": {
+        "potential": "harmonic", "alpha0": [1.0, 0.0], "T": 6.2832,
+        "dt": 0.004, "epsilon": 1e-6}})
+    assert run(cfg, out_dir=tmp_path / "warm-up") == 0
+    peaks = {}
+    for cap in (32, 64):
+        monkeypatch.setattr(grid_module, "OBSERVE_BLOCK_STATES", cap)
+        tracemalloc.start()
+        try:
+            assert run(cfg, out_dir=tmp_path / str(cap)) == 0
+            peaks[cap] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[64] - peaks[32] >= 1e6
 
 
 def test_assert_reduced_fails_on_tight_epsilon(tmp_path):
@@ -360,6 +385,7 @@ SCALE_CASE = {"potential": "cubic-perturbed", "alpha0": [1.0, 0.5],
               "lambdas": [1.0, 0.25]}
 GRID_QUANTUM = {"potential": "harmonic", "grid": {"n": 1, "N": 256, "L": 10.0},
                 "comparator": {"s": 1.0, "N": 16}}
+NYQUIST = {"potential": "harmonic", "T": 0.5, "dt": 0.01}
 
 
 @pytest.mark.parametrize("mode, problem, field", [
@@ -449,6 +475,26 @@ GRID_QUANTUM = {"potential": "harmonic", "grid": {"n": 1, "N": 256, "L": 10.0},
      "problem.region"),
     ("squeeze", {**HARMONIC_AT_1, "T": 0.1, "dt": 0.01, "dilations": [1.0],
                  "grid": {"N": 64, "L": 10.0}}, "problem.comparator"),
+    # Start momenta past 0.75 pi / dx: about 60.3 on the default grid,
+    # where p = 100 aliased to -60.8, 30.2 at N = 256, L = 10, and 7.5 on
+    # a 2D N = 64, L = 10 grid.
+    ("reduce", {**NYQUIST, "alpha0": [0.0, 100.0], "epsilon": 0.05},
+     "problem.alpha0"),
+    ("reduce", {**NYQUIST, "alpha0": [0.0, 50.0], "epsilon": 0.05,
+                "region": {"center": [0.0, 50.0], "half_widths": [0.1, 20.0]}},
+     "problem.region"),
+    ("ehrenfest", {**NYQUIST, "packet": {"alpha0": [0.0, 100.0]}},
+     "problem.packet.alpha0"),
+    ("scale", {**SCALE_CASE, "T": 0.5, "alpha0": [1.0, -100.0]},
+     "problem.alpha0"),
+    ("classify-quantum", {**GRID_QUANTUM, "horizons": 1.0,
+                          "packet": {"alpha0": [0.0, 31.0]}},
+     "problem.packet.alpha0"),
+    ("reduce", {"potential": POT_2D, "alpha0": [0.0, 0.0, 0.0, 7.6],
+                "T": 0.1, "dt": 0.01, "epsilon": 1e-3,
+                "grid": {"n": 2, "N": 64, "L": 10.0},
+                "comparator": {"s": 1.0, "N": 16},
+                "M0": [[1.0, 0.0], [0.0, 1.0]]}, "problem.alpha0"),
 ], ids=["reduce-dt-above-T", "reduce-dt-negative", "reduce-dt-zero",
         "classical-T-zero", "classical-T-negative", "classical-dt-negative",
         "ehrenfest-T-negative", "ehrenfest-dt-above-T", "scale-T-negative",
@@ -464,14 +510,19 @@ GRID_QUANTUM = {"potential": "harmonic", "grid": {"n": 1, "N": 256, "L": 10.0},
         "classical-radius-negative", "classical-radii-empty",
         "reduce-epsilon-negative", "reduce-epsilon-length",
         "reduce-E-negative", "reduce-center-edge", "reduce-region-edge",
-        "squeeze-grid-below-comparator"])
+        "squeeze-grid-below-comparator", "reduce-momentum-nyquist",
+        "reduce-region-momentum-nyquist", "ehrenfest-momentum-nyquist",
+        "scale-momentum-nyquist", "quantum-momentum-nyquist",
+        "reduce-2d-momentum-nyquist"])
 def test_setup_faults_exit_two_and_name_their_field(tmp_path, capsys, mode,
                                                     problem, field):
     # Each of these used to start the run and exit 3, raise out of run(),
     # or (a negative grid dt, a negative or no radius, an ehrenfest packet
-    # off the grid) exit 0; a region's half_widths of the wrong length or
-    # a negative radius, and each refusal of ReductionProblem, exited 2
-    # without naming the field.
+    # off the grid, a start momentum past the Nyquist margin: a harmonic
+    # reduce at p = 100 read not-reduced with error_max 160.8, ehrenfest
+    # an identity_max of 3.81) exit 0; a region's half_widths of the
+    # wrong length or a negative radius, and each refusal of
+    # ReductionProblem, exited 2 without naming the field.
     cfg = write_config(tmp_path, {"mode": mode, "problem": problem})
     assert run(cfg, out_dir=tmp_path / "out") == 2
     assert f"config.{field}: " in capsys.readouterr().err

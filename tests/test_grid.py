@@ -254,13 +254,14 @@ CUBIC_2D = HamiltonianSpec(
 
 
 @pytest.mark.parametrize("spec, grid, steps, stride, blocks", [
-    (HARMONIC, DEFAULT_GRID, 301, 2, [64, 64, 22]),
+    (HARMONIC, DEFAULT_GRID, 301, 2, [32, 32, 32, 32, 22]),
     (CUBIC_2D, GridSpec(n=2, N=128, L=10.0), 15, 2, [4, 3]),
 ], ids=["1d", "2d"])
 def test_observer_sees_strided_steps_in_blocks(spec, grid, steps, stride,
                                                blocks):
-    # Blocks fill to the byte budget, the last one is partial, and each
-    # row is bitwise the state an every-step observer sees at that step.
+    # Blocks fill to the state cap in 1D and to the byte budget in 2D,
+    # the last one is partial, and each row is bitwise the state an
+    # every-step observer sees at that step.
     psi0 = weyl_displace(vacuum(grid), np.r_[np.ones(grid.n), np.zeros(grid.n)])
     T = steps * 1e-3
 
@@ -566,10 +567,27 @@ def test_grid_stack_checks_its_shape():
     assert np.array_equal(pair[0].amp, psi.amp) and pair[0].grid == DEFAULT_GRID
 
 
+def test_a_start_holds_the_grid_in_position_and_momentum():
+    # |xi| <= 0.75 L and |pi| <= 0.75 pi / dx on every axis, for one
+    # 2n-vector or every row of a stack of them.
+    grid = GridSpec(n=2, N=64, L=10.0)
+    edge, nyquist = 7.5, 0.75 * np.pi / grid.dx
+    assert grid.holds_center([edge, -edge, nyquist, -nyquist])
+    assert not grid.holds_center([0.0, 0.0, 0.0, np.nextafter(nyquist, 99)])
+    assert not grid.holds_center([0.0, -7.6, 0.0, 0.0])
+    assert grid.holds_center([[0.0, 0.0, 7.0, 0.0], [1.0, 2.0, 0.0, 7.0]])
+    assert not grid.holds_center([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 8.0]])
+    # Each half takes its own limit: 15 in position and 60.3 in momentum
+    # on the default grid.
+    assert DEFAULT_GRID.holds_center([0.0, 15.1])
+    assert not DEFAULT_GRID.holds_center([15.1, 0.0])
+
+
 def test_a_stack_splits_one_runs_observer_block():
-    # A single run's block (at most 64 states of 16 KiB in 1D, 4 of 256
+    # A single run's block (at most 32 states of 16 KiB in 1D, 4 of 256
     # KiB in 2D, no more than the run observes) split across the stack,
     # one state per row at least.
+    assert _observer_block(DEFAULT_GRID, 500, 1).shape == (32, 1024)
     assert _observer_block(DEFAULT_GRID, 25, 1).shape == (25, 1024)
     assert _observer_block(DEFAULT_GRID, 25, 9).shape == (18, 1024)
     assert _observer_block(DEFAULT_GRID, 500, 64).shape == (64, 1024)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
-from qreduce import hamiltonian, reduction
+from qreduce import grid as grid_module, hamiltonian, reduction, spectral
 from qreduce.classical import PhaseRegion, integrate_flow
 from qreduce.comparator import RESIDUAL_TOL, ComparatorSpec, \
     apply_comparator, hermite_coefficients, within_magnitude
@@ -22,6 +22,7 @@ from qreduce.reduction import (BoundInputs, ReductionProblem, assemble_bounds,
                                duhamel_curve, ehrenfest_run,
                                ehrenfest_residuals, measured_error,
                                run_grid, run_reduction, squeeze_sweep)
+from qreduce.spectral import GridHamiltonian
 
 HARMONIC = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial([0, 0, 0.5]))
 CUBIC_PERTURBED = HamiltonianSpec(
@@ -802,7 +803,7 @@ STREAM_CASES = {
         alpha0=PhasePoint([1.0, 0.0], [0.0, 0.5]), T=0.1, dt=0.01,
         epsilon=0.05, samples=3, grid=GridSpec(n=2, N=64, L=10.0),
         comparator=ComparatorSpec(s=1.0, N=32)),
-    # 200 snapshots after the start: three full 64-row observer blocks
+    # 200 snapshots after the start: six full 32-row observer blocks
     # and a partial last one.
     "blocks-1d": ReductionProblem(
         spec=CUBIC_PERTURBED, alpha0=PhasePoint(1.0, 0.0), T=2.0, dt=0.01,
@@ -1095,7 +1096,7 @@ def test_a_stacked_run_feeds_each_sample_its_own_numbers(problem):
 
 def test_ehrenfest_blocks_are_bitwise_the_written_out_block_form():
     # The block observer as it ran before it went in place, on full
-    # 64-row blocks (1 MiB, where numpy elided the expression's
+    # 32-row blocks (512 KiB, where numpy elides the expression's
     # temporaries) and a partial one; the momentum integrand is summed as
     # complex numbers.
     grid = GridSpec(1, 1024, 20.0)
@@ -1122,10 +1123,71 @@ def test_ehrenfest_blocks_are_bitwise_the_written_out_block_form():
               observe_stride=stride)
     expected = np.concatenate(blocks)
     data = ehrenfest_run(CUBIC_PERTURBED, psi0, T, dt=dt, sample_stride=stride)
-    assert [len(block) for block in blocks] == [1, 64, 64, 64, 8]
+    assert [len(block) for block in blocks] == [1] + [32] * 6 + [8]
     for column, got in enumerate((data.times, data.position, data.momentum,
                                   data.grad_v_mean, data.grad_v_at_mean)):
         assert np.array_equal(got, expected[:, column])
+
+
+def test_observer_block_caps_change_no_bits(monkeypatch):
+    # The state cap of an observer block sets only how many states each
+    # observer call measures: a stacked region run, a run of one state
+    # and an Ehrenfest run (stride 3) keep their bits from blocks of one
+    # state to blocks of 64.  So does the stay curve, over a step count
+    # that leaves no cap of 7 or more a lone last state: a lone state
+    # takes BLAS's one-row product, and at a cap of 1 every state is
+    # alone, which test_the_stacked_stay_curve_is_bitwise_the_two_runs_alone
+    # covers.  A 2D block at N = 128 is bound by bytes, not by the cap.
+    # 150 snapshots of 9 samples: 1, 1, 3 and 7 states per sample a block.
+    comp = ComparatorSpec(s=1.0, N=16)
+    problem = dataclasses.replace(STREAM_CASES["lattice-1d"], T=0.3,
+                                  dt=0.002, samples=150, comparator=comp)
+    grid = problem.grid
+    psi0 = sample_on_grid(packet(PhasePoint(1.0, 0.3), 1.3), grid)
+    handle = GridHamiltonian(HARMONIC, grid, dt=0.0625)
+
+    def measured():
+        inputs = [BoundInputs(problem, approximate_flow(
+            problem.spec, integrate_flow(problem.spec, alpha0, problem.T,
+                                         problem.dt), packet(alpha0, 1.0)))
+            for alpha0 in lattice_points(problem)]
+        stack = GridStack.of(*[sample_on_grid(item.flow.base, grid)
+                               for item in inputs])
+        runs = run_grid(problem.spec, stack, problem.T, problem.dt,
+                        problem.samples, inputs)
+        run, = run_grid(CUBIC_PERTURBED, GridStack.of(psi0), 0.3, 1e-3, 100)
+        data = ehrenfest_run(CUBIC_PERTURBED, psi0, 0.3, dt=1e-3,
+                             sample_stride=3)
+        out = [run.times, run.expectations, data.times, data.position,
+               data.momentum, data.grad_v_mean, data.grad_v_at_mean]
+        for sample, item in zip(runs, inputs):
+            assert item.failure is None
+            out += [sample.times, sample.expectations,
+                    np.array([sample.boundary_mass_max, sample.norm_drift])]
+            out += [np.concatenate(column, axis=-1)
+                    for column in zip(*item.blocks)]
+        return out
+
+    def stay_curve():
+        return spectral._grid_stay_curve(handle, psi0, comp, 70 * 0.0625)
+
+    results, curves = {}, {}
+    for cap, rows in zip((1, 7, 32, 64), (1, 1, 3, 7)):
+        monkeypatch.setattr(grid_module, "OBSERVE_BLOCK_STATES", cap)
+        assert grid_module._block_rows(grid, 150, 9) == rows
+        results[cap] = measured()
+        if cap > 1:
+            curves[cap] = stay_curve()
+    assert grid_module._block_rows(grid, 500) == 64
+    assert len(results[1]) == 7 + 9 * 6
+    for cap in (1, 7, 32):
+        for got, want in zip(results[cap], results[64], strict=True):
+            assert np.array_equal(got, want)
+    for cap in (7, 32):
+        for got, want in zip(curves[cap], curves[64], strict=True):
+            assert np.array_equal(got, want)
+    monkeypatch.undo()
+    assert grid_module._block_rows(GridSpec(n=2, N=128, L=10.0), 500) == 4
 
 
 def test_the_normal_rule_is_computed_once_and_read_only():

@@ -79,6 +79,13 @@ def test_scale_hamiltonian_2d_total_degree():
     assert pair.in_scaled_units.mass == 2.0
 
 
+def test_hepp_experiment_refuses_a_start_past_the_nyquist_margin():
+    # pi / dx is about 80.4 on the default grid; 0.75 of it is the limit.
+    with pytest.raises(ConfigError, match="Nyquist"):
+        hepp_experiment(CUBIC, PhasePoint(1.0, 61.0), 0.1, [1.0, 0.5],
+                        dt=0.01)
+
+
 def test_scale_hamiltonian_rejects_non_positive_lambda():
     with pytest.raises(ConfigError):
         scale_hamiltonian(CUBIC, -1.0)

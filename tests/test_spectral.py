@@ -341,8 +341,8 @@ def per_member_stay_curve(handle, psi, comp, T):
     return times, signal, cumulative_simpson(signal, x=times)
 
 
-# A 1D run alone at N = 1024 takes blocks of 64 states: 65 steps end on
-# a lone state (a one-row product), 97 on 33 states, which the stack
+# A 1D run alone at N = 1024 takes blocks of 32 states: 33 steps end on
+# a lone state (a one-row product), 49 on 17 states, which the stack
 # splits to one state per run.  At N = 32768 a run alone takes blocks of
 # 2 states and the stack one per run; at N = 65536 every state is alone.
 STAY_CASES = [
@@ -350,21 +350,21 @@ STAY_CASES = [
     (HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial2d(
         [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])),
      GridSpec(2, 32, 8.0), [1.0, 0.0, 0.0, 0.5], 0.05, 1.0),
-    (HARMONIC, GridSpec(1, 1024, 20.0), [0.3, 1.0], 0.0625, 65 * 0.0625),
-    (HARMONIC, GridSpec(1, 1024, 20.0), [0.3, 1.0], 0.0625, 97 * 0.0625),
+    (HARMONIC, GridSpec(1, 1024, 20.0), [0.3, 1.0], 0.0625, 33 * 0.0625),
+    (HARMONIC, GridSpec(1, 1024, 20.0), [0.3, 1.0], 0.0625, 49 * 0.0625),
     (HARMONIC, GridSpec(1, 32768, 20.0), [0.3, 1.0], 0.0625, 3 * 0.0625),
     (HARMONIC, GridSpec(1, 65536, 20.0), [0.3, 1.0], 0.0625, 3 * 0.0625),
 ]
 
 
 @pytest.mark.parametrize("spec, grid, alpha0, dt, T", STAY_CASES,
-                         ids=["1d", "2d", "1d-65", "1d-97", "1d-N32768",
+                         ids=["1d", "2d", "1d-33", "1d-49", "1d-N32768",
                               "1d-N65536"])
 def test_the_stacked_stay_curve_is_bitwise_the_two_runs_alone(
         monkeypatch, spec, grid, alpha0, dt, T):
     # The forward and backward runs go as one 2-row stack, in blocks of
     # half a single run's rows, and each state that a run alone projects
-    # by itself (each start; the lone last state of 65 steps; every state
+    # by itself (each start; the lone last state of 33 steps; every state
     # at N = 65536) keeps its own one-row projection: at the 1D start, a
     # 2-row product of both starts moves tau.  The per-step signal is
     # compared too, since one step's last bits need not reach tau.

@@ -9,7 +9,9 @@ them.  The unit configs come from ``perfbench/workloads.py`` of the
 checkout this script sits in, read as it is.
 
 After one cold pass, WARM_PASSES warm passes run under ``getrusage``; the
-script prints the minor page faults of each and their median.  One more
+script prints the minor page faults of each and their median, and the
+process's peak resident set (``ru_maxrss``, in MB of 2^20 bytes) after
+them: the figure the benchmark reports as ``peak_rss_mb``.  One more
 pass runs under ``tracemalloc`` and prints each unit's peak traced
 allocation in MB (10^6 bytes).  Reports go to a temporary directory;
 whatever the package prints is swallowed.
@@ -93,6 +95,9 @@ def main(argv=None) -> int:
             for unit in plan:
                 run_unit(*unit)
             faults.append(_minor_faults() - before)
+        # Linux reports ru_maxrss in KiB.
+        peak_rss_mb = resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024.0
         peaks = {}
         tracemalloc.start()
         try:
@@ -104,6 +109,7 @@ def main(argv=None) -> int:
             tracemalloc.stop()
     print(f"{args[0]}: minor faults per warm pass {faults}, "
           f"median {statistics.median(faults):.0f}")
+    print(f"  peak_rss_mb after the warm passes: {peak_rss_mb:.2f}")
     for name, peak in peaks.items():
         print(f"  {name}: tracemalloc peak {peak / 1e6:.2f} MB")
     return 0
