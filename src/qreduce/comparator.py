@@ -161,7 +161,8 @@ def hermite_coefficients(spec: ComparatorSpec, amps, grid: GridSpec):
     return coeffs, residual
 
 
-def apply_comparator(spec: ComparatorSpec, projection, grid: GridSpec):
+def apply_comparator(spec: ComparatorSpec, projection, grid: GridSpec,
+                     out=None):
     """Apply the comparator at unit top eigenvalue to a projected stack.
 
     projection is the stack's (coeffs, residual), as hermite_coefficients
@@ -172,10 +173,14 @@ def apply_comparator(spec: ComparatorSpec, projection, grid: GridSpec):
     The stack is synthesized row-exactly, by the batched product
     (coeffs * decay)[:, None, :] @ h in 1D and h.T @ (coeffs * decay) @ h
     per row in 2D, so each row is bitwise the result for that row alone.
+    The products write straight into ``out``, a complex array of shape
+    (B,) + (grid.N,) * n whose contents are not read, or into a fresh
+    one without it: the bound stage passes the observed block, so Omega W
+    takes no block of its own.
 
     Returns
     -------
-    An amplitude array of shape (B,) + (grid.N,) * n.
+    ``out``, holding Omega applied to each row of the stack.
 
     Raises
     ------
@@ -189,14 +194,16 @@ def apply_comparator(spec: ComparatorSpec, projection, grid: GridSpec):
             raise _residual_error(value)
     weighted = coeffs * _constants(spec, grid.n).decay
     h = _basis(spec, grid)
+    if out is None:
+        out = np.empty((len(weighted),) + (grid.N,) * grid.n, dtype=complex)
     if grid.n == 1:
-        return (weighted[:, None, :] @ h)[:, 0]
+        np.matmul(weighted[:, None, :], h, out=out[:, None, :])
+        return out
     # Row by row: a broadcast h.T @ weighted @ h raised the peak memory
     # of a run, for the same bits.
-    amps = np.empty((len(weighted), grid.N, grid.N), dtype=complex)
     for row, c in enumerate(weighted):
-        amps[row] = h.T @ c @ h
-    return amps
+        np.matmul(h.T @ c, h, out=out[row])
+    return out
 
 
 def _residual_error(residual) -> BasisResidualError:

@@ -39,10 +39,15 @@ class WraparoundError(NumericalError):
 
 
 class CausticError(NumericalError):
-    """The B factor of the width evolution became singular."""
+    """The B factor of raw width factors became singular.
 
-    def __init__(self, time):
-        super().__init__(f"caustic: det B vanished at t = {time:.6g}")
+    ``detail`` says what was seen: det B vanished, or turned too far in
+    one step to have stayed clear of zero.  Normalizable widths (Re M
+    positive definite) never raise it.
+    """
+
+    def __init__(self, time, detail="det B vanished"):
+        super().__init__(f"caustic: {detail} at t = {time:.6g}")
         self.time = time
 
 

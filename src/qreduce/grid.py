@@ -31,6 +31,10 @@ OBSERVE_BLOCK_STATES = 32
 CHECK_STRIDE = 100  # steps between propagate's boundary and norm checks
 # numpy's threshold for running a product in place on a temporary operand.
 ELIDE_BYTES = 1 << 18
+# Bound of the row temporaries of a stacked measurement (_row_norms,
+# _moment_sums): rows go a chunk at a time, each chunk's temporary within
+# this many bytes, one row at least.
+CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,10 @@ class GridSpec:
 
     @cached_property
     def k_squared(self) -> np.ndarray:
-        return np.sum(self.k_mesh ** 2, axis=-1)
+        """|k|^2 on the mesh, k_0^2 + k_1^2 in 2D by broadcast: the sum
+        over k_mesh ** 2's last axis, with no mesh built."""
+        square = self.k ** 2
+        return square if self.n == 1 else square[:, None] + square[None, :]
 
     @property
     def cell(self) -> float:
@@ -216,7 +223,9 @@ def propagate(spec: HamiltonianSpec, psi0: GridStack, t_final: float,
     observer(times, amps) with times of shape (rows,), times[i] =
     step * dt, and amps of shape (S, rows) + (N,) * n, each row's states
     in step order.  Both are views of buffers reused
-    for the next block: copy what must outlive the call.
+    for the next block: copy what must outlive the call.  propagate
+    reads nothing back from the block, so an observer may overwrite the
+    block it is handed (run_grid's bound stage does).
 
     Raises
     ------
@@ -230,8 +239,8 @@ def propagate(spec: HamiltonianSpec, psi0: GridStack, t_final: float,
         raise ValueError("observe_stride must be at least 1")
     grid = psi0.grid
     amp = psi0.amps.copy()
-    v = potential_on_grid(spec, grid)
-    half_v = np.exp(-0.5j * dt * v)
+    # V is not kept: the step reads only half_v.
+    half_v = np.exp(-0.5j * dt * potential_on_grid(spec, grid))
     kinetic = np.exp(-1j * dt * grid.k_squared / (2.0 * spec.mass))
     boundary_max = _edge_mass(amp, grid)
     if np.any(boundary_max > BOUNDARY_TOL):
@@ -396,13 +405,33 @@ def _moment_sums(amps, dens, grid: GridSpec, work):
     stack, given dens = |amps|^2; dpsi = ifft(1j k fft(psi)) is taken in
     ``work``, of amps' shape.  Not Parseval: this form keeps the bits of
     the per-state formula, and under a harmonic V the measured error is
-    itself rounding (~1e-13), which other rounding would change."""
-    q = np.sum(grid.x * dens, axis=-1)
-    # 1j * k is imaginary: either operand order rounds alike.
+    itself rounding (~1e-13), which other rounding would change.
+
+    The products x |psi|^2 and conj(psi) (-i) dpsi go a chunk of rows at
+    a time (_chunk_rows), in buffers of one chunk, with the operands in
+    the order of the expressions above: complex products round
+    differently in the other order (FMA).  Each row sum is the same.
+    """
+    lead = amps.shape[:-1]
     np.fft.fft(amps, out=work)
+    # 1j * k is imaginary: either operand order rounds alike.
     work *= 1j * grid.k
-    dpsi = np.fft.ifft(work, out=work)
-    return q, np.sum(np.conj(amps) * -1j * dpsi, axis=-1).real
+    dpsi = np.fft.ifft(work, out=work).reshape(-1, grid.N)
+    amps, dens = amps.reshape(-1, grid.N), dens.reshape(-1, grid.N)
+    product = np.empty((_chunk_rows(amps[0].nbytes, len(amps)), grid.N),
+                       dtype=complex)
+    moment = np.empty(product.shape)
+    q, p = np.empty(len(amps)), np.empty(len(amps), dtype=complex)
+    for rows in _chunks(len(amps), len(product)):
+        x_dens = moment[:rows.stop - rows.start]
+        term = product[:rows.stop - rows.start]
+        np.multiply(grid.x, dens[rows], out=x_dens)
+        np.sum(x_dens, axis=-1, out=q[rows])
+        np.conjugate(amps[rows], out=term)
+        np.multiply(term, -1j, out=term)
+        np.multiply(term, dpsi[rows], out=term)
+        np.sum(term, axis=-1, out=p[rows])
+    return q.reshape(lead), p.real.reshape(lead)
 
 
 def _row_norms(amps, grid: GridSpec) -> np.ndarray:
@@ -410,11 +439,32 @@ def _row_norms(amps, grid: GridSpec) -> np.ndarray:
     package's one norm formula (GridWavefunction.norm reads it too).
 
     Each row is one contiguous sum, so it is bitwise the norm of that
-    row alone.
+    row alone.  |psi|^2 is taken a chunk of rows at a time (_chunk_rows)
+    in one buffer, so no array of the stack's size is made.
     """
-    flat = np.abs(amps.reshape(len(amps), grid.N ** grid.n))
-    np.square(flat, out=flat)
-    return np.sqrt(np.sum(flat, axis=-1) * grid.cell)
+    flat = amps.reshape(len(amps), grid.N ** grid.n)
+    row_bytes = np.dtype(float).itemsize * flat.shape[1]
+    square = np.empty((_chunk_rows(row_bytes, len(flat)), flat.shape[1]))
+    sums = np.empty(len(flat))
+    for rows in _chunks(len(flat), len(square)):
+        part = square[:rows.stop - rows.start]
+        np.abs(flat[rows], out=part)
+        np.square(part, out=part)
+        np.sum(part, axis=-1, out=sums[rows])
+    return np.sqrt(sums * grid.cell)
+
+
+def _chunk_rows(row_bytes: int, rows: int) -> int:
+    """Rows per chunk of a stacked measurement of ``rows`` rows whose
+    temporary takes row_bytes a row: as many as CHUNK_BYTES holds, one
+    at least and ``rows`` at most."""
+    return max(1, min(rows, CHUNK_BYTES // row_bytes))
+
+
+def _chunks(rows: int, step: int) -> list:
+    """The slices that cover range(rows) in chunks of ``step`` rows."""
+    return [slice(start, min(start + step, rows))
+            for start in range(0, rows, step)]
 
 
 def _edge_mass(amps, grid: GridSpec) -> np.ndarray:

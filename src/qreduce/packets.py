@@ -11,8 +11,10 @@ W(t,0) = X U(alpha(t)) Z(t,0) U(alpha(0))*, which is exact for
 Hamiltonians of degree at most two.
 
 Phase conventions: the square root of det B is taken with branch
-continuity (nearest-angle unwrapping along the run), which carries the
-zero-point phase; X multiplies the amplitude by exp(-i X_phase) with
+continuity, which carries the zero-point phase: each step's turn of
+arg det B is the nearest angle, or for normalizable widths, where it
+may pass pi / 2, the turn along the interpolated B (_assemble_series).
+X multiplies the amplitude by exp(-i X_phase) with
 X_phase(t) = int_0^t [h(alpha) - <h'(alpha), alpha>/2] ds.
 """
 
@@ -24,13 +26,21 @@ import numpy as np
 
 from .classical import ClassicalTrajectory, _hermite
 from .errors import CausticError, NumericalError
-from .grid import GridSpec, GridWavefunction
+from .grid import GridSpec, GridWavefunction, _chunks
 from .hamiltonian import HamiltonianSpec, PhasePoint, energies
 from .quadrature import cumulative_simpson
 
 SYMMETRY_TOL = 1e-10
 FACTOR_TOL = 1e-10
 CAUSTIC_TOL = 1e-12
+# Substeps of the interpolated det B path that _path_turns tries first
+# and at most, and the largest turn it lets one substep take.
+TURN_SUBSTEPS = 16
+TURN_SUBSTEPS_MAX = 4096
+TURN_RESOLVED = 0.25 * np.pi
+# Bound of the complex row buffer in which _sample_rows takes a 2D
+# packet's cross term and phase, a chunk of grid rows at a time.
+PHASE_CHUNK_BYTES = 1 << 17
 
 
 def _as_matrix(value, n: int) -> np.ndarray:
@@ -171,6 +181,9 @@ def _sample_rows(grid: GridSpec, xi, pi_m, M, factors, out) -> None:
     bits a stacked form would not keep.  That product reads the mesh of
     u, which is built from the two axis differences by broadcast copies:
     they are the differences x_mesh - xi would take, so the same bits.
+    The cross term t10 and the phase go PHASE_CHUNK_BYTES of grid rows
+    at a time, the mesh in the bytes of the complex term buffer: each
+    is elementwise, or a product per grid point, so chunks keep the bits.
     """
     if grid.n == 1:
         u = grid.x - xi
@@ -182,31 +195,42 @@ def _sample_rows(grid: GridSpec, xi, pi_m, M, factors, out) -> None:
         for row in range(len(out)):
             out[row] = factors[row] * np.exp(out[row]) * np.exp(1j * u[row])
         return
-    u_mesh = np.empty(grid.x_mesh.shape)
-    phase = np.empty(u_mesh.shape[:-1])
-    term = np.empty(out.shape[1:], dtype=complex)
+    step = max(1, PHASE_CHUNK_BYTES // (grid.N * out.itemsize))
+    chunks = _chunks(grid.N, step)
+    term = np.empty((min(step, grid.N), grid.N), dtype=complex)
+    phase = np.empty(term.shape)
     for row, form in enumerate(out):
         # u_0 along axis 0 and u_1 along axis 1.
         u = ((grid.x - xi[row, 0])[:, None], (grid.x - xi[row, 1])[None, :])
-        np.copyto(u_mesh[..., 0], u[0])
-        np.copyto(u_mesh[..., 1], u[1])
         m = M[row]
         # u.M.u = ((0 + t00 + t01) + t10) + t11, t_ij = u_i M_ij u_j, the
         # order einsum("...i,ij,...j->...") sums it: the same bits at a
         # third of its cost.  t01 and t10 span the row, t00 and t11 an axis.
         np.multiply(u[0] * m[0, 1], u[1], out=form)
         np.add(0 + u[0] * m[0, 0] * u[0], form, out=form)
-        np.multiply(u[1] * m[1, 0], u[0], out=term)
-        form += term
+        t10 = u[1] * m[1, 0]
+        for rows in chunks:
+            cross = term[:rows.stop - rows.start]
+            np.multiply(t10, u[0][rows], out=cross)
+            form[rows] += cross
         form += u[1] * m[1, 1] * u[1]
         np.multiply(-0.5, form, out=form)
         np.exp(form, out=form)
         np.multiply(factors[row], form, out=form)
-        np.matmul(u_mesh, pi_m[row], out=phase)
-        phase += 0.5 * float(pi_m[row] @ xi[row])
-        np.multiply(1j, phase, out=term)
-        np.exp(term, out=term)
-        form *= term
+        shift = 0.5 * float(pi_m[row] @ xi[row])
+        for rows in chunks:
+            chunk = term[:rows.stop - rows.start]
+            # The mesh of u over these grid rows lies in the bytes of
+            # the term that it turns into.
+            u_mesh = chunk.view(float).reshape(chunk.shape + (2,))
+            np.copyto(u_mesh[..., 0], u[0][rows])
+            np.copyto(u_mesh[..., 1], u[1])
+            angle = phase[:len(chunk)]
+            np.matmul(u_mesh, pi_m[row], out=angle)
+            angle += shift
+            np.multiply(1j, angle, out=chunk)
+            np.exp(chunk, out=chunk)
+            form[rows] *= chunk
 
 
 @dataclass(eq=False)
@@ -234,7 +258,8 @@ def evolve_AB(spec: HamiltonianSpec, traj: ClassicalTrajectory,
     ------
     CausticError
         If det B (which never vanishes for normalizable initial widths)
-        crosses zero for the supplied raw factors.
+        vanishes, or turns too fast to track, for raw factors whose
+        Re M(0) is not positive definite.
     NumericalError
         If M loses symmetry or Re M positivity along the run, for initial
         widths that had Re M positive definite.
@@ -252,7 +277,7 @@ def evolve_AB(spec: HamiltonianSpec, traj: ClassicalTrajectory,
                                             complex(B[0, 0]))
     else:
         A_series, B_series = _evolve_matrix(spec, traj, mids, A, B)
-    return _assemble_series(traj, A_series, B_series)
+    return _assemble_series(traj, A_series, B_series, spec.mass)
 
 
 def _evolve_scalar(spec, traj, mids, a, b):
@@ -313,22 +338,42 @@ def _evolve_matrix(spec, traj, mids, A, B):
     return A_series, B_series
 
 
-def _assemble_series(traj, A_series, B_series) -> MetaplecticSeries:
-    """Recover M, track the det B branch and enforce width invariants."""
+def _assemble_series(traj, A_series, B_series, mass) -> MetaplecticSeries:
+    """Recover M, track the det B branch and enforce width invariants.
+
+    Each step's turn of arg det B is read modulo 2 pi, then placed on its
+    branch.  With hxp = 0 and hpp = I / m, d/dt log det B = (i / m) tr M,
+    so arg det B turns at the rate Re tr M / m.  When Re M(0) is positive
+    definite (a normalizable packet), det B never vanishes, and a narrow
+    packet may turn it past pi / 2 in one step.  A step whose read turn,
+    or whose trapezoid of that rate, passes pi / 2 takes as its winding
+    the multiple of 2 pi nearest the turn of det B along the cubic
+    Hermite interpolant of B (B' = i A / m at both ends, _path_turns).
+    The trapezoid alone misjudges such a step: Re M peaks over a span
+    shorter than the step, so a node on the peak overstates the turn
+    and a peak between nodes hides it.  Every other step's winding is
+    exactly 0.  Raw factors have no such rate bound, so there a small
+    |det B| or a step turn past pi / 2 is a caustic.
+    """
     times = traj.times
     dets = np.linalg.det(B_series)
-    small = np.nonzero(np.abs(dets) < CAUSTIC_TOL)[0]
-    if small.size:
-        raise CausticError(float(times[small[0]]))
+    M0 = np.linalg.solve(B_series[0], A_series[0])
+    normalizable = bool(np.all(np.linalg.eigvalsh(
+        0.5 * (M0 + M0.T).real) > 0))
+    if not normalizable:
+        small = np.nonzero(np.abs(dets) < CAUSTIC_TOL)[0]
+        if small.size:
+            raise CausticError(float(times[small[0]]))
     raw = np.angle(dets)
     jumps = np.diff(raw)
     jumps -= 2.0 * np.pi * np.round(jumps / (2.0 * np.pi))
-    fast = np.nonzero(np.abs(jumps) > 0.5 * np.pi)[0]
-    if fast.size:
-        # det B cannot rotate this fast in one step unless it passed
-        # near zero between samples.
-        raise CausticError(float(times[fast[0] + 1]))
-    angles = raw[0] + np.concatenate([[0.0], np.cumsum(jumps)])
+    if not normalizable:
+        fast = np.nonzero(np.abs(jumps) > 0.5 * np.pi)[0]
+        if fast.size:
+            # det B cannot rotate this fast in one step unless it passed
+            # near zero between samples.
+            raise CausticError(float(times[fast[0] + 1]),
+                               "det B turned past pi/2 in one step")
     M_series = np.linalg.solve(B_series, A_series)
     asym = np.max(np.abs(M_series - np.swapaxes(M_series, 1, 2)), axis=(1, 2))
     bad = np.nonzero(asym > 1e-8)[0]
@@ -336,14 +381,56 @@ def _assemble_series(traj, A_series, B_series) -> MetaplecticSeries:
         raise NumericalError(
             f"width matrix lost symmetry at t = {times[bad[0]]:.6g}")
     M_series = 0.5 * (M_series + np.swapaxes(M_series, 1, 2))
-    if np.all(np.linalg.eigvalsh(M_series[0].real) > 0):
+    if normalizable:
         re_eigs = np.linalg.eigvalsh(M_series.real)
         bad = np.nonzero(np.any(re_eigs <= 0, axis=1))[0]
         if bad.size:
             raise NumericalError(
                 f"Re M lost positivity at t = {times[bad[0]]:.6g}")
+        rate = np.trace(M_series.real, axis1=1, axis2=2) / mass
+        turn = 0.5 * np.diff(times) * (rate[1:] + rate[:-1])
+        fast = np.nonzero((np.abs(jumps) > 0.5 * np.pi)
+                          | (turn > 0.5 * np.pi))[0]
+        if fast.size:
+            path = _path_turns(times, A_series, B_series, mass, fast)
+            jumps[fast] += 2.0 * np.pi * np.round(
+                (path - jumps[fast]) / (2.0 * np.pi))
+    angles = raw[0] + np.concatenate([[0.0], np.cumsum(jumps)])
     return MetaplecticSeries(times=times.copy(), A=A_series, B=B_series,
                              M=M_series, detB_angle=angles)
+
+
+def _path_turns(times, A_series, B_series, mass, steps) -> np.ndarray:
+    """The turn of arg det B over each of ``steps`` along the cubic
+    Hermite interpolant of B, whose derivative B' = i A / m is known at
+    both ends of a step.  The interpolant is sampled at TURN_SUBSTEPS
+    substeps, four times as many for a step until no substep turns
+    past TURN_RESOLVED, and the wrapped substep turns are summed.
+
+    Raises NumericalError when a step stays unresolved at
+    TURN_SUBSTEPS_MAX substeps: the time step is too coarse to track
+    det B.
+    """
+    turns = np.empty(len(steps))
+    todo = np.arange(len(steps))
+    count = TURN_SUBSTEPS
+    while todo.size:
+        k = steps[todo]
+        h = (times[k + 1] - times[k])[:, None, None]
+        s = np.linspace(0.0, 1.0, count + 1)[:, None, None, None]
+        path = _hermite(B_series[k], B_series[k + 1], 1j * A_series[k] / mass,
+                        1j * A_series[k + 1] / mass, h, s)
+        parts = np.diff(np.angle(np.linalg.det(path)), axis=0)
+        parts -= 2.0 * np.pi * np.round(parts / (2.0 * np.pi))
+        done = np.max(np.abs(parts), axis=0) <= TURN_RESOLVED
+        turns[todo[done]] = np.sum(parts[:, done], axis=0)
+        todo = todo[~done]
+        count *= 4
+        if todo.size and count > TURN_SUBSTEPS_MAX:
+            raise NumericalError(
+                f"det B turned too fast to track at t = "
+                f"{times[steps[todo[0]] + 1]:.6g}; reduce dt")
+    return turns
 
 
 def phase_X(spec: HamiltonianSpec, traj: ClassicalTrajectory) -> np.ndarray:

@@ -271,9 +271,14 @@ def run_grid(spec: HamiltonianSpec, psi0: GridStack, T: float, dt: float,
 
     The run allocates one scratch block, of the size of propagate's
     observer block, and every block's work goes through its leading
-    rows: first the spectra of expectation_a, then the bound stage's W.
-    So the observer allocates no block-sized array of its own for
-    either, and the heap does not grow and trim again for each block.
+    rows: first the spectra of expectation_a, then the bound stage's W
+    (and W - Omega W after it).  The observed states u are scored in
+    the block that holds them, which the bound stage overwrites with
+    W - u and then Omega W (BoundInputs).  So the observer allocates no
+    block-sized array of its own, and the heap does not grow and trim
+    again for each block.  Every block it scores is the run's own:
+    propagate's observer blocks, its final rows, and a copy of psi0's
+    rows for the start, so psi0 keeps its bits.
     """
     samples = _positive_int(samples, "samples")
     steps, step_dt = time_steps(T, dt)
@@ -290,7 +295,7 @@ def run_grid(spec: HamiltonianSpec, psi0: GridStack, T: float, dt: float,
         if bound_inputs is not None:
             BoundInputs.add_stack(bound_inputs, block_times, amps, work)
 
-    observe(np.zeros(1), psi0.amps[:, None])
+    observe(np.zeros(1), psi0.amps[:, None].copy())
     ev = propagate(spec, psi0, T, dt, observer=observe, observe_stride=stride)
     if steps % stride:
         observe(np.array([steps * step_dt]), ev.final.amps[:, None])
@@ -373,10 +378,15 @@ class BoundInputs:
     u are projected by one row-exact hermite_coefficients call each, and
     apply_comparator smooths the W rows from W's projection.
     delta1 = ||W - u|| and delta2 = ||(1 - Omega) W|| are stacked row
-    norms.  The membership probes are one within_magnitude call per
-    state, on that state's row of the projection, so W's one projection
-    serves delta2 and its probe alike.  Every number is bitwise the one
-    a stack of one gives.  ``blocks`` holds one tuple per block: the
+    norms.  The call allocates no block of its own: once both are
+    projected, the rows of amps turn into W - u, whose norms are delta1,
+    and then into Omega W, which apply_comparator writes there; the rows
+    of work turn from W into W - Omega W, whose norms are delta2.  So
+    amps must be the caller's to overwrite, and both blocks are spent
+    when the call returns.  The membership probes are one
+    within_magnitude call per state, on that state's row of the
+    projection, so W's one projection serves delta2 and its probe alike.
+    Every number is bitwise the one a stack of one gives.  ``blocks`` holds one tuple per block: the
     steps, a (4, B) array of delta1, delta2 and the inverse norms of u
     and W, and a (2, B) array of their divergence flags.  The first W
     row of a sample with more than RESIDUAL_TOL of its mass outside the
@@ -416,13 +426,20 @@ class BoundInputs:
             # The block again, for the samples still in the basis.
             BoundInputs.add_stack(inputs, times, amps, work)
             return
-        u = amps if len(live) == len(amps) else amps[live]
-        delta1 = _row_norms(_rows(w - u), grid)
-        u_coeffs, u_residual = hermite_coefficients(comp, _rows(u), grid)
-        # W's rows are not read again once projected, so they turn into
-        # W - Omega W, whose norms are delta2.
-        w_rows = _rows(w)
-        w_rows -= apply_comparator(comp, (w_coeffs, w_residual), grid)
+        # The live samples' states move to the leading rows of amps, in
+        # order: a row only moves up, past rows already read.
+        for at, row in enumerate(live):
+            if at != row:
+                amps[at] = amps[row]
+        u_rows, w_rows = _rows(amps[:len(live)]), _rows(w)
+        u_coeffs, u_residual = hermite_coefficients(comp, u_rows, grid)
+        # u is not read again once projected: its rows turn into W - u,
+        # whose norms are delta1, and then into Omega W, which turns W's
+        # rows into W - Omega W, whose norms are delta2.
+        np.subtract(w_rows, u_rows, out=u_rows)
+        delta1 = _row_norms(u_rows, grid)
+        apply_comparator(comp, (w_coeffs, w_residual), grid, out=u_rows)
+        w_rows -= u_rows
         delta2 = _row_norms(w_rows, grid)
         inv_u, div_u = _membership_probes(comp, u_coeffs, u_residual)
         inv_w, div_w = _membership_probes(comp, w_coeffs, w_residual)

@@ -730,6 +730,25 @@ def test_numerical_failure_exits_three(tmp_path):
     assert failure["result"]["failed"]
 
 
+def test_a_narrow_double_well_packet_runs_to_its_verdict(tmp_path):
+    # At dt 0.01 det B turns past pi / 2 in one step near t = 2.86, which
+    # once exited 3 as a caustic; the run now reads the verdict, and
+    # nearly the error, of the same config at dt 1e-3.
+    results = {}
+    for dt in (0.01, 1e-3):
+        cfg = write_config(tmp_path, {"mode": "reduce", "problem": {
+            "potential": "double-well", "alpha0": [0.1, 0.0], "T": 3.0,
+            "dt": dt, "epsilon": 0.05, "comparator": {"s": 0.5}}},
+            name=f"config-{dt}.json")
+        assert run(cfg, out_dir=tmp_path / str(dt)) == 0
+        results[dt] = json.loads(
+            (tmp_path / str(dt) / "reduce.json").read_text())["result"]
+    assert results[0.01]["verdict"] == results[1e-3]["verdict"] \
+        == "not-reduced"
+    assert max(results[0.01]["error_max"]) == pytest.approx(
+        max(results[1e-3]["error_max"]), rel=1e-4)
+
+
 def test_bound_stage_failure_still_ends_in_a_verdict(tmp_path):
     # The quartic state at T = 2 pi leaves the N = 128 basis (residual
     # 1.3e-8) while its error, about 1.1, already violates epsilon: the

@@ -136,6 +136,64 @@ def test_caustic_detected_for_raw_factors():
     assert exc.value.time == pytest.approx(1.0, abs=0.02)
 
 
+DOUBLE_WELL = HamiltonianSpec(
+    mass=1.0, potential=PotentialModel.polynomial([0.5, 0.0, -1.0, 0.0, 0.5]))
+QUARTIC = HamiltonianSpec(
+    mass=1.0, potential=PotentialModel.polynomial([0, 0, 0, 0, 0.25]))
+
+
+def final_amplitude_factor(spec, alpha0, T, dt):
+    traj = integrate_flow(spec, alpha0, T, dt)
+    flow = approximate_flow(spec, traj, packet(alpha0, 1.0))
+    return flow.packet_at(len(traj) - 1).amplitude_factor
+
+
+def test_a_narrow_packet_turns_det_b_past_half_pi_without_a_caustic():
+    # The double-well start (0.1, 0): near t = 2.86 the packet narrows
+    # (Re M about 474) and det B turns past pi / 2 in one 0.01 step,
+    # which the bare nearest angle read as a caustic.  Its widths are
+    # normalizable, so det B never vanishes (min |B| 0.046), and the
+    # tracked branch gives W's prefactor of a 1e-3 run.
+    alpha0 = PhasePoint(0.1, 0.0)
+    traj = integrate_flow(DOUBLE_WELL, alpha0, 3.0, 0.01)
+    series = evolve_AB(DOUBLE_WELL, traj)
+    assert np.min(np.abs(series.B[:, 0, 0])) > 0.04
+    wrapped = np.angle(np.exp(1j * np.diff(series.detB_angle)))
+    assert np.max(np.abs(wrapped)) > 0.5 * np.pi
+    assert np.all(np.diff(series.detB_angle) > 0.0)
+    coarse = final_amplitude_factor(DOUBLE_WELL, alpha0, 3.0, 0.01)
+    fine = final_amplitude_factor(DOUBLE_WELL, alpha0, 3.0, 1e-3)
+    assert abs(coarse - fine) < 1e-3 * abs(fine)
+
+
+def test_raw_factor_caustics_say_what_was_seen():
+    traj = integrate_flow(FREE, PhasePoint(0.0, 0.0), 2.0, 1e-2)
+    with pytest.raises(CausticError, match=r"caustic: det B vanished at t = "):
+        evolve_AB(FREE, traj, A0=1j * np.eye(1), B0=np.eye(1))
+    # B0 = 1.005 - 1e-3 i (Re M0 < 0) misses zero by 1e-3 at t = 1.005,
+    # mid-step: det B turns by about 2.75 within the step, never below
+    # CAUSTIC_TOL.
+    with pytest.raises(CausticError, match=r"caustic: det B turned past "
+                       r"pi/2 in one step at t = 1.01$"):
+        evolve_AB(FREE, traj, A0=1j * np.eye(1),
+                  B0=(1.005 - 1e-3j) * np.eye(1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(potential=st.sampled_from(["double-well", "quartic"]),
+       q=st.floats(-1.5, 1.5), p=st.floats(-0.5, 0.5),
+       dt=st.sampled_from([0.02, 0.015, 0.01, 0.005]))
+def test_normalizable_widths_never_raise_a_caustic(potential, q, p, dt):
+    # Unit-width starts on the double well and the quartic at dt up to
+    # 0.02: no CausticError, and W's prefactor at T = 3 has the sign of a
+    # dt / 10 run (a branch slip of 2 pi in det B flips it).
+    spec = DOUBLE_WELL if potential == "double-well" else QUARTIC
+    alpha0 = PhasePoint(q, p)
+    coarse = final_amplitude_factor(spec, alpha0, 3.0, dt)
+    fine = final_amplitude_factor(spec, alpha0, 3.0, dt / 10)
+    assert abs(coarse - fine) < abs(coarse + fine)
+
+
 def test_phase_X_vanishes_for_centered_quadratics():
     still = integrate_flow(HARMONIC, PhasePoint(0.0, 0.0), 1.0, 1e-3)
     assert np.max(np.abs(phase_X(HARMONIC, still))) < 1e-12

@@ -859,7 +859,8 @@ def fresh_buffer_run(problem, psi0, inputs):
         moments.append(expectation_a(amps[0], grid))
         BoundInputs.add_stack([inputs], block_times, amps, np.empty_like(amps))
 
-    observe(np.zeros(1), psi0.amp[None, None])
+    # add_stack overwrites the block it scores, so the start goes as a copy.
+    observe(np.zeros(1), psi0.amp[None, None].copy())
     final = propagate(problem.spec, GridStack.of(psi0), problem.T, problem.dt,
                       observer=observe, observe_stride=stride).final
     if steps % stride:
@@ -1199,3 +1200,81 @@ def test_the_normal_rule_is_computed_once_and_read_only():
     assert np.array_equal(w, weights / np.sqrt(2.0 * np.pi))
     with pytest.raises(ValueError):
         w[0] = 0.0
+
+
+def frozen(array):
+    """A read-only copy of array: writing into it raises ValueError."""
+    array = np.array(array)
+    array.flags.writeable = False
+    return array
+
+
+@pytest.mark.parametrize("name", ["lattice-1d", "coupled-2d"])
+def test_a_run_never_writes_into_its_callers_states(name, monkeypatch):
+    # The bound stage overwrites every block it scores, so run_grid hands
+    # it only blocks the run owns: read-only start states run through
+    # run_grid with bound inputs, and through run_reduction's and
+    # squeeze_sweep's own calls, and keep their bits.
+    case = STREAM_CASES[name]
+    problem = dataclasses.replace(
+        case, alpha0=PhasePoint.from_vector(case.alpha0.vector))
+    flows = [approximate_flow(problem.spec, integrate_flow(
+        problem.spec, alpha0, problem.T, problem.dt), packet(alpha0, 1.0))
+        for alpha0 in lattice_points(problem)[:3]]
+    amps = frozen([sample_on_grid(flow.base, problem.grid).amp
+                   for flow in flows])
+    want = amps.copy()
+    inputs = [BoundInputs(problem, flow) for flow in flows]
+    run_grid(problem.spec, GridStack(problem.grid, amps), problem.T,
+             problem.dt, problem.samples, inputs)
+    assert np.array_equal(amps, want)
+    assert all(item.blocks and item.failure is None for item in inputs)
+
+    expected = run_reduction(problem).to_json_dict()
+    starts = []
+    grid_run = reduction.run_grid
+
+    def freezing(spec, psi0, *args):
+        starts.append((psi0.amps, psi0.amps.copy()))
+        psi0.amps.flags.writeable = False
+        return grid_run(spec, psi0, *args)
+
+    monkeypatch.setattr(reduction, "run_grid", freezing)
+    for vector in (problem.lattice, problem.alpha0.xi, problem.alpha0.pi):
+        vector.flags.writeable = False
+    assert run_reduction(problem).to_json_dict() == expected
+    assert starts and all(np.array_equal(got, copy) for got, copy in starts)
+    if problem.grid.n == 1:
+        table = squeeze_sweep(problem, [0.5, 1.0])
+        assert table == squeeze_sweep(dataclasses.replace(problem), [0.5, 1.0])
+
+
+def test_scoring_a_2d_block_allocates_less_than_a_block():
+    # add_stack scores a 4-state 2D block at N = 128 (1 MiB) in that block
+    # and the scratch block it is handed: tracemalloc's peak rises by less
+    # than one block over its inputs.  A first call fills the caches.
+    import tracemalloc
+    problem = dataclasses.replace(STREAM_CASES["coupled-2d"], T=0.04,
+                                  grid=GridSpec(n=2, N=128, L=10.0))
+    traj = integrate_flow(problem.spec, problem.alpha0, problem.T, problem.dt)
+    flow = approximate_flow(problem.spec, traj, packet(problem.alpha0, 1.0))
+    blocks = []
+    propagate(problem.spec, GridStack.of(sample_on_grid(
+        flow.base, problem.grid)), problem.T, problem.dt,
+        observer=lambda times, amps: blocks.append(amps.copy()))
+    amps, = blocks
+    assert amps.shape == (1, 4, 128, 128) and amps.nbytes == 1 << 20
+    times = traj.times[1:5]
+    work = np.empty_like(amps)
+    BoundInputs.add_stack([BoundInputs(problem, flow)], times, amps.copy(),
+                          work)
+    inputs = BoundInputs(problem, flow)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        BoundInputs.add_stack([inputs], times, amps, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inputs.failure is None and len(inputs.blocks) == 1
+    assert peak - before < amps.nbytes

@@ -13,8 +13,12 @@ script prints the minor page faults of each and their median, and the
 process's peak resident set (``ru_maxrss``, in MB of 2^20 bytes) after
 them: the figure the benchmark reports as ``peak_rss_mb``.  One more
 pass runs under ``tracemalloc`` and prints each unit's peak traced
-allocation in MB (10^6 bytes).  Reports go to a temporary directory;
-whatever the package prints is swallowed.
+allocation in MB (10^6 bytes).  In that pass each function of
+OBSERVED runs with ``tracemalloc.reset_peak()`` around every call, and
+the script prints, per unit, the highest traced peak reached inside it
+and the largest rise of a call's peak over the traced memory at its
+entry: so a unit's peak can be traced to the call that sets it.  Reports
+go to a temporary directory; whatever the package prints is swallowed.
 """
 
 import contextlib
@@ -32,6 +36,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parents[1]
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WARM_PASSES = 5
+# The observer path's functions, by the name the package binds them to.
+OBSERVED = ("expectation_a", "_sample_flows", "hermite_coefficients",
+            "apply_comparator", "_row_norms", "duhamel_curve")
 
 
 def _workloads():
@@ -56,6 +63,64 @@ def _import_cli(root: Path):
 
 def _minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+class _CallPeaks:
+    """Wraps OBSERVED in every loaded qreduce module for a ``with`` block
+    and records, per function, (peak, rise) in bytes over its calls.
+
+    reset_peak() at each call's entry would lose the peak its callers
+    reached so far, so that peak is carried up a stack of open calls;
+    ``unit_peak`` reads a unit's peak with the carried part included.
+    """
+
+    def __init__(self):
+        self.stats = {}
+        self._open = [0]
+        self._saved = []
+
+    def _wrap(self, name, func):
+        def traced(*args, **kwargs):
+            current, peak = tracemalloc.get_traced_memory()
+            self._open[-1] = max(self._open[-1], peak)
+            tracemalloc.reset_peak()
+            self._open.append(current)
+            try:
+                return func(*args, **kwargs)
+            finally:
+                inner = max(self._open.pop(), tracemalloc.get_traced_memory()[1])
+                self._open[-1] = max(self._open[-1], inner)
+                peak, rise = self.stats.get(name, (0, 0))
+                self.stats[name] = (max(peak, inner),
+                                    max(rise, inner - current))
+        return traced
+
+    def unit_peak(self) -> int:
+        peak = max(self._open[0], tracemalloc.get_traced_memory()[1])
+        self._open[0] = 0
+        return peak
+
+    def __enter__(self):
+        modules = [module for name, module in sys.modules.items()
+                   if name == "qreduce" or name.startswith("qreduce.")]
+        found = {}
+        for module in modules:
+            for name in OBSERVED:
+                if callable(getattr(module, name, None)):
+                    found.setdefault(name, getattr(module, name))
+        wrappers = {name: self._wrap(name, func)
+                    for name, func in found.items()}
+        for module in modules:
+            for name, func in found.items():
+                if getattr(module, name, None) is func:
+                    self._saved.append((module, name, func))
+                    setattr(module, name, wrappers[name])
+        return self
+
+    def __exit__(self, *exc):
+        for module, name, func in self._saved:
+            setattr(module, name, func)
+        self._saved.clear()
 
 
 def main(argv=None) -> int:
@@ -98,13 +163,15 @@ def main(argv=None) -> int:
         # Linux reports ru_maxrss in KiB.
         peak_rss_mb = resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        peaks = {}
+        peaks, calls = {}, {}
         tracemalloc.start()
         try:
             for unit in plan:
-                tracemalloc.reset_peak()
-                run_unit(*unit)
-                peaks[unit[0]] = tracemalloc.get_traced_memory()[1]
+                with _CallPeaks() as traced:
+                    tracemalloc.reset_peak()
+                    run_unit(*unit)
+                    peaks[unit[0]] = traced.unit_peak()
+                calls[unit[0]] = traced.stats
         finally:
             tracemalloc.stop()
     print(f"{args[0]}: minor faults per warm pass {faults}, "
@@ -112,6 +179,9 @@ def main(argv=None) -> int:
     print(f"  peak_rss_mb after the warm passes: {peak_rss_mb:.2f}")
     for name, peak in peaks.items():
         print(f"  {name}: tracemalloc peak {peak / 1e6:.2f} MB")
+        for func, (inner, rise) in calls[name].items():
+            print(f"    {func}: peak {inner / 1e6:.2f} MB, "
+                  f"rise {rise / 1e6:.2f} MB")
     return 0
 
 
