@@ -65,12 +65,21 @@ when the output directory allows it).
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+# The builtin SHA-256, as the stdlib's random takes its SHA-512: hashlib
+# maps OpenSSL's libcrypto, several MB resident, for one digest a run.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -556,7 +565,7 @@ def _jsonable(value):
 def config_hash(config: dict) -> str:
     canonical = json.dumps(_jsonable(config), sort_keys=True,
                            separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 def emit_report(envelope: dict, directory: Path, formats,

@@ -7,7 +7,8 @@ transform is numpy's pocketfft: the step's through the gufuncs that
 numpy.fft wraps, which spares its Python wrapper on every step.
 A boundary-mass monitor guards the periodic wrap: experiments are valid
 only while essentially no mass touches the edge bands.  Each stacked
-measurement has one routine: _row_norms, _edge_mass, _moment_sums.
+measurement has one routine: _row_norms, _edge_mass, _moment_sums
+(1D moments), _marginal_sums (2D marginals).
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ CHECK_STRIDE = 100  # steps between propagate's boundary and norm checks
 # numpy's threshold for running a product in place on a temporary operand.
 ELIDE_BYTES = 1 << 18
 # Bound of the row temporaries of a stacked measurement (_row_norms,
-# _moment_sums): rows go a chunk at a time, each chunk's temporary within
-# this many bytes, one row at least.
+# _moment_sums, _marginal_sums): rows go a chunk at a time, each chunk's
+# temporary within this many bytes, one row at least.
 CHUNK_BYTES = 1 << 18
 
 
@@ -371,67 +372,120 @@ def expectation_a(psi, grid: GridSpec = None, work=None) -> np.ndarray:
 def _moments(amps, grid, work=None):
     """The lead + (2n,) moments of a stack; the spectra go into ``work``,
     a complex array of the stack's shape, or a fresh one without it.
-    In 1D they are _moment_sums times the cell."""
-    axes = tuple(range(-grid.n, 0))
+
+    The arithmetic is the per-block formula, taken a chunk of rows at a
+    time so that no |psi|^2 array of the stack's size is made: with
+    dens = |psi|^2 and each row's norm sqrt(sum dens * cell), a row off
+    1 by more than NORM_TOL is divided by its norm (the stack is copied
+    and measured again).  In 1D the moments are _moment_sums times the
+    cell.  In 2D <q_j> is the axis marginal of dens (the sum over the
+    other axis) times grid.x times the cell, and <p_j> the marginal of
+    the power spectrum |fft2(psi)|^2 cell / N^2 times grid.k; the
+    marginals come from _marginal_sums.  Each of the four marginal
+    products is one product over the whole lead shape, since BLAS
+    matrix-vector products round each row by the rows in one call.
+    """
+    lead = amps.shape[:-grid.n]
+    flat = amps.reshape((-1,) + amps.shape[len(lead):])
+    if work is not None:
+        work = work.reshape(flat.shape)
     cell = grid.cell
-    dens = np.abs(amps) ** 2
-    norms = np.sqrt(np.sum(dens, axis=axes) * cell)
+
+    def measure(rows):
+        # (mass, <q> and <p> sums) in 1D, (mass, the two marginals) in 2D.
+        if grid.n == 1:
+            return _moment_sums(rows, grid, work)
+        return _marginal_sums(rows, grid)
+
+    mass, *sums = measure(flat)
+    norms = np.sqrt(mass * cell)
     off = np.abs(norms - 1.0) > NORM_TOL
     if np.any(off):
-        amps = amps / np.where(off, norms, 1.0)[(...,) + (None,) * grid.n]
-        dens = np.abs(amps) ** 2
-    if work is None:
-        work = np.empty_like(amps)
+        flat = flat / np.where(off, norms, 1.0)[(...,) + (None,) * grid.n]
+        mass, *sums = measure(flat)
     if grid.n == 1:
-        q, p = _moment_sums(amps, dens, grid, work)
-        return np.stack([q * cell, p * cell], axis=-1)
-    # Axis marginals (sum over the other axis), one product per axis.
-    q = [np.sum(dens, axis=-1) @ grid.x * cell,
-         np.sum(dens, axis=-2) @ grid.x * cell]
+        return np.stack([s * cell for s in sums], axis=-1).reshape(
+            lead + (2,))
+    q = [marginal.reshape(lead + (grid.N,)) @ grid.x * cell
+         for marginal in sums]
+    if work is None:
+        work = np.empty_like(flat)
     # Two 1D passes, axis -2 first: np.fft.fft2 runs the axes in the
     # other order and so differs in the last bits.
-    spectrum = np.fft.fft(amps, axis=-2, out=work)
+    spectrum = np.fft.fft(flat, axis=-2, out=work)
     np.fft.fft(spectrum, axis=-1, out=spectrum)
-    # dens is not read again, so it turns into the power spectrum.
-    power = np.abs(spectrum, out=dens)
-    np.square(power, out=power)
-    power *= cell / grid.N ** 2
-    p = [np.sum(power, axis=-1) @ grid.k, np.sum(power, axis=-2) @ grid.k]
+    _, *p = _marginal_sums(spectrum, grid, cell / grid.N ** 2)
+    p = [marginal.reshape(lead + (grid.N,)) @ grid.k for marginal in p]
     return np.stack(q + p, axis=-1)
 
 
-def _moment_sums(amps, dens, grid: GridSpec, work):
-    """Row sums (sum x |psi|^2, Re sum conj(psi) (-i dpsi)) of a 1D
-    stack, given dens = |amps|^2; dpsi = ifft(1j k fft(psi)) is taken in
-    ``work``, of amps' shape.  Not Parseval: this form keeps the bits of
-    the per-state formula, and under a harmonic V the measured error is
-    itself rounding (~1e-13), which other rounding would change.
+def _marginal_sums(amps, grid: GridSpec, scale=None):
+    """The axis marginals of dens = |amps|^2 over a 2D stack (B, N, N):
+    (totals, sum over axis -1, sum over axis -2), each marginal (B, N).
+    With ``scale``, dens is taken times it and totals is None; without,
+    totals holds each row's sum of dens, the norm check's.
 
-    The products x |psi|^2 and conj(psi) (-i) dpsi go a chunk of rows at
-    a time (_chunk_rows), in buffers of one chunk, with the operands in
-    the order of the expressions above: complex products round
-    differently in the other order (FMA).  Each row sum is the same.
+    dens is taken a chunk of rows at a time (_chunk_rows) in one buffer,
+    as np.abs(amps) ** 2 (times scale) would give it whole; each row's
+    sums are the whole stack's, since numpy sums each row alone.
     """
-    lead = amps.shape[:-1]
+    row_bytes = np.dtype(float).itemsize * grid.N ** 2
+    dens = np.empty((_chunk_rows(row_bytes, len(amps)),) + amps.shape[1:])
+    totals = None if scale is not None else np.empty(len(amps))
+    marginals = [np.empty((len(amps), grid.N)) for _ in range(2)]
+    for rows in _chunks(len(amps), len(dens)):
+        part = dens[:rows.stop - rows.start]
+        np.abs(amps[rows], out=part)
+        np.square(part, out=part)
+        if totals is None:
+            part *= scale
+        else:
+            np.sum(part, axis=(-2, -1), out=totals[rows])
+        np.sum(part, axis=-1, out=marginals[0][rows])
+        np.sum(part, axis=-2, out=marginals[1][rows])
+    return [totals] + marginals
+
+
+def _moment_sums(amps, grid: GridSpec, work=None, weights=()):
+    """Row sums of a 1D stack (B, N): (sum |psi|^2, sum x |psi|^2,
+    Re sum conj(psi) (-i dpsi)) and then sum f |psi|^2 for each position
+    function f of ``weights``, each (B,).  dpsi = ifft(1j k fft(psi)) is
+    taken in ``work``, of amps' shape, or in a fresh array without it.
+    Not Parseval: this form keeps the bits of the per-state formula,
+    and under a harmonic V the measured error is itself rounding
+    (~1e-13), which other rounding would change.
+
+    Every row temporary goes a chunk of rows at a time (_chunk_rows), in
+    buffers of one chunk: |psi|^2, its products with x and with each f,
+    and conj(psi) (-i) dpsi, with the operands in that order (complex
+    products round differently in the other, FMA).  Each row sum is that
+    row's alone, so it is the whole stack's.
+    """
+    if work is None:
+        work = np.empty_like(amps)
     np.fft.fft(amps, out=work)
     # 1j * k is imaginary: either operand order rounds alike.
     work *= 1j * grid.k
-    dpsi = np.fft.ifft(work, out=work).reshape(-1, grid.N)
-    amps, dens = amps.reshape(-1, grid.N), dens.reshape(-1, grid.N)
-    product = np.empty((_chunk_rows(amps[0].nbytes, len(amps)), grid.N),
-                       dtype=complex)
-    moment = np.empty(product.shape)
-    q, p = np.empty(len(amps)), np.empty(len(amps), dtype=complex)
-    for rows in _chunks(len(amps), len(product)):
-        x_dens = moment[:rows.stop - rows.start]
-        term = product[:rows.stop - rows.start]
-        np.multiply(grid.x, dens[rows], out=x_dens)
-        np.sum(x_dens, axis=-1, out=q[rows])
-        np.conjugate(amps[rows], out=term)
-        np.multiply(term, -1j, out=term)
-        np.multiply(term, dpsi[rows], out=term)
-        np.sum(term, axis=-1, out=p[rows])
-    return q.reshape(lead), p.real.reshape(lead)
+    dpsi = np.fft.ifft(work, out=work)
+    chunk = _chunk_rows(amps[0].nbytes, len(amps))
+    term = np.empty((chunk, grid.N), dtype=complex)
+    dens, moment = np.empty((chunk, grid.N)), np.empty((chunk, grid.N))
+    weights = (grid.x,) + tuple(weights)
+    mass, p = np.empty(len(amps)), np.empty(len(amps), dtype=complex)
+    sums = np.empty((len(weights), len(amps)))
+    for rows in _chunks(len(amps), chunk):
+        size = rows.stop - rows.start
+        np.abs(amps[rows], out=dens[:size])
+        np.square(dens[:size], out=dens[:size])
+        np.sum(dens[:size], axis=-1, out=mass[rows])
+        for f, total in zip(weights, sums):
+            np.multiply(f, dens[:size], out=moment[:size])
+            np.sum(moment[:size], axis=-1, out=total[rows])
+        np.conjugate(amps[rows], out=term[:size])
+        np.multiply(term[:size], -1j, out=term[:size])
+        np.multiply(term[:size], dpsi[rows], out=term[:size])
+        np.sum(term[:size], axis=-1, out=p[rows])
+    return (mass, sums[0], p.real, *sums[1:])
 
 
 def _row_norms(amps, grid: GridSpec) -> np.ndarray:

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
-from numpy.polynomial.hermite_e import hermegauss
 
 MAX_POLY_DEGREE = 8
 MAX_POLY_DEGREE_2D = 4
@@ -38,6 +36,25 @@ def _horner(D, axes):
             out += c
         D = out
     return D
+
+
+def _polyder(c, m, axis):
+    """Coefficients of the m-th derivative of the power series c along
+    ``axis``, a fresh array: numpy.polynomial.polynomial.polyder's
+    arithmetic, der[j - 1] = j * c[j] once per order.  When m reaches the
+    degree's length it is c[:1] * 0 of the input, as in polyder, so a
+    zero keeps the sign that 0 times its coefficient gives."""
+    c = np.moveaxis(np.array(c, dtype=float), axis, 0)
+    if m >= len(c):
+        c = c[:1] * 0
+    else:
+        for _ in range(m):
+            n = len(c) - 1
+            der = np.empty((n,) + c.shape[1:])
+            for j in range(n, 0, -1):
+                der[j - 1] = j * c[j]
+            c = der
+    return np.moveaxis(c, 0, axis)
 
 
 class PotentialModel:
@@ -126,7 +143,7 @@ class PotentialModel:
         if D is None:
             D = self.coeffs
             for axis, m in enumerate(a):
-                D = npoly.polyder(D, m, axis=axis)
+                D = _polyder(D, m, axis)
             self._derivatives[a] = D
         return D
 
@@ -158,7 +175,7 @@ class PotentialModel:
             if sum(a) >= 3:
                 D = C / math.prod(map(math.factorial, a))
                 for axis, m in enumerate(a):
-                    D = npoly.polyder(D, m, axis=axis)
+                    D = _polyder(D, m, axis)
                 taylor[a[::-1]] = _horner(D.T[..., None], at_centers)[:, None]
         return _horner(taylor, np.moveaxis(u, -1, 0)[::-1])
 
@@ -168,12 +185,51 @@ def normal_rule():
     """Gauss-Hermite nodes z and weights w with sum_k w_k f(z_k) = E f(Z),
     Z standard normal, for f of degree <= 17: r^2 at the degree caps.
 
-    The rule is computed once (an eigenvalue solve) and shared, so both
-    arrays are read-only."""
-    z, w = hermegauss(GAUSS_NODES)
+    The rule is _hermegauss(GAUSS_NODES) with its weights divided by
+    sqrt(2 pi), so it is bitwise what numpy's hermegauss gives.  It is
+    computed once (an eigenvalue solve) and shared, so both arrays are
+    read-only."""
+    z, w = _hermegauss(GAUSS_NODES)
     w = w / np.sqrt(2.0 * np.pi)
     z.flags.writeable = w.flags.writeable = False
     return z, w
+
+
+def _hermegauss(n):
+    """The n-node Gauss rule for the weight exp(-x^2 / 2), n >= 2, by
+    numpy.polynomial.hermite_e.hermegauss's steps (Golub-Welsch), so it
+    is bitwise hermegauss(n): the eigenvalues of the symmetric Jacobi
+    matrix, off-diagonals sqrt(1 .. n-1); one Newton step on the
+    normalised He_n; weights 1 / fm^2 with fm, the normalised He_{n-1}
+    at the nodes, scaled by its largest magnitude; nodes and weights
+    symmetrised, and the weights scaled to sum to sqrt(2 pi)."""
+    jacobi = np.zeros((n, n))
+    off = np.sqrt(np.arange(1, n))
+    jacobi.reshape(-1)[1::n + 1] = off
+    jacobi.reshape(-1)[n::n + 1] = off
+    x = np.linalg.eigvalsh(jacobi)
+    x -= _normed_hermite_e(x, n) / (_normed_hermite_e(x, n - 1) * np.sqrt(n))
+    fm = _normed_hermite_e(x, n - 1)
+    fm /= np.abs(fm).max()
+    w = 1 / (fm * fm)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= np.sqrt(2 * np.pi) / w.sum()
+    return x, w
+
+
+def _normed_hermite_e(x, n):
+    """The orthonormal He_n (weight exp(-x^2 / 2)) at x, n >= 1, by
+    hermegauss's downward recurrence (numpy.polynomial.hermite_e's
+    _normed_hermite_e_n)."""
+    c0 = 0.
+    c1 = 1. / np.sqrt(np.sqrt(2 * np.pi))
+    nd = float(n)
+    for _ in range(n - 1):
+        c0, c1 = (-c1 * np.sqrt((nd - 1.) / nd),
+                  c0 + c1 * x * np.sqrt(1. / nd))
+        nd = nd - 1.0
+    return c0 + c1 * x
 
 
 @dataclass(frozen=True)

@@ -742,8 +742,9 @@ def ehrenfest_run(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
     the finite-difference accuracy of the identity residual, and
     sample_stride must be a positive integer.  The start
     and every sample_stride-th step are recorded, a block of states at a
-    time: <q> and <p> from _moment_sums, the 1D moments' sums, and a
-    row sum for <V'(q)>, each times cell / mass, and one polynomial
+    time: the mass and the sums for <q>, <p> and <V'(q)> from one
+    _moment_sums call, the 1D moments' sums, which takes |psi|^2 a chunk
+    of rows at a time; each sum times cell / mass; and one polynomial
     evaluation for V'(<q>) per block.
     """
     if psi0.grid.n != 1:
@@ -757,11 +758,9 @@ def ehrenfest_run(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
 
     def collect(times, stack):
         amps = stack[0]
-        dens = np.abs(amps) ** 2
-        mass = np.sum(dens, axis=-1) * cell
-        q, p = (s * cell / mass
-                for s in _moment_sums(amps, dens, grid, work[:len(amps)]))
-        grad_v_mean = np.sum(dv * dens, axis=-1) * cell / mass
+        mass, *sums = _moment_sums(amps, grid, work[:len(amps)], (dv,))
+        mass = mass * cell
+        q, p, grad_v_mean = (s * cell / mass for s in sums)
         blocks.append(np.column_stack([times, q, p, grad_v_mean,
                                        spec.potential.derivative(q)]))
 

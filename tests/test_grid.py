@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -8,6 +10,7 @@ from qreduce import grid as grid_module
 from qreduce.packets import packet, sample_on_grid
 from qreduce.grid import (
     DEFAULT_GRID,
+    NORM_TOL,
     GridSpec,
     GridStack,
     GridWavefunction,
@@ -615,3 +618,78 @@ def test_moments_of_a_batch_take_each_block_alone(grid):
     assert batch.shape == (3, 4, 2 * grid.n)
     for row in range(3):
         assert np.array_equal(batch[row], expectation_a(amps[row], grid))
+
+
+def _block_moments(amps, grid):
+    """The moments of a stack (B,) + (N,) * n written out as whole-block
+    expressions: |psi|^2 of the whole stack, the rows off norm divided by
+    their norms, then the 1D sums or the 2D axis marginals."""
+    axes, cell = tuple(range(-grid.n, 0)), grid.cell
+    dens = np.abs(amps) ** 2
+    norms = np.sqrt(np.sum(dens, axis=axes) * cell)
+    off = np.abs(norms - 1.0) > NORM_TOL
+    if np.any(off):
+        amps = amps / np.where(off, norms, 1.0)[(...,) + (None,) * grid.n]
+        dens = np.abs(amps) ** 2
+    if grid.n == 1:
+        dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(amps))
+        p = np.sum(np.conj(amps) * -1j * dpsi, axis=-1).real
+        return np.stack([np.sum(grid.x * dens, axis=-1) * cell, p * cell],
+                        axis=-1)
+    spectrum = np.fft.fft(np.fft.fft(amps, axis=-2), axis=-1)
+    power = np.abs(spectrum) ** 2 * (cell / grid.N ** 2)
+    return np.stack([np.sum(dens, axis=-1) @ grid.x * cell,
+                     np.sum(dens, axis=-2) @ grid.x * cell,
+                     np.sum(power, axis=-1) @ grid.k,
+                     np.sum(power, axis=-2) @ grid.k], axis=-1)
+
+
+@pytest.mark.parametrize("grid, rows, scaled", [
+    (DEFAULT_GRID, 1, None), (DEFAULT_GRID, 17, None),
+    (DEFAULT_GRID, 32, None), (DEFAULT_GRID, 17, 5),
+    (GridSpec(n=2, N=128, L=10.0), 1, None),
+    (GridSpec(n=2, N=128, L=10.0), 4, None),
+    (GridSpec(n=2, N=128, L=10.0), 4, 2),
+], ids=["1d-1row", "1d-17rows", "1d-32rows", "1d-off-norm", "2d-1row",
+        "2d-4rows", "2d-off-norm"])
+def test_chunked_moments_are_bitwise_the_block_formula(grid, rows, scaled):
+    # The moments take |psi|^2 a chunk of rows at a time (2 rows of 128^2,
+    # 16 of 1024 points), the norm check's sums in the same pass; a row
+    # off norm (the row ``scaled``) is divided by its norm and measured
+    # again.  Every row keeps the whole-block expressions' bits.
+    rng = np.random.default_rng(rows)
+    amps = np.stack([
+        sample_on_grid(packet(rng.uniform(-2.0, 2.0, 2 * grid.n),
+                              rng.uniform(0.5, 2.0) * np.eye(grid.n)),
+                       grid).normalized().amp
+        for _ in range(rows)])
+    if scaled is not None:
+        amps[scaled] *= 1.0 + 1e-9
+    want = _block_moments(amps, grid)
+    assert np.array_equal(expectation_a(amps, grid), want)
+    work = np.empty_like(amps)
+    assert np.array_equal(expectation_a(amps, grid, work=work), want)
+
+
+def test_2d_moments_allocate_less_than_half_a_block():
+    # With the spectra in a work block, the moments of a 4-state 2D block
+    # at N = 128 (1 MiB) hold |psi|^2 and the power spectrum a chunk at a
+    # time: tracemalloc's peak rises by less than half a block (a block's
+    # |psi|^2).  A first call fills the grid's caches.
+    grid = GridSpec(n=2, N=128, L=10.0)
+    rng = np.random.default_rng(3)
+    amps = np.stack([
+        sample_on_grid(packet(rng.uniform(-2.0, 2.0, 4), np.eye(2)),
+                       grid).normalized().amp for _ in range(4)])
+    assert amps.nbytes == 1 << 20
+    work = np.empty_like(amps)
+    want = expectation_a(amps, grid, work=work)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = expectation_a(amps, grid, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak - before < amps.nbytes // 2

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as npoly
+from numpy.polynomial.hermite_e import hermegauss
 
 from qreduce import HamiltonianSpec, PhasePoint, PotentialModel
 from qreduce.hamiltonian import (MAX_POLY_DEGREE, MAX_POLY_DEGREE_2D,
+                                 _hermegauss, _polyder,
                                  _remainder_by_subtraction, energies)
 from qreduce.scaling import scale_hamiltonian
 
@@ -278,6 +280,31 @@ def _assert_bitwise(new, ref, signed=True):
     assert np.array_equal(new, ref)
     if signed:
         assert np.array_equal(np.signbit(new), np.signbit(ref))
+
+
+@pytest.mark.parametrize("shape", [(1,), (4,), (9,), (1, 3), (3, 4), (5, 5)])
+def test_polyder_is_bitwise_numpys(shape):
+    # numpy.polynomial is the oracle: every axis, every order from 0 to
+    # past the degree, where both give c[:1] * 0 of the input.  Signed
+    # zeros among the coefficients show a zero taken from the wrong array.
+    rng = np.random.default_rng(sum(shape))
+    C = rng.standard_normal(shape)
+    C[rng.random(shape) < 0.3] = -0.0
+    C.flat[0] = -1.5
+    kept = C.copy()
+    for axis in range(C.ndim):
+        for m in range(C.shape[axis] + 3):
+            _assert_bitwise(_polyder(C, m, axis),
+                            npoly.polyder(C, m, axis=axis))
+    _assert_bitwise(C, kept)
+
+
+@pytest.mark.parametrize("n", range(2, 20))
+def test_gauss_hermite_rule_is_bitwise_hermegauss(n):
+    nodes, weights = hermegauss(n)
+    z, w = _hermegauss(n)
+    _assert_bitwise(z, nodes)
+    _assert_bitwise(w, weights)
 
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)

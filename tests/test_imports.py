@@ -1,6 +1,8 @@
 """Every module-level import in the package is used, every function is
 reached from outside the focused tests, and a CLI run loads no scipy
-module: numpy is the only runtime dependency."""
+module: numpy is the only runtime dependency.  Nor does it load
+numpy.polynomial or OpenSSL's hashlib binding, which would each add to
+every run's resident set."""
 
 import ast
 import json
@@ -162,19 +164,26 @@ def test_every_definition_is_reached_outside_the_focused_tests():
 
 
 # Runs in a fresh interpreter: configs through cli.run, then every
-# module loaded from the scipy package.
+# module loaded from the scipy package, from numpy.polynomial, and
+# OpenSSL's hashlib binding.
 GUARD = """
 import json, sys
 from qreduce import cli
 codes = [cli.run(path, out_dir=sys.argv[1]) for path in sys.argv[2:]]
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"codes": codes, "scipy": scipy}))
+polynomial = sorted(m for m in sys.modules
+                    if m.startswith("numpy.polynomial"))
+print(json.dumps({"codes": codes, "scipy": scipy, "polynomial": polynomial,
+                  "openssl": "_hashlib" in sys.modules}))
 """
 
 
 def test_cli_runs_load_no_scipy_module(tmp_path):
     # scipy is a test tool only: a 1D and a 2D reduce (the 2D one reaches
     # the 2D moments) and a grid classify-quantum run on numpy alone.
+    # numpy.polynomial and _hashlib stay unloaded too: the potential's
+    # derivatives and the Gauss-Hermite rule are the package's own, and
+    # the config hash is the builtin SHA-256.
     configs = [
         {"mode": "reduce", "problem": {
             "potential": "harmonic", "alpha0": [1.0, 0.0], "T": 0.1,
@@ -202,7 +211,7 @@ def test_cli_runs_load_no_scipy_module(tmp_path):
          *map(str, paths)], env=env, capture_output=True, text=True,
         check=True)
     assert json.loads(done.stdout.splitlines()[-1]) == {
-        "codes": [0, 0, 0], "scipy": []}
+        "codes": [0, 0, 0], "scipy": [], "polynomial": [], "openssl": False}
 
 
 def test_importing_the_cli_loads_no_numpy_fft():
@@ -298,7 +307,8 @@ def test_the_check_sees_every_form_of_a_polynomial_reference():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_only_the_potential_model_knows_numpy_polynomial(path):
-    # PotentialModel owns how V is stored and evaluated: no other module
-    # differentiates or evaluates polynomials itself.
-    if path.name != "hamiltonian.py":
-        assert _polynomial_references(path.read_text()) == []
+    # PotentialModel owns how V is stored, differentiated and evaluated,
+    # and hamiltonian.py does that arithmetic itself, so no module
+    # references numpy.polynomial: importing it maps nine modules into
+    # every run.  The tests use it as an oracle.
+    assert _polynomial_references(path.read_text()) == []

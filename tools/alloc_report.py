@@ -8,12 +8,17 @@ process, with BLAS and OpenMP pinned to one thread as the benchmark runs
 them.  The unit configs come from ``perfbench/workloads.py`` of the
 checkout this script sits in, read as it is.
 
+First the script prints the process's peak resident set (``ru_maxrss``,
+in MB of 2^20 bytes) before and right after ``import qreduce.cli``, and
+the modules that the import added, grouped by package (numpy by
+subpackage), with their counts: the import path's share of
+``peak_rss_mb``.
+
 After one cold pass, WARM_PASSES warm passes run under ``getrusage``; the
 script prints the minor page faults of each and their median, and the
-process's peak resident set (``ru_maxrss``, in MB of 2^20 bytes) after
-them: the figure the benchmark reports as ``peak_rss_mb``.  One more
-pass runs under ``tracemalloc`` and prints each unit's peak traced
-allocation in MB (10^6 bytes).  In that pass each function of
+process's peak resident set after them: the figure the benchmark
+reports as ``peak_rss_mb``.  One more pass runs under ``tracemalloc``
+and prints each unit's peak traced allocation in MB (10^6 bytes).  In that pass each function of
 OBSERVED runs with ``tracemalloc.reset_peak()`` around every call, and
 the script prints, per unit, the highest traced peak reached inside it
 and the largest rise of a call's peak over the traced memory at its
@@ -30,7 +35,9 @@ import resource
 import statistics
 import sys
 import tempfile
+import textwrap
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
@@ -50,15 +57,33 @@ def _workloads():
 
 
 def _import_cli(root: Path):
-    """qreduce.cli from ROOT's src, refusing any other installed copy."""
+    """qreduce.cli from ROOT's src, refusing any other installed copy;
+    prints the peak resident set before and after the import and the
+    modules that it added."""
     src = (root / "src").resolve()
     if not (src / "qreduce" / "cli.py").is_file():
         raise SystemExit(f"{root}: no qreduce source tree")
     sys.path.insert(0, str(src))
+    before, rss_before = set(sys.modules), _peak_rss_mb()
     import qreduce.cli
     if Path(qreduce.cli.__file__).resolve().parent != src / "qreduce":
         raise SystemExit(f"imported {qreduce.cli.__file__}, not from {src}")
+    added = Counter(".".join(name.split(".")[:2]) if name.startswith("numpy.")
+                    else name.split(".")[0]
+                    for name in set(sys.modules) - before)
+    print(f"import qreduce.cli: ru_maxrss {rss_before:.2f} MB before, "
+          f"{_peak_rss_mb():.2f} MB after; "
+          f"{sum(added.values())} modules added:")
+    print(textwrap.fill(", ".join(
+        name if count == 1 else f"{name} ({count})"
+        for name, count in sorted(added.items())),
+        initial_indent="  ", subsequent_indent="  "))
     return qreduce.cli
+
+
+def _peak_rss_mb() -> float:
+    # Linux reports ru_maxrss in KiB.
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def _minor_faults() -> int:
@@ -160,9 +185,7 @@ def main(argv=None) -> int:
             for unit in plan:
                 run_unit(*unit)
             faults.append(_minor_faults() - before)
-        # Linux reports ru_maxrss in KiB.
-        peak_rss_mb = resource.getrusage(
-            resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        peak_rss_mb = _peak_rss_mb()
         peaks, calls = {}, {}
         tracemalloc.start()
         try:
