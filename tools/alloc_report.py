@@ -12,18 +12,20 @@ First the script prints the process's peak resident set (``ru_maxrss``,
 in MB of 2^20 bytes) before and right after ``import qreduce.cli``, and
 the modules that the import added, grouped by package (numpy by
 subpackage), with their counts: the import path's share of
-``peak_rss_mb``.
+``peak_rss_mb`` beyond numpy, which reading the workloads has already
+imported, as the benchmark's worker has.
 
 After one cold pass, WARM_PASSES warm passes run under ``getrusage``; the
 script prints the minor page faults of each and their median, and the
 process's peak resident set after them: the figure the benchmark
 reports as ``peak_rss_mb``.  One more pass runs under ``tracemalloc``
-and prints each unit's peak traced allocation in MB (10^6 bytes).  In that pass each function of
-OBSERVED runs with ``tracemalloc.reset_peak()`` around every call, and
-the script prints, per unit, the highest traced peak reached inside it
-and the largest rise of a call's peak over the traced memory at its
-entry: so a unit's peak can be traced to the call that sets it.  Reports
-go to a temporary directory; whatever the package prints is swallowed.
+and prints each unit's peak traced allocation in MB (10^6 bytes).  In
+that pass each function of OBSERVED runs with
+``tracemalloc.reset_peak()`` around every call, and the script prints,
+per unit, the highest traced peak reached inside it and the largest
+rise of a call's peak over the traced memory at its entry: so a unit's
+peak can be traced to the call that sets it.  Reports go to a temporary
+directory; whatever the package prints is swallowed.
 """
 
 import contextlib
