@@ -13,9 +13,9 @@ from types import ModuleType as _Module
 
 __version__ = "0.1.0"
 
-from .errors import (BasisResidualError, CausticError, ConfigError,
-                     FlowDivergedError, NumericalError, OverflowGuardError,
-                     QReduceError, WraparoundError)
+from .errors import (BasisResidualError, ConfigError, FlowDivergedError,
+                     NumericalError, OverflowGuardError, QReduceError,
+                     WraparoundError)
 from .hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel
 from .classical import classify_classical
 from .comparator import coherent_matrix_elements, comparator_scalars

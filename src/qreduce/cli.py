@@ -4,18 +4,16 @@ Usage: reduce <config.json> [--assert-reduced] [--out DIR]
        [--format json,csv]
 
 The config is a JSON object with a "mode" field plus a mode-specific
-"problem" block; an optional "output" block ({"directory", "formats"})
-that the command-line flags override; and optional "seed" and
-"tolerances" entries that are echoed into every report.  Potentials are
-given either as a named preset (harmonic, free, cubic-perturbed,
-quartic, double-well) or as {"coeffs": [...]} / {"coeff_matrix": [[...]]}.
-Grids are {"n", "N", "L"}, comparators {"s", "N"}, and regions
-{"center", "radius"} (ball) or {"center", "half_widths"} (box).
-ehrenfest and the grid form of classify-quantum take their initial
-state as a {"packet": {"alpha0", "M0"}} block, defaulting to the vacuum,
-and refuse a top-level alpha0 or M0.  Counts (grid "n" and "N",
-comparator "N", reduce "samples", ehrenfest "sample_stride") must be
-positive integers, comparator-audit "dimension" 1 or 2.  The scalars
+"problem" block; an optional "output" block that the command-line flags
+override; and optional "seed" and "tolerances" entries that are echoed
+into every report.  The *_KEYS tables declare each block's keys: any
+other key exits 2, and so do a region with both "radius" (a ball) and
+"half_widths" (a box) and a potential with both "coeffs" and
+"coeff_matrix".  ehrenfest and the grid form of classify-quantum take
+their initial state as a {"packet": {"alpha0", "M0"}} block, defaulting
+to the vacuum, and refuse a top-level alpha0 or M0.  Counts (grid "n"
+and "N", comparator "N", reduce "samples", ehrenfest "sample_stride")
+must be positive integers, comparator-audit "dimension" 1 or 2.  The scalars
 "mass", "T", "dt", "E", "epsilon", comparator "s", grid "L" and region
 "radius", and each entry of "alpha0", "horizons", "lambdas",
 "dilations", "radii", "psi", a list "epsilon", a region's "center" and
@@ -90,7 +88,7 @@ from .errors import ConfigError, QReduceError
 from .grid import DEFAULT_GRID, OFF_GRID, GridSpec
 from .hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel, \
     time_steps
-from .packets import _as_matrix, _check_widths, packet, sample_on_grid
+from .packets import packet, sample_on_grid
 from .reduction import (DEFAULT_DT, DEFAULT_S, DEFAULT_SAMPLES,
                         EHRENFEST_STRIDE, ReductionProblem, _positive_int,
                         _provenance, ehrenfest_residuals, ehrenfest_run,
@@ -98,9 +96,6 @@ from .reduction import (DEFAULT_DT, DEFAULT_S, DEFAULT_SAMPLES,
 from .scaling import hepp_experiment
 from .spectral import GridHamiltonian, _check_hermitian, classify_quantum, \
     finite_evolution
-
-MODES = ("reduce", "classify-classical", "classify-quantum",
-         "comparator-audit", "scale", "squeeze", "ehrenfest")
 
 PRESETS = {
     "harmonic": [0.0, 0.0, 0.5],
@@ -110,12 +105,52 @@ PRESETS = {
     "double-well": [0.5, 0.0, -1.0, 0.0, 0.5],
 }
 
+# The keys of each config block, any other key exiting 2; classify-quantum
+# with no "matrix" is the grid form, which takes QUANTUM_GRID_KEYS.
+CONFIG_KEYS = ("mode", "problem", "output", "seed", "tolerances")
+OUTPUT_KEYS = ("directory", "formats")
+PROBLEM_KEYS = {
+    "reduce": ("potential", "alpha0", "T", "epsilon", "dt", "M0", "E",
+               "grid", "comparator", "region", "samples", "mass"),
+    "classify-classical": ("potential", "alpha0", "T", "dt", "radii", "mass"),
+    "classify-quantum": ("horizons", "matrix", "psi", "omega"),
+    "comparator-audit": ("s", "N", "dimension"),
+    "scale": ("potential", "alpha0", "T", "lambdas", "dt", "grid", "mass"),
+    "squeeze": ("potential", "alpha0", "T", "dilations", "dt", "epsilon",
+                "E", "grid", "comparator", "mass"),
+    "ehrenfest": ("potential", "T", "packet", "dt", "sample_stride", "grid",
+                  "mass"),
+}
+QUANTUM_GRID_KEYS = ("horizons", "potential", "packet", "grid", "dt",
+                     "comparator", "mass")
+GRID_KEYS = ("n", "N", "L")
+COMPARATOR_KEYS = ("s", "N")
+REGION_KEYS = ("center", "radius", "half_widths")
+PACKET_KEYS = ("alpha0", "M0")
+POTENTIAL_KEYS = ("coeffs", "coeff_matrix")
+
 
 def _fail(path: str, message: str):
     raise ConfigError(f"config.{path}: {message}")
 
 
-def _block(config: dict, key: str, required=True, path: str = "") -> dict:
+def _known(block: dict, path: str, keys) -> dict:
+    """block, once each of its keys is in keys; another key exits 2 and
+    names its path and the nearest known key."""
+    for key in block:
+        if key not in keys:
+            from difflib import get_close_matches
+            near = ([k for k in keys if k.lower() == key.lower()]
+                    or get_close_matches(key, keys, n=1))
+            hint = (f"did you mean {near[0]!r}?" if near
+                    else f"known keys are {', '.join(keys)}")
+            _fail(path + key, f"unknown key; {hint}")
+    return block
+
+
+def _block(config: dict, key: str, required=True, path: str = "",
+           keys=None) -> dict:
+    """config[key], an object; with keys, _known checks its keys."""
     value = config.get(key)
     if value is None:
         if required:
@@ -123,7 +158,7 @@ def _block(config: dict, key: str, required=True, path: str = "") -> dict:
         return {}
     if not isinstance(value, dict):
         _fail(path + key, "must be an object")
-    return value
+    return value if keys is None else _known(value, f"{path}{key}.", keys)
 
 
 def _number(block: dict, path: str, key: str, default=None, required=False):
@@ -209,10 +244,8 @@ def _width(block: dict, path: str, n: int):
         value = np.array(_numbers(raw, f"{path}.M0"))
     if np.ndim(value) and np.atleast_2d(value).shape != (n, n):
         _fail(f"{path}.M0", f"must be a number or a {n}x{n} matrix")
-    M = _as_matrix(value, n)
     try:
-        # packet's factors: A = M0, B = identity.
-        _check_widths(M[None], M[None], np.eye(n)[None])
+        packet(np.zeros(2 * n), value)
     except ValueError as exc:
         _fail(f"{path}.M0", str(exc))
     return value
@@ -240,6 +273,9 @@ def _potential_from(problem: dict) -> PotentialModel:
             _fail("problem.potential", f"unknown preset {raw!r}; "
                   f"choose from {sorted(PRESETS)}")
         return PotentialModel.polynomial(PRESETS[raw])
+    if isinstance(raw, dict) and len(
+            _known(raw, "problem.potential.", POTENTIAL_KEYS)) > 1:
+        _fail("problem.potential", "takes coeffs or coeff_matrix, not both")
     if isinstance(raw, dict) and "coeffs" in raw:
         return PotentialModel.polynomial(
             _numbers(raw["coeffs"], "problem.potential.coeffs"))
@@ -268,13 +304,9 @@ def _phase_point(problem: dict, spec: HamiltonianSpec,
 
 def _start_packet(problem: dict, spec: HamiltonianSpec, grid: GridSpec):
     """(alpha0, M0) from the packet block, started on the grid by the
-    rule reduce and scale apply (GridSpec.holds_center); a top-level one
-    is refused."""
-    for key in ("alpha0", "M0"):
-        if key in problem:
-            _fail(f"problem.{key}", "this mode takes its start state as "
-                  '{"packet": {"alpha0": [...], "M0": ...}}')
-    pkt = (_block(problem, "packet", required=False, path="problem.")
+    rule reduce and scale apply (GridSpec.holds_center)."""
+    pkt = (_block(problem, "packet", required=False, path="problem.",
+                  keys=PACKET_KEYS)
            or {"alpha0": [0.0] * (2 * spec.dimension)})
     alpha0 = _phase_point(pkt, spec, "problem.packet")
     if not grid.holds_center(alpha0.vector):
@@ -283,7 +315,8 @@ def _start_packet(problem: dict, spec: HamiltonianSpec, grid: GridSpec):
 
 
 def _grid_from(problem: dict, spec: HamiltonianSpec) -> GridSpec:
-    raw = _block(problem, "grid", required=False, path="problem.")
+    raw = _block(problem, "grid", required=False, path="problem.",
+                 keys=GRID_KEYS)
     grid = GridSpec(_count(raw, "problem.grid", "n", DEFAULT_GRID.n),
                     _count(raw, "problem.grid", "N", DEFAULT_GRID.N),
                     _number(raw, "problem.grid", "L", DEFAULT_GRID.L))
@@ -294,7 +327,8 @@ def _grid_from(problem: dict, spec: HamiltonianSpec) -> GridSpec:
 
 
 def _comparator_from(problem: dict) -> ComparatorSpec:
-    raw = _block(problem, "comparator", required=False, path="problem.")
+    raw = _block(problem, "comparator", required=False, path="problem.",
+                 keys=COMPARATOR_KEYS)
     return ComparatorSpec(
         s=_number(raw, "problem.comparator", "s", default=DEFAULT_S),
         N=_count(raw, "problem.comparator", "N", ComparatorSpec.N))
@@ -304,8 +338,11 @@ def _region_from(problem: dict, spec: HamiltonianSpec):
     raw = problem.get("region")
     if raw is None:
         return None
-    if not isinstance(raw, dict) or "center" not in raw:
+    if not isinstance(raw, dict) or "center" not in _known(
+            raw, "problem.region.", REGION_KEYS):
         _fail("problem.region", "must be an object with a center")
+    if "radius" in raw and "half_widths" in raw:
+        _fail("problem.region", "takes radius or half_widths, not both")
     center = _numbers(raw["center"], "problem.region.center")
     if len(center) != 2 * spec.dimension:
         _fail("problem.region.center", f"must be a list [xi.., pi..] of "
@@ -618,11 +655,21 @@ def run(config_path, assert_reduced: bool = False, out_dir=None,
     try:
         if not isinstance(config, dict):
             _fail("", "top level must be an object")
+        _known(config, "", CONFIG_KEYS)
         mode = config.get("mode")
-        if mode not in MODES:
-            _fail("mode", f"must be one of {MODES}")
-        compute = _RUNNERS[mode](_block(config, "problem"))
-        output = _block(config, "output", required=False)
+        if mode not in PROBLEM_KEYS:
+            _fail("mode", f"must be one of {tuple(PROBLEM_KEYS)}")
+        problem = _block(config, "problem")
+        keys = PROBLEM_KEYS[mode]
+        if mode == "classify-quantum" and "matrix" not in problem:
+            keys = QUANTUM_GRID_KEYS
+        for key in PACKET_KEYS if "packet" in keys else ():
+            if key in problem:
+                _fail(f"problem.{key}", "this mode takes its start state "
+                      'as {"packet": {"alpha0": [...], "M0": ...}}')
+        _known(problem, "problem.", keys)
+        compute = _RUNNERS[mode](problem)
+        output = _block(config, "output", required=False, keys=OUTPUT_KEYS)
         directory = Path(out_dir or output.get("directory", "."))
         formats = list(formats or output.get("formats", ["json"]))
         if any(fmt not in ("json", "csv") for fmt in formats):

@@ -38,19 +38,6 @@ class WraparoundError(NumericalError):
     """Wavefunction mass reached the periodic grid boundary."""
 
 
-class CausticError(NumericalError):
-    """The B factor of raw width factors became singular.
-
-    ``detail`` says what was seen: det B vanished, or turned too far in
-    one step to have stayed clear of zero.  Normalizable widths (Re M
-    positive definite) never raise it.
-    """
-
-    def __init__(self, time, detail="det B vanished"):
-        super().__init__(f"caustic: {detail} at t = {time:.6g}")
-        self.time = time
-
-
 class BasisResidualError(NumericalError):
     """Hermite-basis projection lost more mass than the tolerance allows."""
 

@@ -143,9 +143,6 @@ class GridWavefunction:
     def density(self) -> np.ndarray:
         return np.abs(self.amp) ** 2
 
-    def normalized(self) -> "GridWavefunction":
-        return GridWavefunction(self.grid, self.amp / self.norm)
-
     def distance(self, other: "GridWavefunction") -> float:
         return float(_row_norms((self.amp - other.amp)[None], self.grid)[0])
 
@@ -353,9 +350,9 @@ def expectation_a(psi, grid: GridSpec = None, work=None) -> np.ndarray:
     amplitudes of shape lead + (grid.N,) * n, for which the result is a
     lead + (2n,) array.  In 2D the marginals of each (B,) + (N, N) block
     along the last lead axis go through one matrix-vector product, as a
-    stack of B states alone does.  A row whose norm is off 1 by more than NORM_TOL is
-    normalised first, as GridWavefunction.normalized() does.  Momenta
-    are spectral: in 1D <p> = Re <psi, -i d psi> with the derivative a
+    stack of B states alone does.  A row whose norm is off 1 by more
+    than NORM_TOL is divided by its norm first.  Momenta are spectral:
+    in 1D <p> = Re <psi, -i d psi> with the derivative a
     Fourier multiplier (an FFT pair per state); in 2D by Parseval from
     one 2D FFT per state, <p_j> = sum_k k_j |psi_hat(k)|^2 dx^2 / N^2.
     ``work``, a complex array of the stack's shape whose contents are

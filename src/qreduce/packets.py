@@ -1,19 +1,20 @@
 """Gaussian coherent packets and their metaplectic time evolution.
 
-A packet is U(alpha) Gamma^M: a Gaussian of complex symmetric width
-matrix M displaced to the phase-space point alpha.  Its width evolves
-through the linear (A, B) system driven by the Hamiltonian Hessian along
-a classical trajectory; M = B^{-1}A solves the corresponding Riccati
-equation but can blow up at caustics, while A and B stay finite, so the
-linear system is what gets integrated.  The module also accumulates the
-scalar phase X(t) and assembles the approximating propagator
-W(t,0) = X U(alpha(t)) Z(t,0) U(alpha(0))*, which is exact for
-Hamiltonians of degree at most two.
+A packet is U(alpha) Gamma^M: a unit-norm Gaussian of complex symmetric
+width matrix M, Re M positive definite, displaced to the phase-space
+point alpha.  It is the one start state of a flow: width factors A = M
+and B = I, phase 0, det B on branch 0.  The width evolves through the
+linear (A, B) system driven by the Hamiltonian Hessian along a
+classical trajectory, and M = B^{-1}A solves the corresponding Riccati
+equation; from a normalizable start det B never vanishes.  The module
+also accumulates the scalar phase X(t) and assembles the approximating
+propagator W(t,0) = X U(alpha(t)) Z(t,0) U(alpha(0))*, which is exact
+for Hamiltonians of degree at most two.
 
 Phase conventions: the square root of det B is taken with branch
 continuity, which carries the zero-point phase: each step's turn of
-arg det B is the nearest angle, or for normalizable widths, where it
-may pass pi / 2, the turn along the interpolated B (_assemble_series).
+arg det B is the nearest angle, or where it may pass pi / 2, the turn
+along the interpolated B (_assemble_series).
 X multiplies the amplitude by exp(-i X_phase) with
 X_phase(t) = int_0^t [h(alpha) - <h'(alpha), alpha>/2] ds.
 """
@@ -25,14 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import ClassicalTrajectory, _hermite
-from .errors import CausticError, NumericalError
+from .errors import NumericalError
 from .grid import GridSpec, GridWavefunction, _chunks
 from .hamiltonian import HamiltonianSpec, PhasePoint, energies
 from .quadrature import cumulative_simpson
 
 SYMMETRY_TOL = 1e-10
 FACTOR_TOL = 1e-10
-CAUSTIC_TOL = 1e-12
 # Substeps of the interpolated det B path that _path_turns tries first
 # and at most, and the largest turn it lets one substep take.
 TURN_SUBSTEPS = 16
@@ -57,9 +57,9 @@ def _as_matrix(value, n: int) -> np.ndarray:
 def _check_widths(M, A, B) -> None:
     """A packet's width checks over stacks of (M, A, B), shape (R, n, n).
 
-    Raises the ValueError a GaussianPacket of the first failing row
-    raises, with the first check that row fails: M, A and B finite, M
-    symmetric, Re M positive definite, B M = A.
+    Raises, for the first failing row, a ValueError that names the first
+    check that row fails: M, A and B finite, M symmetric, Re M positive
+    definite, B M = A.
     """
     finite = np.all(np.isfinite(np.concatenate([M, A, B], axis=-1)),
                     axis=(-2, -1))
@@ -78,59 +78,39 @@ def _check_widths(M, A, B) -> None:
                           "factors must satisfy M = B^(-1) A")[check])
 
 
-def _norm_factor(n: int, det_b) -> float:
+def _amplitude_factor(n: int, norm_prefactor: float, det_b, angle: float,
+                      phase: float) -> complex:
+    """pi^{-n/4} norm_prefactor |det B|^{-1/2} e^{-i (angle / 2 + phase)},
+    with angle the branch-tracked arg det B."""
     # abs() of the complex scalar: np.abs of an array of determinants
     # can differ from it in the last bit.
-    return float(np.pi ** (-n / 4.0) / np.sqrt(abs(det_b)))
-
-
-def _amplitude_factor(norm_prefactor: float, norm_factor: float,
-                      detB_angle: float, phase: float) -> complex:
-    return (norm_prefactor * norm_factor
-            * np.exp(-1j * (0.5 * detB_angle + phase)))
+    norm = float(np.pi ** (-n / 4.0) / np.sqrt(abs(det_b)))
+    return norm_prefactor * norm * np.exp(-1j * (0.5 * angle + phase))
 
 
 @dataclass(eq=False)
 class GaussianPacket:
-    """A displaced Gaussian U(alpha) Gamma^M with bookkeeping for its phase.
-
-    The amplitude prefactor is pi^{-n/4} norm_prefactor (det B)^{-1/2}
-    e^{-i phase}, where the square root uses the continuously tracked
-    detB_angle and norm_prefactor = det(Re M(0))^{1/4} keeps the packet
-    unit norm for any admissible initial width.
-    """
+    """The unit-norm packet U(alpha) Gamma^M: width factors A = M and
+    B = I (det B = 1 on branch 0), phase 0, and the amplitude prefactor
+    pi^{-n/4} norm_prefactor with norm_prefactor = det(Re M)^{1/4}."""
 
     alpha: PhasePoint
     M: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    phase: float = 0.0
-    norm_prefactor: float = 1.0
-    detB_angle: float = None
 
     def __post_init__(self):
         n = self.alpha.n
         self.M = _as_matrix(self.M, n)
-        self.A = _as_matrix(self.A, n)
-        self.B = _as_matrix(self.B, n)
-        _check_widths(self.M[None], self.A[None], self.B[None])
-        if self.detB_angle is None:
-            self.detB_angle = float(np.angle(np.linalg.det(self.B)))
+        _check_widths(self.M[None], self.M[None],
+                      np.eye(n, dtype=complex)[None])
 
     @property
-    def n(self) -> int:
-        return self.alpha.n
-
-    @property
-    def norm_factor(self) -> float:
-        """Magnitude prefactor pi^{-n/4} |det B|^{-1/2}."""
-        return _norm_factor(self.n, np.linalg.det(self.B))
+    def norm_prefactor(self) -> float:
+        return float(np.linalg.det(self.M.real)) ** 0.25
 
     @property
     def amplitude_factor(self) -> complex:
-        """Full complex prefactor, branch-continuous in det B."""
-        return _amplitude_factor(self.norm_prefactor, self.norm_factor,
-                                 self.detB_angle, self.phase)
+        return _amplitude_factor(self.alpha.n, self.norm_prefactor, 1.0, 0.0,
+                                 0.0)
 
 
 def vacuum() -> GaussianPacket:
@@ -140,14 +120,10 @@ def vacuum() -> GaussianPacket:
 
 
 def packet(alpha, M) -> GaussianPacket:
-    """The packet U(alpha) Gamma^M with factors A = M, B = identity."""
+    """The packet U(alpha) Gamma^M, alpha a PhasePoint or its vector."""
     if not isinstance(alpha, PhasePoint):
         alpha = PhasePoint.from_vector(alpha)
-    M = _as_matrix(M, alpha.n)
-    prefactor = float(np.linalg.det(M.real)) ** 0.25
-    return GaussianPacket(alpha=alpha, M=M, A=M.copy(),
-                          B=np.eye(alpha.n, dtype=complex),
-                          norm_prefactor=prefactor)
+    return GaussianPacket(alpha, M)
 
 
 def sample_on_grid(pkt: GaussianPacket, grid: GridSpec) -> GridWavefunction:
@@ -159,7 +135,7 @@ def sample_on_grid(pkt: GaussianPacket, grid: GridSpec) -> GridWavefunction:
     is the stack of one of the formula _sample_flows evaluates for a
     block of trajectory steps, so both give the same bits.
     """
-    if grid.n != pkt.n:
+    if grid.n != pkt.alpha.n:
         raise ValueError("grid and packet dimensions differ")
     out = np.empty((1,) + (grid.N,) * grid.n, dtype=complex)
     _sample_rows(grid, pkt.alpha.xi[None], pkt.alpha.pi[None], pkt.M[None],
@@ -245,38 +221,33 @@ class MetaplecticSeries:
 
 
 def evolve_AB(spec: HamiltonianSpec, traj: ClassicalTrajectory,
-              A0=None, B0=None) -> MetaplecticSeries:
-    """Integrate the linear width system along a trajectory.
+              M0=1.0) -> MetaplecticSeries:
+    """Integrate the linear width system along a trajectory from the
+    factors of the packet of width M0: A = M0 and B = I.
 
     The equations are A' = i B hxx - A hxp and B' = B hxp^T + i A hpp
     with the Hessian blocks of h evaluated at alpha(t); a fourth-order
     one-step scheme is used at the trajectory's own step, with midpoint
     states from the cubic Hermite interpolant.  M = B^{-1} A is recovered
-    at every sample.
+    at every sample.  M0 is a number (times the identity) or an n x n
+    matrix, symmetric with Re M0 positive definite, as a packet's width.
 
     Raises
     ------
-    CausticError
-        If det B (which never vanishes for normalizable initial widths)
-        vanishes, or turns too fast to track, for raw factors whose
-        Re M(0) is not positive definite.
     NumericalError
-        If M loses symmetry or Re M positivity along the run, for initial
-        widths that had Re M positive definite.
+        If M loses symmetry or Re M positivity (at t = 0 for an M0 that
+        is no packet's width), or det B turns too fast to track.
     """
     n = traj.n
-    A = np.eye(n, dtype=complex) if A0 is None else _as_matrix(A0, n)
-    B = np.eye(n, dtype=complex) if B0 is None else _as_matrix(B0, n)
-    if abs(np.linalg.det(B)) < CAUSTIC_TOL:
-        raise CausticError(0.0)
-    dt = traj.dt
+    A = _as_matrix(M0, n)
     mids = _hermite(traj.states[:-1], traj.states[1:], traj.derivatives[:-1],
-                    traj.derivatives[1:], dt, 0.5)
+                    traj.derivatives[1:], traj.dt, 0.5)
     if n == 1:
         A_series, B_series = _evolve_scalar(spec, traj, mids, complex(A[0, 0]),
-                                            complex(B[0, 0]))
+                                            1.0 + 0.0j)
     else:
-        A_series, B_series = _evolve_matrix(spec, traj, mids, A, B)
+        A_series, B_series = _evolve_matrix(spec, traj, mids, A,
+                                            np.eye(n, dtype=complex))
     return _assemble_series(traj, A_series, B_series, spec.mass)
 
 
@@ -343,8 +314,8 @@ def _assemble_series(traj, A_series, B_series, mass) -> MetaplecticSeries:
 
     Each step's turn of arg det B is read modulo 2 pi, then placed on its
     branch.  With hxp = 0 and hpp = I / m, d/dt log det B = (i / m) tr M,
-    so arg det B turns at the rate Re tr M / m.  When Re M(0) is positive
-    definite (a normalizable packet), det B never vanishes, and a narrow
+    so arg det B turns at the rate Re tr M / m.  Re M stays positive
+    definite from a packet's width, so det B never vanishes, and a narrow
     packet may turn it past pi / 2 in one step.  A step whose read turn,
     or whose trapezoid of that rate, passes pi / 2 takes as its winding
     the multiple of 2 pi nearest the turn of det B along the cubic
@@ -352,28 +323,12 @@ def _assemble_series(traj, A_series, B_series, mass) -> MetaplecticSeries:
     The trapezoid alone misjudges such a step: Re M peaks over a span
     shorter than the step, so a node on the peak overstates the turn
     and a peak between nodes hides it.  Every other step's winding is
-    exactly 0.  Raw factors have no such rate bound, so there a small
-    |det B| or a step turn past pi / 2 is a caustic.
+    exactly 0.
     """
     times = traj.times
-    dets = np.linalg.det(B_series)
-    M0 = np.linalg.solve(B_series[0], A_series[0])
-    normalizable = bool(np.all(np.linalg.eigvalsh(
-        0.5 * (M0 + M0.T).real) > 0))
-    if not normalizable:
-        small = np.nonzero(np.abs(dets) < CAUSTIC_TOL)[0]
-        if small.size:
-            raise CausticError(float(times[small[0]]))
-    raw = np.angle(dets)
+    raw = np.angle(np.linalg.det(B_series))
     jumps = np.diff(raw)
     jumps -= 2.0 * np.pi * np.round(jumps / (2.0 * np.pi))
-    if not normalizable:
-        fast = np.nonzero(np.abs(jumps) > 0.5 * np.pi)[0]
-        if fast.size:
-            # det B cannot rotate this fast in one step unless it passed
-            # near zero between samples.
-            raise CausticError(float(times[fast[0] + 1]),
-                               "det B turned past pi/2 in one step")
     M_series = np.linalg.solve(B_series, A_series)
     asym = np.max(np.abs(M_series - np.swapaxes(M_series, 1, 2)), axis=(1, 2))
     bad = np.nonzero(asym > 1e-8)[0]
@@ -381,20 +336,19 @@ def _assemble_series(traj, A_series, B_series, mass) -> MetaplecticSeries:
         raise NumericalError(
             f"width matrix lost symmetry at t = {times[bad[0]]:.6g}")
     M_series = 0.5 * (M_series + np.swapaxes(M_series, 1, 2))
-    if normalizable:
-        re_eigs = np.linalg.eigvalsh(M_series.real)
-        bad = np.nonzero(np.any(re_eigs <= 0, axis=1))[0]
-        if bad.size:
-            raise NumericalError(
-                f"Re M lost positivity at t = {times[bad[0]]:.6g}")
-        rate = np.trace(M_series.real, axis1=1, axis2=2) / mass
-        turn = 0.5 * np.diff(times) * (rate[1:] + rate[:-1])
-        fast = np.nonzero((np.abs(jumps) > 0.5 * np.pi)
-                          | (turn > 0.5 * np.pi))[0]
-        if fast.size:
-            path = _path_turns(times, A_series, B_series, mass, fast)
-            jumps[fast] += 2.0 * np.pi * np.round(
-                (path - jumps[fast]) / (2.0 * np.pi))
+    re_eigs = np.linalg.eigvalsh(M_series.real)
+    bad = np.nonzero(np.any(re_eigs <= 0, axis=1))[0]
+    if bad.size:
+        raise NumericalError(
+            f"Re M lost positivity at t = {times[bad[0]]:.6g}")
+    rate = np.trace(M_series.real, axis1=1, axis2=2) / mass
+    turn = 0.5 * np.diff(times) * (rate[1:] + rate[:-1])
+    fast = np.nonzero((np.abs(jumps) > 0.5 * np.pi)
+                      | (turn > 0.5 * np.pi))[0]
+    if fast.size:
+        path = _path_turns(times, A_series, B_series, mass, fast)
+        jumps[fast] += 2.0 * np.pi * np.round(
+            (path - jumps[fast]) / (2.0 * np.pi))
     angles = raw[0] + np.concatenate([[0.0], np.cumsum(jumps)])
     return MetaplecticSeries(times=times.copy(), A=A_series, B=B_series,
                              M=M_series, detB_angle=angles)
@@ -457,19 +411,20 @@ def phase_X(spec: HamiltonianSpec, traj: ClassicalTrajectory) -> np.ndarray:
 
 @dataclass(eq=False)
 class PacketFlow:
-    """W(t,0) applied to a fixed initial packet, sampled along a trajectory.
+    """W(t,0) applied to a start packet, sampled along a trajectory: at
+    step k the packet exp(-i X[k]) U(alpha(t_k)) Gamma^{M(t_k)}, with the
+    series' factors and det B branch there and base's norm_prefactor.
 
     The checks a GaussianPacket makes of itself run once, at
     construction, over the whole flow: finite trajectory points, then
-    the width checks on every step of the series, stacked.  packet_at
-    and _sample_flows then check nothing per step.
+    the width checks on every step of the series, stacked.
+    _sample_flows then checks nothing per step.
     """
 
     traj: ClassicalTrajectory
     base: GaussianPacket
     series: MetaplecticSeries
     X: np.ndarray
-    branch_offset: float
 
     def __post_init__(self):
         if not (np.all(np.isfinite(self.traj.xi))
@@ -477,39 +432,23 @@ class PacketFlow:
             raise ValueError("phase point entries must be finite")
         _check_widths(self.series.M, self.series.A, self.series.B)
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.traj.times
-
-    def packet_at(self, k: int) -> GaussianPacket:
-        # The flow's checks cover step k, so GaussianPacket's are skipped.
-        pkt = object.__new__(GaussianPacket)
-        vars(pkt).update(
-            alpha=self.traj.point(k), M=self.series.M[k], A=self.series.A[k],
-            B=self.series.B[k], phase=self.base.phase + float(self.X[k]),
-            norm_prefactor=self.base.norm_prefactor,
-            detB_angle=float(self.series.detB_angle[k]) + self.branch_offset)
-        return pkt
-
 
 def _sample_flows(flows, steps, grid: GridSpec, out) -> None:
     """Write the packets of each flow at trajectory steps ``steps`` into
     its row of out, a contiguous complex array of shape
-    (len(flows), len(steps)) + (grid.N,) * n.  out[f, r] is bitwise
-    sample_on_grid(flows[f].packet_at(steps[r]), grid).amp, evaluated
-    straight from the series, the phase and the trajectory with no
-    packet built: the rows of all flows go through one _sample_rows
-    call, whose elements each take the arithmetic of a single packet."""
+    (len(flows), len(steps)) + (grid.N,) * n, straight from the series,
+    the phase and the trajectory with no packet built.  The rows of all
+    flows go through one _sample_rows call, whose elements each take the
+    arithmetic of a single packet, so step 0 is bitwise
+    sample_on_grid(flows[f].base, grid).amp."""
     if any(grid.n != flow.traj.n for flow in flows):
         raise ValueError("grid and packet dimensions differ")
     steps = np.asarray(steps, dtype=int)
     factors, xi, pi_m, M = [], [], [], []
     for flow in flows:
-        series, base = flow.series, flow.base
+        series, prefactor = flow.series, flow.base.norm_prefactor
         factors += [
-            _amplitude_factor(base.norm_prefactor, _norm_factor(grid.n, det),
-                              float(angle) + flow.branch_offset,
-                              base.phase + float(x))
+            _amplitude_factor(grid.n, prefactor, det, float(angle), float(x))
             for det, angle, x in zip(np.linalg.det(series.B[steps]),
                                      series.detB_angle[steps], flow.X[steps])]
         xi.append(flow.traj.xi[steps])
@@ -527,14 +466,12 @@ def approximate_flow(spec: HamiltonianSpec, traj: ClassicalTrajectory,
     The input must be the packet U(alpha(0)) Gamma^{M0} centered on the
     trajectory's start; then W(t,0) applied to it is
     exp(-i X_phase(t)) U(alpha(t)) Gamma^{M(t)} with no leftover Weyl
-    cocycle, which is what packet_at assembles.
+    cocycle, which is what _sample_flows evaluates.
     """
     start = traj.point(0)
     if np.max(np.abs(psi0_packet.alpha.vector - start.vector)) > 1e-9:
         raise ValueError("packet must be centered at the trajectory start")
-    series = evolve_AB(spec, traj, psi0_packet.A, psi0_packet.B)
-    X = phase_X(spec, traj)
-    offset = psi0_packet.detB_angle - float(series.detB_angle[0])
-    return PacketFlow(traj=traj, base=psi0_packet, series=series, X=X,
-                      branch_offset=offset)
+    series = evolve_AB(spec, traj, psi0_packet.M)
+    return PacketFlow(traj=traj, base=psi0_packet, series=series,
+                      X=phase_X(spec, traj))
 

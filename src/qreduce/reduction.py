@@ -205,10 +205,10 @@ def duhamel_curve(spec: HamiltonianSpec, flow: PacketFlow) -> np.ndarray:
     ------
     NumericalError if the exact and reference norms disagree.
     """
-    count = len(flow.times)
+    count = len(flow.traj.times)
     values = _remainder_norms(spec, flow.traj.xi, flow.series.M.real,
                               {0, count // 2, count - 1})
-    return cumulative_trapezoid(values, flow.times)
+    return cumulative_trapezoid(values, flow.traj.times)
 
 
 @dataclass(eq=False)

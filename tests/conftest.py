@@ -1,11 +1,32 @@
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qreduce.cli import PRESETS
+from qreduce.grid import GridWavefunction
 from qreduce.hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel
+from qreduce.packets import _amplitude_factor
 from qreduce.reduction import ReductionProblem, run_reduction
+
+
+def normalized(psi):
+    """psi divided by its norm: the per-state normalisation that
+    expectation_a's row rule is compared with."""
+    return GridWavefunction(psi.grid, psi.amp / psi.norm)
+
+
+def packet_at(flow, k: int):
+    """The per-step oracle of _sample_flows: the flow's packet at step k,
+    with the fields sample_on_grid reads (alpha, M, amplitude_factor),
+    taken from step k of the series, the phase and the trajectory."""
+    series = flow.series
+    factor = _amplitude_factor(flow.traj.n, flow.base.norm_prefactor,
+                               np.linalg.det(series.B[k]),
+                               float(series.detB_angle[k]), float(flow.X[k]))
+    return SimpleNamespace(alpha=flow.traj.point(k), M=series.M[k],
+                           amplitude_factor=factor)
 
 
 def spectral_moments(psi):

@@ -856,3 +856,108 @@ def test_main_accepts_cli_flags(tmp_path):
     assert code == 0
     assert (tmp_path / "o" / "comparator-audit.json").exists()
     assert (tmp_path / "o" / "comparator-audit.csv").exists()
+
+
+# One valid problem per mode and form, which no fault below needs to run.
+KEY_BASES = {
+    "reduce": {"potential": "harmonic", "alpha0": [1.0, 0.0], "T": 0.1,
+               "dt": 0.05, "epsilon": 1.0},
+    "classify-classical": {"potential": "harmonic", "alpha0": [1.0, 0.0],
+                           "T": 1.0},
+    "classify-quantum": {"matrix": [[1.0, 0.0], [0.0, -1.0]],
+                         "psi": [1.0, 0.0], "horizons": 10.0},
+    "comparator-audit": {"s": 1.0, "N": 16},
+    "scale": {"potential": "harmonic", "alpha0": [1.0, 0.0], "T": 0.1,
+              "lambdas": [1.0, 0.5]},
+    "squeeze": {"potential": "harmonic", "alpha0": [1.0, 0.0], "T": 0.1,
+                "dilations": [1.0]},
+    "ehrenfest": {"potential": "harmonic", "T": 0.1, "dt": 0.01},
+}
+GRID_QUANTUM = {"potential": "harmonic", "horizons": 1.0,
+                "grid": {"n": 1, "N": 256, "L": 12.0}}
+
+
+@pytest.mark.parametrize("config, path, hint", [
+    # The three misspellings of one 1D reduce that exited 0 with s = 1
+    # and L = 20.
+    ({"mode": "reduce", "problem": {**KEY_BASES["reduce"],
+                                    "comparater": {"s": 0.5}}},
+     "problem.comparater", "did you mean 'comparator'?"),
+    ({"mode": "reduce", "problem": {**KEY_BASES["reduce"],
+                                    "comparator": {"S": 0.5, "N": 64}}},
+     "problem.comparator.S", "did you mean 's'?"),
+    ({"mode": "reduce", "problem": {**KEY_BASES["reduce"],
+                                    "grid": {"N": 512, "l": 30}}},
+     "problem.grid.l", "did you mean 'L'?"),
+    ({"mode": "reduce", "problem": KEY_BASES["reduce"], "sede": 0},
+     "sede", "did you mean 'seed'?"),
+    ({"mode": "reduce", "problem": KEY_BASES["reduce"],
+      "output": {"formts": ["csv"]}},
+     "output.formts", "did you mean 'formats'?"),
+    ({"mode": "classify-classical", "problem": {
+        **KEY_BASES["classify-classical"], "radius": [1.0]}},
+     "problem.radius", "did you mean 'radii'?"),
+    ({"mode": "classify-quantum", "problem": {
+        **KEY_BASES["classify-quantum"], "potential": "harmonic"}},
+     "problem.potential", "known keys are horizons, matrix, psi, omega"),
+    ({"mode": "classify-quantum", "problem": {
+        **KEY_BASES["classify-quantum"], "grid": {"n": 1}}},
+     "problem.grid", "known keys are horizons, matrix, psi, omega"),
+    ({"mode": "classify-quantum", "problem": {**GRID_QUANTUM,
+                                              "psi": [1.0]}},
+     "problem.psi", "known keys are horizons, potential, packet, grid, dt, "
+     "comparator, mass"),
+    ({"mode": "comparator-audit", "problem": {
+        **KEY_BASES["comparator-audit"], "dimensions": 2}},
+     "problem.dimensions", "did you mean 'dimension'?"),
+    ({"mode": "scale", "problem": {**KEY_BASES["scale"], "lambda": [2.0]}},
+     "problem.lambda", "did you mean 'lambdas'?"),
+    ({"mode": "squeeze", "problem": {**KEY_BASES["squeeze"],
+                                     "dilation": [2.0]}},
+     "problem.dilation", "did you mean 'dilations'?"),
+    ({"mode": "ehrenfest", "problem": {**KEY_BASES["ehrenfest"],
+                                       "samples_stride": 3}},
+     "problem.samples_stride", "did you mean 'sample_stride'?"),
+    ({"mode": "ehrenfest", "problem": {
+        **KEY_BASES["ehrenfest"], "packet": {"alpha0": [0.5, 0.0],
+                                             "m0": 2.0}}},
+     "problem.packet.m0", "did you mean 'M0'?"),
+    ({"mode": "reduce", "problem": {
+        **KEY_BASES["reduce"], "region": {"center": [1.0, 0.0],
+                                          "radius": 0.1, "radious": 0.2}}},
+     "problem.region.radious", "did you mean 'radius'?"),
+    ({"mode": "reduce", "problem": {
+        **KEY_BASES["reduce"], "potential": {"coefs": [0.0, 0.0, 0.5]}}},
+     "problem.potential.coefs", "did you mean 'coeffs'?"),
+], ids=["comparater", "comparator-S", "grid-l", "top", "output",
+        "classify-classical", "matrix-quantum-potential",
+        "matrix-quantum-grid", "grid-quantum", "comparator-audit", "scale",
+        "squeeze", "ehrenfest", "packet", "region", "potential"])
+def test_an_unknown_key_exits_two_and_names_its_path(tmp_path, capsys,
+                                                     config, path, hint):
+    cfg = write_config(tmp_path, config)
+    assert run(cfg, out_dir=tmp_path / "out") == 2
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == (
+        f"config error: config.{path}: unknown key; {hint}\n")
+
+
+@pytest.mark.parametrize("mode, problem, message", [
+    ("reduce", {**KEY_BASES["reduce"], "region": {
+        "center": [1.0, 0.0], "radius": 0.1, "half_widths": [0.1, 0.1]}},
+     "config.problem.region: takes radius or half_widths, not both"),
+    ("reduce", {**KEY_BASES["reduce"], "potential": {
+        "coeffs": [0.0, 0.0, 0.5], "coeff_matrix": [[0.0, 0.0, 0.5],
+                                                    [0.0, 0.0, 0.0],
+                                                    [0.5, 0.0, 0.0]]}},
+     "config.problem.potential: takes coeffs or coeff_matrix, not both"),
+    # A top-level start state in a packet mode keeps its own refusal.
+    ("ehrenfest", {**KEY_BASES["ehrenfest"], "alpha0": [1.0, 0.0]},
+     'config.problem.alpha0: this mode takes its start state as '
+     '{"packet": {"alpha0": [...], "M0": ...}}'),
+], ids=["region", "potential", "packet-mode-start"])
+def test_conflicting_keys_exit_two(tmp_path, capsys, mode, problem, message):
+    cfg = write_config(tmp_path, {"mode": mode, "problem": problem})
+    assert run(cfg, out_dir=tmp_path / "out") == 2
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == f"config error: {message}\n"

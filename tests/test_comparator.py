@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import inner
+from conftest import inner, normalized
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -345,7 +345,7 @@ def test_projection_and_synthesis_are_bitwise_the_explicit_products(grid, spec):
     x = np.meshgrid(*([grid.x] * grid.n), indexing="ij")
     amp = (np.exp(-0.6 * sum(xi ** 2 for xi in x) + 0.4j * x[0] + 0.2 * x[-1])
            * (1.0 + 0.2j * x[0] ** 3 + 0.1 * x[-1] ** 2))
-    psi = GridWavefunction(grid, amp).normalized()
+    psi = normalized(GridWavefunction(grid, amp))
     coeffs = explicit_projection(spec, psi)
     norm_sq = psi.norm ** 2
     residual = max(0.0, norm_sq - float(np.sum(np.abs(coeffs) ** 2))) / norm_sq

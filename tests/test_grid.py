@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft
-from conftest import inner, spectral_moments
+from conftest import inner, normalized, spectral_moments
 
 from qreduce import HamiltonianSpec, PhasePoint, PotentialModel, WraparoundError
 from qreduce import grid as grid_module
@@ -93,7 +93,7 @@ def test_free_gaussian_spreading_law():
 def test_truncated_state_spreads_immediately():
     grid = DEFAULT_GRID
     amp = np.where(np.abs(grid.x) <= 3.0, np.pi ** -0.25 * np.exp(-0.5 * grid.x ** 2), 0.0)
-    psi0 = GridWavefunction(grid, amp).normalized()
+    psi0 = normalized(GridWavefunction(grid, amp))
     outside0 = np.sum(psi0.density[np.abs(grid.x) > 3.0]) * grid.dx
     assert outside0 == 0.0
     final = propagate(FREE, GridStack.of(psi0), 1e-3, 1e-3).final[0]
@@ -125,13 +125,13 @@ def test_stacked_expectations_equal_the_per_state_formula(grid):
     for scale in (1.0, 2.0, 0.5, 1.0 + 1e-9, 1.0):
         alpha = rng.uniform(-2.0, 2.0, 2 * grid.n)
         pkt = packet(alpha, rng.uniform(0.5, 2.0) * np.eye(grid.n))
-        rows.append(scale * sample_on_grid(pkt, grid).normalized().amp)
+        rows.append(scale * normalized(sample_on_grid(pkt, grid)).amp)
     got = expectation_a(np.stack(rows), grid)
     assert got.shape == (5, 2 * grid.n)
     for amp, moments in zip(rows, got):
-        want = spectral_moments(GridWavefunction(grid, amp).normalized())
+        want = spectral_moments(normalized(GridWavefunction(grid, amp)))
         assert np.max(np.abs(moments - want)) <= 1e-13 * np.max(np.abs(want))
-    single = expectation_a(GridWavefunction(grid, rows[-1]).normalized())
+    single = expectation_a(normalized(GridWavefunction(grid, rows[-1])))
     assert np.max(np.abs(single - got[-1])) <= 1e-13
 
 
@@ -200,8 +200,8 @@ def test_localization_displaced_fails():
 def test_localization_indicator_case():
     grid = DEFAULT_GRID
     inf_outside = np.where(np.abs(grid.x) <= 5.0, 0.0, np.inf)
-    truncated = GridWavefunction(
-        grid, np.where(np.abs(grid.x) <= 5.0, vacuum().amp, 0.0)).normalized()
+    truncated = normalized(GridWavefunction(
+        grid, np.where(np.abs(grid.x) <= 5.0, vacuum().amp, 0.0)))
     res = localization_check([truncated, vacuum()], inf_outside, lambda k: k ** 2)
     assert res[0]["passed"]
     assert res[1]["F_expect"] == np.inf
@@ -359,7 +359,7 @@ def test_stacked_2d_expectations_match_the_scipy_parseval_form(grid):
     for _ in range(4):
         pkt = packet(rng.uniform(-2.0, 2.0, 4),
                      rng.uniform(0.5, 2.0) * np.eye(2))
-        rows.append(sample_on_grid(pkt, grid).normalized().amp)
+        rows.append(normalized(sample_on_grid(pkt, grid)).amp)
     amps = np.stack(rows)
     assert all(GridWavefunction(grid, amp).is_unit for amp in amps)
     cell = grid.cell
@@ -385,9 +385,9 @@ def test_expectations_in_a_work_block_are_bitwise_the_fresh_form(grid, rows):
     # product in the other operand order.
     rng = np.random.default_rng(11)
     amps = np.stack([
-        sample_on_grid(packet(rng.uniform(-2.0, 2.0, 2 * grid.n),
-                              rng.uniform(0.5, 2.0) * np.eye(grid.n)),
-                       grid).normalized().amp
+        normalized(sample_on_grid(
+            packet(rng.uniform(-2.0, 2.0, 2 * grid.n),
+                   rng.uniform(0.5, 2.0) * np.eye(grid.n)), grid)).amp
         for _ in range(rows)])
     fresh = expectation_a(amps, grid)
     scratch = np.full((rows + 3,) + amps.shape[1:], np.nan, dtype=complex)
@@ -610,9 +610,9 @@ def test_moments_of_a_batch_take_each_block_alone(grid):
     # on the rows in one call.
     rng = np.random.default_rng(5)
     amps = np.stack([
-        sample_on_grid(packet(rng.uniform(-2.0, 2.0, 2 * grid.n),
-                              rng.uniform(0.5, 2.0) * np.eye(grid.n)),
-                       grid).normalized().amp
+        normalized(sample_on_grid(
+            packet(rng.uniform(-2.0, 2.0, 2 * grid.n),
+                   rng.uniform(0.5, 2.0) * np.eye(grid.n)), grid)).amp
         for _ in range(12)]).reshape((3, 4) + (grid.N,) * grid.n)
     batch = expectation_a(amps, grid)
     assert batch.shape == (3, 4, 2 * grid.n)
@@ -659,9 +659,9 @@ def test_chunked_moments_are_bitwise_the_block_formula(grid, rows, scaled):
     # again.  Every row keeps the whole-block expressions' bits.
     rng = np.random.default_rng(rows)
     amps = np.stack([
-        sample_on_grid(packet(rng.uniform(-2.0, 2.0, 2 * grid.n),
-                              rng.uniform(0.5, 2.0) * np.eye(grid.n)),
-                       grid).normalized().amp
+        normalized(sample_on_grid(
+            packet(rng.uniform(-2.0, 2.0, 2 * grid.n),
+                   rng.uniform(0.5, 2.0) * np.eye(grid.n)), grid)).amp
         for _ in range(rows)])
     if scaled is not None:
         amps[scaled] *= 1.0 + 1e-9
@@ -679,8 +679,9 @@ def test_2d_moments_allocate_less_than_half_a_block():
     grid = GridSpec(n=2, N=128, L=10.0)
     rng = np.random.default_rng(3)
     amps = np.stack([
-        sample_on_grid(packet(rng.uniform(-2.0, 2.0, 4), np.eye(2)),
-                       grid).normalized().amp for _ in range(4)])
+        normalized(sample_on_grid(packet(rng.uniform(-2.0, 2.0, 4),
+                                         np.eye(2)), grid)).amp
+        for _ in range(4)])
     assert amps.nbytes == 1 << 20
     work = np.empty_like(amps)
     want = expectation_a(amps, grid, work=work)

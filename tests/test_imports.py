@@ -110,10 +110,6 @@ KEPT = {
     "classical.ClassicalTrajectory.energy_drift",
     # ROADMAP item 5 replaces it with a splitting-error estimate.
     "grid.propagation_self_check",
-    # The per-row oracle of _sample_flows.
-    "packets.PacketFlow.packet_at",
-    # The per-state normalisation that expectation_a's tests compare with.
-    "grid.GridWavefunction.normalized",
 }
 
 

@@ -2,17 +2,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import normalized, packet_at
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 
-from qreduce import CausticError, HamiltonianSpec, PhasePoint, PotentialModel
+from qreduce import HamiltonianSpec, PhasePoint, PotentialModel
 from qreduce.classical import _hermite, integrate_flow
 from qreduce.hamiltonian import energies
 from qreduce.grid import DEFAULT_GRID, GridSpec, GridStack, expectation_a, \
     propagate
 from qreduce.packets import (
     GaussianPacket,
+    _check_widths,
     _sample_flows,
     _sample_rows,
     approximate_flow,
@@ -31,17 +33,18 @@ CUBIC = HamiltonianSpec(
 INVERTED = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial([0, 0, -0.5]))
 
 
-def closed_norm(pkt):
+def closed_norm(norm_prefactor, M, B):
     """L2 norm of a packet from its closed form: det(Re M)^{-1/4}
     |det B|^{-1/2} times its prefactor; 1 for evolution-consistent factors."""
-    det_re = float(np.linalg.det(pkt.M.real))
-    det_b = abs(np.linalg.det(pkt.B))
-    return float(pkt.norm_prefactor / np.sqrt(det_b) / det_re ** 0.25)
+    det_re = float(np.linalg.det(M.real))
+    det_b = abs(np.linalg.det(B))
+    return float(norm_prefactor / np.sqrt(det_b) / det_re ** 0.25)
 
 
 def test_vacuum_properties():
     g = vacuum()
-    assert closed_norm(g) == pytest.approx(1.0, abs=1e-12)
+    assert closed_norm(g.norm_prefactor, g.M, np.eye(1)) == pytest.approx(
+        1.0, abs=1e-12)
     psi = sample_on_grid(g, DEFAULT_GRID)
     assert psi.norm == pytest.approx(1.0, abs=1e-10)
     x = DEFAULT_GRID.x
@@ -64,7 +67,8 @@ def test_vacuum_matches_closed_form_pointwise():
 def test_packet_complex_width_variance():
     # M = (1 - i)/2 has Re M = 1/2, so the density variance is 1.
     pkt = packet(PhasePoint(0.0, 0.0), (1 - 1j) / 2)
-    assert closed_norm(pkt) == pytest.approx(1.0, abs=1e-12)
+    assert closed_norm(pkt.norm_prefactor, pkt.M, np.eye(1)) == pytest.approx(
+        1.0, abs=1e-12)
     psi = sample_on_grid(pkt, DEFAULT_GRID)
     assert psi.norm == pytest.approx(1.0, abs=1e-8)
     x = DEFAULT_GRID.x
@@ -75,15 +79,15 @@ def test_packet_complex_width_variance():
 def test_packet_displaced_expectation():
     pkt = packet(PhasePoint(1.0, 3.0), 1.0)
     psi = sample_on_grid(pkt, DEFAULT_GRID)
-    assert expectation_a(psi.normalized()) == pytest.approx([1.0, 3.0], abs=1e-10)
+    assert expectation_a(normalized(psi)) == pytest.approx([1.0, 3.0], abs=1e-10)
 
 
 def test_packet_validation():
     with pytest.raises(ValueError):
         packet(PhasePoint(0.0, 0.0), -1.0)
-    with pytest.raises(ValueError):
-        GaussianPacket(alpha=PhasePoint(0.0, 0.0), M=np.eye(1), A=2 * np.eye(1),
-                       B=np.eye(1))
+    with pytest.raises(ValueError, match="width matrix must be symmetric"):
+        GaussianPacket(alpha=PhasePoint([0.0, 0.0], [0.0, 0.0]),
+                       M=[[1.0, 0.5], [0.0, 1.0]])
 
 
 def test_evolve_harmonic_width_stationary():
@@ -128,14 +132,6 @@ def test_riccati_residual_from_series():
     assert np.max(np.abs(resid)) < 1e-6
 
 
-def test_caustic_detected_for_raw_factors():
-    # A0 = i, B0 = 1 under free flow gives B(t) = 1 - t, singular at t = 1.
-    traj = integrate_flow(FREE, PhasePoint(0.0, 0.0), 2.0, 1e-2)
-    with pytest.raises(CausticError) as exc:
-        evolve_AB(FREE, traj, A0=1j * np.eye(1), B0=np.eye(1))
-    assert exc.value.time == pytest.approx(1.0, abs=0.02)
-
-
 DOUBLE_WELL = HamiltonianSpec(
     mass=1.0, potential=PotentialModel.polynomial([0.5, 0.0, -1.0, 0.0, 0.5]))
 QUARTIC = HamiltonianSpec(
@@ -145,7 +141,7 @@ QUARTIC = HamiltonianSpec(
 def final_amplitude_factor(spec, alpha0, T, dt):
     traj = integrate_flow(spec, alpha0, T, dt)
     flow = approximate_flow(spec, traj, packet(alpha0, 1.0))
-    return flow.packet_at(len(traj) - 1).amplitude_factor
+    return packet_at(flow, len(traj) - 1).amplitude_factor
 
 
 def test_a_narrow_packet_turns_det_b_past_half_pi_without_a_caustic():
@@ -166,26 +162,13 @@ def test_a_narrow_packet_turns_det_b_past_half_pi_without_a_caustic():
     assert abs(coarse - fine) < 1e-3 * abs(fine)
 
 
-def test_raw_factor_caustics_say_what_was_seen():
-    traj = integrate_flow(FREE, PhasePoint(0.0, 0.0), 2.0, 1e-2)
-    with pytest.raises(CausticError, match=r"caustic: det B vanished at t = "):
-        evolve_AB(FREE, traj, A0=1j * np.eye(1), B0=np.eye(1))
-    # B0 = 1.005 - 1e-3 i (Re M0 < 0) misses zero by 1e-3 at t = 1.005,
-    # mid-step: det B turns by about 2.75 within the step, never below
-    # CAUSTIC_TOL.
-    with pytest.raises(CausticError, match=r"caustic: det B turned past "
-                       r"pi/2 in one step at t = 1.01$"):
-        evolve_AB(FREE, traj, A0=1j * np.eye(1),
-                  B0=(1.005 - 1e-3j) * np.eye(1))
-
-
 @settings(max_examples=25, deadline=None)
 @given(potential=st.sampled_from(["double-well", "quartic"]),
        q=st.floats(-1.5, 1.5), p=st.floats(-0.5, 0.5),
        dt=st.sampled_from([0.02, 0.015, 0.01, 0.005]))
 def test_normalizable_widths_never_raise_a_caustic(potential, q, p, dt):
     # Unit-width starts on the double well and the quartic at dt up to
-    # 0.02: no CausticError, and W's prefactor at T = 3 has the sign of a
+    # 0.02: no error, and W's prefactor at T = 3 has the sign of a
     # dt / 10 run (a branch slip of 2 pi in det B flips it).
     spec = DOUBLE_WELL if potential == "double-well" else QUARTIC
     alpha0 = PhasePoint(q, p)
@@ -213,7 +196,7 @@ def test_phase_X_linear_potential():
 
 def final_packet(spec, traj, base):
     """W(t,0) applied to base at the last trajectory sample."""
-    return approximate_flow(spec, traj, base).packet_at(len(traj) - 1)
+    return packet_at(approximate_flow(spec, traj, base), len(traj) - 1)
 
 
 def test_apply_W_harmonic_quarter_period():
@@ -250,7 +233,7 @@ def test_cubic_centering_by_quadrature():
     pkt = final_packet(CUBIC, traj, packet(PhasePoint(1.0, 0.0), 1.0))
     psi = sample_on_grid(pkt, DEFAULT_GRID)
     target = np.concatenate([traj.xi[-1], traj.pi[-1]])
-    assert expectation_a(psi.normalized()) == pytest.approx(target, abs=1e-9)
+    assert expectation_a(normalized(psi)) == pytest.approx(target, abs=1e-9)
     assert pkt.alpha.vector == pytest.approx(target)
 
 
@@ -258,19 +241,19 @@ def test_z_evolution_stays_centered():
     # Z(t,0)Gamma = Gamma^{M(t)} keeps expectations at zero.
     traj = integrate_flow(CUBIC, PhasePoint(1.0, 0.0), 1.0, 1e-3)
     series = evolve_AB(CUBIC, traj)
-    centered = GaussianPacket(alpha=PhasePoint(0.0, 0.0), M=series.M[-1],
-                              A=series.A[-1], B=series.B[-1],
-                              detB_angle=float(series.detB_angle[-1]))
+    centered = GaussianPacket(alpha=PhasePoint(0.0, 0.0), M=series.M[-1])
     psi = sample_on_grid(centered, DEFAULT_GRID)
-    assert expectation_a(psi.normalized()) == pytest.approx([0.0, 0.0], abs=1e-9)
+    assert expectation_a(normalized(psi)) == pytest.approx([0.0, 0.0], abs=1e-9)
 
 
 def test_norm_conserved_along_cubic_flow():
     traj = integrate_flow(CUBIC, PhasePoint(1.0, 0.0), 2.0, 1e-3)
     flow = approximate_flow(CUBIC, traj, packet(PhasePoint(1.0, 0.0), 2.0))
     for k in (0, len(traj) // 2, len(traj) - 1):
-        assert closed_norm(flow.packet_at(k)) == pytest.approx(1.0, abs=1e-8)
-    psi = sample_on_grid(flow.packet_at(len(traj) - 1), DEFAULT_GRID)
+        norm = closed_norm(flow.base.norm_prefactor, flow.series.M[k],
+                           flow.series.B[k])
+        assert norm == pytest.approx(1.0, abs=1e-8)
+    psi = sample_on_grid(packet_at(flow, len(traj) - 1), DEFAULT_GRID)
     assert psi.norm == pytest.approx(1.0, abs=1e-8)
 
 
@@ -300,7 +283,7 @@ def test_two_dimensional_flow_is_bitwise_the_per_point_loop():
     traj = integrate_flow(CUBIC_2D, alpha0, 1.0, 0.01)
     A = np.array([[1.5, 0.2], [0.2, 0.7]], dtype=complex)
     B = np.eye(2, dtype=complex)
-    series = evolve_AB(CUBIC_2D, traj, A, B)
+    series = evolve_AB(CUBIC_2D, traj, A)
     dt, n = traj.dt, 2
     mids = _hermite(traj.states[:-1], traj.states[1:], traj.derivatives[:-1],
                     traj.derivatives[1:], dt, 0.5)
@@ -376,20 +359,14 @@ def test_block_sampler_is_bitwise_the_per_packet_sampling(n, rows, seed):
     spec, grid = SAMPLER_CASES[n]
     alpha0 = PhasePoint(*rng.uniform(-1.5, 1.5, (2, n)))
     traj = integrate_flow(spec, alpha0, 1.0, 0.02)
-    # A start phase and det B branch of its own put base.phase and the
-    # flow's branch offset into every amplitude factor.
-    base = dataclasses.replace(packet(alpha0, random_width(rng, n)),
-                               phase=rng.uniform(-3.0, 3.0),
-                               detB_angle=rng.uniform(-3.0, 3.0))
-    flow = approximate_flow(spec, traj, base)
-    assert flow.branch_offset != 0.0
+    flow = approximate_flow(spec, traj, packet(alpha0, random_width(rng, n)))
     steps = rng.integers(0, len(traj), rows)
     block = np.empty((1, rows) + (grid.N,) * n, dtype=complex)
     _sample_flows([flow], steps, grid, block)
     block = block[0]
     assert block.shape == (rows,) + (grid.N,) * n
     for row, k in enumerate(steps):
-        pkt = flow.packet_at(k)
+        pkt = packet_at(flow, k)
         assert np.array_equal(block[row], sample_on_grid(pkt, grid).amp)
         if n == 1:
             xi, pi_m = pkt.alpha.xi[0], pkt.alpha.pi[0]
@@ -398,6 +375,23 @@ def test_block_sampler_is_bitwise_the_per_packet_sampling(n, rows, seed):
                         * np.exp(-0.5 * pkt.M[0, 0] * u * u)
                         * np.exp(1j * (pi_m * u + 0.5 * pi_m * xi)))
             assert np.array_equal(block[row], explicit)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 16))
+def test_a_flows_start_state_is_its_packet(n, seed):
+    # run_reduction's start states and W(0) are the packet sampled on its
+    # own and the flow's step 0: they must be the same bits.
+    rng = np.random.default_rng(seed)
+    spec, grid = SAMPLER_CASES[n]
+    alpha0 = PhasePoint(*rng.uniform(-1.5, 1.5, (2, n)))
+    base = packet(alpha0, random_width(rng, n))
+    flow = approximate_flow(spec, integrate_flow(spec, alpha0, 0.1, 0.02),
+                            base)
+    block = np.empty((1, 1) + (grid.N,) * n, dtype=complex)
+    _sample_flows([flow], [0], grid, block)
+    assert np.array_equal(block[0, 0], sample_on_grid(base, grid).amp)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -478,15 +472,14 @@ def corrupt(series, k, **entries):
 ], ids=["asymmetric", "re-m-not-positive", "factors", "m-nan", "a-infinite",
         "b-nan-before-factors"])
 def test_a_corrupted_flow_raises_what_its_packet_raises(entries, message):
-    # The packet checks run once per flow, stacked, with the message a
-    # GaussianPacket built at the bad step gives.
+    # The packet checks run once per flow, stacked, with the message the
+    # checks of the bad step alone give.
     alpha0 = PhasePoint([1.0, 0.0], [0.0, 0.5])
     traj = integrate_flow(COUPLED_2D, alpha0, 0.3, 0.02)
     flow = approximate_flow(COUPLED_2D, traj, packet(alpha0, 1.0))
     bad = corrupt(flow.series, 7, **entries)
     with pytest.raises(ValueError) as single:
-        GaussianPacket(alpha=traj.point(7), M=bad.M[7], A=bad.A[7],
-                       B=bad.B[7])
+        _check_widths(bad.M[7:8], bad.A[7:8], bad.B[7:8])
     assert str(single.value) == message
     with pytest.raises(ValueError) as stacked:
         dataclasses.replace(flow, series=bad)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import qreduce
 from qreduce import errors
-from qreduce.cli import main
+from qreduce.cli import PROBLEM_KEYS, QUANTUM_GRID_KEYS, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -71,3 +71,22 @@ def test_help_lists_the_readme_entry_points_and_the_errors():
     imported = {}
     exec("from qreduce import *", imported)
     assert names | exceptions <= imported.keys()
+
+
+def readme_mode_table() -> dict:
+    """{mode: backticked keys of its required and optional columns} from
+    the README's table of modes and their problem blocks."""
+    section = README.read_text().split("Modes and their `problem` blocks:",
+                                       1)[1]
+    rows = re.findall(r"^\| `([a-z-]+)` \|(.*)\|$", section, re.M)
+    return {mode: set(re.findall(r"`([A-Za-z_]\w*)`", cells))
+            for mode, cells in rows}
+
+
+def test_the_mode_table_lists_each_modes_declared_keys():
+    table = readme_mode_table()
+    assert table.keys() == PROBLEM_KEYS.keys()
+    for mode, keys in PROBLEM_KEYS.items():
+        if mode == "classify-quantum":
+            keys += QUANTUM_GRID_KEYS
+        assert table[mode] == set(keys), mode

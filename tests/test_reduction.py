@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import spectral_moments
+from conftest import packet_at, spectral_moments
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
@@ -225,7 +225,7 @@ def test_duhamel_curve_keeps_its_bits_on_the_remainder_2d_config(
     unchecked = reduction._remainder_norms(spec, flow.traj.xi,
                                            flow.series.M.real, ())
     assert np.array_equal(
-        curve, cumulative_trapezoid(unchecked, flow.times, initial=0.0))
+        curve, cumulative_trapezoid(unchecked, flow.traj.times, initial=0.0))
     monkeypatch.setattr(reduction, "_reference_norm",
                         lambda *args: stacked_reference(*args)[0])
     assert np.array_equal(duhamel_curve(spec, flow), curve)
@@ -246,7 +246,7 @@ def test_remainder_spot_check_is_live(monkeypatch, spec, start):
     with pytest.raises(NumericalError):
         duhamel_curve(spec, flow)
     with pytest.raises(NumericalError):
-        packet_remainder_norm(spec, flow.packet_at(0))
+        packet_remainder_norm(spec, packet_at(flow, 0))
 
 
 def test_duhamel_linear_at_fixed_point():
@@ -257,7 +257,7 @@ def test_duhamel_linear_at_fixed_point():
     curve = duhamel_curve(CUBIC_PERTURBED, flow)
     assert abs(curve[-1] - 0.1 * CUBIC_AT_REST) < 1e-9
     assert np.all(np.diff(curve) >= 0.0)
-    assert flow.times[500] == pytest.approx(0.5, abs=1e-12)
+    assert flow.traj.times[500] == pytest.approx(0.5, abs=1e-12)
     assert abs(curve[500] - 0.05 * CUBIC_AT_REST) < 1e-9
     assert curve[0] == 0.0
 
@@ -656,7 +656,7 @@ def test_squeeze_reads_E_from_the_unit_width_final_state():
                                epsilon=1.0)
     traj = integrate_flow(CUBIC_PERTURBED, problem.alpha0, 0.1, 0.01)
     flow = approximate_flow(CUBIC_PERTURBED, traj, packet(problem.alpha0, 1.0))
-    w = sample_on_grid(flow.packet_at(len(traj) - 1), problem.grid)
+    w = sample_on_grid(packet_at(flow, len(traj) - 1), problem.grid)
     coeffs, residual = hermite_coefficients(problem.comparator, w.amp[None],
                                             problem.grid)
     probe = within_magnitude(problem.comparator, reduction.E_PROBE,
@@ -677,7 +677,7 @@ def test_squeeze_raises_the_residual_of_the_first_state_scored():
 
     def message(d):
         flow = approximate_flow(QUARTIC, traj, packet(problem.alpha0, d))
-        w = sample_on_grid(flow.packet_at(len(traj) - 1), problem.grid)
+        w = sample_on_grid(packet_at(flow, len(traj) - 1), problem.grid)
         residual = hermite_coefficients(problem.comparator, w.amp[None],
                                         problem.grid)[1][0]
         assert residual > RESIDUAL_TOL
@@ -757,7 +757,7 @@ def snapshot_list_assembly(problem, flow, times, states):
 
     rows = []
     for t, u in zip(times, states):
-        w = sample_on_grid(flow.packet_at(round(t / flow.traj.dt)), grid)
+        w = sample_on_grid(packet_at(flow, round(t / flow.traj.dt)), grid)
         w_projection = hermite_coefficients(comp, w.amp[None], grid)
         smoothed = GridWavefunction(
             grid, apply_comparator(comp, w_projection, grid)[0])
@@ -918,7 +918,7 @@ def test_residual_failure_mid_block_ends_the_bound_stage():
     run, = run_grid(FREE, GridStack.of(psi0), problem.T, problem.dt,
                     problem.samples, [inputs])
     w_projections = [hermite_coefficients(
-        comp, sample_on_grid(flow.packet_at(round(t / problem.dt)),
+        comp, sample_on_grid(packet_at(flow, round(t / problem.dt)),
                              problem.grid).amp[None], problem.grid)
         for t in run.times]
     first = next(row for row, (_, residual) in enumerate(w_projections)

@@ -18,10 +18,13 @@ JSON and CSV.
 Every JSON field that differs between the trees (``created_utc`` aside)
 is printed with its largest absolute and relative difference, and so is
 every differing CSV file.  The script exits 1 if a unit's exit status
-differs between the trees, else 0; the last line counts the files
-compared and the files that differ.
+differs between the trees, else 0; the summary line counts the files
+compared and the files that differ.  After it, each tree's
+``src/qreduce/*.py`` line count is printed, in total and of code lines
+alone (no blank, comment or docstring lines).
 """
 
+import ast
 import csv
 import importlib.util
 import io
@@ -30,10 +33,15 @@ import os
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 IGNORED_KEYS = {"created_utc"}
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef,
+              ast.AsyncFunctionDef)
+SPACING = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENDMARKER}
 # Runs the CLI of one tree, refusing any other installed copy of qreduce.
 LAUNCH = ("import sys, qreduce.cli as cli\n"
           "if not cli.__file__.startswith(sys.argv[1]):\n"
@@ -258,6 +266,26 @@ def compare_unit(old_dir: Path, new_dir: Path) -> dict:
     return found, len(names)
 
 
+def line_counts(src: Path) -> tuple:
+    """(lines, code lines) of the tree's qreduce/*.py: a code line holds
+    a token that is no comment and no docstring."""
+    lines = code = 0
+    for path in sorted((src / "qreduce").glob("*.py")):
+        text = path.read_text()
+        lines += len(text.splitlines())
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, DOCUMENTED) and ast.get_docstring(node):
+                first = node.body[0]
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+        tokens = set()
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type not in SPACING:
+                tokens.update(range(token.start[0], token.end[0] + 1))
+        code += len(tokens - docstrings)
+    return lines, code
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -287,6 +315,9 @@ def main(argv=None) -> int:
                     print(f"  {name}: {line}")
     print(f"{compared} files compared, {differing} differ; "
           f"{status_changed} units with a different exit status")
+    for label, src in trees.items():
+        lines, code = line_counts(src)
+        print(f"{label} src/qreduce: {lines} lines, {code} code lines")
     return 1 if status_changed else 0
 
 
