@@ -134,6 +134,19 @@ def _fail(path: str, message: str):
     raise ConfigError(f"config.{path}: {message}")
 
 
+def _built(path: str, make, *args, **fields):
+    """make(*args, **fields), a library constructor whose refusal is a
+    setup fault at config.<path>: a ValueError's text goes there, and a
+    ConfigError that names its field (ReductionProblem's) goes to
+    config.<path>.<field>."""
+    try:
+        return make(*args, **fields)
+    except ValueError as exc:
+        _fail(path, str(exc))
+    except ConfigError as exc:
+        _fail(f"{path}.{exc.field}", str(exc))
+
+
 def _known(block: dict, path: str, keys) -> dict:
     """block, once each of its keys is in keys; another key exits 2 and
     names its path and the nearest known key."""
@@ -277,11 +290,12 @@ def _potential_from(problem: dict) -> PotentialModel:
             _known(raw, "problem.potential.", POTENTIAL_KEYS)) > 1:
         _fail("problem.potential", "takes coeffs or coeff_matrix, not both")
     if isinstance(raw, dict) and "coeffs" in raw:
-        return PotentialModel.polynomial(
-            _numbers(raw["coeffs"], "problem.potential.coeffs"))
+        return _built("problem.potential", PotentialModel.polynomial,
+                      _numbers(raw["coeffs"], "problem.potential.coeffs"))
     if isinstance(raw, dict) and "coeff_matrix" in raw:
-        return PotentialModel.polynomial2d(
-            _matrix(raw["coeff_matrix"], "problem.potential.coeff_matrix"))
+        return _built("problem.potential", PotentialModel.polynomial2d,
+                      _matrix(raw["coeff_matrix"],
+                              "problem.potential.coeff_matrix"))
     _fail("problem.potential",
           "must be a preset name, {'coeffs': [...]} or {'coeff_matrix': [[...]]}")
 
@@ -289,7 +303,7 @@ def _potential_from(problem: dict) -> PotentialModel:
 def _spec_from(problem: dict) -> HamiltonianSpec:
     pot = _potential_from(problem)
     mass = _number(problem, "problem", "mass", default=1.0)
-    return HamiltonianSpec(mass=mass, potential=pot)
+    return _built("problem.mass", HamiltonianSpec, mass=mass, potential=pot)
 
 
 def _phase_point(problem: dict, spec: HamiltonianSpec,
@@ -317,9 +331,10 @@ def _start_packet(problem: dict, spec: HamiltonianSpec, grid: GridSpec):
 def _grid_from(problem: dict, spec: HamiltonianSpec) -> GridSpec:
     raw = _block(problem, "grid", required=False, path="problem.",
                  keys=GRID_KEYS)
-    grid = GridSpec(_count(raw, "problem.grid", "n", DEFAULT_GRID.n),
-                    _count(raw, "problem.grid", "N", DEFAULT_GRID.N),
-                    _number(raw, "problem.grid", "L", DEFAULT_GRID.L))
+    grid = _built("problem.grid", GridSpec,
+                  _count(raw, "problem.grid", "n", DEFAULT_GRID.n),
+                  _count(raw, "problem.grid", "N", DEFAULT_GRID.N),
+                  _number(raw, "problem.grid", "L", DEFAULT_GRID.L))
     if grid.n != spec.dimension:
         _fail("problem.grid.n", "must equal the potential's dimension, "
               f"{spec.dimension}")
@@ -329,7 +344,8 @@ def _grid_from(problem: dict, spec: HamiltonianSpec) -> GridSpec:
 def _comparator_from(problem: dict) -> ComparatorSpec:
     raw = _block(problem, "comparator", required=False, path="problem.",
                  keys=COMPARATOR_KEYS)
-    return ComparatorSpec(
+    return _built(
+        "problem.comparator", ComparatorSpec,
         s=_number(raw, "problem.comparator", "s", default=DEFAULT_S),
         N=_count(raw, "problem.comparator", "N", ComparatorSpec.N))
 
@@ -362,15 +378,6 @@ def _region_from(problem: dict, spec: HamiltonianSpec):
     _fail("problem.region", "needs a radius (ball) or half_widths (box)")
 
 
-def _reduction_problem(**fields) -> ReductionProblem:
-    """ReductionProblem(**fields); its refusal names the config field at
-    fault, config.problem.<field>."""
-    try:
-        return ReductionProblem(**fields)
-    except ConfigError as exc:
-        _fail(f"problem.{exc.field}", str(exc))
-
-
 def _run_reduce(problem: dict):
     spec = _spec_from(problem)
     grid = _grid_from(problem, spec)
@@ -378,7 +385,8 @@ def _run_reduce(problem: dict):
     T, dt = _horizon(problem, DEFAULT_DT)
     epsilon = _epsilon(problem, default=None)
     M0 = _width(problem, "problem", spec.dimension)
-    ro = _reduction_problem(
+    ro = _built(
+        "problem", ReductionProblem,
         spec=spec, alpha0=_phase_point(problem, spec), T=T,
         epsilon=epsilon, comparator=comp,
         E=_number(problem, "problem", "E"), grid=grid, M0=M0,
@@ -476,8 +484,9 @@ def _run_classify_quantum(problem: dict):
 
 
 def _run_comparator_audit(problem: dict):
-    comp = ComparatorSpec(s=_number(problem, "problem", "s", required=True),
-                          N=_count(problem, "problem", "N", ComparatorSpec.N))
+    comp = _built("problem", ComparatorSpec,
+                  s=_number(problem, "problem", "s", required=True),
+                  N=_count(problem, "problem", "N", ComparatorSpec.N))
     dimension = _count(problem, "problem", "dimension", 1)
     if dimension > 2:
         _fail("problem.dimension", "must be 1 or 2")
@@ -527,7 +536,8 @@ def _run_squeeze(problem: dict):
     if not isinstance(dilations, list) or not dilations:
         _fail("problem.dilations", "must be a nonempty list")
     dilations = _positives(dilations, "problem.dilations")
-    ro = _reduction_problem(
+    ro = _built(
+        "problem", ReductionProblem,
         spec=spec, alpha0=_phase_point(problem, spec), T=T,
         epsilon=_epsilon(problem, default=1.0), comparator=comp,
         E=_number(problem, "problem", "E"), grid=grid, dt=dt)

@@ -118,15 +118,10 @@ def _constants(spec: ComparatorSpec, n: int) -> _Constants:
     """The spec's _Constants for dimension n, kept under ("constants", n)."""
     const = spec._store.get(("constants", n))
     if const is None:
-        n_vals = np.arange(spec.N + 1)
-        decay = np.exp(-spec.s * n_vals)
-        if n == 1:
-            total_n = n_vals
-        else:
-            total_n = n_vals[:, None] + n_vals[None, :]
-            decay = np.outer(decay, decay)
+        # The total excitation of each coefficient of the (N + 1)^n table.
+        total_n = sum(np.indices((spec.N + 1,) * n))
         const = spec._store[("constants", n)] = _Constants(
-            decay=decay, growth=2.0 * spec.s * total_n,
+            decay=np.exp(-spec.s * total_n), growth=2.0 * spec.s * total_n,
             order=np.argsort(total_n.ravel(), kind="stable"))
     return const
 

@@ -348,10 +348,9 @@ def expectation_a(psi, grid: GridSpec = None, work=None) -> np.ndarray:
 
     psi is a unit-norm GridWavefunction, or with ``grid`` a stack of
     amplitudes of shape lead + (grid.N,) * n, for which the result is a
-    lead + (2n,) array.  In 2D the marginals of each (B,) + (N, N) block
-    along the last lead axis go through one matrix-vector product, as a
-    stack of B states alone does.  A row whose norm is off 1 by more
-    than NORM_TOL is divided by its norm first.  Momenta are spectral:
+    lead + (2n,) array, each row's moments those of that state alone.
+    A row whose norm is off 1 by more than NORM_TOL is divided by its
+    norm first.  Momenta are spectral:
     in 1D <p> = Re <psi, -i d psi> with the derivative a
     Fourier multiplier (an FFT pair per state); in 2D by Parseval from
     one 2D FFT per state, <p_j> = sum_k k_j |psi_hat(k)|^2 dx^2 / N^2.
@@ -378,9 +377,8 @@ def _moments(amps, grid, work=None):
     cell.  In 2D <q_j> is the axis marginal of dens (the sum over the
     other axis) times grid.x times the cell, and <p_j> the marginal of
     the power spectrum |fft2(psi)|^2 cell / N^2 times grid.k; the
-    marginals come from _marginal_sums.  Each of the four marginal
-    products is one product over the whole lead shape, since BLAS
-    matrix-vector products round each row by the rows in one call.
+    marginals come from _marginal_sums, and each product with grid.x or
+    grid.k is one np.vecdot per row.  Every row is that row's alone.
     """
     lead = amps.shape[:-grid.n]
     flat = amps.reshape((-1,) + amps.shape[len(lead):])
@@ -401,19 +399,18 @@ def _moments(amps, grid, work=None):
         flat = flat / np.where(off, norms, 1.0)[(...,) + (None,) * grid.n]
         mass, *sums = measure(flat)
     if grid.n == 1:
-        return np.stack([s * cell for s in sums], axis=-1).reshape(
-            lead + (2,))
-    q = [marginal.reshape(lead + (grid.N,)) @ grid.x * cell
-         for marginal in sums]
-    if work is None:
-        work = np.empty_like(flat)
-    # Two 1D passes, axis -2 first: np.fft.fft2 runs the axes in the
-    # other order and so differs in the last bits.
-    spectrum = np.fft.fft(flat, axis=-2, out=work)
-    np.fft.fft(spectrum, axis=-1, out=spectrum)
-    _, *p = _marginal_sums(spectrum, grid, cell / grid.N ** 2)
-    p = [marginal.reshape(lead + (grid.N,)) @ grid.k for marginal in p]
-    return np.stack(q + p, axis=-1)
+        moments = [s * cell for s in sums]
+    else:
+        q = [np.vecdot(marginal, grid.x) * cell for marginal in sums]
+        if work is None:
+            work = np.empty_like(flat)
+        # Two 1D passes, axis -2 first: np.fft.fft2 runs the axes in the
+        # other order and so differs in the last bits.
+        spectrum = np.fft.fft(flat, axis=-2, out=work)
+        np.fft.fft(spectrum, axis=-1, out=spectrum)
+        _, *p = _marginal_sums(spectrum, grid, cell / grid.N ** 2)
+        moments = q + [np.vecdot(marginal, grid.k) for marginal in p]
+    return np.stack(moments, axis=-1).reshape(lead + (2 * grid.n,))
 
 
 def _marginal_sums(amps, grid: GridSpec, scale=None):
@@ -530,14 +527,8 @@ def _edge_mass(amps, grid: GridSpec) -> np.ndarray:
 def fourier_shift(psi: GridWavefunction, shift) -> GridWavefunction:
     """psi(x - shift) by Fourier phase ramp (exact for band-limited psi)."""
     grid = psi.grid
-    shift = np.atleast_1d(np.asarray(shift, dtype=float))
-    if grid.n == 1:
-        amp = np.fft.ifft(np.fft.fft(psi.amp) * np.exp(-1j * grid.k * shift[0]))
-    else:
-        phase = np.exp(-1j * (grid.k_mesh[..., 0] * shift[0]
-                              + grid.k_mesh[..., 1] * shift[1]))
-        amp = np.fft.ifft2(np.fft.fft2(psi.amp) * phase)
-    return GridWavefunction(grid, amp)
+    phase = np.exp(-1j * np.sum(grid.k_mesh * shift, axis=-1))
+    return GridWavefunction(grid, np.fft.ifftn(np.fft.fftn(psi.amp) * phase))
 
 
 def weyl_displace(psi: GridWavefunction, alpha) -> GridWavefunction:
@@ -553,12 +544,7 @@ def weyl_displace(psi: GridWavefunction, alpha) -> GridWavefunction:
         raise ValueError("alpha must supply 2n components")
     xi, pi = alpha[:grid.n], alpha[grid.n:]
     shifted = fourier_shift(psi, xi)
-    if grid.n == 1:
-        x = grid.x
-        dot = pi[0] * (x - xi[0])
-    else:
-        dot = (grid.x_mesh[..., 0] - xi[0]) * pi[0] \
-            + (grid.x_mesh[..., 1] - xi[1]) * pi[1]
+    dot = np.sum((grid.x_mesh - xi) * pi, axis=-1)
     phase = np.exp(1j * (dot + 0.5 * float(np.dot(pi, xi))))
     return GridWavefunction(grid, phase * shifted.amp)
 

@@ -264,10 +264,7 @@ def run_grid(spec: HamiltonianSpec, psi0: GridStack, T: float, dt: float,
     with ``bound_inputs`` (S BoundInputs, one per row),
     BoundInputs.add_stack, which takes the block's per-snapshot bound
     work and keeps it for assemble_bounds.  Each run is bitwise the run
-    of its row alone, but for the 2D moments of a stack of more than
-    one: their axis marginals go through BLAS matrix-vector products,
-    whose row bits depend on the rows per call.  samples must be a
-    positive integer.
+    of its row alone.  samples must be a positive integer.
 
     The run allocates one scratch block, of the size of propagate's
     observer block, and every block's work goes through its leading
@@ -647,19 +644,17 @@ def run_reduction(problem: ReductionProblem) -> ReductionReport:
     where the magnitude hypotheses hold by construction.
 
     The samples are the rows of problem.lattice.  Each has its own
-    classical flow, packet flow and Duhamel curve.  In 1D the grid runs
-    go as stacks: one run_grid call per chunk of as many states as a
-    single run's observer block holds (32 at N = 1024), with one
-    BoundInputs per sample.  In 2D each sample runs as a stack of one:
-    the 2D moments take their axis marginals by BLAS matrix-vector
-    products, whose row bits depend on the rows in one call, so a sample
-    keeps a single run's block.  Every number is bitwise the one a run
-    of the sample alone gives.
+    classical flow, packet flow and Duhamel curve.  The grid runs go as
+    stacks: one run_grid call per chunk of as many states as a single
+    run's observer block holds (32 in 1D at N = 1024, 4 in 2D at
+    N = 128), with one BoundInputs per sample.  Every measurement is
+    row-exact, so every number is bitwise the one a run of the sample
+    alone gives.
     """
     spec, grid = problem.spec, problem.grid
     eps = problem.epsilon_vector()
     points = problem.lattice
-    chunk = _block_rows(grid, len(points)) if grid.n == 1 else 1
+    chunk = _block_rows(grid, len(points))
     outcomes = []
     for first in range(0, len(points), chunk):
         lattice = points[first:first + chunk]

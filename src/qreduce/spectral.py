@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comparator import ComparatorSpec, _basis, _constants
-from .grid import GridSpec, GridStack, GridWavefunction, _block_rows, \
-    propagate
+from .grid import GridSpec, GridStack, GridWavefunction, propagate
 from .hamiltonian import HamiltonianSpec
 from .quadrature import cumulative_simpson
 
@@ -225,16 +224,12 @@ def _grid_stay_curve(handle: GridHamiltonian, psi: GridWavefunction,
     The comparator expectation sum_k e^{-s k} |c_k|^2 is taken at every
     step, forward and backward in time.  Backward time from a real
     Hamiltonian is forward time from the conjugate state, so both runs
-    go as one 2-row stack, and each block that propagate hands its
-    observer is projected by one matrix-matrix product over both rows'
-    states.  In 1D that product is not row-exact (hermite_coefficients
-    is): BLAS takes a one-row product (gemv) in other bits than a
-    block's (gemm), whose row bits do not depend on its row count.  So
-    each state that a run alone projects by itself is projected by
-    itself here too: each start state; every state when a run alone's
-    blocks hold one; the last when only its last block does (steps one
-    more than a multiple of 32 at N = 1024).  The curve is bitwise the
-    two runs alone.
+    go as one 2-row stack.  The two start states, and each block that
+    propagate hands its observer, are projected by one product over
+    both rows' states.  In 1D that product holds 2 rows at least, and
+    BLAS rounds the rows of those (gemm) alike whatever their number;
+    in 2D each state is a product of its own.  So the curve does not
+    depend on the block layout.
     """
     if not isinstance(comp, ComparatorSpec):
         raise ValueError("grid evolutions take a ComparatorSpec as Omega")
@@ -257,18 +252,11 @@ def _grid_stay_curve(handle: GridHamiltonian, psi: GridWavefunction,
     # The comparator kernel is real, so its expectation in the conjugate
     # state needs no further adjustment.
     starts = np.stack([psi.amp, np.conj(psi.amp)])
-    curves = [[expectations(start[None])] for start in starts]
-
-    alone = _block_rows(grid, steps)
-    observed = [0]
+    curves = [[value] for value in expectations(starts)[:, None]]
 
     def observe(t, amps):
         rows = expectations(amps.reshape((-1,) + amps.shape[2:]))
-        rows = rows.reshape(len(starts), -1)
-        observed[0] += len(t)
-        if alone == 1 or (observed[0] == steps and steps % alone == 1):
-            rows[:, -1] = [expectations(member[-1:])[0] for member in amps]
-        for curve, values in zip(curves, rows):
+        for curve, values in zip(curves, rows.reshape(len(starts), -1)):
             curve.append(values)
 
     propagate(handle.spec, GridStack(grid, starts), T, dt, observer=observe)

@@ -386,6 +386,7 @@ SCALE_CASE = {"potential": "cubic-perturbed", "alpha0": [1.0, 0.5],
 GRID_QUANTUM = {"potential": "harmonic", "grid": {"n": 1, "N": 256, "L": 10.0},
                 "comparator": {"s": 1.0, "N": 16}}
 NYQUIST = {"potential": "harmonic", "T": 0.5, "dt": 0.01}
+LATTICE_1D = {**HARMONIC_AT_1, "T": 0.1, "dt": 0.01, "epsilon": 1e-3}
 
 
 @pytest.mark.parametrize("mode, problem, field", [
@@ -495,6 +496,32 @@ NYQUIST = {"potential": "harmonic", "T": 0.5, "dt": 0.01}
                 "grid": {"n": 2, "N": 64, "L": 10.0},
                 "comparator": {"s": 1.0, "N": 16},
                 "M0": [[1.0, 0.0], [0.0, 1.0]]}, "problem.alpha0"),
+    # Refusals of the library's constructors name the block they read.
+    ("reduce", {**LATTICE_1D, "grid": {"N": 1000}}, "problem.grid"),
+    ("reduce", {**LATTICE_1D, "grid": {"L": -1.0}}, "problem.grid"),
+    ("reduce", {**LATTICE_1D, "grid": {"n": 3}}, "problem.grid"),
+    ("reduce", {**LATTICE_1D, "comparator": {"s": -1.0}},
+     "problem.comparator"),
+    ("reduce", {**LATTICE_1D, "comparator": {"N": 8}}, "problem.comparator"),
+    ("comparator-audit", {"s": -1.0}, "problem"),
+    ("comparator-audit", {"s": 1.0, "N": 8}, "problem"),
+    ("reduce", {**LATTICE_1D, "mass": -1.0}, "problem.mass"),
+    ("scale", {**SCALE_CASE, "T": 0.1, "dt": 0.01, "mass": -1.0},
+     "problem.mass"),
+    ("squeeze", {**LATTICE_1D, "dilations": [1.0], "mass": -1.0},
+     "problem.mass"),
+    ("ehrenfest", {**NYQUIST, "mass": -1.0}, "problem.mass"),
+    ("classify-classical", {**HARMONIC_AT_1, "T": 1.0, "mass": -1.0},
+     "problem.mass"),
+    ("reduce", {**LATTICE_1D, "potential": {"coeffs": [0.0] * 10 + [1.0]}},
+     "problem.potential"),
+    ("reduce", {**LATTICE_1D, "alpha0": [1.0, 0.0, 0.0, 0.5],
+                "grid": {"n": 2, "N": 64, "L": 10.0},
+                "potential": {"coeff_matrix": [[0.0, 0.0, 0.5],
+                                               [0.0, 0.0, 0.0],
+                                               [0.5, 0.0, 0.0],
+                                               [0.0, 0.0, 1.0]]}},
+     "problem.potential"),
 ], ids=["reduce-dt-above-T", "reduce-dt-negative", "reduce-dt-zero",
         "classical-T-zero", "classical-T-negative", "classical-dt-negative",
         "ehrenfest-T-negative", "ehrenfest-dt-above-T", "scale-T-negative",
@@ -513,7 +540,11 @@ NYQUIST = {"potential": "harmonic", "T": 0.5, "dt": 0.01}
         "squeeze-grid-below-comparator", "reduce-momentum-nyquist",
         "reduce-region-momentum-nyquist", "ehrenfest-momentum-nyquist",
         "scale-momentum-nyquist", "quantum-momentum-nyquist",
-        "reduce-2d-momentum-nyquist"])
+        "reduce-2d-momentum-nyquist", "reduce-grid-N", "reduce-grid-L",
+        "reduce-grid-n", "reduce-comparator-s", "reduce-comparator-N",
+        "audit-s", "audit-N", "reduce-mass", "scale-mass", "squeeze-mass",
+        "ehrenfest-mass", "classical-mass", "reduce-degree-1d",
+        "reduce-degree-2d"])
 def test_setup_faults_exit_two_and_name_their_field(tmp_path, capsys, mode,
                                                     problem, field):
     # Each of these used to start the run and exit 3, raise out of run(),
@@ -522,7 +553,9 @@ def test_setup_faults_exit_two_and_name_their_field(tmp_path, capsys, mode,
     # reduce at p = 100 read not-reduced with error_max 160.8, ehrenfest
     # an identity_max of 3.81) exit 0; a region's half_widths of the
     # wrong length or a negative radius, and each refusal of
-    # ReductionProblem, exited 2 without naming the field.
+    # ReductionProblem, exited 2 without naming the field; so did the
+    # refusals of GridSpec, ComparatorSpec, HamiltonianSpec and
+    # PotentialModel.
     cfg = write_config(tmp_path, {"mode": mode, "problem": problem})
     assert run(cfg, out_dir=tmp_path / "out") == 2
     assert f"config.{field}: " in capsys.readouterr().err

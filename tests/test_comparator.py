@@ -330,11 +330,12 @@ def explicit_projection(spec, psi):
 
 
 def explicit_synthesis(spec, coeffs, grid):
+    # Each coefficient weighted by e^{-s n}, n its total excitation.
     h = hermite_functions(grid.x, spec.N)
-    factor = np.exp(-spec.s * np.arange(spec.N + 1))
+    factor = np.exp(-spec.s * sum(np.indices((spec.N + 1,) * grid.n)))
     if grid.n == 1:
         return (coeffs * factor) @ h
-    return h.T @ (coeffs * np.outer(factor, factor)) @ h
+    return h.T @ (coeffs * factor) @ h
 
 
 @pytest.mark.parametrize("grid, spec", [

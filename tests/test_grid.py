@@ -353,7 +353,8 @@ def test_2d_step_in_place_is_bitwise_the_written_out_expression(grid):
                          ids=["N64", "N128"])
 def test_stacked_2d_expectations_match_the_scipy_parseval_form(grid):
     # The 2D momenta as they ran on scipy.fft.fft2: two numpy passes in
-    # its axis order keep their bits.
+    # its axis order keep their bits.  Each state's marginals go through
+    # its own vector product.
     rng = np.random.default_rng(7)
     rows = []
     for _ in range(4):
@@ -365,10 +366,11 @@ def test_stacked_2d_expectations_match_the_scipy_parseval_form(grid):
     cell = grid.cell
     dens = np.abs(amps) ** 2
     power = np.abs(scipy.fft.fft2(amps)) ** 2 * (cell / grid.N ** 2)
-    want = np.stack([np.sum(dens, axis=-1) @ grid.x * cell,
-                     np.sum(dens, axis=-2) @ grid.x * cell,
-                     np.sum(power, axis=-1) @ grid.k,
-                     np.sum(power, axis=-2) @ grid.k], axis=-1)
+    want = np.array([[np.sum(d, axis=-1) @ grid.x * cell,
+                      np.sum(d, axis=-2) @ grid.x * cell,
+                      np.sum(w, axis=-1) @ grid.k,
+                      np.sum(w, axis=-2) @ grid.k]
+                     for d, w in zip(dens, power)])
     assert np.array_equal(expectation_a(amps, grid), want)
 
 
@@ -605,9 +607,7 @@ def test_a_stack_splits_one_runs_observer_block():
                          ids=["2d", "1d"])
 def test_moments_of_a_batch_take_each_block_alone(grid):
     # A (S, B) batch of states: each state's block of B rows has the
-    # moments it has alone.  In 2D that needs the marginals' BLAS
-    # matrix-vector products taken block by block, whose row bits depend
-    # on the rows in one call.
+    # moments it has alone.
     rng = np.random.default_rng(5)
     amps = np.stack([
         normalized(sample_on_grid(
@@ -623,7 +623,8 @@ def test_moments_of_a_batch_take_each_block_alone(grid):
 def _block_moments(amps, grid):
     """The moments of a stack (B,) + (N,) * n written out as whole-block
     expressions: |psi|^2 of the whole stack, the rows off norm divided by
-    their norms, then the 1D sums or the 2D axis marginals."""
+    their norms, then the 1D sums or the 2D axis marginals, each state's
+    marginal times grid.x or grid.k by its own vector product."""
     axes, cell = tuple(range(-grid.n, 0)), grid.cell
     dens = np.abs(amps) ** 2
     norms = np.sqrt(np.sum(dens, axis=axes) * cell)
@@ -638,10 +639,11 @@ def _block_moments(amps, grid):
                         axis=-1)
     spectrum = np.fft.fft(np.fft.fft(amps, axis=-2), axis=-1)
     power = np.abs(spectrum) ** 2 * (cell / grid.N ** 2)
-    return np.stack([np.sum(dens, axis=-1) @ grid.x * cell,
-                     np.sum(dens, axis=-2) @ grid.x * cell,
-                     np.sum(power, axis=-1) @ grid.k,
-                     np.sum(power, axis=-2) @ grid.k], axis=-1)
+    return np.array([[np.sum(d, axis=-1) @ grid.x * cell,
+                      np.sum(d, axis=-2) @ grid.x * cell,
+                      np.sum(w, axis=-1) @ grid.k,
+                      np.sum(w, axis=-2) @ grid.k]
+                     for d, w in zip(dens, power)])
 
 
 @pytest.mark.parametrize("grid, rows, scaled", [

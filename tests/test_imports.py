@@ -44,15 +44,29 @@ def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
-def _referenced(node) -> set:
+def _module_names(tree) -> set:
+    """The names that ``import`` statements bind to modules."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names}
+
+
+def _referenced(node, modules: set) -> set:
     """Every name a node reads: names and imported names as themselves,
-    attributes as ".name", the only form that reaches a method."""
+    attributes as ".name", the only form that reaches a method.  An
+    attribute read off one of ``modules`` (np.linalg.norm) is only its
+    name: it reaches a function but no method."""
     names = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            names |= {sub.attr, "." + sub.attr}
+            names.add(sub.attr)
+            root = sub.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in modules):
+                names.add("." + sub.attr)
         elif isinstance(sub, ast.alias):
             names.add(sub.name.split(".")[-1])
     return names
@@ -67,41 +81,49 @@ def _unreached(modules: dict, roots: list, keep=()) -> list:
     definition what its body names, and the definitions in keep are
     reached.  Names are matched without their owner: a function is
     reached by its name or any attribute of it, a method by any
-    attribute of its name; dunder methods always are.
+    attribute of its name that is not read off an imported module, and
+    a dunder method by its class's name.
     """
     definitions, names = {}, set()
     for module, source in modules.items():
-        for node in ast.parse(source).body:
+        tree = ast.parse(source)
+        imported = _module_names(tree)
+        for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                definitions[f"{module}.{node.name}"] = (node, node.name)
+                definitions[f"{module}.{node.name}"] = (node, node.name,
+                                                        imported)
                 continue
             parts = [node]
             if isinstance(node, ast.ClassDef):
                 parts = node.decorator_list + node.bases
                 for sub in node.body:
                     if isinstance(sub, ast.FunctionDef):
+                        name = (node.name if sub.name.startswith("__")
+                                else "." + sub.name)
                         definitions[f"{module}.{node.name}.{sub.name}"] = (
-                            sub, "." + sub.name)
+                            sub, name, imported)
                     else:
                         parts.append(sub)
             for part in parts:
-                names |= _referenced(part)
+                names |= _referenced(part, imported)
     for text in roots:
         try:
-            names |= _referenced(ast.parse(text))
+            tree = ast.parse(text)
         except SyntaxError:
             words = re.findall(r"[A-Za-z_]\w*", text)
             names |= set(words) | {"." + word for word in words}
+        else:
+            names |= _referenced(tree, _module_names(tree))
     reached = set()
     while True:
-        new = {key for key, (node, name) in definitions.items()
-               if key not in reached and (key in keep or name in names
-                                          or node.name.startswith("__"))}
+        new = {key for key, (_, name, _) in definitions.items()
+               if key not in reached and (key in keep or name in names)}
         if not new:
             return sorted(definitions.keys() - reached)
         reached |= new
         for key in new:
-            names |= _referenced(definitions[key][0])
+            node, _, imported = definitions[key]
+            names |= _referenced(node, imported)
 
 
 # Oracles kept on purpose, though only the focused tests call them.
@@ -135,6 +157,22 @@ def test_the_reachability_check_sees_a_test_only_definition():
     assert _fenced_code(readme) == ["run --fast\n"]
     assert _unreached({"m": module}, _fenced_code(readme)) == [
         "m.Box.orphan", "m.only_tested"]
+    # A dunder method is reached only with its class, and an attribute
+    # read off an imported module (np.linalg.norm, math.prod) reaches no
+    # method of its name, in a module or in a root.
+    shapes = ("import math\nimport numpy as np\n\n"
+              "def area(v):\n    return math.prod(v) + np.linalg.norm(v)\n\n"
+              "class Used:\n    def __init__(self):\n        pass\n\n"
+              "    def norm(self):\n        pass\n\n"
+              "class Unused:\n    def __len__(self):\n        return 0\n\n"
+              "    def prod(self):\n        pass\n")
+    roots = ["import numpy\nfrom m import area, Used\n"
+             "area(Used())\nnumpy.linalg.norm(0)\n"]
+    assert _unreached({"m": shapes}, roots) == [
+        "m.Unused.__len__", "m.Unused.prod", "m.Used.norm"]
+    # Read off anything else, the same names reach both methods.
+    roots = ["from m import Used\nUsed().norm()\nitems.prod()\n"]
+    assert _unreached({"m": shapes}, roots) == ["m.Unused.__len__", "m.area"]
 
 
 def _fenced_code(markdown: str) -> list:

@@ -953,14 +953,14 @@ def test_each_snapshot_state_is_projected_once(monkeypatch):
     assert sum(rows) == 2 * snapshots
 
 
-def per_sample_loop(problem):
+def per_sample_loop(problem, count=None):
     """(alpha0, run, inputs, error, bounds, verdict, failure) per lattice
-    sample, as run_reduction ran the lattice before it was stacked: each
-    sample's flow, grid run and bound stage on its own, one after
-    another."""
+    sample, or per one of its first ``count``, as run_reduction ran the
+    lattice before it was stacked: each sample's flow, grid run and
+    bound stage on its own, one after another."""
     eps = problem.epsilon_vector()
     outcomes = []
-    for alpha0 in lattice_points(problem):
+    for alpha0 in lattice_points(problem)[:count]:
         traj = integrate_flow(problem.spec, alpha0, problem.T, problem.dt)
         base = packet(alpha0, problem.M0)
         inputs = BoundInputs(problem,
@@ -1033,8 +1033,8 @@ def test_a_1d_region_reduce_is_bitwise_the_per_sample_loop(monkeypatch):
     assert report.bounds is not None
 
 
-# Nine samples of the coupled 2D unit on a 128-point grid, each run as a
-# stack of one.
+# Nine samples of the coupled 2D unit on a 128-point grid, run as stacks
+# of 4, 4 and 1: a single 2D run's observer block holds 4 states.
 REGION_2D = dataclasses.replace(
     STREAM_CASES["coupled-2d"], grid=GridSpec(n=2, N=128, L=10.0),
     region=PhaseRegion.box(STREAM_CASES["coupled-2d"].alpha0,
@@ -1044,7 +1044,7 @@ REGION_2D = dataclasses.replace(
 def test_a_2d_region_reduce_in_chunks_is_bitwise_the_per_sample_loop(
         monkeypatch):
     report, sizes = stacked_reduction(REGION_2D, monkeypatch)
-    assert sizes == [1] * 9
+    assert sizes == [4, 4, 1]
     assert_report_is_the_per_sample_loop(REGION_2D, report)
     assert len(report.sample_results) == 9
 
@@ -1067,15 +1067,17 @@ def test_a_sample_outside_the_basis_fails_alone():
         "hypothesis-failed", outcomes[1][5], "hypothesis-failed"]
 
 
-@pytest.mark.parametrize("problem", [STREAM_CASES["lattice-1d"], SPREADING],
-                         ids=["lattice-1d", "spreading"])
+@pytest.mark.parametrize("problem", [STREAM_CASES["lattice-1d"], SPREADING,
+                                     REGION_2D],
+                         ids=["lattice-1d", "spreading", "region-2d"])
 def test_a_stacked_run_feeds_each_sample_its_own_numbers(problem):
-    # One run_grid call for a 1D stack of the first four samples: each
+    # One run_grid call for a stack of the first four samples: each
     # sample's QuantumRun and BoundInputs (its columns, or its own
     # failure) are bitwise those of its run alone.  The stack's blocks
-    # are its rows' share of a single run's block, so the columns are
-    # compared across blocks.
-    outcomes = per_sample_loop(problem)[:4]
+    # are its rows' share of a single run's block (in 2D at N = 128, one
+    # state of a run alone's four), so the columns are compared across
+    # blocks.
+    outcomes = per_sample_loop(problem, 4)
     inputs = [BoundInputs(problem, item[2].flow) for item in outcomes]
     stack = GridStack.of(*[sample_on_grid(item[2].flow.base, problem.grid)
                            for item in outcomes])
@@ -1134,11 +1136,10 @@ def test_observer_block_caps_change_no_bits(monkeypatch):
     # The state cap of an observer block sets only how many states each
     # observer call measures: a stacked region run, a run of one state
     # and an Ehrenfest run (stride 3) keep their bits from blocks of one
-    # state to blocks of 64.  So does the stay curve, over a step count
-    # that leaves no cap of 7 or more a lone last state: a lone state
-    # takes BLAS's one-row product, and at a cap of 1 every state is
-    # alone, which test_the_stacked_stay_curve_is_bitwise_the_two_runs_alone
-    # covers.  A 2D block at N = 128 is bound by bytes, not by the cap.
+    # state to blocks of 64.  So does the stay curve over 70, 33 and 49
+    # steps, at caps of 1 and 2 too, where every block holds one state
+    # per run; at most other caps the last block of 33 or 49 steps does.
+    # A 2D block at N = 128 is bound by bytes, not by the cap.
     # 150 snapshots of 9 samples: 1, 1, 3 and 7 states per sample a block.
     comp = ComparatorSpec(s=1.0, N=16)
     problem = dataclasses.replace(STREAM_CASES["lattice-1d"], T=0.3,
@@ -1169,22 +1170,25 @@ def test_observer_block_caps_change_no_bits(monkeypatch):
                     for column in zip(*item.blocks)]
         return out
 
-    def stay_curve():
-        return spectral._grid_stay_curve(handle, psi0, comp, 70 * 0.0625)
+    def stay_curves():
+        return [value for steps in (70, 33, 49)
+                for value in spectral._grid_stay_curve(handle, psi0, comp,
+                                                       steps * 0.0625)]
 
     results, curves = {}, {}
     for cap, rows in zip((1, 7, 32, 64), (1, 1, 3, 7)):
         monkeypatch.setattr(grid_module, "OBSERVE_BLOCK_STATES", cap)
         assert grid_module._block_rows(grid, 150, 9) == rows
         results[cap] = measured()
-        if cap > 1:
-            curves[cap] = stay_curve()
+    for cap in (1, 2, 7, 32, 64):
+        monkeypatch.setattr(grid_module, "OBSERVE_BLOCK_STATES", cap)
+        curves[cap] = stay_curves()
     assert grid_module._block_rows(grid, 500) == 64
     assert len(results[1]) == 7 + 9 * 6
     for cap in (1, 7, 32):
         for got, want in zip(results[cap], results[64], strict=True):
             assert np.array_equal(got, want)
-    for cap in (7, 32):
+    for cap in (1, 2, 7, 32):
         for got, want in zip(curves[cap], curves[64], strict=True):
             assert np.array_equal(got, want)
     monkeypatch.undo()

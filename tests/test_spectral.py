@@ -311,9 +311,10 @@ def test_bound_states_form_a_linear_manifold(raw):
     assert out["label"] == "pp-like"
 
 
-def per_member_stay_curve(handle, psi, comp, T):
-    """_grid_stay_curve as it ran before its two runs became one stack:
-    a forward run on psi and one on conj(psi), each alone."""
+def paired_stay_curve(handle, psi, comp, T):
+    """_grid_stay_curve spelled out: a forward run on psi and one on
+    conj(psi), each alone, and at each step the two runs' states
+    projected together, as one 2-row product."""
     from qreduce.comparator import _basis, _constants
     from qreduce.grid import GridStack, GridWavefunction, propagate
     from qreduce.quadrature import cumulative_simpson
@@ -329,22 +330,28 @@ def per_member_stay_curve(handle, psi, comp, T):
         return np.sum(decay * np.abs(coeffs) ** 2, axis=(-1, -2)[:grid.n])
 
     steps = spectral._step_count(T, handle.dt)
-    curves = []
+    runs = []
     for start in (psi.amp, np.conj(psi.amp)):
-        values = [expectations(start[None])]
+        states = [start]
         propagate(handle.spec, GridStack.of(GridWavefunction(grid, start)), T,
                   T / steps,
-                  observer=lambda t, amps: values.append(expectations(amps[0])))
-        curves.append(np.concatenate(values))
+                  observer=lambda t, amps: states.extend(amps[0].copy()))
+        runs.append(states)
+    assert [len(states) for states in runs] == [steps + 1] * 2
+    signal = []
+    for pair in zip(*runs):
+        forward, backward = expectations(np.stack(pair))
+        signal.append(forward + backward)
     times = np.linspace(0.0, T, steps + 1)
-    signal = curves[0] + curves[1]
+    signal = np.array(signal)
     return times, signal, cumulative_simpson(signal, x=times)
 
 
 # A 1D run alone at N = 1024 takes blocks of 32 states: 33 steps end on
-# a lone state (a one-row product), 49 on 17 states, which the stack
-# splits to one state per run.  At N = 32768 a run alone takes blocks of
-# 2 states and the stack one per run; at N = 65536 every state is alone.
+# a lone state, 49 on 17 states, which the stack splits to one state per
+# run.  At N = 32768 a run alone takes blocks of 2 states and the stack
+# one per run; at N = 65536 every state is alone.  Every block of the
+# stack still holds both runs' states, so no projection has one row.
 STAY_CASES = [
     (HARMONIC, GridSpec(1, 256, 12.0), [0.3, 1.0], 0.05, 5.0),
     (HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial2d(
@@ -363,11 +370,11 @@ STAY_CASES = [
 def test_the_stacked_stay_curve_is_bitwise_the_two_runs_alone(
         monkeypatch, spec, grid, alpha0, dt, T):
     # The forward and backward runs go as one 2-row stack, in blocks of
-    # half a single run's rows, and each state that a run alone projects
-    # by itself (each start; the lone last state of 33 steps; every state
-    # at N = 65536) keeps its own one-row projection: at the 1D start, a
-    # 2-row product of both starts moves tau.  The per-step signal is
-    # compared too, since one step's last bits need not reach tau.
+    # half a single run's rows.  Each step's two states, the starts
+    # included, are projected in one product of 2 rows or more, whose
+    # row bits BLAS takes alike whatever the row count.  The per-step
+    # signal is compared too, since one step's last bits need not reach
+    # tau.
     handle = GridHamiltonian(spec, grid, dt=dt)
     psi = sample_on_grid(packet(alpha0, np.eye(grid.n)), grid)
     comp = ComparatorSpec(s=1.0, N=16)
@@ -381,8 +388,8 @@ def test_the_stacked_stay_curve_is_bitwise_the_two_runs_alone(
     monkeypatch.setattr(spectral, "cumulative_simpson", recording)
     times, tau = spectral._grid_stay_curve(handle, psi, comp, T)
     monkeypatch.undo()
-    want_times, want_signal, want_tau = per_member_stay_curve(handle, psi,
-                                                              comp, T)
+    want_times, want_signal, want_tau = paired_stay_curve(handle, psi, comp,
+                                                          T)
     assert len(times) == spectral._step_count(T, dt) + 1
     assert np.array_equal(times, want_times)
     assert np.array_equal(signals[0], want_signal)

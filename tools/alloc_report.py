@@ -1,4 +1,4 @@
-"""Minor page faults per warm pass and each unit's allocation peak, in process.
+"""The peak resident set and each unit's allocation peak, in process.
 
 Usage: python3 tools/alloc_report.py WORKLOAD [ROOT]
 
@@ -15,10 +15,11 @@ subpackage), with their counts: the import path's share of
 ``peak_rss_mb`` beyond numpy, which reading the workloads has already
 imported, as the benchmark's worker has.
 
-After one cold pass, WARM_PASSES warm passes run under ``getrusage``; the
-script prints the minor page faults of each and their median, and the
-process's peak resident set after them: the figure the benchmark
-reports as ``peak_rss_mb``.  One more pass runs under ``tracemalloc``
+After one cold pass and WARM_PASSES warm passes, the script prints the
+process's peak resident set: the figure the benchmark reports as
+``peak_rss_mb``.  Minor page faults are not counted: they measure
+glibc's heap trimming, which moves on allocations of a few bytes, not
+what a pass allocates.  One more pass runs under ``tracemalloc``
 and prints each unit's peak traced allocation in MB (10^6 bytes).  In
 that pass each function of OBSERVED runs with
 ``tracemalloc.reset_peak()`` around every call, and the script prints,
@@ -34,7 +35,6 @@ import io
 import json
 import os
 import resource
-import statistics
 import sys
 import tempfile
 import textwrap
@@ -86,10 +86,6 @@ def _import_cli(root: Path):
 def _peak_rss_mb() -> float:
     # Linux reports ru_maxrss in KiB.
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-def _minor_faults() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 class _CallPeaks:
@@ -179,14 +175,9 @@ def main(argv=None) -> int:
             if code != 0:
                 raise SystemExit(f"{name}: exit {code}")
 
-        for unit in plan:
-            run_unit(*unit)
-        faults = []
-        for _ in range(WARM_PASSES):
-            before = _minor_faults()
+        for _ in range(1 + WARM_PASSES):
             for unit in plan:
                 run_unit(*unit)
-            faults.append(_minor_faults() - before)
         peak_rss_mb = _peak_rss_mb()
         peaks, calls = {}, {}
         tracemalloc.start()
@@ -199,9 +190,8 @@ def main(argv=None) -> int:
                 calls[unit[0]] = traced.stats
         finally:
             tracemalloc.stop()
-    print(f"{args[0]}: minor faults per warm pass {faults}, "
-          f"median {statistics.median(faults):.0f}")
-    print(f"  peak_rss_mb after the warm passes: {peak_rss_mb:.2f}")
+    print(f"{args[0]}: peak_rss_mb after {WARM_PASSES} warm passes: "
+          f"{peak_rss_mb:.2f}")
     for name, peak in peaks.items():
         print(f"  {name}: tracemalloc peak {peak / 1e6:.2f} MB")
         for func, (inner, rise) in calls[name].items():

@@ -63,8 +63,8 @@ def _modes_2d(wl) -> list:
     remainder-2d unit's potential, alpha0 and dt, with its T and grid
     where the mode takes them (classify-classical runs to 20).  The
     region reduce is that unit with a box of half-width 0.01 about
-    alpha0: its 81 lattice samples run their 2D grid runs one after
-    another in one process.  classify-quantum starts its packet at
+    alpha0: its 81 lattice samples run as stacked grid runs of up to 4
+    states (21 runs) in one process.  classify-quantum starts its packet at
     alpha0 with the unit's M0 and runs to 4 in 200 steps: a 2-row 2D
     stack through propagate's per-row checks at steps 100 and 200."""
     (_, reduce_2d), = wl.units("remainder-2d", wl.DEFAULT_SEED)
