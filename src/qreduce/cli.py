@@ -22,7 +22,9 @@ must be positive integers, comparator-audit "dimension" 1 or 2.  The scalars
 booleans, strings, NaN or Infinity.  "T", "dt", region "radius", and
 each entry of "horizons", "lambdas", "dilations" and "half_widths" must
 be positive, and dt <= T wherever a mode takes both (the grid form of
-classify-quantum takes no T: its dt needs only be positive).  "radii",
+classify-quantum takes no T: its dt needs only be positive).  ehrenfest
+records at least three samples: time_steps(T, dt)'s step count divided
+by "sample_stride", rounded down, is at least 2.  "radii",
 when given, is a nonempty list of positive numbers.  "M0" is a number
 or an n x n matrix (in 1D also [m]) with Re M0 positive definite and M0
 symmetric.  The start state, a region's center and half_widths (2n
@@ -561,6 +563,10 @@ def _run_ehrenfest(problem: dict):
     grid = _grid_from(problem, spec)
     T, dt = _horizon(problem, DEFAULT_DT)
     stride = _count(problem, "problem", "sample_stride", EHRENFEST_STRIDE)
+    if time_steps(T, dt)[0] // stride < 2:
+        _fail("problem.sample_stride", "the residuals need at least three "
+              "samples: the steps of T over dt, divided by sample_stride "
+              "and rounded down, must be at least 2")
     alpha0, M0 = _start_packet(problem, spec, grid)
 
     def compute():

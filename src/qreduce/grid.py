@@ -402,12 +402,7 @@ def _moments(amps, grid, work=None):
         moments = [s * cell for s in sums]
     else:
         q = [np.vecdot(marginal, grid.x) * cell for marginal in sums]
-        if work is None:
-            work = np.empty_like(flat)
-        # Two 1D passes, axis -2 first: np.fft.fft2 runs the axes in the
-        # other order and so differs in the last bits.
-        spectrum = np.fft.fft(flat, axis=-2, out=work)
-        np.fft.fft(spectrum, axis=-1, out=spectrum)
+        spectrum = np.fft.fft2(flat, out=work)
         _, *p = _marginal_sums(spectrum, grid, cell / grid.N ** 2)
         moments = q + [np.vecdot(marginal, grid.k) for marginal in p]
     return np.stack(moments, axis=-1).reshape(lead + (2 * grid.n,))

@@ -49,11 +49,8 @@ def _polyder(c, m, axis):
         c = c[:1] * 0
     else:
         for _ in range(m):
-            n = len(c) - 1
-            der = np.empty((n,) + c.shape[1:])
-            for j in range(n, 0, -1):
-                der[j - 1] = j * c[j]
-            c = der
+            j = np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+            c = c[1:] * j
     return np.moveaxis(c, 0, axis)
 
 
@@ -161,23 +158,18 @@ class PotentialModel:
         """Taylor remainder of order >= 3 about K centres, at displacements u.
 
         centers is a (K, n) array and u a (K, G, n) one; returns r_k(u) as
-        (K, G).  The coefficients d^a V(c_k) / a! come from exact
-        differentiation, so r is identically zero for quadratic V.
+        (K, G).  The coefficients d^a V(c_k) / a! come from the exact
+        derivatives of the cache, so r is identically zero for quadratic
+        V; Horner runs on the coordinates in their own order.
         """
-        # Taylor tensors with their axes reversed and coordinates passed
-        # in reverse order make _horner run the last coordinate innermost
-        # and the first outermost.  Reports' delta1_duhamel holds that
-        # order's bits; _evaluate's order would move it by rounding.
         C = self.coeffs
-        taylor = np.zeros(C.shape[::-1] + (len(centers), 1))
-        at_centers = np.moveaxis(centers, -1, 0)[::-1]
+        taylor = np.zeros(C.shape + (len(centers), 1))
+        at_centers = np.moveaxis(centers, -1, 0)
         for a in np.ndindex(C.shape):
             if sum(a) >= 3:
-                D = C / math.prod(map(math.factorial, a))
-                for axis, m in enumerate(a):
-                    D = _polyder(D, m, axis)
-                taylor[a[::-1]] = _horner(D.T[..., None], at_centers)[:, None]
-        return _horner(taylor, np.moveaxis(u, -1, 0)[::-1])
+                taylor[a] = (self._evaluate(at_centers, a)
+                             / math.prod(map(math.factorial, a)))[:, None]
+        return _horner(taylor, np.moveaxis(u, -1, 0))
 
 
 @functools.cache
@@ -185,51 +177,18 @@ def normal_rule():
     """Gauss-Hermite nodes z and weights w with sum_k w_k f(z_k) = E f(Z),
     Z standard normal, for f of degree <= 17: r^2 at the degree caps.
 
-    The rule is _hermegauss(GAUSS_NODES) with its weights divided by
-    sqrt(2 pi), so it is bitwise what numpy's hermegauss gives.  It is
-    computed once (an eigenvalue solve) and shared, so both arrays are
-    read-only."""
-    z, w = _hermegauss(GAUSS_NODES)
-    w = w / np.sqrt(2.0 * np.pi)
+    Golub-Welsch: the nodes are the eigenvalues of the GAUSS_NODES-node
+    Jacobi matrix of the probabilists' Hermite polynomials (off-diagonals
+    sqrt(1) .. sqrt(GAUSS_NODES - 1)), and each weight is the square of
+    the first entry of its unit eigenvector, so the weights sum to 1.
+    Both are symmetrised about 0, so the middle node is exactly 0.  The
+    rule is computed once and shared, so both arrays are read-only."""
+    off = np.sqrt(np.arange(1.0, GAUSS_NODES))
+    z, V = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = V[0] ** 2
+    z, w = (z - z[::-1]) / 2, (w + w[::-1]) / 2
     z.flags.writeable = w.flags.writeable = False
     return z, w
-
-
-def _hermegauss(n):
-    """The n-node Gauss rule for the weight exp(-x^2 / 2), n >= 2, by
-    numpy.polynomial.hermite_e.hermegauss's steps (Golub-Welsch), so it
-    is bitwise hermegauss(n): the eigenvalues of the symmetric Jacobi
-    matrix, off-diagonals sqrt(1 .. n-1); one Newton step on the
-    normalised He_n; weights 1 / fm^2 with fm, the normalised He_{n-1}
-    at the nodes, scaled by its largest magnitude; nodes and weights
-    symmetrised, and the weights scaled to sum to sqrt(2 pi)."""
-    jacobi = np.zeros((n, n))
-    off = np.sqrt(np.arange(1, n))
-    jacobi.reshape(-1)[1::n + 1] = off
-    jacobi.reshape(-1)[n::n + 1] = off
-    x = np.linalg.eigvalsh(jacobi)
-    x -= _normed_hermite_e(x, n) / (_normed_hermite_e(x, n - 1) * np.sqrt(n))
-    fm = _normed_hermite_e(x, n - 1)
-    fm /= np.abs(fm).max()
-    w = 1 / (fm * fm)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= np.sqrt(2 * np.pi) / w.sum()
-    return x, w
-
-
-def _normed_hermite_e(x, n):
-    """The orthonormal He_n (weight exp(-x^2 / 2)) at x, n >= 1, by
-    hermegauss's downward recurrence (numpy.polynomial.hermite_e's
-    _normed_hermite_e_n)."""
-    c0 = 0.
-    c1 = 1. / np.sqrt(np.sqrt(2 * np.pi))
-    nd = float(n)
-    for _ in range(n - 1):
-        c0, c1 = (-c1 * np.sqrt((nd - 1.) / nd),
-                  c0 + c1 * x * np.sqrt(1. / nd))
-        nd = nd - 1.0
-    return c0 + c1 * x
 
 
 @dataclass(frozen=True)

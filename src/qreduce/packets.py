@@ -406,7 +406,7 @@ def phase_X(spec: HamiltonianSpec, traj: ClassicalTrajectory) -> np.ndarray:
         # A stack of row products: bitwise each row's grad @ state.
         dots = np.matmul(grad[:, None, :], traj.states[:, :, None])[:, 0, 0]
         integrand = energies(spec, traj.xi, traj.pi) - 0.5 * dots
-    return cumulative_simpson(integrand, dx=traj.dt)
+    return cumulative_simpson(integrand, traj.dt)
 
 
 @dataclass(eq=False)

@@ -208,7 +208,7 @@ def duhamel_curve(spec: HamiltonianSpec, flow: PacketFlow) -> np.ndarray:
     count = len(flow.traj.times)
     values = _remainder_norms(spec, flow.traj.xi, flow.series.M.real,
                               {0, count // 2, count - 1})
-    return cumulative_trapezoid(values, flow.traj.times)
+    return cumulative_trapezoid(values, flow.traj.dt)
 
 
 @dataclass(eq=False)
@@ -775,9 +775,12 @@ def ehrenfest_residuals(data: EhrenfestData) -> dict:
     accuracy for every potential; gap = |<V'(q)> - V'(<q>)| is zero
     exactly when V is quadratic and measures the failure of expectation
     values to follow the classical flow.  Both curves are on the
-    interior sample times (central differences).
+    interior sample times (central differences), so the data needs at
+    least three samples (ValueError otherwise).
     """
     t, p = data.times, data.momentum
+    if len(t) < 3:
+        raise ValueError("the residuals need at least three samples")
     dpdt = (p[2:] - p[:-2]) / (t[2:] - t[:-2])
     identity = np.abs(dpdt + data.grad_v_mean[1:-1])
     gap = np.abs(data.grad_v_mean - data.grad_v_at_mean)[1:-1]

@@ -213,7 +213,7 @@ def _finite_stay_curve(evo: FiniteEvolution, W: np.ndarray, T: float):
     times = _quad_times(T, float(a[-1] - a[0]))
     signal = _signal_on_times(W, a, times)
     # tau(T') = int_{-T'}^{T'} = 2 int_0^{T'} by evenness of the signal.
-    tau = 2.0 * cumulative_simpson(signal, x=times)
+    tau = 2.0 * cumulative_simpson(signal, T / (times.size - 1))
     return times, tau
 
 
@@ -262,7 +262,7 @@ def _grid_stay_curve(handle: GridHamiltonian, psi: GridWavefunction,
     propagate(handle.spec, GridStack(grid, starts), T, dt, observer=observe)
     times = np.linspace(0.0, T, steps + 1)
     both = np.concatenate(curves[0]) + np.concatenate(curves[1])
-    tau = cumulative_simpson(both, x=times)
+    tau = cumulative_simpson(both, dt)
     return times, tau
 
 

@@ -522,6 +522,10 @@ LATTICE_1D = {**HARMONIC_AT_1, "T": 0.1, "dt": 0.01, "epsilon": 1e-3}
                                                [0.5, 0.0, 0.0],
                                                [0.0, 0.0, 1.0]]}},
      "problem.potential"),
+    # Three steps sampled every second record two states: no interior
+    # sample time is left for the residuals.
+    ("ehrenfest", {"potential": "harmonic", "T": 0.006, "dt": 0.002,
+                   "sample_stride": 2}, "problem.sample_stride"),
 ], ids=["reduce-dt-above-T", "reduce-dt-negative", "reduce-dt-zero",
         "classical-T-zero", "classical-T-negative", "classical-dt-negative",
         "ehrenfest-T-negative", "ehrenfest-dt-above-T", "scale-T-negative",
@@ -544,7 +548,7 @@ LATTICE_1D = {**HARMONIC_AT_1, "T": 0.1, "dt": 0.01, "epsilon": 1e-3}
         "reduce-grid-n", "reduce-comparator-s", "reduce-comparator-N",
         "audit-s", "audit-N", "reduce-mass", "scale-mass", "squeeze-mass",
         "ehrenfest-mass", "classical-mass", "reduce-degree-1d",
-        "reduce-degree-2d"])
+        "reduce-degree-2d", "ehrenfest-two-samples"])
 def test_setup_faults_exit_two_and_name_their_field(tmp_path, capsys, mode,
                                                     problem, field):
     # Each of these used to start the run and exit 3, raise out of run(),
@@ -555,7 +559,8 @@ def test_setup_faults_exit_two_and_name_their_field(tmp_path, capsys, mode,
     # wrong length or a negative radius, and each refusal of
     # ReductionProblem, exited 2 without naming the field; so did the
     # refusals of GridSpec, ComparatorSpec, HamiltonianSpec and
-    # PotentialModel.
+    # PotentialModel.  An ehrenfest of two samples exited 3 with numpy's
+    # zero-size reduction error.
     cfg = write_config(tmp_path, {"mode": mode, "problem": problem})
     assert run(cfg, out_dir=tmp_path / "out") == 2
     assert f"config.{field}: " in capsys.readouterr().err

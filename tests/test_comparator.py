@@ -87,6 +87,20 @@ def test_position_norm_within_closed_bound(s):
     assert out["aOmega_sq_measured"] > 0.0
 
 
+def test_position_norm_is_the_exact_top_singular_value():
+    # At s = 0.1 the norm of q composed with the comparator converges
+    # slowly under power iteration (200 steps read 9.1e-9 low); the
+    # reported value is the top eigenvalue of the Gram matrix, here by
+    # an SVD of the truncated matrix.
+    spec = ComparatorSpec(s=0.1, N=128)
+    n = np.arange(spec.N)
+    q = np.zeros((spec.N + 1, spec.N + 1))
+    q[n, n + 1] = q[n + 1, n] = np.sqrt((n + 1) / 2.0)
+    top = np.linalg.norm(q * spec.eigenvalues, 2) ** 2
+    measured = comparator_scalars(spec)["aOmega_sq_measured"]
+    assert measured == pytest.approx(top, rel=1e-12, abs=0)
+
+
 def test_bound_value_at_s_one():
     out = comparator_scalars(ComparatorSpec(s=1.0))
     assert abs(out["aOmega_bound"] - (1.0 - np.exp(-1.0)) ** 2) < 1e-15

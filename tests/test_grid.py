@@ -352,9 +352,9 @@ def test_2d_step_in_place_is_bitwise_the_written_out_expression(grid):
                                   GridSpec(n=2, N=128, L=10.0)],
                          ids=["N64", "N128"])
 def test_stacked_2d_expectations_match_the_scipy_parseval_form(grid):
-    # The 2D momenta as they ran on scipy.fft.fft2: two numpy passes in
-    # its axis order keep their bits.  Each state's marginals go through
-    # its own vector product.
+    # The 2D momenta in the Parseval form they took on scipy.fft.fft2,
+    # now on numpy's fft2: the power spectrum's marginals times grid.k.
+    # Each state's marginals go through its own vector product.
     rng = np.random.default_rng(7)
     rows = []
     for _ in range(4):
@@ -365,7 +365,7 @@ def test_stacked_2d_expectations_match_the_scipy_parseval_form(grid):
     assert all(GridWavefunction(grid, amp).is_unit for amp in amps)
     cell = grid.cell
     dens = np.abs(amps) ** 2
-    power = np.abs(scipy.fft.fft2(amps)) ** 2 * (cell / grid.N ** 2)
+    power = np.abs(np.fft.fft2(amps)) ** 2 * (cell / grid.N ** 2)
     want = np.array([[np.sum(d, axis=-1) @ grid.x * cell,
                       np.sum(d, axis=-2) @ grid.x * cell,
                       np.sum(w, axis=-1) @ grid.k,
@@ -637,8 +637,7 @@ def _block_moments(amps, grid):
         p = np.sum(np.conj(amps) * -1j * dpsi, axis=-1).real
         return np.stack([np.sum(grid.x * dens, axis=-1) * cell, p * cell],
                         axis=-1)
-    spectrum = np.fft.fft(np.fft.fft(amps, axis=-2), axis=-1)
-    power = np.abs(spectrum) ** 2 * (cell / grid.N ** 2)
+    power = np.abs(np.fft.fft2(amps)) ** 2 * (cell / grid.N ** 2)
     return np.array([[np.sum(d, axis=-1) @ grid.x * cell,
                       np.sum(d, axis=-2) @ grid.x * cell,
                       np.sum(w, axis=-1) @ grid.k,

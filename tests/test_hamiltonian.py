@@ -9,9 +9,10 @@ from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.hermite_e import hermegauss
 
 from qreduce import HamiltonianSpec, PhasePoint, PotentialModel
-from qreduce.hamiltonian import (MAX_POLY_DEGREE, MAX_POLY_DEGREE_2D,
-                                 _hermegauss, _polyder,
-                                 _remainder_by_subtraction, energies)
+from qreduce.hamiltonian import (GAUSS_NODES, MAX_POLY_DEGREE,
+                                 MAX_POLY_DEGREE_2D, _polyder,
+                                 _remainder_by_subtraction, energies,
+                                 normal_rule)
 from qreduce.scaling import scale_hamiltonian
 
 
@@ -299,12 +300,21 @@ def test_polyder_is_bitwise_numpys(shape):
     _assert_bitwise(C, kept)
 
 
-@pytest.mark.parametrize("n", range(2, 20))
-def test_gauss_hermite_rule_is_bitwise_hermegauss(n):
-    nodes, weights = hermegauss(n)
-    z, w = _hermegauss(n)
-    _assert_bitwise(z, nodes)
-    _assert_bitwise(w, weights)
+def test_normal_rule_is_a_symmetric_gauss_hermite_rule():
+    # E Z^k of a standard normal Z for k <= 17, the degree of r^2 at the
+    # caps, to rounding of the sum of the terms' magnitudes; nodes and
+    # weights exactly symmetric, the middle node 0; and numpy's
+    # hermegauss, whose weights sum to sqrt(2 pi), to rounding.
+    z, w = normal_rule()
+    for k in range(18):
+        moment = 0.0 if k % 2 else math.prod(range(k - 1, 0, -2))
+        assert abs(w @ z ** k - moment) <= 1e-13 * (w @ np.abs(z) ** k)
+    assert np.array_equal(z, -z[::-1]) and np.array_equal(w, w[::-1])
+    assert z[GAUSS_NODES // 2] == 0.0
+    nodes, weights = hermegauss(GAUSS_NODES)
+    np.testing.assert_allclose(z, nodes, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(w, weights / np.sqrt(2 * np.pi),
+                               rtol=1e-13, atol=0)
 
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
@@ -404,8 +414,17 @@ def remainder_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=remainder_cases())
 def test_remainder_is_bitwise_the_outer_first_horner(case):
-    # remainder runs _evaluate's Horner on reversed axes; that must be
-    # the x-outermost nesting operation for operation, sign bits included.
+    # remainder runs _evaluate's Horner in the coordinates' own order on
+    # Taylor coefficients from the derivative cache; the x-outermost
+    # nesting of numpy's polyder coefficients is the oracle, to 1e-12 of
+    # the same remainder with every coefficient, centre and displacement
+    # taken by magnitude, which bounds each term.  Subnormal coefficients
+    # round differently in the two orders of the 1 / a! division, so
+    # differences below the smallest normal number pass.
     C, centers, u = case
-    _assert_bitwise(PotentialModel(C).remainder(centers, u),
-                    _reference_remainder(C, centers, u))
+    got = PotentialModel(C).remainder(centers, u)
+    want = _reference_remainder(C, centers, u)
+    scale = _reference_remainder(np.abs(C), np.abs(centers), np.abs(u))
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want)
+                  <= 1e-12 * scale + np.finfo(float).smallest_normal)

@@ -5,6 +5,7 @@ numpy.polynomial or OpenSSL's hashlib binding, which would each add to
 every run's resident set."""
 
 import ast
+import importlib.util
 import json
 import os
 import re
@@ -45,10 +46,25 @@ def test_no_unused_module_imports(path):
 
 
 def _module_names(tree) -> set:
-    """The names that ``import`` statements bind to modules."""
-    return {alias.asname or alias.name.split(".")[0]
-            for node in ast.walk(tree) if isinstance(node, ast.Import)
-            for alias in node.names}
+    """The names that ``import`` statements bind to modules, and those
+    that absolute ``from pkg import name`` statements bind to a module
+    pkg.name, as importlib finds it."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.asname or alias.name.split(".")[0]
+                      for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names |= {alias.asname or alias.name for alias in node.names
+                      if _is_module(f"{node.module}.{alias.name}")}
+    return names
+
+
+def _is_module(name: str) -> bool:
+    try:
+        return importlib.util.find_spec(name) is not None
+    except (ImportError, ValueError):
+        return False
 
 
 def _referenced(node, modules: set) -> set:
@@ -173,6 +189,15 @@ def test_the_reachability_check_sees_a_test_only_definition():
     # Read off anything else, the same names reach both methods.
     roots = ["from m import Used\nUsed().norm()\nitems.prod()\n"]
     assert _unreached({"m": shapes}, roots) == ["m.Unused.__len__", "m.area"]
+    # A module bound by "from pkg import module" is a module too: its
+    # attributes reach no method, whatever name the import gives it.
+    runner = "class Runner:\n    def run(self):\n        pass\n"
+    for root in ("from qreduce import cli\ncli.run('x')\n",
+                 "from qreduce import cli as c\nc.run('x')\n",
+                 "import qreduce.cli as cli\ncli.run('x')\n"):
+        assert _unreached({"m": runner}, [root]) == ["m.Runner.run"]
+    assert _unreached({"m": runner}, ["from m import Runner\n"
+                                      "Runner().run()\n"]) == []
 
 
 def _fenced_code(markdown: str) -> list:

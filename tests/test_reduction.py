@@ -225,7 +225,7 @@ def test_duhamel_curve_keeps_its_bits_on_the_remainder_2d_config(
     unchecked = reduction._remainder_norms(spec, flow.traj.xi,
                                            flow.series.M.real, ())
     assert np.array_equal(
-        curve, cumulative_trapezoid(unchecked, flow.traj.times, initial=0.0))
+        curve, cumulative_trapezoid(unchecked, dx=flow.traj.dt, initial=0.0))
     monkeypatch.setattr(reduction, "_reference_norm",
                         lambda *args: stacked_reference(*args)[0])
     assert np.array_equal(duhamel_curve(spec, flow), curve)
@@ -357,23 +357,23 @@ def test_theorem_bound_single_time_api():
 def test_run_reduction_builds_each_basis_once(monkeypatch):
     # Nine lattice samples share one comparator and one grid, so every
     # projection of every snapshot reuses a single Hermite basis, and the
-    # power iteration behind the operator scalars runs once.
+    # operator scalars are computed once.
     import qreduce.comparator as comparator
     build = comparator.hermite_functions
-    iterate = comparator._power_iteration_sq
+    scalars = comparator._scalars
     calls = []
-    iterations = []
+    scalar_calls = []
 
     def counting(x, K):
         calls.append(K)
         return build(x, K)
 
-    def counting_iterations(mat, *args, **kwargs):
-        iterations.append(mat.shape)
-        return iterate(mat, *args, **kwargs)
+    def counting_scalars(spec, dimension):
+        scalar_calls.append(dimension)
+        return scalars(spec, dimension)
 
     monkeypatch.setattr(comparator, "hermite_functions", counting)
-    monkeypatch.setattr(comparator, "_power_iteration_sq", counting_iterations)
+    monkeypatch.setattr(comparator, "_scalars", counting_scalars)
     center = PhasePoint(1.0, 0.0)
     problem = ReductionProblem(spec=CUBIC_PERTURBED, alpha0=center, T=0.1,
                                epsilon=1.0, dt=0.01,
@@ -382,7 +382,7 @@ def test_run_reduction_builds_each_basis_once(monkeypatch):
     assert len(report.sample_results) == 9
     assert len(report.times) == 11
     assert calls == [problem.comparator.N]
-    assert len(iterations) == 1
+    assert scalar_calls == [1]
 
 
 def test_scalar_M0_broadcasts_in_two_dimensions():
@@ -522,6 +522,19 @@ def test_ehrenfest_harmonic_residuals_tiny():
     out = ehrenfest_residuals(data)
     assert np.max(out["identity"]) < 1e-6
     assert np.max(out["gap"]) < 1e-6
+
+
+def test_ehrenfest_residuals_need_three_samples():
+    # Three steps sampled every second record two states: the central
+    # differences have no interior time.  Three samples give one.
+    psi0 = sample_on_grid(packet(PhasePoint(1.0, 0.0), 1.0),
+                          GridSpec(1, 1024, 20.0))
+    data = ehrenfest_run(HARMONIC, psi0, 0.006, dt=0.002, sample_stride=2)
+    assert len(data.times) == 2
+    with pytest.raises(ValueError, match="at least three samples"):
+        ehrenfest_residuals(data)
+    data = ehrenfest_run(HARMONIC, psi0, 0.008, dt=0.002, sample_stride=2)
+    assert len(ehrenfest_residuals(data)["times"]) == 1
 
 
 def test_ehrenfest_quartic_gap_oracle():
@@ -1200,8 +1213,9 @@ def test_the_normal_rule_is_computed_once_and_read_only():
     z, w = hamiltonian.normal_rule()
     assert hamiltonian.normal_rule()[0] is z
     nodes, weights = hermegauss(hamiltonian.GAUSS_NODES)
-    assert np.array_equal(z, nodes)
-    assert np.array_equal(w, weights / np.sqrt(2.0 * np.pi))
+    np.testing.assert_allclose(z, nodes, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(w, weights / np.sqrt(2.0 * np.pi),
+                               rtol=1e-13, atol=0)
     with pytest.raises(ValueError):
         w[0] = 0.0
 

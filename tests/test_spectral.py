@@ -344,7 +344,7 @@ def paired_stay_curve(handle, psi, comp, T):
         signal.append(forward + backward)
     times = np.linspace(0.0, T, steps + 1)
     signal = np.array(signal)
-    return times, signal, cumulative_simpson(signal, x=times)
+    return times, signal, cumulative_simpson(signal, T / steps)
 
 
 # A 1D run alone at N = 1024 takes blocks of 32 states: 33 steps end on
@@ -381,9 +381,9 @@ def test_the_stacked_stay_curve_is_bitwise_the_two_runs_alone(
     signals = []
     integrate = spectral.cumulative_simpson
 
-    def recording(signal, x):
+    def recording(signal, dx):
         signals.append(signal)
-        return integrate(signal, x=x)
+        return integrate(signal, dx)
 
     monkeypatch.setattr(spectral, "cumulative_simpson", recording)
     times, tau = spectral._grid_stay_curve(handle, psi, comp, T)

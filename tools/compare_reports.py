@@ -16,10 +16,17 @@ bounds in one stacked run, which no workload runs.  Each config runs through
 JSON and CSV.
 
 Every JSON field that differs between the trees (``created_utc`` aside)
-is printed with its largest absolute and relative difference, and so is
-every differing CSV file.  The script exits 1 if a unit's exit status
-differs between the trees, else 0; the summary line counts the files
-compared and the files that differ.  After it, each tree's
+is printed, a number or a list of numbers with its largest absolute and
+relative difference, and so is every differing CSV file.  Float gaps
+are only printed.  Every other difference is an exact-field difference,
+marked as such: a JSON leaf that is not a number or a list of numbers
+(a verdict, a label, a boolean, a string, null against a number), a
+leaf or a report file present in only one tree, a list of numbers that
+changes length, and a CSV file whose cell count, non-numeric cells or
+header lines change.  The script exits 1 if a unit's exit status
+differs between the trees or any exact-field difference is found, else
+0; the summary line counts the files compared, the files that differ
+and the exact-field differences.  After it, each tree's
 ``src/qreduce/*.py`` line count is printed, in total and of code lines
 alone (no blank, comment or docstring lines).
 """
@@ -189,8 +196,7 @@ def numeric_gap(old, new):
     return worst_abs, worst_rel
 
 
-def _describe(old, new) -> str:
-    gap = numeric_gap(old, new)
+def _describe(gap, old, new) -> str:
     if gap is None:
         return f"{_short(old)} -> {_short(new)}"
     return f"max abs diff {gap[0]:.3g}, max rel diff {gap[1]:.3g}"
@@ -202,16 +208,20 @@ def _short(value) -> str:
 
 
 def diff_json(old_text: str, new_text: str) -> list:
+    """[(line, exact)] for each leaf that differs; exact unless both
+    leaves are numbers or number lists of one length."""
     old = dict(_leaves(json.loads(old_text)))
     new = dict(_leaves(json.loads(new_text)))
     lines = []
     for path in sorted(old.keys() | new.keys()):
         if path not in new:
-            lines.append(f"{path}: only in OLD")
+            lines.append((f"{path}: only in OLD", True))
         elif path not in old:
-            lines.append(f"{path}: only in NEW")
+            lines.append((f"{path}: only in NEW", True))
         elif old[path] != new[path]:
-            lines.append(f"{path}: {_describe(old[path], new[path])}")
+            gap = numeric_gap(old[path], new[path])
+            lines.append((f"{path}: {_describe(gap, old[path], new[path])}",
+                          gap is None))
     return lines
 
 
@@ -229,32 +239,37 @@ def _cells(text: str) -> list:
 
 
 def diff_csv(old_text: str, new_text: str) -> list:
+    """[(line, exact)] for a differing CSV file: its cell count, its
+    non-numeric cells and header lines are exact, its float gap is not."""
     old, new = _cells(old_text), _cells(new_text)
     if len(old) != len(new):
-        return [f"{len(old)} cells -> {len(new)} cells"]
+        return [(f"{len(old)} cells -> {len(new)} cells", True)]
     numeric = [(a, b) for a, b in zip(old, new)
                if isinstance(a, float) and isinstance(b, float)]
     text_changes = sum(a != b for a, b in zip(old, new)
                        if not (isinstance(a, float) and isinstance(b, float)))
     lines = []
     if text_changes or old_text.splitlines()[:2] != new_text.splitlines()[:2]:
-        lines.append(f"{text_changes} non-numeric cells or header lines differ")
+        lines.append((f"{text_changes} non-numeric cells or header lines "
+                      "differ", True))
     gap = numeric_gap([a for a, _ in numeric], [b for _, b in numeric])
     if gap != (0.0, 0.0):
-        lines.append(f"max abs diff {gap[0]:.3g}, max rel diff {gap[1]:.3g}")
-    return lines or ["text differs"]
+        lines.append((f"max abs diff {gap[0]:.3g}, max rel diff {gap[1]:.3g}",
+                      False))
+    return lines or [("text differs", False)]
 
 
-def compare_unit(old_dir: Path, new_dir: Path) -> dict:
-    """({file name: [difference lines]} for the files that differ,
-    number of file names seen)."""
+def compare_unit(old_dir: Path, new_dir: Path) -> tuple:
+    """({file name: [(difference line, exact)]} for the files that
+    differ, number of file names seen)."""
     names = sorted({p.name for d in (old_dir, new_dir) if d.is_dir()
                     for p in d.iterdir()})
     found = {}
     for name in names:
         old, new = old_dir / name, new_dir / name
         if not old.exists() or not new.exists():
-            found[name] = ["only in " + ("NEW" if new.exists() else "OLD")]
+            found[name] = [("only in " + ("NEW" if new.exists() else "OLD"),
+                            True)]
             continue
         old_text, new_text = old.read_text(), new.read_text()
         if old_text == new_text:
@@ -292,7 +307,7 @@ def main(argv=None) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     trees = {"OLD": source_dir(args[0]), "NEW": source_dir(args[1])}
-    status_changed = differing = compared = 0
+    status_changed = differing = compared = exact = 0
     with tempfile.TemporaryDirectory() as tmp:
         for index, (unit, config) in enumerate(unit_configs()):
             codes, messages, outs = {}, {}, {}
@@ -311,14 +326,17 @@ def main(argv=None) -> int:
             compared += files
             differing += len(found)
             for name, lines in found.items():
-                for line in lines:
-                    print(f"  {name}: {line}")
-    print(f"{compared} files compared, {differing} differ; "
-          f"{status_changed} units with a different exit status")
+                for line, is_exact in lines:
+                    exact += is_exact
+                    mark = "EXACT FIELD DIFFERS: " if is_exact else ""
+                    print(f"  {name}: {mark}{line}")
+    print(f"{compared} files compared, {differing} differ, {exact} "
+          f"exact-field differences; {status_changed} units with a "
+          "different exit status")
     for label, src in trees.items():
         lines, code = line_counts(src)
         print(f"{label} src/qreduce: {lines} lines, {code} code lines")
-    return 1 if status_changed else 0
+    return 1 if status_changed or exact else 0
 
 
 if __name__ == "__main__":
