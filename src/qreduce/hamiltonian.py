@@ -177,18 +177,24 @@ def normal_rule():
     """Gauss-Hermite nodes z and weights w with sum_k w_k f(z_k) = E f(Z),
     Z standard normal, for f of degree <= 17: r^2 at the degree caps.
 
-    Golub-Welsch: the nodes are the eigenvalues of the GAUSS_NODES-node
-    Jacobi matrix of the probabilists' Hermite polynomials (off-diagonals
-    sqrt(1) .. sqrt(GAUSS_NODES - 1)), and each weight is the square of
-    the first entry of its unit eigenvector, so the weights sum to 1.
-    Both are symmetrised about 0, so the middle node is exactly 0.  The
-    rule is computed once and shared, so both arrays are read-only."""
-    off = np.sqrt(np.arange(1.0, GAUSS_NODES))
-    z, V = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    w = V[0] ** 2
-    z, w = (z - z[::-1]) / 2, (w + w[::-1]) / 2
+    It is _gauss_hermite(GAUSS_NODES), computed once and shared, so both
+    arrays are read-only."""
+    z, w = _gauss_hermite(GAUSS_NODES)
     z.flags.writeable = w.flags.writeable = False
     return z, w
+
+
+def _gauss_hermite(n):
+    """The n-node Gauss rule for the standard normal, n >= 2, exact for
+    degree <= 2n - 1, by Golub-Welsch: the nodes are the eigenvalues of
+    the Jacobi matrix of the probabilists' Hermite polynomials
+    (off-diagonals sqrt(1) .. sqrt(n - 1)), and each weight is the square
+    of the first entry of its unit eigenvector, so the weights sum to 1.
+    Both are symmetrised about 0, so for odd n the middle node is 0."""
+    off = np.sqrt(np.arange(1.0, n))
+    z, V = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = V[0] ** 2
+    return (z - z[::-1]) / 2, (w + w[::-1]) / 2
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from qreduce import HamiltonianSpec, PhasePoint, PotentialModel
 from qreduce.hamiltonian import (GAUSS_NODES, MAX_POLY_DEGREE,
-                                 MAX_POLY_DEGREE_2D, _polyder,
-                                 _remainder_by_subtraction, energies,
-                                 normal_rule)
+                                 MAX_POLY_DEGREE_2D, _gauss_hermite,
+                                 _polyder, _remainder_by_subtraction,
+                                 energies, normal_rule)
 from qreduce.scaling import scale_hamiltonian
 
 
@@ -300,21 +300,33 @@ def test_polyder_is_bitwise_numpys(shape):
     _assert_bitwise(C, kept)
 
 
-def test_normal_rule_is_a_symmetric_gauss_hermite_rule():
-    # E Z^k of a standard normal Z for k <= 17, the degree of r^2 at the
-    # caps, to rounding of the sum of the terms' magnitudes; nodes and
-    # weights exactly symmetric, the middle node 0; and numpy's
-    # hermegauss, whose weights sum to sqrt(2 pi), to rounding.
-    z, w = normal_rule()
-    for k in range(18):
+@pytest.mark.parametrize("n", range(2, 20))
+def test_gauss_hermite_rule_is_bitwise_hermegauss(n):
+    # E Z^k of a standard normal Z for k <= 2n - 1 to rounding of the sum
+    # of the terms' magnitudes; nodes and weights bitwise symmetric, the
+    # middle node of an odd rule 0; and numpy's hermegauss, whose weights
+    # sum to sqrt(2 pi), to rounding.
+    z, w = _gauss_hermite(n)
+    for k in range(2 * n):
         moment = 0.0 if k % 2 else math.prod(range(k - 1, 0, -2))
         assert abs(w @ z ** k - moment) <= 1e-13 * (w @ np.abs(z) ** k)
     assert np.array_equal(z, -z[::-1]) and np.array_equal(w, w[::-1])
-    assert z[GAUSS_NODES // 2] == 0.0
-    nodes, weights = hermegauss(GAUSS_NODES)
+    assert n % 2 == 0 or z[n // 2] == 0.0
+    nodes, weights = hermegauss(n)
     np.testing.assert_allclose(z, nodes, rtol=1e-13, atol=0)
     np.testing.assert_allclose(w, weights / np.sqrt(2 * np.pi),
                                rtol=1e-13, atol=0)
+
+
+def test_normal_rule_is_a_symmetric_gauss_hermite_rule():
+    # The shared GAUSS_NODES-node rule, read-only, exact to degree 17:
+    # r^2 at the degree caps.
+    z, w = normal_rule()
+    nodes, weights = _gauss_hermite(GAUSS_NODES)
+    _assert_bitwise(z, nodes)
+    _assert_bitwise(w, weights)
+    assert not (z.flags.writeable or w.flags.writeable)
+    assert 2 * GAUSS_NODES - 1 >= 2 * MAX_POLY_DEGREE + 1
 
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
