@@ -4,9 +4,9 @@ The comparator is the number-basis operator about the phase-space
 origin: diagonal on Hermite functions with eigenvalues sigma_s e^{-s n}
 (sigma_s = 1 - e^{-s}), which makes the number-basis realization exact
 up to truncation.  States on a grid are projected onto the first N + 1
-Hermite functions by quadrature, scaled and resynthesized; inverse
-quantities are truncated sums with explicit divergence detection, never
-dense inverses.
+Hermite functions by quadrature and scaled there, so the comparator's
+image stays in the number basis; inverse quantities are truncated sums
+with explicit divergence detection, never dense inverses.
 
 Coherent-state formulas use the complex label z = (xi + i pi) / sqrt(2),
 so |alpha|^2 below always means |z|^2 = (xi^2 + pi^2) / 2.
@@ -38,7 +38,7 @@ class ComparatorSpec:
     keeps what it has computed in a private store: the complex Hermite
     basis per grid, and per dimension the operator scalars and the
     coefficient weights.  A run that projects many states on one grid
-    therefore builds the basis, and runs the power iteration, once.
+    therefore builds the basis, and the operator scalars, once.
     """
 
     s: float
@@ -155,26 +155,22 @@ def hermite_coefficients(spec: ComparatorSpec, amps, grid: GridSpec):
     return coeffs, residual
 
 
-def apply_comparator(spec: ComparatorSpec, projection, grid: GridSpec,
-                     out=None):
+def apply_comparator(spec: ComparatorSpec, projection) -> np.ndarray:
     """Apply the comparator at unit top eigenvalue to a projected stack.
 
     projection is the stack's (coeffs, residual), as hermite_coefficients
-    returns it for ``grid``.  The operator is divided by sigma_s per axis,
-    so each coefficient is weighted by e^{-s n}; in two dimensions the
-    basis is the tensor product and n the total number.  The operator is
-    the one about the origin, so no state is displaced.
-    The stack is synthesized row-exactly, by the batched product
-    (coeffs * decay)[:, None, :] @ h in 1D and h.T @ (coeffs * decay) @ h
-    per row in 2D, so each row is bitwise the result for that row alone.
-    The products write straight into ``out``, a complex array of shape
-    (B,) + (grid.N,) * n whose contents are not read, or into a fresh
-    one without it: the bound stage passes the observed block, so Omega W
-    takes no block of its own.
+    returns it.  The operator is divided by sigma_s per axis, so each
+    coefficient is weighted by e^{-s n}; in two dimensions the basis is
+    the tensor product and n the total number.  The operator is the one
+    about the origin, so no state is displaced.  It is diagonal on the
+    Hermite functions, so its image is returned in the number basis and
+    not synthesized on a grid; the product is elementwise, so each row is
+    bitwise the result for that row alone.
 
     Returns
     -------
-    ``out``, holding Omega applied to each row of the stack.
+    coeffs * e^{-s n}: the coefficients of Omega applied to each row's
+    part in the basis, of coeffs' shape.
 
     Raises
     ------
@@ -186,18 +182,7 @@ def apply_comparator(spec: ComparatorSpec, projection, grid: GridSpec,
     for value in residual:
         if value > RESIDUAL_TOL:
             raise _residual_error(value)
-    weighted = coeffs * _constants(spec, grid.n).decay
-    h = _basis(spec, grid)
-    if out is None:
-        out = np.empty((len(weighted),) + (grid.N,) * grid.n, dtype=complex)
-    if grid.n == 1:
-        np.matmul(weighted[:, None, :], h, out=out[:, None, :])
-        return out
-    # Row by row: a broadcast h.T @ weighted @ h raised the peak memory
-    # of a run, for the same bits.
-    for row, c in enumerate(weighted):
-        np.matmul(h.T @ c, h, out=out[row])
-    return out
+    return coeffs * _constants(spec, coeffs.ndim - 1).decay
 
 
 def _residual_error(residual) -> BasisResidualError:
@@ -232,10 +217,14 @@ def _scalars(spec: ComparatorSpec, dimension: int) -> dict:
     Q[n_vals[:-1], n_vals[:-1] + 1] = cpl
     Q[n_vals[:-1] + 1, n_vals[:-1]] = cpl
     QD = Q * spec.eigenvalues
+    gram = QD.T @ QD
+    # q^2 couples only numbers of equal parity, so the Gram matrix is two
+    # blocks, even and odd, and its top eigenvalue is the larger of theirs.
+    top = max(np.linalg.eigvalsh(gram[p::2, p::2])[-1] for p in (0, 1))
     bound = sigma ** 2 * np.exp(s - 1.0) / s
     return {"norm": sigma ** dimension,
             "trace": trace_1d ** dimension,
-            "aOmega_sq_measured": float(np.linalg.eigvalsh(QD.T @ QD)[-1]),
+            "aOmega_sq_measured": float(top),
             "aOmega_bound": float(bound)}
 
 

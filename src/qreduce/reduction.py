@@ -268,12 +268,11 @@ def run_grid(spec: HamiltonianSpec, psi0: GridStack, T: float, dt: float,
 
     The run allocates one scratch block, of the size of propagate's
     observer block, and every block's work goes through its leading
-    rows: first the spectra of expectation_a, then the bound stage's W
-    (and W - Omega W after it).  The observed states u are scored in
-    the block that holds them, which the bound stage overwrites with
-    W - u and then Omega W (BoundInputs).  So the observer allocates no
-    block-sized array of its own, and the heap does not grow and trim
-    again for each block.  Every block it scores is the run's own:
+    rows: first the spectra of expectation_a, then the bound stage's W.
+    The observed states u are scored in the block that holds them, which
+    the bound stage overwrites with W - u (BoundInputs).  So the observer
+    allocates no block-sized array of its own, and the heap does not grow
+    and trim again for each block.  Every block it scores is the run's own:
     propagate's observer blocks, its final rows, and a copy of psi0's
     rows for the start, so psi0 keeps its bits.
     """
@@ -372,24 +371,22 @@ class BoundInputs:
     approximating packets W of every sample, at the trajectory step of
     each time, go into ``work``: a complex block of amps' shape whose
     contents are not read, run_grid's scratch block for the run.  W and
-    u are projected by one row-exact hermite_coefficients call each, and
-    apply_comparator smooths the W rows from W's projection.
-    delta1 = ||W - u|| and delta2 = ||(1 - Omega) W|| are stacked row
-    norms.  The call allocates no block of its own: once both are
-    projected, the rows of amps turn into W - u, whose norms are delta1,
-    and then into Omega W, which apply_comparator writes there; the rows
-    of work turn from W into W - Omega W, whose norms are delta2.  So
-    amps must be the caller's to overwrite, and both blocks are spent
-    when the call returns.  The membership probes are one
-    within_magnitude call per state, on that state's row of the
+    u are projected by one row-exact hermite_coefficients call each.
+    delta1 = ||W - u|| is a stacked row norm: once both are projected,
+    the rows of amps turn into W - u, so amps must be the caller's to
+    overwrite, and the call allocates no block of its own.
+    delta2 = ||(1 - Omega) W|| is taken from W's projection alone
+    (_comparator_defects), with no grid pass.  The membership probes are
+    one within_magnitude call per state, on that state's row of the
     projection, so W's one projection serves delta2 and its probe alike.
-    Every number is bitwise the one a stack of one gives.  ``blocks`` holds one tuple per block: the
-    steps, a (4, B) array of delta1, delta2 and the inverse norms of u
-    and W, and a (2, B) array of their divergence flags.  The first W
-    row of a sample with more than RESIDUAL_TOL of its mass outside the
-    basis ends that sample's bound work: its BasisResidualError goes to
-    the sample's ``failure``, for assemble_bounds to raise, and its block
-    is not kept; the other samples of the stack go on.
+    Every number is bitwise the one a stack of one gives.  ``blocks``
+    holds one tuple per block: the steps, a (4, B) array of delta1,
+    delta2 and the inverse norms of u and W, and a (2, B) array of their
+    divergence flags.  The first W row of a sample with more than
+    RESIDUAL_TOL of its mass outside the basis ends that sample's bound
+    work: its BasisResidualError goes to the sample's ``failure``, for
+    assemble_bounds to raise, and its block is not kept; the other
+    samples of the stack go on.
     """
 
     def __init__(self, problem: ReductionProblem, flow: PacketFlow):
@@ -431,13 +428,10 @@ class BoundInputs:
         u_rows, w_rows = _rows(amps[:len(live)]), _rows(w)
         u_coeffs, u_residual = hermite_coefficients(comp, u_rows, grid)
         # u is not read again once projected: its rows turn into W - u,
-        # whose norms are delta1, and then into Omega W, which turns W's
-        # rows into W - Omega W, whose norms are delta2.
+        # whose norms are delta1.
         np.subtract(w_rows, u_rows, out=u_rows)
         delta1 = _row_norms(u_rows, grid)
-        apply_comparator(comp, (w_coeffs, w_residual), grid, out=u_rows)
-        w_rows -= u_rows
-        delta2 = _row_norms(w_rows, grid)
+        delta2 = _comparator_defects(comp, (w_coeffs, w_residual))
         inv_u, div_u = _membership_probes(comp, u_coeffs, u_residual)
         inv_w, div_w = _membership_probes(comp, w_coeffs, w_residual)
         values = np.stack([delta1, delta2, inv_u, inv_w]).reshape(
@@ -445,6 +439,25 @@ class BoundInputs:
         flags = np.stack([div_u, div_w]).reshape(2, len(live), -1)
         for at, row in enumerate(live):
             inputs[row].blocks.append((steps, values[:, at], flags[:, at]))
+
+
+def _comparator_defects(comp: ComparatorSpec, projection) -> np.ndarray:
+    """||(1 - Omega) W|| per row of a projected stack of states W.
+
+    Omega is diagonal on the Hermite functions, so in the basis
+    (1 - Omega) W has the coefficients c - apply_comparator's image, and
+    W's mass outside it, ||W||^2 - sum |c|^2 = residual sum |c|^2 /
+    (1 - residual), passes unchanged.  So no grid pass is made, and each
+    row is bitwise the result for that row alone.  A row with more than
+    RESIDUAL_TOL of its mass outside the basis raises apply_comparator's
+    BasisResidualError.
+    """
+    coeffs, residual = projection
+    defect = coeffs - apply_comparator(comp, projection)
+    rows = len(coeffs)
+    captured = np.sum(np.abs(coeffs.reshape(rows, -1)) ** 2, axis=-1)
+    in_basis = np.sum(np.abs(defect.reshape(rows, -1)) ** 2, axis=-1)
+    return np.sqrt(in_basis + residual * captured / (1.0 - residual))
 
 
 def _rows(stack):
@@ -798,12 +811,12 @@ def squeeze_sweep(problem: ReductionProblem, dilations) -> dict:
     problem, else measured on the d = 1 flow, which its row then reuses;
     E_source in the result says which ("given" or "auto").  Each final
     state W is scored by the bound stage's code, as BoundInputs.add_stack
-    scores a block: sampled by _sample_flows as a stack of one, one
-    hermite_coefficients projection, which serves both apply_comparator
-    and the E probe (_membership_probes), then a row norm of W - Omega W.
-    A W with mass beyond the basis raises apply_comparator's
-    BasisResidualError as soon as it is scored: with E auto, the d = 1
-    state first.
+    scores a block: sampled by _sample_flows as a stack of one, then one
+    hermite_coefficients projection, which serves both the comparator
+    term (_comparator_defects, with no grid pass) and the E probe
+    (_membership_probes).  A W with mass beyond the basis raises
+    apply_comparator's BasisResidualError as soon as it is scored: with
+    E auto, the d = 1 state first.
     """
     dilations = [float(d) for d in dilations]
     if any(d <= 0 for d in dilations):
@@ -814,13 +827,13 @@ def squeeze_sweep(problem: ReductionProblem, dilations) -> dict:
 
     @functools.cache
     def final_state(d):
-        # (flow, ||(1 - Omega) W||, W's projection); W turns into W - Omega W.
+        # (flow, ||(1 - Omega) W||, W's projection).
         flow = approximate_flow(spec, traj, packet(problem.alpha0, d))
         w = np.empty((1, 1) + (grid.N,) * grid.n, dtype=complex)
         _sample_flows([flow], [last], grid, w)
         projection = hermite_coefficients(comp, w[0], grid)
-        w[0] -= apply_comparator(comp, projection, grid)
-        return flow, float(_row_norms(w[0], grid)[0]), projection
+        return (flow, float(_comparator_defects(comp, projection)[0]),
+                projection)
 
     E = _select_E(problem.E, lambda: _membership_probes(
         comp, *final_state(1.0)[2]))

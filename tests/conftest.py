@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qreduce.cli import PRESETS
+from qreduce.comparator import hermite_functions
 from qreduce.grid import GridWavefunction
 from qreduce.hamiltonian import HamiltonianSpec, PhasePoint, PotentialModel
 from qreduce.packets import _amplitude_factor
@@ -40,6 +41,26 @@ def spectral_moments(psi):
     p = [np.sum(np.conj(psi.amp) * -1j * ifft(1j * k[..., j] * fft(psi.amp)))
          .real * cell for j in range(grid.n)]
     return np.array(q + p)
+
+
+def number_weights(spec, n: int) -> np.ndarray:
+    """e^{-s n} per coefficient of the (N + 1)^n table, n its total
+    excitation: the comparator at unit top eigenvalue."""
+    return np.exp(-spec.s * sum(np.indices((spec.N + 1,) * n)))
+
+
+def synthesis(coeffs, grid):
+    """The grid amplitude of one state with these number-basis
+    coefficients, spelled out with the real basis."""
+    h = hermite_functions(grid.x, coeffs.shape[-1] - 1)
+    if grid.n == 1:
+        return coeffs @ h
+    return h.T @ coeffs @ h
+
+
+def explicit_synthesis(spec, coeffs, grid):
+    """Omega W on the grid, from the coefficients of one state W."""
+    return synthesis(coeffs * number_weights(spec, grid.n), grid)
 
 
 def inner(a, b) -> complex:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import inner, normalized
+from conftest import inner, normalized, number_weights, synthesis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,9 +33,10 @@ def project(spec, psi):
 
 
 def smoothed(spec, psi):
-    """The comparator at unit top eigenvalue applied to one grid state."""
-    out = apply_comparator(spec, project(spec, psi), psi.grid)
-    return GridWavefunction(psi.grid, out[0])
+    """The comparator at unit top eigenvalue applied to one grid state:
+    apply_comparator's number-basis image, synthesized on the grid."""
+    image = apply_comparator(spec, project(spec, psi))
+    return GridWavefunction(psi.grid, synthesis(image[0], psi.grid))
 
 
 def membership(spec, E, psi):
@@ -87,18 +88,35 @@ def test_position_norm_within_closed_bound(s):
     assert out["aOmega_sq_measured"] > 0.0
 
 
+def position_comparator(spec):
+    """q composed with the comparator, as a truncated number-basis matrix."""
+    n = np.arange(spec.N)
+    q = np.zeros((spec.N + 1, spec.N + 1))
+    q[n, n + 1] = q[n + 1, n] = np.sqrt((n + 1) / 2.0)
+    return q * spec.eigenvalues
+
+
 def test_position_norm_is_the_exact_top_singular_value():
     # At s = 0.1 the norm of q composed with the comparator converges
     # slowly under power iteration (200 steps read 9.1e-9 low); the
     # reported value is the top eigenvalue of the Gram matrix, here by
     # an SVD of the truncated matrix.
     spec = ComparatorSpec(s=0.1, N=128)
-    n = np.arange(spec.N)
-    q = np.zeros((spec.N + 1, spec.N + 1))
-    q[n, n + 1] = q[n + 1, n] = np.sqrt((n + 1) / 2.0)
-    top = np.linalg.norm(q * spec.eigenvalues, 2) ** 2
+    top = np.linalg.norm(position_comparator(spec), 2) ** 2
     measured = comparator_scalars(spec)["aOmega_sq_measured"]
     assert measured == pytest.approx(top, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("N", [16, 128])
+@pytest.mark.parametrize("s", [0.1, 1.0, 3.0])
+def test_position_norm_from_parity_blocks_is_the_full_gram_one(s, N):
+    # The norm is taken from the even and odd blocks of the Gram matrix;
+    # the eigenvalues of the whole matrix are those of the two blocks.
+    spec = ComparatorSpec(s=s, N=N)
+    qd = position_comparator(spec)
+    full = np.linalg.eigvalsh(qd.T @ qd)[-1]
+    measured = comparator_scalars(spec)["aOmega_sq_measured"]
+    assert measured == pytest.approx(full, rel=1e-14, abs=0)
 
 
 def test_bound_value_at_s_one():
@@ -343,15 +361,6 @@ def explicit_projection(spec, psi):
     return h @ psi.amp @ h.T * grid.cell
 
 
-def explicit_synthesis(spec, coeffs, grid):
-    # Each coefficient weighted by e^{-s n}, n its total excitation.
-    h = hermite_functions(grid.x, spec.N)
-    factor = np.exp(-spec.s * sum(np.indices((spec.N + 1,) * grid.n)))
-    if grid.n == 1:
-        return (coeffs * factor) @ h
-    return h.T @ (coeffs * factor) @ h
-
-
 @pytest.mark.parametrize("grid, spec", [
     (GRID, ComparatorSpec(s=1.0)),
     (GridSpec(n=2, N=128, L=10.0), ComparatorSpec(s=1.0, N=32)),
@@ -367,9 +376,9 @@ def test_projection_and_synthesis_are_bitwise_the_explicit_products(grid, spec):
     for _ in range(2):  # the first call builds the basis, the second reuses it
         assert np.array_equal(project(spec, psi)[0][0], coeffs)
         assert project(spec, psi)[1][0] == residual
-    out = smoothed(spec, psi)
-    expected = GridWavefunction(grid, explicit_synthesis(spec, coeffs, grid))
-    assert np.array_equal(out.amp, expected.amp)
+    # The comparator's image stays in the number basis: coeffs * e^{-s n}.
+    image = apply_comparator(spec, project(spec, psi))
+    assert np.array_equal(image[0], coeffs * number_weights(spec, grid.n))
 
 
 @pytest.mark.parametrize("grid, spec", [
@@ -395,8 +404,8 @@ def test_stacked_projection_equals_the_per_state_one(grid, spec, rows, seed):
         assert residual[row] == single[1][0]
         assert np.array_equal(
             apply_comparator(spec, (coeffs[row:row + 1],
-                                    residual[row:row + 1]), grid),
-            apply_comparator(spec, single, grid))
+                                    residual[row:row + 1])),
+            apply_comparator(spec, single))
         assert (within_magnitude(spec, 1e12, (coeffs[row], residual[row]))
                 == within_magnitude(spec, 1e12, (single[0][0], single[1][0])))
 
@@ -425,12 +434,11 @@ def test_stacked_synthesis_equals_the_per_state_one(grid, spec, rows, seed):
     amps = np.stack([sample_on_grid(packet(
         PhasePoint(*rng.uniform(-1.5, 1.5, (2, grid.n))),
         rng.uniform(0.6, 1.7)), grid).amp for _ in range(rows)])
-    stacked = apply_comparator(spec, hermite_coefficients(spec, amps, grid),
-                               grid)
-    assert stacked.shape == amps.shape
+    stacked = apply_comparator(spec, hermite_coefficients(spec, amps, grid))
+    assert stacked.shape == (rows,) + (spec.N + 1,) * grid.n
     for row in range(rows):
         single = apply_comparator(
-            spec, hermite_coefficients(spec, amps[row:row + 1], grid), grid)
+            spec, hermite_coefficients(spec, amps[row:row + 1], grid))
         assert np.array_equal(stacked[row:row + 1], single)
 
 
@@ -445,12 +453,11 @@ def test_stacked_synthesis_raises_for_its_first_row_outside_the_basis():
     coeffs, residual = hermite_coefficients(spec, amps, GRID)
     assert list(residual > 1e-8) == [False, False, True, False, True]
     with pytest.raises(BasisResidualError) as single:
-        apply_comparator(spec, hermite_coefficients(spec, amps[2:3], GRID),
-                         GRID)
+        apply_comparator(spec, hermite_coefficients(spec, amps[2:3], GRID))
     with pytest.raises(BasisResidualError) as stacked:
-        apply_comparator(spec, (coeffs, residual), GRID)
+        apply_comparator(spec, (coeffs, residual))
     assert str(stacked.value) == str(single.value)
-    head = apply_comparator(spec, (coeffs[:2], residual[:2]), GRID)
+    head = apply_comparator(spec, (coeffs[:2], residual[:2]))
     for row in range(2):
         assert np.array_equal(head[row:row + 1], apply_comparator(
-            spec, hermite_coefficients(spec, amps[row:row + 1], GRID), GRID))
+            spec, hermite_coefficients(spec, amps[row:row + 1], GRID)))
