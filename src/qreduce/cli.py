@@ -5,38 +5,32 @@ Usage: reduce <config.json> [--assert-reduced] [--out DIR]
 
 The config is a JSON object with a "mode" field plus a mode-specific
 "problem" block; an optional "output" block that the command-line flags
-override; and optional "seed" and "tolerances" entries that are echoed
-into every report.  The *_KEYS tables declare each block's keys: any
-other key exits 2, and so do a region with both "radius" (a ball) and
-"half_widths" (a box) and a potential with both "coeffs" and
-"coeff_matrix".  ehrenfest and the grid form of classify-quantum take
-their initial state as a {"packet": {"alpha0", "M0"}} block, defaulting
-to the vacuum, and refuse a top-level alpha0 or M0.  Counts (grid "n"
-and "N", comparator "N", reduce "samples", ehrenfest "sample_stride")
-must be positive integers, comparator-audit "dimension" 1 or 2.  The scalars
-"mass", "T", "dt", "E", "epsilon", comparator "s", grid "L" and region
-"radius", and each entry of "alpha0", "horizons", "lambdas",
-"dilations", "radii", "psi", a list "epsilon", a region's "center" and
-"half_widths", a potential's "coeffs", and of the matrices "M0",
-"matrix", "omega" and "coeff_matrix", must be finite JSON numbers: not
-booleans, strings, NaN or Infinity.  "T", "dt", region "radius", and
-each entry of "horizons", "lambdas", "dilations" and "half_widths" must
-be positive, and dt <= T wherever a mode takes both (the grid form of
-classify-quantum takes no T: its dt needs only be positive).  ehrenfest
-records at least three samples: time_steps(T, dt)'s step count divided
-by "sample_stride", rounded down, is at least 2.  "radii",
-when given, is a nonempty list of positive numbers.  "M0" is a number
-or an n x n matrix (in 1D also [m]) with Re M0 positive definite and M0
-symmetric.  The start state, a region's center and half_widths (2n
-entries each) and the grid take the potential's dimension.  The start
-of every grid run (alpha0 in reduce, scale and squeeze, packet.alpha0
-in ehrenfest and grid classify-quantum) and every point of a reduce
-region's sample lattice must lie within 0.75 L of the grid's middle
-and within 0.75 pi/dx (the grid's Nyquist momentum) in momentum on
-every axis (GridSpec.holds_center); ehrenfest is 1D only, and "coeffs"
-and "coeff_matrix" must be nonempty.  In the matrix form of
-classify-quantum, "matrix" and an explicit "omega" are square,
-symmetric and of one size.
+override; and optional "seed" (a number) and "tolerances" (an object of
+numbers) entries that are echoed into every report.  Each block has one
+table of its keys and their defaults: CONFIG, OUTPUT, PROBLEMS (one per
+mode; classify-quantum with no "matrix" is the grid form, which takes
+QUANTUM_GRID), GRID, COMPARATOR, REGION, PACKET and POTENTIAL.  READERS
+holds the one reader of each key name, which checks the key's value in
+every block that takes it: each number, alone or in a list or matrix, is
+a finite JSON number, not a boolean, string, NaN or Infinity.  A key
+that its block's table lacks exits 2, and so does an absent REQUIRED
+key; null reads as absent.
+
+Beyond what one key's reader checks, a config exits 2 when a region
+takes both "radius" (a ball) and "half_widths" (a box), a potential both
+"coeffs" and "coeff_matrix", or a packet mode (ehrenfest and the grid
+form of classify-quantum, which start from their "packet" block, by
+default the vacuum) a top-level alpha0 or M0.  It exits 2, too, when
+dt > T where a mode takes both; when ehrenfest records fewer than three
+samples (time_steps(T, dt)'s step count divided by "sample_stride",
+rounded down, is below 2) or its potential is not 1D; when the start
+state, a region's center and half_widths (2n entries each), M0 (a
+number, an n x n matrix, or in 1D [m]) or the grid do not take the
+potential's dimension; when the start of a grid run or a point of a
+reduce region's sample lattice lies off the grid (GridSpec.holds_center:
+within 0.75 L of the grid's middle and 0.75 pi/dx in momentum, on every
+axis); and when the matrix form's "psi" or an explicit "omega" does not
+match its "matrix".
 
 Every report embeds the tool version, the sha256 hash of the canonical
 config serialization, the full config echo, and the provenance of the
@@ -107,33 +101,47 @@ PRESETS = {
     "double-well": [0.5, 0.0, -1.0, 0.0, 0.5],
 }
 
-# The keys of each config block, any other key exiting 2; classify-quantum
-# with no "matrix" is the grid form, which takes QUANTUM_GRID_KEYS.
-CONFIG_KEYS = ("mode", "problem", "output", "seed", "tolerances")
-OUTPUT_KEYS = ("directory", "formats")
-PROBLEM_KEYS = {
-    "reduce": ("potential", "alpha0", "T", "epsilon", "dt", "M0", "E",
-               "grid", "comparator", "region", "samples", "mass"),
-    "classify-classical": ("potential", "alpha0", "T", "dt", "radii", "mass"),
-    "classify-quantum": ("horizons", "matrix", "psi", "omega"),
-    "comparator-audit": ("s", "N", "dimension"),
-    "scale": ("potential", "alpha0", "T", "lambdas", "dt", "grid", "mass"),
-    "squeeze": ("potential", "alpha0", "T", "dilations", "dt", "epsilon",
-                "E", "grid", "comparator", "mass"),
-    "ehrenfest": ("potential", "T", "packet", "dt", "sample_stride", "grid",
-                  "mass"),
+# Each block's keys, in the order of its unknown-key hint, with their
+# defaults.  A key that is absent or null takes its default: REQUIRED
+# refuses it as missing, and None leaves it without a value.
+REQUIRED = object()
+CONFIG = {"mode": REQUIRED, "problem": REQUIRED, "output": {}, "seed": None,
+          "tolerances": {}}
+OUTPUT = {"directory": ".", "formats": ["json"]}
+PROBLEMS = {
+    "reduce": {"potential": REQUIRED, "alpha0": REQUIRED, "T": REQUIRED,
+               "epsilon": REQUIRED, "dt": DEFAULT_DT, "M0": 1.0, "E": None,
+               "grid": {}, "comparator": {}, "region": None,
+               "samples": DEFAULT_SAMPLES, "mass": 1.0},
+    "classify-classical": {"potential": REQUIRED, "alpha0": REQUIRED,
+                           "T": REQUIRED, "dt": CLASSIFY_DT, "radii": None,
+                           "mass": 1.0},
+    "classify-quantum": {"horizons": REQUIRED, "matrix": REQUIRED,
+                         "psi": REQUIRED, "omega": "self"},
+    "comparator-audit": {"s": REQUIRED, "N": ComparatorSpec.N,
+                         "dimension": 1},
+    "scale": {"potential": REQUIRED, "alpha0": REQUIRED, "T": REQUIRED,
+              "lambdas": REQUIRED, "dt": DEFAULT_DT, "grid": {}, "mass": 1.0},
+    "squeeze": {"potential": REQUIRED, "alpha0": REQUIRED, "T": REQUIRED,
+                "dilations": REQUIRED, "dt": DEFAULT_DT, "epsilon": 1.0,
+                "E": None, "grid": {}, "comparator": {}, "mass": 1.0},
+    "ehrenfest": {"potential": REQUIRED, "T": REQUIRED, "packet": {},
+                  "dt": DEFAULT_DT, "sample_stride": EHRENFEST_STRIDE,
+                  "grid": {}, "mass": 1.0},
 }
-QUANTUM_GRID_KEYS = ("horizons", "potential", "packet", "grid", "dt",
-                     "comparator", "mass")
-GRID_KEYS = ("n", "N", "L")
-COMPARATOR_KEYS = ("s", "N")
-REGION_KEYS = ("center", "radius", "half_widths")
-PACKET_KEYS = ("alpha0", "M0")
-POTENTIAL_KEYS = ("coeffs", "coeff_matrix")
+QUANTUM_GRID = {"horizons": REQUIRED, "potential": REQUIRED, "packet": {},
+                "grid": {}, "dt": GridHamiltonian.dt, "comparator": {},
+                "mass": 1.0}
+GRID = {"n": DEFAULT_GRID.n, "N": DEFAULT_GRID.N, "L": DEFAULT_GRID.L}
+COMPARATOR = {"s": DEFAULT_S, "N": ComparatorSpec.N}
+REGION = {"center": REQUIRED, "radius": None, "half_widths": None}
+# An empty packet block is the vacuum at the origin.
+PACKET = {"alpha0": REQUIRED, "M0": 1.0}
+POTENTIAL = {"coeffs": None, "coeff_matrix": None}
 
 
 def _fail(path: str, message: str):
-    raise ConfigError(f"config.{path}: {message}")
+    raise ConfigError(f"config{'.' if path else ''}{path}: {message}")
 
 
 def _built(path: str, make, *args, **fields):
@@ -149,56 +157,67 @@ def _built(path: str, make, *args, **fields):
         _fail(f"{path}.{exc.field}", str(exc))
 
 
-def _known(block: dict, path: str, keys) -> dict:
-    """block, once each of its keys is in keys; another key exits 2 and
-    names its path and the nearest known key."""
-    for key in block:
-        if key not in keys:
-            from difflib import get_close_matches
-            near = ([k for k in keys if k.lower() == key.lower()]
-                    or get_close_matches(key, keys, n=1))
-            hint = (f"did you mean {near[0]!r}?" if near
-                    else f"known keys are {', '.join(keys)}")
-            _fail(path + key, f"unknown key; {hint}")
-    return block
+class _Block:
+    """A config object read against its table.  Each key is read once,
+    when first asked for, by its reader in READERS, and a key that the
+    table lacks is read from the enclosing block.  A block refers to no
+    block that refers back to it, so what it read is freed with the run
+    rather than at the next cyclic collection."""
+
+    def __init__(self, raw, table: dict, path: str, outer=None):
+        self.raw, self.table, self.outer = _object(raw, path), table, outer
+        self.path, self.read = path, {}
+        for key in raw:
+            if key not in table:
+                from difflib import get_close_matches
+                near = ([k for k in table if k.lower() == key.lower()]
+                        or get_close_matches(key, table, n=1))
+                hint = (f"did you mean {near[0]!r}?" if near
+                        else f"known keys are {', '.join(table)}")
+                _fail(self.at(key), f"unknown key; {hint}")
+
+    def at(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def __getitem__(self, key: str):
+        if key not in self.table:
+            return self.outer[key]
+        if key not in self.read:
+            value = self.raw.get(key)
+            value = self.table[key] if value is None else value
+            if value is REQUIRED:
+                _fail(self.at(key), "missing")
+            self.read[key] = (None if value is None
+                              else READERS[key](value, self.at(key), self))
+        return self.read[key]
 
 
-def _block(config: dict, key: str, required=True, path: str = "",
-           keys=None) -> dict:
-    """config[key], an object; with keys, _known checks its keys."""
-    value = config.get(key)
-    if value is None:
-        if required:
-            _fail(path + key, "missing")
-        return {}
+# The readers: reader(value, path, block) checks a key's value, which is
+# its default when the key is absent or null, and returns what the run
+# takes; READERS holds one per key name.
+def _object(value, path: str, block=None) -> dict:
     if not isinstance(value, dict):
-        _fail(path + key, "must be an object")
-    return value if keys is None else _known(value, f"{path}{key}.", keys)
+        _fail(path, "must be an object")
+    return value
 
 
-def _number(block: dict, path: str, key: str, default=None, required=False):
-    value = block.get(key, default)
-    if value is None:
-        if required:
-            _fail(f"{path}.{key}", "missing")
-        return None
+def _number(value, path: str, block=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{path}.{key}", "must be a number")
+        _fail(path, "must be a number")
     # json reads the bare literals NaN, Infinity and -Infinity.
     if not math.isfinite(value):
-        _fail(f"{path}.{key}", "must be a finite number")
+        _fail(path, "must be a finite number")
     return float(value)
 
 
-def _numbers(raw, path: str) -> list:
+def _numbers(raw, path: str, block=None) -> list:
     """A list of numbers, entry i read by _number as the field path.i."""
     if not isinstance(raw, list):
         _fail(path, "must be a list of numbers")
-    entries = dict(enumerate(raw))
-    return [_number(entries, path, i, required=True) for i in entries]
+    return [_number(value, f"{path}.{i}") for i, value in enumerate(raw)]
 
 
-def _matrix(raw, path: str) -> np.ndarray:
+def _matrix(raw, path: str, block=None) -> np.ndarray:
     """A list of rows of numbers, entry j of row i read by _number as the
     field path.i.j."""
     if not isinstance(raw, list) or not all(isinstance(row, list)
@@ -210,7 +229,7 @@ def _matrix(raw, path: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _symmetric(raw, path: str) -> np.ndarray:
+def _symmetric(raw, path: str, block=None) -> np.ndarray:
     """A square matrix of numbers that classify_quantum takes as
     Hermitian: spectral's rule, read at setup."""
     M = _matrix(raw, path)
@@ -221,13 +240,14 @@ def _symmetric(raw, path: str) -> np.ndarray:
     return M
 
 
-def _positive(value: float, path: str) -> float:
+def _positive(value, path: str, block=None) -> float:
+    value = _number(value, path)
     if value <= 0:
         _fail(path, "must be positive")
     return value
 
 
-def _positives(raw, path: str) -> list:
+def _positives(raw, path: str, block=None) -> list:
     """A list of positive numbers, entry i read as the field path.i."""
     values = _numbers(raw, path)
     for i, value in enumerate(values):
@@ -235,165 +255,206 @@ def _positives(raw, path: str) -> list:
     return values
 
 
-def _horizon(problem: dict, dt_default: float):
-    """(T, dt): T positive and dt valid for it by time_steps' rule."""
-    T = _positive(_number(problem, "problem", "T", required=True),
-                  "problem.T")
-    dt = _number(problem, "problem", "dt", default=dt_default)
+def _sweep(raw, path: str, block=None) -> list:
+    """A nonempty list of positive numbers."""
+    if not isinstance(raw, list) or not raw:
+        _fail(path, "must be a nonempty list")
+    return _positives(raw, path)
+
+
+def _lambdas(raw, path: str, block=None) -> list:
+    lambdas = _sweep(raw, path)
+    if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
+        _fail(path, "must be strictly decreasing")
+    return lambdas
+
+
+def _horizons(raw, path: str, block=None):
+    """One positive horizon, or a list of at least two."""
+    if not isinstance(raw, list):
+        return _positive(raw, path)
+    if len(raw) < 2:
+        _fail(path, "a list needs at least two horizons")
+    return _positives(raw, path)
+
+
+def _count(value, path: str, block=None) -> int:
     try:
-        time_steps(T, dt)
+        return _positive_int(value, path)
     except ValueError:
-        _fail("problem.dt", "must be positive and at most T")
-    return T, dt
+        _fail(path, "must be a positive integer")
 
 
-def _width(block: dict, path: str, n: int):
+def _dt(value, path: str, block) -> float:
+    """A positive step, and at most T where the block takes a T (the
+    grid form of classify-quantum takes none)."""
+    if "T" not in block.table:
+        return _positive(value, path)
+    dt = _number(value, path)
+    try:
+        time_steps(block["T"], dt)
+    except ValueError:
+        _fail(path, "must be positive and at most T")
+    return dt
+
+
+def _potential(value, path: str, block) -> HamiltonianSpec:
+    """The potential, a preset name or a POTENTIAL block, at the block's
+    mass."""
+    model = None
+    if isinstance(value, str):
+        if value not in PRESETS:
+            _fail(path, f"unknown preset {value!r}; "
+                  f"choose from {sorted(PRESETS)}")
+        model = PotentialModel.polynomial(PRESETS[value])
+    elif isinstance(value, dict):
+        terms = _Block(value, POTENTIAL, path)
+        if sum(entry is not None for entry in value.values()) > 1:
+            _fail(path, "takes coeffs or coeff_matrix, not both")
+        if terms["coeffs"] is not None:
+            model = _built(path, PotentialModel.polynomial, terms["coeffs"])
+        elif terms["coeff_matrix"] is not None:
+            model = _built(path, PotentialModel.polynomial2d,
+                           terms["coeff_matrix"])
+    if model is None:
+        _fail(path, "must be a preset name, {'coeffs': [...]} or "
+              "{'coeff_matrix': [[...]]}")
+    return _built(block.at("mass"), HamiltonianSpec, mass=block["mass"],
+                  potential=model)
+
+
+def _phase_vector(raw, path: str, block, read=_numbers) -> np.ndarray:
+    """2n numbers, two per axis of the potential, each read by read."""
+    size = 2 * block["potential"].dimension
+    if not isinstance(raw, list) or len(raw) != size:
+        _fail(path, f"must be a list [xi.., pi..] of length {size}, two per "
+              "axis of the potential")
+    return np.asarray(read(raw, path))
+
+
+def _phase_point(raw, path: str, block) -> PhasePoint:
+    return PhasePoint.from_vector(_phase_vector(raw, path, block))
+
+
+def _width(raw, path: str, block):
     """M0: a number, or an n x n matrix of numbers (in 1D also [m]), that
     passes the width checks of packet(alpha0, M0)."""
-    raw = block.get("M0", 1.0)
+    n = block["potential"].dimension
     if not isinstance(raw, list):
-        value = _number(block, path, "M0", default=1.0)
+        value = _number(raw, path)
     elif any(isinstance(row, list) for row in raw):
-        value = _matrix(raw, f"{path}.M0")
+        value = _matrix(raw, path)
     else:
-        value = np.array(_numbers(raw, f"{path}.M0"))
+        value = np.array(_numbers(raw, path))
     if np.ndim(value) and np.atleast_2d(value).shape != (n, n):
-        _fail(f"{path}.M0", f"must be a number or a {n}x{n} matrix")
+        _fail(path, f"must be a number or a {n}x{n} matrix")
     try:
         packet(np.zeros(2 * n), value)
     except ValueError as exc:
-        _fail(f"{path}.M0", str(exc))
+        _fail(path, str(exc))
     return value
 
 
-def _count(block: dict, path: str, key: str, default: int) -> int:
-    try:
-        return _positive_int(block.get(key, default), key)
-    except ValueError:
-        _fail(f"{path}.{key}", "must be a positive integer")
-
-
-def _epsilon(problem: dict, default):
-    """The tolerance: one number, or a list of one per component."""
-    if isinstance(problem.get("epsilon"), list):
-        return _numbers(problem["epsilon"], "problem.epsilon")
-    return _number(problem, "problem", "epsilon", default=default,
-                   required=True)
-
-
-def _potential_from(problem: dict) -> PotentialModel:
-    raw = problem.get("potential")
-    if isinstance(raw, str):
-        if raw not in PRESETS:
-            _fail("problem.potential", f"unknown preset {raw!r}; "
-                  f"choose from {sorted(PRESETS)}")
-        return PotentialModel.polynomial(PRESETS[raw])
-    if isinstance(raw, dict) and len(
-            _known(raw, "problem.potential.", POTENTIAL_KEYS)) > 1:
-        _fail("problem.potential", "takes coeffs or coeff_matrix, not both")
-    if isinstance(raw, dict) and "coeffs" in raw:
-        return _built("problem.potential", PotentialModel.polynomial,
-                      _numbers(raw["coeffs"], "problem.potential.coeffs"))
-    if isinstance(raw, dict) and "coeff_matrix" in raw:
-        return _built("problem.potential", PotentialModel.polynomial2d,
-                      _matrix(raw["coeff_matrix"],
-                              "problem.potential.coeff_matrix"))
-    _fail("problem.potential",
-          "must be a preset name, {'coeffs': [...]} or {'coeff_matrix': [[...]]}")
-
-
-def _spec_from(problem: dict) -> HamiltonianSpec:
-    pot = _potential_from(problem)
-    mass = _number(problem, "problem", "mass", default=1.0)
-    return _built("problem.mass", HamiltonianSpec, mass=mass, potential=pot)
-
-
-def _phase_point(problem: dict, spec: HamiltonianSpec,
-                 path: str = "problem") -> PhasePoint:
-    raw = problem.get("alpha0")
-    size = 2 * spec.dimension
-    if not isinstance(raw, list) or len(raw) != size:
-        _fail(f"{path}.alpha0", f"must be a list [xi.., pi..] of length "
-              f"{size}, two per axis of the potential")
-    return PhasePoint.from_vector(np.asarray(_numbers(raw, f"{path}.alpha0")))
-
-
-def _start_packet(problem: dict, spec: HamiltonianSpec, grid: GridSpec):
-    """(alpha0, M0) from the packet block, started on the grid by the
-    rule reduce and scale apply (GridSpec.holds_center)."""
-    pkt = (_block(problem, "packet", required=False, path="problem.",
-                  keys=PACKET_KEYS)
-           or {"alpha0": [0.0] * (2 * spec.dimension)})
-    alpha0 = _phase_point(pkt, spec, "problem.packet")
-    if not grid.holds_center(alpha0.vector):
-        _fail("problem.packet.alpha0", f"initial packet {OFF_GRID}")
-    return alpha0, _width(pkt, "problem.packet", spec.dimension)
-
-
-def _grid_from(problem: dict, spec: HamiltonianSpec) -> GridSpec:
-    raw = _block(problem, "grid", required=False, path="problem.",
-                 keys=GRID_KEYS)
-    grid = _built("problem.grid", GridSpec,
-                  _count(raw, "problem.grid", "n", DEFAULT_GRID.n),
-                  _count(raw, "problem.grid", "N", DEFAULT_GRID.N),
-                  _number(raw, "problem.grid", "L", DEFAULT_GRID.L))
-    if grid.n != spec.dimension:
-        _fail("problem.grid.n", "must equal the potential's dimension, "
-              f"{spec.dimension}")
+def _grid(raw, path: str, block) -> GridSpec:
+    axes = _Block(raw, GRID, path)
+    grid = _built(path, GridSpec, axes["n"], axes["N"], axes["L"])
+    n = block["potential"].dimension
+    if grid.n != n:
+        _fail(f"{path}.n", f"must equal the potential's dimension, {n}")
     return grid
 
 
-def _comparator_from(problem: dict) -> ComparatorSpec:
-    raw = _block(problem, "comparator", required=False, path="problem.",
-                 keys=COMPARATOR_KEYS)
-    return _built(
-        "problem.comparator", ComparatorSpec,
-        s=_number(raw, "problem.comparator", "s", default=DEFAULT_S),
-        N=_count(raw, "problem.comparator", "N", ComparatorSpec.N))
+def _comparator(block) -> ComparatorSpec:
+    """The ComparatorSpec of a block's s and N."""
+    return _built(block.path, ComparatorSpec, s=block["s"], N=block["N"])
 
 
-def _region_from(problem: dict, spec: HamiltonianSpec):
-    raw = problem.get("region")
-    if raw is None:
-        return None
-    if not isinstance(raw, dict) or "center" not in _known(
-            raw, "problem.region.", REGION_KEYS):
-        _fail("problem.region", "must be an object with a center")
-    if "radius" in raw and "half_widths" in raw:
-        _fail("problem.region", "takes radius or half_widths, not both")
-    center = _numbers(raw["center"], "problem.region.center")
-    if len(center) != 2 * spec.dimension:
-        _fail("problem.region.center", f"must be a list [xi.., pi..] of "
-              f"length {2 * spec.dimension}, two per axis of the potential")
-    center = PhasePoint.from_vector(np.asarray(center))
-    if "radius" in raw:
-        return PhaseRegion.ball(center, _positive(_number(
-            raw, "problem.region", "radius", required=True),
-            "problem.region.radius"))
-    if "half_widths" in raw:
-        half_widths = _positives(raw["half_widths"],
-                                 "problem.region.half_widths")
-        if len(half_widths) != 2 * spec.dimension:
-            _fail("problem.region.half_widths", f"must be a list of length "
-                  f"{2 * spec.dimension}, two per axis of the potential")
-        return PhaseRegion.box(center, np.asarray(half_widths))
-    _fail("problem.region", "needs a radius (ball) or half_widths (box)")
+def _region(raw, path: str, block) -> PhaseRegion:
+    region = _Block(raw, REGION, path, block)
+    if raw.get("radius") is not None and raw.get("half_widths") is not None:
+        _fail(path, "takes radius or half_widths, not both")
+    center = region["center"]
+    if region["radius"] is not None:
+        return PhaseRegion.ball(center, region["radius"])
+    if region["half_widths"] is not None:
+        return PhaseRegion.box(center, region["half_widths"])
+    _fail(path, "needs a radius (ball) or half_widths (box)")
 
 
-def _run_reduce(problem: dict):
-    spec = _spec_from(problem)
-    grid = _grid_from(problem, spec)
-    comp = _comparator_from(problem)
-    T, dt = _horizon(problem, DEFAULT_DT)
-    epsilon = _epsilon(problem, default=None)
-    M0 = _width(problem, "problem", spec.dimension)
+def _packet(raw, path: str, block):
+    """(alpha0, M0), started on the grid by the rule reduce and scale
+    apply (GridSpec.holds_center)."""
+    start = _Block(raw, PACKET, path, block)
+    alpha0 = start["alpha0"] if raw else PhasePoint.from_vector(
+        np.zeros(2 * block["potential"].dimension))
+    if not block["grid"].holds_center(alpha0.vector):
+        _fail(f"{path}.alpha0", f"initial packet {OFF_GRID}")
+    return alpha0, start["M0"]
+
+
+def _psi(raw, path: str, block) -> np.ndarray:
+    psi = np.asarray(_numbers(raw, path), dtype=complex)
+    if psi.shape != (block["matrix"].shape[0],):
+        _fail(path, "must be a vector matching the matrix")
+    norm = np.linalg.norm(psi)
+    if abs(norm - 1.0) > 1e-6:
+        _fail(path, "must be unit norm")
+    return psi / norm
+
+
+def _omega(raw, path: str, block) -> np.ndarray:
+    if raw == "self":
+        return np.outer(block["psi"], block["psi"].conj())
+    omega = _symmetric(raw, path)
+    if omega.shape != block["matrix"].shape:
+        _fail(path, "must match the matrix's size")
+    return omega
+
+
+def _formats(raw, path: str, block=None) -> list:
+    if not isinstance(raw, (list, tuple)) or any(
+            fmt not in ("json", "csv") for fmt in raw):
+        _fail(path, "must be a list of 'json' or 'csv' entries")
+    return list(raw)
+
+
+READERS = {
+    "mode": lambda v, p, b: (v if isinstance(v, str) and v in PROBLEMS else
+                             _fail(p, f"must be one of {tuple(PROBLEMS)}")),
+    "problem": _object,
+    "output": lambda v, p, b: _Block(v, OUTPUT, p),
+    "seed": _number,
+    "tolerances": lambda v, p, b: {
+        key: _number(x, f"{p}.{key}") for key, x in _object(v, p).items()},
+    "directory": lambda v, p, b: (v if isinstance(v, str) else
+                                  _fail(p, "must be a string")),
+    "formats": _formats,
+    "potential": _potential, "mass": _number,
+    "alpha0": _phase_point, "center": _phase_point,
+    "half_widths": lambda v, p, b: _phase_vector(v, p, b, read=_positives),
+    "T": _positive, "radius": _positive, "dt": _dt,
+    "epsilon": lambda v, p, b: (_numbers if isinstance(v, list)
+                                else _number)(v, p),
+    "M0": _width, "E": _number, "s": _number, "L": _number,
+    "n": _count, "N": _count, "samples": _count, "sample_stride": _count,
+    "dimension": lambda v, p, b: (v if _count(v, p) <= 2 else
+                                  _fail(p, "must be 1 or 2")),
+    "grid": _grid,
+    "comparator": lambda v, p, b: _comparator(_Block(v, COMPARATOR, p)),
+    "region": _region, "packet": _packet,
+    "radii": _sweep, "dilations": _sweep, "lambdas": _lambdas,
+    "horizons": _horizons, "matrix": _symmetric, "psi": _psi,
+    "omega": _omega, "coeffs": _numbers, "coeff_matrix": _matrix,
+}
+
+
+def _run_reduce(problem: _Block):
     ro = _built(
-        "problem", ReductionProblem,
-        spec=spec, alpha0=_phase_point(problem, spec), T=T,
-        epsilon=epsilon, comparator=comp,
-        E=_number(problem, "problem", "E"), grid=grid, M0=M0,
-        region=_region_from(problem, spec), dt=dt,
-        samples=_count(problem, "problem", "samples", DEFAULT_SAMPLES))
+        "problem", ReductionProblem, spec=problem["potential"],
+        grid=problem["grid"], comparator=problem["comparator"],
+        T=problem["T"], dt=problem["dt"], epsilon=problem["epsilon"],
+        M0=problem["M0"], alpha0=problem["alpha0"], E=problem["E"],
+        region=problem["region"], samples=problem["samples"])
 
     def compute():
         report = run_reduction(ro).to_json_dict()
@@ -408,15 +469,9 @@ def _run_reduce(problem: dict):
     return compute
 
 
-def _run_classify_classical(problem: dict):
-    spec = _spec_from(problem)
-    alpha0 = _phase_point(problem, spec)
-    horizon, dt = _horizon(problem, CLASSIFY_DT)
-    radii = problem.get("radii")
-    if radii is not None:
-        if not isinstance(radii, list) or not radii:
-            _fail("problem.radii", "must be a nonempty list")
-        radii = _positives(radii, "problem.radii")
+def _run_classify_classical(problem: _Block):
+    spec, alpha0 = problem["potential"], problem["alpha0"]
+    horizon, dt, radii = problem["T"], problem["dt"], problem["radii"]
 
     def compute():
         res = classify_classical(spec, alpha0, horizon, radii=radii, dt=dt)
@@ -429,45 +484,18 @@ def _run_classify_classical(problem: dict):
     return compute
 
 
-def _run_classify_quantum(problem: dict):
-    horizons = problem.get("horizons")
-    if isinstance(horizons, list):
-        if len(horizons) < 2:
-            _fail("problem.horizons", "a list needs at least two horizons")
-        horizons = _positives(horizons, "problem.horizons")
-    elif isinstance(horizons, (int, float)) and not isinstance(horizons, bool):
-        horizons = _positive(_number(problem, "problem", "horizons"),
-                             "problem.horizons")
-    else:
-        _fail("problem.horizons", "must be a number or a list of numbers")
-    if "matrix" in problem:
-        H = _symmetric(problem["matrix"], "problem.matrix")
-        psi = np.asarray(_numbers(problem.get("psi", []), "problem.psi"),
-                         dtype=complex)
-        if psi.shape != (H.shape[0],):
-            _fail("problem.psi", "must be a vector matching the matrix")
-        norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > 1e-6:
-            _fail("problem.psi", "must be unit norm")
-        psi = psi / norm
-        omega_raw = problem.get("omega", "self")
-        if omega_raw == "self":
-            omega = np.outer(psi, psi.conj())
-        else:
-            omega = _symmetric(omega_raw, "problem.omega")
-            if omega.shape != H.shape:
-                _fail("problem.omega", "must match the matrix's size")
+def _run_classify_quantum(problem: _Block):
+    horizons = problem["horizons"]
+    if "matrix" in problem.table:
+        H, psi, omega = problem["matrix"], problem["psi"], problem["omega"]
         provenance = {"dimension": int(H.shape[0])}
 
         def evolution():
             return finite_evolution(H), psi, omega
     else:
-        spec = _spec_from(problem)
-        grid = _grid_from(problem, spec)
-        comp = _comparator_from(problem)
-        dt = _positive(_number(problem, "problem", "dt",
-                               default=GridHamiltonian.dt), "problem.dt")
-        alpha0, M0 = _start_packet(problem, spec, grid)
+        spec, grid = problem["potential"], problem["grid"]
+        comp, dt = problem["comparator"], problem["dt"]
+        alpha0, M0 = problem["packet"]
         # This run steps by its own rule, max(2, ceil(T / dt)) steps, so
         # its provenance dt is the requested one.
         provenance = _provenance(grid=grid, comparator=comp, dt=dt)
@@ -485,13 +513,8 @@ def _run_classify_quantum(problem: dict):
     return compute
 
 
-def _run_comparator_audit(problem: dict):
-    comp = _built("problem", ComparatorSpec,
-                  s=_number(problem, "problem", "s", required=True),
-                  N=_count(problem, "problem", "N", ComparatorSpec.N))
-    dimension = _count(problem, "problem", "dimension", 1)
-    if dimension > 2:
-        _fail("problem.dimension", "must be 1 or 2")
+def _run_comparator_audit(problem: _Block):
+    comp, dimension = _comparator(problem), problem["dimension"]
 
     def compute():
         result = comparator_scalars(comp, dimension)
@@ -506,17 +529,9 @@ def _run_comparator_audit(problem: dict):
     return compute
 
 
-def _run_scale(problem: dict):
-    spec = _spec_from(problem)
-    alpha0 = _phase_point(problem, spec)
-    T, dt = _horizon(problem, DEFAULT_DT)
-    lambdas = problem.get("lambdas")
-    if not isinstance(lambdas, list) or not lambdas:
-        _fail("problem.lambdas", "must be a nonempty list")
-    lambdas = _positives(lambdas, "problem.lambdas")
-    if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
-        _fail("problem.lambdas", "must be strictly decreasing")
-    grid = _grid_from(problem, spec)
+def _run_scale(problem: _Block):
+    spec, alpha0, T = problem["potential"], problem["alpha0"], problem["T"]
+    dt, lambdas, grid = problem["dt"], problem["lambdas"], problem["grid"]
     if not grid.holds_center(alpha0.vector):
         _fail("problem.alpha0", f"initial packet {OFF_GRID}")
 
@@ -529,20 +544,14 @@ def _run_scale(problem: dict):
     return compute
 
 
-def _run_squeeze(problem: dict):
-    spec = _spec_from(problem)
-    grid = _grid_from(problem, spec)
-    comp = _comparator_from(problem)
-    T, dt = _horizon(problem, DEFAULT_DT)
-    dilations = problem.get("dilations")
-    if not isinstance(dilations, list) or not dilations:
-        _fail("problem.dilations", "must be a nonempty list")
-    dilations = _positives(dilations, "problem.dilations")
+def _run_squeeze(problem: _Block):
+    spec, grid, comp = (problem["potential"], problem["grid"],
+                        problem["comparator"])
+    T, dt, dilations = problem["T"], problem["dt"], problem["dilations"]
     ro = _built(
-        "problem", ReductionProblem,
-        spec=spec, alpha0=_phase_point(problem, spec), T=T,
-        epsilon=_epsilon(problem, default=1.0), comparator=comp,
-        E=_number(problem, "problem", "E"), grid=grid, dt=dt)
+        "problem", ReductionProblem, spec=spec, alpha0=problem["alpha0"],
+        T=T, epsilon=problem["epsilon"], comparator=comp, E=problem["E"],
+        grid=grid, dt=dt)
 
     def compute():
         out = squeeze_sweep(ro, dilations)
@@ -556,18 +565,17 @@ def _run_squeeze(problem: dict):
     return compute
 
 
-def _run_ehrenfest(problem: dict):
-    spec = _spec_from(problem)
+def _run_ehrenfest(problem: _Block):
+    spec = problem["potential"]
     if spec.dimension != 1:
         _fail("problem.potential", "ehrenfest diagnostics are one-dimensional")
-    grid = _grid_from(problem, spec)
-    T, dt = _horizon(problem, DEFAULT_DT)
-    stride = _count(problem, "problem", "sample_stride", EHRENFEST_STRIDE)
+    grid, T, dt = problem["grid"], problem["T"], problem["dt"]
+    stride = problem["sample_stride"]
     if time_steps(T, dt)[0] // stride < 2:
         _fail("problem.sample_stride", "the residuals need at least three "
               "samples: the steps of T over dt, divided by sample_stride "
               "and rounded down, must be at least 2")
-    alpha0, M0 = _start_packet(problem, spec, grid)
+    alpha0, M0 = problem["packet"]
 
     def compute():
         psi = sample_on_grid(packet(alpha0, M0), grid)
@@ -596,6 +604,8 @@ _RUNNERS = {
     "squeeze": _run_squeeze,
     "ehrenfest": _run_ehrenfest,
 }
+
+
 
 
 def _jsonable(value):
@@ -669,27 +679,21 @@ def run(config_path, assert_reduced: bool = False, out_dir=None,
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        if not isinstance(config, dict):
-            _fail("", "top level must be an object")
-        _known(config, "", CONFIG_KEYS)
-        mode = config.get("mode")
-        if mode not in PROBLEM_KEYS:
-            _fail("mode", f"must be one of {tuple(PROBLEM_KEYS)}")
-        problem = _block(config, "problem")
-        keys = PROBLEM_KEYS[mode]
+        top = _Block(config, CONFIG, "")
+        mode, problem = top["mode"], top["problem"]
+        table = PROBLEMS[mode]
         if mode == "classify-quantum" and "matrix" not in problem:
-            keys = QUANTUM_GRID_KEYS
-        for key in PACKET_KEYS if "packet" in keys else ():
+            table = QUANTUM_GRID
+        for key in PACKET if "packet" in table else ():
             if key in problem:
                 _fail(f"problem.{key}", "this mode takes its start state "
                       'as {"packet": {"alpha0": [...], "M0": ...}}')
-        _known(problem, "problem.", keys)
-        compute = _RUNNERS[mode](problem)
-        output = _block(config, "output", required=False, keys=OUTPUT_KEYS)
-        directory = Path(out_dir or output.get("directory", "."))
-        formats = list(formats or output.get("formats", ["json"]))
-        if any(fmt not in ("json", "csv") for fmt in formats):
-            _fail("output.formats", "entries must be 'json' or 'csv'")
+        compute = _RUNNERS[mode](_Block(problem, table, "problem"))
+        # Only checked: the reports echo seed and tolerances as given.
+        top["seed"], top["tolerances"]
+        output = top["output"]
+        directory = Path(out_dir or output["directory"])
+        formats = _formats(formats or output["formats"], "output.formats")
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

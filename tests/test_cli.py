@@ -1,12 +1,27 @@
+import contextlib
+import copy
+import gc
+import io
 import json
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qreduce import grid as grid_module
-from qreduce.cli import _jsonable, config_hash, main, run
+from qreduce.classical import CLASSIFY_DT
+from qreduce.cli import (PROBLEMS, QUANTUM_GRID, REQUIRED, _jsonable,
+                         config_hash, main, run)
+from qreduce.comparator import ComparatorSpec
+from qreduce.grid import DEFAULT_GRID
+from qreduce.hamiltonian import time_steps
+from qreduce.reduction import DEFAULT_DT, DEFAULT_S
+from qreduce.spectral import GridHamiltonian
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -999,3 +1014,257 @@ def test_conflicting_keys_exit_two(tmp_path, capsys, mode, problem, message):
     assert run(cfg, out_dir=tmp_path / "out") == 2
     assert not (tmp_path / "out").exists()
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+SMALL_REDUCE = {"potential": "harmonic", "alpha0": [1.0, 0.0], "T": 0.1,
+                "dt": 0.05, "epsilon": 1.0,
+                "grid": {"n": 1, "N": 256, "L": 12.0},
+                "comparator": {"s": 1.0, "N": 16}}
+SMALL_QUANTUM = {"potential": "harmonic", "horizons": 1.0, "dt": 0.5,
+                 "grid": {"n": 1, "N": 256, "L": 12.0},
+                 "comparator": {"s": 1.0, "N": 16}}
+
+
+def _holder(config: dict, path: tuple):
+    """The object or list that holds the entry at path."""
+    for key in path[:-1]:
+        config = config[key]
+    return config
+
+
+@pytest.mark.parametrize("mode, problem, path, provenance", [
+    ("reduce", SMALL_REDUCE, ("dt",), ("dt", time_steps(0.1, DEFAULT_DT)[1])),
+    ("classify-classical", {"potential": "harmonic", "alpha0": [1.0, 0.0],
+                            "T": 1.0, "dt": 0.01},
+     ("dt",), ("dt", time_steps(1.0, CLASSIFY_DT)[1])),
+    ("classify-quantum", SMALL_QUANTUM, ("dt",), ("dt", GridHamiltonian.dt)),
+    ("reduce", {**SMALL_REDUCE, "mass": 2.0}, ("mass",), None),
+    ("reduce", SMALL_REDUCE, ("grid", "L"),
+     ("grid", {"n": 1, "N": 256, "L": DEFAULT_GRID.L})),
+    ("reduce", SMALL_REDUCE, ("comparator", "s"),
+     ("comparator", {"s": DEFAULT_S, "N": 16})),
+    # A null beside its alternative is no conflict.
+    ("reduce", {**SMALL_REDUCE, "region": {
+        "center": [1.0, 0.0], "radius": 0.05, "half_widths": [0.05, 0.05]}},
+     ("region", "half_widths"), None),
+    ("classify-classical", {
+        "potential": {"coeffs": [0.0, 0.0, 0.5], "coeff_matrix": [[0.0]]},
+        "alpha0": [1.0, 0.0], "T": 1.0}, ("potential", "coeff_matrix"), None),
+], ids=["reduce-dt", "classify-classical-dt", "quantum-grid-dt", "mass",
+        "grid-L", "comparator-s", "region-half-widths",
+        "potential-coeff-matrix"])
+def test_null_takes_the_default(tmp_path, mode, problem, path, provenance):
+    # The first six nulls exited 2 with a bare TypeError that named no
+    # field, e.g. "'<=' not supported between instances of 'NoneType'
+    # and 'int'", and the last two as conflicts.  A null reads as an
+    # absent key.
+    results = []
+    for name in ("null", "absent"):
+        changed = copy.deepcopy(problem)
+        if name == "null":
+            _holder(changed, path)[path[-1]] = None
+        else:
+            del _holder(changed, path)[path[-1]]
+        cfg = write_config(tmp_path, {"mode": mode, "problem": changed},
+                           f"{name}.json")
+        assert run(cfg, out_dir=tmp_path / name) == 0
+        results.append(json.loads(
+            (tmp_path / name / f"{mode}.json").read_text())["result"])
+    assert results[0] == results[1]
+    if provenance is not None:
+        key, value = provenance
+        assert results[0]["provenance"][key] == value
+
+
+@pytest.mark.parametrize("mode, key", [
+    ("reduce", "epsilon"), ("reduce", "alpha0"), ("classify-quantum", "psi"),
+    ("comparator-audit", "s"), ("scale", "lambdas"),
+    ("ehrenfest", "potential"),
+])
+def test_null_at_a_required_key_is_missing(tmp_path, capsys, mode, key):
+    cfg = write_config(tmp_path, {"mode": mode,
+                                  "problem": {**KEY_BASES[mode], key: None}})
+    assert run(cfg, out_dir=tmp_path / "out") == 2
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == \
+        f"config error: config.problem.{key}: missing\n"
+
+
+@pytest.mark.parametrize("output, message", [
+    ({"directory": 5}, "config.output.directory: must be a string"),
+    ({"formats": 5}, "config.output.formats: must be a list of 'json' or "
+     "'csv' entries"),
+    ({"formats": ["pdf"]}, "config.output.formats: must be a list of "
+     "'json' or 'csv' entries"),
+    ([], "config.output: must be an object"),
+], ids=["directory-number", "formats-number", "formats-entry", "list"])
+def test_output_faults_name_their_field(tmp_path, capsys, monkeypatch,
+                                        output, message):
+    # A directory of 5 and formats of 5 exited 2 with Python's own
+    # TypeError text.
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {"mode": "comparator-audit",
+                                  "problem": {"s": 1.0, "N": 16},
+                                  "output": output})
+    assert run(cfg) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_null_formats_write_json(tmp_path):
+    # "formats": null exited 2: 'NoneType' object is not iterable.
+    cfg = write_config(tmp_path, {
+        "mode": "comparator-audit", "problem": {"s": 1.0, "N": 16},
+        "output": {"directory": str(tmp_path / "out"), "formats": None}})
+    assert run(cfg) == 0
+    assert [p.name for p in (tmp_path / "out").iterdir()] == \
+        ["comparator-audit.json"]
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"seed": NAN}, "config.seed: must be a finite number"),
+    ({"seed": -INF}, "config.seed: must be a finite number"),
+    ({"seed": True}, "config.seed: must be a number"),
+    ({"seed": "0"}, "config.seed: must be a number"),
+    ({"tolerances": {"norm": NAN}},
+     "config.tolerances.norm: must be a finite number"),
+    ({"tolerances": {"norm": INF}},
+     "config.tolerances.norm: must be a finite number"),
+    ({"tolerances": {"norm": False}},
+     "config.tolerances.norm: must be a number"),
+    ({"tolerances": {"norm": "1e-10"}},
+     "config.tolerances.norm: must be a number"),
+    ({"tolerances": [1e-10]}, "config.tolerances: must be an object"),
+], ids=["seed-nan", "seed-infinity", "seed-bool", "seed-string",
+        "tolerance-nan", "tolerance-infinity", "tolerance-bool",
+        "tolerance-string", "tolerances-list"])
+def test_seed_and_tolerances_are_finite_numbers(tmp_path, capsys, entries,
+                                               message):
+    # A NaN seed exited 0 and wrote a bare NaN into the report, which a
+    # strict JSON parser refuses.
+    cfg = write_config(tmp_path, {"mode": "comparator-audit",
+                                  "problem": {"s": 1.0, "N": 16}, **entries})
+    assert run(cfg, out_dir=tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_reduce_runs_leave_no_comparator_alive(tmp_path):
+    # A reader that refers to itself, say a closure through its own cell,
+    # is a reference cycle: each run's ComparatorSpec and its Hermite
+    # basis would then live until the cyclic collector ran.
+    cfg = write_config(tmp_path, {"mode": "reduce", "problem": SMALL_REDUCE})
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, ComparatorSpec)]
+    gc.disable()
+    try:
+        for index in range(3):
+            assert run(cfg, out_dir=tmp_path / str(index)) == 0
+        alive = [o for o in gc.get_objects() if isinstance(o, ComparatorSpec)
+                 and not any(o is old for old in before)]
+    finally:
+        gc.enable()
+    assert alive == []
+
+
+# One small valid config per mode and form for the property test below,
+# each with a nested block and a list where its mode takes one.
+PROPERTY_FORMS = [
+    ("reduce", PROBLEMS["reduce"], {**SMALL_REDUCE, "M0": 1.0}),
+    ("classify-classical", PROBLEMS["classify-classical"], {
+        "potential": {"coeffs": [0.0, 0.0, 0.5]}, "alpha0": [1.0, 0.0],
+        "T": 1.0, "dt": 0.01}),
+    ("classify-quantum", PROBLEMS["classify-quantum"], {
+        "matrix": [[1.0, 0.0], [0.0, -1.0]], "psi": [1.0, 0.0],
+        "horizons": 10.0}),
+    ("classify-quantum", QUANTUM_GRID, {
+        **SMALL_QUANTUM, "packet": {"alpha0": [0.5, 0.0], "M0": 1.0}}),
+    ("comparator-audit", PROBLEMS["comparator-audit"],
+     {"s": 1.0, "N": 16, "dimension": 1}),
+    ("scale", PROBLEMS["scale"], {
+        "potential": "harmonic", "alpha0": [1.0, 0.0], "T": 0.1, "dt": 0.05,
+        "lambdas": [1.0, 0.5], "grid": {"n": 1, "N": 256, "L": 12.0}}),
+    ("squeeze", PROBLEMS["squeeze"], {
+        **{key: SMALL_REDUCE[key] for key in ("potential", "alpha0", "T",
+                                              "dt", "grid", "comparator")},
+        "epsilon": 1.0, "dilations": [1.0]}),
+    ("ehrenfest", PROBLEMS["ehrenfest"], {
+        "potential": "harmonic", "T": 0.1, "dt": 0.01,
+        "grid": {"n": 1, "N": 256, "L": 12.0},
+        "packet": {"alpha0": [0.5, 0.0], "M0": 1.0}}),
+]
+
+
+def _nodes(value, path=()):
+    """(path, node) of every object, list and leaf of a JSON value."""
+    yield path, value
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _nodes(item, path + (key,))
+
+
+@st.composite
+def one_change(draw):
+    """(kind, config, changed path): a valid config with one change."""
+    mode, table, problem = draw(st.sampled_from(PROPERTY_FORMS))
+    config = {"mode": mode, "seed": 0, "tolerances": {"norm": 1e-10},
+              "output": {"formats": ["json"]},
+              "problem": copy.deepcopy(problem)}
+    nodes = list(_nodes(config))
+    kind = draw(st.sampled_from(["unknown", "delete", "bool", "string",
+                                 "nan", "negative", "length"]))
+    if kind == "unknown":
+        # Every object but tolerances, whose keys are free, has a table.
+        path = draw(st.sampled_from([p for p, node in nodes
+                                     if isinstance(node, dict)
+                                     and p != ("tolerances",)]))
+        path += (draw(st.text("xyzq_", min_size=1, max_size=3)),)
+        _holder(config, path)[path[-1]] = 1.0
+    elif kind == "delete":
+        # Without its "matrix" the matrix form is the grid form, which
+        # refuses psi as unknown: that key is the form's selector.
+        path = ("problem", draw(st.sampled_from(
+            [key for key, default in table.items()
+             if default is REQUIRED and key != "matrix"])))
+        del config["problem"][path[1]]
+    elif kind == "length":
+        path, node = draw(st.sampled_from(
+            [(p, node) for p, node in nodes if isinstance(node, list)]))
+        if draw(st.booleans()):
+            node.pop()
+        else:
+            node.append(copy.deepcopy(node[-1]))
+    else:
+        path = draw(st.sampled_from(
+            [p for p, node in nodes if isinstance(node, (int, float))
+             and not isinstance(node, bool)]))
+        value = {"bool": draw(st.booleans()), "string": "1.0", "nan": NAN,
+                 "negative": draw(st.floats(-2.0, -0.01))}[kind]
+        _holder(config, path)[path[-1]] = value
+    return kind, config, tuple(str(key) for key in path)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(one_change())
+def test_one_change_to_a_valid_config_exits_two_at_its_path(change):
+    # Each refusal names the changed path, or its parent, and writes
+    # nothing; a negative number or a list of another length may also
+    # run, but never to a numerical failure or a traceback.
+    kind, config, path = change
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = run(write_config(Path(tmp), config), out_dir=out)
+        if kind in ("negative", "length") and code == 0:
+            return
+        assert code == 2, (code, stderr.getvalue())
+        assert not out.exists()
+    named = re.match(r"config error: config\.(\S+?): ", stderr.getvalue())
+    named = tuple(named.group(1).split("."))
+    if kind in ("negative", "length"):
+        assert named and named == path[:len(named)], stderr.getvalue()
+    else:
+        assert named in (path, path[:-1]), stderr.getvalue()

@@ -98,3 +98,20 @@ def test_csv_cells_text_and_headers_are_exact_floats_are_not(tmp_path):
         lines, found = exact_lines(directory, CSV, new, "reduce.csv")
         assert lines == want
         assert found
+
+
+def test_a_changed_refusal_text_is_exact():
+    # Both trees refuse; only the last stderr line tells the refusals
+    # apart.
+    old = "config error: config.problem.region: must be an object"
+    cases = [
+        ({"OLD": 2, "NEW": 2}, {"OLD": old, "NEW": old + " with a center"},
+         True),
+        ({"OLD": 2, "NEW": 2}, {"OLD": old, "NEW": old}, False),
+        # A run that fails in both trees is compared by its report files.
+        ({"OLD": 3, "NEW": 3}, {"OLD": "numerical failure: a",
+                                "NEW": "numerical failure: b"}, False),
+        ({"OLD": 0, "NEW": 2}, {"OLD": "", "NEW": old}, False),
+    ]
+    for codes, messages, differs in cases:
+        assert compare_reports.refusal_differs(codes, messages) is differs

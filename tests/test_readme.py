@@ -7,7 +7,7 @@ from pathlib import Path
 
 import qreduce
 from qreduce import errors
-from qreduce.cli import PROBLEM_KEYS, QUANTUM_GRID_KEYS, main
+from qreduce.cli import PROBLEMS, QUANTUM_GRID, REQUIRED, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -74,19 +74,27 @@ def test_help_lists_the_readme_entry_points_and_the_errors():
 
 
 def readme_mode_table() -> dict:
-    """{mode: backticked keys of its required and optional columns} from
-    the README's table of modes and their problem blocks."""
+    """{mode: (backticked keys of its required column, of both columns)}
+    from the README's table of modes and their problem blocks."""
     section = README.read_text().split("Modes and their `problem` blocks:",
                                        1)[1]
-    rows = re.findall(r"^\| `([a-z-]+)` \|(.*)\|$", section, re.M)
-    return {mode: set(re.findall(r"`([A-Za-z_]\w*)`", cells))
-            for mode, cells in rows}
+    rows = re.findall(r"^\| `([a-z-]+)` \|([^|]*)\|([^|]*)\|$", section,
+                      re.M)
+    return {mode: (backticked(required), backticked(required + optional))
+            for mode, required, optional in rows}
+
+
+def backticked(text: str) -> set:
+    return set(re.findall(r"`([A-Za-z_]\w*)`", text))
 
 
 def test_the_mode_table_lists_each_modes_declared_keys():
+    # classify-quantum's row covers its matrix and its grid form.
     table = readme_mode_table()
-    assert table.keys() == PROBLEM_KEYS.keys()
-    for mode, keys in PROBLEM_KEYS.items():
-        if mode == "classify-quantum":
-            keys += QUANTUM_GRID_KEYS
-        assert table[mode] == set(keys), mode
+    assert table.keys() == PROBLEMS.keys()
+    for mode, keys in PROBLEMS.items():
+        forms = (keys, QUANTUM_GRID) if mode == "classify-quantum" else (keys,)
+        required = {key for form in forms for key, default in form.items()
+                    if default is REQUIRED}
+        declared = {key for form in forms for key in form}
+        assert table[mode] == (required, declared), mode

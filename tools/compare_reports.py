@@ -22,13 +22,14 @@ are only printed.  Every other difference is an exact-field difference,
 marked as such: a JSON leaf that is not a number or a list of numbers
 (a verdict, a label, a boolean, a string, null against a number), a
 leaf or a report file present in only one tree, a list of numbers that
-changes length, and a CSV file whose cell count, non-numeric cells or
-header lines change.  The script exits 1 if a unit's exit status
-differs between the trees or any exact-field difference is found, else
-0; the summary line counts the files compared, the files that differ
-and the exact-field differences.  After it, each tree's
-``src/qreduce/*.py`` line count is printed, in total and of code lines
-alone (no blank, comment or docstring lines).
+changes length, a CSV file whose cell count, non-numeric cells or
+header lines change, and a unit that both trees refuse (exit 2) with
+different refusal text, the last line of stderr.  The script exits 1 if
+a unit's exit status differs between the trees or any exact-field
+difference is found, else 0; the summary line counts the files
+compared, the files that differ and the exact-field differences.  After
+it, each tree's ``src/qreduce/*.py`` line count is printed, in total and
+of code lines alone (no blank, comment or docstring lines).
 """
 
 import ast
@@ -159,6 +160,13 @@ def run_unit(src: Path, config: dict, directory: Path):
         cwd=directory, env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True)
     return done.returncode, (done.stderr.strip().splitlines() or [""])[-1]
+
+
+def refusal_differs(codes: dict, messages: dict) -> bool:
+    """Whether both trees refuse the unit (exit 2) with a different last
+    stderr line."""
+    return codes["OLD"] == codes["NEW"] == 2 and \
+        messages["OLD"] != messages["NEW"]
 
 
 def _leaves(value, path=""):
@@ -322,6 +330,9 @@ def main(argv=None) -> int:
             if codes["OLD"] != codes["NEW"]:
                 status_changed += 1
                 print("  EXIT STATUS DIFFERS")
+            if refusal_differs(codes, messages):
+                exact += 1
+                print("  stderr: EXACT FIELD DIFFERS: refusal text")
             found, files = compare_unit(outs["OLD"], outs["NEW"])
             compared += files
             differing += len(found)
