@@ -188,18 +188,11 @@ def _integrate_leapfrog_1d(spec, alpha0, m, dt):
 
 def _horner_2d(columns, x, y):
     # hamiltonian._horner's order on plain floats, so bitwise
-    # PotentialModel.gradient: each column D[:, j] in x, then the column
-    # values in y, each started as D[-1] + x * 0.
-    values = []
-    for col in columns:
-        acc = col[-1] + x * 0
-        for c in col[-2::-1]:
-            acc = c + acc * x
-        values.append(acc)
-    acc = values[-1] + y * 0
-    for c in values[-2::-1]:
-        acc = c + acc * y
-    return acc
+    # PotentialModel.gradient: _horner on each column D[:, j] in x, then
+    # on the column values in y.  _horner's first step 0.0 * x + c is
+    # c + x * 0 for every x, and its later steps only swap the operands
+    # of one addition.
+    return _horner([_horner(col, x) for col in columns], y)
 
 
 def _integrate_leapfrog_2d(spec, alpha0, m, dt):

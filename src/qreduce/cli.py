@@ -135,8 +135,9 @@ QUANTUM_GRID = {"horizons": REQUIRED, "potential": REQUIRED, "packet": {},
 GRID = {"n": DEFAULT_GRID.n, "N": DEFAULT_GRID.N, "L": DEFAULT_GRID.L}
 COMPARATOR = {"s": DEFAULT_S, "N": ComparatorSpec.N}
 REGION = {"center": REQUIRED, "radius": None, "half_widths": None}
-# An empty packet block is the vacuum at the origin.
-PACKET = {"alpha0": REQUIRED, "M0": 1.0}
+# A packet without alpha0 starts at the origin: an empty block is the
+# vacuum.
+PACKET = {"alpha0": None, "M0": 1.0}
 POTENTIAL = {"coeffs": None, "coeff_matrix": None}
 
 
@@ -385,8 +386,10 @@ def _packet(raw, path: str, block):
     """(alpha0, M0), started on the grid by the rule reduce and scale
     apply (GridSpec.holds_center)."""
     start = _Block(raw, PACKET, path, block)
-    alpha0 = start["alpha0"] if raw else PhasePoint.from_vector(
-        np.zeros(2 * block["potential"].dimension))
+    alpha0 = start["alpha0"]
+    if alpha0 is None:
+        alpha0 = PhasePoint.from_vector(
+            np.zeros(2 * block["potential"].dimension))
     if not block["grid"].holds_center(alpha0.vector):
         _fail(f"{path}.alpha0", f"initial packet {OFF_GRID}")
     return alpha0, start["M0"]
@@ -412,9 +415,9 @@ def _omega(raw, path: str, block) -> np.ndarray:
 
 
 def _formats(raw, path: str, block=None) -> list:
-    if not isinstance(raw, (list, tuple)) or any(
+    if not isinstance(raw, (list, tuple)) or not raw or any(
             fmt not in ("json", "csv") for fmt in raw):
-        _fail(path, "must be a list of 'json' or 'csv' entries")
+        _fail(path, "must be a nonempty list of 'json' or 'csv' entries")
     return list(raw)
 
 
@@ -502,7 +505,7 @@ def _run_classify_quantum(problem: _Block):
 
         def evolution():
             psi = sample_on_grid(packet(alpha0, M0), grid)
-            return GridHamiltonian(spec, grid, dt=dt), psi, comp
+            return GridHamiltonian(spec, dt=dt), psi, comp
 
     def compute():
         out = classify_quantum(*evolution(), horizons)

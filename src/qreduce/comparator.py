@@ -286,8 +286,8 @@ def coherent_matrix_elements(spec: ComparatorSpec, alpha: PhasePoint) -> dict:
             "one_minus_measured": one_minus_measured}
 
 
-def within_magnitude(spec: ComparatorSpec, E: float, projection) -> dict:
-    """Test one projected state for membership within magnitude E.
+def within_magnitude(spec: ComparatorSpec, projection) -> dict:
+    """Probe one projected state for membership within a magnitude.
 
     projection is the state's (coeffs, residual): one row of
     hermite_coefficients' stack.  Uses the comparator at unit top
@@ -299,14 +299,21 @@ def within_magnitude(spec: ComparatorSpec, E: float, projection) -> dict:
     truncation fell and certifies nothing.  Coefficients at the
     quadrature noise floor are dropped first, since the growth factor
     would otherwise amplify projection rounding into the answer;
-    verdicts are therefore at this truncation and precision.
+    verdicts are therefore at this truncation and precision.  The
+    membership rule itself, no divergence and an inverse norm of at most
+    E, lives in reduction.assemble_bounds, which chooses E only after
+    every probe.
 
     Returns
     -------
-    dict with keys member, inv_norm, divergent, residual.
+    dict with keys inv_norm and divergent.
+
+    Raises
+    ------
+    BasisResidualError
+        When more than RESIDUAL_TOL of the state's mass lies outside the
+        basis.
     """
-    if E <= 0:
-        raise ValueError("E must be positive")
     coeffs, residual = projection
     if residual > RESIDUAL_TOL:
         raise _residual_error(residual)
@@ -326,9 +333,7 @@ def within_magnitude(spec: ComparatorSpec, E: float, projection) -> dict:
     else:
         terms = np.exp(log_terms[np.isfinite(log_terms)])
         inv_norm = float(np.sqrt(terms.sum()))
-    member = bool(not divergent and inv_norm <= E)
-    return {"member": member, "inv_norm": inv_norm, "divergent": divergent,
-            "residual": residual}
+    return {"inv_norm": inv_norm, "divergent": divergent}
 
 
 def _edge_dominated(seq) -> bool:

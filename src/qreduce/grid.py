@@ -32,10 +32,11 @@ OBSERVE_BLOCK_STATES = 32
 CHECK_STRIDE = 100  # steps between propagate's boundary and norm checks
 # numpy's threshold for running a product in place on a temporary operand.
 ELIDE_BYTES = 1 << 18
-# Bound of the row temporaries of a stacked measurement (_row_norms,
-# _moment_sums, _marginal_sums): rows go a chunk at a time, each chunk's
-# temporary within this many bytes, one row at least.
-CHUNK_BYTES = 1 << 18
+# The one bound of a chunked routine's row temporaries (_row_norms,
+# _moment_sums, _marginal_sums, packets._sample_rows in 2D and
+# reduction._dense_remainder): rows go a chunk at a time (_chunk_rows),
+# each chunk's temporary within this many bytes, one row at least.
+CHUNK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)

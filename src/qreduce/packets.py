@@ -27,7 +27,7 @@ import numpy as np
 
 from .classical import ClassicalTrajectory, _hermite
 from .errors import NumericalError
-from .grid import GridSpec, GridWavefunction, _chunks
+from .grid import GridSpec, GridWavefunction, _chunk_rows, _chunks
 from .hamiltonian import HamiltonianSpec, PhasePoint, energies
 from .quadrature import cumulative_simpson
 
@@ -38,9 +38,6 @@ FACTOR_TOL = 1e-10
 TURN_SUBSTEPS = 16
 TURN_SUBSTEPS_MAX = 4096
 TURN_RESOLVED = 0.25 * np.pi
-# Bound of the complex row buffer in which _sample_rows takes a 2D
-# packet's cross term and phase, a chunk of grid rows at a time.
-PHASE_CHUNK_BYTES = 1 << 17
 
 
 def _as_matrix(value, n: int) -> np.ndarray:
@@ -157,9 +154,10 @@ def _sample_rows(grid: GridSpec, xi, pi_m, M, factors, out) -> None:
     bits a stacked form would not keep.  That product reads the mesh of
     u, which is built from the two axis differences by broadcast copies:
     they are the differences x_mesh - xi would take, so the same bits.
-    The cross term t10 and the phase go PHASE_CHUNK_BYTES of grid rows
-    at a time, the mesh in the bytes of the complex term buffer: each
-    is elementwise, or a product per grid point, so chunks keep the bits.
+    The cross term t10 and the phase go a chunk of grid rows at a time
+    (_chunk_rows, within grid.CHUNK_BYTES of complex term buffer), the
+    mesh in the bytes of that buffer: each is elementwise, or a product
+    per grid point, so chunks keep the bits.
     """
     if grid.n == 1:
         u = grid.x - xi
@@ -171,9 +169,9 @@ def _sample_rows(grid: GridSpec, xi, pi_m, M, factors, out) -> None:
         for row in range(len(out)):
             out[row] = factors[row] * np.exp(out[row]) * np.exp(1j * u[row])
         return
-    step = max(1, PHASE_CHUNK_BYTES // (grid.N * out.itemsize))
+    step = _chunk_rows(grid.N * out.itemsize, grid.N)
     chunks = _chunks(grid.N, step)
-    term = np.empty((min(step, grid.N), grid.N), dtype=complex)
+    term = np.empty((step, grid.N), dtype=complex)
     phase = np.empty(term.shape)
     for row, form in enumerate(out):
         # u_0 along axis 0 and u_1 along axis 1.
@@ -211,9 +209,9 @@ def _sample_rows(grid: GridSpec, xi, pi_m, M, factors, out) -> None:
 
 @dataclass(eq=False)
 class MetaplecticSeries:
-    """(A, B, M) along a classical trajectory, with branch-tracked det B."""
+    """(A, B, M) along a classical trajectory, with branch-tracked det B:
+    one entry per trajectory sample, at the trajectory's times."""
 
-    times: np.ndarray
     A: np.ndarray
     B: np.ndarray
     M: np.ndarray
@@ -350,8 +348,8 @@ def _assemble_series(traj, A_series, B_series, mass) -> MetaplecticSeries:
         jumps[fast] += 2.0 * np.pi * np.round(
             (path - jumps[fast]) / (2.0 * np.pi))
     angles = raw[0] + np.concatenate([[0.0], np.cumsum(jumps)])
-    return MetaplecticSeries(times=times.copy(), A=A_series, B=B_series,
-                             M=M_series, detB_angle=angles)
+    return MetaplecticSeries(A=A_series, B=B_series, M=M_series,
+                             detB_angle=angles)
 
 
 def _path_turns(times, A_series, B_series, mass, steps) -> np.ndarray:

@@ -33,8 +33,8 @@ from .comparator import RESIDUAL_TOL, BasisResidualError, ComparatorSpec, \
     hermite_coefficients, within_magnitude
 from .errors import ConfigError, NumericalError
 from .grid import DEFAULT_GRID, OFF_GRID, GridSpec, GridStack, \
-    GridWavefunction, _block_rows, _moment_sums, _observer_block, _row_norms, \
-    expectation_a, propagate
+    GridWavefunction, _block_rows, _chunk_rows, _chunks, _moment_sums, \
+    _observer_block, _row_norms, expectation_a, propagate
 from .hamiltonian import HamiltonianSpec, PhasePoint, \
     _remainder_by_subtraction, normal_rule, time_steps
 from .packets import PacketFlow, _sample_flows, approximate_flow, packet, \
@@ -49,8 +49,6 @@ DEFAULT_S = 1.0
 EHRENFEST_STRIDE = 2
 E_MARGIN = 1.5
 E_PROBE = 1e12
-# Memory bound of a block of rows of the dense remainder reference.
-REFERENCE_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -138,17 +136,15 @@ def _dense_remainder(spec: HamiltonianSpec, center, re_m, z) -> np.ndarray:
     L_ij z_j reads only the first i + 1 nodes: on broadcast axes, node
     z_j along axis j, V's polynomials in the first coordinate are taken
     once per node and each subtracted term spans only the axes it reads.
-    The nodes go a block of first-axis nodes at a time, each block's
-    rows of r within REFERENCE_BLOCK_BYTES: r is elementwise, so the
-    blocks keep its bits, and only the result spans every node tuple.
+    The nodes go a chunk of first-axis nodes at a time (_chunk_rows),
+    each chunk's rows of r within grid.CHUNK_BYTES: r is elementwise, so
+    the chunks keep its bits, and only the result spans every node tuple.
     """
     n = len(center)
     L = np.linalg.cholesky(np.linalg.inv(2.0 * re_m))
     remainder = _remainder_by_subtraction(spec.potential, center)
     out = np.empty((len(z),) * n)
-    step = max(1, REFERENCE_BLOCK_BYTES // out[0].nbytes)
-    for start in range(0, len(z), step):
-        rows = slice(start, start + step)
+    for rows in _chunks(len(z), _chunk_rows(out[0].nbytes, len(z))):
         zs = [(z[rows] if j == 0 else z).reshape((-1,) + (1,) * (n - 1 - j))
               for j in range(n)]
         out[rows] = remainder(
@@ -324,19 +320,17 @@ class BoundAssembly:
     normalized comparator.  general uses measured operator scalars;
     specialized uses the closed prefactor (e^s/(s e))^{1/2} with factors
     E+3 and 2(E+1).  Hypothesis flags record membership of both the true
-    and the approximating states within magnitude E.
+    and the approximating states within magnitude E, as assemble_bounds
+    decides it.
     """
 
     times: np.ndarray
     delta1_measured: np.ndarray
     delta1_duhamel: np.ndarray
     delta2: np.ndarray
-    inv_norms_u: np.ndarray
-    inv_norms_w: np.ndarray
     membership_u: np.ndarray
     membership_w: np.ndarray
     E_used: float
-    omega_measured: float
     prefactor_closed: float
     general: np.ndarray
     specialized: np.ndarray
@@ -353,7 +347,7 @@ def _membership_probes(comp: ComparatorSpec, coeffs, residual):
     inv, divergent = np.full(len(coeffs), np.inf), np.ones(len(coeffs), bool)
     for row, projection in enumerate(zip(coeffs, residual.tolist())):
         try:
-            probe = within_magnitude(comp, E_PROBE, projection)
+            probe = within_magnitude(comp, projection)
         except BasisResidualError:
             continue
         inv[row], divergent[row] = probe["inv_norm"], probe["divergent"]
@@ -520,8 +514,11 @@ def assemble_bounds(problem: ReductionProblem, run: QuantumRun,
     E, takes the operator scalars and assembles.  E defaults to 1.5x the
     largest measured inverse-comparator norm over both state families,
     so the magnitude hypotheses hold unless the truncated expansion
-    diverges.  error is the run's measured_error(run, traj); when the
-    hypotheses hold, the assembled bounds must dominate it.
+    diverges.  A state is a member within magnitude E when its probe did
+    not diverge and its inverse norm is at most E: the one membership
+    rule, taken here since E is chosen only after every probe.  error is
+    the run's measured_error(run, traj); when the hypotheses hold, the
+    assembled bounds must dominate it.
 
     Raises
     ------
@@ -556,10 +553,9 @@ def assemble_bounds(problem: ReductionProblem, run: QuantumRun,
     specialized = _specialized_bound(prefactor, E, delta1, delta2)
     assembly = BoundAssembly(
         times=run.times, delta1_measured=delta1, delta1_duhamel=delta1_duh,
-        delta2=delta2, inv_norms_u=inv_u, inv_norms_w=inv_w,
-        membership_u=member_u, membership_w=member_w, E_used=float(E),
-        omega_measured=omega, prefactor_closed=prefactor,
-        general=general, specialized=specialized)
+        delta2=delta2, membership_u=member_u, membership_w=member_w,
+        E_used=float(E), prefactor_closed=prefactor, general=general,
+        specialized=specialized)
     if assembly.hypotheses_hold:
         worst = error.max_norm - np.minimum(general, specialized)
         if np.max(worst) > DOMINATION_SLACK:
@@ -735,7 +731,6 @@ class EhrenfestData:
     """Densely sampled expectations needed for the Ehrenfest identity."""
 
     times: np.ndarray
-    position: np.ndarray
     momentum: np.ndarray
     grad_v_mean: np.ndarray
     grad_v_at_mean: np.ndarray
@@ -744,7 +739,7 @@ class EhrenfestData:
 def ehrenfest_run(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
                   dt: float = DEFAULT_DT,
                   sample_stride: int = EHRENFEST_STRIDE) -> EhrenfestData:
-    """Propagate and record <q>, <p>, <V'(q)> and V'(<q>) densely.
+    """Propagate and record <p>, <V'(q)> and V'(<q>) densely.
 
     One-dimensional only; the sampling interval sample_stride * dt sets
     the finite-difference accuracy of the identity residual, and
@@ -769,16 +764,15 @@ def ehrenfest_run(spec: HamiltonianSpec, psi0: GridWavefunction, T: float,
         mass, *sums = _moment_sums(amps, grid, work[:len(amps)], (dv,))
         mass = mass * cell
         q, p, grad_v_mean = (s * cell / mass for s in sums)
-        blocks.append(np.column_stack([times, q, p, grad_v_mean,
+        blocks.append(np.column_stack([times, p, grad_v_mean,
                                        spec.potential.derivative(q)]))
 
     collect(np.zeros(1), psi0.amp[None, None])
     propagate(spec, GridStack.of(psi0), T, dt, observer=collect,
               observe_stride=stride)
     data = np.concatenate(blocks)
-    return EhrenfestData(times=data[:, 0], position=data[:, 1],
-                         momentum=data[:, 2], grad_v_mean=data[:, 3],
-                         grad_v_at_mean=data[:, 4])
+    return EhrenfestData(times=data[:, 0], momentum=data[:, 1],
+                         grad_v_mean=data[:, 2], grad_v_at_mean=data[:, 3])
 
 
 def ehrenfest_residuals(data: EhrenfestData) -> dict:

@@ -5,14 +5,13 @@ momentum by sqrt(lambda), energies by lambda, and leaves time and mass
 alone; the numerical value of Planck's constant becomes lambda itself.
 Rewriting an energy function in the scaled units gives
 h_lam(x, k) = lambda * h(x / sqrt(lambda), k / sqrt(lambda)), while the
-companion family g_lam(x, k) = h(sqrt(lambda) x, sqrt(lambda) k) / lambda
-keeps the original units but shrinks the anharmonic part.  Driving
-lambda down through that family is the honest reading of the
-small-Planck limit: the classical approximation improves because the
-Hamiltonian flattens, not because a fixed constant of nature changed.
+family g_lam(x, k) = h(sqrt(lambda) x, sqrt(lambda) k) / lambda, whose
+lambda-scaled form is h, keeps the original units but shrinks the
+anharmonic part; scale_hamiltonian builds g_lam.  Driving lambda down
+through that family is the honest reading of the small-Planck limit:
+the classical approximation improves because the Hamiltonian flattens,
+not because a fixed constant of nature changed.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,46 +50,30 @@ def scale_value(kind: str, value: float, lam: float) -> float:
     return float(value) * lam ** exponent
 
 
-class ScaledHamiltonians(NamedTuple):
-    """The two specs a lambda-scaling produces from one Hamiltonian.
-
-    in_scaled_units is the same physics rewritten in the lambda units
-    (degree-k potential coefficient times lambda^(1 - k/2)); family
-    member is the fixed-units Hamiltonian whose lambda-scaled form
-    matches the original (degree-k coefficient times lambda^(k/2 - 1)).
-    Both leave the kinetic term alone.
-    """
-
-    in_scaled_units: HamiltonianSpec
-    family_member: HamiltonianSpec
-
-
-def _scaled_potential(pot: PotentialModel, lam, sign: float) -> PotentialModel:
-    # A degree-k coefficient times lambda^(sign (1 - k/2)), k the total degree.
+def _scaled_potential(pot: PotentialModel, lam) -> PotentialModel:
+    # A degree-k coefficient times lambda^(k/2 - 1), k the total degree.
     degrees = sum(np.indices(pot.coeffs.shape))
-    return PotentialModel(pot.coeffs * lam ** (sign * (1.0 - degrees / 2.0)))
+    return PotentialModel(pot.coeffs * lam ** (degrees / 2.0 - 1.0))
 
 
-def scale_hamiltonian(spec: HamiltonianSpec, lam: float) -> ScaledHamiltonians:
-    """Both lambda-transformed Hamiltonians for a polynomial potential.
+def scale_hamiltonian(spec: HamiltonianSpec, lam: float) -> HamiltonianSpec:
+    """The family member g_lam of a polynomial Hamiltonian: the
+    fixed-units Hamiltonian whose lambda-scaled form is the original,
+    with each degree-k potential coefficient times lambda^(k/2 - 1).
 
     The kinetic coefficient 1/(2m) is degree 2 in momentum, so it is
-    invariant under either transformation and the mass carries over
-    unchanged.
+    invariant and the mass carries over unchanged.
     """
     if lam <= 0:
         raise ConfigError("scale parameter must be positive")
-    scaled = HamiltonianSpec(
-        mass=spec.mass, potential=_scaled_potential(spec.potential, lam, 1.0))
-    family = HamiltonianSpec(
-        mass=spec.mass, potential=_scaled_potential(spec.potential, lam, -1.0))
-    return ScaledHamiltonians(scaled, family)
+    return HamiltonianSpec(mass=spec.mass,
+                           potential=_scaled_potential(spec.potential, lam))
 
 
 def _family_row(spec, alpha0, T, lam, grid, dt) -> dict:
     # Of the reduction pipeline only the stages behind the row's two
     # numbers run, from the unit-width packet, with no comparator work.
-    family = scale_hamiltonian(spec, lam).family_member
+    family = scale_hamiltonian(spec, lam)
     try:
         traj = integrate_flow(family, alpha0, T, dt)
         base = packet(alpha0, 1.0)

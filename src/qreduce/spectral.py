@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comparator import ComparatorSpec, _basis, _constants
-from .grid import GridSpec, GridStack, GridWavefunction, propagate
+from .grid import GridStack, GridWavefunction, propagate
 from .hamiltonian import HamiltonianSpec
 from .quadrature import cumulative_simpson
 
@@ -44,8 +44,6 @@ class FiniteEvolution:
 
     Attributes
     ----------
-    matrix : ndarray
-        The Hermitian generator.
     eigenvalues : ndarray
         Sorted eigenvalues from the dense decomposition.
     vectors : ndarray
@@ -56,7 +54,6 @@ class FiniteEvolution:
         One representative eigenvalue per cluster.
     """
 
-    matrix: np.ndarray
     eigenvalues: np.ndarray
     vectors: np.ndarray
     groups: list
@@ -99,20 +96,20 @@ def finite_evolution(H) -> FiniteEvolution:
             groups.append(np.arange(start, i))
             start = i
     reps = np.array([float(np.mean(a[idx])) for idx in groups])
-    return FiniteEvolution(matrix=H, eigenvalues=a, vectors=v,
+    return FiniteEvolution(eigenvalues=a, vectors=v,
                            groups=groups, group_values=reps)
 
 
 @dataclass(frozen=True)
 class GridHamiltonian:
-    """Grid evolution handle for the stay/transit diagnostics.
+    """Grid evolution handle for the stay/transit diagnostics: the
+    Hamiltonian and the step.  A run takes the start state's grid.
 
     dt is the requested step, a positive finite number (ValueError
     otherwise); a run over [0, T] takes max(2, ceil(T / dt)) equal steps.
     """
 
     spec: HamiltonianSpec
-    grid: GridSpec
     dt: float = 0.25
 
     def __post_init__(self):

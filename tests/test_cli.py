@@ -1092,16 +1092,20 @@ def test_null_at_a_required_key_is_missing(tmp_path, capsys, mode, key):
 
 @pytest.mark.parametrize("output, message", [
     ({"directory": 5}, "config.output.directory: must be a string"),
-    ({"formats": 5}, "config.output.formats: must be a list of 'json' or "
-     "'csv' entries"),
-    ({"formats": ["pdf"]}, "config.output.formats: must be a list of "
+    ({"formats": 5}, "config.output.formats: must be a nonempty list of "
+     "'json' or 'csv' entries"),
+    ({"formats": ["pdf"]}, "config.output.formats: must be a nonempty list "
+     "of 'json' or 'csv' entries"),
+    ({"formats": []}, "config.output.formats: must be a nonempty list of "
      "'json' or 'csv' entries"),
     ([], "config.output: must be an object"),
-], ids=["directory-number", "formats-number", "formats-entry", "list"])
+], ids=["directory-number", "formats-number", "formats-entry", "formats-empty",
+        "list"])
 def test_output_faults_name_their_field(tmp_path, capsys, monkeypatch,
                                         output, message):
     # A directory of 5 and formats of 5 exited 2 with Python's own
-    # TypeError text.
+    # TypeError text, and an empty formats list ran the whole mode and
+    # exited 0 having written nothing.
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, {"mode": "comparator-audit",
                                   "problem": {"s": 1.0, "N": 16},
@@ -1165,6 +1169,26 @@ def test_reduce_runs_leave_no_comparator_alive(tmp_path):
     finally:
         gc.enable()
     assert alive == []
+
+
+@pytest.mark.parametrize("mode, problem", [
+    ("ehrenfest", {"potential": "harmonic", "T": 0.1, "dt": 0.01,
+                   "grid": {"n": 1, "N": 256, "L": 12.0}}),
+    ("classify-quantum", SMALL_QUANTUM),
+], ids=["ehrenfest", "quantum-grid"])
+def test_a_packet_without_alpha0_starts_at_the_origin(tmp_path, mode,
+                                                      problem):
+    # {"M0": 2.0} exited 2 as config.problem.packet.alpha0: missing, while
+    # an empty packet block ran from the origin.
+    results = []
+    for name, start in (("width", {"M0": 2.0}),
+                        ("origin", {"alpha0": [0.0, 0.0], "M0": 2.0})):
+        cfg = write_config(tmp_path, {"mode": mode, "problem": {
+            **problem, "packet": start}}, f"{name}.json")
+        assert run(cfg, out_dir=tmp_path / name) == 0
+        results.append(json.loads(
+            (tmp_path / name / f"{mode}.json").read_text())["result"])
+    assert results[0] == results[1]
 
 
 # One small valid config per mode and form for the property test below,

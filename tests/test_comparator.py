@@ -39,10 +39,10 @@ def smoothed(spec, psi):
     return GridWavefunction(psi.grid, synthesis(image[0], psi.grid))
 
 
-def membership(spec, E, psi):
+def probe(spec, psi):
     """within_magnitude on the one row of psi's projection."""
     coeffs, residual = project(spec, psi)
-    return within_magnitude(spec, E, (coeffs[0], residual[0]))
+    return within_magnitude(spec, (coeffs[0], residual[0]))
 
 
 def test_spec_validation():
@@ -210,13 +210,13 @@ def test_projection_residual_raises():
     with pytest.raises(BasisResidualError):
         smoothed(spec, psi)
     with pytest.raises(BasisResidualError):
-        membership(spec, 1e12, psi)
+        probe(spec, psi)
 
 
 def test_within_magnitude_ground_state():
     spec = ComparatorSpec(s=1.0)
-    out = membership(spec, 1.0, hermite_state(0))
-    assert out["member"] and not out["divergent"]
+    out = probe(spec, hermite_state(0))
+    assert not out["divergent"]
     assert abs(out["inv_norm"] - 1.0) < 1e-8
 
 
@@ -224,11 +224,9 @@ def test_within_magnitude_coherent():
     spec = ComparatorSpec(s=np.log(2.0))
     psi = coherent_state(2.0, 0.0)
     # Normalized inverse norm is e^{lambda_{2s} |z|^2 / 2} = e^3.
-    out = membership(spec, 25.0, psi)
+    out = probe(spec, psi)
     assert not out["divergent"]
     assert out["inv_norm"] == pytest.approx(np.exp(3.0), rel=1e-6)
-    assert out["member"]
-    assert not membership(spec, 10.0, psi)["member"]
 
 
 def test_within_magnitude_squeezed_divergence():
@@ -236,17 +234,17 @@ def test_within_magnitude_squeezed_divergence():
     origin = PhasePoint(0.0, 0.0)
     narrow = sample_on_grid(packet(origin, 10.0), GRID)
     mild = sample_on_grid(packet(origin, 1.1), GRID)
-    vac = membership(spec, 1e6, hermite_state(0))
-    squeezed = membership(spec, 1e6, narrow)
-    assert squeezed["divergent"] and not squeezed["member"]
+    vac = probe(spec, hermite_state(0))
+    squeezed = probe(spec, narrow)
+    assert squeezed["divergent"]
     assert squeezed["inv_norm"] > vac["inv_norm"]
-    assert not membership(spec, 1e6, mild)["divergent"]
+    assert not probe(spec, mild)["divergent"]
 
 
-def membership_by_errstate(spec, E, projection):
+def probe_by_errstate(spec, projection):
     """within_magnitude as it was written before its two edge sums shared
     one exp: log 0 under np.errstate, and an exp per sum."""
-    coeffs, residual = projection
+    coeffs, _ = projection
     c_sq = np.abs(coeffs) ** 2
     c_sq[c_sq <= NOISE_FLOOR * np.sum(c_sq)] = 0.0
     const = _constants(spec, c_sq.ndim)
@@ -264,8 +262,7 @@ def membership_by_errstate(spec, E, projection):
     else:
         inv_norm = float(np.sqrt(np.sum(np.exp(
             log_terms[np.isfinite(log_terms)]))))
-    return {"member": bool(not divergent and inv_norm <= E),
-            "inv_norm": inv_norm, "divergent": divergent, "residual": residual}
+    return {"inv_norm": inv_norm, "divergent": divergent}
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -284,14 +281,11 @@ def test_within_magnitude_is_the_errstate_form(n):
     outcomes = set()
     for s, c in [(spec.s, c) for c in coeffs] + [(6.0, coeffs[-1])]:
         comp = ComparatorSpec(s=s, N=spec.N)
-        for E in (2.0, 50.0):
-            got = within_magnitude(comp, E, (c, 0.0))
-            assert got == membership_by_errstate(comp, E, (c, 0.0))
-            assert list(map(type, got.values())) == [bool, float, bool, float]
-            outcomes.add((got["member"], got["divergent"],
-                          got["inv_norm"] == np.inf))
-    assert outcomes >= {(True, False, False), (False, True, False),
-                        (False, True, True)}
+        got = within_magnitude(comp, (c, 0.0))
+        assert got == probe_by_errstate(comp, (c, 0.0))
+        assert list(map(type, got.values())) == [float, bool]
+        outcomes.add((got["divergent"], got["inv_norm"] == np.inf))
+    assert outcomes >= {(False, False), (True, False), (True, True)}
 
 
 @pytest.mark.parametrize("s", [np.log(2.0), 1.0])
@@ -336,9 +330,9 @@ def test_two_dimensional_tensor_comparator():
     excited = GridWavefunction(grid2, np.outer(h[1], h[2]))
     expected = GridWavefunction(grid2, np.exp(-3.0 * spec.s) * excited.amp)
     assert smoothed(spec, excited).distance(expected) < 1e-9
-    member = membership(spec, 1.0 + 1e-9, vac)
-    assert member["member"]
-    assert abs(member["inv_norm"] - 1.0) < 1e-8
+    out = probe(spec, vac)
+    assert not out["divergent"]
+    assert abs(out["inv_norm"] - 1.0) < 1e-8
 
 
 def test_coefficients_of_displaced_vacuum_match_formula():
@@ -406,8 +400,8 @@ def test_stacked_projection_equals_the_per_state_one(grid, spec, rows, seed):
             apply_comparator(spec, (coeffs[row:row + 1],
                                     residual[row:row + 1])),
             apply_comparator(spec, single))
-        assert (within_magnitude(spec, 1e12, (coeffs[row], residual[row]))
-                == within_magnitude(spec, 1e12, (single[0][0], single[1][0])))
+        assert (within_magnitude(spec, (coeffs[row], residual[row]))
+                == within_magnitude(spec, (single[0][0], single[1][0])))
 
 
 def test_scalars_are_kept_per_dimension_and_returned_fresh():

@@ -7,14 +7,18 @@ from conftest import inner, normalized, spectral_moments
 
 from qreduce import HamiltonianSpec, PhasePoint, PotentialModel, WraparoundError
 from qreduce import grid as grid_module
-from qreduce.packets import packet, sample_on_grid
+from qreduce.packets import _sample_rows, packet, sample_on_grid
+from qreduce.reduction import _dense_remainder
 from qreduce.grid import (
     DEFAULT_GRID,
     NORM_TOL,
     GridSpec,
     GridStack,
     GridWavefunction,
+    _chunk_rows,
     _edge_mass,
+    _marginal_sums,
+    _moment_sums,
     _observer_block,
     _row_norms,
     construct_localizer,
@@ -654,8 +658,8 @@ def _block_moments(amps, grid):
 ], ids=["1d-1row", "1d-17rows", "1d-32rows", "1d-off-norm", "2d-1row",
         "2d-4rows", "2d-off-norm"])
 def test_chunked_moments_are_bitwise_the_block_formula(grid, rows, scaled):
-    # The moments take |psi|^2 a chunk of rows at a time (2 rows of 128^2,
-    # 16 of 1024 points), the norm check's sums in the same pass; a row
+    # The moments take |psi|^2 a chunk of rows at a time (1 row of 128^2,
+    # 8 of 1024 points), the norm check's sums in the same pass; a row
     # off norm (the row ``scaled``) is divided by its norm and measured
     # again.  Every row keeps the whole-block expressions' bits.
     rng = np.random.default_rng(rows)
@@ -695,3 +699,42 @@ def test_2d_moments_allocate_less_than_half_a_block():
         tracemalloc.stop()
     assert np.array_equal(got, want)
     assert peak - before < amps.nbytes // 2
+
+
+@pytest.mark.parametrize("bound", [1, 1 << 30], ids=["row-chunks",
+                                                      "one-chunk"])
+def test_every_chunked_routine_keeps_its_bits_at_any_bound(monkeypatch,
+                                                           bound):
+    # grid.CHUNK_BYTES is the one bound of the five chunked routines.  At
+    # one row per chunk and at one chunk for every row, each keeps the
+    # bits it has at the default bound, where these inputs take several
+    # chunks: 40 rows of 1024 points, 3 of 128^2, 128 grid rows of a 2D
+    # packet and 321 first-axis nodes of the dense remainder.
+    rng = np.random.default_rng(17)
+    grid1, grid2 = DEFAULT_GRID, GridSpec(n=2, N=128, L=10.0)
+    amps1, amps2 = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                    for shape in ((40, grid1.N), (3, grid2.N, grid2.N)))
+    xi, pi_m = rng.uniform(-2.0, 2.0, (2, 3, 2))
+    M = np.array([[1.2 + 0.3j, 0.2 - 0.1j], [0.2 - 0.1j, 0.8 + 0.5j]])
+    factors = list(rng.normal(size=3) + 1j * rng.normal(size=3))
+    C = np.zeros((4, 4))
+    C[0, 2] = C[2, 0] = 0.5
+    C[2, 1], C[3, 0] = 0.01, 0.02
+    spec = HamiltonianSpec(mass=1.0, potential=PotentialModel.polynomial2d(C))
+    re_m = np.array([[1.1, 0.2], [0.2, 0.7]])
+    z = np.linspace(-10.0, 10.0, 321)
+
+    def results():
+        rows = np.empty((3, grid2.N, grid2.N), dtype=complex)
+        _sample_rows(grid2, xi, pi_m, np.stack([M] * 3), factors, rows)
+        return [_row_norms(amps1, grid1), _row_norms(amps2, grid2),
+                *_moment_sums(amps1, grid1, weights=(grid1.x ** 3,)),
+                *_marginal_sums(amps2, grid2),
+                *_marginal_sums(amps2, grid2, 0.25)[1:], rows,
+                _dense_remainder(spec, np.array([0.3, -0.2]), re_m, z)]
+
+    want = results()
+    monkeypatch.setattr(grid_module, "CHUNK_BYTES", bound)
+    assert _chunk_rows(amps1[0].nbytes, 40) == (1 if bound == 1 else 40)
+    for got, expected in zip(results(), want, strict=True):
+        assert np.array_equal(got, expected)

@@ -265,12 +265,13 @@ def _reference_hessian(C, xi):
                      np.stack([dxy, dyy], axis=-1)], axis=-2)
 
 
-def _reference_scaled(C, lam, sign):
+def _reference_scaled(C, lam):
+    # The family member's exponent as it was written, -(1 - k/2).
     if C.ndim == 1:
         degrees = np.arange(len(C))
-        return C * lam ** (sign * (1.0 - degrees / 2.0))
+        return C * lam ** (-1.0 * (1.0 - degrees / 2.0))
     i, j = np.indices(C.shape)
-    return C * lam ** (sign * (1.0 - (i + j) / 2.0))
+    return C * lam ** (-1.0 * (1.0 - (i + j) / 2.0))
 
 
 def _assert_bitwise(new, ref, signed=True):
@@ -377,11 +378,8 @@ def test_model_is_bitwise_the_polynomial_formulas(case, lam):
     _assert_bitwise(pot.gradient(xi), _reference_gradient(C, xi), signed)
     _assert_bitwise(pot.hessian(xi), _reference_hessian(C, xi), signed)
     spec = HamiltonianSpec(mass=1.0, potential=pot)
-    pair = scale_hamiltonian(spec, lam)
-    _assert_bitwise(pair.in_scaled_units.potential.coeffs,
-                    _reference_scaled(C, lam, 1.0))
-    _assert_bitwise(pair.family_member.potential.coeffs,
-                    _reference_scaled(C, lam, -1.0))
+    _assert_bitwise(scale_hamiltonian(spec, lam).potential.coeffs,
+                    _reference_scaled(C, lam))
 
 
 def _reference_polyval_nd(coef, x):

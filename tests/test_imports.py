@@ -205,21 +205,107 @@ def _fenced_code(markdown: str) -> list:
     return re.findall(r"^```[^\n]*\n(.*?)^```", markdown, re.S | re.M)
 
 
-def test_every_definition_is_reached_outside_the_focused_tests():
-    # Reached from the package's modules, the release gate, the
-    # benchmark, the tools or the READMEs' code blocks; a definition that
-    # only the focused tests call, or only prose names, is dead library
-    # surface.
-    modules = {path.stem: path.read_text() for path in MODULES}
+def _roots() -> list:
+    """The code outside the package and its focused tests: the release
+    gate, the benchmark, the tools and the READMEs' code blocks."""
     roots = [path.read_text() for path in (
         ROOT / "tests" / "test_acceptance.py",
         *sorted((ROOT / "perfbench").glob("*.py")),
         *sorted((ROOT / "tools").glob("*.py")))]
     for readme in (ROOT / "README.md", ROOT / "perfbench" / "README.md"):
         roots += _fenced_code(readme.read_text())
+    return roots
+
+
+def test_every_definition_is_reached_outside_the_focused_tests():
+    # Reached from the package's modules or the roots; a definition that
+    # only the focused tests call, or only prose names, is dead library
+    # surface.
+    modules = {path.stem: path.read_text() for path in MODULES}
+    roots = _roots()
     assert _unreached(modules, roots, keep=KEPT) == []
     # Each kept name still needs its place here.
     assert KEPT <= set(_unreached(modules, roots))
+
+
+def _record_fields(tree) -> list:
+    """(class, field) for each annotated field of a top-level dataclass
+    or NamedTuple of a module."""
+    fields = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        marks = [mark.func if isinstance(mark, ast.Call) else mark
+                 for mark in node.decorator_list + node.bases]
+        names = {mark.id if isinstance(mark, ast.Name) else
+                 getattr(mark, "attr", None) for mark in marks}
+        if names & {"dataclass", "NamedTuple"}:
+            fields += [(node.name, sub.target.id) for sub in node.body
+                       if isinstance(sub, ast.AnnAssign)
+                       and isinstance(sub.target, ast.Name)]
+    return fields
+
+
+def _read_names(tree) -> set:
+    """Every attribute a tree reads, by name, and every string constant,
+    which getattr may read a field by."""
+    names = set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+    return names
+
+
+def _unread_fields(modules: dict, roots: list) -> list:
+    """Fields of the modules' dataclasses and NamedTuples ({name:
+    source}) that neither the modules nor a root read, as
+    "module.Class.field".
+
+    A field is read by an attribute load of its name, or by a string
+    constant equal to it; a root that does not parse is read for
+    identifiers.  Names are matched without their owner, as
+    _unreached matches methods, so a field that shares its name with
+    any attribute read elsewhere passes.
+    """
+    fields, read = [], set()
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        fields += [f"{module}.{cls}.{name}"
+                   for cls, name in _record_fields(tree)]
+        read |= _read_names(tree)
+    for text in roots:
+        try:
+            read |= _read_names(ast.parse(text))
+        except SyntaxError:
+            read |= set(re.findall(r"[A-Za-z_]\w*", text))
+    return sorted(key for key in fields if key.rsplit(".", 1)[1] not in read)
+
+
+def test_the_field_check_sees_an_unread_field():
+    module = ("from dataclasses import dataclass\n"
+              "from typing import NamedTuple\n\n"
+              "@dataclass(frozen=True)\nclass Box:\n    size: int\n"
+              "    label: str\n    stored: float\n\n"
+              "class Pair(NamedTuple):\n    left: int\n    right: int\n\n"
+              "class Plain:\n    ignored: int\n\n"
+              "def make():\n    box = Box(1, 'a', 2.0)\n"
+              "    box.stored = 3.0\n    return box.size\n")
+    # Assigning a field is no read, and a plain class has no fields.
+    assert _unread_fields({"m": module}, []) == [
+        "m.Box.label", "m.Box.stored", "m.Pair.left", "m.Pair.right"]
+    # A root reads by attribute, a string names a field for getattr, and
+    # text that does not parse is read for its words.
+    roots = ["getattr(pair, 'left')\n", "print(p.right)\n", "`label` here"]
+    assert _unread_fields({"m": module}, roots) == ["m.Box.stored"]
+
+
+def test_every_field_is_read_outside_the_focused_tests():
+    # A stored value that neither the package nor a root reads is dead
+    # state: each run computes and keeps it for nobody.
+    modules = {path.stem: path.read_text() for path in MODULES}
+    assert _unread_fields(modules, _roots()) == []
 
 
 # Runs in a fresh interpreter: configs through cli.run, then every

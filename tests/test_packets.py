@@ -104,7 +104,7 @@ def test_evolve_harmonic_width_stationary():
 def test_evolve_free_riccati_solution():
     traj = integrate_flow(FREE, PhasePoint(0.0, 0.0), 1.0, 1e-3)
     series = evolve_AB(FREE, traj)
-    t = series.times
+    t = traj.times
     assert np.max(np.abs(series.M[:, 0, 0] - 1.0 / (1.0 + 1j * t))) < 1e-8
     assert series.M[-1, 0, 0] == pytest.approx((1 - 1j) / 2, abs=1e-8)
 
@@ -112,7 +112,7 @@ def test_evolve_free_riccati_solution():
 def test_evolve_inverted_oscillator():
     traj = integrate_flow(INVERTED, PhasePoint(0.0, 0.0), 1.5, 1e-3)
     series = evolve_AB(INVERTED, traj)
-    th = np.tanh(series.times)
+    th = np.tanh(traj.times)
     closed = (1 - 1j * th) / (1 + 1j * th)
     assert np.max(np.abs(series.M[:, 0, 0] - closed)) < 1e-7
     assert np.all(series.M[:, 0, 0].real > 0)

@@ -202,10 +202,6 @@ def test_in_place_remainders_are_bitwise_their_expression_forms(case):
     for _ in range(r.ndim):
         total = w @ total
     assert reference == float(np.sqrt(total))
-    # Its blocks of first-axis nodes keep the bits of one block.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(reduction, "REFERENCE_BLOCK_BYTES", 1 << 30)
-        assert reduction._reference_norm(spec, center, re_m) == reference
 
 
 def test_duhamel_curve_keeps_its_bits_on_the_remainder_2d_config(
@@ -581,8 +577,10 @@ def test_ehrenfest_blocks_equal_the_per_state_formulas():
                      float(pot.derivative(q))))
     expected = np.array(rows)
     assert len(data.times) == 1048
-    for column, got in enumerate((data.times, data.position, data.momentum,
-                                  data.grad_v_mean, data.grad_v_at_mean)):
+    # <q> (column 1) is not kept; V'(<q>) reads it.
+    for column, got in zip((0, 2, 3, 4), (data.times, data.momentum,
+                                          data.grad_v_mean,
+                                          data.grad_v_at_mean)):
         assert np.array_equal(got, expected[:, column])
 
 
@@ -597,11 +595,12 @@ def test_ehrenfest_reads_its_moments_per_unit_mass():
     unit = ehrenfest_run(CUBIC_PERTURBED, psi0, 0.3, dt=2e-3, sample_stride=3)
     twice = ehrenfest_run(CUBIC_PERTURBED, doubled, 0.3, dt=2e-3,
                           sample_stride=3)
-    for name in ("times", "position", "momentum", "grad_v_mean",
-                 "grad_v_at_mean"):
+    for name in ("times", "momentum", "grad_v_mean", "grad_v_at_mean"):
         assert np.array_equal(getattr(twice, name), getattr(unit, name))
-    assert np.allclose([unit.position[0], unit.momentum[0]],
-                       expectation_a(psi0), rtol=0, atol=1e-12)
+    q, p = expectation_a(psi0)
+    assert abs(unit.momentum[0] - p) <= 1e-12
+    assert unit.grad_v_at_mean[0] == pytest.approx(
+        float(CUBIC_PERTURBED.potential.derivative(q)), rel=0, abs=1e-12)
 
 
 def test_ehrenfest_rejects_two_dimensional_grids():
@@ -673,8 +672,7 @@ def test_squeeze_reads_E_from_the_unit_width_final_state():
     w = sample_on_grid(packet_at(flow, len(traj) - 1), problem.grid)
     coeffs, residual = hermite_coefficients(problem.comparator, w.amp[None],
                                             problem.grid)
-    probe = within_magnitude(problem.comparator, reduction.E_PROBE,
-                             (coeffs[0], residual[0]))
+    probe = within_magnitude(problem.comparator, (coeffs[0], residual[0]))
     assert not probe["divergent"]
     table = squeeze_sweep(problem, [2.0, 0.5])
     assert table["E_used"] == 1.5 * probe["inv_norm"]
@@ -778,8 +776,7 @@ def snapshot_list_assembly(problem, flow, times, states):
     def probe(projection):
         coeffs, residual = projection
         try:
-            out = within_magnitude(comp, reduction.E_PROBE,
-                                   (coeffs[0], residual[0]))
+            out = within_magnitude(comp, (coeffs[0], residual[0]))
         except BasisResidualError:
             return np.inf, True
         return out["inv_norm"], out["divergent"]
@@ -804,7 +801,6 @@ def snapshot_list_assembly(problem, flow, times, states):
     m1 = 2.0 + (E + 1.0) * (1.0 - np.exp(-s * comp.N))
     prefactor = np.sqrt(np.exp(s) / (s * np.e))
     fields = {"E_used": E, "delta1_measured": d1, "delta2": d2,
-              "inv_norms_u": inv_u, "inv_norms_w": inv_w,
               "membership_u": ~div_u & (inv_u <= E),
               "membership_w": ~div_w & (inv_w <= E),
               "general": omega * (m1 * d1 + 2.0 * (E + 1.0) * d2),
@@ -1083,9 +1079,9 @@ def per_sample_loop(problem, count=None):
     return outcomes
 
 
-BOUND_FIELDS = ("delta1_measured", "delta1_duhamel", "delta2", "inv_norms_u",
-                "inv_norms_w", "membership_u", "membership_w", "general",
-                "specialized", "E_used", "omega_measured")
+BOUND_FIELDS = ("delta1_measured", "delta1_duhamel", "delta2", "membership_u",
+                "membership_w", "general", "specialized", "E_used",
+                "prefactor_closed")
 
 
 def assert_report_is_the_per_sample_loop(problem, report):
@@ -1225,8 +1221,10 @@ def test_ehrenfest_blocks_are_bitwise_the_written_out_block_form():
     expected = np.concatenate(blocks)
     data = ehrenfest_run(CUBIC_PERTURBED, psi0, T, dt=dt, sample_stride=stride)
     assert [len(block) for block in blocks] == [1] + [32] * 6 + [8]
-    for column, got in enumerate((data.times, data.position, data.momentum,
-                                  data.grad_v_mean, data.grad_v_at_mean)):
+    # <q> (column 1) is not kept; V'(<q>) reads it.
+    for column, got in zip((0, 2, 3, 4), (data.times, data.momentum,
+                                          data.grad_v_mean,
+                                          data.grad_v_at_mean)):
         assert np.array_equal(got, expected[:, column])
 
 
@@ -1244,7 +1242,7 @@ def test_observer_block_caps_change_no_bits(monkeypatch):
                                   dt=0.002, samples=150, comparator=comp)
     grid = problem.grid
     psi0 = sample_on_grid(packet(PhasePoint(1.0, 0.3), 1.3), grid)
-    handle = GridHamiltonian(HARMONIC, grid, dt=0.0625)
+    handle = GridHamiltonian(HARMONIC, dt=0.0625)
 
     def measured():
         inputs = [BoundInputs(problem, approximate_flow(
@@ -1258,8 +1256,8 @@ def test_observer_block_caps_change_no_bits(monkeypatch):
         run, = run_grid(CUBIC_PERTURBED, GridStack.of(psi0), 0.3, 1e-3, 100)
         data = ehrenfest_run(CUBIC_PERTURBED, psi0, 0.3, dt=1e-3,
                              sample_stride=3)
-        out = [run.times, run.expectations, data.times, data.position,
-               data.momentum, data.grad_v_mean, data.grad_v_at_mean]
+        out = [run.times, run.expectations, data.times, data.momentum,
+               data.grad_v_mean, data.grad_v_at_mean]
         for sample, item in zip(runs, inputs):
             assert item.failure is None
             out += [sample.times, sample.expectations,
@@ -1282,7 +1280,7 @@ def test_observer_block_caps_change_no_bits(monkeypatch):
         monkeypatch.setattr(grid_module, "OBSERVE_BLOCK_STATES", cap)
         curves[cap] = stay_curves()
     assert grid_module._block_rows(grid, 500) == 64
-    assert len(results[1]) == 7 + 9 * 6
+    assert len(results[1]) == 6 + 9 * 6
     for cap in (1, 7, 32):
         for got, want in zip(results[cap], results[64], strict=True):
             assert np.array_equal(got, want)

@@ -44,39 +44,35 @@ def test_scale_value_round_trip(kind, value, lam):
 
 
 def test_scale_hamiltonian_coefficient_algebra():
-    pair = scale_hamiltonian(CUBIC, 4.0)
+    family = scale_hamiltonian(CUBIC, 4.0)
     # Quadratic coefficients are invariant; the cubic one picks up
-    # lambda^(-1/2) in the scaled units and lambda^(1/2) in the family.
-    assert np.allclose(pair.in_scaled_units.potential.coeffs,
-                       [0, 0, 0.5, (1.0 / 6.0) / 2.0])
-    assert np.allclose(pair.family_member.potential.coeffs,
+    # lambda^(1/2) in the family.
+    assert np.allclose(family.potential.coeffs,
                        [0, 0, 0.5, (1.0 / 6.0) * 2.0])
-    assert pair.in_scaled_units.mass == CUBIC.mass
-    identity = scale_hamiltonian(CUBIC, 1.0)
-    assert np.allclose(identity.in_scaled_units.potential.coeffs,
-                       CUBIC.potential.coeffs)
-    assert np.allclose(identity.family_member.potential.coeffs,
+    assert family.mass == CUBIC.mass
+    assert np.allclose(scale_hamiltonian(CUBIC, 1.0).potential.coeffs,
                        CUBIC.potential.coeffs)
 
 
 def test_scale_hamiltonian_family_inverts_the_scaling():
+    # Rewriting the family member in the lambda units (degree-k
+    # coefficient times lambda^(1 - k/2)) gives back the original.
     lam = 0.3
-    family = scale_hamiltonian(CUBIC, lam).family_member
-    back = scale_hamiltonian(family, lam).in_scaled_units
-    assert np.allclose(back.potential.coeffs, CUBIC.potential.coeffs,
-                       rtol=1e-14)
+    family = scale_hamiltonian(CUBIC, lam)
+    degrees = np.arange(len(CUBIC.potential.coeffs))
+    back = family.potential.coeffs * lam ** (1.0 - degrees / 2.0)
+    assert np.allclose(back, CUBIC.potential.coeffs, rtol=1e-14)
 
 
 def test_scale_hamiltonian_2d_total_degree():
     pot = PotentialModel.polynomial2d([[0.0, 0.0, 0.5], [0.0, 0.0, 0.0],
                                        [0.5, 0.0, 0.25]])
-    pair = scale_hamiltonian(
-        HamiltonianSpec(mass=2.0, potential=pot), 4.0)
-    C = pair.in_scaled_units.potential.coeffs
+    family = scale_hamiltonian(HamiltonianSpec(mass=2.0, potential=pot), 4.0)
+    C = family.potential.coeffs
     assert C[0, 2] == pytest.approx(0.5)
     assert C[2, 0] == pytest.approx(0.5)
-    assert C[2, 2] == pytest.approx(0.25 / 4.0)
-    assert pair.in_scaled_units.mass == 2.0
+    assert C[2, 2] == pytest.approx(0.25 * 4.0)
+    assert family.mass == 2.0
 
 
 def test_hepp_experiment_refuses_a_start_past_the_nyquist_margin():
@@ -92,17 +88,17 @@ def test_scale_hamiltonian_rejects_non_positive_lambda():
 
 
 def test_magnitude_invariance_of_scaled_energy():
-    # The scaled energy function reproduces lambda times the original
-    # magnitude at the scaled arguments.
+    # The family member's energy is the original's at the scaled-up
+    # arguments, divided by lambda: g_lam(alpha) = h(sqrt(lam) alpha) / lam.
     rng = np.random.default_rng(11)
     for _ in range(100):
         lam = float(rng.uniform(0.1, 10.0))
         alpha = PhasePoint(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
-        scaled_spec = scale_hamiltonian(CUBIC, lam).in_scaled_units
+        family = scale_hamiltonian(CUBIC, lam)
         scaled_alpha = PhasePoint.from_vector(np.sqrt(lam) * alpha.vector)
         assert np.isclose(
-            energies(scaled_spec, scaled_alpha.xi, scaled_alpha.pi),
-            lam * energies(CUBIC, alpha.xi, alpha.pi),
+            energies(family, alpha.xi, alpha.pi),
+            energies(CUBIC, scaled_alpha.xi, scaled_alpha.pi) / lam,
             rtol=1e-12, atol=1e-12)
 
 
@@ -130,7 +126,7 @@ def test_scale_rows_are_bitwise_the_full_pipeline(spec, alpha0, grid, T, dt):
                           dt=dt)
     for lam, row in zip(lambdas, out["rows"]):
         report = run_reduction(ReductionProblem(
-            spec=scale_hamiltonian(spec, lam).family_member, alpha0=alpha0,
+            spec=scale_hamiltonian(spec, lam), alpha0=alpha0,
             T=T, epsilon=1e6, grid=grid, dt=dt))
         assert len(report.times) == (202 if spec.dimension == 1 else 31)
         assert row["failed"] is None

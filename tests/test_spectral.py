@@ -148,7 +148,7 @@ def test_grid_hamiltonian_refuses_a_bad_dt(dt):
     # dt -0.1 used to run a two-step stay curve, and dt 0 to raise
     # ZeroDivisionError inside classify_quantum.
     with pytest.raises(ValueError, match="dt"):
-        GridHamiltonian(HARMONIC, GridSpec(1, 256, 12.0), dt=dt)
+        GridHamiltonian(HARMONIC, dt=dt)
 
 
 def test_average_stay_on_eigenvectors():
@@ -213,13 +213,13 @@ def test_recurrence_trivial_and_not_found_cases():
     assert recurrence_time(evo, psi, eps=2.0, T_min=3.0) == 3.0
     assert recurrence_time(evo, psi, eps=1e-3, T_min=1.0, T_max=2.0) is None
     with pytest.raises(ValueError):
-        recurrence_time(GridHamiltonian(FREE, FREE_GRID), psi, eps=0.1)
+        recurrence_time(GridHamiltonian(FREE), psi, eps=0.1)
 
 
 def test_classify_oscillator_ground_state_pp_like():
     grid = GridSpec(1, 1024, 20.0)
     psi = sample_on_grid(packet(PhasePoint(0.0, 0.0), 1.0), grid)
-    handle = GridHamiltonian(HARMONIC, grid, dt=0.25)
+    handle = GridHamiltonian(HARMONIC, dt=0.25)
     out = classify_quantum(handle, psi, ComparatorSpec(s=1.0), horizons=40.0)
     assert out["label"] == "pp-like"
     assert out["mu"][-1] == pytest.approx(1.0, abs=1e-3)
@@ -227,7 +227,7 @@ def test_classify_oscillator_ground_state_pp_like():
 
 def test_free_packet_stay_decreases_and_transit_converges():
     psi = sample_on_grid(packet(PhasePoint(0.0, 4.0), 1.0), FREE_GRID)
-    handle = GridHamiltonian(FREE, FREE_GRID, dt=0.25)
+    handle = GridHamiltonian(FREE, dt=0.25)
     comp = ComparatorSpec(s=0.5, N=64)
     out = classify_quantum(handle, psi, comp, horizons=[10.0, 40.0, 160.0])
     mus = out["mu"]
@@ -239,7 +239,7 @@ def test_free_packet_stay_decreases_and_transit_converges():
 
 def test_classify_free_packet_ac_like():
     psi = sample_on_grid(packet(PhasePoint(0.0, 4.0), 1.0), FREE_GRID)
-    handle = GridHamiltonian(FREE, FREE_GRID, dt=0.25)
+    handle = GridHamiltonian(FREE, dt=0.25)
     out = classify_quantum(handle, psi, ComparatorSpec(s=0.5, N=64),
                            horizons=[10.0, 40.0, 160.0])
     assert out["label"] == "ac-like"
@@ -375,7 +375,7 @@ def test_the_stacked_stay_curve_is_bitwise_the_two_runs_alone(
     # row bits BLAS takes alike whatever the row count.  The per-step
     # signal is compared too, since one step's last bits need not reach
     # tau.
-    handle = GridHamiltonian(spec, grid, dt=dt)
+    handle = GridHamiltonian(spec, dt=dt)
     psi = sample_on_grid(packet(alpha0, np.eye(grid.n)), grid)
     comp = ComparatorSpec(s=1.0, N=16)
     signals = []

@@ -45,9 +45,11 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parents[1]
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WARM_PASSES = 5
-# The observer path's functions, by the name the package binds them to.
-OBSERVED = ("expectation_a", "_sample_flows", "hermite_coefficients",
-            "apply_comparator", "_row_norms", "duhamel_curve")
+# The observer path's functions and the chunked routines, by the name the
+# package binds them to.
+OBSERVED = ("expectation_a", "_sample_flows", "_sample_rows",
+            "hermite_coefficients", "apply_comparator", "_row_norms",
+            "_moment_sums", "duhamel_curve", "_dense_remainder")
 
 
 def _workloads():
