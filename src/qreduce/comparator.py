@@ -6,7 +6,8 @@ origin: diagonal on Hermite functions with eigenvalues sigma_s e^{-s n}
 up to truncation.  States on a grid are projected onto the first N + 1
 Hermite functions by quadrature and scaled there, so the comparator's
 image stays in the number basis; inverse quantities are truncated sums
-with explicit divergence detection, never dense inverses.
+with explicit divergence detection, never dense inverses: a state
+whose truncated sum certifies nothing has an infinite inverse norm.
 
 Coherent-state formulas use the complex label z = (xi + i pi) / sqrt(2),
 so |alpha|^2 below always means |z|^2 = (xi^2 + pi^2) / 2.
@@ -293,47 +294,40 @@ def within_magnitude(spec: ComparatorSpec, projection) -> dict:
     hermite_coefficients' stack.  Uses the comparator at unit top
     eigenvalue, as apply_comparator does, so the inverse image of h_0
     has norm 1.  The inverse norm is the truncated sum
-    sum_k |c_k|^2 e^{2 s k(total)}, computed in log space.  The sum is
-    flagged divergent when its value is carried by the highest surviving
-    excitations: then the truncated number is an artifact of where the
-    truncation fell and certifies nothing.  Coefficients at the
-    quadrature noise floor are dropped first, since the growth factor
-    would otherwise amplify projection rounding into the answer;
-    verdicts are therefore at this truncation and precision.  The
-    membership rule itself, no divergence and an inverse norm of at most
-    E, lives in reduction.assemble_bounds, which chooses E only after
-    every probe.
+    sum_k |c_k|^2 e^{2 s k(total)}, computed in log space.  Coefficients
+    at the quadrature noise floor are dropped first, since the growth
+    factor would otherwise amplify projection rounding into the answer;
+    verdicts are therefore at this truncation and precision.
+
+    A state that certifies nothing has inverse norm inf: one with more
+    than RESIDUAL_TOL of its mass outside the basis, one whose sum is
+    carried by its highest surviving excitations (then the truncated
+    number is an artifact of where the truncation fell), and one whose
+    log terms pass EXP_GUARD.  So the membership rule, an inverse norm of
+    at most a finite E, reads this one number; it lives in
+    reduction.assemble_bounds, which chooses E only after every probe.
 
     Returns
     -------
-    dict with keys inv_norm and divergent.
-
-    Raises
-    ------
-    BasisResidualError
-        When more than RESIDUAL_TOL of the state's mass lies outside the
-        basis.
+    dict with keys inv_norm, a float, and divergent, true exactly when
+    inv_norm is inf.
     """
     coeffs, residual = projection
-    if residual > RESIDUAL_TOL:
-        raise _residual_error(residual)
-    c_sq = np.abs(coeffs)
-    np.square(c_sq, out=c_sq)
-    c_sq[c_sq <= NOISE_FLOOR * c_sq.sum()] = 0.0
-    const = _constants(spec, c_sq.ndim)
-    # A dropped coefficient's log term is -inf, which no sum counts.
-    log_terms = np.full(c_sq.shape, -np.inf)
-    np.log(c_sq, where=c_sq != 0, out=log_terms)
-    log_terms += const.growth
-    divergent = _edge_dominated(log_terms.ravel()[const.order])
-    peak = float(log_terms.max())
-    if peak > EXP_GUARD:
-        inv_norm = np.inf
-        divergent = True
-    else:
-        terms = np.exp(log_terms[np.isfinite(log_terms)])
-        inv_norm = float(np.sqrt(terms.sum()))
-    return {"inv_norm": inv_norm, "divergent": divergent}
+    inv_norm = np.inf
+    if residual <= RESIDUAL_TOL:
+        c_sq = np.abs(coeffs)
+        np.square(c_sq, out=c_sq)
+        c_sq[c_sq <= NOISE_FLOOR * c_sq.sum()] = 0.0
+        const = _constants(spec, c_sq.ndim)
+        # A dropped coefficient's log term is -inf, which no sum counts.
+        log_terms = np.full(c_sq.shape, -np.inf)
+        np.log(c_sq, where=c_sq != 0, out=log_terms)
+        log_terms += const.growth
+        if log_terms.max() <= EXP_GUARD and not _edge_dominated(
+                log_terms.ravel()[const.order]):
+            terms = np.exp(log_terms[np.isfinite(log_terms)])
+            inv_norm = float(np.sqrt(terms.sum()))
+    return {"inv_norm": inv_norm, "divergent": inv_norm == np.inf}
 
 
 def _edge_dominated(seq) -> bool:

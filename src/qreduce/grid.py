@@ -8,7 +8,8 @@ numpy.fft wraps, which spares its Python wrapper on every step.
 A boundary-mass monitor guards the periodic wrap: experiments are valid
 only while essentially no mass touches the edge bands.  Each stacked
 measurement has one routine: _row_norms, _edge_mass, _moment_sums
-(1D moments), _marginal_sums (2D marginals).
+(1D moments), _marginal_sums (2D marginals); the last three of them
+take |psi|^2 from one chunked pass, _densities.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ OBSERVE_BLOCK_STATES = 32
 CHECK_STRIDE = 100  # steps between propagate's boundary and norm checks
 # numpy's threshold for running a product in place on a temporary operand.
 ELIDE_BYTES = 1 << 18
-# The one bound of a chunked routine's row temporaries (_row_norms,
-# _moment_sums, _marginal_sums, packets._sample_rows in 2D and
-# reduction._dense_remainder): rows go a chunk at a time (_chunk_rows),
-# each chunk's temporary within this many bytes, one row at least.
+# The one bound of a chunked routine's row temporaries (_densities, which
+# serves _row_norms, _moment_sums and _marginal_sums, packets._sample_rows
+# in 2D and reduction._dense_remainder): rows go a chunk at a time
+# (_chunk_rows), each chunk within this many bytes, one row at least.
 CHUNK_BYTES = 1 << 17
 
 
@@ -415,24 +416,18 @@ def _marginal_sums(amps, grid: GridSpec, scale=None):
     With ``scale``, dens is taken times it and totals is None; without,
     totals holds each row's sum of dens, the norm check's.
 
-    dens is taken a chunk of rows at a time (_chunk_rows) in one buffer,
-    as np.abs(amps) ** 2 (times scale) would give it whole; each row's
+    dens comes from _densities a chunk of rows at a time; each row's
     sums are the whole stack's, since numpy sums each row alone.
     """
-    row_bytes = np.dtype(float).itemsize * grid.N ** 2
-    dens = np.empty((_chunk_rows(row_bytes, len(amps)),) + amps.shape[1:])
     totals = None if scale is not None else np.empty(len(amps))
     marginals = [np.empty((len(amps), grid.N)) for _ in range(2)]
-    for rows in _chunks(len(amps), len(dens)):
-        part = dens[:rows.stop - rows.start]
-        np.abs(amps[rows], out=part)
-        np.square(part, out=part)
+    for rows, dens in _densities(amps):
         if totals is None:
-            part *= scale
+            dens *= scale
         else:
-            np.sum(part, axis=(-2, -1), out=totals[rows])
-        np.sum(part, axis=-1, out=marginals[0][rows])
-        np.sum(part, axis=-2, out=marginals[1][rows])
+            np.sum(dens, axis=(-2, -1), out=totals[rows])
+        np.sum(dens, axis=-1, out=marginals[0][rows])
+        np.sum(dens, axis=-2, out=marginals[1][rows])
     return [totals] + marginals
 
 
@@ -445,11 +440,11 @@ def _moment_sums(amps, grid: GridSpec, work=None, weights=()):
     and under a harmonic V the measured error is itself rounding
     (~1e-13), which other rounding would change.
 
-    Every row temporary goes a chunk of rows at a time (_chunk_rows), in
-    buffers of one chunk: |psi|^2, its products with x and with each f,
-    and conj(psi) (-i) dpsi, with the operands in that order (complex
-    products round differently in the other, FMA).  Each row sum is that
-    row's alone, so it is the whole stack's.
+    Every row temporary goes a chunk of rows at a time, as _densities
+    gives |psi|^2, in buffers of one chunk: its products with x and with
+    each f, and conj(psi) (-i) dpsi, with the operands in that order
+    (complex products round differently in the other, FMA).  Each row
+    sum is that row's alone, so it is the whole stack's.
     """
     if work is None:
         work = np.empty_like(amps)
@@ -459,17 +454,15 @@ def _moment_sums(amps, grid: GridSpec, work=None, weights=()):
     dpsi = np.fft.ifft(work, out=work)
     chunk = _chunk_rows(amps[0].nbytes, len(amps))
     term = np.empty((chunk, grid.N), dtype=complex)
-    dens, moment = np.empty((chunk, grid.N)), np.empty((chunk, grid.N))
+    moment = np.empty((chunk, grid.N))
     weights = (grid.x,) + tuple(weights)
     mass, p = np.empty(len(amps)), np.empty(len(amps), dtype=complex)
     sums = np.empty((len(weights), len(amps)))
-    for rows in _chunks(len(amps), chunk):
-        size = rows.stop - rows.start
-        np.abs(amps[rows], out=dens[:size])
-        np.square(dens[:size], out=dens[:size])
-        np.sum(dens[:size], axis=-1, out=mass[rows])
+    for rows, dens in _densities(amps):
+        size = len(dens)
+        np.sum(dens, axis=-1, out=mass[rows])
         for f, total in zip(weights, sums):
-            np.multiply(f, dens[:size], out=moment[:size])
+            np.multiply(f, dens, out=moment[:size])
             np.sum(moment[:size], axis=-1, out=total[rows])
         np.conjugate(amps[rows], out=term[:size])
         np.multiply(term[:size], -1j, out=term[:size])
@@ -483,19 +476,29 @@ def _row_norms(amps, grid: GridSpec) -> np.ndarray:
     package's one norm formula (GridWavefunction.norm reads it too).
 
     Each row is one contiguous sum, so it is bitwise the norm of that
-    row alone.  |psi|^2 is taken a chunk of rows at a time (_chunk_rows)
-    in one buffer, so no array of the stack's size is made.
+    row alone.  |psi|^2 comes from _densities, so no array of the
+    stack's size is made.
     """
     flat = amps.reshape(len(amps), grid.N ** grid.n)
-    row_bytes = np.dtype(float).itemsize * flat.shape[1]
-    square = np.empty((_chunk_rows(row_bytes, len(flat)), flat.shape[1]))
     sums = np.empty(len(flat))
-    for rows in _chunks(len(flat), len(square)):
-        part = square[:rows.stop - rows.start]
-        np.abs(flat[rows], out=part)
-        np.square(part, out=part)
-        np.sum(part, axis=-1, out=sums[rows])
+    for rows, dens in _densities(flat):
+        np.sum(dens, axis=-1, out=sums[rows])
     return np.sqrt(sums * grid.cell)
+
+
+def _densities(amps):
+    """(rows, dens) for the chunks of a stack's rows: dens is
+    |amps[rows]|^2, as np.abs(amps[rows]) ** 2 gives it, in one float
+    buffer reused by every chunk.  A chunk holds as many rows of amps'
+    bytes as CHUNK_BYTES does (_chunk_rows).  dens is the caller's to
+    overwrite until it asks for the next chunk."""
+    step = _chunk_rows(amps[0].nbytes, len(amps))
+    buffer = np.empty((step,) + amps.shape[1:])
+    for rows in _chunks(len(amps), step):
+        dens = buffer[:rows.stop - rows.start]
+        np.abs(amps[rows], out=dens)
+        np.square(dens, out=dens)
+        yield rows, dens
 
 
 def _chunk_rows(row_bytes: int, rows: int) -> int:

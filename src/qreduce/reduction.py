@@ -61,7 +61,8 @@ class ReductionProblem:
     from the run itself with a 1.5x margin.  region, when given, is an
     initial-condition set sampled on a corner/center lattice.  alpha0
     and every lattice point must hold GridSpec.holds_center, in position
-    and in momentum.
+    and in momentum.  epsilon, T and E must be finite, and dt must hold
+    time_steps' rule, 0 < dt <= T.
 
     lattice, set at construction, holds the (K, 2n) start points that
     run_reduction runs, one per row in lattice order (_lattice_vectors):
@@ -94,6 +95,15 @@ class ReductionProblem:
             raise ConfigError("horizon T must be positive", "T")
         if self.E is not None and self.E <= 0:
             raise ConfigError("magnitude threshold E must be positive", "E")
+        # An infinite E would admit the states that certify nothing.
+        for name, value in (("epsilon", eps), ("T", self.T), ("E", self.E)):
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ConfigError(f"{name} must be finite", name)
+        try:
+            time_steps(self.T, self.dt)
+        except ValueError:
+            raise ConfigError("time step dt must be positive and at most T",
+                              "dt") from None
         try:
             _positive_int(self.samples, "samples")
         except ValueError as exc:
@@ -209,9 +219,8 @@ def duhamel_curve(spec: HamiltonianSpec, flow: PacketFlow) -> np.ndarray:
 
 @dataclass(eq=False)
 class ErrorCurve:
-    """Componentwise |alpha(t) - a_bar(t)| at the sampled times."""
+    """Componentwise |alpha(t) - a_bar(t)| at the run's sample times."""
 
-    times: np.ndarray
     components: np.ndarray
 
     @property
@@ -307,8 +316,7 @@ def measured_error(run: QuantumRun, traj: ClassicalTrajectory) -> ErrorCurve:
     interpolation over all run times, bitwise traj.at(t) per time.
     """
     classical = traj.at(run.times)
-    return ErrorCurve(times=run.times,
-                      components=np.abs(classical - run.expectations))
+    return ErrorCurve(components=np.abs(classical - run.expectations))
 
 
 @dataclass(eq=False)
@@ -340,18 +348,11 @@ class BoundAssembly:
         return bool(np.all(self.membership_u) and np.all(self.membership_w))
 
 
-def _membership_probes(comp: ComparatorSpec, coeffs, residual):
-    # One within_magnitude call per row, given its projection, read for the
-    # inverse norm and divergence flag.  A state with mass beyond the basis
-    # certifies nothing; it scores as divergent, not aborting the assembly.
-    inv, divergent = np.full(len(coeffs), np.inf), np.ones(len(coeffs), bool)
-    for row, projection in enumerate(zip(coeffs, residual.tolist())):
-        try:
-            probe = within_magnitude(comp, projection)
-        except BasisResidualError:
-            continue
-        inv[row], divergent[row] = probe["inv_norm"], probe["divergent"]
-    return inv, divergent
+def _inverse_norms(comp: ComparatorSpec, coeffs, residual) -> np.ndarray:
+    # One within_magnitude call per row, given its projection: inf for a
+    # state that certifies nothing, mass beyond the basis included.
+    return np.array([within_magnitude(comp, projection)["inv_norm"]
+                     for projection in zip(coeffs, residual.tolist())])
 
 
 class BoundInputs:
@@ -374,9 +375,9 @@ class BoundInputs:
     one within_magnitude call per state, on that state's row of the
     projection, so W's one projection serves delta2 and its probe alike.
     Every number is bitwise the one a stack of one gives.  ``blocks``
-    holds one tuple per block: the steps, a (4, B) array of delta1,
-    delta2 and the inverse norms of u and W, and a (2, B) array of their
-    divergence flags.  The first W row of a sample with more than
+    holds one (steps, values) pair per block: values is a (4, B) array
+    of delta1, delta2 and the inverse norms of u and W, inf for a state
+    that certifies nothing.  The first W row of a sample with more than
     RESIDUAL_TOL of its mass outside the basis ends that sample's bound
     work: its BasisResidualError goes to the sample's ``failure``, for
     assemble_bounds to raise, and its block is not kept; the other
@@ -391,12 +392,12 @@ class BoundInputs:
 
     @staticmethod
     def add_stack(inputs: list, times, amps, work):
-        # The samples of one run share its snapshot times, and so the
-        # trajectory steps of every flow on the run's time step.
-        steps = np.rint(times / inputs[0].flow.traj.dt).astype(int)
-        for item in inputs:
-            if np.any(np.abs(item.flow.traj.times[steps] - times) > 1e-9):
-                raise NumericalError("grid run and trajectory samples disagree")
+        # The samples of one run share its snapshot times, and every flow
+        # its time grid, time_steps(T, dt): one check serves them all.
+        traj = inputs[0].flow.traj
+        steps = np.rint(times / traj.dt).astype(int)
+        if np.any(np.abs(traj.times[steps] - times) > 1e-9):
+            raise NumericalError("grid run and trajectory samples disagree")
         live = [row for row, item in enumerate(inputs) if item.failure is None]
         if not live:
             return
@@ -426,13 +427,12 @@ class BoundInputs:
         np.subtract(w_rows, u_rows, out=u_rows)
         delta1 = _row_norms(u_rows, grid)
         delta2 = _comparator_defects(comp, (w_coeffs, w_residual))
-        inv_u, div_u = _membership_probes(comp, u_coeffs, u_residual)
-        inv_w, div_w = _membership_probes(comp, w_coeffs, w_residual)
-        values = np.stack([delta1, delta2, inv_u, inv_w]).reshape(
-            4, len(live), -1)
-        flags = np.stack([div_u, div_w]).reshape(2, len(live), -1)
+        values = np.stack([delta1, delta2,
+                           _inverse_norms(comp, u_coeffs, u_residual),
+                           _inverse_norms(comp, w_coeffs, w_residual)
+                           ]).reshape(4, len(live), -1)
         for at, row in enumerate(live):
-            inputs[row].blocks.append((steps, values[:, at], flags[:, at]))
+            inputs[row].blocks.append((steps, values[:, at]))
 
 
 def _comparator_defects(comp: ComparatorSpec, projection) -> np.ndarray:
@@ -461,13 +461,13 @@ def _rows(stack):
 
 def _select_E(E, probe) -> float:
     """The magnitude threshold of a run: E when given.  Otherwise probe()
-    returns the inverse comparator norms of the probed states and their
-    divergence flags, and E is E_MARGIN times the largest norm of a state
-    that did not diverge, or E_PROBE when every probed state diverged."""
+    returns the inverse comparator norms of the probed states, and E is
+    E_MARGIN times the largest finite one, or E_PROBE when every probed
+    state's norm is inf."""
     if E is not None:
         return E
-    inv_norms, divergent = (np.asarray(a) for a in probe())
-    finite = inv_norms[~divergent]
+    inv_norms = probe()
+    finite = inv_norms[np.isfinite(inv_norms)]
     return E_MARGIN * float(np.max(finite)) if finite.size else E_PROBE
 
 
@@ -512,13 +512,14 @@ def assemble_bounds(problem: ReductionProblem, run: QuantumRun,
     which measured delta1, delta2 and the inverse norms of every
     snapshot; this stage adds the Duhamel curve of inputs.flow, selects
     E, takes the operator scalars and assembles.  E defaults to 1.5x the
-    largest measured inverse-comparator norm over both state families,
-    so the magnitude hypotheses hold unless the truncated expansion
-    diverges.  A state is a member within magnitude E when its probe did
-    not diverge and its inverse norm is at most E: the one membership
-    rule, taken here since E is chosen only after every probe.  error is
-    the run's measured_error(run, traj); when the hypotheses hold, the
-    assembled bounds must dominate it.
+    largest finite inverse-comparator norm over both state families, so
+    the magnitude hypotheses hold unless a state certifies nothing.  A
+    state is a member within magnitude E when its inverse norm is at
+    most E, which a state that certifies nothing (inf) never is, since
+    E is finite: the one membership rule, taken here since E is chosen
+    only after every probe.  error is the run's measured_error(run,
+    traj); when the hypotheses hold, the assembled bounds must dominate
+    it.
 
     Raises
     ------
@@ -533,15 +534,11 @@ def assemble_bounds(problem: ReductionProblem, run: QuantumRun,
     duh_full = duhamel_curve(problem.spec, inputs.flow)
     if inputs.failure is not None:
         raise inputs.failure
-    steps, values, flags = (np.concatenate(column, axis=-1)
-                            for column in zip(*inputs.blocks))
+    steps, values = (np.concatenate(column, axis=-1)
+                     for column in zip(*inputs.blocks))
     delta1, delta2, inv_u, inv_w = values
-    div_u, div_w = flags
     delta1_duh = duh_full[steps]
-    E = _select_E(problem.E, lambda: (np.concatenate([inv_u, inv_w]),
-                                      np.concatenate([div_u, div_w])))
-    member_u = (~div_u) & (inv_u <= E)
-    member_w = (~div_w) & (inv_w <= E)
+    E = _select_E(problem.E, lambda: np.concatenate([inv_u, inv_w]))
     scalars = comparator_scalars(comp, dimension=problem.grid.n)
     # Scalars describe the unnormalized operator; rescale to the
     # normalized comparator used in the assembly.
@@ -553,7 +550,7 @@ def assemble_bounds(problem: ReductionProblem, run: QuantumRun,
     specialized = _specialized_bound(prefactor, E, delta1, delta2)
     assembly = BoundAssembly(
         times=run.times, delta1_measured=delta1, delta1_duhamel=delta1_duh,
-        delta2=delta2, membership_u=member_u, membership_w=member_w,
+        delta2=delta2, membership_u=inv_u <= E, membership_w=inv_w <= E,
         E_used=float(E), prefactor_closed=prefactor, general=general,
         specialized=specialized)
     if assembly.hypotheses_hold:
@@ -650,7 +647,7 @@ def run_reduction(problem: ReductionProblem) -> ReductionReport:
     that sample without bounds, so its hypotheses count as failed; the
     report's bound_failure names the first such sample.  provenance["E_source"]
     is "given" for a user E and "auto" for one selected from the run,
-    where the magnitude hypotheses hold by construction.
+    where every state with a finite inverse norm is a member.
 
     The samples are the rows of problem.lattice.  Each has its own
     classical flow, packet flow and Duhamel curve.  The grid runs go as
@@ -808,7 +805,7 @@ def squeeze_sweep(problem: ReductionProblem, dilations) -> dict:
     scores a block: sampled by _sample_flows as a stack of one, then one
     hermite_coefficients projection, which serves both the comparator
     term (_comparator_defects, with no grid pass) and the E probe
-    (_membership_probes).  A W with mass beyond the basis raises
+    (_inverse_norms).  A W with mass beyond the basis raises
     apply_comparator's BasisResidualError as soon as it is scored: with
     E auto, the d = 1 state first.
     """
@@ -829,7 +826,7 @@ def squeeze_sweep(problem: ReductionProblem, dilations) -> dict:
         return (flow, float(_comparator_defects(comp, projection)[0]),
                 projection)
 
-    E = _select_E(problem.E, lambda: _membership_probes(
+    E = _select_E(problem.E, lambda: _inverse_norms(
         comp, *final_state(1.0)[2]))
     prefactor = _closed_prefactor(comp)
     rows = []

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qreduce.comparator import (EDGE_FRACTION, EDGE_WINDOW, EXP_GUARD,
-                                NOISE_FLOOR, ComparatorSpec, _constants,
-                                apply_comparator, coherent_coefficients,
-                                coherent_label, coherent_matrix_elements,
-                                comparator_scalars, hermite_coefficients,
-                                hermite_functions, within_magnitude)
+                                NOISE_FLOOR, RESIDUAL_TOL, ComparatorSpec,
+                                _constants, apply_comparator,
+                                coherent_coefficients, coherent_label,
+                                coherent_matrix_elements, comparator_scalars,
+                                hermite_coefficients, hermite_functions,
+                                within_magnitude)
 from qreduce.errors import BasisResidualError, OverflowGuardError
 from qreduce.grid import GridSpec, GridWavefunction, weyl_displace
 from qreduce.hamiltonian import PhasePoint
@@ -205,12 +206,13 @@ def test_grid_diagonal_matches_closed_form():
 
 
 def test_projection_residual_raises():
+    # apply_comparator raises for a state outside the basis; the probe
+    # scores it as a state that certifies nothing.
     spec = ComparatorSpec(s=1.0, N=16)
     psi = coherent_state(6.0, 0.0)
     with pytest.raises(BasisResidualError):
         smoothed(spec, psi)
-    with pytest.raises(BasisResidualError):
-        probe(spec, psi)
+    assert probe(spec, psi) == {"inv_norm": np.inf, "divergent": True}
 
 
 def test_within_magnitude_ground_state():
@@ -243,7 +245,8 @@ def test_within_magnitude_squeezed_divergence():
 
 def probe_by_errstate(spec, projection):
     """within_magnitude as it was written before its two edge sums shared
-    one exp: log 0 under np.errstate, and an exp per sum."""
+    one exp: log 0 under np.errstate, and an exp per sum; a divergent
+    state keeps its finite inverse norm unless it passed EXP_GUARD."""
     coeffs, _ = projection
     c_sq = np.abs(coeffs) ** 2
     c_sq[c_sq <= NOISE_FLOOR * np.sum(c_sq)] = 0.0
@@ -265,10 +268,10 @@ def probe_by_errstate(spec, projection):
     return {"inv_norm": inv_norm, "divergent": divergent}
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_within_magnitude_is_the_errstate_form(n):
-    # Packets on a lattice of centres and widths, some with noise that the
-    # edge rule flags, a state of zeros and one past the exponent guard.
+def errstate_probes(n):
+    """[(comparator, coeffs)]: packets on a lattice of centres and
+    widths, some with noise that the edge rule flags, a state of zeros
+    and one past the exponent guard."""
     grid, spec = ((GRID, ComparatorSpec(s=1.0)) if n == 1 else
                   (GridSpec(n=2, N=128, L=10.0), ComparatorSpec(s=1.0, N=32)))
     rng = np.random.default_rng(11)
@@ -278,14 +281,51 @@ def test_within_magnitude_is_the_errstate_form(n):
     amps[::4] += 1e-7 * rng.normal(size=amps[::4].shape)
     coeffs = list(hermite_coefficients(spec, amps, grid)[0])
     coeffs += [np.zeros_like(coeffs[0]), np.ones_like(coeffs[0])]
+    return [(ComparatorSpec(s=s, N=spec.N), c)
+            for s, c in [(spec.s, c) for c in coeffs] + [(6.0, coeffs[-1])]]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_within_magnitude_is_the_errstate_form(n):
+    # The errstate form, with inf for the norm of a divergent state.
     outcomes = set()
-    for s, c in [(spec.s, c) for c in coeffs] + [(6.0, coeffs[-1])]:
-        comp = ComparatorSpec(s=s, N=spec.N)
+    for comp, c in errstate_probes(n):
         got = within_magnitude(comp, (c, 0.0))
-        assert got == probe_by_errstate(comp, (c, 0.0))
+        want = probe_by_errstate(comp, (c, 0.0))
+        outcomes.add((want["divergent"], want["inv_norm"] == np.inf))
+        if want["divergent"]:
+            want["inv_norm"] = np.inf
+        assert got == want
         assert list(map(type, got.values())) == [float, bool]
-        outcomes.add((got["divergent"], got["inv_norm"] == np.inf))
     assert outcomes >= {(False, False), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_state_that_certifies_nothing_scores_inf(n):
+    # Mass outside the basis, an edge-dominated sum and a sum past
+    # EXP_GUARD each read inf with divergent set, and divergent is set
+    # exactly then; so "inv <= E" is the errstate form's rule, no
+    # divergence and a norm of at most E, at every finite E.
+    probes = errstate_probes(n)
+    comp, inside = probes[1]
+    at_tol = within_magnitude(comp, (inside, RESIDUAL_TOL))
+    assert at_tol == within_magnitude(comp, (inside, 0.0))
+    assert np.isfinite(at_tol["inv_norm"])
+    assert within_magnitude(comp, (inside, 2 * RESIDUAL_TOL)) == {
+        "inv_norm": np.inf, "divergent": True}
+    edge, guard = probes[-2:]
+    # The errstate form flags the edge-dominated state at a finite norm.
+    flagged = probe_by_errstate(edge[0], (edge[1], 0.0))
+    assert flagged["divergent"] and np.isfinite(flagged["inv_norm"])
+    for comp, c in (edge, guard):
+        assert within_magnitude(comp, (c, 0.0)) == {"inv_norm": np.inf,
+                                                    "divergent": True}
+    got, want = (np.array([[p["inv_norm"], p["divergent"]] for p in (
+        form(comp, (c, 0.0)) for comp, c in probes)]).T
+        for form in (within_magnitude, probe_by_errstate))
+    assert np.array_equal(got[1] == 1.0, got[0] == np.inf)
+    for E in (0.5, 2.0, 50.0, 1e12, np.finfo(float).max):
+        assert np.array_equal(got[0] <= E, (want[1] == 0.0) & (want[0] <= E))
 
 
 @pytest.mark.parametrize("s", [np.log(2.0), 1.0])

@@ -115,3 +115,26 @@ def test_a_changed_refusal_text_is_exact():
     ]
     for codes, messages, differs in cases:
         assert compare_reports.refusal_differs(codes, messages) is differs
+
+
+def test_settable_values_count_fields_parameters_and_constants(tmp_path):
+    # Two dataclass fields and a NamedTuple's one; the parameters of a
+    # function (its * and ** ones too) and of two methods, self and cls
+    # aside, but none of a nested function; two UPPER_CASE constants, one
+    # of them private, and no lower-case name.
+    package = tmp_path / "qreduce"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
+        "LIMIT = 3\n_TOL: float = 1e-8\nname = 'x'\n\n"
+        "@dataclass(frozen=True)\nclass Spec:\n    s: float\n"
+        "    N: int = 8\n    KIND = 'plain'\n\n"
+        "    def scaled(self, by, *, exact=False):\n        return by\n\n"
+        "    @classmethod\n    def of(cls, value):\n        return value\n\n"
+        "class Pair(NamedTuple):\n    left: int\n\n"
+        "class Plain:\n    count: int\n\n"
+        "def run(spec, *rest, **options):\n"
+        "    def inner(step):\n        return step\n    return inner\n")
+    (package / "b.py").write_text("def alone(x, y=1):\n    return x + y\n")
+    assert compare_reports.settable_values(tmp_path) == (3, 8, 2)

@@ -404,7 +404,7 @@ def test_measured_error_zero_at_start():
     psi0 = sample_on_grid(packet(PhasePoint(1.0, 0.0), 1.0), GridSpec(1, 1024, 20.0))
     run, = run_grid(QUARTIC, GridStack.of(psi0), 0.2, 1e-3)
     error = measured_error(run, traj)
-    assert error.times[0] == 0.0
+    assert run.times[0] == 0.0
     assert np.max(error.components[0]) < 1e-9
 
 
@@ -511,6 +511,33 @@ def test_problem_validation():
         ReductionProblem(spec=HARMONIC, alpha0=PhasePoint(1.0, 0.0),
                          T=1.0, epsilon=1.0, grid=GridSpec(n=1, N=64, L=6.0))
 
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"epsilon": np.nan}, "epsilon must be finite"),
+    ({"epsilon": np.inf}, "epsilon must be finite"),
+    ({"epsilon": [0.1, np.inf]}, "epsilon must be finite"),
+    ({"T": np.inf}, "T must be finite"),
+    ({"T": np.nan}, "T must be finite"),
+    ({"dt": np.nan}, "time step dt must be positive and at most T"),
+    ({"dt": 2.0}, "time step dt must be positive and at most T"),
+    ({"E": np.inf}, "E must be finite"),
+    ({"E": np.nan}, "E must be finite"),
+    # The refusals the CLI reaches keep their texts.
+    ({"epsilon": 0.0}, "epsilon must be positive"),
+    ({"E": -2.0}, "magnitude threshold E must be positive"),
+], ids=["epsilon-nan", "epsilon-inf", "epsilon-component-inf", "T-inf",
+        "T-nan", "dt-nan", "dt-past-T", "E-inf", "E-nan", "epsilon-zero",
+        "E-negative"])
+def test_a_problem_that_cannot_run_is_refused_by_its_field(fields, message):
+    # A non-finite epsilon, T or E, or a dt that time_steps refuses, would
+    # write NaN or Infinity bounds, read an infinite E as a magnitude that
+    # every state holds, or fail only at run time.
+    with pytest.raises(ConfigError) as info:
+        ReductionProblem(**{"spec": HARMONIC, "alpha0": PhasePoint(1.0, 0.0),
+                            "T": 1.0, "epsilon": 1.0, **fields})
+    assert str(info.value) == message
+    assert info.value.field == next(iter(fields))
 
 def test_ehrenfest_harmonic_residuals_tiny():
     psi0 = sample_on_grid(packet(PhasePoint(1.0, 0.0), 1.0),
@@ -1280,7 +1307,7 @@ def test_observer_block_caps_change_no_bits(monkeypatch):
         monkeypatch.setattr(grid_module, "OBSERVE_BLOCK_STATES", cap)
         curves[cap] = stay_curves()
     assert grid_module._block_rows(grid, 500) == 64
-    assert len(results[1]) == 6 + 9 * 6
+    assert len(results[1]) == 6 + 9 * 5
     for cap in (1, 7, 32):
         for got, want in zip(results[cap], results[64], strict=True):
             assert np.array_equal(got, want)

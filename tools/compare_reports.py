@@ -29,7 +29,10 @@ a unit's exit status differs between the trees or any exact-field
 difference is found, else 0; the summary line counts the files
 compared, the files that differ and the exact-field differences.  After
 it, each tree's ``src/qreduce/*.py`` line count is printed, in total and
-of code lines alone (no blank, comment or docstring lines).
+of code lines alone (no blank, comment or docstring lines), and then its
+settable values: dataclass and NamedTuple fields, parameters of
+module-level functions and of methods (self and cls aside), and
+UPPER_CASE module constants.
 """
 
 import ast
@@ -309,6 +312,42 @@ def line_counts(src: Path) -> tuple:
     return lines, code
 
 
+def settable_values(src: Path) -> tuple:
+    """(fields, parameters, constants) of the tree's qreduce/*.py: the
+    annotated names in the body of a dataclass or NamedTuple class; the
+    parameters, * and ** ones included, of each module-level function and
+    each function in a class body, but self and cls; and the UPPER_CASE
+    names a module-level assignment binds."""
+    fields = parameters = constants = 0
+    for path in sorted((src / "qreduce").glob("*.py")):
+        functions = []
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                constants += sum(isinstance(name, ast.Name) and
+                                 name.id.isupper() for target in targets
+                                 for name in ast.walk(target))
+            elif isinstance(node, ast.ClassDef):
+                typed = any("dataclass" in ast.unparse(d)
+                            for d in node.decorator_list) or any(
+                    "NamedTuple" in ast.unparse(b) for b in node.bases)
+                fields += typed * sum(
+                    isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    for item in node.body)
+                functions += node.body
+            else:
+                functions.append(node)
+        for node in functions:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                names = [arg.arg for arg in a.posonlyargs + a.args
+                         + a.kwonlyargs + [a.vararg, a.kwarg] if arg]
+                parameters += sum(n not in ("self", "cls") for n in names)
+    return fields, parameters, constants
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -347,6 +386,10 @@ def main(argv=None) -> int:
     for label, src in trees.items():
         lines, code = line_counts(src)
         print(f"{label} src/qreduce: {lines} lines, {code} code lines")
+    for label, src in trees.items():
+        fields, parameters, constants = settable_values(src)
+        print(f"{label} settable values: {fields} fields, {parameters} "
+              f"parameters, {constants} constants")
     return 1 if status_changed or exact else 0
 
 
